@@ -17,10 +17,16 @@
 
 use crate::airtime::{contention_window, DIFS_US, SLOT_US};
 use crate::frame::NodeId;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use wgtt_radio::Position;
 use wgtt_sim::rng::Xoshiro256;
 use wgtt_sim::time::{SimDuration, SimTime};
+
+/// How long an ended transmission stays queryable by id. The grace
+/// period keeps just-ended entries answerable even when another node's
+/// `begin_tx` lands between a transmission's end instant and the event
+/// that collects its outcome.
+const GRACE: SimDuration = SimDuration::from_millis(100);
 
 /// Handle to an in-progress transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,7 +44,6 @@ pub enum TxOutcome {
 
 #[derive(Debug)]
 struct Ongoing {
-    id: TxId,
     from: NodeId,
     start: SimTime,
     end: SimTime,
@@ -47,32 +52,49 @@ struct Ongoing {
 }
 
 /// Single-channel medium shared by all nodes of a scenario.
+///
+/// Callers present non-decreasing instants, as an event loop does: a
+/// query earlier than the latest [`Medium::begin_tx`] sees only what
+/// was still on the air at that `begin_tx`.
 #[derive(Debug)]
 pub struct Medium {
-    positions: HashMap<NodeId, Position>,
-    /// Wireless channel per node (default 0). Nodes on different
+    /// Indexed by node id (scenario ids are small and dense).
+    positions: Vec<Option<Position>>,
+    /// Wireless channel per node id (default 0). Nodes on different
     /// channels neither sense, interfere with, nor receive each other —
     /// the §7 multi-channel discussion of the paper.
-    channels: HashMap<NodeId, u8>,
+    channels: Vec<u8>,
     /// Range within which a node defers to another's transmission, metres.
     pub cs_range_m: f64,
     /// Range within which an overlapping sender corrupts a reception,
     /// metres.
     pub interference_range_m: f64,
-    ongoing: Vec<Ongoing>,
-    next_id: u64,
+    /// Every transmission still inside its grace period, in id order:
+    /// entry `k` is transmission `first_id + k`, so lookup by id is an
+    /// offset and retiring pops the front.
+    recent: VecDeque<Ongoing>,
+    first_id: u64,
+    /// Ids (ascending) of the `recent` entries that had not ended at the
+    /// latest `begin_tx` — the only ones a busy or overlap query has to
+    /// look at. A handful, where `recent` holds the whole grace window.
+    on_air: Vec<u64>,
+    /// Instant of the latest `begin_tx`: an entry is retired, for lookups
+    /// by id too, once its grace period ends at or before this.
+    retired_at: SimTime,
 }
 
 impl Medium {
     /// A medium with the given carrier-sense and interference ranges.
     pub fn new(cs_range_m: f64, interference_range_m: f64) -> Self {
         Medium {
-            positions: HashMap::new(),
-            channels: HashMap::new(),
+            positions: Vec::new(),
+            channels: Vec::new(),
             cs_range_m,
             interference_range_m,
-            ongoing: Vec::new(),
-            next_id: 0,
+            recent: VecDeque::new(),
+            first_id: 0,
+            on_air: Vec::new(),
+            retired_at: SimTime::ZERO,
         }
     }
 
@@ -84,18 +106,26 @@ impl Medium {
 
     /// Update a node's position (mobility ticks call this).
     pub fn set_position(&mut self, node: NodeId, pos: Position) {
-        self.positions.insert(node, pos);
+        let i = node.0 as usize;
+        if i >= self.positions.len() {
+            self.positions.resize(i + 1, None);
+        }
+        self.positions[i] = Some(pos);
     }
 
     /// Tune a node to a channel (default 0; single-channel deployments
     /// never need to call this).
     pub fn set_channel(&mut self, node: NodeId, channel: u8) {
-        self.channels.insert(node, channel);
+        let i = node.0 as usize;
+        if i >= self.channels.len() {
+            self.channels.resize(i + 1, 0);
+        }
+        self.channels[i] = channel;
     }
 
     /// The channel a node is tuned to.
     pub fn channel_of(&self, node: NodeId) -> u8 {
-        self.channels.get(&node).copied().unwrap_or(0)
+        self.channels.get(node.0 as usize).copied().unwrap_or(0)
     }
 
     /// Whether two nodes share a channel (can hear each other at all).
@@ -106,9 +136,10 @@ impl Medium {
     /// A node's current position. Panics on unknown nodes — registering
     /// positions before use is a scenario invariant.
     pub fn position(&self, node: NodeId) -> Position {
-        *self
-            .positions
-            .get(&node)
+        self.positions
+            .get(node.0 as usize)
+            .copied()
+            .flatten()
             .unwrap_or_else(|| panic!("node {node} has no position"))
     }
 
@@ -116,20 +147,31 @@ impl Medium {
         self.same_channel(a, b) && self.position(a).distance_to(self.position(b)) <= range
     }
 
-    /// Drop bookkeeping for transmissions that ended well before `now`.
-    /// A grace period keeps just-ended entries queryable even when another
-    /// node's `begin_tx` lands between a transmission's end instant and
-    /// the event that collects its outcome.
-    fn gc(&mut self, now: SimTime) {
-        const GRACE: SimDuration = SimDuration::from_millis(100);
-        self.ongoing.retain(|o| o.end + GRACE > now);
+    /// The transmissions that may still be on the air.
+    fn on_air(&self) -> impl Iterator<Item = &Ongoing> + '_ {
+        self.on_air
+            .iter()
+            .map(|&id| &self.recent[(id - self.first_id) as usize])
+    }
+
+    /// Transmissions other than `node`'s own that it can sense at `now`.
+    fn sensed_by(&self, node: NodeId, now: SimTime) -> impl Iterator<Item = &Ongoing> + '_ {
+        self.on_air().filter(move |o| {
+            o.end > now && o.from != node && self.in_range(node, o.from, self.cs_range_m)
+        })
+    }
+
+    /// Transmission `id`, unless it was never begun or has been retired.
+    fn lookup(&self, id: TxId) -> Option<&Ongoing> {
+        let k = id.0.checked_sub(self.first_id)?;
+        self.recent
+            .get(usize::try_from(k).ok()?)
+            .filter(|o| o.end + GRACE > self.retired_at)
     }
 
     /// Is the channel sensed busy by `node` at `now`?
     pub fn is_busy_for(&self, node: NodeId, now: SimTime) -> bool {
-        self.ongoing
-            .iter()
-            .any(|o| o.end > now && o.from != node && self.in_range(node, o.from, self.cs_range_m))
+        self.sensed_by(node, now).next().is_some()
     }
 
     /// Like [`Medium::is_busy_for`], but a transmission that began less
@@ -137,22 +179,14 @@ impl Medium {
     /// been decoded. This window is what makes simultaneous SIFS-spaced
     /// ACK responses from multiple APs able to collide (paper §5.3.2).
     pub fn sensed_busy(&self, node: NodeId, now: SimTime, sense_lag: SimDuration) -> bool {
-        self.ongoing.iter().any(|o| {
-            o.end > now
-                && o.start + sense_lag <= now
-                && o.from != node
-                && self.in_range(node, o.from, self.cs_range_m)
-        })
+        self.sensed_by(node, now)
+            .any(|o| o.start + sense_lag <= now)
     }
 
     /// Latest end time of any transmission `node` can sense (or `now` if
     /// the channel is idle for it).
     pub fn busy_until_for(&self, node: NodeId, now: SimTime) -> SimTime {
-        self.ongoing
-            .iter()
-            .filter(|o| {
-                o.end > now && o.from != node && self.in_range(node, o.from, self.cs_range_m)
-            })
+        self.sensed_by(node, now)
             .map(|o| o.end)
             .max()
             .unwrap_or(now)
@@ -161,8 +195,7 @@ impl Medium {
     /// Latest end time of `node`'s *own* ongoing transmissions (a radio
     /// cannot start a second frame while one is still leaving it).
     pub fn own_tx_until(&self, node: NodeId, now: SimTime) -> SimTime {
-        self.ongoing
-            .iter()
+        self.on_air()
             .filter(|o| o.end > now && o.from == node)
             .map(|o| o.end)
             .max()
@@ -197,42 +230,46 @@ impl Medium {
     /// temporal overlap with another ongoing transmission is recorded for
     /// both parties.
     pub fn begin_tx(&mut self, from: NodeId, now: SimTime, dur: SimDuration) -> TxId {
-        self.gc(now);
-        let id = TxId(self.next_id);
-        self.next_id += 1;
-        let mut entry = Ongoing {
-            id,
+        // Entries still on the air overlap us; the ones that ended drop
+        // off the active list (they stay queryable by id for `GRACE`).
+        let (recent, first_id) = (&mut self.recent, self.first_id);
+        let mut overlapped_with = Vec::new();
+        self.on_air.retain(|&id| {
+            let other = &mut recent[(id - first_id) as usize];
+            let live = other.end > now;
+            if live {
+                other.overlapped_with.push(from);
+                overlapped_with.push(other.from);
+            }
+            live
+        });
+        // Nothing left on the active list can be retired: it ends after
+        // `now`.
+        self.retired_at = now;
+        while self.recent.front().is_some_and(|o| o.end + GRACE <= now) {
+            self.recent.pop_front();
+            self.first_id += 1;
+        }
+        let id = self.first_id + self.recent.len() as u64;
+        self.on_air.push(id);
+        self.recent.push_back(Ongoing {
             from,
             start: now,
             end: now + dur,
-            overlapped_with: Vec::new(),
-        };
-        for other in &mut self.ongoing {
-            // Entries still on the air overlap us; grace-period leftovers
-            // (ended, kept only for outcome queries) do not.
-            if other.end > now {
-                other.overlapped_with.push(from);
-                entry.overlapped_with.push(other.from);
-            }
-        }
-        self.ongoing.push(entry);
-        id
+            overlapped_with,
+        });
+        TxId(id)
     }
 
     /// Outcome of transmission `id` at receiver `rx`. Call at (or after)
     /// the transmission's end. The transmission stays queryable until
-    /// garbage-collected by a later `begin_tx`.
+    /// a `begin_tx` at least `GRACE` (100 ms) after its end retires it.
     pub fn outcome_for(&self, id: TxId, rx: NodeId) -> TxOutcome {
-        let tx = self
-            .ongoing
-            .iter()
-            .find(|o| o.id == id)
-            .expect("outcome_for on unknown or GCed transmission");
-        let corrupted = tx
-            .overlapped_with
-            .iter()
-            .any(|&other| other != rx && self.in_range(other, rx, self.interference_range_m));
-        if corrupted {
+        assert!(
+            self.lookup(id).is_some(),
+            "outcome_for on unknown or retired transmission"
+        );
+        if self.interferers_for(id, rx).next().is_some() {
             TxOutcome::Collided
         } else {
             TxOutcome::Clean
@@ -241,49 +278,30 @@ impl Medium {
 
     /// Senders whose transmissions overlapped `id` in time (for
     /// capture-effect decisions at a receiver).
-    pub fn overlappers(&self, id: TxId) -> Vec<NodeId> {
-        self.ongoing
-            .iter()
-            .find(|o| o.id == id)
-            .map(|o| o.overlapped_with.clone())
-            .unwrap_or_default()
+    pub fn overlappers(&self, id: TxId) -> &[NodeId] {
+        self.lookup(id).map_or(&[], |o| &o.overlapped_with)
     }
 
     /// Overlapping senders that can actually corrupt reception of `id`
-    /// at `rx`: same channel and within interference range, mirroring
-    /// the [`Medium::outcome_for`] corruption rule. A sender several
+    /// at `rx`: same channel and within interference range — the
+    /// [`Medium::outcome_for`] corruption rule. A sender several
     /// cell-radii away overlaps in time but contributes nothing at the
     /// receiver, so it must not enter capture comparisons either.
-    pub fn interferers_for(&self, id: TxId, rx: NodeId) -> Vec<NodeId> {
-        self.ongoing
-            .iter()
-            .find(|o| o.id == id)
-            .map(|o| {
-                o.overlapped_with
-                    .iter()
-                    .copied()
-                    .filter(|&other| {
-                        other != rx && self.in_range(other, rx, self.interference_range_m)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    pub fn interferers_for(&self, id: TxId, rx: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.overlappers(id).iter().copied().filter(move |&other| {
+            other != rx && self.in_range(other, rx, self.interference_range_m)
+        })
     }
 
     /// Whether transmission `id` overlapped any other transmission at all
     /// (collision accounting for Table 3, independent of receivers).
     pub fn overlapped(&self, id: TxId) -> bool {
-        self.ongoing
-            .iter()
-            .find(|o| o.id == id)
-            .map(|o| !o.overlapped_with.is_empty())
-            .unwrap_or(false)
+        !self.overlappers(id).is_empty()
     }
 
     /// Number of transmissions currently on the air at `now`.
     pub fn active_count(&self, now: SimTime) -> usize {
-        self.ongoing
-            .iter()
+        self.on_air()
             .filter(|o| o.start <= now && o.end > now)
             .count()
     }

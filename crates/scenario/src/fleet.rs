@@ -440,6 +440,10 @@ pub struct FleetReport {
     pub events_handled: u64,
     /// Frames that completed on the air (macro-bench numerator).
     pub frames_on_air: u64,
+    /// Controller timeout polls among `events_handled`. Like the event
+    /// count, a property of the engine rather than of the physics, so
+    /// it stays outside [`FleetReport::equivalence_digest`].
+    pub ctl_polls: u64,
     /// Robustness counters (normally zero; see `RunReport`).
     pub backhaul_misaddressed: u64,
     /// Delivered-frame refs that no longer resolved (normally zero).
@@ -525,6 +529,7 @@ impl FleetReport {
             full_outage_vehicles,
             events_handled: report.events_handled,
             frames_on_air: report.frames_on_air,
+            ctl_polls: report.ctl_polls,
             backhaul_misaddressed: report.backhaul_misaddressed,
             missing_packet_refs: report.missing_packet_refs,
         }
@@ -548,6 +553,7 @@ impl FleetReport {
         let mut full_outage_vehicles = 0usize;
         let mut events_handled = 0u64;
         let mut frames_on_air = 0u64;
+        let mut ctl_polls = 0u64;
         let mut backhaul_misaddressed = 0u64;
         let mut missing_packet_refs = 0u64;
         for p in parts {
@@ -562,6 +568,7 @@ impl FleetReport {
             full_outage_vehicles += p.full_outage_vehicles;
             events_handled += p.events_handled;
             frames_on_air += p.frames_on_air;
+            ctl_polls += p.ctl_polls;
             backhaul_misaddressed += p.backhaul_misaddressed;
             missing_packet_refs += p.missing_packet_refs;
         }
@@ -591,6 +598,7 @@ impl FleetReport {
             full_outage_vehicles,
             events_handled,
             frames_on_air,
+            ctl_polls,
             backhaul_misaddressed,
             missing_packet_refs,
         }

@@ -16,7 +16,8 @@
 //! an ACK packet into the client's uplink queue, which every in-range AP
 //! may decode, tunnel, and the controller de-duplicates).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 use wgtt::ap::ApAgent;
 use wgtt::controller::{ActionBuf, Controller, ControllerAction};
@@ -39,7 +40,7 @@ use wgtt_net::traffic::CbrUdpSource;
 use wgtt_net::wire::Ipv4Addr;
 use wgtt_radio::fading::FadingProcess;
 use wgtt_radio::link::{Link, LinkBudget};
-use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel};
+use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel, Position};
 use wgtt_sim::metrics::{Counter, Distribution, ThroughputMeter, TimeSeries};
 use wgtt_sim::queue::{EventId, EventQueue};
 use wgtt_sim::rng::{RngStream, Xoshiro256};
@@ -92,17 +93,63 @@ pub enum FlowSpec {
     },
 }
 
-/// Conference frame reassembly bookkeeping.
+/// Conference frame reassembly bookkeeping. Sources number their frames
+/// and the flow numbers its chunks from zero, so both tables are indexed
+/// directly.
 #[derive(Debug, Default)]
 struct FrameAssembly {
-    /// frame id → (chunks needed, chunks received).
-    pending: HashMap<u64, (u32, u32)>,
-    /// seq → frame id mapping recorded at send time.
-    seq_to_frame: HashMap<u32, (u64, u32)>,
+    /// Per frame id: (chunks needed, chunks received). A frame is pending
+    /// while it has received fewer chunks than it needs.
+    frames: Vec<(u32, u32)>,
+    /// Per chunk sequence number: the frame it belongs to, recorded at
+    /// send time.
+    seq_to_frame: Vec<u64>,
     /// Frames fully generated in the current feedback window.
     window_sent: u64,
     /// Frames completed in the current feedback window.
     window_done: u64,
+}
+
+impl FrameAssembly {
+    /// Record a generated frame of `chunks` chunks and hand back the
+    /// sequence numbers to send them under, starting at `*next_seq`.
+    fn on_frame_sent(&mut self, frame: u64, chunks: u32, next_seq: &mut u32) -> Range<u32> {
+        set_at(&mut self.frames, frame as usize, (chunks, 0), (0, 0));
+        self.window_sent += 1;
+        let first = *next_seq;
+        *next_seq += chunks;
+        for seq in first..*next_seq {
+            set_at(&mut self.seq_to_frame, seq as usize, frame, u64::MAX);
+        }
+        first..*next_seq
+    }
+
+    /// A chunk arrived; returns whether it completed its frame. Chunks
+    /// of unknown or already complete frames change nothing.
+    fn on_chunk(&mut self, seq: u32) -> bool {
+        let Some(e) = self
+            .seq_to_frame
+            .get(seq as usize)
+            .and_then(|&frame| self.frames.get_mut(usize::try_from(frame).ok()?))
+        else {
+            return false;
+        };
+        if e.1 >= e.0 {
+            return false;
+        }
+        e.1 += 1;
+        let done = e.1 == e.0;
+        self.window_done += u64::from(done);
+        done
+    }
+}
+
+/// `v[i] = value`, growing `v` with `fill` when `i` is past the end.
+fn set_at<T: Clone>(v: &mut Vec<T>, i: usize, value: T, fill: T) {
+    if i >= v.len() {
+        v.resize(i + 1, fill);
+    }
+    v[i] = value;
 }
 
 enum FlowKind {
@@ -147,11 +194,11 @@ struct ClientNode {
     id: NodeId,
     plan: ClientPlan,
     ip: Ipv4Addr,
-    /// Downlink data receive windows, keyed by transmitter identity.
-    /// WGTT APs share one BSSID (one window, which survives switches by
-    /// design); baseline APs are distinct transmitters with independent
-    /// Block ACK sessions.
-    ba_rx: HashMap<NodeId, BaRecipient>,
+    /// Downlink data receive windows, one per transmitter identity
+    /// (see `World::ba_rx_slot`). WGTT APs share one BSSID (one window,
+    /// which survives switches by design); baseline APs are distinct
+    /// transmitters with independent Block ACK sessions.
+    ba_rx: Vec<BaRecipient>,
     /// Uplink originator state.
     up_fresh: std::collections::VecDeque<Mpdu>,
     up_retries: Vec<Mpdu>,
@@ -228,12 +275,18 @@ pub struct RunReport {
     pub tcp_completion: HashMap<FlowId, SimTime>,
     /// Baseline: reassociation failures.
     pub failed_handshakes: u64,
-    /// Debug: client BA responses scheduled / transmitted / decoded at
-    /// their target AP.
-    pub dbg_ba: (u64, u64, u64),
+    /// Switches the controller started, completed or not.
+    pub switches_started: u64,
+    /// Stops the controller retransmitted after an ack timeout.
+    pub stop_retransmits: u64,
     /// Discrete events handled by [`World::run`] — the macro-bench's
     /// events/s numerator.
     pub events_handled: u64,
+    /// Controller timeout polls among them. Each switch start and each
+    /// stop retransmission arms one deadline and a deadline is polled
+    /// once, so this stays at or below `switches_started +
+    /// stop_retransmits`.
+    pub ctl_polls: u64,
     /// Frames whose on-air time completed (data, keepalive and control
     /// alike) — the macro-bench's frames/s numerator.
     pub frames_on_air: u64,
@@ -349,7 +402,14 @@ pub struct World {
     system_kind: SystemKind,
     queue: EventQueue<Ev>,
     medium: Medium,
-    links: HashMap<(NodeId, NodeId), Link>,
+    /// One radio link per (AP, client) pair, at
+    /// `ap_index * clients.len() + client_index`.
+    links: Vec<Link>,
+    /// AP positions by local AP index.
+    ap_pos: Vec<Position>,
+    /// Whether `cfg.ap_x` is non-decreasing (every corridor and the paper
+    /// array), which lets [`World::ap_window`] bisect it.
+    ap_x_sorted: bool,
     system: SystemState,
     clients: Vec<ClientNode>,
     /// First client NodeId: 100 for every paper-scale world, pushed up
@@ -358,7 +418,9 @@ pub struct World {
     client_base: u32,
     flows: Vec<Flow>,
     factory: PacketFactory,
-    packets: HashMap<u64, Packet>,
+    /// Every packet routed so far, by packet id (the factory counts from
+    /// zero).
+    packets: Vec<Option<Packet>>,
     /// Per-AP PHY/MAC random streams (indexed like the other per-AP
     /// vectors): contention backoff, Block-ACK response jitter, beacon
     /// deferral. Keyed by global AP id at derivation time.
@@ -371,8 +433,13 @@ pub struct World {
     ap_ba_timeout_ev: Vec<Option<EventId>>,
     /// Which client the pending exchange addresses (per AP).
     ap_current_peer: Vec<Option<NodeId>>,
-    /// Uplink Block-ACK receive windows per (AP, client).
-    ap_up_rx: HashMap<(NodeId, NodeId), BaRecipient>,
+    /// Uplink Block-ACK receive windows per (AP, client), indexed like
+    /// `links`.
+    ap_up_rx: Vec<BaRecipient>,
+    /// Deadlines that already have an `Ev::CtlPoll` in the queue: the
+    /// controller asks for its next timeout after every dispatch, and one
+    /// poll per deadline is all it needs.
+    ctl_polls_armed: BTreeSet<SimTime>,
     /// Collected observables.
     pub report: RunReport,
     /// Instant at which the traffic sources start (the paper starts its
@@ -418,6 +485,11 @@ pub struct World {
     /// each dispatch depth pops its own buffer and returns it cleared —
     /// depth-first order preserved, zero steady-state allocation.
     ctl_bufs: Vec<ActionBuf>,
+    /// Scratch for `end_uplink_data`'s per-AP decode loop (reused across
+    /// APs and frames): the MPDUs one AP decoded, and the packets among
+    /// them it had not seen before.
+    decoded_scratch: Vec<Mpdu>,
+    new_refs_scratch: Vec<PacketRef>,
     end_at: SimTime,
 }
 
@@ -501,7 +573,7 @@ impl World {
         // Radio links: one fading realization per (AP, client) pair,
         // shared verbatim between compared systems at equal seeds.
         let boresight = cfg.ap_boresight_rad.unwrap_or(-std::f64::consts::FRAC_PI_2);
-        let mut links = HashMap::new();
+        let mut links = Vec::with_capacity(n_aps * cfg.clients.len());
         for (ai, &ap_pos) in ap_positions.iter().enumerate() {
             let ap_id = NodeId(cfg.ap_id_offset + ai as u32);
             medium.set_position(ap_id, ap_pos);
@@ -509,25 +581,21 @@ impl World {
                 medium.set_channel(ap_id, ch);
             }
             for (ci, plan) in cfg.clients.iter().enumerate() {
-                let client_id = NodeId(client_base + ci as u32);
                 let stream = root
                     .derive("link")
                     .derive_indexed("ap", u64::from(cfg.ap_id_offset) + ai as u64)
                     .derive_indexed("client", (cfg.client_index_offset + ci) as u64);
-                links.insert(
-                    (ap_id, client_id),
-                    Link {
-                        ap_pos,
-                        ap_boresight_rad: boresight,
-                        ap_antenna: ParabolicAntenna::laird_gd24bp(),
-                        client_antenna_dbi: 0.0,
-                        budget: LinkBudget::default(),
-                        pathloss: PathLossModel::roadside(),
-                        fading: FadingProcess::new(stream, plan.speed_mps.max(0.3), 9.0),
-                        shadowing: None,
-                        memo: Default::default(),
-                    },
-                );
+                links.push(Link {
+                    ap_pos,
+                    ap_boresight_rad: boresight,
+                    ap_antenna: ParabolicAntenna::laird_gd24bp(),
+                    client_antenna_dbi: 0.0,
+                    budget: LinkBudget::default(),
+                    pathloss: PathLossModel::roadside(),
+                    fading: FadingProcess::new(stream, plan.speed_mps.max(0.3), 9.0),
+                    shadowing: None,
+                    memo: Default::default(),
+                });
             }
         }
 
@@ -582,7 +650,13 @@ impl World {
                     // The *global* index keeps shard addressing identical
                     // to the monolithic world's.
                     ip: Ipv4Addr::new(172, 16, ((100 + gci) >> 8) as u8, (100 + gci) as u8),
-                    ba_rx: HashMap::new(),
+                    ba_rx: vec![
+                        BaRecipient::default();
+                        match system {
+                            SystemKind::Wgtt(_) => 1,
+                            _ => n_aps,
+                        }
+                    ],
                     up_fresh: std::collections::VecDeque::new(),
                     up_retries: Vec::new(),
                     up_ba: BaOriginator::default(),
@@ -608,12 +682,14 @@ impl World {
             queue: EventQueue::new(),
             medium,
             links,
+            ap_x_sorted: cfg.ap_x.windows(2).all(|w| w[0] <= w[1]),
+            ap_pos: ap_positions,
             system: system_state,
             clients,
             client_base,
             flows: Vec::new(),
             factory: PacketFactory::new(),
-            packets: HashMap::new(),
+            packets: Vec::new(),
             ap_rng: ap_ids
                 .iter()
                 .map(|&id| root.derive_indexed("ap-phy", u64::from(id.0)).rng())
@@ -624,7 +700,8 @@ impl World {
             ap_backoff: vec![0; n_aps],
             ap_ba_timeout_ev: vec![None; n_aps],
             ap_current_peer: vec![None; n_aps],
-            ap_up_rx: HashMap::new(),
+            ap_up_rx: vec![BaRecipient::default(); n_aps * cfg.clients.len()],
+            ctl_polls_armed: BTreeSet::new(),
             report: RunReport::default(),
             traffic_start: SimTime::ZERO,
             rts_cts: false,
@@ -637,6 +714,8 @@ impl World {
             batch_esnr: true,
             esnr_scratch: Vec::new(),
             ctl_bufs: Vec::new(),
+            decoded_scratch: Vec::new(),
+            new_refs_scratch: Vec::new(),
             end_at: SimTime::ZERO,
             cfg,
         };
@@ -746,29 +825,52 @@ impl World {
         NodeId(self.cfg.ap_id_offset + aui as u32)
     }
 
-    /// Whether `ap` is close enough to `client` for any frame between
-    /// them to be decodable at all. Pure geometry (the drive plan and
-    /// the static AP grid), so both the monolithic world and a spatial
-    /// shard skip exactly the same pairs — before any random draw.
-    fn within_decode_horizon(&self, ap: NodeId, client: NodeId, now: SimTime) -> bool {
-        let apos = self.medium.position(ap);
-        self.client_pos(client, now).distance_to(apos) <= DECODE_HORIZON_M
+    /// Whether the AP at local index `aui` is close enough to a client
+    /// at `pos` for any frame between them to be decodable at all. Pure
+    /// geometry (the drive plan and the static AP grid), so both the
+    /// monolithic world and a spatial shard skip exactly the same pairs
+    /// — before any random draw.
+    fn in_decode_horizon(&self, aui: usize, pos: Position) -> bool {
+        pos.distance_to(self.ap_pos[aui]) <= DECODE_HORIZON_M
     }
 
-    fn client_pos(&self, id: NodeId, now: SimTime) -> wgtt_radio::Position {
+    /// Local indices of the APs that can lie inside the decode horizon
+    /// of a client at along-road coordinate `x`, ascending: a superset of
+    /// the ones [`World::in_decode_horizon`] accepts, which every caller
+    /// still applies. With `ap_x` sorted this is the bisected run of APs
+    /// within the horizon along the road (no AP is nearer than its
+    /// along-road offset), so an every-AP loop costs what is in range
+    /// rather than what is in the world; an unsorted array gets the full
+    /// range.
+    fn ap_window(&self, x: f64) -> Range<usize> {
+        if !self.ap_x_sorted {
+            return 0..self.cfg.ap_x.len();
+        }
+        // A millimetre of slack keeps rounding in the two bounds from
+        // excluding an AP the exact test would accept.
+        let reach = DECODE_HORIZON_M + 1e-3;
+        let lo = self.cfg.ap_x.partition_point(|&a| a < x - reach);
+        let hi = self.cfg.ap_x.partition_point(|&a| a <= x + reach);
+        lo..hi
+    }
+
+    fn client_pos(&self, id: NodeId, now: SimTime) -> Position {
         self.clients[self.client_index(id)].plan.position_at(now)
     }
 
-    fn link(&self, ap: NodeId, client: NodeId) -> &Link {
-        self.links
-            .get(&(ap, client))
-            .expect("link exists for every (AP, client) pair")
+    /// Index of the (ap, client) pair in `links` and `ap_up_rx`.
+    fn pair_index(&self, ap: NodeId, client: NodeId) -> usize {
+        self.ap_index(ap) * self.clients.len() + self.client_index(client)
     }
 
-    /// ESNR of the (ap, client) link right now, under the reference
-    /// 16-QAM constellation (the controller's selection metric).
-    fn esnr_now(&self, ap: NodeId, client: NodeId, now: SimTime) -> f64 {
-        let pos = self.client_pos(client, now);
+    fn link(&self, ap: NodeId, client: NodeId) -> &Link {
+        &self.links[self.pair_index(ap, client)]
+    }
+
+    /// ESNR of the (ap, client) link right now, with the client at `pos`,
+    /// under the reference 16-QAM constellation (the controller's
+    /// selection metric).
+    fn esnr_now(&self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> f64 {
         self.link(ap, client)
             .esnr_db_at(now, pos, Modulation::Qam16)
     }
@@ -782,27 +884,25 @@ impl World {
     /// capture check, which may consult other links), and priming draws
     /// no randomness, so RNG streams are untouched and the toggle is
     /// outcome-invariant.
-    fn prime_esnr_maps(&self, client: NodeId, now: SimTime) {
+    fn prime_esnr_maps(&self, client: NodeId, pos: Position, now: SimTime) {
         if !self.batch_esnr {
             return;
         }
-        let pos = self.client_pos(client, now);
-        let n_aps = self.cfg.ap_x.len() as u32;
-        let off = self.cfg.ap_id_offset;
-        let links = (0..n_aps)
-            .map(|ai| NodeId(off + ai))
-            .filter(|&ap| {
-                self.within_decode_horizon(ap, client, now) && self.medium.same_channel(client, ap)
+        let links = self
+            .ap_window(pos.x)
+            .filter(|&aui| {
+                self.in_decode_horizon(aui, pos)
+                    && self.medium.same_channel(client, self.ap_id(aui))
             })
-            .map(|ap| self.link(ap, client));
+            .map(|aui| self.link(self.ap_id(aui), client));
         wgtt_radio::batch::prime(links, now, pos, Modulation::Qam16);
     }
 
     /// The ESNR an AP *measures* from one frame's CSI: the true value
     /// plus estimation noise. Selection consumes these; delivery rolls
     /// use the true channel.
-    fn measured_esnr(&mut self, ap: NodeId, client: NodeId, now: SimTime) -> f64 {
-        let true_esnr = self.esnr_now(ap, client, now);
+    fn measured_esnr(&mut self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> f64 {
+        let true_esnr = self.esnr_now(ap, client, pos, now);
         let ci = self.client_index(client);
         true_esnr + self.clients[ci].rng.normal_with(0.0, CSI_NOISE_DB)
     }
@@ -861,16 +961,22 @@ impl World {
         let worst = self
             .medium
             .interferers_for(tx, rx)
-            .into_iter()
             .map(|n| self.rssi_between(n, rx, now))
             .fold(f64::NEG_INFINITY, f64::max);
         wanted - worst >= CAPTURE_MARGIN_DB
     }
 
     /// Roll delivery of one MPDU of `len` bytes at `mcs` over the
-    /// (ap, client) link at `now`.
-    fn roll_mpdu(&mut self, ap: NodeId, client: NodeId, now: SimTime, mcs: Mcs, len: u16) -> bool {
-        let pos = self.client_pos(client, now);
+    /// (ap, client) link at `now`, with the client at `pos`.
+    fn roll_mpdu(
+        &mut self,
+        ap: NodeId,
+        client: NodeId,
+        pos: Position,
+        now: SimTime,
+        mcs: Mcs,
+        len: u16,
+    ) -> bool {
         let esnr = self.link(ap, client).esnr_db_at(now, pos, mcs.modulation());
         let per = mcs.per(esnr, len);
         let ci = self.client_index(client);
@@ -879,8 +985,7 @@ impl World {
 
     /// Roll reception of a short control frame (Block ACK, ACK, beacon,
     /// management) which is sent at a robust basic rate.
-    fn roll_control(&mut self, ap: NodeId, client: NodeId, now: SimTime) -> bool {
-        let pos = self.client_pos(client, now);
+    fn roll_control(&mut self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> bool {
         let esnr = self.link(ap, client).esnr_db_at(now, pos, Modulation::Qpsk);
         // 32-byte control frame at the 24 Mbit/s basic rate ≈ MCS2 PER.
         let per = Mcs::Mcs2.per(esnr, 64);
@@ -889,15 +994,16 @@ impl World {
     }
 
     fn store_packet(&mut self, p: Packet) {
-        self.packets.insert(p.id, p);
+        set_at(&mut self.packets, p.id as usize, Some(p), None);
     }
 
-    /// The Block ACK receive-window key for a downlink transmitter: the
-    /// shared BSSID under WGTT, the individual AP otherwise.
-    fn ba_rx_key(&self, ap: NodeId) -> NodeId {
+    /// Which of a client's Block ACK receive windows a downlink
+    /// transmitter uses: the one shared-BSSID window under WGTT, the
+    /// individual AP's otherwise.
+    fn ba_rx_slot(&self, ap: NodeId) -> usize {
         match self.system {
-            SystemState::Wgtt { .. } => NodeId(u32::MAX),
-            SystemState::Baseline { .. } => ap,
+            SystemState::Wgtt { .. } => 0,
+            SystemState::Baseline { .. } => self.ap_index(ap),
         }
     }
 
@@ -905,7 +1011,10 @@ impl World {
     /// store entry (duplicate delivery racing cleanup in a large world)
     /// — is the caller's cue to skip the frame, not a crash.
     fn packet_by_ref(&self, r: PacketRef) -> Option<Packet> {
-        self.packets.get(&r.id).copied()
+        self.packets
+            .get(usize::try_from(r.id).ok()?)
+            .copied()
+            .flatten()
     }
 
     // -------------------------------------------------------- run control
@@ -963,8 +1072,8 @@ impl World {
 
     fn bootstrap(&mut self) {
         // Initial association: strongest mean-SNR AP at the start position.
-        let client_ids: Vec<NodeId> = self.clients.iter().map(|c| c.id).collect();
-        for client in client_ids {
+        for ci in 0..self.clients.len() {
+            let client = self.clients[ci].id;
             let pos = self.client_pos(client, SimTime::ZERO);
             let best_ap = (0..self.cfg.ap_x.len())
                 .map(|aui| self.ap_id(aui))
@@ -982,7 +1091,6 @@ impl World {
                 }
                 SystemState::Baseline { ds, .. } => {
                     ds.attach(client, best_ap);
-                    let ci = self.client_index(client);
                     self.clients[ci]
                         .roamer
                         .as_mut()
@@ -1277,6 +1385,8 @@ impl World {
         match &self.system {
             SystemState::Wgtt { controller, .. } => {
                 self.report.switches = controller.stats.switches_completed;
+                self.report.switches_started = controller.stats.switches_started;
+                self.report.stop_retransmits = controller.stats.stop_retransmits;
                 self.report.max_ap_load = controller.stats.max_ap_load;
                 self.report.switch_durations = controller.stats.switch_durations.clone();
                 self.report.uplink_dedup = (
@@ -1401,6 +1511,107 @@ mod tests {
         // And the sink saw no duplicate deliveries.
         let (_sent, received) = w.report.udp_counts[&FlowId(0)];
         assert!(received <= forwarded);
+    }
+
+    // ------------------------------------------------- AP range index
+
+    /// What the range index replaced: every AP, the exact horizon gate.
+    fn full_scan(w: &World, client: NodeId, now: SimTime) -> Vec<usize> {
+        let pos = w.client_pos(client, now);
+        (0..w.cfg.ap_x.len())
+            .filter(|&aui| pos.distance_to(w.medium.position(w.ap_id(aui))) <= DECODE_HORIZON_M)
+            .collect()
+    }
+
+    /// What the decode loops visit: the window, then the same gate.
+    fn range_index(w: &World, client: NodeId, now: SimTime) -> Vec<usize> {
+        let pos = w.client_pos(client, now);
+        w.ap_window(pos.x)
+            .filter(|&aui| w.in_decode_horizon(aui, pos))
+            .collect()
+    }
+
+    #[test]
+    fn range_index_visits_what_the_full_scan_accepts_in_the_same_order() {
+        use crate::testbed::{Direction, StopAndGo};
+        // Two 40-AP blocks 160 m apart, with one coincident pair.
+        let mut sorted: Vec<f64> = (0..40).map(|i| i as f64 * 8.0).collect();
+        sorted.extend((0..40).map(|i| 472.0 + i as f64 * 8.0));
+        sorted[7] = sorted[6];
+        // The same array with the blocks interleaved: not sorted.
+        let unsorted: Vec<f64> = (0..40).flat_map(|i| [sorted[40 + i], sorted[i]]).collect();
+        let plan = |x, y, speed_mps, direction, stop, shuttle| ClientPlan {
+            start: Position::new(x, y),
+            speed_mps,
+            direction,
+            stop,
+            shuttle,
+        };
+        let clients = vec![
+            // Through both blocks and out the far end.
+            plan(-150.0, 0.0, 31.0, Direction::East, None, None),
+            // Held at a stop line inside the first block.
+            plan(
+                -15.0,
+                0.0,
+                12.0,
+                Direction::East,
+                Some(StopAndGo {
+                    at_x: 100.0,
+                    pause_s: 9.0,
+                }),
+                None,
+            ),
+            // Shuttles: several turn-arounds at each end of a block.
+            plan(300.0, 0.0, 40.0, Direction::East, None, Some((-5.0, 317.0))),
+            plan(
+                500.0,
+                -3.5,
+                25.0,
+                Direction::West,
+                None,
+                Some((467.0, 789.0)),
+            ),
+            // Level with the building line, exactly one horizon east of
+            // the first AP: the `<=` boundary itself.
+            plan(
+                DECODE_HORIZON_M,
+                crate::testbed::ROAD_OFFSET_M,
+                0.0,
+                Direction::East,
+                None,
+                None,
+            ),
+            // Parked past the far end, out of everyone's reach.
+            plan(984.0, 0.0, 0.0, Direction::East, None, None),
+        ];
+        for (ap_x, is_sorted) in [(sorted, true), (unsorted, false)] {
+            let mut cfg = TestbedConfig::paper_array().with_clients(clients.clone());
+            cfg.ap_x = ap_x;
+            let w = World::new(cfg, SystemKind::Wgtt(WgttConfig::default()), vec![], 1);
+            assert_eq!(w.ap_x_sorted, is_sorted);
+            let mut visited = 0;
+            for step in 0..800 {
+                let now = SimTime::from_millis(step * 50);
+                for client in w.client_ids() {
+                    let want = full_scan(&w, client, now);
+                    assert_eq!(
+                        range_index(&w, client, now),
+                        want,
+                        "sorted={is_sorted} {client:?} at {now}"
+                    );
+                    visited += want.len();
+                }
+            }
+            assert!(visited > 10_000, "the scenario must exercise the gate");
+            // The boundary client hears the first AP, and the index is a
+            // real restriction where it applies.
+            let boundary = w.client_ids()[4];
+            let first_ap = w.cfg.ap_x.iter().position(|&x| x == 0.0);
+            assert!(full_scan(&w, boundary, SimTime::ZERO).contains(&first_ap.expect("x = 0")));
+            let parked = w.client_pos(w.client_ids()[5], SimTime::ZERO);
+            assert_eq!(w.ap_window(parked.x).is_empty(), is_sorted);
+        }
     }
 
     // ------------------------------------------- outage accounting edges

@@ -135,10 +135,16 @@ impl World {
                 ControllerAction::ToWan { packet } => self.on_wan_uplink(packet, now),
             }
         }
-        // A switch may have been started: make sure its timeout is polled.
+        // A switch may have been started: make sure its timeout is
+        // polled, once. The poll kept for a deadline is the first one
+        // asked for, so its place among same-instant events is the one
+        // a poll per dispatch would have given it.
         if let SystemState::Wgtt { controller, .. } = &mut self.system {
             if let Some(t) = controller.next_timeout() {
-                self.queue.schedule(t.max(now), Ev::CtlPoll);
+                let at = t.max(now);
+                if self.ctl_polls_armed.insert(at) {
+                    self.queue.schedule(at, Ev::CtlPoll);
+                }
             }
         }
     }
@@ -213,6 +219,10 @@ impl World {
     }
 
     fn on_ctl_poll(&mut self, now: SimTime) {
+        self.report.ctl_polls += 1;
+        // Disarm first: the dispatch below may need this very instant
+        // polled again.
+        self.ctl_polls_armed.remove(&now);
         self.with_controller(now, |c, buf| c.poll(now, buf));
     }
 
@@ -294,12 +304,7 @@ impl World {
                 let mut pkts = Vec::new();
                 for f in frames {
                     let chunks = f.bytes.div_ceil(CONF_CHUNK);
-                    asm.pending.insert(f.id, (chunks, 0));
-                    asm.window_sent += 1;
-                    for _ in 0..chunks {
-                        let seq = *next_seq;
-                        *next_seq += 1;
-                        asm.seq_to_frame.insert(seq, (f.id, chunks));
+                    for seq in asm.on_frame_sent(f.id, chunks, next_seq) {
                         pkts.push(self.factory.udp(
                             flow_id,
                             SERVER_IP,
@@ -328,12 +333,7 @@ impl World {
                 let mut pkts = Vec::new();
                 for f in frames {
                     let chunks = f.bytes.div_ceil(CONF_CHUNK);
-                    asm.pending.insert(f.id, (chunks, 0));
-                    asm.window_sent += 1;
-                    for _ in 0..chunks {
-                        let seq = *next_seq;
-                        *next_seq += 1;
-                        asm.seq_to_frame.insert(seq, (f.id, chunks));
+                    for seq in asm.on_frame_sent(f.id, chunks, next_seq) {
                         pkts.push(self.factory.udp(
                             flow_id,
                             client_ip,
@@ -427,15 +427,8 @@ impl World {
             }
             FlowKind::UpConf { asm, sink, .. } => {
                 if let Transport::Udp { seq } = packet.transport {
-                    if let Some(&(frame, _chunks)) = asm.seq_to_frame.get(&seq) {
-                        if let Some(e) = asm.pending.get_mut(&frame) {
-                            e.1 += 1;
-                            if e.1 >= e.0 {
-                                asm.pending.remove(&frame);
-                                asm.window_done += 1;
-                                sink.on_frame_complete(now);
-                            }
-                        }
+                    if asm.on_chunk(seq) {
+                        sink.on_frame_complete(now);
                     }
                 }
             }
@@ -494,15 +487,8 @@ impl World {
             }
             FlowKind::DownConf { asm, sink, .. } => {
                 if let Transport::Udp { seq } = packet.transport {
-                    if let Some(&(frame, _)) = asm.seq_to_frame.get(&seq) {
-                        if let Some(e) = asm.pending.get_mut(&frame) {
-                            e.1 += 1;
-                            if e.1 >= e.0 {
-                                asm.pending.remove(&frame);
-                                asm.window_done += 1;
-                                sink.on_frame_complete(now);
-                            }
-                        }
+                    if asm.on_chunk(seq) {
+                        sink.on_frame_complete(now);
                     }
                 }
             }
@@ -545,22 +531,17 @@ impl World {
     }
 
     fn on_mobility(&mut self, now: SimTime) {
-        let updates: Vec<(NodeId, wgtt_radio::Position)> = self
-            .clients
-            .iter()
-            .map(|c| (c.id, c.plan.position_at(now)))
-            .collect();
-        for (id, pos) in updates {
-            self.medium.set_position(id, pos);
+        for c in &self.clients {
+            self.medium.set_position(c.id, c.plan.position_at(now));
         }
         self.queue.schedule(now + MOBILITY_TICK, Ev::Mobility);
     }
 
     fn on_sample(&mut self, now: SimTime) {
-        let client_ids: Vec<NodeId> = self.clients.iter().map(|c| c.id).collect();
         let n_aps = self.cfg.ap_x.len() as u32;
         let off = self.cfg.ap_id_offset;
-        for client in client_ids {
+        for ci in 0..self.clients.len() {
+            let client = self.clients[ci].id;
             // Serving-AP trace.
             let serving = self.serving_of(client);
             // Multi-channel deployments: the client's radio follows its
@@ -617,7 +598,7 @@ impl World {
                 // measurement precision).
                 if oracle_esnr > 2.0 {
                     self.report.accuracy_total += SAMPLE_TICK.as_secs_f64();
-                    let serving_esnr = self.esnr_now(s, client, now);
+                    let serving_esnr = self.esnr_now(s, client, pos, now);
                     if serving_esnr >= oracle_esnr - 1.0 {
                         self.report.accuracy_hits += SAMPLE_TICK.as_secs_f64();
                     }

@@ -204,30 +204,46 @@ impl World {
     fn on_tx_end(&mut self, tx: TxId, frame: Frame, now: SimTime) {
         self.report.frames_on_air += 1;
         self.log_frame(now, &frame);
-        match frame.kind {
-            FrameKind::Ampdu { ref mpdus } if self.is_ap(frame.from) => {
-                let mpdus = mpdus.clone();
-                self.end_downlink_data(tx, frame.from, frame.to, mpdus, frame.mcs, now);
+        let Frame {
+            from,
+            to,
+            kind,
+            mcs,
+        } = frame;
+        let from_ap = self.is_ap(from);
+        match kind {
+            FrameKind::Ampdu { mpdus } if from_ap => {
+                self.end_downlink_data(tx, from, to, &mpdus, mcs, now);
             }
-            FrameKind::Ampdu { ref mpdus } => {
-                let mpdus = mpdus.clone();
-                self.end_uplink_data(tx, frame.from, mpdus, frame.mcs, now);
-            }
-            FrameKind::BlockAck { start_seq, bitmap } if self.is_ap(frame.from) => {
-                self.end_ap_blockack(tx, frame.from, frame.to, start_seq, bitmap, now);
+            FrameKind::Ampdu { mpdus } => self.end_uplink_data(tx, from, &mpdus, mcs, now),
+            FrameKind::BlockAck { start_seq, bitmap } if from_ap => {
+                self.end_ap_blockack(tx, from, to, start_seq, bitmap, now);
             }
             FrameKind::BlockAck { start_seq, bitmap } => {
-                self.end_client_blockack(tx, frame.from, frame.to, start_seq, bitmap, now);
+                self.end_client_blockack(tx, from, to, start_seq, bitmap, now);
             }
-            FrameKind::Beacon => self.end_beacon(tx, frame.from, now),
-            FrameKind::Mgmt { step } => self.end_mgmt(tx, frame.from, frame.to, step, now),
-            FrameKind::Data { packet, .. } if !self.is_ap(frame.from) => {
+            FrameKind::Beacon => self.end_beacon(tx, from, now),
+            FrameKind::Mgmt { step } => self.end_mgmt(tx, from, to, step, now),
+            FrameKind::Data { packet, .. } if !from_ap => {
                 if packet.id == KEEPALIVE_PKT_ID {
-                    self.end_keepalive(tx, frame.from, now);
+                    self.end_keepalive(tx, from, now);
                 }
             }
             FrameKind::Data { .. } | FrameKind::Ack => {}
         }
+    }
+
+    /// Whether the AP at local index `aui` receives the frame `tx` that a
+    /// client at `pos` just finished sending, as far as geometry, channel
+    /// and collisions decide (the PHY error roll comes after). The
+    /// horizon gate is first: an AP past the decode horizon must be
+    /// skipped *without consuming a random draw*, or a shard (which never
+    /// iterates it) would fall out of step with the monolithic world.
+    fn ap_hears(&self, aui: usize, tx: TxId, client: NodeId, pos: Position, now: SimTime) -> bool {
+        let ap = self.ap_id(aui);
+        self.in_decode_horizon(aui, pos)
+            && self.medium.same_channel(client, ap)
+            && self.rx_survives(tx, client, ap, now)
     }
 
     /// A keepalive finished: every decoding AP reports CSI (WGTT). The
@@ -236,31 +252,24 @@ impl World {
         if !matches!(self.system, SystemState::Wgtt { .. }) {
             return;
         }
+        let pos = self.client_pos(client, now);
         // One batched synthesis pass over every overhearing link; the
         // per-AP queries below are memo hits.
-        self.prime_esnr_maps(client, now);
-        let n_aps = self.cfg.ap_x.len() as u32;
-        let off = self.cfg.ap_id_offset;
-        for ai in 0..n_aps {
-            let ap = NodeId(off + ai);
-            // Horizon gate first: an AP past the decode horizon must be
-            // skipped *without consuming a random draw*, or a shard (which
-            // never iterates it) would fall out of step with this world.
-            if !self.within_decode_horizon(ap, client, now)
-                || !self.medium.same_channel(client, ap)
-                || !self.rx_survives(tx, client, ap, now)
-            {
+        self.prime_esnr_maps(client, pos, now);
+        for aui in self.ap_window(pos.x) {
+            if !self.ap_hears(aui, tx, client, pos, now) {
                 continue;
             }
-            if !self.roll_mpdu(ap, client, now, Mcs::Mcs0, 40) {
+            let ap = self.ap_id(aui);
+            if !self.roll_mpdu(ap, client, pos, now, Mcs::Mcs0, 40) {
                 continue;
             }
-            let esnr = self.measured_esnr(ap, client, now);
+            let esnr = self.measured_esnr(ap, client, pos, now);
             let csi = {
                 let SystemState::Wgtt { aps, .. } = &self.system else {
                     unreachable!()
                 };
-                aps[ai as usize].csi_report(client, esnr, now)
+                aps[aui].csi_report(client, esnr, now)
             };
             self.backhaul_send(csi.to, csi.msg, now);
         }
@@ -273,7 +282,7 @@ impl World {
         tx: TxId,
         ap: NodeId,
         client: NodeId,
-        mpdus: Vec<Mpdu>,
+        mpdus: &[Mpdu],
         mcs: Mcs,
         now: SimTime,
     ) {
@@ -288,29 +297,23 @@ impl World {
         // of the receive window (the sender's sequence space jumped after
         // an overload drop or fan-out absence), re-anchor the window at
         // the aggregate's first sequence number.
+        let ci = self.client_index(client);
+        let slot = self.ba_rx_slot(ap);
+        let pos = self.client_pos(client, now);
         {
-            let ci = self.client_index(client);
-            let key = self.ba_rx_key(ap);
-            let win = self.clients[ci].ba_rx.entry(key).or_default();
+            let win = &mut self.clients[ci].ba_rx[slot];
             if !mpdus.is_empty() && mpdus.iter().all(|m| win.is_behind(m.seq)) {
                 win.reanchor(mpdus[0].seq);
             }
         }
         let mut decoded_any = false;
-        for m in &mpdus {
-            let ok = survives && self.roll_mpdu(ap, client, now, mcs, m.packet.len);
+        for m in mpdus {
+            let ok = survives && self.roll_mpdu(ap, client, pos, now, mcs, m.packet.len);
             if !ok {
                 continue;
             }
             decoded_any = true;
-            let ci = self.client_index(client);
-            let key = self.ba_rx_key(ap);
-            if self.clients[ci]
-                .ba_rx
-                .entry(key)
-                .or_default()
-                .on_mpdu(m.seq)
-            {
+            if self.clients[ci].ba_rx[slot].on_mpdu(m.seq) {
                 self.deliver_to_client(client, m.packet, now);
             }
         }
@@ -322,14 +325,7 @@ impl World {
         }
         if decoded_any {
             self.note_delivery(client, now);
-            self.report.dbg_ba.0 += 1;
-            let ci = self.client_index(client);
-            let key = self.ba_rx_key(ap);
-            let (start_seq, bitmap) = self.clients[ci]
-                .ba_rx
-                .entry(key)
-                .or_default()
-                .block_ack();
+            let (start_seq, bitmap) = self.clients[ci].ba_rx[slot].block_ack();
             let jitter =
                 SimDuration::from_micros(SIFS_US + self.clients[ci].rng.below(16));
             self.queue.schedule(
@@ -357,7 +353,7 @@ impl World {
         &mut self,
         tx: TxId,
         client: NodeId,
-        mpdus: Vec<Mpdu>,
+        mpdus: &[Mpdu],
         mcs: Mcs,
         now: SimTime,
     ) {
@@ -365,28 +361,24 @@ impl World {
         self.clients[ci].up_mpdus_sent += mpdus.len() as u64;
         self.clients[ci].up_mpdu_retx +=
             mpdus.iter().filter(|m| m.retries > 0).count() as u64;
-        let n_aps = self.cfg.ap_x.len() as u32;
         let wgtt = matches!(self.system, SystemState::Wgtt { .. });
         let assoc_ap = match &self.system {
             SystemState::Baseline { ds, .. } => ds.binding(client),
             _ => None,
         };
-        let off = self.cfg.ap_id_offset;
+        let pos = self.client_pos(client, now);
         // Batched synthesis for the whole overhearing fan-out up front.
-        self.prime_esnr_maps(client, now);
-        for ai in 0..n_aps {
-            let ap = NodeId(off + ai);
-            let aui = ai as usize;
-            // Horizon gate first — see `end_keepalive`.
-            if !self.within_decode_horizon(ap, client, now)
-                || !self.medium.same_channel(client, ap)
-                || !self.rx_survives(tx, client, ap, now)
-            {
+        self.prime_esnr_maps(client, pos, now);
+        let mut decoded = std::mem::take(&mut self.decoded_scratch);
+        let mut new_refs = std::mem::take(&mut self.new_refs_scratch);
+        for aui in self.ap_window(pos.x) {
+            if !self.ap_hears(aui, tx, client, pos, now) {
                 continue;
             }
-            let mut decoded: Vec<Mpdu> = Vec::new();
-            for m in &mpdus {
-                if self.roll_mpdu(ap, client, now, mcs, m.packet.len) {
+            let ap = self.ap_id(aui);
+            decoded.clear();
+            for m in mpdus {
+                if self.roll_mpdu(ap, client, pos, now, mcs, m.packet.len) {
                     decoded.push(*m);
                 }
             }
@@ -398,10 +390,11 @@ impl World {
             }
             // Per-AP receive-window dedup + bitmap construction (with the
             // same BAR re-anchor rule as the downlink direction).
-            let mut new_refs: Vec<PacketRef> = Vec::new();
+            new_refs.clear();
+            let pair = self.pair_index(ap, client);
             {
-                let win = self.ap_up_rx.entry((ap, client)).or_default();
-                if !decoded.is_empty() && decoded.iter().all(|m| win.is_behind(m.seq)) {
+                let win = &mut self.ap_up_rx[pair];
+                if decoded.iter().all(|m| win.is_behind(m.seq)) {
                     win.reanchor(decoded[0].seq);
                 }
                 for m in &decoded {
@@ -411,7 +404,7 @@ impl World {
                 }
             }
             if wgtt {
-                let esnr = self.measured_esnr(ap, client, now);
+                let esnr = self.measured_esnr(ap, client, pos, now);
                 let csi = {
                     let SystemState::Wgtt { aps, .. } = &self.system else {
                         unreachable!()
@@ -419,7 +412,7 @@ impl World {
                     aps[aui].csi_report(client, esnr, now)
                 };
                 self.backhaul_send(csi.to, csi.msg, now);
-                for r in new_refs {
+                for &r in &new_refs {
                     let Some(packet) = self.packet_by_ref(r) else {
                         self.report.missing_packet_refs += 1;
                         continue;
@@ -431,7 +424,7 @@ impl World {
                     );
                 }
             } else if assoc_ap == Some(ap) {
-                for r in new_refs {
+                for &r in &new_refs {
                     let Some(packet) = self.packet_by_ref(r) else {
                         self.report.missing_packet_refs += 1;
                         continue;
@@ -447,7 +440,7 @@ impl World {
             // together with carrier sense makes collisions rare.
             let is_addressee = self.serving_of(client) == Some(ap);
             if wgtt || assoc_ap == Some(ap) {
-                let (start_seq, bitmap) = self.ap_up_rx[&(ap, client)].block_ack();
+                let (start_seq, bitmap) = self.ap_up_rx[pair].block_ack();
                 let jitter_us = if is_addressee {
                     SIFS_US + self.ap_rng[aui].below(3)
                 } else {
@@ -465,6 +458,8 @@ impl World {
                 );
             }
         }
+        self.decoded_scratch = decoded;
+        self.new_refs_scratch = new_refs;
         let ev = self
             .queue
             .schedule(now + BA_WAIT, Ev::ClientBaTimeout { client });
@@ -483,28 +478,21 @@ impl World {
         bitmap: u64,
         now: SimTime,
     ) {
-        self.report.dbg_ba.1 += 1;
-        let n_aps = self.cfg.ap_x.len() as u32;
         let wgtt = matches!(self.system, SystemState::Wgtt { .. });
-        let off = self.cfg.ap_id_offset;
+        let pos = self.client_pos(client, now);
         // Batched synthesis for the whole overhearing fan-out up front.
-        self.prime_esnr_maps(client, now);
-        for ai in 0..n_aps {
-            let ap = NodeId(off + ai);
-            let aui = ai as usize;
-            // Horizon gate first — see `end_keepalive`.
-            if !self.within_decode_horizon(ap, client, now)
-                || !self.medium.same_channel(client, ap)
-                || !self.rx_survives(tx, client, ap, now)
-            {
+        self.prime_esnr_maps(client, pos, now);
+        for aui in self.ap_window(pos.x) {
+            if !self.ap_hears(aui, tx, client, pos, now) {
                 continue;
             }
-            if !self.roll_control(ap, client, now) {
+            let ap = self.ap_id(aui);
+            if !self.roll_control(ap, client, pos, now) {
                 continue;
             }
             if wgtt {
                 // Every uplink frame is a CSI opportunity.
-                let esnr = self.measured_esnr(ap, client, now);
+                let esnr = self.measured_esnr(ap, client, pos, now);
                 let csi = {
                     let SystemState::Wgtt { aps, .. } = &self.system else {
                         unreachable!()
@@ -514,7 +502,6 @@ impl World {
                 self.backhaul_send(csi.to, csi.msg, now);
             }
             if ap == target {
-                self.report.dbg_ba.2 += 1;
                 let cleared = match &mut self.system {
                     SystemState::Wgtt { aps, .. } => {
                         aps[aui].on_block_ack(client, start_seq, bitmap);
@@ -562,7 +549,8 @@ impl World {
             self.report.ba_collisions.incr();
             return;
         }
-        if !self.roll_control(ap, client, now) {
+        let pos = self.client_pos(client, now);
+        if !self.roll_control(ap, client, pos, now) {
             return;
         }
         if self.trace_at(now) {
@@ -643,22 +631,22 @@ impl World {
     }
 
     fn end_beacon(&mut self, tx: TxId, ap: NodeId, now: SimTime) {
-        let client_ids: Vec<NodeId> = self.clients.iter().map(|c| c.id).collect();
-        for client in client_ids {
-            // Horizon gate first — see `end_keepalive`.
-            if !self.within_decode_horizon(ap, client, now)
+        let aui = self.ap_index(ap);
+        for ci in 0..self.clients.len() {
+            let client = self.clients[ci].id;
+            let pos = self.client_pos(client, now);
+            // Horizon gate first — see `ap_hears`.
+            if !self.in_decode_horizon(aui, pos)
                 || !self.medium.same_channel(ap, client)
                 || !self.rx_survives(tx, ap, client, now)
             {
                 continue;
             }
-            if !self.roll_control(ap, client, now) {
+            if !self.roll_control(ap, client, pos, now) {
                 continue;
             }
-            let pos = self.client_pos(client, now);
             // Power only — no CSI materialization for a beacon RSSI.
             let rssi = self.link(ap, client).rssi_dbm_at(now, pos);
-            let ci = self.client_index(client);
             if let Some(r) = self.clients[ci].roamer.as_mut() {
                 r.on_beacon(ap, rssi, now);
             }
@@ -733,7 +721,8 @@ impl World {
                 if !self.rx_survives(tx, from, to, now) {
                     return;
                 }
-                if !self.roll_control(to, from, now) {
+                let pos = self.client_pos(from, now);
+                if !self.roll_control(to, from, pos, now) {
                     return;
                 }
                 self.queue.schedule(
@@ -750,7 +739,8 @@ impl World {
                 if !self.rx_survives(tx, from, to, now) {
                     return;
                 }
-                if !self.roll_control(from, to, now) {
+                let pos = self.client_pos(to, now);
+                if !self.roll_control(from, to, pos, now) {
                     return;
                 }
                 let ci = self.client_index(to);

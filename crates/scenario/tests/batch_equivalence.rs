@@ -34,7 +34,7 @@ fn run_pair(cfg: &FleetConfig, system: SystemKind, seed: u64, lean: bool) {
         "frames diverged: {label}"
     );
     assert_eq!(on.report.switches, off.report.switches, "{label}");
-    assert_eq!(on.report.dbg_ba, off.report.dbg_ba, "{label}");
+    assert_eq!(on.report.ctl_polls, off.report.ctl_polls, "{label}");
     assert_eq!(on.report.uplink_dedup, off.report.uplink_dedup, "{label}");
     assert_eq!(
         on.report.accuracy_hits.to_bits(),

@@ -8,39 +8,50 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, usable for cancellation.
+/// Handle to a scheduled event, usable for cancellation: the payload's
+/// slab slot plus that slot's generation when the event was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: u32,
+    gen: u32,
+}
 
-struct Entry<E> {
+/// What the heap orders: the firing time, the insertion sequence that
+/// breaks ties FIFO, and where the payload lives. Small and `Copy`, so
+/// sift operations never move a payload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: SimTime,
     seq: u64,
-    id: EventId,
-    payload: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert to pop the earliest event first,
-        // breaking ties by insertion sequence for FIFO semantics.
+        // breaking ties by insertion sequence for FIFO semantics (`seq` is
+        // unique, so `slot` never decides).
         other
             .at
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
     }
+}
+
+/// One payload cell. While its key is in the heap the cell holds the
+/// payload (live) or `None` (cancelled); once the key pops the cell goes
+/// back on the free list with its generation bumped, which is what turns
+/// every [`EventId`] issued for it so far into a no-op.
+struct Slot<E> {
+    gen: u32,
+    payload: Option<E>,
 }
 
 /// A deterministic discrete-event queue.
@@ -54,16 +65,13 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!((t, ev), (SimTime::from_millis(1), "a"));
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Invariant: the head, if any, is live — cancelled keys are dropped
+    /// the moment they reach the top, so peeking never has to search.
+    heap: BinaryHeap<Key>,
+    slots: Vec<Slot<E>>,
+    free: Vec<u32>,
     next_seq: u64,
-    next_id: u64,
-    /// Every id still physically in the heap, mapped to whether it has
-    /// been cancelled. Tracking liveness (rather than a bare cancelled
-    /// set) makes [`EventQueue::cancel`] a no-op for already-popped or
-    /// never-scheduled ids — previously those leaked into the set forever
-    /// and made [`EventQueue::len`] underflow.
-    live: HashMap<EventId, bool>,
-    /// Count of entries in `heap` whose `live` flag is cancelled.
+    /// Keys still in `heap` whose slot was cancelled.
     cancelled: usize,
     now: SimTime,
 }
@@ -79,9 +87,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
-            next_id: 0,
-            live: HashMap::new(),
             cancelled: 0,
             now: SimTime::ZERO,
         }
@@ -103,30 +111,40 @@ impl<E> EventQueue<E> {
             "scheduling event in the past: at={at} now={}",
             self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize].payload = Some(payload);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
+                self.slots.push(Slot {
+                    gen: 0,
+                    payload: Some(payload),
+                });
+                slot
+            }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(id, false);
-        self.heap.push(Entry {
-            at,
-            seq,
-            id,
-            payload,
-        });
-        id
+        self.heap.push(Key { at, seq, slot });
+        EventId {
+            slot,
+            gen: self.slots[slot as usize].gen,
+        }
     }
 
-    /// Cancel a previously scheduled event. Cancellation is lazy: the entry
-    /// stays in the heap but is skipped when popped. Returns `true` the
+    /// Cancel a previously scheduled event: its payload is dropped now,
+    /// its key is skipped when it reaches the head. Returns `true` the
     /// first time a live event is cancelled; cancelling an already-popped,
     /// already-cancelled, or never-scheduled id is a no-op returning
     /// `false` (it must not poison future bookkeeping).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.live.get_mut(&id) {
-            Some(flag) if !*flag => {
-                *flag = true;
+        match self.slots.get_mut(id.slot as usize) {
+            Some(slot) if slot.gen == id.gen && slot.payload.is_some() => {
+                slot.payload = None;
                 self.cancelled += 1;
+                self.drop_cancelled_heads();
                 true
             }
             _ => false,
@@ -136,20 +154,20 @@ impl<E> EventQueue<E> {
     /// Pop the earliest live event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.remove_tracking(entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "event queue went back in time");
-            self.now = entry.at;
-            return Some((entry.at, entry.payload));
-        }
-        None
+        let key = self.heap.pop()?;
+        let payload = self.slots[key.slot as usize]
+            .payload
+            .take()
+            .expect("the heap head is never a cancelled key");
+        self.release(key.slot);
+        debug_assert!(key.at >= self.now, "event queue went back in time");
+        self.now = key.at;
+        self.drop_cancelled_heads();
+        Some((key.at, payload))
     }
 
     /// Pop the earliest live event only if it fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        self.gc_cancelled_head();
         if self.peek_time()? <= deadline {
             self.pop()
         } else {
@@ -157,51 +175,34 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the earliest live event without popping it. Read-only:
-    /// safe for callers that must not mutate. When the heap head happens
-    /// to be a lazily-cancelled entry this falls back to scanning for the
-    /// earliest live entry (the `&mut` paths garbage-collect such heads
-    /// via [`EventQueue::gc_cancelled_head`], so the scan is rare).
+    /// Timestamp of the earliest live event without popping it. O(1):
+    /// the head is live by the heap invariant.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.cancelled == 0 {
-            return self.heap.peek().map(|e| e.at);
-        }
-        match self.heap.peek() {
-            Some(head) if !self.live.get(&head.id).copied().unwrap_or(false) => Some(head.at),
-            _ => self
-                .heap
-                .iter()
-                .filter(|e| !self.live.get(&e.id).copied().unwrap_or(false))
-                .map(|e| (e.at, e.seq))
-                .min()
-                .map(|(at, _)| at),
-        }
+        self.heap.peek().map(|k| k.at)
     }
 
-    /// Drop lazily-cancelled entries off the heap head so subsequent
-    /// [`EventQueue::peek_time`] calls stay O(1). Called from the `&mut`
-    /// paths; harmless to call at any time.
-    pub fn gc_cancelled_head(&mut self) {
+    /// Restore the heap invariant after a pop or a cancel exposed
+    /// cancelled keys at the head. Each cancelled key is popped exactly
+    /// once over its lifetime, so the cost is amortised O(log n).
+    fn drop_cancelled_heads(&mut self) {
         while self.cancelled > 0 {
             match self.heap.peek() {
-                Some(head) if self.live.get(&head.id).copied().unwrap_or(false) => {
-                    let e = self.heap.pop().expect("peeked entry exists");
-                    self.remove_tracking(e.id);
+                Some(key) if self.slots[key.slot as usize].payload.is_none() => {
+                    let slot = key.slot;
+                    self.heap.pop();
+                    self.release(slot);
+                    self.cancelled -= 1;
                 }
                 _ => break,
             }
         }
     }
 
-    /// Forget `id`'s tracking entry, returning whether it was cancelled.
-    fn remove_tracking(&mut self, id: EventId) -> bool {
-        match self.live.remove(&id) {
-            Some(true) => {
-                self.cancelled -= 1;
-                true
-            }
-            _ => false,
-        }
+    /// Return a slot whose key just left the heap to the free list.
+    fn release(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
     }
 
     /// Number of live (non-cancelled) events still queued.
@@ -339,8 +340,7 @@ mod tests {
     #[test]
     fn readonly_peek_time_sees_past_cancelled_head() {
         // peek_time(&self) must not mutate, yet still report the earliest
-        // *live* event even when the heap head is a cancelled entry that
-        // no &mut path has garbage-collected yet.
+        // *live* event right after the head was cancelled.
         let mut q = EventQueue::new();
         let id = q.schedule(SimTime::from_millis(1), ());
         q.schedule(SimTime::from_millis(7), ());
@@ -361,10 +361,62 @@ mod tests {
         for id in dead {
             assert!(q.cancel(id));
         }
-        q.gc_cancelled_head();
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(100)));
         assert_eq!(q.pop().map(|(_, e)| e), Some(100));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancelled_head_never_reaches_peek_pop_until_or_len() {
+        // Regression: with a cancelled entry at the head, `peek_time`
+        // used to scan the whole heap. The head is now dropped eagerly,
+        // whether the cancel hits it directly or a pop exposes it, so
+        // the three views always agree.
+        let mut q = EventQueue::new();
+        let head = q.schedule(SimTime::from_millis(1), "head");
+        let mid = q.schedule(SimTime::from_millis(2), "mid");
+        q.schedule(SimTime::from_millis(3), "live");
+        q.schedule(SimTime::from_millis(9), "late");
+        // Cancelling a non-head key leaves a tombstone behind the head.
+        assert!(q.cancel(mid));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
+        assert_eq!(q.heap.len(), 4);
+        // Cancelling the head drops it and the tombstone it exposes.
+        assert!(q.cancel(head));
+        assert_eq!(q.heap.len(), 2, "cancelled heads are dropped eagerly");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        assert_eq!(q.pop_until(SimTime::from_millis(2)), None);
+        assert_eq!(
+            q.pop_until(SimTime::from_millis(3)),
+            Some((SimTime::from_millis(3), "live"))
+        );
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
+        // A pop that exposes a tombstone drops it too.
+        let next = q.schedule(SimTime::from_millis(10), "next");
+        q.schedule(SimTime::from_millis(11), "last");
+        assert!(q.cancel(next));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(11)));
+        assert_eq!((q.len(), q.heap.len()), (1, 1));
+    }
+
+    #[test]
+    fn slots_are_reused_and_stale_ids_stay_dead() {
+        let mut q = EventQueue::new();
+        let first = q.schedule(SimTime::from_millis(1), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        // The freed slot is reused under a new generation: the old
+        // handle must not cancel the new occupant.
+        let second = q.schedule(SimTime::from_millis(2), 2);
+        assert_eq!(q.slots.len(), 1);
+        assert_ne!(first, second);
+        assert!(!q.cancel(first));
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(second));
+        assert!(q.is_empty());
         assert!(q.pop().is_none());
     }
 

@@ -17,6 +17,10 @@
 //! 3. **Schedule invariance (stress mode)** — sweeping the conservative
 //!    sync window and re-running under fresh thread interleavings
 //!    changes nothing.
+//!
+//! A fourth test bounds the oracle's own cost: the monolithic world may
+//! not handle many more events than the districts it contains, and polls
+//! the controller once per armed timeout.
 
 use wgtt::WgttConfig;
 use wgtt_scenario::fleet::{FleetConfig, FleetReport};
@@ -58,6 +62,36 @@ fn sharded_engine_matches_sequential_oracle_at_1_2_4_8_shards() {
         assert_eq!(sharded.backhaul_misaddressed, 0);
         assert_eq!(sharded.missing_packet_refs, 0);
     }
+}
+
+#[test]
+fn monolithic_world_handles_about_the_events_its_districts_do() {
+    let cfg = corridor(2);
+    let (mut world, kinds) = cfg.build_world(wgtt(), 29);
+    world.run(cfg.duration);
+    let mono = FleetReport::from_world(&world, &kinds, &cfg);
+    let districts = run_sharded(&cfg, wgtt(), 29, 1, None);
+    assert_eq!(mono.equivalence_digest(), districts.equivalence_digest());
+    // What is left over is the controller's AssocSync to every AP of
+    // the world rather than of the district.
+    assert!(
+        mono.events_handled as f64 <= 1.25 * districts.events_handled as f64,
+        "monolithic {} events vs {} over the districts",
+        mono.events_handled,
+        districts.events_handled
+    );
+    // One poll per armed deadline: every switch start and every stop
+    // retransmission arms exactly one.
+    let r = &world.report;
+    assert!(r.switches_started > 0, "the corridor must switch");
+    assert!(
+        r.ctl_polls <= r.switches_started + r.stop_retransmits + 1,
+        "{} polls for {} starts + {} retransmissions",
+        r.ctl_polls,
+        r.switches_started,
+        r.stop_retransmits
+    );
+    assert_eq!(mono.ctl_polls, r.ctl_polls);
 }
 
 #[test]
