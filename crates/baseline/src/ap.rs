@@ -85,10 +85,11 @@ impl BaselineAp {
     }
 
     fn client_mut(&mut self, client: NodeId) -> &mut ClientQueue {
-        let rng = self.rng.derive_indexed("rate", client.0 as u64).rng();
-        self.clients
-            .entry(client)
-            .or_insert_with(|| ClientQueue::new(RateController::new(rng)))
+        let stream = self.rng;
+        self.clients.entry(client).or_insert_with(|| {
+            let rng = stream.derive_indexed("rate", client.0 as u64).rng();
+            ClientQueue::new(RateController::new(rng))
+        })
     }
 
     /// Enqueue a downlink packet (from the distribution system). Returns
@@ -126,6 +127,11 @@ impl BaselineAp {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// Whether any client has transmittable work.
+    pub fn has_tx_ready(&self) -> bool {
+        self.clients.values().any(ClientQueue::has_work)
     }
 
     /// Round-robin pick of the next client to serve.

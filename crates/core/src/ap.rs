@@ -92,6 +92,15 @@ impl ApClientState {
             in_flight_meta: None,
         }
     }
+
+    /// See [`ApAgent::tx_ready_clients`].
+    fn tx_ready(&self) -> bool {
+        if self.ba.has_in_flight() {
+            return false;
+        }
+        let drainable = !self.nic.is_empty() || !self.retries.is_empty();
+        drainable || (self.serving && !self.cyclic.is_empty())
+    }
 }
 
 /// One WGTT access point.
@@ -129,10 +138,11 @@ impl ApAgent {
     }
 
     fn client_mut(&mut self, client: NodeId) -> &mut ApClientState {
-        let rng = self.rng.derive_indexed("rate-ctl", client.0 as u64).rng();
-        self.clients
-            .entry(client)
-            .or_insert_with(|| ApClientState::new(RateController::new(rng)))
+        let stream = self.rng;
+        self.clients.entry(client).or_insert_with(|| {
+            let rng = stream.derive_indexed("rate-ctl", client.0 as u64).rng();
+            ApClientState::new(RateController::new(rng))
+        })
     }
 
     /// Whether this AP currently serves `client`.
@@ -254,28 +264,25 @@ impl ApAgent {
         }
     }
 
-    /// Clients with transmittable downlink work: serving clients with any
-    /// queued data, plus non-serving clients still draining their NIC
-    /// staging or retries. Skips clients with an A-MPDU already in flight.
+    /// Clients with transmittable downlink work, in id order: serving
+    /// clients with any queued data, plus non-serving clients still
+    /// draining their NIC staging or retries. Skips clients with an
+    /// A-MPDU already in flight.
     pub fn tx_ready_clients(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self
             .clients
             .iter()
-            .filter(|(_, st)| {
-                if st.ba.has_in_flight() {
-                    return false;
-                }
-                let drainable = !st.nic.is_empty() || !st.retries.is_empty();
-                if st.serving {
-                    drainable || !st.cyclic.is_empty()
-                } else {
-                    drainable
-                }
-            })
+            .filter(|(_, st)| st.tx_ready())
             .map(|(&c, _)| c)
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// Whether [`ApAgent::tx_ready_clients`] would name anyone — what the
+    /// scenario asks after every backhaul delivery, without the list.
+    pub fn has_tx_ready(&self) -> bool {
+        self.clients.values().any(ApClientState::tx_ready)
     }
 
     /// Pick the next client to transmit to (round-robin across ready

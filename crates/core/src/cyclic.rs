@@ -37,12 +37,18 @@ pub const RING_SLOTS: usize = SEQ_SPACE as usize;
 /// assert_eq!(q.pop().unwrap().0, 2);
 /// ```
 pub struct CyclicQueue {
+    /// Storage for the live window `[head, tail)`: a power-of-two number
+    /// of slots (or none before the first insert), index `i` living at
+    /// `i mod slots.len()`. It grows when an insert reaches past it, so a
+    /// ring costs what its deepest backlog did (every in-range AP keeps
+    /// one per passing client), and never exceeds `RING_SLOTS / 2`, the
+    /// widest window [`CyclicQueue::insert`] admits.
     slots: Vec<Option<Packet>>,
     /// Index of the next packet to hand to the NIC ("first unsent").
     head: u16,
     /// One past the highest index inserted (the producer edge).
     tail: u16,
-    /// Occupied slots (incremental, so overload detection is O(1)).
+    /// Occupied slots, all of them inside `[head, tail)`.
     count: usize,
     /// True once any packet has been inserted (disambiguates the
     /// head == tail empty/full cases well enough for our contiguous use).
@@ -69,7 +75,7 @@ impl CyclicQueue {
     /// An empty ring.
     pub fn new() -> Self {
         CyclicQueue {
-            slots: vec![None; RING_SLOTS],
+            slots: Vec::new(),
             head: 0,
             tail: 0,
             count: 0,
@@ -119,14 +125,39 @@ impl CyclicQueue {
             self.head = index;
             self.tail = index;
         }
-        if self.slots[index as usize].is_none() {
+        let reach = seq_sub(index, self.head);
+        if reach as usize >= self.slots.len() {
+            self.grow(reach as usize + 1);
+        }
+        let at = self.slot_of(index);
+        if self.slots[at].replace(packet).is_none() {
             self.count += 1;
         }
-        self.slots[index as usize] = Some(packet);
         // Extend the producer edge when this index reaches past it.
-        if seq_sub(index, self.head) >= seq_sub(self.tail, self.head) {
+        if reach >= seq_sub(self.tail, self.head) {
             self.tail = (index + 1) % SEQ_SPACE;
         }
+    }
+
+    /// Where `index` lives. The length is a power of two dividing the
+    /// index space, so the mapping is unchanged across the 12-bit wrap.
+    fn slot_of(&self, index: u16) -> usize {
+        index as usize & (self.slots.len() - 1)
+    }
+
+    /// Re-home the live window into storage of at least `min_slots`.
+    fn grow(&mut self, min_slots: usize) {
+        /// First allocation: 1 KiB of slots.
+        const MIN_SLOTS: usize = 16;
+        let mask = min_slots.next_power_of_two().max(MIN_SLOTS) - 1;
+        let mut grown = vec![None; mask + 1];
+        let mut i = self.head;
+        while i != self.tail {
+            let at = self.slot_of(i);
+            grown[i as usize & mask] = self.slots[at].take();
+            i = (i + 1) % SEQ_SPACE;
+        }
+        self.slots = grown;
     }
 
     /// Index of the next packet to send — the `k` in `start(c, k)`.
@@ -148,7 +179,8 @@ impl CyclicQueue {
         while self.head != self.tail {
             let idx = self.head;
             self.head = (self.head + 1) % SEQ_SPACE;
-            if let Some(packet) = self.slots[idx as usize].take() {
+            let at = self.slot_of(idx);
+            if let Some(packet) = self.slots[at].take() {
                 self.count -= 1;
                 return Some((idx, packet));
             }
@@ -160,7 +192,7 @@ impl CyclicQueue {
     pub fn peek(&self) -> Option<(u16, &Packet)> {
         let mut i = self.head;
         while i != self.tail {
-            if let Some(p) = self.slots[i as usize].as_ref() {
+            if let Some(p) = self.slots[self.slot_of(i)].as_ref() {
                 return Some((i, p));
             }
             i = (i + 1) % SEQ_SPACE;
@@ -182,9 +214,11 @@ impl CyclicQueue {
         if span == 0 || span >= SEQ_SPACE / 2 {
             return;
         }
+        // Nothing is buffered past the tail, so the sweep can stop there.
         let mut i = self.head;
-        while i != k {
-            if self.slots[i as usize].take().is_some() {
+        while i != k && i != self.tail {
+            let at = self.slot_of(i);
+            if self.slots[at].take().is_some() {
                 self.count -= 1;
             }
             i = (i + 1) % SEQ_SPACE;
@@ -198,20 +232,12 @@ impl CyclicQueue {
 
     /// Packets currently waiting between head and tail.
     pub fn backlog(&self) -> usize {
-        let mut n = 0;
-        let mut i = self.head;
-        while i != self.tail {
-            if self.slots[i as usize].is_some() {
-                n += 1;
-            }
-            i = (i + 1) % SEQ_SPACE;
-        }
-        n
+        self.count
     }
 
     /// Whether no packets are waiting.
     pub fn is_empty(&self) -> bool {
-        self.backlog() == 0
+        self.count == 0
     }
 
     /// Drop every buffered packet and reset to `index` (client departed,

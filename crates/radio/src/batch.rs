@@ -5,16 +5,14 @@
 //! the paper's §3.1 measurement pipeline is built on. Evaluating that
 //! per-(AP, modulation) map used to mean, per AP: materialize a
 //! 56-coefficient complex [`Csi`](crate::Csi), reduce it to powers, run 56
-//! libm BER evaluations, invert. The batch entry points here instead run
-//! each link through the fused SoA pipeline — one vectorized
-//! powers-synthesis pass plus one lane BER sweep per link, no intermediate
-//! `Csi` — and leave the results memoized on each link, so the MAC-layer
-//! queries that follow at the same `(t, client_pos)` key are pure memo
-//! hits.
+//! libm BER evaluations, invert. [`esnr_map`] instead runs each link
+//! through the fused SoA pipeline — one vectorized powers-synthesis pass
+//! plus one lane BER sweep per link, no intermediate `Csi` — with a
+//! block's sweeps issued ahead of its inversions.
 //!
-//! Every value is produced by [`Link::esnr_db_at`] itself, so batch and
-//! per-link evaluation are bit-identical by construction — and the
-//! world's `batch_esnr` toggle plus `tests/prop_simd.rs` pin exactly
+//! Every value is produced by the two halves of [`Link::esnr_db_at`]
+//! itself and left in the link's memo, so batch and per-link evaluation
+//! are bit-identical by construction — `tests/prop_simd.rs` pins exactly
 //! that.
 
 use crate::esnr::Modulation;
@@ -22,9 +20,22 @@ use crate::geometry::Position;
 use crate::link::Link;
 use wgtt_sim::time::SimTime;
 
+/// Links per staged block. The sweeps of a block run back to back before
+/// any inversion, giving the out-of-order core a window of independent
+/// divider-bound chains; 16 links of stack scratch is plenty to saturate
+/// it while keeping the blocks allocation-free.
+const BLOCK: usize = 16;
+
 /// Evaluate the ESNR map of every link in `links` for a client at
 /// `client_pos` transmitting at instant `t`, into `out` (cleared first;
 /// one entry per link, in iteration order).
+///
+/// Each link goes through the two-stage split of [`Link::esnr_db_at`] —
+/// all of a block's lane BER sweeps first ([`Link::esnr_mean_ber_at`]),
+/// then all its inversions ([`Link::esnr_finish_at`]). Per link the
+/// operation sequence is exactly the fused one, so values and memo
+/// states are bit-identical to per-link calls; only the interleaving
+/// across (independent) links changes.
 pub fn esnr_map<'a, I>(
     links: I,
     t: SimTime,
@@ -35,31 +46,6 @@ pub fn esnr_map<'a, I>(
     I: IntoIterator<Item = &'a Link>,
 {
     out.clear();
-    staged(links, t, client_pos, modulation, |v| out.push(v));
-}
-
-/// Links per staged block. The sweeps of a block run back to back before
-/// any inversion, giving the out-of-order core a window of independent
-/// divider-bound chains; 16 links of stack scratch is plenty to saturate
-/// it while keeping the blocks allocation-free.
-const BLOCK: usize = 16;
-
-/// Drive every link through the two-stage split of
-/// [`Link::esnr_db_at`] — all of a block's lane BER sweeps first
-/// ([`Link::esnr_mean_ber_at`]), then all its inversions
-/// ([`Link::esnr_finish_at`]) — invoking `sink` with each final ESNR in
-/// iteration order. Per link the operation sequence is exactly the fused
-/// one, so values and memo states are bit-identical to per-link calls;
-/// only the interleaving across (independent) links changes.
-fn staged<'a, I>(
-    links: I,
-    t: SimTime,
-    client_pos: Position,
-    modulation: Modulation,
-    mut sink: impl FnMut(f64),
-) where
-    I: IntoIterator<Item = &'a Link>,
-{
     let mut iter = links.into_iter();
     loop {
         let mut block: [Option<(&Link, Result<f64, f64>)>; BLOCK] = [None; BLOCK];
@@ -70,23 +56,12 @@ fn staged<'a, I>(
         }
         for slot in block.iter().take(n) {
             let (link, stage) = slot.expect("slot filled above");
-            sink(link.esnr_finish_at(t, client_pos, modulation, stage));
+            out.push(link.esnr_finish_at(t, client_pos, modulation, stage));
         }
         if n < BLOCK {
             return;
         }
     }
-}
-
-/// Prefill the per-link memos with the `(t, client_pos, modulation)` ESNR
-/// (and the fused power sweep it rests on) without collecting the values
-/// — the overhearing-loop pattern: prime once before the per-AP decode
-/// loop, then every in-loop query is a memo hit.
-pub fn prime<'a, I>(links: I, t: SimTime, client_pos: Position, modulation: Modulation)
-where
-    I: IntoIterator<Item = &'a Link>,
-{
-    staged(links, t, client_pos, modulation, |_| {});
 }
 
 #[cfg(test)]
@@ -128,22 +103,6 @@ mod tests {
             assert_eq!(batched.to_bits(), single.to_bits());
             let uncached = link.snapshot_uncached(t, pos).esnr_db(Modulation::Qam16);
             assert_eq!(batched.to_bits(), uncached.to_bits());
-        }
-    }
-
-    #[test]
-    fn prime_then_query_is_a_memo_hit_with_same_bits() {
-        let links: Vec<Link> = (0..4)
-            .map(|i| ap_link(i as u64 + 40, i as f64 * 7.5))
-            .collect();
-        let t = SimTime::from_millis(21);
-        let pos = Position::new(4.0, 0.0);
-        prime(links.iter(), t, pos, Modulation::Qpsk);
-        let mut out = Vec::new();
-        esnr_map(links.iter(), t, pos, Modulation::Qpsk, &mut out);
-        for (link, &v) in links.iter().zip(out.iter()) {
-            let uncached = link.snapshot_uncached(t, pos).esnr_db(Modulation::Qpsk);
-            assert_eq!(v.to_bits(), uncached.to_bits());
         }
     }
 }

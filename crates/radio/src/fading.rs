@@ -44,6 +44,7 @@
 
 use crate::complex::Complex;
 use crate::csi::{subcarrier_offset_hz, Csi, NUM_SUBCARRIERS};
+use std::sync::OnceLock;
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::SimTime;
 use wgtt_simd::{multiversion, Backend, F64s};
@@ -403,12 +404,14 @@ pub mod scalar {
 /// structure-of-arrays layout vectorized with `f64 × 8` lanes (see the
 /// module docs for the three-implementation equivalence contract).
 ///
-/// Everything time-invariant is baked at construction — the twiddle table
-/// split into `re`/`im` *planes* (tap-major, so the subcarrier sweep is
-/// unit-stride), the sinusoid bank flattened to 48 contiguous lanes with
+/// Everything time-invariant *and particular to the link* is baked at
+/// construction — the sinusoid bank flattened to 48 contiguous lanes with
 /// the phase offsets pre-rotated into `cos φ`/`sin φ` pairs (so synthesis
 /// needs `sin/cos(ωt)` only — one branchless vector pass for the whole
-/// delay line instead of 96 libm calls).
+/// delay line instead of 96 libm calls). What is time-invariant and the
+/// same for every link (the twiddle planes, the per-tap scales) lives
+/// once per process in [`DelayLine`], so a world of thousands of links
+/// keeps those 5.4 KB hot in cache instead of carrying a copy per link.
 #[derive(Debug, Clone)]
 pub struct FadingProcess {
     /// Angular Doppler frequency per sinusoid lane (tap-major: sinusoid
@@ -420,18 +423,66 @@ pub struct FadingProcess {
     /// `cos`/`sin` of the quadrature phase offsets, per lane.
     cos_phi_q: [f64; SIN_LANES],
     sin_phi_q: [f64; SIN_LANES],
-    /// `√(1/n)` per tap — unit-power scaling of the scattered sum.
-    scatter_scale: [f64; NUM_TAPS],
-    /// `√power` per tap.
-    power_sqrt: [f64; NUM_TAPS],
     /// Rician LoS component of tap 0: `(amp·k_scale, k_scale, omega,
     /// phase)`.
     los: Option<(f64, f64, f64, f64)>,
-    /// Real/imaginary planes of `e^{−j2π f_k τ_l}`, tap-major.
-    twiddle_re: [[f64; NUM_SUBCARRIERS]; NUM_TAPS],
-    twiddle_im: [[f64; NUM_SUBCARRIERS]; NUM_TAPS],
+    /// Twiddle planes and per-tap scales, shared by every link.
+    delay_line: &'static DelayLine,
     /// Maximum Doppler shift, Hz.
     doppler_hz: f64,
+}
+
+/// The link-independent half of the synthesis tables: everything that is
+/// a function of the tap index and the subcarrier index alone.
+#[derive(Debug)]
+struct DelayLine {
+    /// Excess delay per tap, seconds — the reference's `Tap::delay_s`.
+    delay_s: [f64; NUM_TAPS],
+    /// `√(1/n)` per tap — unit-power scaling of the scattered sum.
+    scatter_scale: [f64; NUM_TAPS],
+    /// `√power` per tap of the normalized exponential power-delay profile.
+    power_sqrt: [f64; NUM_TAPS],
+    /// Real/imaginary planes of `e^{−j2π f_k τ_l}`, tap-major so the
+    /// subcarrier sweep is unit-stride.
+    twiddle_re: [[f64; NUM_SUBCARRIERS]; NUM_TAPS],
+    twiddle_im: [[f64; NUM_SUBCARRIERS]; NUM_TAPS],
+}
+
+impl DelayLine {
+    /// The process-wide table. The first link built bakes it from its
+    /// reference realization; every later one is checked against it, so
+    /// the kernel reads the bits a private per-link copy would have held.
+    fn shared(r: &reference::FadingProcess) -> &'static DelayLine {
+        static TABLE: OnceLock<DelayLine> = OnceLock::new();
+        assert_eq!(r.taps.len(), NUM_TAPS, "reference tap count fixed");
+        let dl = TABLE.get_or_init(|| {
+            let mut twiddle_re = [[0.0; NUM_SUBCARRIERS]; NUM_TAPS];
+            let mut twiddle_im = [[0.0; NUM_SUBCARRIERS]; NUM_TAPS];
+            for l in 0..NUM_TAPS {
+                for i in 0..NUM_SUBCARRIERS {
+                    let phase =
+                        -std::f64::consts::TAU * subcarrier_offset_hz(i) * r.taps[l].delay_s;
+                    twiddle_re[l][i] = phase.cos();
+                    twiddle_im[l][i] = phase.sin();
+                }
+            }
+            DelayLine {
+                delay_s: std::array::from_fn(|l| r.taps[l].delay_s),
+                scatter_scale: std::array::from_fn(|l| {
+                    (1.0 / r.taps[l].sinusoids.len() as f64).sqrt()
+                }),
+                power_sqrt: std::array::from_fn(|l| r.taps[l].power.sqrt()),
+                twiddle_re,
+                twiddle_im,
+            }
+        });
+        for (l, rt) in r.taps.iter().enumerate() {
+            assert_eq!(rt.sinusoids.len(), SINUSOIDS_PER_TAP);
+            assert_eq!(rt.delay_s.to_bits(), dl.delay_s[l].to_bits());
+            assert_eq!(rt.power.sqrt().to_bits(), dl.power_sqrt[l].to_bits());
+        }
+        dl
+    }
 }
 
 /// Tap gains + subcarrier planes at `ts`, shared by both kernels below.
@@ -444,6 +495,7 @@ fn synth_planes_impl(
     re: &mut [f64; NUM_SUBCARRIERS],
     im: &mut [f64; NUM_SUBCARRIERS],
 ) {
+    let dl = fp.delay_line;
     // One vector sin/cos pass over all 48 sinusoid arguments ω·t.
     let mut args = [0.0; SIN_LANES];
     for (a, w) in args.iter_mut().zip(fp.omega.iter()) {
@@ -474,8 +526,8 @@ fn synth_planes_impl(
             sre += re_terms[l * SINUSOIDS_PER_TAP + k];
             sim += im_terms[l * SINUSOIDS_PER_TAP + k];
         }
-        g_re[l] = sre * fp.scatter_scale[l];
-        g_im[l] = sim * fp.scatter_scale[l];
+        g_re[l] = sre * dl.scatter_scale[l];
+        g_im[l] = sim * dl.scatter_scale[l];
     }
     if let Some((amp_scaled, k_scale, omega, phase)) = fp.los {
         let (s, c) = wgtt_simd::math::sincos_e(omega * ts + phase);
@@ -483,8 +535,8 @@ fn synth_planes_impl(
         g_im[0] = g_im[0] * k_scale + amp_scaled * s;
     }
     for l in 0..NUM_TAPS {
-        g_re[l] *= fp.power_sqrt[l];
-        g_im[l] *= fp.power_sqrt[l];
+        g_re[l] *= dl.power_sqrt[l];
+        g_im[l] *= dl.power_sqrt[l];
     }
 
     // Twiddle MAC across subcarriers: H_k = Σ_l g_l · w_{l,k}, with the
@@ -494,8 +546,8 @@ fn synth_planes_impl(
         let mut acc_re = F64s::<LANES>::ZERO;
         let mut acc_im = F64s::<LANES>::ZERO;
         for l in 0..NUM_TAPS {
-            let wre = F64s::<LANES>::from_slice(&fp.twiddle_re[l][c * LANES..]);
-            let wim = F64s::<LANES>::from_slice(&fp.twiddle_im[l][c * LANES..]);
+            let wre = F64s::<LANES>::from_slice(&dl.twiddle_re[l][c * LANES..]);
+            let wim = F64s::<LANES>::from_slice(&dl.twiddle_im[l][c * LANES..]);
             let gre = F64s::<LANES>::splat(g_re[l]);
             let gim = F64s::<LANES>::splat(g_im[l]);
             acc_re = acc_re + (gre * wre - gim * wim);
@@ -570,16 +622,13 @@ impl FadingProcess {
 
     /// Precompute the SoA tables from a seed-constructed process.
     pub fn from_reference(r: &reference::FadingProcess) -> Self {
-        assert_eq!(r.taps.len(), NUM_TAPS, "reference tap count fixed");
+        let delay_line = DelayLine::shared(r);
         let mut omega = [0.0; SIN_LANES];
         let mut cos_phi_i = [0.0; SIN_LANES];
         let mut sin_phi_i = [0.0; SIN_LANES];
         let mut cos_phi_q = [0.0; SIN_LANES];
         let mut sin_phi_q = [0.0; SIN_LANES];
-        let mut scatter_scale = [0.0; NUM_TAPS];
-        let mut power_sqrt = [0.0; NUM_TAPS];
         for (l, rt) in r.taps.iter().enumerate() {
-            assert_eq!(rt.sinusoids.len(), SINUSOIDS_PER_TAP);
             for (k, s) in rt.sinusoids.iter().enumerate() {
                 let lane = l * SINUSOIDS_PER_TAP + k;
                 omega[lane] = s.omega;
@@ -588,33 +637,19 @@ impl FadingProcess {
                 cos_phi_q[lane] = s.phase_q.cos();
                 sin_phi_q[lane] = s.phase_q.sin();
             }
-            scatter_scale[l] = (1.0 / rt.sinusoids.len() as f64).sqrt();
-            power_sqrt[l] = rt.power.sqrt();
         }
         let los = r.taps[0].los.map(|(amp, om, ph)| {
             let k_scale = (1.0 / (1.0 + amp * amp)).sqrt();
             (amp * k_scale, k_scale, om, ph)
         });
-        let mut twiddle_re = [[0.0; NUM_SUBCARRIERS]; NUM_TAPS];
-        let mut twiddle_im = [[0.0; NUM_SUBCARRIERS]; NUM_TAPS];
-        for l in 0..NUM_TAPS {
-            for i in 0..NUM_SUBCARRIERS {
-                let phase = -std::f64::consts::TAU * subcarrier_offset_hz(i) * r.taps[l].delay_s;
-                twiddle_re[l][i] = phase.cos();
-                twiddle_im[l][i] = phase.sin();
-            }
-        }
         FadingProcess {
             omega,
             cos_phi_i,
             sin_phi_i,
             cos_phi_q,
             sin_phi_q,
-            scatter_scale,
-            power_sqrt,
             los,
-            twiddle_re,
-            twiddle_im,
+            delay_line,
             doppler_hz: r.doppler_hz,
         }
     }

@@ -71,18 +71,17 @@ pub struct Link {
 /// Single-entry memo of the most recent `(t, client_pos)` sample.
 ///
 /// The MAC layer samples the same link at the same instant several times
-/// per frame exchange: once per MPDU in an A-MPDU for the true-channel
-/// delivery roll, and once more for the noise-perturbed CSI measurement
-/// the controller sees. The channel is a pure function of
-/// `(t, client_pos)`, so those samples are bit-identical — this memo
-/// fills lazily per product (fused per-subcarrier powers, wideband SNR,
-/// full snapshot, ESNR inversion) and replays the same bits for repeats.
-/// ESNR/RSSI queries only ever synthesize the power sweep; the
-/// 56-coefficient complex snapshot is materialized only for callers that
-/// actually ask for CSI.
+/// per frame exchange: a control roll (QPSK) or one per MPDU of an A-MPDU
+/// (the data rate's modulation) on the true channel, then the 16-QAM
+/// measurement the controller sees, for the frames that decode. The
+/// channel is a pure function of `(t, client_pos)`, so those samples are
+/// bit-identical — this memo holds each product a frame can read (fused
+/// per-subcarrier powers, wideband SNR, one ESNR per modulation), fills
+/// it when it is first read, and replays the same bits for repeats. A
+/// link nobody queries at an instant computes nothing for it.
 ///
-/// Interior mutability (`RefCell`) keeps [`Link::snapshot`] callable
-/// through `&Link` while `World` holds other mutable state; `World`s are
+/// Interior mutability (`RefCell`) keeps the accessors callable through
+/// `&Link` while `World` holds other mutable state; `World`s are
 /// per-thread under `--jobs`, so no `Sync` is needed. A memo hit consumes
 /// no RNG draws and returns the identical floats, so experiment output is
 /// byte-identical with or without it (enforced by
@@ -97,17 +96,15 @@ struct MemoEntry {
     /// Large-scale mean SNR at the memo key — cheap pure geometry,
     /// computed eagerly on every refresh because every product needs it.
     mean_snr_db: f64,
-    /// Fused per-subcarrier powers `|H_k|²` (lazily synthesized; the same
-    /// bits `snap.csi.powers()` would yield).
+    /// Fused per-subcarrier powers `|H_k|²` (the same bits
+    /// `snapshot(..).csi.powers()` yields).
     powers: Option<[f64; NUM_SUBCARRIERS]>,
-    /// Wideband SNR in dB (lazily reduced from `powers`).
+    /// Wideband SNR in dB, reduced from `powers`.
     snr_db: Option<f64>,
-    /// Full snapshot (lazily; only CSI consumers pay for it).
-    snap: Option<LinkSnapshot>,
-    /// Last ESNR derived from the powers, keyed by modulation (the MAC
-    /// asks for at most one data modulation plus QPSK control per instant,
-    /// and repeats each many times — a single slot captures the runs).
-    esnr: Option<(Modulation, f64)>,
+    /// ESNR derived from the powers, one slot per modulation (indexed by
+    /// `Modulation as usize`): a control or data roll must not evict the
+    /// 16-QAM measurement taken at the same instant, nor the reverse.
+    esnr: [Option<f64>; 4],
 }
 
 /// Everything measurable about a link at one instant and client position.
@@ -166,8 +163,7 @@ impl Link {
                 mean_snr_db: self.mean_snr_db(client_pos),
                 powers: None,
                 snr_db: None,
-                snap: None,
-                esnr: None,
+                esnr: [None; 4],
             });
         }
         memo.as_mut().expect("memo_refresh always fills the entry")
@@ -182,39 +178,11 @@ impl Link {
     }
 
     /// Sample the full link state at instant `t` with the client at
-    /// `client_pos`, replaying the memoized snapshot when `(t,
-    /// client_pos)` matches the previous sample (same bits either way —
-    /// the channel is a pure function of its arguments).
+    /// `client_pos`: the 56-coefficient complex CSI and everything
+    /// derived from it. Pure and unmemoized — callers that want CSI ask
+    /// once per instant; the per-frame paths use the powers-only
+    /// accessors below, which return the same bits.
     pub fn snapshot(&self, t: SimTime, client_pos: Position) -> LinkSnapshot {
-        let mut memo = self.memo.0.borrow_mut();
-        let entry = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some(snap) = &entry.snap {
-            return snap.clone();
-        }
-        // The exact `snapshot_uncached` computation, reusing the entry's
-        // mean SNR (same bits — pure geometry).
-        let csi = self.fading.csi_at(t);
-        let fade_db = linear_to_db(csi.mean_power());
-        let snr_db = entry.mean_snr_db + fade_db;
-        let rssi_dbm = snr_db + self.budget.noise_floor_dbm;
-        let snap = LinkSnapshot {
-            mean_snr_db: entry.mean_snr_db,
-            csi,
-            rssi_dbm,
-            snr_db,
-        };
-        if entry.powers.is_none() {
-            entry.powers = Some(snap.csi.powers());
-        }
-        entry.snr_db = Some(snap.snr_db);
-        entry.snap = Some(snap.clone());
-        snap
-    }
-
-    /// Sample the full link state with no memo involvement — the pure
-    /// computation [`Link::snapshot`] caches (and the oracle the property
-    /// suite compares the memoized path against).
-    pub fn snapshot_uncached(&self, t: SimTime, client_pos: Position) -> LinkSnapshot {
         let mean_snr_db = self.mean_snr_db(client_pos);
         let csi = self.fading.csi_at(t);
         let fade_db = linear_to_db(csi.mean_power());
@@ -226,6 +194,12 @@ impl Link {
             rssi_dbm,
             snr_db,
         }
+    }
+
+    /// [`Link::snapshot`] under the name the property suites use for the
+    /// oracle the memoized accessors are compared against.
+    pub fn snapshot_uncached(&self, t: SimTime, client_pos: Position) -> LinkSnapshot {
+        self.snapshot(t, client_pos)
     }
 
     /// Instantaneous wideband SNR in dB at `(t, client_pos)` through the
@@ -265,15 +239,13 @@ impl Link {
     pub fn esnr_db_at(&self, t: SimTime, client_pos: Position, modulation: Modulation) -> f64 {
         let mut memo = self.memo.0.borrow_mut();
         let entry = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some((m, e)) = entry.esnr {
-            if m == modulation {
-                return e;
-            }
+        if let Some(e) = entry.esnr[modulation as usize] {
+            return e;
         }
         let mean_snr_db = entry.mean_snr_db;
         let powers = self.ensure_powers(entry);
         let esnr = effective_snr_from_powers(powers, mean_snr_db, modulation);
-        entry.esnr = Some((modulation, esnr));
+        entry.esnr[modulation as usize] = Some(esnr);
         esnr
     }
 
@@ -291,10 +263,8 @@ impl Link {
     ) -> Result<f64, f64> {
         let mut memo = self.memo.0.borrow_mut();
         let entry = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some((m, e)) = entry.esnr {
-            if m == modulation {
-                return Err(e);
-            }
+        if let Some(e) = entry.esnr[modulation as usize] {
+            return Err(e);
         }
         let mean_snr_db = entry.mean_snr_db;
         let powers = self.ensure_powers(entry);
@@ -320,7 +290,7 @@ impl Link {
                 let esnr = crate::esnr::esnr_from_mean_ber(mean_ber, modulation);
                 let mut memo = self.memo.0.borrow_mut();
                 let entry = self.memo_refresh(&mut memo, t, client_pos);
-                entry.esnr = Some((modulation, esnr));
+                entry.esnr[modulation as usize] = Some(esnr);
                 esnr
             }
         }
@@ -426,58 +396,64 @@ mod tests {
 
     #[test]
     fn memoized_sampling_matches_uncached() {
+        const MODS: [Modulation; 4] = [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+        ];
         let link = test_link(7);
         let pos = Position::new(0.5, 0.0);
         let t = SimTime::from_millis(3);
-        // Re-sampling the same instant (memo hit) returns the same bits.
-        let a = link.snapshot(t, pos);
-        let b = link.snapshot(t, pos);
         let oracle = link.snapshot_uncached(t, pos);
-        assert_eq!(a.snr_db.to_bits(), oracle.snr_db.to_bits());
-        assert_eq!(b.csi.h, oracle.csi.h);
-        // ESNR memo: repeated and modulation-alternating queries agree
-        // with the direct computation.
-        let e1 = link.esnr_db_at(t, pos, Modulation::Qam16);
-        let e2 = link.esnr_db_at(t, pos, Modulation::Qpsk);
-        let e3 = link.esnr_db_at(t, pos, Modulation::Qam16);
-        assert_eq!(
-            e1.to_bits(),
-            link.snapshot_uncached(t, pos)
-                .esnr_db(Modulation::Qam16)
-                .to_bits()
-        );
-        assert_eq!(
-            e2.to_bits(),
-            link.snapshot_uncached(t, pos)
-                .esnr_db(Modulation::Qpsk)
-                .to_bits()
-        );
-        assert_eq!(e1.to_bits(), e3.to_bits());
-        // Moving time or position invalidates the memo.
+        let want = MODS.map(|m| oracle.esnr_db(m).to_bits());
+        // Every length-4 sequence of the four modulations at one key —
+        // all 24 orders, and every repeat — each on a cold memo (the
+        // `t2` query evicts it), with the wideband SNR read in between:
+        // no slot evicts or shadows another.
         let t2 = SimTime::from_millis(4);
-        let c = link.snapshot(t2, pos);
-        assert_eq!(
-            c.snr_db.to_bits(),
-            link.snapshot_uncached(t2, pos).snr_db.to_bits()
-        );
+        for code in 0..256usize {
+            let order = [code & 3, code >> 2 & 3, code >> 4 & 3, code >> 6];
+            link.snr_db_at(t2, pos);
+            for i in order {
+                let got = link.esnr_db_at(t, pos, MODS[i]);
+                assert_eq!(got.to_bits(), want[i], "{:?} in {order:?}", MODS[i]);
+                assert_eq!(link.snr_db_at(t, pos).to_bits(), oracle.snr_db.to_bits());
+            }
+        }
+        // Moving time or position invalidates the memo.
+        let moved = Position::new(0.75, 0.0);
+        for (t, pos) in [(t2, pos), (t2, moved)] {
+            assert_eq!(
+                link.esnr_db_at(t, pos, Modulation::Qam16).to_bits(),
+                link.snapshot_uncached(t, pos)
+                    .esnr_db(Modulation::Qam16)
+                    .to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn per_pair_state_stays_small() {
+        // A world holds APs × clients of these; the tables every link
+        // shares must not creep back into the per-link copy.
+        assert!(std::mem::size_of::<FadingProcess>() <= 2560);
+        assert!(std::mem::size_of::<Link>() <= 4096);
     }
 
     #[test]
     fn powers_path_snr_and_rssi_match_snapshot_bits() {
         // The CSI-free accessors (fused powers sweep, no 56-coefficient
         // materialization) must return the exact bits of the snapshot
-        // fields — in either query order, primed or cold.
+        // fields, cold or memoized.
         let link = test_link(11);
         for (ms, x) in [(3u64, 0.5), (9, -4.0), (15, 7.25)] {
             let t = SimTime::from_millis(ms);
             let pos = Position::new(x, 0.0);
             let want = link.snapshot_uncached(t, pos);
-            // Cold: powers path first, snapshot after.
             assert_eq!(link.snr_db_at(t, pos).to_bits(), want.snr_db.to_bits());
             assert_eq!(link.rssi_dbm_at(t, pos).to_bits(), want.rssi_dbm.to_bits());
-            let snap = link.snapshot(t, pos);
-            assert_eq!(snap.snr_db.to_bits(), want.snr_db.to_bits());
-            // Warm: snapshot resident, powers accessors re-read it.
+            // And again from the memo.
             assert_eq!(link.rssi_dbm_at(t, pos).to_bits(), want.rssi_dbm.to_bits());
         }
     }

@@ -469,13 +469,6 @@ pub struct World {
     /// dozens of APs that loop is O(clients × APs) every 10 ms and the
     /// fleet report never reads the traces it would fill.
     pub sample_lean: bool,
-    /// Prefill the per-link fused-power memos of every overhearing AP in
-    /// one batched pass before each per-AP decode loop (the SoA PHY's
-    /// multi-AP entry point). Priming is pure — no random draws, memo
-    /// state only — so this toggle cannot change any simulation outcome;
-    /// `batch_equivalence.rs` pins on/off runs to identical reports. Off
-    /// exists only as the comparison baseline.
-    pub batch_esnr: bool,
     /// Scratch for the sampling loop's batched per-AP ESNR map (reused
     /// across clients and ticks; zero steady-state allocation).
     esnr_scratch: Vec<f64>,
@@ -711,7 +704,6 @@ impl World {
             capture_ident: 0,
             trace_from: SimTime::ZERO,
             sample_lean: false,
-            batch_esnr: true,
             esnr_scratch: Vec::new(),
             ctl_bufs: Vec::new(),
             decoded_scratch: Vec::new(),
@@ -873,29 +865,6 @@ impl World {
     fn esnr_now(&self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> f64 {
         self.link(ap, client)
             .esnr_db_at(now, pos, Modulation::Qam16)
-    }
-
-    /// Batched prefill of every overhearing link's fused-power memo
-    /// before a per-AP decode loop: one vectorized synthesis pass per AP
-    /// within the decode horizon on the client's channel, after which
-    /// the loop's `rx_survives`/`roll_mpdu`/`measured_esnr` queries at
-    /// the same `(now, position)` are pure memo hits. The gates here are
-    /// exactly the loop's *pure* gates (geometry and channel — never the
-    /// capture check, which may consult other links), and priming draws
-    /// no randomness, so RNG streams are untouched and the toggle is
-    /// outcome-invariant.
-    fn prime_esnr_maps(&self, client: NodeId, pos: Position, now: SimTime) {
-        if !self.batch_esnr {
-            return;
-        }
-        let links = self
-            .ap_window(pos.x)
-            .filter(|&aui| {
-                self.in_decode_horizon(aui, pos)
-                    && self.medium.same_channel(client, self.ap_id(aui))
-            })
-            .map(|aui| self.link(self.ap_id(aui), client));
-        wgtt_radio::batch::prime(links, now, pos, Modulation::Qam16);
     }
 
     /// The ESNR an AP *measures* from one frame's CSI: the true value

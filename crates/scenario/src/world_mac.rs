@@ -11,8 +11,8 @@ impl World {
 
     fn ap_has_work(&self, ai: usize) -> bool {
         match &self.system {
-            SystemState::Wgtt { aps, .. } => !aps[ai].tx_ready_clients().is_empty(),
-            SystemState::Baseline { aps, .. } => !aps[ai].tx_ready_clients().is_empty(),
+            SystemState::Wgtt { aps, .. } => aps[ai].has_tx_ready(),
+            SystemState::Baseline { aps, .. } => aps[ai].has_tx_ready(),
         }
     }
 
@@ -253,9 +253,6 @@ impl World {
             return;
         }
         let pos = self.client_pos(client, now);
-        // One batched synthesis pass over every overhearing link; the
-        // per-AP queries below are memo hits.
-        self.prime_esnr_maps(client, pos, now);
         for aui in self.ap_window(pos.x) {
             if !self.ap_hears(aui, tx, client, pos, now) {
                 continue;
@@ -367,8 +364,6 @@ impl World {
             _ => None,
         };
         let pos = self.client_pos(client, now);
-        // Batched synthesis for the whole overhearing fan-out up front.
-        self.prime_esnr_maps(client, pos, now);
         let mut decoded = std::mem::take(&mut self.decoded_scratch);
         let mut new_refs = std::mem::take(&mut self.new_refs_scratch);
         for aui in self.ap_window(pos.x) {
@@ -480,8 +475,6 @@ impl World {
     ) {
         let wgtt = matches!(self.system, SystemState::Wgtt { .. });
         let pos = self.client_pos(client, now);
-        // Batched synthesis for the whole overhearing fan-out up front.
-        self.prime_esnr_maps(client, pos, now);
         for aui in self.ap_window(pos.x) {
             if !self.ap_hears(aui, tx, client, pos, now) {
                 continue;
