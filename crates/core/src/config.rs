@@ -1,7 +1,7 @@
 //! WGTT tunables, with the paper's published defaults.
 
 use crate::policy::SwitchPolicyKind;
-use crate::selection::SelectionPolicy;
+use crate::window::WindowReduce;
 use wgtt_sim::time::SimDuration;
 
 /// System-wide configuration shared by controller and APs.
@@ -11,7 +11,7 @@ pub struct WgttConfig {
     /// (Fig. 21) finds 10 ms minimizes capacity loss.
     pub selection_window: SimDuration,
     /// How the window reduces to one figure per AP (paper: median).
-    pub selection_policy: SelectionPolicy,
+    pub window_reduce: WindowReduce,
     /// How the reduced candidates become a switch verdict (paper: the
     /// reactive max-median rule; predictive and load-aware alternatives
     /// live in [`crate::policy`]).
@@ -61,7 +61,7 @@ impl Default for WgttConfig {
     fn default() -> Self {
         WgttConfig {
             selection_window: SimDuration::from_millis(10),
-            selection_policy: SelectionPolicy::Median,
+            window_reduce: WindowReduce::Median,
             switch_policy: SwitchPolicyKind::ReactiveMedian,
             switch_hysteresis: SimDuration::from_millis(40),
             switch_margin_db: 2.5,

@@ -32,12 +32,12 @@
 //!   set by walking the selector's link map directly into the sink
 //!   ([`ApSelector::for_each_heard`]) — no intermediate `Vec`.
 //!
-//! The seed implementation is retained verbatim as
-//! [`reference::Controller`]; `crates/core/tests/prop_controller.rs`
-//! proves the two action-sequence-, stats-, and timeout-identical under
-//! randomized event interleavings.
-
-pub mod reference;
+//! This is the crate's one controller. The seed implementation (`Vec`
+//! returns, `HashMap` state, scan-all-clients timeouts) survives verbatim
+//! as the oracle in `crates/core/tests/oracle/controller.rs`;
+//! `crates/core/tests/prop_controller.rs` proves the two
+//! action-sequence-, stats-, and timeout-identical under randomized
+//! event interleavings.
 
 use crate::config::WgttConfig;
 use crate::dedup::DedupFilter;
@@ -271,7 +271,7 @@ impl Controller {
                     cfg.switch_hysteresis,
                     cfg.switch_margin_db,
                 );
-                sel.set_policy(cfg.selection_policy);
+                sel.set_window_reduce(cfg.window_reduce);
                 sel.set_switch_policy(switch_policy);
                 sel
             },

@@ -26,12 +26,12 @@
 //! A policy is a stateless verdict function over a [`PolicyView`] — a
 //! narrow, dyn-compatible lens onto one client's selector state (reduced
 //! windows, argmax, slopes, silence liveness) plus the optional
-//! controller-level [`PolicyEnv`] (per-AP association loads). Both
-//! `ApSelector` (the O(1) fast path) and `FullScanSelector` (the
-//! retained oracle) implement the view, so **every policy is
-//! differentially tested through the same fast-vs-full-scan harness as
-//! the paper's rule**, and the fast path's caches are exercised by all
-//! of them.
+//! controller-level [`PolicyEnv`] (per-AP association loads).
+//! `ApSelector` implements the view in this crate and the full-scan
+//! oracle of the test suites (`tests/oracle/selection.rs`) implements it
+//! again, so **every policy is differentially tested through the same
+//! fast-vs-full-scan harness as the paper's rule**, and the fast path's
+//! caches are exercised by all of them.
 //!
 //! All three policies share the paper's dampers — candidate-set
 //! emptiness, time hysteresis, and the silence grace on the serving
@@ -104,11 +104,12 @@ pub struct PolicyEnv<'a> {
 
 /// The policy's lens onto one client's selection state at one instant.
 ///
-/// Dyn-compatible on purpose: both the O(1) `ApSelector` fast path and
-/// the full-scan oracle implement it, so a policy decided through this
-/// trait is automatically covered by the fast-vs-oracle differential
-/// suites. Methods taking `&mut self` may expire windows (queries are
-/// as-of `now`, exactly like the selector's own methods).
+/// Dyn-compatible on purpose: the O(1) `ApSelector` implements it here
+/// and the test suites' full-scan oracle implements it again, so a
+/// policy decided through this trait is automatically covered by the
+/// fast-vs-oracle differential suites. Methods taking `&mut self` may
+/// expire windows (queries are as-of `now`, exactly like the selector's
+/// own methods).
 pub trait PolicyView {
     /// The evaluation instant.
     fn now(&self) -> SimTime;

@@ -38,20 +38,22 @@
 //! The result: on a frame that touched no window, `best(now)` is O(1) in
 //! the AP count; on a frame with one reading it is O(log A) (one heap
 //! push) amortized, with the O(A) rescan only when the cached winner
-//! worsened. [`FullScanSelector`] keeps the previous implementation — a
-//! full expire-and-reduce scan per query — as the in-tree oracle, and
+//! worsened. This is the crate's one selector; the previous
+//! implementation — a full expire-and-reduce scan per query — lives on
+//! only as the oracle in `crates/core/tests/oracle/selection.rs`, and
 //! `crates/core/tests/prop_selection.rs` proves the fast path
 //! bit-identical to it under adversarial interleavings.
 //!
 //! ## The verdict layer
 //!
-//! Two distinct layers share the word "policy" here:
+//! Two layers sit on top of the windows:
 //!
-//! * [`SelectionPolicy`] (from [`crate::window`]) is the **window
+//! * [`WindowReduce`] (from [`crate::window`]) is the **window
 //!   reduction** — how one AP's readings collapse to a scalar (median,
 //!   mean, max, latest).
-//! * [`crate::policy::SwitchPolicy`] is the **verdict rule** — how the
-//!   reduced candidates become a [`Verdict`]. Both selectors implement
+//! * [`crate::policy::SwitchPolicy`] is the **verdict rule**, and the
+//!   only thing this crate calls a policy — how the reduced candidates
+//!   become a [`Verdict`]. The selector exposes itself to it through
 //!   [`crate::policy::PolicyView`], and [`ApSelector::evaluate`] simply
 //!   runs the configured policy against that view. The default
 //!   [`crate::policy::ReactiveMedian`] is the paper's rule, extracted
@@ -65,14 +67,14 @@ use std::sync::Arc;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
-pub use crate::window::SelectionPolicy;
+pub use crate::window::WindowReduce;
 
 /// How long the serving AP may go unheard before it is declared dead and
 /// abandoned regardless of margin. Shorter than this, a CSI lull (a pair
 /// of lost Block ACKs) must not force a panic switch. The boundary is
 /// inclusive: an AP silent for exactly the grace period is already dead
 /// (`last_reading + SILENCE_GRACE <= now` abandons it).
-const SILENCE_GRACE: SimDuration = SimDuration::from_millis(100);
+pub const SILENCE_GRACE: SimDuration = SimDuration::from_millis(100);
 
 /// Span of the per-link *trend* window the predictive policy fits its
 /// slope over. Deliberately 10× the selection window: a least-squares
@@ -81,7 +83,7 @@ const SILENCE_GRACE: SimDuration = SimDuration::from_millis(100);
 /// should anticipate — a vehicle crossing a picocell edge — unfolds
 /// over ~100 ms. Only maintained when the active switch policy's
 /// `wants_trend` asks for it, so other policies pay nothing.
-const TREND_WINDOW: SimDuration = SimDuration::from_millis(100);
+pub const TREND_WINDOW: SimDuration = SimDuration::from_millis(100);
 
 /// Per-AP link state: the selection window plus the range-liveness
 /// timestamp, kept in one map entry so each reading costs a single
@@ -110,7 +112,7 @@ pub struct ApSelector {
     window: SimDuration,
     hysteresis: SimDuration,
     margin_db: f64,
-    policy: SelectionPolicy,
+    policy: WindowReduce,
     links: BTreeMap<NodeId, Link>,
     current: Option<NodeId>,
     last_switch: Option<SimTime>,
@@ -149,7 +151,7 @@ impl ApSelector {
             window,
             hysteresis,
             margin_db,
-            policy: SelectionPolicy::Median,
+            policy: WindowReduce::Median,
             links: BTreeMap::new(),
             current: None,
             last_switch: None,
@@ -160,9 +162,9 @@ impl ApSelector {
         }
     }
 
-    /// Override the window-reduction policy (ablation studies; the
-    /// paper's algorithm is the default median).
-    pub fn set_policy(&mut self, policy: SelectionPolicy) {
+    /// Override the window reduction (ablation studies; the paper's
+    /// algorithm is the default median).
+    pub fn set_window_reduce(&mut self, policy: WindowReduce) {
         self.policy = policy;
         self.best_cache = None;
     }
@@ -310,22 +312,14 @@ impl ApSelector {
         self.links.values().any(|l| l.last_reading + grace >= now)
     }
 
-    /// APs heard from within `grace` — the downlink replication set. This
-    /// is deliberately wider than the selection window: an AP whose CSI
-    /// arrives sporadically must still hold the client's packets in its
-    /// cyclic queue, or a switch to it starts with holes in the ring.
-    pub fn heard_set(&self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.for_each_heard(now, grace, |ap| out.push(ap));
-        out
-    }
-
-    /// Visit the downlink replication set without materializing it:
-    /// calls `f` for every AP heard within `grace` of `now`, in
-    /// ascending AP-id order (`BTreeMap` iteration order) — exactly the
-    /// APs and order [`heard_set`](Self::heard_set) returns. The
-    /// controller's fan-out streams packets through this straight into
-    /// its action sink, so the per-packet hot path allocates nothing.
+    /// Visit the downlink replication set — every AP heard within
+    /// `grace` of `now`, in ascending AP-id order (`BTreeMap` iteration
+    /// order). The set is deliberately wider than the selection window:
+    /// an AP whose CSI arrives sporadically must still hold the client's
+    /// packets in its cyclic queue, or a switch to it starts with holes
+    /// in the ring. The controller's fan-out streams packets through
+    /// this straight into its action sink, so the per-packet hot path
+    /// allocates nothing.
     pub fn for_each_heard(&self, now: SimTime, grace: SimDuration, mut f: impl FnMut(NodeId)) {
         for (&ap, l) in self.links.iter() {
             if l.last_reading + grace >= now {
@@ -359,8 +353,8 @@ impl ApSelector {
             .collect()
     }
 
-    /// Reduced (by the configured policy; median by default) ESNR of
-    /// `ap` over the window, if it has readings.
+    /// Reduced (by the configured [`WindowReduce`]; median by default)
+    /// ESNR of `ap` over the window, if it has readings.
     pub fn median_esnr(&mut self, ap: NodeId, now: SimTime) -> Option<f64> {
         self.process_expiries(now);
         let policy = self.policy;
@@ -502,8 +496,7 @@ impl PolicyView for FastView<'_> {
     }
 
     fn slope_db_per_s(&mut self, ap: NodeId) -> Option<f64> {
-        // Trend windows expire on push only — no expiry pass needed, and
-        // both selectors therefore fit over identical samples.
+        // Trend windows expire on push only — no expiry pass needed.
         self.sel.links.get(&ap)?.trend.slope_db_per_s()
     }
 
@@ -523,252 +516,6 @@ impl PolicyView for FastView<'_> {
         let policy = self.sel.policy;
         let loads = self.env.loads;
         for (&ap, l) in self.sel.links.iter_mut() {
-            if let Some(v) = l.window.reduce(policy) {
-                f(ap, v, loads.map_or(0, |t| t.get(ap)));
-            }
-        }
-    }
-}
-
-/// The pre-fast-path selector, kept in-tree as the equivalence oracle —
-/// this layer's [`crate::window::NaiveWindow`]. Every query expires and
-/// reduces **every** link (O(A) per frame); there is no argmax cache and
-/// no expiry heap, so there is nothing to go stale. The property suite
-/// in `crates/core/tests/prop_selection.rs` drives it in lockstep with
-/// [`ApSelector`] and requires bit-identical answers from every method;
-/// the A-sweep in `crates/bench/benches/selection_window.rs` uses it as
-/// the "before" side of the O(1) claim.
-#[derive(Debug)]
-pub struct FullScanSelector {
-    window: SimDuration,
-    hysteresis: SimDuration,
-    margin_db: f64,
-    policy: SelectionPolicy,
-    links: BTreeMap<NodeId, OracleLink>,
-    current: Option<NodeId>,
-    last_switch: Option<SimTime>,
-    switch_policy: Arc<dyn SwitchPolicy>,
-    track_trend: bool,
-}
-
-#[derive(Debug, Default)]
-struct OracleLink {
-    window: EsnrWindow,
-    /// Trend window for the slope fit (mirror of [`Link::trend`]).
-    trend: EsnrWindow,
-    last_reading: SimTime,
-}
-
-impl FullScanSelector {
-    /// Build with the same knobs as [`ApSelector::new`].
-    pub fn new(window: SimDuration, hysteresis: SimDuration, margin_db: f64) -> Self {
-        FullScanSelector {
-            window,
-            hysteresis,
-            margin_db,
-            policy: SelectionPolicy::Median,
-            links: BTreeMap::new(),
-            current: None,
-            last_switch: None,
-            switch_policy: SwitchPolicyKind::ReactiveMedian.build(),
-            track_trend: false,
-        }
-    }
-
-    /// Override the window-reduction policy.
-    pub fn set_policy(&mut self, policy: SelectionPolicy) {
-        self.policy = policy;
-    }
-
-    /// Override the switch-verdict policy (mirror of
-    /// [`ApSelector::set_switch_policy`]).
-    pub fn set_switch_policy(&mut self, policy: Arc<dyn SwitchPolicy>) {
-        self.track_trend = policy.wants_trend();
-        self.switch_policy = policy;
-    }
-
-    /// Record an ESNR reading from `ap` at `at`. Non-finite readings
-    /// are rejected, same contract as [`ApSelector::record`].
-    pub fn record(&mut self, ap: NodeId, at: SimTime, esnr_db: f64) {
-        if !esnr_db.is_finite() {
-            return;
-        }
-        let link = self.links.entry(ap).or_default();
-        link.last_reading = link.last_reading.max(at);
-        link.window.push(at, esnr_db, self.window);
-        if self.track_trend {
-            link.trend.push(at, esnr_db, TREND_WINDOW);
-        }
-    }
-
-    /// Forget `ap` entirely (mirror of [`ApSelector::remove_ap`]).
-    pub fn remove_ap(&mut self, ap: NodeId) {
-        self.links.remove(&ap);
-    }
-
-    /// The AP currently serving this client, if any.
-    pub fn current(&self) -> Option<NodeId> {
-        self.current
-    }
-
-    /// Force the serving AP.
-    pub fn set_current(&mut self, ap: NodeId, now: SimTime) {
-        self.current = Some(ap);
-        self.last_switch = Some(now);
-    }
-
-    /// APs with at least one reading inside the window.
-    pub fn in_range(&mut self, now: SimTime) -> Vec<NodeId> {
-        let window = self.window;
-        self.links
-            .iter_mut()
-            .filter_map(|(&ap, l)| {
-                l.window.expire(now, window);
-                if l.window.is_empty() {
-                    None
-                } else {
-                    Some(ap)
-                }
-            })
-            .collect()
-    }
-
-    /// Reduced ESNR of `ap` over the window, if it has readings.
-    pub fn median_esnr(&mut self, ap: NodeId, now: SimTime) -> Option<f64> {
-        let window = self.window;
-        let policy = self.policy;
-        let l = self.links.get_mut(&ap)?;
-        l.window.expire(now, window);
-        l.window.reduce(policy)
-    }
-
-    /// The instantaneous argmax AP by a full expire-and-reduce scan.
-    pub fn best(&mut self, now: SimTime) -> Option<(NodeId, f64)> {
-        let window = self.window;
-        let policy = self.policy;
-        let mut best: Option<(NodeId, f64)> = None;
-        for (&ap, l) in self.links.iter_mut() {
-            l.window.expire(now, window);
-            if let Some(m) = l.window.reduce(policy) {
-                if best.is_none_or(|(_, bm)| m > bm) {
-                    best = Some((ap, m));
-                }
-            }
-        }
-        best
-    }
-
-    /// Most recent reading timestamp from `ap` (mirror of
-    /// [`ApSelector::last_heard`]).
-    pub fn last_heard(&self, ap: NodeId) -> Option<SimTime> {
-        self.links.get(&ap).map(|l| l.last_reading)
-    }
-
-    /// Record-then-evaluate in one call (mirror of
-    /// [`ApSelector::record_and_evaluate`], full-scan semantics).
-    pub fn record_and_evaluate(
-        &mut self,
-        ap: NodeId,
-        at: SimTime,
-        esnr_db: f64,
-        now: SimTime,
-    ) -> Verdict {
-        self.record_and_evaluate_with(ap, at, esnr_db, now, PolicyEnv::default())
-    }
-
-    /// Record-then-evaluate with controller-level policy context.
-    pub fn record_and_evaluate_with(
-        &mut self,
-        ap: NodeId,
-        at: SimTime,
-        esnr_db: f64,
-        now: SimTime,
-        env: PolicyEnv<'_>,
-    ) -> Verdict {
-        self.record(ap, at, esnr_db);
-        self.evaluate_with(now, env)
-    }
-
-    /// Evaluate the configured switch policy at `now` (same dampers as
-    /// [`ApSelector::evaluate`], full-scan semantics).
-    pub fn evaluate(&mut self, now: SimTime) -> Verdict {
-        self.evaluate_with(now, PolicyEnv::default())
-    }
-
-    /// [`evaluate`](Self::evaluate) with controller-level policy
-    /// context.
-    pub fn evaluate_with(&mut self, now: SimTime, env: PolicyEnv<'_>) -> Verdict {
-        let policy = Arc::clone(&self.switch_policy);
-        let mut view = OracleView {
-            sel: self,
-            now,
-            env,
-        };
-        policy.decide(&mut view)
-    }
-}
-
-/// [`PolicyView`] over the full-scan oracle: every query expires the
-/// touched link(s) on the spot (no caches, nothing to go stale).
-struct OracleView<'a> {
-    sel: &'a mut FullScanSelector,
-    now: SimTime,
-    env: PolicyEnv<'a>,
-}
-
-impl PolicyView for OracleView<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn current(&self) -> Option<NodeId> {
-        self.sel.current
-    }
-
-    fn last_switch(&self) -> Option<SimTime> {
-        self.sel.last_switch
-    }
-
-    fn hysteresis(&self) -> SimDuration {
-        self.sel.hysteresis
-    }
-
-    fn margin_db(&self) -> f64 {
-        self.sel.margin_db
-    }
-
-    fn best(&mut self) -> Option<(NodeId, f64)> {
-        self.sel.best(self.now)
-    }
-
-    fn reduced(&mut self, ap: NodeId) -> Option<f64> {
-        self.sel.median_esnr(ap, self.now)
-    }
-
-    fn slope_db_per_s(&mut self, ap: NodeId) -> Option<f64> {
-        // The trend window expires on push only (its contents are a
-        // pure function of the reading stream), so reads on both
-        // selectors see identical samples without an expire here.
-        self.sel.links.get(&ap)?.trend.slope_db_per_s()
-    }
-
-    fn silent_past_grace(&self, ap: NodeId) -> bool {
-        self.sel
-            .links
-            .get(&ap)
-            .is_none_or(|l| l.last_reading + SILENCE_GRACE <= self.now)
-    }
-
-    fn load(&self, ap: NodeId) -> u32 {
-        self.env.loads.map_or(0, |l| l.get(ap))
-    }
-
-    fn for_each_candidate(&mut self, f: &mut dyn FnMut(NodeId, f64, u32)) {
-        let window = self.sel.window;
-        let policy = self.sel.policy;
-        let loads = self.env.loads;
-        for (&ap, l) in self.sel.links.iter_mut() {
-            l.window.expire(self.now, window);
             if let Some(v) = l.window.reduce(policy) {
                 f(ap, v, loads.map_or(0, |t| t.get(ap)));
             }
@@ -900,16 +647,16 @@ mod tests {
         let readings = [5.0, 6.0, 50.0];
         let build = |policy| {
             let mut s = selector();
-            s.set_policy(policy);
+            s.set_window_reduce(policy);
             for (i, v) in readings.iter().enumerate() {
                 s.record(AP1, ms(i as u64), *v);
             }
             s.median_esnr(AP1, ms(3)).unwrap()
         };
-        assert_eq!(build(SelectionPolicy::Median), 6.0);
-        assert!((build(SelectionPolicy::Mean) - 61.0 / 3.0).abs() < 1e-9);
-        assert_eq!(build(SelectionPolicy::Max), 50.0);
-        assert_eq!(build(SelectionPolicy::Latest), 50.0);
+        assert_eq!(build(WindowReduce::Median), 6.0);
+        assert!((build(WindowReduce::Mean) - 61.0 / 3.0).abs() < 1e-9);
+        assert_eq!(build(WindowReduce::Max), 50.0);
+        assert_eq!(build(WindowReduce::Latest), 50.0);
     }
 
     #[test]
@@ -1017,64 +764,6 @@ mod tests {
         // takes over deterministically.
         s.remove_ap(AP1);
         assert_eq!(s.best(ms(200)).map(|(ap, _)| ap), Some(AP2));
-    }
-
-    #[test]
-    fn non_finite_readings_are_rejected() {
-        // Regression: a NaN reading used to enter the window and wedge
-        // the strict-`>` argmax cache (NaN compares false both ways),
-        // so best() returned the NaN link until its window expired and
-        // no finite challenger could dethrone it meanwhile.
-        let mut s = selector();
-        let mut o = FullScanSelector::new(
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(40),
-            1.0,
-        );
-        for (ap, at, v) in [
-            (AP1, ms(0), f64::NAN),
-            (AP2, ms(0), 10.0),
-            (AP1, ms(1), f64::INFINITY),
-            (AP1, ms(1), f64::NEG_INFINITY),
-        ] {
-            s.record(ap, at, v);
-            o.record(ap, at, v);
-        }
-        assert_eq!(s.best(ms(2)), Some((AP2, 10.0)));
-        assert_eq!(o.best(ms(2)), Some((AP2, 10.0)));
-        // A rejected reading must not refresh range liveness either.
-        assert_eq!(s.last_heard(AP1), None);
-        assert_eq!(o.last_heard(AP1), None);
-    }
-
-    #[test]
-    fn silence_grace_boundary_is_inclusive() {
-        // Regression: the serving AP was abandoned only strictly
-        // *after* the grace (`last_reading + GRACE < now`), while the
-        // doc promises abandonment once it has been "silent for the
-        // grace period". Pin the inclusive boundary on both selectors:
-        // dead at exactly t = last_reading + SILENCE_GRACE, alive one
-        // nanosecond before.
-        let just_before = ms(100) - SimDuration::from_nanos(1);
-        let mut s = selector();
-        s.record(AP1, ms(0), 25.0);
-        s.set_current(AP1, ms(0));
-        s.record(AP2, ms(50), 3.0);
-        s.record(AP2, just_before, 3.0);
-        assert_eq!(s.evaluate(just_before), Verdict::Stay);
-        assert_eq!(s.evaluate(ms(100)), Verdict::SwitchTo(AP2));
-
-        let mut o = FullScanSelector::new(
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(40),
-            1.0,
-        );
-        o.record(AP1, ms(0), 25.0);
-        o.set_current(AP1, ms(0));
-        o.record(AP2, ms(50), 3.0);
-        o.record(AP2, just_before, 3.0);
-        assert_eq!(o.evaluate(just_before), Verdict::Stay);
-        assert_eq!(o.evaluate(ms(100)), Verdict::SwitchTo(AP2));
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //! [`crate::selection::ApSelector::best`] O(1) on frames that touched no
 //! window.
 //!
-//! **Equivalence guarantee.** For every policy the reduced value is
-//! numerically identical to the naive sort-per-query oracle
-//! ([`NaiveWindow`], the seed implementation kept verbatim):
+//! **Equivalence guarantee.** [`EsnrWindow`] is the crate's one window.
+//! For every [`WindowReduce`] the reduced value is numerically identical
+//! to the seed's naive sort-per-query window, which survives verbatim as
+//! the oracle in `crates/core/tests/oracle/window.rs`:
 //!
 //! * *Median*: the ring is the window multiset sorted under
 //!   `total_cmp`, and the reduction reads element `n/2` (0-based) —
@@ -69,7 +70,7 @@ use wgtt_sim::time::{SimDuration, SimTime};
 /// fading spikes; the other reducers exist for the ablation study that
 /// quantifies that choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
+pub enum WindowReduce {
     /// Median of the window — the paper's algorithm.
     #[default]
     Median,
@@ -150,7 +151,7 @@ impl SortedRing {
 /// with the reduced value memoized between mutations.
 ///
 /// ```
-/// use wgtt::window::{EsnrWindow, SelectionPolicy};
+/// use wgtt::window::{EsnrWindow, WindowReduce};
 /// use wgtt_sim::time::{SimDuration, SimTime};
 ///
 /// let w = SimDuration::from_millis(10);
@@ -158,8 +159,8 @@ impl SortedRing {
 /// for (t, v) in [(0u64, 5.0), (1, 6.0), (2, 50.0)] {
 ///     win.push(SimTime::from_millis(t), v, w);
 /// }
-/// assert_eq!(win.reduce(SelectionPolicy::Median), Some(6.0));
-/// assert_eq!(win.reduce(SelectionPolicy::Max), Some(50.0));
+/// assert_eq!(win.reduce(WindowReduce::Median), Some(6.0));
+/// assert_eq!(win.reduce(WindowReduce::Max), Some(50.0));
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct EsnrWindow {
@@ -174,7 +175,7 @@ pub struct EsnrWindow {
     sum: f64,
     comp: f64,
     /// Memoized `reduce` result, invalidated by insert/expiry.
-    cached: Option<(SelectionPolicy, Option<f64>)>,
+    cached: Option<(WindowReduce, Option<f64>)>,
 }
 
 impl EsnrWindow {
@@ -282,7 +283,7 @@ impl EsnrWindow {
     /// the last call, and O(1) after a mutation for every policy (mean
     /// included, via the compensated running sum).
     #[inline]
-    pub fn reduce(&mut self, policy: SelectionPolicy) -> Option<f64> {
+    pub fn reduce(&mut self, policy: WindowReduce) -> Option<f64> {
         if let Some((p, v)) = self.cached {
             if p == policy {
                 return v;
@@ -293,15 +294,15 @@ impl EsnrWindow {
         v
     }
 
-    fn compute(&mut self, policy: SelectionPolicy) -> Option<f64> {
+    fn compute(&mut self, policy: WindowReduce) -> Option<f64> {
         if self.readings.is_empty() {
             return None;
         }
         match policy {
-            SelectionPolicy::Median => self.ring.median(),
-            SelectionPolicy::Mean => Some((self.sum + self.comp) / self.readings.len() as f64),
-            SelectionPolicy::Max => self.maxq.front().map(|&(_, v)| v),
-            SelectionPolicy::Latest => self.readings.back().map(|&(_, v)| v),
+            WindowReduce::Median => self.ring.median(),
+            WindowReduce::Mean => Some((self.sum + self.comp) / self.readings.len() as f64),
+            WindowReduce::Max => self.maxq.front().map(|&(_, v)| v),
+            WindowReduce::Latest => self.readings.back().map(|&(_, v)| v),
         }
     }
 
@@ -406,73 +407,6 @@ impl<K: Ord + Copy> ExpiryHeap<K> {
     }
 }
 
-/// The seed's sort-per-query window, kept verbatim as the equivalence
-/// oracle for property tests and as the "before" side of the
-/// before/after microbenches in `crates/bench`.
-#[derive(Debug, Default, Clone)]
-pub struct NaiveWindow {
-    readings: VecDeque<(SimTime, f64)>,
-}
-
-impl NaiveWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of readings currently inside the window.
-    pub fn len(&self) -> usize {
-        self.readings.len()
-    }
-
-    /// Whether the window holds no readings.
-    pub fn is_empty(&self) -> bool {
-        self.readings.is_empty()
-    }
-
-    /// Record a reading and expire behind it.
-    pub fn push(&mut self, at: SimTime, esnr_db: f64, window: SimDuration) {
-        self.readings.push_back((at, esnr_db));
-        self.expire(at, window);
-    }
-
-    /// Drop readings with `t + window < now`.
-    pub fn expire(&mut self, now: SimTime, window: SimDuration) {
-        while let Some(&(t, _)) = self.readings.front() {
-            if t + window < now {
-                self.readings.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Sort-per-query reduction (the seed implementation).
-    pub fn reduce(&self, policy: SelectionPolicy) -> Option<f64> {
-        if self.readings.is_empty() {
-            return None;
-        }
-        match policy {
-            SelectionPolicy::Median => {
-                let mut vals: Vec<f64> = self.readings.iter().map(|&(_, v)| v).collect();
-                vals.sort_by(|a, b| a.partial_cmp(b).expect("ESNR is never NaN"));
-                Some(vals[vals.len() / 2])
-            }
-            SelectionPolicy::Mean => Some(
-                self.readings.iter().map(|&(_, v)| v).sum::<f64>() / self.readings.len() as f64,
-            ),
-            SelectionPolicy::Max => self
-                .readings
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                }),
-            SelectionPolicy::Latest => self.readings.back().map(|&(_, v)| v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,108 +417,18 @@ mod tests {
 
     const W: SimDuration = SimDuration::from_millis(10);
 
-    fn both() -> (EsnrWindow, NaiveWindow) {
-        (EsnrWindow::new(), NaiveWindow::new())
-    }
-
-    const POLICIES: [SelectionPolicy; 4] = [
-        SelectionPolicy::Median,
-        SelectionPolicy::Mean,
-        SelectionPolicy::Max,
-        SelectionPolicy::Latest,
+    const POLICIES: [WindowReduce; 4] = [
+        WindowReduce::Median,
+        WindowReduce::Mean,
+        WindowReduce::Max,
+        WindowReduce::Latest,
     ];
-
-    /// Oracle comparison per policy: bit-exact for order statistics,
-    /// within 1e-9 for the compensated-running-sum mean.
-    fn assert_matches_oracle(inc: Option<f64>, naive: Option<f64>, p: SelectionPolicy, ctx: &str) {
-        if p == SelectionPolicy::Mean {
-            match (inc, naive) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert!((a - b).abs() <= 1e-9, "Mean {ctx}: {a} vs oracle {b}")
-                }
-                _ => panic!("Mean {ctx}: presence diverged ({inc:?} vs {naive:?})"),
-            }
-        } else {
-            assert_eq!(inc, naive, "{p:?} {ctx}");
-        }
-    }
 
     #[test]
     fn empty_reduces_to_none() {
         let mut w = EsnrWindow::new();
         for p in POLICIES {
             assert_eq!(w.reduce(p), None);
-        }
-    }
-
-    #[test]
-    fn matches_oracle_on_fig6_window() {
-        let (mut inc, mut naive) = both();
-        for (i, v) in [23.0, 23.0, 23.0, 9.0, 9.0].iter().enumerate() {
-            inc.push(ms(100 + i as u64), *v, W);
-            naive.push(ms(100 + i as u64), *v, W);
-        }
-        for p in POLICIES {
-            assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "fig6 window");
-        }
-        assert_eq!(inc.reduce(SelectionPolicy::Median), Some(23.0));
-    }
-
-    #[test]
-    fn expiry_matches_oracle_boundary() {
-        // A reading exactly `window` old is retained (strict <).
-        let (mut inc, mut naive) = both();
-        inc.push(ms(0), 30.0, W);
-        naive.push(ms(0), 30.0, W);
-        inc.expire(ms(10), W);
-        naive.expire(ms(10), W);
-        assert_eq!(inc.len(), 1);
-        assert_eq!(inc.reduce(SelectionPolicy::Median), Some(30.0));
-        inc.expire(SimTime::from_micros(10_001), W);
-        naive.expire(SimTime::from_micros(10_001), W);
-        assert_eq!(inc.len(), naive.len());
-        assert_eq!(inc.reduce(SelectionPolicy::Median), None);
-    }
-
-    #[test]
-    fn sliding_stream_matches_oracle() {
-        // A long pseudo-random stream with a 10 ms window: every prefix
-        // must agree with the oracle for every policy.
-        let (mut inc, mut naive) = both();
-        let mut t = 0u64;
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..2_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            t += x % 700; // µs steps, ties included
-            let v = ((x >> 16) % 600) as f64 / 10.0 - 20.0;
-            let at = SimTime::from_micros(t);
-            inc.push(at, v, W);
-            naive.push(at, v, W);
-            for p in POLICIES {
-                assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, &format!("at t={t}µs"));
-            }
-            assert_eq!(inc.len(), naive.len());
-        }
-    }
-
-    #[test]
-    fn duplicate_values_and_timestamps_match_oracle() {
-        let (mut inc, mut naive) = both();
-        for (t, v) in [(0u64, 5.0), (0, 5.0), (0, 5.0), (3, 5.0), (3, 7.0)] {
-            inc.push(ms(t), v, W);
-            naive.push(ms(t), v, W);
-        }
-        for p in POLICIES {
-            assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "duplicates");
-        }
-        // Slide far enough that the t=0 triple expires.
-        inc.expire(ms(12), W);
-        naive.expire(ms(12), W);
-        for p in POLICIES {
-            assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "after expiry");
         }
     }
 
@@ -600,7 +444,7 @@ mod tests {
         w.push(ms(0), 1e16, W);
         w.push(ms(1), 1.0, W);
         w.push(ms(2), -1e16, W);
-        let mean = w.reduce(SelectionPolicy::Mean).expect("non-empty");
+        let mean = w.reduce(WindowReduce::Mean).expect("non-empty");
         assert!(
             (mean - 1.0 / 3.0).abs() < 1e-12,
             "compensated mean should be 1/3, got {mean}"
@@ -619,7 +463,7 @@ mod tests {
         w.expire(ms(1_000), W);
         assert!(w.is_empty());
         w.push(ms(1_000), 17.3, W);
-        assert_eq!(w.reduce(SelectionPolicy::Mean), Some(17.3));
+        assert_eq!(w.reduce(WindowReduce::Mean), Some(17.3));
     }
 
     #[test]

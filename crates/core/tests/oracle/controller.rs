@@ -1,28 +1,20 @@
-//! The seed controller, retained verbatim as the differential oracle.
-//!
-//! This is the controller exactly as it shipped before the dataplane
+//! The seed controller, exactly as it shipped before the dataplane
 //! rewrite (per-call `Vec<ControllerAction>` returns, `HashMap` client
 //! state, `next_timeout` by full iteration, `poll` by sort-all-clients
-//! scan). It is the behavioral contract: `tests/prop_controller.rs`
-//! replays randomized event interleavings through this oracle and the
-//! shipping [`Controller`](super::Controller) and asserts identical
-//! action sequences, identical [`ControllerStats`], and identical
-//! `next_timeout()` after every event — the same retained-oracle pattern
-//! as `FullScanSelector`, `fading::reference`, `esnr::reference`, and
-//! `NaiveWindow`.
-//!
-//! Do not optimize this module; its value is that it stays simple and
-//! obviously paper-shaped (Fig. 5).
+//! scan). It is the behavioral contract: `prop_controller.rs` replays
+//! randomized event interleavings through this oracle and the shipping
+//! [`wgtt::Controller`] and asserts identical action sequences,
+//! identical [`ControllerStats`], and identical `next_timeout()` after
+//! every event.
 
-use super::{ControllerAction, ControllerStats};
-use crate::config::WgttConfig;
-use crate::dedup::DedupFilter;
-use crate::messages::BackhaulMsg;
-use crate::policy::{ApLoads, PolicyEnv, SwitchPolicy};
-use crate::selection::{ApSelector, Verdict};
-use crate::switching::{SwitchEvent, SwitchProtocol};
 use std::collections::HashMap;
 use std::sync::Arc;
+use wgtt::controller::{ControllerAction, ControllerStats};
+use wgtt::dedup::DedupFilter;
+use wgtt::policy::{ApLoads, PolicyEnv, SwitchPolicy};
+use wgtt::selection::{ApSelector, Verdict};
+use wgtt::switching::{SwitchEvent, SwitchProtocol};
+use wgtt::{BackhaulMsg, WgttConfig};
 use wgtt_mac::frame::NodeId;
 use wgtt_mac::seq::SEQ_SPACE;
 use wgtt_net::Packet;
@@ -80,7 +72,7 @@ impl Controller {
                     cfg.switch_hysteresis,
                     cfg.switch_margin_db,
                 );
-                s.set_policy(cfg.selection_policy);
+                s.set_window_reduce(cfg.window_reduce);
                 s.set_switch_policy(switch_policy);
                 s
             },
@@ -148,7 +140,8 @@ impl Controller {
         // Replicate to every AP heard within the grace window — wider
         // than the selection window W, so that an AP with sporadic CSI
         // still holds a gap-free cyclic ring when a switch lands on it.
-        let mut fanout = st.selector.heard_set(now, grace);
+        let mut fanout = Vec::new();
+        st.selector.for_each_heard(now, grace, |ap| fanout.push(ap));
         // The serving AP still gets the packet during a short CSI lull
         // (TCP restarting after an idle period), but once no AP has heard
         // the client for the grace period it is out of coverage and

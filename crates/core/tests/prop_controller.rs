@@ -1,10 +1,10 @@
 //! Differential harness for the controller dataplane rewrite.
 //!
-//! The seed controller is retained verbatim as
-//! [`wgtt::controller::reference::Controller`]; the shipping
-//! [`Controller`] replaced its per-call `Vec` returns with an action
-//! sink, its `HashMap` client state with a dense slab, and its
-//! scan-everyone `next_timeout`/`poll` with a hierarchical timer wheel.
+//! The seed controller is retained verbatim as the oracle in
+//! `tests/oracle/controller.rs`; the shipping [`Controller`] replaced its
+//! per-call `Vec` returns with an action sink, its `HashMap` client state
+//! with a dense slab, and its scan-everyone `next_timeout`/`poll` with a
+//! hierarchical timer wheel.
 //! None of that may be observable: this suite replays randomized event
 //! interleavings — downlink packets, uplink duplicate bursts, CSI
 //! reports, switch acks (fresh and stale), polls at arbitrary instants
@@ -23,9 +23,12 @@
 //! scaling contract, and the rank-error bound for the sketch-backed
 //! switch-duration distribution.
 
+mod oracle;
+
+use oracle::controller::Controller as ReferenceController;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use wgtt::controller::{reference, ActionSink, Controller, ControllerAction, ControllerStats};
+use wgtt::controller::{ActionSink, Controller, ControllerAction, ControllerStats};
 use wgtt::messages::BackhaulMsg;
 use wgtt::policy::SwitchPolicyKind;
 use wgtt::WgttConfig;
@@ -59,7 +62,7 @@ fn client_ip(c: NodeId) -> Ipv4Addr {
 /// comparing everything observable after each event.
 struct Diff {
     ship: Controller,
-    oracle: reference::Controller,
+    oracle: ReferenceController,
     now: SimTime,
     factory: PacketFactory,
     /// Latest Stop seen per client (switch id + target AP), harvested
@@ -93,7 +96,7 @@ impl Diff {
     fn with_cfg(cfg: WgttConfig) -> Self {
         Diff {
             ship: Controller::new(cfg, aps()),
-            oracle: reference::Controller::new(cfg, aps()),
+            oracle: ReferenceController::new(cfg, aps()),
             now: SimTime::ZERO,
             factory: PacketFactory::new(),
             last_stop: HashMap::new(),

@@ -24,10 +24,13 @@
 //! Fast-vs-full-scan bit-identity for every policy lives in
 //! `prop_selection.rs`; this file owns verdict-semantics correctness.
 
+mod oracle;
+
+use oracle::selection::FullScanSelector;
 use proptest::prelude::*;
 use std::sync::Arc;
 use wgtt::policy::{ApLoads, PolicyEnv, SwitchPolicyKind};
-use wgtt::selection::{ApSelector, FullScanSelector, Verdict};
+use wgtt::selection::{ApSelector, Verdict};
 use wgtt::window::EsnrWindow;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -35,8 +38,8 @@ use wgtt_sim::time::{SimDuration, SimTime};
 const WINDOW: SimDuration = SimDuration::from_millis(10);
 const HYSTERESIS: SimDuration = SimDuration::from_millis(40);
 const MARGIN_DB: f64 = 1.0;
-/// Must track `SILENCE_GRACE` in `wgtt::selection` (private by design;
-/// the replica hardcodes the paper value).
+/// Must track `wgtt::selection::SILENCE_GRACE`; the replica hardcodes
+/// the value on purpose, so a change to the constant shows up here.
 const GRACE: SimDuration = SimDuration::from_millis(100);
 
 fn esnr(raw: u32) -> f64 {

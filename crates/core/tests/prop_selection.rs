@@ -3,12 +3,13 @@
 //!
 //! The incremental structures ([`EsnrWindow`], and [`ApSelector`] built
 //! on top of it) must be indistinguishable from the seed's naive
-//! sort-per-query implementation ([`NaiveWindow`], kept verbatim as the
-//! oracle) under arbitrary insert/expiry sequences — duplicate
-//! timestamps, duplicate values, and exact window-boundary readings
-//! included. The O(1) fast path (cached argmax + expiry heap) is held
-//! to the same bar against [`FullScanSelector`], the previous full
-//! expire-and-reduce selector kept in-tree as this layer's oracle.
+//! sort-per-query implementation ([`NaiveWindow`], kept verbatim in
+//! `tests/oracle/window.rs`) under arbitrary insert/expiry sequences —
+//! duplicate timestamps, duplicate values, and exact window-boundary
+//! readings included. The O(1) fast path (cached argmax + expiry heap)
+//! is held to the same bar against [`FullScanSelector`]
+//! (`tests/oracle/selection.rs`), the previous full expire-and-reduce
+//! selector.
 //! Selection *verdicts* are a pure function of the reduced values, so
 //! equality here means every experiment artifact in EXPERIMENTS.md is
 //! unchanged by the optimization.
@@ -19,22 +20,26 @@
 //! already accepted for the fast BER→SNR inverse; see the equivalence
 //! notes in `wgtt::window`).
 
+mod oracle;
+
+use oracle::selection::FullScanSelector;
+use oracle::window::NaiveWindow;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wgtt::policy::{ApLoads, PolicyEnv, SwitchPolicyKind};
-use wgtt::selection::{ApSelector, FullScanSelector, SelectionPolicy, Verdict};
-use wgtt::window::{EsnrWindow, NaiveWindow};
+use wgtt::selection::{ApSelector, Verdict, WindowReduce};
+use wgtt::window::EsnrWindow;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 const WINDOW: SimDuration = SimDuration::from_millis(10);
 
-const POLICIES: [SelectionPolicy; 4] = [
-    SelectionPolicy::Median,
-    SelectionPolicy::Mean,
-    SelectionPolicy::Max,
-    SelectionPolicy::Latest,
+const POLICIES: [WindowReduce; 4] = [
+    WindowReduce::Median,
+    WindowReduce::Mean,
+    WindowReduce::Max,
+    WindowReduce::Latest,
 ];
 
 /// Decode a generated value into an ESNR-ish figure. Coarse 0.1 dB
@@ -78,7 +83,7 @@ proptest! {
             naive.push(at, v, WINDOW);
             prop_assert_eq!(inc.len(), naive.len());
             for p in POLICIES {
-                if p == SelectionPolicy::Mean {
+                if p == WindowReduce::Mean {
                     prop_assert!(
                         mean_close(inc.reduce(p), naive.reduce(p)),
                         "Mean diverged at t={}µs", t_us
@@ -115,7 +120,7 @@ proptest! {
             }
             prop_assert_eq!(inc.len(), naive.len());
             for p in POLICIES {
-                if p == SelectionPolicy::Mean {
+                if p == WindowReduce::Mean {
                     prop_assert!(
                         mean_close(inc.reduce(p), naive.reduce(p)),
                         "Mean diverged at t={}µs (insert={})", t_us, is_insert
@@ -148,7 +153,7 @@ proptest! {
             naive.push(at, esnr(raw), WINDOW);
             prop_assert_eq!(inc.len(), naive.len(), "len diverged at t={}µs", t_us);
             for p in POLICIES {
-                if p == SelectionPolicy::Mean {
+                if p == WindowReduce::Mean {
                     prop_assert!(
                         mean_close(inc.reduce(p), naive.reduce(p)),
                         "Mean diverged at t={}µs", t_us
@@ -174,7 +179,7 @@ proptest! {
     ) {
         let policy = POLICIES[policy_idx];
         let mut selector = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-        selector.set_policy(policy);
+        selector.set_window_reduce(policy);
         let mut oracle: BTreeMap<u32, NaiveWindow> = BTreeMap::new();
         let mut t_us = 0u64;
         for (ap, dt_us, raw) in ops {
@@ -197,7 +202,7 @@ proptest! {
                 }
             }
             let got = selector.best(at);
-            if policy == SelectionPolicy::Mean {
+            if policy == WindowReduce::Mean {
                 // Within-epsilon contract: the selected value must be
                 // ≤ MEAN_EPS from the oracle's best, and if a different
                 // AP was picked its oracle mean must be an epsilon-tie
@@ -229,7 +234,7 @@ proptest! {
             for (&id, w) in oracle.iter() {
                 let sel = selector.median_esnr(NodeId(id), at);
                 let nv = w.reduce(policy);
-                if policy == SelectionPolicy::Mean {
+                if policy == WindowReduce::Mean {
                     prop_assert!(
                         mean_close(sel, nv),
                         "Mean median_esnr({}) diverged at t={}µs", id, t_us
@@ -266,8 +271,8 @@ proptest! {
         let policy = POLICIES[policy_idx];
         let mut fast = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
         let mut oracle = FullScanSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-        fast.set_policy(policy);
-        oracle.set_policy(policy);
+        fast.set_window_reduce(policy);
+        oracle.set_window_reduce(policy);
         let mut t_us = 0u64;
         for (kind, ap_raw, dt_us, raw) in ops {
             // Step distribution: ~20% duplicate timestamps, mostly small
@@ -408,8 +413,8 @@ proptest! {
         let mut naive = NaiveWindow::new();
         let mut fast = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
         let mut full = FullScanSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-        fast.set_policy(SelectionPolicy::Mean);
-        full.set_policy(SelectionPolicy::Mean);
+        fast.set_window_reduce(WindowReduce::Mean);
+        full.set_window_reduce(WindowReduce::Mean);
         let mut t_us = 0u64;
         for (ap_raw, kind, dt_us, raw) in ops {
             // Occasional large jumps drain every window completely, so
@@ -442,7 +447,7 @@ proptest! {
                 }
             }
             prop_assert!(
-                mean_close(inc.reduce(SelectionPolicy::Mean), naive.reduce(SelectionPolicy::Mean)),
+                mean_close(inc.reduce(WindowReduce::Mean), naive.reduce(WindowReduce::Mean)),
                 "Mean window deviated > {} at t={}µs", MEAN_EPS, t_us
             );
             prop_assert_eq!(
@@ -453,7 +458,7 @@ proptest! {
         }
     }
 
-    /// Mid-run `set_policy` interleaved with readings, expiries,
+    /// Mid-run `set_window_reduce` interleaved with readings, expiries,
     /// removals, and verdicts: the fast path's cache dirtying and the
     /// per-window memoized reduce must track a reduction-policy change
     /// exactly like the full-scan oracle. (The selector-vs-selector
@@ -488,8 +493,8 @@ proptest! {
                 // with warm caches and queued expiries behind it.
                 5..=6 => {
                     let p = POLICIES[(raw as usize) % POLICIES.len()];
-                    fast.set_policy(p);
-                    oracle.set_policy(p);
+                    fast.set_window_reduce(p);
+                    oracle.set_window_reduce(p);
                 }
                 7 => {
                     fast.remove_ap(ap);
@@ -648,10 +653,10 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Bit-exact policies (Mean has its own epsilon suite above).
-const EXACT_POLICIES: [SelectionPolicy; 3] = [
-    SelectionPolicy::Median,
-    SelectionPolicy::Max,
-    SelectionPolicy::Latest,
+const EXACT_POLICIES: [WindowReduce; 3] = [
+    WindowReduce::Median,
+    WindowReduce::Max,
+    WindowReduce::Latest,
 ];
 
 proptest! {
@@ -669,8 +674,8 @@ proptest! {
         let policy = EXACT_POLICIES[policy_idx];
         let mut fast = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
         let mut oracle = FullScanSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-        fast.set_policy(policy);
-        oracle.set_policy(policy);
+        fast.set_window_reduce(policy);
+        oracle.set_window_reduce(policy);
         let mut t_us = 0u64;
         for (kind, ap_raw, dt_us, raw) in ops {
             // ~20% duplicate timestamps; the rest small sub-window steps
@@ -812,4 +817,153 @@ fn due_heap_entry_for_a_removed_ap_is_garbage_collected_on_pop() {
     s.record(a, later, 5.0);
     assert_eq!(s.best(later), Some((a, 5.0)));
     assert_eq!(s.in_range(later), vec![a]);
+}
+
+// ---- Pinned cases: the Fig. 6 window, boundary and duplicate readings,
+// and the two verdict-layer regressions, on the shipping type and its
+// oracle side by side.
+
+const HYSTERESIS: SimDuration = SimDuration::from_millis(40);
+const AP1: NodeId = NodeId(1);
+const AP2: NodeId = NodeId(2);
+
+fn ms(v: u64) -> SimTime {
+    SimTime::from_millis(v)
+}
+
+fn both() -> (EsnrWindow, NaiveWindow) {
+    (EsnrWindow::new(), NaiveWindow::new())
+}
+
+/// Oracle comparison per reduction: bit-exact for order statistics,
+/// within [`MEAN_EPS`] for the compensated-running-sum mean.
+fn assert_matches_oracle(inc: Option<f64>, naive: Option<f64>, p: WindowReduce, ctx: &str) {
+    if p == WindowReduce::Mean {
+        assert!(
+            mean_close(inc, naive),
+            "Mean {ctx}: {inc:?} vs oracle {naive:?}"
+        );
+    } else {
+        assert_eq!(inc, naive, "{p:?} {ctx}");
+    }
+}
+
+#[test]
+fn matches_oracle_on_fig6_window() {
+    let (mut inc, mut naive) = both();
+    for (i, v) in [23.0, 23.0, 23.0, 9.0, 9.0].iter().enumerate() {
+        inc.push(ms(100 + i as u64), *v, WINDOW);
+        naive.push(ms(100 + i as u64), *v, WINDOW);
+    }
+    for p in POLICIES {
+        assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "fig6 window");
+    }
+    assert_eq!(inc.reduce(WindowReduce::Median), Some(23.0));
+}
+
+#[test]
+fn expiry_matches_oracle_boundary() {
+    // A reading exactly `window` old is retained (strict <).
+    let (mut inc, mut naive) = both();
+    inc.push(ms(0), 30.0, WINDOW);
+    naive.push(ms(0), 30.0, WINDOW);
+    inc.expire(ms(10), WINDOW);
+    naive.expire(ms(10), WINDOW);
+    assert_eq!(inc.len(), 1);
+    assert_eq!(inc.reduce(WindowReduce::Median), Some(30.0));
+    inc.expire(SimTime::from_micros(10_001), WINDOW);
+    naive.expire(SimTime::from_micros(10_001), WINDOW);
+    assert_eq!(inc.len(), naive.len());
+    assert_eq!(inc.reduce(WindowReduce::Median), None);
+}
+
+#[test]
+fn sliding_stream_matches_oracle() {
+    // A long pseudo-random stream with a 10 ms window: every prefix
+    // must agree with the oracle for every policy.
+    let (mut inc, mut naive) = both();
+    let mut t = 0u64;
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..2_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        t += x % 700; // µs steps, ties included
+        let v = ((x >> 16) % 600) as f64 / 10.0 - 20.0;
+        let at = SimTime::from_micros(t);
+        inc.push(at, v, WINDOW);
+        naive.push(at, v, WINDOW);
+        for p in POLICIES {
+            assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, &format!("at t={t}µs"));
+        }
+        assert_eq!(inc.len(), naive.len());
+    }
+}
+
+#[test]
+fn duplicate_values_and_timestamps_match_oracle() {
+    let (mut inc, mut naive) = both();
+    for (t, v) in [(0u64, 5.0), (0, 5.0), (0, 5.0), (3, 5.0), (3, 7.0)] {
+        inc.push(ms(t), v, WINDOW);
+        naive.push(ms(t), v, WINDOW);
+    }
+    for p in POLICIES {
+        assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "duplicates");
+    }
+    // Slide far enough that the t=0 triple expires.
+    inc.expire(ms(12), WINDOW);
+    naive.expire(ms(12), WINDOW);
+    for p in POLICIES {
+        assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "after expiry");
+    }
+}
+
+#[test]
+fn non_finite_readings_are_rejected() {
+    // Regression: a NaN reading used to enter the window and wedge
+    // the strict-`>` argmax cache (NaN compares false both ways),
+    // so best() returned the NaN link until its window expired and
+    // no finite challenger could dethrone it meanwhile.
+    let mut s = ApSelector::new(WINDOW, HYSTERESIS, 1.0);
+    let mut o = FullScanSelector::new(WINDOW, HYSTERESIS, 1.0);
+    for (ap, at, v) in [
+        (AP1, ms(0), f64::NAN),
+        (AP2, ms(0), 10.0),
+        (AP1, ms(1), f64::INFINITY),
+        (AP1, ms(1), f64::NEG_INFINITY),
+    ] {
+        s.record(ap, at, v);
+        o.record(ap, at, v);
+    }
+    assert_eq!(s.best(ms(2)), Some((AP2, 10.0)));
+    assert_eq!(o.best(ms(2)), Some((AP2, 10.0)));
+    // A rejected reading must not refresh range liveness either.
+    assert_eq!(s.last_heard(AP1), None);
+    assert_eq!(o.last_heard(AP1), None);
+}
+
+#[test]
+fn silence_grace_boundary_is_inclusive() {
+    // Regression: the serving AP was abandoned only strictly
+    // *after* the grace (`last_reading + GRACE < now`), while the
+    // doc promises abandonment once it has been "silent for the
+    // grace period". Pin the inclusive boundary on both selectors:
+    // dead at exactly t = last_reading + SILENCE_GRACE, alive one
+    // nanosecond before.
+    let just_before = ms(100) - SimDuration::from_nanos(1);
+    let mut s = ApSelector::new(WINDOW, HYSTERESIS, 1.0);
+    s.record(AP1, ms(0), 25.0);
+    s.set_current(AP1, ms(0));
+    s.record(AP2, ms(50), 3.0);
+    s.record(AP2, just_before, 3.0);
+    assert_eq!(s.evaluate(just_before), Verdict::Stay);
+    assert_eq!(s.evaluate(ms(100)), Verdict::SwitchTo(AP2));
+
+    let mut o = FullScanSelector::new(WINDOW, HYSTERESIS, 1.0);
+    o.record(AP1, ms(0), 25.0);
+    o.set_current(AP1, ms(0));
+    o.record(AP2, ms(50), 3.0);
+    o.record(AP2, just_before, 3.0);
+    assert_eq!(o.evaluate(just_before), Verdict::Stay);
+    assert_eq!(o.evaluate(ms(100)), Verdict::SwitchTo(AP2));
 }

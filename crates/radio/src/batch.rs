@@ -101,7 +101,7 @@ mod tests {
             // Memo hit — and bit-identical to an uncached evaluation.
             let single = link.esnr_db_at(t, pos, Modulation::Qam16);
             assert_eq!(batched.to_bits(), single.to_bits());
-            let uncached = link.snapshot_uncached(t, pos).esnr_db(Modulation::Qam16);
+            let uncached = link.snapshot(t, pos).esnr_db(Modulation::Qam16);
             assert_eq!(batched.to_bits(), uncached.to_bits());
         }
     }

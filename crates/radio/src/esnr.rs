@@ -14,7 +14,11 @@
 //! system. [`Modulation::snr_for_ber`] therefore uses a precomputed
 //! monotone Hermite table polished by Newton steps on the exact curve;
 //! the seed's 200-step bisection is retained verbatim in [`reference`]
-//! as the equivalence oracle (see `crates/radio/tests/prop_esnr.rs`).
+//! — dead links below the table floor still take it, and it is the
+//! equivalence oracle of `crates/radio/tests/prop_esnr.rs`. The BER
+//! sweep itself has one implementation: the lane sweep `ber_mean`, which
+//! mirrors [`Modulation::ber`] operation for operation
+//! (`crates/radio/tests/prop_simd.rs`).
 
 use crate::csi::{Csi, NUM_SUBCARRIERS};
 use crate::{db_to_linear, linear_to_db};
@@ -343,13 +347,11 @@ impl InvBerTable {
     }
 }
 
-/// The seed's ESNR inversion, kept verbatim as the in-tree oracle (the
-/// pattern of `crate::fading::reference` and `wgtt`'s
-/// `FullScanSelector`): a fixed 200-step monotone bisection per call.
-/// `crates/radio/tests/prop_esnr.rs` proves the fast table-plus-Newton
-/// inverse within 1e-6 dB of it everywhere, and
-/// `crates/bench/benches/frame_path.rs` uses it as the "before" side of
-/// the inversion micro-bench.
+/// The seed's ESNR inversion, kept verbatim (the pattern of
+/// `crate::fading::reference`): a fixed 200-step monotone bisection per
+/// call. Production reaches it below the table floor and when anchoring
+/// the table's top knot; `crates/radio/tests/prop_esnr.rs` proves the
+/// fast table-plus-Newton inverse within 1e-6 dB of it everywhere.
 pub mod reference {
     use super::Modulation;
     use crate::{db_to_linear, linear_to_db};
@@ -381,46 +383,6 @@ pub mod reference {
         }
         let mean_ber = ber_acc / csi.h.len() as f64;
         linear_to_db(snr_for_ber(modulation, mean_ber))
-    }
-}
-
-/// The pre-vectorization shipping ESNR sweep, retained verbatim as the
-/// **scalar oracle** of the SIMD path (the pattern of
-/// [`crate::fading::scalar`]): one [`Modulation::ber`] libm evaluation per
-/// subcarrier. `crates/radio/tests/prop_simd.rs` proves the lane sweep
-/// within 1e-6 dB of it (in practice ~1e-9 dB — the only deviation is the
-/// faithful vector `exp` inside the lane erfc).
-pub mod scalar {
-    use super::Modulation;
-    use crate::csi::{Csi, NUM_SUBCARRIERS};
-    use crate::{db_to_linear, linear_to_db};
-
-    /// ESNR in dB from a CSI snapshot — the pre-vectorization shipping
-    /// implementation, verbatim.
-    pub fn effective_snr_db(csi: &Csi, mean_snr_db: f64, modulation: Modulation) -> f64 {
-        let mean_snr = db_to_linear(mean_snr_db);
-        let mut ber_acc = 0.0;
-        for h in &csi.h {
-            ber_acc += modulation.ber(mean_snr * h.norm_sq());
-        }
-        let mean_ber = ber_acc / csi.h.len() as f64;
-        linear_to_db(modulation.snr_for_ber(mean_ber))
-    }
-
-    /// The same sweep from a fused per-subcarrier power array (the order
-    /// [`Csi::powers`] yields) — the oracle of the batch path.
-    pub fn effective_snr_from_powers(
-        powers: &[f64; NUM_SUBCARRIERS],
-        mean_snr_db: f64,
-        modulation: Modulation,
-    ) -> f64 {
-        let mean_snr = db_to_linear(mean_snr_db);
-        let mut ber_acc = 0.0;
-        for &p in powers {
-            ber_acc += modulation.ber(mean_snr * p);
-        }
-        let mean_ber = ber_acc / powers.len() as f64;
-        linear_to_db(modulation.snr_for_ber(mean_ber))
     }
 }
 
@@ -716,6 +678,17 @@ mod tests {
         );
     }
 
+    /// The lane sweep's oracle: one libm [`Modulation::ber`] per
+    /// subcarrier, then the shared inversion (so only the sweep differs).
+    fn scalar_esnr_db(csi: &Csi, mean_snr_db: f64, m: Modulation) -> f64 {
+        let mean_snr = db_to_linear(mean_snr_db);
+        let mut ber_acc = 0.0;
+        for h in &csi.h {
+            ber_acc += m.ber(mean_snr * h.norm_sq());
+        }
+        linear_to_db(m.snr_for_ber(ber_acc / csi.h.len() as f64))
+    }
+
     /// A deterministic frequency-selective CSI for differential checks.
     fn selective_csi(phase_step: f64) -> Csi {
         let mut h = [Complex::ZERO; NUM_SUBCARRIERS];
@@ -738,7 +711,7 @@ mod tests {
                 for step in [0.21, 0.73, 1.9] {
                     let csi = selective_csi(step);
                     let fast = effective_snr_db(&csi, snr_db, m);
-                    let oracle = scalar::effective_snr_db(&csi, snr_db, m);
+                    let oracle = scalar_esnr_db(&csi, snr_db, m);
                     assert!(
                         (fast - oracle).abs() <= 1e-6,
                         "{m:?} at {snr_db} dB: lane {fast} vs scalar {oracle}"
@@ -770,7 +743,7 @@ mod tests {
         let csi = Csi::flat();
         for m in [Modulation::Bpsk, Modulation::Qam64] {
             let fast = effective_snr_db(&csi, 60.0, m);
-            let oracle = scalar::effective_snr_db(&csi, 60.0, m);
+            let oracle = scalar_esnr_db(&csi, 60.0, m);
             assert_eq!(fast.to_bits(), oracle.to_bits(), "{m:?} ceiling");
         }
     }

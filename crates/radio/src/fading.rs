@@ -15,32 +15,30 @@
 //! experiment seed, so the channel can be sampled at arbitrary instants by
 //! any subsystem and is identical across compared systems.
 //!
-//! ## Three implementations, two contracts
+//! ## Two implementations, two contracts
 //!
 //! CSI synthesis runs once per overhearing AP per uplink frame — the
 //! simulator's hottest loop now that AP selection is O(1) per frame. This
 //! module therefore ships a structure-of-arrays implementation whose lane
-//! loops vectorize (see `crates/simd`), and retains both prior
-//! implementations as in-tree oracles:
+//! loops vectorize (see `crates/simd`), built on top of the seed
+//! implementation:
 //!
-//! * [`reference::FadingProcess`] — the seed implementation, verbatim.
-//! * [`scalar::FadingProcess`] — the twiddle-table fast path that shipped
-//!   before vectorization, **bit-identical** to the reference (same
-//!   accumulation order, libm transcendentals; enforced per subcarrier
-//!   with `f64::to_bits` by `crates/radio/tests/prop_fading.rs`).
+//! * [`reference::FadingProcess`] — the seed implementation, verbatim. It
+//!   draws every link's realization ([`FadingProcess::new`] constructs
+//!   through it), so it is load-bearing as well as the oracle.
 //! * [`FadingProcess`] (shipping) — the SoA path: `re`/`im` planes instead
 //!   of arrays of `Complex`, the 48 sinusoids of all six taps evaluated by
 //!   one branchless vector sin/cos pass, and the 56-subcarrier twiddle MAC
 //!   as `f64 × 8` lane arithmetic.
 //!
-//! The SIMD path's only deviation from the scalar oracle is its faithful
+//! The SIMD path's only deviation from the reference is its faithful
 //! (≤ 2 ulp) vector transcendentals and the factorized phase rotation
 //! `cos(ωt+φ) = cos ωt · cos φ − sin ωt · sin φ`; every other lane
-//! operation is exact IEEE arithmetic in a fixed order. Its contract is
-//! therefore **within-1e-6-dB of the scalar oracle** (in practice
-//! ~1e-9 dB) plus **bit-identity across backends and lane widths** — both
-//! enforced by `crates/radio/tests/prop_simd.rs` over random links, times
-//! and backend choices.
+//! operation is exact IEEE arithmetic in the reference's accumulation
+//! order. Its contract is therefore **within-1e-6-dB of the reference**
+//! (in practice ~1e-9 dB) plus **bit-identity across backends and lane
+//! widths** — both enforced by `crates/radio/tests/prop_simd.rs` over
+//! random links, times and backend choices.
 
 use crate::complex::Complex;
 use crate::csi::{subcarrier_offset_hz, Csi, NUM_SUBCARRIERS};
@@ -69,14 +67,12 @@ const LANES: usize = 8;
 /// Chunks per 56-subcarrier sweep.
 const SC_CHUNKS: usize = NUM_SUBCARRIERS / LANES;
 
-/// The seed implementation, retained verbatim as the bit-identity oracle.
+/// The seed implementation, retained verbatim.
 ///
-/// [`scalar::FadingProcess`] (the retained twiddle-table implementation)
-/// and [`FadingProcess`](crate::fading::FadingProcess) (the shipping SoA
-/// path) are both constructed *through* this type, so the three can never
-/// disagree on the channel realization; the property suites
-/// (`tests/prop_fading.rs`, `tests/prop_simd.rs`) and the `frame_path`
-/// bench drive all of them.
+/// [`FadingProcess`](crate::fading::FadingProcess) (the shipping SoA
+/// path) is constructed *through* this type, so the two can never
+/// disagree on the channel realization; `tests/prop_simd.rs` differences
+/// the shipping kernels against [`reference::FadingProcess::csi_at`].
 pub mod reference {
     use super::{
         subcarrier_offset_hz, Complex, Csi, RngStream, SimTime, NUM_SUBCARRIERS, NUM_TAPS,
@@ -226,183 +222,9 @@ pub mod reference {
     }
 }
 
-/// The pre-vectorization shipping implementation, retained verbatim as the
-/// **scalar oracle** of the SIMD path: twiddle tables and hoisted scales,
-/// but array-of-`Complex` layout and libm transcendentals. Bit-identical
-/// to [`reference`] (same accumulation order — `tests/prop_fading.rs`),
-/// and the within-1e-6-dB baseline the shipping SoA path is differenced
-/// against (`tests/prop_simd.rs`).
-pub mod scalar {
-    use super::{
-        reference, subcarrier_offset_hz, Complex, Csi, RngStream, SimTime, NUM_SUBCARRIERS,
-        NUM_TAPS, SINUSOIDS_PER_TAP,
-    };
-
-    /// One tap's time-invariant synthesis tables: the sinusoid bank
-    /// flattened into fixed arrays plus every construction-time-computable
-    /// scale. All values are the *same bits* the reference computes per
-    /// call, so [`Tap::gain_at`] reproduces the seed accumulation exactly
-    /// while doing one multiply per sinusoid (the hoisted `ω·t`) and zero
-    /// square roots.
-    #[derive(Debug, Clone)]
-    struct Tap {
-        /// Angular Doppler frequency per sinusoid, rad/s.
-        omega: [f64; SINUSOIDS_PER_TAP],
-        /// In-phase phase offsets.
-        phase_i: [f64; SINUSOIDS_PER_TAP],
-        /// Quadrature phase offsets.
-        phase_q: [f64; SINUSOIDS_PER_TAP],
-        /// `√(1/n)` — unit-power scaling of the scattered sum.
-        scatter_scale: f64,
-        /// Rician LoS component: `(amp·k_scale, k_scale, omega, phase)`.
-        los: Option<(f64, f64, f64, f64)>,
-        /// `√power` of this tap.
-        power_sqrt: f64,
-    }
-
-    impl Tap {
-        /// Complex gain at time `t` (seconds). Bit-identical to
-        /// [`reference`]'s `Tap::gain_at`: same accumulation order, with
-        /// the per-sinusoid `ω·t` product computed once instead of twice
-        /// and the scales looked up instead of re-derived.
-        #[inline]
-        fn gain_at(&self, t: f64) -> Complex {
-            let mut re = 0.0;
-            let mut im = 0.0;
-            for k in 0..SINUSOIDS_PER_TAP {
-                let wt = self.omega[k] * t;
-                re += (wt + self.phase_i[k]).cos();
-                im += (wt + self.phase_q[k]).sin();
-            }
-            let mut g = Complex::new(re * self.scatter_scale, im * self.scatter_scale);
-            if let Some((amp_scaled, k_scale, omega, phase)) = self.los {
-                g = g.scale(k_scale) + Complex::from_polar(amp_scaled, omega * t + phase);
-            }
-            g.scale(self.power_sqrt)
-        }
-    }
-
-    /// The time-varying small-scale channel of one link (twiddle-table
-    /// scalar path; see the module docs for the equivalence contract).
-    #[derive(Debug, Clone)]
-    pub struct FadingProcess {
-        taps: [Tap; NUM_TAPS],
-        /// `e^{−j2π f_k τ_l}` per (subcarrier, tap) — time-invariant, so
-        /// the per-sample synthesis is pure multiply-accumulate.
-        twiddle: [[Complex; NUM_TAPS]; NUM_SUBCARRIERS],
-        /// Maximum Doppler shift, Hz.
-        doppler_hz: f64,
-    }
-
-    impl FadingProcess {
-        /// Build a fading process (see
-        /// [`FadingProcess::new`](super::FadingProcess::new) for the
-        /// parameter contract).
-        pub fn new(stream: RngStream, speed_mps: f64, rician_k_db: f64) -> Self {
-            Self::from_reference(&reference::FadingProcess::new(
-                stream,
-                speed_mps,
-                rician_k_db,
-            ))
-        }
-
-        /// Precompute the scalar-path tables from a seed-constructed
-        /// process.
-        pub fn from_reference(r: &reference::FadingProcess) -> Self {
-            assert_eq!(r.taps.len(), NUM_TAPS, "reference tap count fixed");
-            let taps: [Tap; NUM_TAPS] = std::array::from_fn(|l| {
-                let rt = &r.taps[l];
-                let mut omega = [0.0; SINUSOIDS_PER_TAP];
-                let mut phase_i = [0.0; SINUSOIDS_PER_TAP];
-                let mut phase_q = [0.0; SINUSOIDS_PER_TAP];
-                for (k, s) in rt.sinusoids.iter().enumerate() {
-                    omega[k] = s.omega;
-                    phase_i[k] = s.phase_i;
-                    phase_q[k] = s.phase_q;
-                }
-                // The exact expressions the reference evaluates per call.
-                let n = rt.sinusoids.len() as f64;
-                let scatter_scale = (1.0 / n).sqrt();
-                let los = rt.los.map(|(amp, om, ph)| {
-                    let k_scale = (1.0 / (1.0 + amp * amp)).sqrt();
-                    (amp * k_scale, k_scale, om, ph)
-                });
-                Tap {
-                    omega,
-                    phase_i,
-                    phase_q,
-                    scatter_scale,
-                    los,
-                    power_sqrt: rt.power.sqrt(),
-                }
-            });
-            let twiddle: [[Complex; NUM_TAPS]; NUM_SUBCARRIERS] = std::array::from_fn(|i| {
-                let f = subcarrier_offset_hz(i);
-                std::array::from_fn(|l| {
-                    let phase = -std::f64::consts::TAU * f * r.taps[l].delay_s;
-                    Complex::from_polar(1.0, phase)
-                })
-            });
-            FadingProcess {
-                taps,
-                twiddle,
-                doppler_hz: r.doppler_hz,
-            }
-        }
-
-        /// Maximum Doppler shift, Hz.
-        pub fn doppler_hz(&self) -> f64 {
-            self.doppler_hz
-        }
-
-        /// The six tap gains at `ts` seconds, into a stack array (no
-        /// allocation — the seed collected a `Vec` here every sample).
-        #[inline]
-        fn gains_at(&self, ts: f64) -> [Complex; NUM_TAPS] {
-            std::array::from_fn(|l| self.taps[l].gain_at(ts))
-        }
-
-        /// Per-subcarrier frequency response at instant `t`, normalized to
-        /// unit mean power: `H_k(t) = Σ_l g_l(t)·e^{−j2π f_k τ_l}`.
-        pub fn csi_at(&self, t: SimTime) -> Csi {
-            let ts = t.as_secs_f64();
-            let gains = self.gains_at(ts);
-            let mut h = [Complex::ZERO; NUM_SUBCARRIERS];
-            for (hk, tw) in h.iter_mut().zip(self.twiddle.iter()) {
-                let mut acc = Complex::ZERO;
-                for (&g, &w) in gains.iter().zip(tw.iter()) {
-                    acc += g * w;
-                }
-                *hk = acc;
-            }
-            Csi { h }
-        }
-
-        /// Wideband (subcarrier-averaged) instantaneous power gain at `t`,
-        /// relative to the large-scale mean.
-        ///
-        /// Accumulates `|H_k|²` directly in subcarrier order — the same
-        /// summation [`Csi::mean_power`] performs — without materializing
-        /// the 56-coefficient snapshot it would immediately reduce away.
-        pub fn wideband_gain_at(&self, t: SimTime) -> f64 {
-            let ts = t.as_secs_f64();
-            let gains = self.gains_at(ts);
-            let mut total = 0.0;
-            for tw in self.twiddle.iter() {
-                let mut acc = Complex::ZERO;
-                for (&g, &w) in gains.iter().zip(tw.iter()) {
-                    acc += g * w;
-                }
-                total += acc.norm_sq();
-            }
-            total / NUM_SUBCARRIERS as f64
-        }
-    }
-}
-
 /// The shipping time-varying small-scale channel of one link:
 /// structure-of-arrays layout vectorized with `f64 × 8` lanes (see the
-/// module docs for the three-implementation equivalence contract).
+/// module docs for the equivalence contract).
 ///
 /// Everything time-invariant *and particular to the link* is baked at
 /// construction — the sinusoid bank flattened to 48 contiguous lanes with
@@ -516,7 +338,7 @@ fn synth_planes_impl(
 
     // Per-tap reduction, sequential in lane order (width-independent, so
     // results are bit-identical on every backend), then the same scale/LoS
-    // sequence the scalar oracle applies.
+    // sequence the reference applies.
     let mut g_re = [0.0; NUM_TAPS];
     let mut g_im = [0.0; NUM_TAPS];
     for l in 0..NUM_TAPS {
@@ -541,7 +363,7 @@ fn synth_planes_impl(
 
     // Twiddle MAC across subcarriers: H_k = Σ_l g_l · w_{l,k}, with the
     // complex product expanded onto the planes. Lane arithmetic only — the
-    // per-subcarrier accumulation order matches the scalar oracle's.
+    // per-subcarrier accumulation order matches the reference's.
     for c in 0..SC_CHUNKS {
         let mut acc_re = F64s::<LANES>::ZERO;
         let mut acc_im = F64s::<LANES>::ZERO;
@@ -868,36 +690,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_path_bit_identical_to_reference() {
-        // Spot check here; the exhaustive random-replay suite lives in
-        // tests/prop_fading.rs.
-        for (seed, k_db) in [(1u64, 9.0), (2, f64::NEG_INFINITY), (3, 6.0)] {
-            let stream = RngStream::root(seed).derive("test-link");
-            let fast = scalar::FadingProcess::new(stream, 6.7, k_db);
-            let refp = reference::FadingProcess::new(stream, 6.7, k_db);
-            for us in [0u64, 137, 5_000, 1_234_567] {
-                let t = SimTime::from_micros(us);
-                let (a, b) = (fast.csi_at(t), refp.csi_at(t));
-                for k in 0..NUM_SUBCARRIERS {
-                    assert_eq!(a.h[k].re.to_bits(), b.h[k].re.to_bits());
-                    assert_eq!(a.h[k].im.to_bits(), b.h[k].im.to_bits());
-                }
-                assert_eq!(
-                    fast.wideband_gain_at(t).to_bits(),
-                    refp.wideband_gain_at(t).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn simd_path_tracks_scalar_oracle() {
         // Spot check of the epsilon contract; the exhaustive random suite
         // lives in tests/prop_simd.rs.
         for (seed, k_db) in [(1u64, 9.0), (2, f64::NEG_INFINITY), (3, 6.0)] {
             let stream = RngStream::root(seed).derive("test-link");
             let simd = FadingProcess::new(stream, 6.7, k_db);
-            let oracle = scalar::FadingProcess::new(stream, 6.7, k_db);
+            let oracle = reference::FadingProcess::new(stream, 6.7, k_db);
             for us in [0u64, 137, 5_000, 1_234_567] {
                 let t = SimTime::from_micros(us);
                 let (a, b) = (simd.csi_at(t), oracle.csi_at(t));

@@ -196,12 +196,6 @@ impl Link {
         }
     }
 
-    /// [`Link::snapshot`] under the name the property suites use for the
-    /// oracle the memoized accessors are compared against.
-    pub fn snapshot_uncached(&self, t: SimTime, client_pos: Position) -> LinkSnapshot {
-        self.snapshot(t, client_pos)
-    }
-
     /// Instantaneous wideband SNR in dB at `(t, client_pos)` through the
     /// fused power sweep — no 56-coefficient complex snapshot is
     /// materialized. Equal to `self.snapshot(t, client_pos).snr_db` bit
@@ -405,7 +399,7 @@ mod tests {
         let link = test_link(7);
         let pos = Position::new(0.5, 0.0);
         let t = SimTime::from_millis(3);
-        let oracle = link.snapshot_uncached(t, pos);
+        let oracle = link.snapshot(t, pos);
         let want = MODS.map(|m| oracle.esnr_db(m).to_bits());
         // Every length-4 sequence of the four modulations at one key —
         // all 24 orders, and every repeat — each on a cold memo (the
@@ -426,9 +420,7 @@ mod tests {
         for (t, pos) in [(t2, pos), (t2, moved)] {
             assert_eq!(
                 link.esnr_db_at(t, pos, Modulation::Qam16).to_bits(),
-                link.snapshot_uncached(t, pos)
-                    .esnr_db(Modulation::Qam16)
-                    .to_bits()
+                link.snapshot(t, pos).esnr_db(Modulation::Qam16).to_bits()
             );
         }
     }
@@ -450,7 +442,7 @@ mod tests {
         for (ms, x) in [(3u64, 0.5), (9, -4.0), (15, 7.25)] {
             let t = SimTime::from_millis(ms);
             let pos = Position::new(x, 0.0);
-            let want = link.snapshot_uncached(t, pos);
+            let want = link.snapshot(t, pos);
             assert_eq!(link.snr_db_at(t, pos).to_bits(), want.snr_db.to_bits());
             assert_eq!(link.rssi_dbm_at(t, pos).to_bits(), want.rssi_dbm.to_bits());
             // And again from the memo.

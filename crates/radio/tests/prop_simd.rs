@@ -2,13 +2,14 @@
 //! SIMD frame-path change).
 //!
 //! The shipping `FadingProcess`/ESNR sweep run on `f64 × 8` lanes with
-//! branchless vector transcendentals; the pre-vectorization
-//! implementations are retained verbatim as `fading::scalar` /
-//! `esnr::scalar`. These properties pin the SIMD path to those oracles
-//! four ways:
+//! branchless vector transcendentals. The scalar oracle is the seed
+//! channel (`fading::reference`, libm transcendentals, array of
+//! `Complex`) swept by `scalar_esnr_db`, one libm `Modulation::ber` per
+//! subcarrier. These properties pin the SIMD path to that oracle four
+//! ways:
 //!
 //! 1. **epsilon**: end-to-end ESNR (fused powers → lane BER sweep →
-//!    inversion) within 1e-6 dB of the scalar oracles on random links,
+//!    inversion) within 1e-6 dB of the scalar oracle on random links,
 //!    times, positions and modulations (in practice ~1e-9 dB — the only
 //!    deviations are the faithful vector sin/cos/exp);
 //! 2. **backend invariance**: bit-identical results on
@@ -27,10 +28,10 @@ use proptest::prelude::*;
 use wgtt::selection::ApSelector;
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::esnr::{self, Modulation};
-use wgtt_radio::fading::{scalar, FadingProcess};
+use wgtt_radio::fading::{reference, FadingProcess};
 use wgtt_radio::{
-    batch, effective_snr_db, effective_snr_from_powers, Link, LinkBudget, ParabolicAntenna,
-    PathLossModel, Position, NUM_SUBCARRIERS,
+    batch, db_to_linear, effective_snr_db, effective_snr_from_powers, linear_to_db, Csi, Link,
+    LinkBudget, ParabolicAntenna, PathLossModel, Position, NUM_SUBCARRIERS,
 };
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -52,12 +53,25 @@ fn k_db(idx: u32) -> f64 {
 
 /// Matched (SIMD, scalar-oracle) fading pair drawn from one stream — the
 /// realizations are identical by construction.
-fn fading_pair(seed: u64, speed_mps: f64, k: f64) -> (FadingProcess, scalar::FadingProcess) {
+fn fading_pair(seed: u64, speed_mps: f64, k: f64) -> (FadingProcess, reference::FadingProcess) {
     let stream = RngStream::root(seed).derive("prop-simd");
     (
         FadingProcess::new(stream, speed_mps, k),
-        scalar::FadingProcess::new(stream, speed_mps, k),
+        reference::FadingProcess::new(stream, speed_mps, k),
     )
+}
+
+/// The scalar ESNR oracle: the subcarrier-mean of libm
+/// [`Modulation::ber`], inverted by the shipping
+/// [`Modulation::snr_for_ber`] — so only the sweep differs from the lane
+/// path, not the inversion (`prop_esnr` owns that epsilon).
+fn scalar_esnr_db(csi: &Csi, mean_snr_db: f64, m: Modulation) -> f64 {
+    let mean_snr = db_to_linear(mean_snr_db);
+    let mut ber_acc = 0.0;
+    for h in &csi.h {
+        ber_acc += m.ber(mean_snr * h.norm_sq());
+    }
+    linear_to_db(m.snr_for_ber(ber_acc / csi.h.len() as f64))
 }
 
 fn ap_link(seed: u64, x: f64) -> Link {
@@ -76,7 +90,7 @@ fn ap_link(seed: u64, x: f64) -> Link {
 
 proptest! {
     /// End-to-end epsilon: fused SoA synthesis + lane BER sweep vs the
-    /// scalar oracles, over random links, instants and modulations.
+    /// scalar oracle, over random links, instants and modulations.
     #[test]
     fn simd_esnr_within_tolerance_of_scalar_oracle(
         params in (0u64..1_000_000, 0u64..2_000, 0u32..4),
@@ -88,7 +102,7 @@ proptest! {
             let t = SimTime::from_micros(us);
             let m = MODS[mod_idx as usize];
             let fast = effective_snr_from_powers(&simd.powers_at(t), mean_snr_db, m);
-            let want = esnr::scalar::effective_snr_db(&oracle.csi_at(t), mean_snr_db, m);
+            let want = scalar_esnr_db(&oracle.csi_at(t), mean_snr_db, m);
             prop_assert!(
                 (fast - want).abs() <= TOL_DB,
                 "seed {} t={:?} {:?}: simd {} vs scalar {}", seed, t, m, fast, want
@@ -205,7 +219,7 @@ proptest! {
             for (link, &batched) in links.iter().zip(out.iter()) {
                 let single = link.esnr_db_at(t, pos, m);
                 prop_assert_eq!(batched.to_bits(), single.to_bits());
-                let uncached = link.snapshot_uncached(t, pos).esnr_db(m);
+                let uncached = link.snapshot(t, pos).esnr_db(m);
                 prop_assert_eq!(batched.to_bits(), uncached.to_bits());
             }
         }
@@ -213,7 +227,7 @@ proptest! {
 
     /// Verdict identity: selectors replaying the same random link
     /// history — one through the SIMD pipeline, one through the scalar
-    /// oracles — agree on every `best()` AP and `evaluate()` verdict.
+    /// oracle — agree on every `best()` AP and `evaluate()` verdict.
     /// The 55 dB end of the SNR range saturates several modulations to
     /// their exact ESNR ceiling, so this also exercises saturation ties
     /// under the lane sweep.
@@ -226,7 +240,7 @@ proptest! {
         ),
     ) {
         let m = MODS[mod_idx];
-        let pairs: Vec<(FadingProcess, scalar::FadingProcess)> = (0..4)
+        let pairs: Vec<(FadingProcess, reference::FadingProcess)> = (0..4)
             .map(|i| fading_pair(1000 + i, 6.7, k_db(i as u32)))
             .collect();
         let knobs = (SimDuration::from_millis(100), SimDuration::from_millis(40), 2.0);
@@ -239,7 +253,7 @@ proptest! {
             let (simd_fp, oracle_fp) = &pairs[ap_idx as usize];
             let ts = SimTime::from_micros(sample_us);
             let fast = effective_snr_from_powers(&simd_fp.powers_at(ts), snr_db, m);
-            let want = esnr::scalar::effective_snr_db(&oracle_fp.csi_at(ts), snr_db, m);
+            let want = scalar_esnr_db(&oracle_fp.csi_at(ts), snr_db, m);
             simd_sel.record(ap, t, fast);
             ref_sel.record(ap, t, want);
 
@@ -267,10 +281,10 @@ proptest! {
             // 90 dB mean SNR: every subcarrier BER underflows the 1e-12
             // clamp floor on any realization.
             let fast = effective_snr_from_powers(&simd.powers_at(t), 90.0, m);
-            let want = esnr::scalar::effective_snr_db(&oracle.csi_at(t), 90.0, m);
+            let want = scalar_esnr_db(&oracle.csi_at(t), 90.0, m);
             prop_assert_eq!(fast.to_bits(), want.to_bits(), "{:?} ceiling not exact", m);
             // And the ceiling is the same exact value as a flat channel's.
-            let flat = effective_snr_db(&wgtt_radio::Csi::flat(), 90.0, m);
+            let flat = effective_snr_db(&Csi::flat(), 90.0, m);
             prop_assert_eq!(fast.to_bits(), flat.to_bits());
         }
     }

@@ -7,7 +7,7 @@ use crate::experiments::motivation::radio_links;
 use crate::results::{f, ExperimentOutput};
 use crate::testbed::{ClientPlan, TestbedConfig};
 use crate::world::{FlowSpec, SystemKind, World};
-use wgtt::{SelectionPolicy, WgttConfig};
+use wgtt::{WgttConfig, WindowReduce};
 use wgtt_net::packet::FlowId;
 use wgtt_radio::Position;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -54,13 +54,13 @@ pub fn ablation_selector(seed: u64) -> ExperimentOutput {
         &["policy", "goodput (Mbit/s)", "switches", "accuracy %"],
     );
     for (policy, name) in [
-        (SelectionPolicy::Median, "median (paper)"),
-        (SelectionPolicy::Mean, "mean"),
-        (SelectionPolicy::Max, "max"),
-        (SelectionPolicy::Latest, "latest"),
+        (WindowReduce::Median, "median (paper)"),
+        (WindowReduce::Mean, "mean"),
+        (WindowReduce::Max, "max"),
+        (WindowReduce::Latest, "latest"),
     ] {
         let cfg = WgttConfig {
-            selection_policy: policy,
+            window_reduce: policy,
             ..WgttConfig::default()
         };
         let run = drive(

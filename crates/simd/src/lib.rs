@@ -1,8 +1,8 @@
 //! Vendored portable-SIMD shim.
 //!
 //! The build environment has no route to a crates registry, so — like the
-//! `proptest`/`criterion` shims — the subset of portable-SIMD this
-//! workspace needs is implemented locally:
+//! `proptest` shim — the subset of portable-SIMD this workspace needs is
+//! implemented locally:
 //!
 //! * [`F64s`]: a const-generic `f64 × N` lane pack whose operations are
 //!   plain element loops. Compiled under an AVX2/AVX-512 `target_feature`

@@ -1,0 +1,46 @@
+//! The behaviour pin: one digest per experiment id.
+//!
+//! `golden_digests.txt` holds `<id> <fnv1a-64 hex>` for every id of
+//! [`experiments::ALL`], taken over the bytes `wgtt-experiments --quick
+//! --seed 1 <id>` renders. A PR that claims "output unchanged" passes
+//! this test untouched; a PR that changes behaviour on purpose replaces
+//! the file with the body the failure message prints, and the diff of
+//! that file is the review surface.
+
+use wgtt_scenario::experiments;
+
+const GOLDEN: &str = include_str!("golden_digests.txt");
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes unoptimised; CI runs it with --release"
+)]
+fn quick_experiments_match_golden_digests() {
+    let mut body = String::new();
+    for id in experiments::ALL {
+        let rendered = experiments::run(id, 1, true)
+            .expect("every id in ALL is runnable")
+            .render();
+        body.push_str(&format!("{id} {:016x}\n", fnv1a64(rendered.as_bytes())));
+    }
+    let changed: Vec<&str> = body
+        .lines()
+        .filter(|line| !GOLDEN.lines().any(|g| g == *line))
+        .map(|line| line.split(' ').next().expect("line starts with its id"))
+        .collect();
+    assert!(
+        body == GOLDEN,
+        "quick --seed 1 output changed for {changed:?}.\n\
+         If that is intended, replace tests/golden_digests.txt with:\n{body}"
+    );
+}
