@@ -100,13 +100,28 @@ impl Mcs {
 
     /// Packet error rate for an `len_bytes` MPDU at `esnr_db` Effective
     /// SNR. Logistic in dB around the 1500-byte 50 % point, with the PER
-    /// compounded by length (`1 − (1−p)^{len/1500}`).
+    /// compounded by length (`1 − (1−p)^{len/1500}`). Non-increasing in
+    /// `esnr_db` (`crates/mac/tests/prop_per.rs`). Written as the
+    /// composition of its two halves, so a caller rolling many lengths
+    /// at one ESNR gets these bits from one `exp` and a `powf` each.
     pub fn per(self, esnr_db: f64, len_bytes: u16) -> f64 {
+        Mcs::per_from_q(self.q1500(esnr_db), len_bytes)
+    }
+
+    /// The length-independent half of [`Mcs::per`]: the probability that
+    /// a 1500-byte MPDU gets through at `esnr_db`.
+    pub fn q1500(self, esnr_db: f64) -> f64 {
         const STEEPNESS_PER_DB: f64 = 1.6;
         let x = STEEPNESS_PER_DB * (esnr_db - self.esnr_t50_db());
         let p1500 = 1.0 / (1.0 + x.exp());
+        1.0 - p1500
+    }
+
+    /// The length half of [`Mcs::per`]: the error rate of a `len_bytes`
+    /// MPDU given `q = q1500(esnr_db)`.
+    pub fn per_from_q(q: f64, len_bytes: u16) -> f64 {
         let scale = f64::from(len_bytes.max(1)) / 1500.0;
-        1.0 - (1.0 - p1500).powf(scale)
+        1.0 - q.powf(scale)
     }
 
     /// Expected goodput (Mbit/s × delivery probability) for 1500-byte
@@ -166,6 +181,40 @@ mod tests {
                 assert!(p <= prev);
                 prev = p;
             }
+        }
+    }
+
+    #[test]
+    fn per_is_its_two_halves() {
+        // The seed's single expression, kept here as the oracle.
+        fn seed_per(m: Mcs, esnr_db: f64, len_bytes: u16) -> f64 {
+            let x = 1.6 * (esnr_db - m.esnr_t50_db());
+            let p1500 = 1.0 / (1.0 + x.exp());
+            let scale = f64::from(len_bytes.max(1)) / 1500.0;
+            1.0 - (1.0 - p1500).powf(scale)
+        }
+        for m in ALL_MCS {
+            for step in -1200..=1000 {
+                let esnr = f64::from(step) * 0.05;
+                let q = m.q1500(esnr);
+                // Every length at a coarse ESNR stride, a spread of
+                // lengths (both ends, the MTU, the control sizes) at
+                // every grid point.
+                let lens: Vec<u16> = if step % 100 == 0 {
+                    (0..=u16::MAX).collect()
+                } else {
+                    vec![0, 1, 2, 32, 40, 64, 1499, 1500, 1501, 4095, 65_534, 65_535]
+                };
+                for len in lens {
+                    let want = seed_per(m, esnr, len).to_bits();
+                    assert_eq!(m.per(esnr, len).to_bits(), want, "{m:?} {esnr} {len}");
+                    assert_eq!(Mcs::per_from_q(q, len).to_bits(), want);
+                }
+            }
+        }
+        for e in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -535.0, 300.0] {
+            let got = Mcs::Mcs2.per(e, 64);
+            assert_eq!(got.to_bits(), seed_per(Mcs::Mcs2, e, 64).to_bits());
         }
     }
 

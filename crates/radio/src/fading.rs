@@ -39,6 +39,24 @@
 //! (in practice ~1e-9 dB) plus **bit-identity across backends and lane
 //! widths** — both enforced by `crates/radio/tests/prop_simd.rs` over
 //! random links, times and backend choices.
+//!
+//! ## A synthesis in two halves, and two bounds on its result
+//!
+//! A synthesis is the sinusoid pass ([`TapGains`], most of the cost) and
+//! then the twiddle MAC over the 56 subcarriers. The halves are callable
+//! apart — [`FadingProcess::tap_gains_at`],
+//! [`FadingProcess::powers_from_gains`] — and composing them is
+//! [`FadingProcess::powers_at`] operation for operation. A caller that
+//! only has a threshold to test can often stop early:
+//!
+//! * [`FadingProcess::peak_gain_db`] bounds the wideband gain at *every*
+//!   instant from the tap powers and the Rician scale alone;
+//! * [`FadingProcess::wideband_gain_of`] gives the wideband gain *at one
+//!   instant* from the six tap gains through the 6 × 6 Gram matrix of
+//!   the twiddle planes, with no subcarrier sweep.
+//!
+//! [`crate::link`] turns both into ESNR/RSSI bounds;
+//! `crates/radio/tests/prop_bounds.rs` holds them to the exact values.
 
 use crate::complex::Complex;
 use crate::csi::{subcarrier_offset_hz, Csi, NUM_SUBCARRIERS};
@@ -252,6 +270,8 @@ pub struct FadingProcess {
     delay_line: &'static DelayLine,
     /// Maximum Doppler shift, Hz.
     doppler_hz: f64,
+    /// [`FadingProcess::peak_gain_db`], baked at construction.
+    peak_gain_db: f64,
 }
 
 /// The link-independent half of the synthesis tables: everything that is
@@ -268,6 +288,12 @@ struct DelayLine {
     /// subcarrier sweep is unit-stride.
     twiddle_re: [[f64; NUM_SUBCARRIERS]; NUM_TAPS],
     twiddle_im: [[f64; NUM_SUBCARRIERS]; NUM_TAPS],
+    /// Gram matrix of the twiddle planes, `G_lm = mean_k w_lk·conj(w_mk)`:
+    /// the subcarrier-mean power of `H = Σ_l g_l·w_l` is the quadratic
+    /// form `Σ_lm g_l·conj(g_m)·G_lm`, so the wideband gain follows from
+    /// the six tap gains without the 56-subcarrier sweep.
+    gram_re: [[f64; NUM_TAPS]; NUM_TAPS],
+    gram_im: [[f64; NUM_TAPS]; NUM_TAPS],
 }
 
 impl DelayLine {
@@ -288,6 +314,21 @@ impl DelayLine {
                     twiddle_im[l][i] = phase.sin();
                 }
             }
+            let mut gram_re = [[0.0; NUM_TAPS]; NUM_TAPS];
+            let mut gram_im = [[0.0; NUM_TAPS]; NUM_TAPS];
+            for l in 0..NUM_TAPS {
+                for m in 0..NUM_TAPS {
+                    let (mut re, mut im) = (0.0, 0.0);
+                    for i in 0..NUM_SUBCARRIERS {
+                        let (lr, li) = (twiddle_re[l][i], twiddle_im[l][i]);
+                        let (mr, mi) = (twiddle_re[m][i], twiddle_im[m][i]);
+                        re += lr * mr + li * mi;
+                        im += li * mr - lr * mi;
+                    }
+                    gram_re[l][m] = re / NUM_SUBCARRIERS as f64;
+                    gram_im[l][m] = im / NUM_SUBCARRIERS as f64;
+                }
+            }
             DelayLine {
                 delay_s: std::array::from_fn(|l| r.taps[l].delay_s),
                 scatter_scale: std::array::from_fn(|l| {
@@ -296,6 +337,8 @@ impl DelayLine {
                 power_sqrt: std::array::from_fn(|l| r.taps[l].power.sqrt()),
                 twiddle_re,
                 twiddle_im,
+                gram_re,
+                gram_im,
             }
         });
         for (l, rt) in r.taps.iter().enumerate() {
@@ -307,16 +350,23 @@ impl DelayLine {
     }
 }
 
-/// Tap gains + subcarrier planes at `ts`, shared by both kernels below.
-/// `inline(always)` so each `target_feature` clone absorbs the body and
-/// vectorizes it under its own instruction set.
+/// The six complex tap gains `g_l(t)` of one link at one instant: what
+/// the sinusoid pass produces and the twiddle MAC consumes. A caller
+/// that only needs the wideband gain
+/// ([`FadingProcess::wideband_gain_of`]) stops here; one that goes on to
+/// the per-subcarrier powers ([`FadingProcess::powers_from_gains`]) pays
+/// no second sinusoid pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TapGains {
+    re: [f64; NUM_TAPS],
+    im: [f64; NUM_TAPS],
+}
+
+/// First half of a synthesis: the tap gains at `ts`. `inline(always)`
+/// (here and on the second half) so each `target_feature` clone absorbs
+/// the body and vectorizes it under its own instruction set.
 #[inline(always)]
-fn synth_planes_impl(
-    fp: &FadingProcess,
-    ts: f64,
-    re: &mut [f64; NUM_SUBCARRIERS],
-    im: &mut [f64; NUM_SUBCARRIERS],
-) {
+fn tap_gains_impl(fp: &FadingProcess, ts: f64) -> TapGains {
     let dl = fp.delay_line;
     // One vector sin/cos pass over all 48 sinusoid arguments ω·t.
     let mut args = [0.0; SIN_LANES];
@@ -360,7 +410,18 @@ fn synth_planes_impl(
         g_re[l] *= dl.power_sqrt[l];
         g_im[l] *= dl.power_sqrt[l];
     }
+    TapGains { re: g_re, im: g_im }
+}
 
+/// Second half of a synthesis: the subcarrier planes of `g`.
+#[inline(always)]
+fn twiddle_mac_impl(
+    dl: &DelayLine,
+    g: &TapGains,
+    re: &mut [f64; NUM_SUBCARRIERS],
+    im: &mut [f64; NUM_SUBCARRIERS],
+) {
+    let (g_re, g_im) = (&g.re, &g.im);
     // Twiddle MAC across subcarriers: H_k = Σ_l g_l · w_{l,k}, with the
     // complex product expanded onto the planes. Lane arithmetic only — the
     // per-subcarrier accumulation order matches the reference's.
@@ -380,6 +441,37 @@ fn synth_planes_impl(
     }
 }
 
+/// `|H_k|²` of the planes `g` spans — the expression `Complex::norm_sq`
+/// evaluates, on the same planes.
+#[inline(always)]
+fn powers_of_gains_impl(dl: &DelayLine, g: &TapGains, powers: &mut [f64; NUM_SUBCARRIERS]) {
+    let mut re = [0.0; NUM_SUBCARRIERS];
+    let mut im = [0.0; NUM_SUBCARRIERS];
+    twiddle_mac_impl(dl, g, &mut re, &mut im);
+    for i in 0..NUM_SUBCARRIERS {
+        powers[i] = re[i] * re[i] + im[i] * im[i];
+    }
+}
+
+multiversion! {
+    /// The tap gains at `ts` (the sinusoid pass alone).
+    fn synth_tap_gains, synth_tap_gains_with(fp: &FadingProcess, ts: f64) -> TapGains {
+        tap_gains_impl(fp, ts)
+    }
+}
+
+multiversion! {
+    /// Per-subcarrier powers from tap gains already in hand (the twiddle
+    /// MAC alone).
+    fn synth_powers_of_gains, synth_powers_of_gains_with(
+        dl: &DelayLine,
+        g: &TapGains,
+        powers: &mut [f64; NUM_SUBCARRIERS],
+    ) {
+        powers_of_gains_impl(dl, g, powers);
+    }
+}
+
 multiversion! {
     /// Per-subcarrier `re`/`im` planes of the frequency response at `ts`.
     fn synth_planes, synth_planes_with(
@@ -388,7 +480,7 @@ multiversion! {
         re: &mut [f64; NUM_SUBCARRIERS],
         im: &mut [f64; NUM_SUBCARRIERS],
     ) {
-        synth_planes_impl(fp, ts, re, im);
+        twiddle_mac_impl(fp.delay_line, &tap_gains_impl(fp, ts), re, im);
     }
 }
 
@@ -400,13 +492,7 @@ multiversion! {
         ts: f64,
         powers: &mut [f64; NUM_SUBCARRIERS],
     ) {
-        let mut re = [0.0; NUM_SUBCARRIERS];
-        let mut im = [0.0; NUM_SUBCARRIERS];
-        synth_planes_impl(fp, ts, &mut re, &mut im);
-        for i in 0..NUM_SUBCARRIERS {
-            // Same expression as `Complex::norm_sq` on the same planes.
-            powers[i] = re[i] * re[i] + im[i] * im[i];
-        }
+        powers_of_gains_impl(fp.delay_line, &tap_gains_impl(fp, ts), powers);
     }
 }
 
@@ -464,6 +550,19 @@ impl FadingProcess {
             let k_scale = (1.0 / (1.0 + amp * amp)).sqrt();
             (amp * k_scale, k_scale, om, ph)
         });
+        // No tap can exceed `√P_l` times the largest magnitude its
+        // synthesizer reaches: every I and Q sum is at most n·scale, and
+        // the Rician tap adds its LoS amplitude to the rescaled scatter.
+        let mut peak_amp = 0.0;
+        for l in 0..NUM_TAPS {
+            let scatter =
+                SINUSOIDS_PER_TAP as f64 * delay_line.scatter_scale[l] * std::f64::consts::SQRT_2;
+            let tap = match los {
+                Some((amp_scaled, k_scale, _, _)) if l == 0 => scatter * k_scale + amp_scaled,
+                _ => scatter,
+            };
+            peak_amp += delay_line.power_sqrt[l] * tap;
+        }
         FadingProcess {
             omega,
             cos_phi_i,
@@ -473,6 +572,7 @@ impl FadingProcess {
             los,
             delay_line,
             doppler_hz: r.doppler_hz,
+            peak_gain_db: crate::linear_to_db(peak_amp * peak_amp),
         }
     }
 
@@ -518,6 +618,69 @@ impl FadingProcess {
         let mut powers = [0.0; NUM_SUBCARRIERS];
         synth_powers_with(backend, self, t.as_secs_f64(), &mut powers);
         powers
+    }
+
+    /// The tap gains at `t`: the sinusoid pass of a synthesis (the larger
+    /// part of its cost) without the 56-subcarrier sweep.
+    pub fn tap_gains_at(&self, t: SimTime) -> TapGains {
+        synth_tap_gains(self, t.as_secs_f64())
+    }
+
+    /// [`FadingProcess::tap_gains_at`] on an explicit backend.
+    pub fn tap_gains_at_with(&self, backend: Backend, t: SimTime) -> TapGains {
+        synth_tap_gains_with(backend, self, t.as_secs_f64())
+    }
+
+    /// Per-subcarrier powers from `gains = self.tap_gains_at(t)`:
+    /// bit-identical to `self.powers_at(t)`, which runs the same two
+    /// halves back to back.
+    pub fn powers_from_gains(&self, gains: &TapGains) -> [f64; NUM_SUBCARRIERS] {
+        let mut powers = [0.0; NUM_SUBCARRIERS];
+        synth_powers_of_gains(self.delay_line, gains, &mut powers);
+        powers
+    }
+
+    /// [`FadingProcess::powers_from_gains`] on an explicit backend.
+    pub fn powers_from_gains_with(
+        &self,
+        backend: Backend,
+        gains: &TapGains,
+    ) -> [f64; NUM_SUBCARRIERS] {
+        let mut powers = [0.0; NUM_SUBCARRIERS];
+        synth_powers_of_gains_with(backend, self.delay_line, gains, &mut powers);
+        powers
+    }
+
+    /// Wideband gain from `gains = self.tap_gains_at(t)` alone, as the
+    /// quadratic form `gᴴGg` over the twiddle Gram matrix — what
+    /// [`FadingProcess::wideband_gain_at`] reduces from the 56 powers, to
+    /// rounding (the two differ in summation order, ~1e-15 relative).
+    pub fn wideband_gain_of(&self, gains: &TapGains) -> f64 {
+        let dl = self.delay_line;
+        let (re, im) = (&gains.re, &gains.im);
+        let mut acc = 0.0;
+        for l in 0..NUM_TAPS {
+            acc += (re[l] * re[l] + im[l] * im[l]) * dl.gram_re[l][l];
+            for m in l + 1..NUM_TAPS {
+                // g_l·conj(g_m); G is Hermitian, so the (m, l) term is
+                // this one's conjugate and the pair sums to twice its
+                // real part.
+                let dot = re[l] * re[m] + im[l] * im[m];
+                let cross = im[l] * re[m] - re[l] * im[m];
+                acc += 2.0 * (dot * dl.gram_re[l][m] - cross * dl.gram_im[l][m]);
+            }
+        }
+        acc
+    }
+
+    /// The most this link's small-scale channel can ever add to its mean
+    /// SNR, dB: `|H_k| ≤ Σ_l |g_l|` on every subcarrier (the twiddles
+    /// have unit modulus) and each `|g_l|` is bounded by its
+    /// synthesizer's all-sinusoids-aligned magnitude, so `10·log₁₀` of
+    /// `(Σ_l √P_l·|g_l|max)²` is a ceiling on the wideband gain at every
+    /// instant. Time-independent, baked at construction.
+    pub fn peak_gain_db(&self) -> f64 {
+        self.peak_gain_db
     }
 
     /// Wideband (subcarrier-averaged) instantaneous power gain at `t`,

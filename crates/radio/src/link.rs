@@ -10,11 +10,33 @@
 //! the same snapshot describes uplink reception at the AP and downlink
 //! reception at the client, which is precisely the property WGTT exploits
 //! when it predicts downlink delivery from uplink CSI (§3.1.1).
+//!
+//! ## Values and bounds
+//!
+//! The `*_at` accessors return *values* — ESNR, SNR, RSSI — memoized per
+//! `(t, client_pos)` and bit-identical to [`Link::snapshot`]. Most of
+//! the frame path only compares such a value against a threshold, and
+//! for that the link also offers two upper bounds that cost a fraction
+//! of the value (DESIGN.md §17), in decreasing slack and increasing cost:
+//!
+//! | accessor | holds for | costs |
+//! |---|---|---|
+//! | [`Link::esnr_ceiling_db_at`], [`Link::rssi_ceiling_dbm`] | every instant | geometry |
+//! | [`Link::esnr_bound_db_at`] | the instant of the tap gains | + the sinusoid pass |
+//! | [`Link::esnr_db_at`] / [`Link::esnr_db_from_gains`] | — (exact) | + twiddle MAC, BER sweep, inversion |
+//!
+//! `esnr_db_at ≤ esnr_bound_db_at ≤ esnr_ceiling_db_at` under every
+//! modulation, and `rssi_dbm_at ≤ rssi_ceiling_dbm`
+//! (`crates/radio/tests/prop_bounds.rs`); a caller adds
+//! [`BOUND_MARGIN_DB`] before trusting a bound in place of the value.
+//! The bounds keep no per-link state beyond the memo's mean SNR: the tap
+//! gains travel with the caller. [`Link::work`] says how much exact
+//! arithmetic a link has actually been asked for.
 
 use crate::antenna::{Antenna, ParabolicAntenna};
 use crate::csi::{Csi, NUM_SUBCARRIERS};
 use crate::esnr::{effective_snr_db, effective_snr_from_powers, Modulation};
-use crate::fading::FadingProcess;
+use crate::fading::{FadingProcess, TapGains};
 use crate::geometry::{angle_between, Position};
 use crate::linear_to_db;
 use crate::pathloss::PathLossModel;
@@ -30,15 +52,22 @@ pub struct LinkBudget {
     pub noise_floor_dbm: f64,
 }
 
-impl Default for LinkBudget {
-    fn default() -> Self {
-        // Calibrated so a boresight client at the road (≈12 m) sees ≈25 dB
-        // mean SNR, falling through the MCS range within ±5–6 m along the
-        // road — the ≈5 m picocell with 6–10 m overlap of paper Figs. 9–10.
+impl LinkBudget {
+    /// The testbed's budget (also the `Default`), calibrated so a
+    /// boresight client at the road (≈12 m) sees ≈25 dB mean SNR, falling
+    /// through the MCS range within ±5–6 m along the road — the ≈5 m
+    /// picocell with 6–10 m overlap of paper Figs. 9–10.
+    pub const fn testbed() -> Self {
         LinkBudget {
             tx_power_dbm: 10.0,
             noise_floor_dbm: -92.0,
         }
+    }
+}
+
+impl Default for LinkBudget {
+    fn default() -> Self {
+        Self::testbed()
     }
 }
 
@@ -87,7 +116,24 @@ pub struct Link {
 /// byte-identical with or without it (enforced by
 /// `crates/radio/tests/prop_fading.rs`).
 #[derive(Debug, Clone, Default)]
-pub struct SnapshotMemo(RefCell<Option<MemoEntry>>);
+pub struct SnapshotMemo(RefCell<MemoState>);
+
+#[derive(Debug, Clone, Default)]
+struct MemoState {
+    entry: Option<MemoEntry>,
+    work: LinkWork,
+}
+
+/// The PHY arithmetic a link's memoized accessors have actually run —
+/// memo hits and the bound accessors count nothing. Thirty-two bits
+/// each: a link synthesizes at most once per frame it is queried for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkWork {
+    /// 56-subcarrier power syntheses (twiddle MACs).
+    pub syntheses: u32,
+    /// Lane BER sweeps, each followed by one BER→SNR inversion.
+    pub sweeps: u32,
+}
 
 #[derive(Debug, Clone)]
 struct MemoEntry {
@@ -99,13 +145,32 @@ struct MemoEntry {
     /// Fused per-subcarrier powers `|H_k|²` (the same bits
     /// `snapshot(..).csi.powers()` yields).
     powers: Option<[f64; NUM_SUBCARRIERS]>,
-    /// Wideband SNR in dB, reduced from `powers`.
-    snr_db: Option<f64>,
+    /// Wideband SNR in dB, reduced from `powers`; NaN until first read.
+    /// (A NaN slot costs no tag word per link, and a product that really
+    /// is NaN is recomputed on each read to the same bits.)
+    snr_db: f64,
     /// ESNR derived from the powers, one slot per modulation (indexed by
-    /// `Modulation as usize`): a control or data roll must not evict the
-    /// 16-QAM measurement taken at the same instant, nor the reverse.
-    esnr: [Option<f64>; 4],
+    /// `Modulation as usize`), NaN until first read: a control or data
+    /// roll must not evict the 16-QAM measurement taken at the same
+    /// instant, nor the reverse.
+    esnr: [f64; 4],
 }
+
+impl MemoEntry {
+    fn esnr(&self, modulation: Modulation) -> Option<f64> {
+        let e = self.esnr[modulation as usize];
+        (!e.is_nan()).then_some(e)
+    }
+}
+
+/// Headroom, dB, a caller adds to an upper bound of this module before
+/// letting it stand in for the exact value in a threshold test. It
+/// swamps what separates the bounds' real-number proofs from the floats:
+/// the 1e-6 dB tolerance of the BER→SNR inversion and ulp-level
+/// non-monotonicity of `exp`/`powf`/`log10`
+/// (`crates/radio/tests/prop_bounds.rs` measures the worst case and
+/// holds this constant a thousand times above it).
+pub const BOUND_MARGIN_DB: f64 = 0.25;
 
 /// Everything measurable about a link at one instant and client position.
 #[derive(Debug, Clone)]
@@ -148,31 +213,46 @@ impl Link {
     /// lazily filled slot on a miss.
     fn memo_refresh<'a>(
         &self,
-        memo: &'a mut Option<MemoEntry>,
+        memo: &'a mut MemoState,
         t: SimTime,
         client_pos: Position,
-    ) -> &'a mut MemoEntry {
-        let stale = match memo {
+    ) -> (&'a mut MemoEntry, &'a mut LinkWork) {
+        let stale = match &memo.entry {
             Some(e) => e.t != t || e.client_pos != client_pos,
             None => true,
         };
         if stale {
-            *memo = Some(MemoEntry {
+            memo.entry = Some(MemoEntry {
                 t,
                 client_pos,
                 mean_snr_db: self.mean_snr_db(client_pos),
                 powers: None,
-                snr_db: None,
-                esnr: [None; 4],
+                snr_db: f64::NAN,
+                esnr: [f64::NAN; 4],
             });
         }
-        memo.as_mut().expect("memo_refresh always fills the entry")
+        let entry = memo
+            .entry
+            .as_mut()
+            .expect("memo_refresh always fills the entry");
+        (entry, &mut memo.work)
     }
 
-    /// The entry's fused power sweep, synthesizing it on first use.
-    fn ensure_powers<'a>(&self, entry: &'a mut MemoEntry) -> &'a [f64; NUM_SUBCARRIERS] {
+    /// The entry's fused power sweep, synthesizing it on first use —
+    /// from `gains` (the tap gains at the entry's instant) when the
+    /// caller already holds them.
+    fn ensure_powers<'a>(
+        &self,
+        entry: &'a mut MemoEntry,
+        work: &mut LinkWork,
+        gains: Option<&TapGains>,
+    ) -> &'a [f64; NUM_SUBCARRIERS] {
         if entry.powers.is_none() {
-            entry.powers = Some(self.fading.powers_at(entry.t));
+            work.syntheses += 1;
+            entry.powers = Some(match gains {
+                Some(g) => self.fading.powers_from_gains(g),
+                None => self.fading.powers_at(entry.t),
+            });
         }
         entry.powers.as_ref().expect("powers just filled")
     }
@@ -203,19 +283,18 @@ impl Link {
     /// [`Csi::mean_power`] uses).
     pub fn snr_db_at(&self, t: SimTime, client_pos: Position) -> f64 {
         let mut memo = self.memo.0.borrow_mut();
-        let entry = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some(snr) = entry.snr_db {
-            return snr;
+        let (entry, work) = self.memo_refresh(&mut memo, t, client_pos);
+        if !entry.snr_db.is_nan() {
+            return entry.snr_db;
         }
-        let powers = self.ensure_powers(entry);
+        let powers = self.ensure_powers(entry, work, None);
         let mut total = 0.0;
         for &p in powers {
             total += p;
         }
         let fade_db = linear_to_db(total / NUM_SUBCARRIERS as f64);
-        let snr = entry.mean_snr_db + fade_db;
-        entry.snr_db = Some(snr);
-        snr
+        entry.snr_db = entry.mean_snr_db + fade_db;
+        entry.snr_db
     }
 
     /// Instantaneous RSSI in dBm at `(t, client_pos)` through the fused
@@ -231,16 +310,96 @@ impl Link {
     /// [`crate::esnr`]). No complex snapshot is materialized. Equal to
     /// `self.snapshot(t, client_pos).esnr_db(modulation)` bit for bit.
     pub fn esnr_db_at(&self, t: SimTime, client_pos: Position, modulation: Modulation) -> f64 {
+        self.esnr_db(t, client_pos, modulation, None)
+    }
+
+    /// [`Link::esnr_db_at`] for a caller that already holds
+    /// `gains = self.fading.tap_gains_at(t)` (it computed
+    /// [`Link::esnr_bound_db_at`] first and the bound did not settle its
+    /// question): a synthesis, if one is still needed, skips the
+    /// sinusoid pass. Same bits, same memo state afterwards.
+    pub fn esnr_db_from_gains(
+        &self,
+        t: SimTime,
+        client_pos: Position,
+        modulation: Modulation,
+        gains: &TapGains,
+    ) -> f64 {
+        self.esnr_db(t, client_pos, modulation, Some(gains))
+    }
+
+    fn esnr_db(
+        &self,
+        t: SimTime,
+        client_pos: Position,
+        modulation: Modulation,
+        gains: Option<&TapGains>,
+    ) -> f64 {
         let mut memo = self.memo.0.borrow_mut();
-        let entry = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some(e) = entry.esnr[modulation as usize] {
+        let (entry, work) = self.memo_refresh(&mut memo, t, client_pos);
+        if let Some(e) = entry.esnr(modulation) {
             return e;
         }
         let mean_snr_db = entry.mean_snr_db;
-        let powers = self.ensure_powers(entry);
+        let powers = self.ensure_powers(entry, work, gains);
+        work.sweeps += 1;
         let esnr = effective_snr_from_powers(powers, mean_snr_db, modulation);
-        entry.esnr[modulation as usize] = Some(esnr);
+        entry.esnr[modulation as usize] = esnr;
         esnr
+    }
+
+    /// The ESNR the memo already holds for `(t, client_pos, modulation)`,
+    /// if any — a read that computes nothing and leaves the memo as it
+    /// found it.
+    pub fn esnr_memo(
+        &self,
+        t: SimTime,
+        client_pos: Position,
+        modulation: Modulation,
+    ) -> Option<f64> {
+        match &self.memo.0.borrow().entry {
+            Some(e) if e.t == t && e.client_pos == client_pos => e.esnr(modulation),
+            _ => None,
+        }
+    }
+
+    /// Static ceiling on [`Link::esnr_db_at`] and [`Link::snr_db_at`] at
+    /// `(t, client_pos)` under any modulation: the mean SNR plus the
+    /// most the fading process can ever add
+    /// ([`FadingProcess::peak_gain_db`]). Geometry only — the channel is
+    /// not evaluated; `t` just keys the memo, which keeps the mean SNR
+    /// for the tighter bound and the exact value a caller may ask for
+    /// next.
+    pub fn esnr_ceiling_db_at(&self, t: SimTime, client_pos: Position) -> f64 {
+        let mut memo = self.memo.0.borrow_mut();
+        let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
+        entry.mean_snr_db + self.fading.peak_gain_db()
+    }
+
+    /// Static ceiling on [`Link::rssi_dbm_at`] for a client at
+    /// `client_pos`, associated like it (`(mean + fade) + noise floor`)
+    /// so the two compare term by term. Pure: a capture comparison reads
+    /// this for links it will mostly never evaluate.
+    pub fn rssi_ceiling_dbm(&self, client_pos: Position) -> f64 {
+        self.mean_snr_db(client_pos) + self.fading.peak_gain_db() + self.budget.noise_floor_dbm
+    }
+
+    /// Instant bound on [`Link::esnr_db_at`] at `(t, client_pos)` under
+    /// any modulation, from `gains = self.fading.tap_gains_at(t)` alone:
+    /// the wideband SNR. ESNR never exceeds it — every BER curve
+    /// `c·Q(√(g·s))` is convex and decreasing in `s`, so the mean BER
+    /// over subcarriers is at least the BER at the mean SNR (Jensen) and
+    /// inverts to at most that SNR; the inversion's clamp to
+    /// `[1e-12, ber(0)]` only lowers it further.
+    pub fn esnr_bound_db_at(&self, t: SimTime, client_pos: Position, gains: &TapGains) -> f64 {
+        let mut memo = self.memo.0.borrow_mut();
+        let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
+        entry.mean_snr_db + linear_to_db(self.fading.wideband_gain_of(gains))
+    }
+
+    /// Syntheses and sweeps this link's memoized accessors have run.
+    pub fn work(&self) -> LinkWork {
+        self.memo.0.borrow().work
     }
 
     /// Stage 1+2 of a batched ESNR evaluation (see [`crate::batch`]):
@@ -256,12 +415,13 @@ impl Link {
         modulation: Modulation,
     ) -> Result<f64, f64> {
         let mut memo = self.memo.0.borrow_mut();
-        let entry = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some(e) = entry.esnr[modulation as usize] {
+        let (entry, work) = self.memo_refresh(&mut memo, t, client_pos);
+        if let Some(e) = entry.esnr(modulation) {
             return Err(e);
         }
         let mean_snr_db = entry.mean_snr_db;
-        let powers = self.ensure_powers(entry);
+        let powers = self.ensure_powers(entry, work, None);
+        work.sweeps += 1;
         Ok(crate::esnr::mean_ber_from_powers(
             powers,
             mean_snr_db,
@@ -283,8 +443,8 @@ impl Link {
             Ok(mean_ber) => {
                 let esnr = crate::esnr::esnr_from_mean_ber(mean_ber, modulation);
                 let mut memo = self.memo.0.borrow_mut();
-                let entry = self.memo_refresh(&mut memo, t, client_pos);
-                entry.esnr[modulation as usize] = Some(esnr);
+                let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
+                entry.esnr[modulation as usize] = esnr;
                 esnr
             }
         }
@@ -426,11 +586,41 @@ mod tests {
     }
 
     #[test]
+    fn work_counts_arithmetic_not_queries() {
+        let link = test_link(8);
+        let pos = Position::new(2.0, 0.0);
+        let t = SimTime::from_millis(5);
+        let count = |syntheses, sweeps| LinkWork { syntheses, sweeps };
+        // The bounds and the memo peek compute no channel.
+        let gains = link.fading.tap_gains_at(t);
+        let ceiling = link.esnr_ceiling_db_at(t, pos);
+        let bound = link.esnr_bound_db_at(t, pos, &gains);
+        assert!(link.rssi_ceiling_dbm(pos) == ceiling + link.budget.noise_floor_dbm);
+        assert_eq!(link.esnr_memo(t, pos, Modulation::Qpsk), None);
+        assert_eq!(link.work(), count(0, 0));
+        // One synthesis per instant, one sweep per modulation read at it;
+        // repeats are memo hits.
+        let exact = link.esnr_db_from_gains(t, pos, Modulation::Qpsk, &gains);
+        assert!(exact <= bound && bound <= ceiling);
+        assert_eq!(link.work(), count(1, 1));
+        assert_eq!(link.esnr_db_at(t, pos, Modulation::Qpsk), exact);
+        assert_eq!(link.esnr_memo(t, pos, Modulation::Qpsk), Some(exact));
+        link.rssi_dbm_at(t, pos);
+        assert_eq!(link.work(), count(1, 1));
+        link.esnr_db_at(t, pos, Modulation::Qam16);
+        assert_eq!(link.work(), count(1, 2));
+        link.rssi_dbm_at(SimTime::from_millis(6), pos);
+        assert_eq!(link.work(), count(2, 2));
+    }
+
+    #[test]
     fn per_pair_state_stays_small() {
         // A world holds APs × clients of these; the tables every link
         // shares must not creep back into the per-link copy.
-        assert!(std::mem::size_of::<FadingProcess>() <= 2560);
-        assert!(std::mem::size_of::<Link>() <= 4096);
+        // The ladder's per-frame state (tap gains, bounds) lives in one
+        // context on the world, not here.
+        assert!(std::mem::size_of::<FadingProcess>() <= 1984);
+        assert!(std::mem::size_of::<Link>() <= 2688);
     }
 
     #[test]

@@ -23,7 +23,7 @@ impl PathLossModel {
     /// Calibrated model for the Fig. 9 testbed (see DESIGN.md §2): with the
     /// 14 dBi antenna this yields ≈ 5 m mainlobe cells and 6–10 m of
     /// usable overlap between adjacent APs, matching §2 and Fig. 10.
-    pub fn roadside() -> Self {
+    pub const fn roadside() -> Self {
         PathLossModel {
             pl0_db: 40.0,
             exponent: 2.7,

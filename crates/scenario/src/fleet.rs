@@ -19,7 +19,7 @@
 //! outage instead of a NaN.
 
 use crate::testbed::{ClientPlan, Direction, StopAndGo, TestbedConfig, MPH};
-use crate::world::{FlowSpec, SystemKind, World};
+use crate::world::{FlowSpec, PhyWork, SystemKind, World};
 use wgtt_apps::mix::{AppKind, TrafficMix};
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::Position;
@@ -444,6 +444,9 @@ pub struct FleetReport {
     /// count, a property of the engine rather than of the physics, so
     /// it stays outside [`FleetReport::equivalence_digest`].
     pub ctl_polls: u64,
+    /// PHY work counters (see [`PhyWork`]); outside the digest for the
+    /// same reason.
+    pub phy: PhyWork,
     /// Robustness counters (normally zero; see `RunReport`).
     pub backhaul_misaddressed: u64,
     /// Delivered-frame refs that no longer resolved (normally zero).
@@ -530,6 +533,7 @@ impl FleetReport {
             events_handled: report.events_handled,
             frames_on_air: report.frames_on_air,
             ctl_polls: report.ctl_polls,
+            phy: report.phy,
             backhaul_misaddressed: report.backhaul_misaddressed,
             missing_packet_refs: report.missing_packet_refs,
         }
@@ -554,6 +558,7 @@ impl FleetReport {
         let mut events_handled = 0u64;
         let mut frames_on_air = 0u64;
         let mut ctl_polls = 0u64;
+        let mut phy = PhyWork::default();
         let mut backhaul_misaddressed = 0u64;
         let mut missing_packet_refs = 0u64;
         for p in parts {
@@ -569,6 +574,7 @@ impl FleetReport {
             events_handled += p.events_handled;
             frames_on_air += p.frames_on_air;
             ctl_polls += p.ctl_polls;
+            phy += p.phy;
             backhaul_misaddressed += p.backhaul_misaddressed;
             missing_packet_refs += p.missing_packet_refs;
         }
@@ -599,6 +605,7 @@ impl FleetReport {
             events_handled,
             frames_on_air,
             ctl_polls,
+            phy,
             backhaul_misaddressed,
             missing_packet_refs,
         }

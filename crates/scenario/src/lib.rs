@@ -11,6 +11,9 @@
 //!   exchanges, Block ACK responses and forwarding, CSI reporting, the
 //!   switching protocol in flight, TCP/UDP endpoints, and the baseline's
 //!   beacon/roam machinery — all on one deterministic event queue;
+//! * [`decide`] — the frame path's threshold tests (delivery rolls,
+//!   capture) settled from provable bounds before the channel is
+//!   synthesized, byte-identically;
 //! * [`experiments`] — one driver per table/figure of the paper's
 //!   evaluation, each returning printable rows (see DESIGN.md §4 for the
 //!   index);
@@ -22,6 +25,7 @@
 //! * [`pcap`] — Wireshark-compatible capture of the backhaul tunnels;
 //! * [`results`] — small formatting helpers for paper-style output.
 
+pub mod decide;
 pub mod experiments;
 pub mod fleet;
 pub mod pcap;

@@ -38,7 +38,7 @@ use wgtt_net::packet::{FlowId, Packet, PacketFactory, Transport};
 use wgtt_net::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use wgtt_net::traffic::CbrUdpSource;
 use wgtt_net::wire::Ipv4Addr;
-use wgtt_radio::fading::FadingProcess;
+use wgtt_radio::fading::{FadingProcess, TapGains};
 use wgtt_radio::link::{Link, LinkBudget};
 use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel, Position};
 use wgtt_sim::metrics::{Counter, Distribution, ThroughputMeter, TimeSeries};
@@ -46,6 +46,7 @@ use wgtt_sim::queue::{EventId, EventQueue};
 use wgtt_sim::rng::{RngStream, Xoshiro256};
 use wgtt_sim::time::{SimDuration, SimTime};
 
+use crate::decide::{capture_survives, Ladder, Rung, Step};
 use crate::testbed::{ClientPlan, TestbedConfig};
 
 /// Which system serves the clients.
@@ -290,6 +291,8 @@ pub struct RunReport {
     /// Frames whose on-air time completed (data, keepalive and control
     /// alike) — the macro-bench's frames/s numerator.
     pub frames_on_air: u64,
+    /// What the frame path's PHY consumers asked for and what it cost.
+    pub phy: PhyWork,
     /// Backhaul messages addressed past the AP array, dropped instead
     /// of crashing the run (robustness counter; see `on_backhaul`).
     pub backhaul_misaddressed: u64,
@@ -308,6 +311,64 @@ pub struct RunReport {
     pub outage_durations: HashMap<NodeId, Distribution>,
     /// The run's duration.
     pub duration: SimDuration,
+}
+
+/// Work counters of the frame path's PHY consumers (`crate::decide`):
+/// how many delivery rolls and capture checks ran, which rung settled
+/// them, and the channel arithmetic the run paid in total. Like
+/// `events_handled` they describe the engine, not the physics — two runs
+/// with equal outputs may differ here — but a monolithic world and its
+/// districts visit the same links and decide them alike, so theirs
+/// agree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhyWork {
+    /// Delivery rolls (one per MPDU or control frame per receiver).
+    pub rolls: u64,
+    /// Rolls settled by an exact ESNR: found in the link's memo, computed
+    /// for this roll, or computed for an earlier roll of the same frame.
+    pub rolls_exact: u64,
+    /// Rolls settled as lost by the static ceiling.
+    pub rolls_ceiling: u64,
+    /// Rolls settled as lost by the tap-gain bound.
+    pub rolls_bound: u64,
+    /// 56-subcarrier power syntheses across all links (filled in by
+    /// [`World::finish`]).
+    pub syntheses: u64,
+    /// BER sweeps (with their inversions) across all links (filled in by
+    /// [`World::finish`]).
+    pub sweeps: u64,
+    /// Capture comparisons: receptions that overlapped an interferer.
+    pub capture_checks: u64,
+    /// Exact received powers those comparisons evaluated (the wanted
+    /// signal and each interferer count one apiece).
+    pub capture_exact: u64,
+}
+
+impl std::ops::AddAssign for PhyWork {
+    fn add_assign(&mut self, o: PhyWork) {
+        self.rolls += o.rolls;
+        self.rolls_exact += o.rolls_exact;
+        self.rolls_ceiling += o.rolls_ceiling;
+        self.rolls_bound += o.rolls_bound;
+        self.syntheses += o.syntheses;
+        self.sweeps += o.sweeps;
+        self.capture_checks += o.capture_checks;
+        self.capture_exact += o.capture_exact;
+    }
+}
+
+/// The ladder of the reception being rolled: one (link, instant, MCS)
+/// at a time, replaced when a roll arrives for another. It — not the
+/// link — carries the per-frame state, so per-pair memory does not grow
+/// with what a frame happens to need.
+struct RxContext {
+    pair: usize,
+    at: SimTime,
+    mcs: Mcs,
+    ladder: Ladder,
+    /// The link's tap gains at `at`, once the bound rung has run; the
+    /// exact rung synthesizes from them.
+    gains: Option<TapGains>,
 }
 
 /// World events.
@@ -483,6 +544,10 @@ pub struct World {
     /// them it had not seen before.
     decoded_scratch: Vec<Mpdu>,
     new_refs_scratch: Vec<PacketRef>,
+    /// Scratch for `rx_survives`: each interferer with its RSSI ceiling.
+    capture_scratch: Vec<(NodeId, f64)>,
+    /// See [`RxContext`].
+    rx_ctx: Option<RxContext>,
     end_at: SimTime,
 }
 
@@ -519,13 +584,23 @@ const CSI_NOISE_DB: f64 = 1.5;
 const CAPTURE_MARGIN_DB: f64 = 10.0;
 /// Sentinel packet id for keepalive frames (no packet-store entry).
 const KEEPALIVE_PKT_ID: u64 = u64::MAX;
-/// Beyond this AP–client distance a frame is unreceivable (the roadside
-/// path loss puts the PER at ≈1 well before 120 m), so the every-AP
-/// decode loops skip the pair without consuming a random draw. The skip
-/// is what keeps per-entity RNG streams identical between a monolithic
-/// world and its spatial shards: a shard never even iterates far-away
-/// APs, so the monolithic world must not draw for them.
+/// Beyond this AP–client distance a frame is treated as unreceivable,
+/// so the every-AP decode loops skip the pair without consuming a random
+/// draw. The skip is what keeps per-entity RNG streams identical between
+/// a monolithic world and its spatial shards: a shard never even
+/// iterates far-away APs, so the monolithic world must not draw for
+/// them. The value is *not* where the PER reaches 1: `Mcs::per` scales
+/// by `len/1500`, so a 64-byte control frame still decodes 22 % of the
+/// time at −15 dB ESNR and control rolls pass out to the horizon
+/// (DESIGN.md §7). That is why the static ceiling alone settles only
+/// about half of the far control rolls and the ladder has a tap-gain
+/// rung behind it — and why the horizon is ratcheted at 120 m until the
+/// short-frame PER is fixed (ROADMAP item 1(c)).
 const DECODE_HORIZON_M: f64 = 120.0;
+/// Large-scale model and budget of same-kind (AP↔AP, client↔client)
+/// interference, for which no fading link exists.
+const SAME_KIND_PATHLOSS: PathLossModel = PathLossModel::roadside();
+const SAME_KIND_BUDGET: LinkBudget = LinkBudget::testbed();
 
 impl World {
     /// Build a world: testbed geometry + system + per-client flows
@@ -708,6 +783,8 @@ impl World {
             ctl_bufs: Vec::new(),
             decoded_scratch: Vec::new(),
             new_refs_scratch: Vec::new(),
+            capture_scratch: Vec::new(),
+            rx_ctx: None,
             end_at: SimTime::ZERO,
             cfg,
         };
@@ -876,42 +953,63 @@ impl World {
         true_esnr + self.clients[ci].rng.normal_with(0.0, CSI_NOISE_DB)
     }
 
+    /// The modelled link a transmission between `a` and `b` rides on, as
+    /// `Ok((ap, client))` — or, for same-kind pairs (AP↔AP,
+    /// client↔client), which have no fading model, `Err(rssi)`: the
+    /// large-scale received power with omni gains.
+    fn link_or_large_scale(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        now: SimTime,
+    ) -> Result<(NodeId, NodeId), f64> {
+        match (self.is_ap(a), self.is_ap(b)) {
+            (true, false) => Ok((a, b)),
+            (false, true) => Ok((b, a)),
+            (a_is_ap, _) => {
+                let at = |n| {
+                    if a_is_ap {
+                        self.medium.position(n)
+                    } else {
+                        self.client_pos(n, now)
+                    }
+                };
+                let pl = SAME_KIND_PATHLOSS.loss_db(at(a).distance_to(at(b)));
+                Err(SAME_KIND_BUDGET.tx_power_dbm - pl)
+            }
+        }
+    }
+
     /// Received power of a transmission from `a` at `b`, dBm, for
-    /// capture comparisons. Uses the modelled link where one exists
-    /// (AP↔client); AP↔AP and client↔client interference falls back to
-    /// the path-loss model with omni gains.
+    /// capture comparisons.
     fn rssi_between(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        let (ap, client) = if self.is_ap(a) && !self.is_ap(b) {
-            (a, b)
-        } else if self.is_ap(b) && !self.is_ap(a) {
-            (b, a)
-        } else {
-            // No fading model for same-kind pairs; large-scale only.
-            let pa = if self.is_ap(a) {
-                self.medium.position(a)
-            } else {
-                self.client_pos(a, now)
-            };
-            let pb = if self.is_ap(b) {
-                self.medium.position(b)
-            } else {
-                self.client_pos(b, now)
-            };
-            let pl = PathLossModel::roadside().loss_db(pa.distance_to(pb));
-            return LinkBudget::default().tx_power_dbm - pl;
-        };
-        let pos = self.client_pos(client, now);
-        // Power only — the fused sweep path; no 56-coefficient CSI
-        // materialization for a capture comparison that never reads it.
-        self.link(ap, client).rssi_dbm_at(now, pos)
+        match self.link_or_large_scale(a, b, now) {
+            // Power only — the fused sweep path; no 56-coefficient CSI
+            // materialization for a capture comparison that never reads it.
+            Ok((ap, client)) => self
+                .link(ap, client)
+                .rssi_dbm_at(now, self.client_pos(client, now)),
+            Err(rssi) => rssi,
+        }
+    }
+
+    /// What [`World::rssi_between`] can at most return: geometry only.
+    fn rssi_ceiling_between(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
+        match self.link_or_large_scale(a, b, now) {
+            Ok((ap, client)) => self
+                .link(ap, client)
+                .rssi_ceiling_dbm(self.client_pos(client, now)),
+            Err(rssi) => rssi,
+        }
     }
 
     /// Capture-aware reception check: a temporal overlap only corrupts
     /// the frame when the strongest interferer is within
     /// [`CAPTURE_MARGIN_DB`] of the wanted signal at the receiver — the
     /// power disparity the paper credits (sidelobes) for its negligible
-    /// ACK collision rate (§5.3.2).
-    fn rx_survives(&self, tx: TxId, from: NodeId, rx: NodeId, now: SimTime) -> bool {
+    /// ACK collision rate (§5.3.2). Evaluates only the received powers
+    /// the comparison turns on (`crate::decide::capture_survives`).
+    fn rx_survives(&mut self, tx: TxId, from: NodeId, rx: NodeId, now: SimTime) -> bool {
         if self.medium.outcome_for(tx, rx) == TxOutcome::Clean {
             return true;
         }
@@ -922,21 +1020,37 @@ impl World {
         if self.rts_cts && self.is_ap(from) {
             return true;
         }
-        let wanted = self.rssi_between(from, rx, now);
         // Only overlappers that can actually corrupt this receiver
         // (same channel, within interference range) enter the capture
         // comparison — a sender several cells away overlaps in time but
         // contributes nothing here, exactly as in `Medium::outcome_for`.
-        let worst = self
-            .medium
-            .interferers_for(tx, rx)
-            .map(|n| self.rssi_between(n, rx, now))
-            .fold(f64::NEG_INFINITY, f64::max);
-        wanted - worst >= CAPTURE_MARGIN_DB
+        let mut interferers = std::mem::take(&mut self.capture_scratch);
+        interferers.clear();
+        interferers.extend(
+            self.medium
+                .interferers_for(tx, rx)
+                .map(|n| (n, self.rssi_ceiling_between(n, rx, now))),
+        );
+        let mut evaluated = 0;
+        let survives = capture_survives(
+            CAPTURE_MARGIN_DB,
+            self.rssi_ceiling_between(from, rx, now),
+            &interferers,
+            |n| {
+                evaluated += 1;
+                self.rssi_between(n.copied().unwrap_or(from), rx, now)
+            },
+        );
+        self.capture_scratch = interferers;
+        self.report.phy.capture_checks += 1;
+        self.report.phy.capture_exact += evaluated;
+        survives
     }
 
     /// Roll delivery of one MPDU of `len` bytes at `mcs` over the
-    /// (ap, client) link at `now`, with the client at `pos`.
+    /// (ap, client) link at `now`, with the client at `pos`: one uniform
+    /// draw from the client's stream, then the ladder — whose answer is
+    /// `draw < mcs.per(exact ESNR, len)` however few rungs it climbs.
     fn roll_mpdu(
         &mut self,
         ap: NodeId,
@@ -946,20 +1060,57 @@ impl World {
         mcs: Mcs,
         len: u16,
     ) -> bool {
-        let esnr = self.link(ap, client).esnr_db_at(now, pos, mcs.modulation());
-        let per = mcs.per(esnr, len);
         let ci = self.client_index(client);
-        !self.clients[ci].rng.chance(per)
+        let u = self.clients[ci].rng.uniform();
+        let pair = self.pair_index(ap, client);
+        let link = &self.links[pair];
+        let same = |c: &RxContext| c.pair == pair && c.at == now && c.mcs == mcs;
+        if !self.rx_ctx.as_ref().is_some_and(same) {
+            let mut ladder = Ladder::default();
+            if let Some(esnr) = link.esnr_memo(now, pos, mcs.modulation()) {
+                ladder.set(mcs, Rung::Exact, esnr);
+            }
+            self.rx_ctx = Some(RxContext {
+                pair,
+                at: now,
+                mcs,
+                ladder,
+                gains: None,
+            });
+        }
+        let ctx = self.rx_ctx.as_mut().expect("context just ensured");
+        let phy = &mut self.report.phy;
+        phy.rolls += 1;
+        loop {
+            let (rung, esnr_db) = match ctx.ladder.step(u, len) {
+                Step::Lost(lost, rung) => {
+                    match rung {
+                        Rung::Ceiling => phy.rolls_ceiling += 1,
+                        Rung::Bound => phy.rolls_bound += 1,
+                        Rung::Exact => phy.rolls_exact += 1,
+                    }
+                    return !lost;
+                }
+                Step::Need(Rung::Ceiling) => (Rung::Ceiling, link.esnr_ceiling_db_at(now, pos)),
+                Step::Need(Rung::Bound) => {
+                    let gains = ctx.gains.insert(link.fading.tap_gains_at(now));
+                    (Rung::Bound, link.esnr_bound_db_at(now, pos, gains))
+                }
+                Step::Need(Rung::Exact) => {
+                    let gains = ctx.gains.as_ref().expect("the bound rung ran first");
+                    let esnr = link.esnr_db_from_gains(now, pos, mcs.modulation(), gains);
+                    (Rung::Exact, esnr)
+                }
+            };
+            ctx.ladder.set(mcs, rung, esnr_db);
+        }
     }
 
     /// Roll reception of a short control frame (Block ACK, ACK, beacon,
-    /// management) which is sent at a robust basic rate.
+    /// management), which is sent at a robust basic rate: a 64-byte
+    /// frame at the 24 Mbit/s basic rate ≈ MCS2 PER.
     fn roll_control(&mut self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> bool {
-        let esnr = self.link(ap, client).esnr_db_at(now, pos, Modulation::Qpsk);
-        // 32-byte control frame at the 24 Mbit/s basic rate ≈ MCS2 PER.
-        let per = Mcs::Mcs2.per(esnr, 64);
-        let ci = self.client_index(client);
-        !self.clients[ci].rng.chance(per)
+        self.roll_mpdu(ap, client, pos, now, Mcs::Mcs2, 64)
     }
 
     fn store_packet(&mut self, p: Packet) {
@@ -1277,6 +1428,12 @@ impl World {
     }
 
     fn finalize(&mut self) {
+        let phy = &mut self.report.phy;
+        (phy.syntheses, phy.sweeps) = (0, 0);
+        for work in self.links.iter().map(Link::work) {
+            phy.syntheses += u64::from(work.syntheses);
+            phy.sweeps += u64::from(work.sweeps);
+        }
         // Pull per-flow observables into the report.
         for flow in &self.flows {
             match &flow.kind {

@@ -239,7 +239,14 @@ impl World {
     /// horizon gate is first: an AP past the decode horizon must be
     /// skipped *without consuming a random draw*, or a shard (which never
     /// iterates it) would fall out of step with the monolithic world.
-    fn ap_hears(&self, aui: usize, tx: TxId, client: NodeId, pos: Position, now: SimTime) -> bool {
+    fn ap_hears(
+        &mut self,
+        aui: usize,
+        tx: TxId,
+        client: NodeId,
+        pos: Position,
+        now: SimTime,
+    ) -> bool {
         let ap = self.ap_id(aui);
         self.in_decode_horizon(aui, pos)
             && self.medium.same_channel(client, ap)

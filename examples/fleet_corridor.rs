@@ -202,6 +202,15 @@ fn main() {
         report.events_handled as f64 / wall_s,
         report.frames_on_air as f64 / wall_s,
     );
+    let phy = &report.phy;
+    println!(
+        "  {} rolls: {} settled by the static ceiling, {} by the tap-gain bound, {} by exact ESNR",
+        phy.rolls, phy.rolls_ceiling, phy.rolls_bound, phy.rolls_exact,
+    );
+    println!(
+        "  {} capture checks evaluated {} powers; {} syntheses, {} BER sweeps in all",
+        phy.capture_checks, phy.capture_exact, phy.syntheses, phy.sweeps,
+    );
     assert_eq!(report.backhaul_misaddressed, 0, "misaddressed backhaul");
     assert_eq!(report.missing_packet_refs, 0, "dangling packet refs");
 }

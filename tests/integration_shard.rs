@@ -11,7 +11,8 @@
 //!    monolithic world's report on every aggregate except the raw event
 //!    count (each shard runs its own mobility/sample/poll chains, so
 //!    event *counts* legitimately differ; every physical observable
-//!    must not).
+//!    must not) — and the districts' PHY work counters sum to the
+//!    monolithic world's.
 //! 2. **Worker-count invariance** — 1/2/4/8 workers produce the full
 //!    byte-identical report, `events_handled` included.
 //! 3. **Schedule invariance (stress mode)** — sweeping the conservative
@@ -42,7 +43,12 @@ fn wgtt() -> SystemKind {
 /// Full byte-stable fingerprint, `events_handled` included (worker-count
 /// comparisons use this; oracle comparisons use `equivalence_digest`).
 fn full_fingerprint(r: &FleetReport) -> String {
-    format!("events={} {}", r.events_handled, r.equivalence_digest())
+    format!(
+        "events={} {:?} {}",
+        r.events_handled,
+        r.phy,
+        r.equivalence_digest()
+    )
 }
 
 #[test]
@@ -61,6 +67,14 @@ fn sharded_engine_matches_sequential_oracle_at_1_2_4_8_shards() {
         assert_eq!(oracle.per_vehicle.len(), sharded.per_vehicle.len());
         assert_eq!(sharded.backhaul_misaddressed, 0);
         assert_eq!(sharded.missing_packet_refs, 0);
+        // Same links visited, same rungs deciding them: the districts'
+        // PHY work adds up to the monolithic world's, counter by counter.
+        assert!(oracle.phy.rolls_ceiling > 0 && oracle.phy.rolls_bound > 0);
+        assert!(oracle.phy.syntheses > 0 && oracle.phy.sweeps > 0);
+        assert_eq!(
+            oracle.phy, sharded.phy,
+            "PHY work diverged at {districts} shards"
+        );
     }
 }
 
