@@ -1,61 +1,38 @@
 //! A conventional 802.11n AP for the baseline schemes.
 //!
-//! Same PHY/MAC machinery as a WGTT AP (A-MPDU aggregation, Block ACK,
-//! Minstrel) but the classic data path: one FIFO mac80211 queue per
-//! client, packets arrive from the distribution system only while the
-//! client is associated *here*, and nothing flushes the queue on a
-//! handover — the backlog keeps burning airtime toward a departed client
-//! until retries exhaust, exactly the §3 buffering pathology WGTT's
-//! queue management removes.
+//! The same [`Sender`] as a WGTT AP (A-MPDU aggregation, Block ACK,
+//! Minstrel) under the classic data path, which is all this module adds:
+//! one FIFO mac80211 queue per client, staged into the sender with
+//! sequence numbers assigned here; packets arrive from the distribution
+//! system only while the client is associated *here*, and nothing flushes
+//! the queue on a handover — the backlog keeps burning airtime toward a
+//! departed client until retries exhaust, exactly the §3 buffering
+//! pathology WGTT's queue management removes.
 
 use std::collections::HashMap;
-use wgtt_mac::aggregation::{build_ampdu, AggregationPolicy};
-use wgtt_mac::blockack::BaOriginator;
+use wgtt_mac::aggregation::AggregationPolicy;
 use wgtt_mac::frame::{Mpdu, NodeId, PacketRef};
 use wgtt_mac::queues::BoundedQueue;
 use wgtt_mac::rate::RateController;
+use wgtt_mac::sender::{BaFeedback, Sender, Unacked};
 use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
 use wgtt_net::Packet;
 use wgtt_sim::rng::RngStream;
 
-/// Outcome of a Block ACK/timeout for the scenario's bookkeeping (same
-/// shape as the WGTT AP's feedback).
-#[derive(Debug, Default)]
-pub struct BaFeedback {
-    /// Packets confirmed delivered.
-    pub delivered: Vec<PacketRef>,
-    /// Packets dropped after retry exhaustion.
-    pub dropped: Vec<PacketRef>,
-}
+/// MPDUs staged below the FIFO with their sequence numbers assigned.
+const STAGED_MPDUS: usize = 64;
 
 #[derive(Debug)]
 struct ClientQueue {
     fifo: BoundedQueue<Packet>,
-    staged: std::collections::VecDeque<Mpdu>,
-    retries: Vec<Mpdu>,
-    ba: BaOriginator,
-    rate: RateController,
     next_seq: u16,
-    in_flight_meta: Option<(Mcs, usize)>,
+    sender: Sender,
 }
 
 impl ClientQueue {
-    fn new(rate: RateController) -> Self {
-        ClientQueue {
-            fifo: BoundedQueue::mac80211(),
-            staged: std::collections::VecDeque::new(),
-            retries: Vec::new(),
-            ba: BaOriginator::default(),
-            rate,
-            next_seq: 0,
-            in_flight_meta: None,
-        }
-    }
-
     fn has_work(&self) -> bool {
-        !self.ba.has_in_flight()
-            && (!self.retries.is_empty() || !self.staged.is_empty() || !self.fifo.is_empty())
+        !self.sender.has_in_flight() && (self.sender.has_backlog() || !self.fifo.is_empty())
     }
 }
 
@@ -88,7 +65,11 @@ impl BaselineAp {
         let stream = self.rng;
         self.clients.entry(client).or_insert_with(|| {
             let rng = stream.derive_indexed("rate", client.0 as u64).rng();
-            ClientQueue::new(RateController::new(rng))
+            ClientQueue {
+                fifo: BoundedQueue::mac80211(),
+                next_seq: 0,
+                sender: Sender::new(RateController::new(rng)),
+            }
         })
     }
 
@@ -107,14 +88,14 @@ impl BaselineAp {
     pub fn has_in_flight(&self, client: NodeId) -> bool {
         self.clients
             .get(&client)
-            .is_some_and(|q| q.ba.has_in_flight())
+            .is_some_and(|q| q.sender.has_in_flight())
     }
 
     /// Packets queued toward `client` (the handover backlog).
     pub fn backlog(&self, client: NodeId) -> usize {
         self.clients
             .get(&client)
-            .map_or(0, |c| c.fifo.len() + c.staged.len() + c.retries.len())
+            .map_or(0, |c| c.fifo.len() + c.sender.backlog())
     }
 
     /// Clients with transmittable work.
@@ -149,15 +130,15 @@ impl BaselineAp {
     pub fn build_txop(&mut self, client: NodeId) -> Option<(Vec<Mpdu>, Mcs)> {
         let agg = self.agg;
         let q = self.client_mut(client);
-        if q.ba.has_in_flight() {
+        if q.sender.has_in_flight() {
             return None;
         }
         // Stage fresh packets with newly assigned sequence numbers.
-        while q.staged.len() < 64 {
+        while q.sender.staged_len() < STAGED_MPDUS {
             let Some(packet) = q.fifo.pop() else { break };
             let seq = q.next_seq;
             q.next_seq = seq_next(q.next_seq);
-            q.staged.push_back(Mpdu {
+            q.sender.stage(Mpdu {
                 seq,
                 packet: PacketRef {
                     id: packet.id,
@@ -166,34 +147,14 @@ impl BaselineAp {
                 retries: 0,
             });
         }
-        let mcs = q.rate.select();
-        let mpdus = build_ampdu(&mut q.retries, &mut q.staged, &agg, mcs);
-        if mpdus.is_empty() {
-            return None;
-        }
-        q.in_flight_meta = Some((mcs, mpdus.len()));
-        q.ba.on_ampdu_sent(mpdus.clone());
-        Some((mpdus, mcs))
+        q.sender.build(&agg)
     }
 
     /// A Block ACK from `client` arrived.
     pub fn on_block_ack(&mut self, client: NodeId, start_seq: u16, bitmap: u64) -> BaFeedback {
-        let q = self.client_mut(client);
-        if q.ba.has_in_flight() && !q.ba.covers_in_flight(start_seq) {
-            return BaFeedback::default(); // stale window
-        }
-        let r = q.ba.on_block_ack(start_seq, bitmap);
-        if r.duplicate {
-            return BaFeedback::default(); // no-op: window still stands
-        }
-        if let Some((mcs, attempted)) = q.in_flight_meta.take() {
-            q.rate.on_feedback(mcs, attempted, r.acked.len());
-        }
-        q.retries.extend(r.to_retry.iter().copied());
-        BaFeedback {
-            delivered: r.acked,
-            dropped: r.dropped,
-        }
+        self.client_mut(client)
+            .sender
+            .on_block_ack(start_seq, bitmap, Unacked::Retry)
     }
 
     /// The distribution system moved `client` to another AP: drop every
@@ -202,28 +163,13 @@ impl BaselineAp {
     pub fn flush_client(&mut self, client: NodeId) {
         if let Some(q) = self.clients.get_mut(&client) {
             while q.fifo.pop().is_some() {}
-            q.staged.clear();
-            q.retries.clear();
-            q.ba.clear();
-            q.in_flight_meta = None;
+            q.sender.clear();
         }
     }
 
     /// The Block ACK never arrived.
     pub fn on_ba_timeout(&mut self, client: NodeId) -> BaFeedback {
-        let q = self.client_mut(client);
-        if !q.ba.has_in_flight() {
-            return BaFeedback::default();
-        }
-        let r = q.ba.on_ba_timeout();
-        if let Some((mcs, attempted)) = q.in_flight_meta.take() {
-            q.rate.on_feedback(mcs, attempted, 0);
-        }
-        q.retries.extend(r.to_retry.iter().copied());
-        BaFeedback {
-            delivered: Vec::new(),
-            dropped: r.dropped,
-        }
+        self.client_mut(client).sender.on_ba_timeout(Unacked::Retry)
     }
 }
 
@@ -266,40 +212,6 @@ mod tests {
         for (i, m) in mpdus.iter().enumerate() {
             assert_eq!(m.seq as usize, i);
         }
-    }
-
-    #[test]
-    fn stop_and_wait_per_client() {
-        let mut a = ap();
-        let mut f = PacketFactory::new();
-        for i in 0..100 {
-            a.enqueue_downlink(CLIENT, pkt(&mut f, i));
-        }
-        assert!(a.build_txop(CLIENT).is_some());
-        assert!(a.build_txop(CLIENT).is_none());
-        a.on_block_ack(CLIENT, 0, u64::MAX);
-        assert!(a.build_txop(CLIENT).is_some());
-    }
-
-    #[test]
-    fn ba_timeout_burns_airtime_on_departed_client() {
-        // The handover pathology: the client left, every window times out,
-        // the backlog drains only through retry exhaustion.
-        let mut a = ap();
-        let mut f = PacketFactory::new();
-        for i in 0..64 {
-            a.enqueue_downlink(CLIENT, pkt(&mut f, i));
-        }
-        let mut total_dropped = 0;
-        let mut txops = 0;
-        while let Some((_mpdus, _)) = a.build_txop(CLIENT) {
-            txops += 1;
-            assert!(txops < 1000, "must terminate by retry exhaustion");
-            let fb = a.on_ba_timeout(CLIENT);
-            total_dropped += fb.dropped.len();
-        }
-        assert_eq!(total_dropped, 64, "everything eventually dropped");
-        assert!(txops >= 8, "many wasted TXOPs: got {txops}");
     }
 
     #[test]

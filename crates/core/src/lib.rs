@@ -16,9 +16,8 @@
 //! | [`switching`] | §3.1.2 | the three-step `stop(c)` → `start(c, k)` → `ack` protocol, 30 ms ack timeout, one outstanding switch |
 //! | [`dedup`] | §3.2.2–3.2.3 | controller-side uplink de-duplication on the 48-bit (src IP, IP ident) key |
 //! | [`bafwd`] | §3.2.1 | Block ACK overhearing and forwarding between APs |
-//! | [`assoc`] | §4.3 | single-BSSID association state replication |
 //! | [`controller`] | §3, Fig. 5 | the control-plane state machine gluing the above together |
-//! | [`ap`] | §3.1.2, §3.2.1 | the AP data plane: cyclic queue, NIC staging, A-MPDU/Block-ACK transmission, control-packet priority |
+//! | [`ap`] | §3.1.2, §3.2.1, §4.3 | the AP data plane: cyclic queue and `stop`/`start` on top of the stock sender (`wgtt_mac::sender`), the replicated client → serving-AP map (`AssocSync`), control-packet priority |
 //!
 //! Everything is an explicit, event-loop-agnostic state machine: methods
 //! take `now` and return actions (backhaul messages to deliver, packets
@@ -26,7 +25,6 @@
 //! substrate, and the MAC medium.
 
 pub mod ap;
-pub mod assoc;
 pub mod bafwd;
 pub mod config;
 pub mod controller;

@@ -22,10 +22,6 @@ const NEIGHBOUR_A: NodeId = NodeId(2);
 const NEIGHBOUR_B: NodeId = NodeId(3);
 const CLIENT: NodeId = NodeId(100);
 
-fn ms(v: u64) -> SimTime {
-    SimTime::from_millis(v)
-}
-
 fn agent(id: NodeId) -> ApAgent {
     ApAgent::new(id, WgttConfig::default(), RngStream::root(11).derive("ap"))
 }
@@ -37,40 +33,31 @@ fn deployment() -> (ApAgent, ApAgent, ApAgent) {
     let mut serving = agent(SERVING);
     let mut factory = PacketFactory::new();
     for i in 0..32u16 {
-        serving.on_backhaul(
-            BackhaulMsg::DownlinkData {
-                client: CLIENT,
-                index: i,
-                packet: factory.udp(
-                    FlowId(0),
-                    Ipv4Addr::new(8, 8, 8, 8),
-                    Ipv4Addr::new(172, 16, 0, 100),
-                    i as u32,
-                    1500,
-                    SimTime::ZERO,
-                ),
-            },
-            ms(0),
-        );
-    }
-    serving.on_backhaul(
-        BackhaulMsg::Start {
+        serving.on_backhaul(BackhaulMsg::DownlinkData {
             client: CLIENT,
-            k: 0,
-            switch_id: 0,
-        },
-        ms(0),
-    );
+            index: i,
+            packet: factory.udp(
+                FlowId(0),
+                Ipv4Addr::new(8, 8, 8, 8),
+                Ipv4Addr::new(172, 16, 0, 100),
+                i as u32,
+                1500,
+                SimTime::ZERO,
+            ),
+        });
+    }
+    serving.on_backhaul(BackhaulMsg::Start {
+        client: CLIENT,
+        k: 0,
+        switch_id: 0,
+    });
     let mut neighbour_a = agent(NEIGHBOUR_A);
     let mut neighbour_b = agent(NEIGHBOUR_B);
     for n in [&mut neighbour_a, &mut neighbour_b] {
-        n.on_backhaul(
-            BackhaulMsg::AssocSync {
-                client: CLIENT,
-                via_ap: SERVING,
-            },
-            ms(0),
-        );
+        n.on_backhaul(BackhaulMsg::AssocSync {
+            client: CLIENT,
+            via_ap: SERVING,
+        });
     }
     (serving, neighbour_a, neighbour_b)
 }
@@ -80,7 +67,7 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
     let (mut serving, mut neighbour_a, mut neighbour_b) = deployment();
 
     // The serving AP puts an A-MPDU on the air.
-    let (mpdus, _mcs) = serving.build_txop(CLIENT, ms(1)).expect("backlog queued");
+    let (mpdus, _mcs) = serving.build_txop(CLIENT).expect("backlog queued");
     assert!(serving.has_in_flight(CLIENT));
 
     // The client receives every MPDU and answers with a Block ACK —
@@ -107,14 +94,14 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
 
     // First forwarded copy reaches the serving AP: the window clears as
     // if the BA had been heard on its own radio.
-    serving.on_backhaul(forward_a[0].msg.clone(), ms(2));
+    serving.on_backhaul(forward_a[0].msg.clone());
     assert!(!serving.has_in_flight(CLIENT));
     assert_eq!(serving.stats.forwarded_ba_used, 1);
 
     // Second forwarded copy (the other neighbour's) is deduplicated —
     // §3.2.1: "AP1 first checks whether this Block ACK has been
     // received before".
-    serving.on_backhaul(forward_b[0].msg.clone(), ms(2));
+    serving.on_backhaul(forward_b[0].msg.clone());
     assert_eq!(
         serving.stats.forwarded_ba_used, 1,
         "duplicate forward must not be double-counted"
@@ -132,7 +119,7 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
 
     // Every acked packet moved on: the next TXOP carries fresh data with
     // zero retries, not the already-delivered window.
-    let (next, _) = serving.build_txop(CLIENT, ms(3)).expect("more backlog");
+    let (next, _) = serving.build_txop(CLIENT).expect("more backlog");
     assert!(next.iter().all(|m| m.retries == 0));
     assert_eq!(
         next[0].seq,
@@ -152,7 +139,7 @@ fn serving_ap_monitor_is_disabled_end_to_end() {
 #[test]
 fn partial_overheard_ba_retries_only_the_holes() {
     let (mut serving, mut neighbour_a, _) = deployment();
-    let (mpdus, _) = serving.build_txop(CLIENT, ms(1)).expect("backlog queued");
+    let (mpdus, _) = serving.build_txop(CLIENT).expect("backlog queued");
 
     // The client missed MPDUs 2 and 5; the BA says so, and only the
     // serving AP's radio missed the BA itself.
@@ -164,12 +151,12 @@ fn partial_overheard_ba_retries_only_the_holes() {
     }
     let (start_seq, bitmap) = rx.block_ack();
     let forward = neighbour_a.on_overheard_block_ack(CLIENT, start_seq, bitmap);
-    serving.on_backhaul(forward[0].msg.clone(), ms(2));
+    serving.on_backhaul(forward[0].msg.clone());
 
     // The merge behaves exactly like a native BA: holes retry, the rest
     // are delivered, and the retries lead the next TXOP.
     assert_eq!(serving.stats.forwarded_ba_used, 1);
-    let (next, _) = serving.build_txop(CLIENT, ms(3)).expect("retries pending");
+    let (next, _) = serving.build_txop(CLIENT).expect("retries pending");
     assert_eq!(next[0].seq, 2);
     assert_eq!(next[1].seq, 5);
     assert_eq!(next[0].retries, 1);

@@ -28,10 +28,6 @@ pub const BEACON_BODY_BYTES: u32 = 250;
 pub const BLOCK_ACK_BYTES: u32 = 32;
 /// Legacy ACK frame size, bytes.
 pub const ACK_BYTES: u32 = 14;
-/// RTS frame size, bytes.
-pub const RTS_BYTES: u32 = 20;
-/// CTS frame size, bytes.
-pub const CTS_BYTES: u32 = 14;
 /// Management frame body size (auth/assoc), bytes.
 pub const MGMT_BODY_BYTES: u32 = 120;
 /// Per-MPDU A-MPDU delimiter + padding overhead, bytes.
@@ -97,16 +93,6 @@ pub fn exchange_airtime(frame: &Frame) -> SimDuration {
         }
         _ => own,
     }
-}
-
-/// Airtime of a full RTS/SIFS/CTS/SIFS handshake preceding a protected
-/// data frame. The paper runs with RTS/CTS *off* (§5.3.2 turns it off to
-/// measure ACK collisions) because its fixed cost buys little when
-/// collisions are already rare; the `ablations` bench quantifies that.
-pub fn rts_cts_overhead() -> SimDuration {
-    let rts = LEGACY_PREAMBLE_US + body_airtime_us(RTS_BYTES, BASIC_RATE_MBPS);
-    let cts = LEGACY_PREAMBLE_US + body_airtime_us(CTS_BYTES, BASIC_RATE_MBPS);
-    SimDuration::from_micros(rts + SIFS_US + cts + SIFS_US)
 }
 
 /// Contention window size (slots) after `retries` consecutive failures:
@@ -204,12 +190,6 @@ mod tests {
         };
         let t = frame_airtime(&f).as_micros_f64();
         assert!((50.0..300.0).contains(&t), "beacon airtime {t} µs");
-    }
-
-    #[test]
-    fn rts_cts_costs_tens_of_us() {
-        let t = rts_cts_overhead().as_micros_f64();
-        assert!((60.0..140.0).contains(&t), "RTS/CTS overhead {t} µs");
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!   12-bit, mod-4096 sequence space;
 //! * [`rate`] — Minstrel-style rate adaptation (the paper keeps each AP's
 //!   default rate control; so do we);
+//! * [`sender`] — the one sender built from the three above: staged MPDUs
+//!   and retries → A-MPDU → Block ACK or timeout → rate feedback → requeue,
+//!   run alike by the WGTT AP, the 802.11r AP and a client's uplink;
 //! * [`medium`] — a slotted CSMA/CA single-channel medium with collision
 //!   detection and capture, shared by all APs and clients (the testbed
 //!   runs every AP on channel 11);
-//! * [`queues`] — the per-AP queue stack of paper Fig. 7 (mac80211
-//!   software queue and NIC hardware queue; the WGTT-specific *cyclic*
-//!   queue lives in the `wgtt` core crate).
+//! * [`queues`] — the drop-tail mac80211 software queue of paper Fig. 7
+//!   (the NIC hardware queue below it is the sender's staged MPDUs; the
+//!   WGTT-specific *cyclic* queue lives in the `wgtt` core crate).
 //!
 //! Everything is an explicit state machine driven by the caller's event
 //! loop; nothing here schedules events itself.
@@ -33,6 +36,7 @@ pub mod mcs;
 pub mod medium;
 pub mod queues;
 pub mod rate;
+pub mod sender;
 pub mod seq;
 
 pub use frame::{Frame, FrameKind, NodeId, PacketRef};

@@ -5,24 +5,10 @@
 //! very problem WGTT's switching protocol attacks: at switch time roughly
 //! 1,600–2,000 packets sit backlogged in the old AP (§3.1.2), and unless
 //! dequeued they are transmitted over a dying link. [`BoundedQueue`] is
-//! the drop-tail building block for those layers, with the selective-flush
-//! hook (`drain_matching`) the modified `ieee80211_ops_tx()` path needs to
-//! filter out one client's packets.
+//! the drop-tail building block for the software layer; the NIC layer is
+//! the staged half of [`crate::sender::Sender`].
 
 use std::collections::VecDeque;
-
-/// Statistics a queue accumulates over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Items accepted.
-    pub enqueued: u64,
-    /// Items rejected by the packet- or byte-capacity limit.
-    pub dropped: u64,
-    /// Items removed by `pop`.
-    pub popped: u64,
-    /// Items removed by `drain_matching`.
-    pub flushed: u64,
-}
 
 /// A bounded drop-tail FIFO with both packet-count and byte caps.
 #[derive(Debug, Clone)]
@@ -31,7 +17,6 @@ pub struct BoundedQueue<T> {
     bytes: u64,
     cap_items: usize,
     cap_bytes: u64,
-    stats: QueueStats,
 }
 
 impl<T> BoundedQueue<T> {
@@ -42,7 +27,6 @@ impl<T> BoundedQueue<T> {
             bytes: 0,
             cap_items,
             cap_bytes,
-            stats: QueueStats::default(),
         }
     }
 
@@ -52,22 +36,14 @@ impl<T> BoundedQueue<T> {
         BoundedQueue::new(1_000, 1_500_000)
     }
 
-    /// NIC hardware ring: small (128 frames / 192 kB). The paper lets the
-    /// old AP drain exactly this queue during a switch (≈6 ms, §3.1.2).
-    pub fn nic_hardware() -> Self {
-        BoundedQueue::new(128, 192_000)
-    }
-
     /// Try to enqueue `item` of `len` bytes. Returns `false` (dropping the
     /// item) when either cap would be exceeded.
     pub fn push(&mut self, item: T, len: u32) -> bool {
         if self.items.len() >= self.cap_items || self.bytes + u64::from(len) > self.cap_bytes {
-            self.stats.dropped += 1;
             return false;
         }
         self.items.push_back((item, len));
         self.bytes += u64::from(len);
-        self.stats.enqueued += 1;
         true
     }
 
@@ -75,34 +51,7 @@ impl<T> BoundedQueue<T> {
     pub fn pop(&mut self) -> Option<T> {
         let (item, len) = self.items.pop_front()?;
         self.bytes -= u64::from(len);
-        self.stats.popped += 1;
         Some(item)
-    }
-
-    /// Peek at the head item.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front().map(|(i, _)| i)
-    }
-
-    /// Remove and return every queued item matching `pred`, preserving
-    /// the order of the rest — the "filter out packets destined to c"
-    /// operation of the switching protocol (§3.1.2).
-    pub fn drain_matching(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut kept = VecDeque::with_capacity(self.items.len());
-        let mut out = Vec::new();
-        let mut bytes = 0u64;
-        for (item, len) in self.items.drain(..) {
-            if pred(&item) {
-                self.stats.flushed += 1;
-                out.push(item);
-            } else {
-                bytes += u64::from(len);
-                kept.push_back((item, len));
-            }
-        }
-        self.items = kept;
-        self.bytes = bytes;
-        out
     }
 
     /// Items currently queued.
@@ -118,16 +67,6 @@ impl<T> BoundedQueue<T> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Iterate over queued items front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter().map(|(i, _)| i)
     }
 }
 
@@ -152,7 +91,6 @@ mod tests {
         assert!(q.push("a", 1));
         assert!(q.push("b", 1));
         assert!(!q.push("c", 1));
-        assert_eq!(q.stats().dropped, 1);
         assert_eq!(q.len(), 2);
     }
 
@@ -175,33 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_matching_filters_one_client() {
-        let mut q = BoundedQueue::new(100, 100_000);
-        for i in 0..10 {
-            q.push(i, 100);
-        }
-        let evens = q.drain_matching(|&i| i % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4, 6, 8]);
-        let rest: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(rest, vec![1, 3, 5, 7, 9]);
-        assert_eq!(q.stats().flushed, 5);
-    }
-
-    #[test]
-    fn drain_updates_bytes() {
-        let mut q = BoundedQueue::new(100, 100_000);
-        q.push(1, 600);
-        q.push(2, 400);
-        q.drain_matching(|&i| i == 1);
-        assert_eq!(q.bytes(), 400);
-    }
-
-    #[test]
     fn presets_have_expected_scale() {
         let sw: BoundedQueue<u32> = BoundedQueue::mac80211();
-        let hw: BoundedQueue<u32> = BoundedQueue::nic_hardware();
         assert!(sw.cap_items >= 500);
-        assert!(hw.cap_items <= 256);
     }
 
     proptest! {
@@ -223,19 +137,6 @@ mod tests {
                 prop_assert_eq!(q.bytes(), model.iter().map(|&l| u64::from(l)).sum::<u64>());
                 prop_assert_eq!(q.len(), model.len());
             }
-        }
-
-        #[test]
-        fn drain_conserves_items(items in proptest::collection::vec(0u32..100, 0..60)) {
-            let mut q = BoundedQueue::new(100, 1_000_000);
-            for &i in &items {
-                q.push(i, 10);
-            }
-            let before = q.len();
-            let drained = q.drain_matching(|&i| i < 50);
-            prop_assert_eq!(drained.len() + q.len(), before);
-            prop_assert!(drained.iter().all(|&i| i < 50));
-            prop_assert!(q.iter().all(|&i| i >= 50));
         }
     }
 }

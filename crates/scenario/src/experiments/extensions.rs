@@ -99,18 +99,10 @@ pub fn ablation_back_fwd(seed: u64) -> ExperimentOutput {
             FlowSpec::DownlinkUdp { rate_mbps: 25.0 },
             seed,
         );
-        // Sum BA timeouts across APs from the debug counters.
-        let timeouts: u64 = run
-            .world
-            .debug_summary()
-            .split("to=")
-            .skip(1)
-            .filter_map(|s| s.split(' ').next().and_then(|v| v.parse::<u64>().ok()))
-            .sum();
         out.row(vec![
             name.into(),
             f(run.mean_mbps(), 2),
-            timeouts.to_string(),
+            run.world.report.ba_timeouts.to_string(),
         ]);
     }
     out.note("forwarded Block ACKs cut full-window retransmissions at cell edges");

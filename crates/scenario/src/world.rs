@@ -27,11 +27,13 @@ use wgtt_apps::conference::{ConferenceSink, ConferenceSource};
 use wgtt_baseline::ap::BaselineAp;
 use wgtt_baseline::distribution::DistributionSystem;
 use wgtt_baseline::roamer::{Roamer, RoamerAction, RoamerMode};
+use wgtt_mac::aggregation::AggregationPolicy;
 use wgtt_mac::airtime::{frame_airtime, SIFS_US};
-use wgtt_mac::blockack::{BaOriginator, BaRecipient};
+use wgtt_mac::blockack::BaRecipient;
 use wgtt_mac::frame::{Frame, FrameKind, MgmtStep, Mpdu, NodeId, PacketRef};
 use wgtt_mac::medium::{Medium, TxId, TxOutcome};
 use wgtt_mac::rate::RateController;
+use wgtt_mac::sender::{Sender, Unacked};
 use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory, Transport};
@@ -153,12 +155,28 @@ fn set_at<T: Clone>(v: &mut Vec<T>, i: usize, value: T, fill: T) {
     v[i] = value;
 }
 
+/// Which way a flow's data travels.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Dir {
+    /// Server → client.
+    Down,
+    /// Client → server.
+    Up,
+}
+
+impl Dir {
+    /// Source and destination address of a flow's data packets.
+    fn endpoints(self, client_ip: Ipv4Addr) -> (Ipv4Addr, Ipv4Addr) {
+        match self {
+            Dir::Down => (SERVER_IP, client_ip),
+            Dir::Up => (client_ip, SERVER_IP),
+        }
+    }
+}
+
 enum FlowKind {
-    DownUdp {
-        src: CbrUdpSource,
-        sink: wgtt_net::flow::UdpFlowSink,
-    },
-    UpUdp {
+    Udp {
+        dir: Dir,
         src: CbrUdpSource,
         sink: wgtt_net::flow::UdpFlowSink,
     },
@@ -170,13 +188,8 @@ enum FlowKind {
         /// Total application bytes for finite transfers (`None` = bulk).
         limit: Option<u64>,
     },
-    DownConf {
-        src: ConferenceSource,
-        asm: FrameAssembly,
-        sink: ConferenceSink,
-        next_seq: u32,
-    },
-    UpConf {
+    Conf {
+        dir: Dir,
         src: ConferenceSource,
         asm: FrameAssembly,
         sink: ConferenceSink,
@@ -200,12 +213,9 @@ struct ClientNode {
     /// which survives switches by design); baseline APs are distinct
     /// transmitters with independent Block ACK sessions.
     ba_rx: Vec<BaRecipient>,
-    /// Uplink originator state.
-    up_fresh: std::collections::VecDeque<Mpdu>,
-    up_retries: Vec<Mpdu>,
-    up_ba: BaOriginator,
+    /// Uplink: the next sequence number to assign, and the sender.
     up_next_seq: u16,
-    up_rate: RateController,
+    uplink: Sender,
     /// This client's PHY/MAC random stream: backoff slots, per-MPDU
     /// error rolls on frames addressed to or sent by it, CSI noise on
     /// its readings, and control loss/jitter on its switch messages.
@@ -213,14 +223,8 @@ struct ClientNode {
     /// same sequence whether it lives in a monolithic world or in a
     /// spatial shard.
     rng: Xoshiro256,
-    up_in_flight_meta: Option<(Mcs, usize)>,
     /// Baseline roamer (None under WGTT).
     roamer: Option<Roamer>,
-    /// MAC pipeline gates.
-    tx_scheduled: bool,
-    exchange_pending: bool,
-    backoff_stage: u8,
-    ba_timeout_ev: Option<EventId>,
     /// Uplink MPDU (re)transmission counters (Table 3).
     up_mpdus_sent: u64,
     up_mpdu_retx: u64,
@@ -288,6 +292,12 @@ pub struct RunReport {
     /// once, so this stays at or below `switches_started +
     /// stop_retransmits`.
     pub ctl_polls: u64,
+    /// Block ACK timeouts — full-window retransmissions — summed over the
+    /// WGTT APs (filled in by [`World::finish`]; 0 for baseline runs).
+    pub ba_timeouts: u64,
+    /// Forwarded Block ACKs that settled a window the AP's own radio had
+    /// not (§3.2.1), summed likewise.
+    pub forwarded_ba_used: u64,
     /// Frames whose on-air time completed (data, keepalive and control
     /// alike) — the macro-bench's frames/s numerator.
     pub frames_on_air: u64,
@@ -378,11 +388,9 @@ enum Ev {
         msg: BackhaulMsg,
     },
     CtlPoll,
-    ApTxStart {
-        ap: NodeId,
-    },
-    ClientTxStart {
-        client: NodeId,
+    /// A station's backoff expired: it may start its next exchange.
+    TxStart {
+        node: NodeId,
     },
     TxEnd {
         tx: TxId,
@@ -410,12 +418,10 @@ enum Ev {
         step: MgmtStep,
         attempt: u8,
     },
+    /// No Block ACK came for the A-MPDU `from` sent to `peer`.
     BaTimeout {
-        ap: NodeId,
-        client: NodeId,
-    },
-    ClientBaTimeout {
-        client: NodeId,
+        from: NodeId,
+        peer: NodeId,
     },
     Traffic {
         flow: FlowId,
@@ -487,13 +493,9 @@ pub struct World {
     /// deferral. Keyed by global AP id at derivation time.
     ap_rng: Vec<Xoshiro256>,
     wgtt_cfg: WgttConfig,
-    /// AP MAC pipeline gates (indexed by AP id).
-    ap_tx_scheduled: Vec<bool>,
-    ap_exchange_pending: Vec<bool>,
-    ap_backoff: Vec<u8>,
-    ap_ba_timeout_ev: Vec<Option<EventId>>,
-    /// Which client the pending exchange addresses (per AP).
-    ap_current_peer: Vec<Option<NodeId>>,
+    /// One DCF gate per radio: APs by local index, then clients (see
+    /// `World::station_index`).
+    stations: Vec<Station>,
     /// Uplink Block-ACK receive windows per (AP, client), indexed like
     /// `links`.
     ap_up_rx: Vec<BaRecipient>,
@@ -508,13 +510,6 @@ pub struct World {
     /// that is still approaching coverage spends its time in TCP RTO
     /// backoff instead). Defaults to time zero.
     pub traffic_start: SimTime,
-    /// Protect data A-MPDUs with an RTS/CTS handshake. Off by default —
-    /// the testbed runs without it (§5.3.2) — and the ablation bench
-    /// shows the fixed overhead outweighs the protection when collisions
-    /// are rare.
-    pub rts_cts: bool,
-    /// Emit a per-event MAC trace to stderr (debugging only).
-    pub trace: bool,
     /// When enabled, a tcpdump-style line is recorded for every frame
     /// that finishes on the air (see [`World::enable_frame_log`]).
     frame_log: Option<Vec<String>>,
@@ -523,8 +518,6 @@ pub struct World {
     backhaul_capture: Option<crate::pcap::PcapWriter>,
     /// IP ident counter for the capture's outer headers.
     capture_ident: u16,
-    /// Trace only at or after this instant.
-    pub trace_from: SimTime,
     /// Skip the per-(client, AP) ESNR-trace/accuracy sampling loop in
     /// `on_sample`. Fleet runs set this: with hundreds of vehicles and
     /// dozens of APs that loop is O(clients × APs) every 10 ms and the
@@ -725,20 +718,12 @@ impl World {
                             _ => n_aps,
                         }
                     ],
-                    up_fresh: std::collections::VecDeque::new(),
-                    up_retries: Vec::new(),
-                    up_ba: BaOriginator::default(),
                     up_next_seq: 0,
-                    up_rate: RateController::new(
+                    uplink: Sender::new(RateController::new(
                         root.derive_indexed("client-rate", gci as u64).rng(),
-                    ),
+                    )),
                     rng: root.derive_indexed("client-phy", gci as u64).rng(),
-                    up_in_flight_meta: None,
                     roamer,
-                    tx_scheduled: false,
-                    exchange_pending: false,
-                    backoff_stage: 0,
-                    ba_timeout_ev: None,
                     up_mpdus_sent: 0,
                     up_mpdu_retx: 0,
                 }
@@ -763,21 +748,14 @@ impl World {
                 .map(|&id| root.derive_indexed("ap-phy", u64::from(id.0)).rng())
                 .collect(),
             wgtt_cfg,
-            ap_tx_scheduled: vec![false; n_aps],
-            ap_exchange_pending: vec![false; n_aps],
-            ap_backoff: vec![0; n_aps],
-            ap_ba_timeout_ev: vec![None; n_aps],
-            ap_current_peer: vec![None; n_aps],
+            stations: vec![Station::default(); n_aps + cfg.clients.len()],
             ap_up_rx: vec![BaRecipient::default(); n_aps * cfg.clients.len()],
             ctl_polls_armed: BTreeSet::new(),
             report: RunReport::default(),
             traffic_start: SimTime::ZERO,
-            rts_cts: false,
-            trace: false,
             frame_log: None,
             backhaul_capture: None,
             capture_ident: 0,
-            trace_from: SimTime::ZERO,
             sample_lean: false,
             esnr_scratch: Vec::new(),
             ctl_bufs: Vec::new(),
@@ -802,29 +780,28 @@ impl World {
         let flow_id = FlowId(self.flows.len() as u32);
         let client = self.clients[ci].id;
         let client_ip = self.clients[ci].ip;
+        let udp = |dir: Dir, rate_mbps| {
+            let (from, to) = dir.endpoints(client_ip);
+            FlowKind::Udp {
+                dir,
+                src: CbrUdpSource::new(flow_id, from, to, rate_mbps, UDP_LEN, SimTime::ZERO),
+                sink: wgtt_net::flow::UdpFlowSink::new(),
+            }
+        };
+        let conf = |dir, adaptive| FlowKind::Conf {
+            dir,
+            src: if adaptive {
+                ConferenceSource::adaptive(SimTime::ZERO)
+            } else {
+                ConferenceSource::fixed(SimTime::ZERO)
+            },
+            asm: FrameAssembly::default(),
+            sink: ConferenceSink::new(),
+            next_seq: 0,
+        };
         let kind = match spec {
-            FlowSpec::DownlinkUdp { rate_mbps } => FlowKind::DownUdp {
-                src: CbrUdpSource::new(
-                    flow_id,
-                    SERVER_IP,
-                    client_ip,
-                    rate_mbps,
-                    UDP_LEN,
-                    SimTime::ZERO,
-                ),
-                sink: wgtt_net::flow::UdpFlowSink::new(),
-            },
-            FlowSpec::UplinkUdp { rate_mbps } => FlowKind::UpUdp {
-                src: CbrUdpSource::new(
-                    flow_id,
-                    client_ip,
-                    SERVER_IP,
-                    rate_mbps,
-                    UDP_LEN,
-                    SimTime::ZERO,
-                ),
-                sink: wgtt_net::flow::UdpFlowSink::new(),
-            },
+            FlowSpec::DownlinkUdp { rate_mbps } => udp(Dir::Down, rate_mbps),
+            FlowSpec::UplinkUdp { rate_mbps } => udp(Dir::Up, rate_mbps),
             FlowSpec::DownlinkTcpBulk => FlowKind::DownTcp {
                 snd: TcpSender::bulk(TcpConfig::default()),
                 rcv: TcpReceiver::new(),
@@ -839,26 +816,8 @@ impl World {
                 delivered_trace: Vec::new(),
                 limit: Some(bytes),
             },
-            FlowSpec::DownlinkConference { adaptive } => FlowKind::DownConf {
-                src: if adaptive {
-                    ConferenceSource::adaptive(SimTime::ZERO)
-                } else {
-                    ConferenceSource::fixed(SimTime::ZERO)
-                },
-                asm: FrameAssembly::default(),
-                sink: ConferenceSink::new(),
-                next_seq: 0,
-            },
-            FlowSpec::UplinkConference { adaptive } => FlowKind::UpConf {
-                src: if adaptive {
-                    ConferenceSource::adaptive(SimTime::ZERO)
-                } else {
-                    ConferenceSource::fixed(SimTime::ZERO)
-                },
-                asm: FrameAssembly::default(),
-                sink: ConferenceSink::new(),
-                next_seq: 0,
-            },
+            FlowSpec::DownlinkConference { adaptive } => conf(Dir::Down, adaptive),
+            FlowSpec::UplinkConference { adaptive } => conf(Dir::Up, adaptive),
         };
         self.flows.push(Flow {
             id: flow_id,
@@ -1011,13 +970,6 @@ impl World {
     /// the comparison turns on (`crate::decide::capture_survives`).
     fn rx_survives(&mut self, tx: TxId, from: NodeId, rx: NodeId, now: SimTime) -> bool {
         if self.medium.outcome_for(tx, rx) == TxOutcome::Clean {
-            return true;
-        }
-        // RTS/CTS-protected data frames reserve the medium: neighbours
-        // that heard the CTS defer, so a recorded overlap cannot corrupt
-        // the protected payload (the RTS itself risks collision, but it
-        // is short — we fold that into the fixed overhead).
-        if self.rts_cts && self.is_ap(from) {
             return true;
         }
         // Only overlappers that can actually corrupt this receiver
@@ -1259,67 +1211,16 @@ impl World {
         for fi in 0..self.flows.len() {
             let id = self.flows[fi].id;
             match &mut self.flows[fi].kind {
-                FlowKind::DownUdp { src, .. } | FlowKind::UpUdp { src, .. } => src.defer_start(t0),
-                FlowKind::DownConf { src, .. } | FlowKind::UpConf { src, .. } => {
-                    src.defer_start(t0)
-                }
+                FlowKind::Udp { src, .. } => src.defer_start(t0),
+                FlowKind::Conf { src, .. } => src.defer_start(t0),
                 FlowKind::DownTcp { .. } => {}
             }
             self.queue.schedule(t0, Ev::Traffic { flow: id });
-            if matches!(
-                self.flows[fi].kind,
-                FlowKind::DownConf { .. } | FlowKind::UpConf { .. }
-            ) {
+            if matches!(self.flows[fi].kind, FlowKind::Conf { .. }) {
                 self.queue
                     .schedule(t0 + CONF_FEEDBACK, Ev::ConfFeedback { flow: id });
             }
         }
-    }
-
-    /// One-line diagnostic summary of internal counters (for examples and
-    /// debugging; not part of the experiment surface).
-    pub fn debug_summary(&self) -> String {
-        match &self.system {
-            SystemState::Wgtt { controller, aps } => {
-                let ap_stats: Vec<String> = aps
-                    .iter()
-                    .map(|a| {
-                        format!(
-                            "ap{}[ampdu={} mpdu={} ba={} fwd={} to={} stop={} start={}]",
-                            a.id.0,
-                            a.stats.ampdus_sent,
-                            a.stats.mpdus_sent,
-                            a.stats.block_acks_applied,
-                            a.stats.forwarded_ba_used,
-                            a.stats.ba_timeouts,
-                            a.stats.stops_handled,
-                            a.stats.starts_handled
-                        )
-                    })
-                    .collect();
-                format!(
-                    "ctl: started={} completed={} retx={} no_ap={} up_fwd={} up_dup={}\n{}",
-                    controller.stats.switches_started,
-                    controller.stats.switches_completed,
-                    controller.stats.stop_retransmits,
-                    controller.stats.downlink_no_ap,
-                    controller.stats.uplink_forwarded,
-                    controller.stats.uplink_duplicates,
-                    ap_stats.join("\n")
-                )
-            }
-            SystemState::Baseline { ds, aps } => {
-                let drops: u64 = aps.iter().map(|a| a.queue_drops).sum();
-                format!(
-                    "ds moves={} unbound={} q_drops={}",
-                    ds.moves, ds.unbound_drops, drops
-                )
-            }
-        }
-    }
-
-    fn trace_at(&self, now: SimTime) -> bool {
-        self.trace && now >= self.trace_from
     }
 
     /// Record a tcpdump-style line for every frame that completes on the
@@ -1437,7 +1338,7 @@ impl World {
         // Pull per-flow observables into the report.
         for flow in &self.flows {
             match &flow.kind {
-                FlowKind::DownUdp { src, sink } | FlowKind::UpUdp { src, sink } => {
+                FlowKind::Udp { src, sink, .. } => {
                     self.report
                         .udp_counts
                         .insert(flow.id, (u64::from(src.emitted()), sink.received()));
@@ -1455,7 +1356,7 @@ impl World {
                         .insert(flow.id, delivered_trace.clone());
                     self.report.tcp_timeouts.insert(flow.id, snd.stats.timeouts);
                 }
-                FlowKind::DownConf { sink, .. } | FlowKind::UpConf { sink, .. } => {
+                FlowKind::Conf { sink, .. } => {
                     let secs = self.report.duration.as_secs_f64().ceil() as usize;
                     self.report
                         .conference_sinks
@@ -1484,12 +1385,11 @@ impl World {
         let mut open_demand: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         for flow in &self.flows {
             let open = match &flow.kind {
-                FlowKind::DownUdp { .. } | FlowKind::DownConf { .. } => true,
+                FlowKind::Udp { dir, .. } | FlowKind::Conf { dir, .. } => *dir == Dir::Down,
                 FlowKind::DownTcp { limit: None, .. } => true,
                 FlowKind::DownTcp { limit: Some(_), .. } => {
                     !self.report.tcp_completion.contains_key(&flow.id)
                 }
-                FlowKind::UpUdp { .. } | FlowKind::UpConf { .. } => false,
             };
             if open {
                 open_demand.insert(flow.client);
@@ -1509,7 +1409,9 @@ impl World {
             }
         }
         match &self.system {
-            SystemState::Wgtt { controller, .. } => {
+            SystemState::Wgtt { controller, aps } => {
+                self.report.ba_timeouts = aps.iter().map(|a| a.stats.ba_timeouts).sum();
+                self.report.forwarded_ba_used = aps.iter().map(|a| a.stats.forwarded_ba_used).sum();
                 self.report.switches = controller.stats.switches_completed;
                 self.report.switches_started = controller.stats.switches_started;
                 self.report.stop_retransmits = controller.stats.stop_retransmits;

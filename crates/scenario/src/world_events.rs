@@ -6,8 +6,7 @@ impl World {
         match ev {
             Ev::Backhaul { to, msg } => self.on_backhaul(to, msg, now),
             Ev::CtlPoll => self.on_ctl_poll(now),
-            Ev::ApTxStart { ap } => self.on_ap_tx_start(ap, now),
-            Ev::ClientTxStart { client } => self.on_client_tx_start(client, now),
+            Ev::TxStart { node } => self.on_tx_start(node, now),
             Ev::TxEnd { tx, frame } => self.on_tx_end(tx, frame, now),
             Ev::BaResponse {
                 from,
@@ -17,8 +16,7 @@ impl World {
                 bitmap,
             } => self.on_ba_response(from, to, client, start_seq, bitmap, now),
             Ev::MgmtResponse { from, to, step } => self.on_mgmt_response(from, to, step, now),
-            Ev::BaTimeout { ap, client } => self.on_ap_ba_timeout(ap, client, now),
-            Ev::ClientBaTimeout { client } => self.on_client_ba_timeout(client, now),
+            Ev::BaTimeout { from, peer } => self.on_ba_timeout(from, peer, now),
             Ev::Traffic { flow } => self.on_traffic(flow, now),
             Ev::TcpTimer { flow } => self.on_tcp_timer(flow, now),
             Ev::Beacon { ap, retry } => self.on_beacon(ap, retry, now),
@@ -164,56 +162,30 @@ impl World {
                     return;
                 }
                 let ai = self.ap_index(ap_id);
-                let SystemState::Wgtt { .. } = &mut self.system else {
-                    return;
-                };
                 let kick_client = match &msg {
                     BackhaulMsg::DownlinkData { client, .. }
                     | BackhaulMsg::Start { client, .. }
                     | BackhaulMsg::BlockAckForward { client, .. } => Some(*client),
                     _ => None,
                 };
-                let is_fwd = matches!(&msg, BackhaulMsg::BlockAckForward { .. });
-                let is_dl = matches!(&msg, BackhaulMsg::DownlinkData { .. });
-                let actions = {
-                    let SystemState::Wgtt { aps, .. } = &mut self.system else {
-                        unreachable!()
-                    };
-                    aps[ai].on_backhaul(msg, now)
+                let SystemState::Wgtt { aps, .. } = &mut self.system else {
+                    return;
                 };
-                if self.trace_at(now) {
-                    if let Some(client) = kick_client {
-                        let inf = {
-                            let SystemState::Wgtt { aps, .. } = &self.system else {
-                                unreachable!()
-                            };
-                            aps[ai].has_in_flight(client)
-                        };
-                        eprintln!(
-                            "{now} backhaul->ap{} fwd={is_fwd} dl={is_dl} pend={} peer={:?} inflight={inf}",
-                            ai, self.ap_exchange_pending[ai], self.ap_current_peer[ai]
-                        );
-                    }
-                }
+                let actions = aps[ai].on_backhaul(msg);
                 // A forwarded Block ACK may have resolved the pending
                 // exchange.
-                if let Some(client) = kick_client {
-                    if self.ap_exchange_pending[ai]
-                        && self.ap_current_peer[ai] == Some(client)
-                        && !{
-                            let SystemState::Wgtt { aps, .. } = &self.system else {
-                                unreachable!()
-                            };
-                            aps[ai].has_in_flight(client)
-                        }
-                    {
-                        self.resolve_ap_exchange(ap_id, now);
-                    }
+                let resolved = kick_client.is_some_and(|client| {
+                    self.stations[ai].exchange_pending
+                        && self.stations[ai].peer == Some(client)
+                        && !aps[ai].has_in_flight(client)
+                });
+                if resolved {
+                    self.resolve_exchange(ap_id, now);
                 }
                 for act in actions {
                     self.backhaul_send(act.to, act.msg, now);
                 }
-                self.kick_ap(ap_id, now);
+                self.kick(ap_id, now);
             }
         }
     }
@@ -240,9 +212,18 @@ impl World {
             SystemState::Baseline { ds, aps } => {
                 if let Some(ap) = ds.route(client) {
                     aps[(ap.0 - off) as usize].enqueue_downlink(client, packet);
-                    self.kick_ap(ap, now);
+                    self.kick(ap, now);
                 }
             }
+        }
+    }
+
+    /// Send a flow's packet on its way: into the system for the client,
+    /// or into the client's MAC for the server.
+    fn route(&mut self, dir: Dir, client: NodeId, packet: Packet, now: SimTime) {
+        match dir {
+            Dir::Down => self.route_downlink(client, packet, now),
+            Dir::Up => self.enqueue_uplink(client, packet, now),
         }
     }
 
@@ -253,7 +234,7 @@ impl World {
         let c = &mut self.clients[ci];
         let seq = c.up_next_seq;
         c.up_next_seq = seq_next(seq);
-        c.up_fresh.push_back(Mpdu {
+        c.uplink.stage(Mpdu {
             seq,
             packet: PacketRef {
                 id: packet.id,
@@ -261,7 +242,7 @@ impl World {
             },
             retries: 0,
         });
-        self.kick_client(client, now);
+        self.kick(client, now);
     }
 
     fn on_traffic(&mut self, flow_id: FlowId, now: SimTime) {
@@ -269,19 +250,12 @@ impl World {
         let client = self.flows[fi].client;
         let client_ip = self.clients[self.client_index(client)].ip;
         match &mut self.flows[fi].kind {
-            FlowKind::DownUdp { src, .. } => {
+            FlowKind::Udp { dir, src, .. } => {
+                let dir = *dir;
                 let pkts = src.poll(now, &mut self.factory);
                 let next = src.next_due();
                 for p in pkts {
-                    self.route_downlink(client, p, now);
-                }
-                self.queue.schedule(next, Ev::Traffic { flow: flow_id });
-            }
-            FlowKind::UpUdp { src, .. } => {
-                let pkts = src.poll(now, &mut self.factory);
-                let next = src.next_due();
-                for p in pkts {
-                    self.enqueue_uplink(client, p, now);
+                    self.route(dir, client, p, now);
                 }
                 self.queue.schedule(next, Ev::Traffic { flow: flow_id });
             }
@@ -294,58 +268,26 @@ impl World {
                     self.queue.schedule(d, Ev::TcpTimer { flow: flow_id });
                 }
             }
-            FlowKind::DownConf {
+            FlowKind::Conf {
+                dir,
                 src,
                 asm,
                 next_seq,
                 ..
             } => {
+                let dir = *dir;
+                let (from, to) = dir.endpoints(client_ip);
                 let frames = src.poll(now);
                 let mut pkts = Vec::new();
                 for f in frames {
                     let chunks = f.bytes.div_ceil(CONF_CHUNK);
                     for seq in asm.on_frame_sent(f.id, chunks, next_seq) {
-                        pkts.push(self.factory.udp(
-                            flow_id,
-                            SERVER_IP,
-                            client_ip,
-                            seq,
-                            (CONF_CHUNK + 28) as u16,
-                            now,
-                        ));
+                        let len = (CONF_CHUNK + 28) as u16;
+                        pkts.push(self.factory.udp(flow_id, from, to, seq, len, now));
                     }
                 }
                 for p in pkts {
-                    self.route_downlink(client, p, now);
-                }
-                self.queue.schedule(
-                    now + SimDuration::from_secs_f64(1.0 / 30.0),
-                    Ev::Traffic { flow: flow_id },
-                );
-            }
-            FlowKind::UpConf {
-                src,
-                asm,
-                next_seq,
-                ..
-            } => {
-                let frames = src.poll(now);
-                let mut pkts = Vec::new();
-                for f in frames {
-                    let chunks = f.bytes.div_ceil(CONF_CHUNK);
-                    for seq in asm.on_frame_sent(f.id, chunks, next_seq) {
-                        pkts.push(self.factory.udp(
-                            flow_id,
-                            client_ip,
-                            SERVER_IP,
-                            seq,
-                            (CONF_CHUNK + 28) as u16,
-                            now,
-                        ));
-                    }
-                }
-                for p in pkts {
-                    self.enqueue_uplink(client, p, now);
+                    self.route(dir, client, p, now);
                 }
                 self.queue.schedule(
                     now + SimDuration::from_secs_f64(1.0 / 30.0),
@@ -409,7 +351,9 @@ impl World {
         let client = self.flows[fi].client;
         let client_ip = self.clients[self.client_index(client)].ip;
         match &mut self.flows[fi].kind {
-            FlowKind::UpUdp { sink, .. } => sink.on_packet(&packet, now),
+            FlowKind::Udp {
+                dir: Dir::Up, sink, ..
+            } => sink.on_packet(&packet, now),
             FlowKind::DownTcp { snd, .. } => {
                 if let Transport::Tcp {
                     ack_no, is_ack: true, ..
@@ -425,7 +369,12 @@ impl World {
                     }
                 }
             }
-            FlowKind::UpConf { asm, sink, .. } => {
+            FlowKind::Conf {
+                dir: Dir::Up,
+                asm,
+                sink,
+                ..
+            } => {
                 if let Transport::Udp { seq } = packet.transport {
                     if asm.on_chunk(seq) {
                         sink.on_frame_complete(now);
@@ -449,7 +398,11 @@ impl World {
         let client_ip = self.clients[self.client_index(client)].ip;
         let mut ack_to_send: Option<Packet> = None;
         match &mut self.flows[fi].kind {
-            FlowKind::DownUdp { sink, .. } => sink.on_packet(&packet, now),
+            FlowKind::Udp {
+                dir: Dir::Down,
+                sink,
+                ..
+            } => sink.on_packet(&packet, now),
             FlowKind::DownTcp {
                 rcv,
                 meter,
@@ -485,7 +438,12 @@ impl World {
                     ));
                 }
             }
-            FlowKind::DownConf { asm, sink, .. } => {
+            FlowKind::Conf {
+                dir: Dir::Down,
+                asm,
+                sink,
+                ..
+            } => {
                 if let Transport::Udp { seq } = packet.transport {
                     if asm.on_chunk(seq) {
                         sink.on_frame_complete(now);
@@ -502,7 +460,7 @@ impl World {
     fn on_conf_feedback(&mut self, flow_id: FlowId, now: SimTime) {
         let fi = flow_id.0 as usize;
         match &mut self.flows[fi].kind {
-            FlowKind::DownConf { src, asm, .. } | FlowKind::UpConf { src, asm, .. } => {
+            FlowKind::Conf { src, asm, .. } => {
                 let sent = asm.window_sent;
                 let done = asm.window_done;
                 if sent > 0 {

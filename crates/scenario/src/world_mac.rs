@@ -6,197 +6,161 @@
 /// to carrier sense, allowing SIFS-spaced responses to collide.
 const SENSE_LAG: SimDuration = SimDuration::from_micros(4);
 
+/// The DCF gate of one radio, AP or client: at most one backoff armed
+/// and one A-MPDU exchange pending at a time.
+#[derive(Clone, Default)]
+struct Station {
+    /// An `Ev::TxStart` is queued.
+    tx_scheduled: bool,
+    /// An A-MPDU went out and neither its Block ACK nor its timeout has
+    /// settled it.
+    exchange_pending: bool,
+    /// Backoff stage: consecutive timeouts, capped at CWmax's.
+    backoff: u8,
+    ba_timeout_ev: Option<EventId>,
+    /// Whom the pending exchange addresses.
+    peer: Option<NodeId>,
+}
+
+/// What a node id names, with its index into the per-role tables.
+#[derive(Clone, Copy)]
+enum Role {
+    Ap(usize),
+    Client(usize),
+}
+
 impl World {
-    // ------------------------------------------------------ AP pipeline
+    // ---------------------------------------------------- station gate
+    //
+    // One pipeline for every sender. What differs by role is only whether
+    // the node has work, how it builds its next A-MPDU, and which random
+    // stream backs it off.
 
-    fn ap_has_work(&self, ai: usize) -> bool {
-        match &self.system {
-            SystemState::Wgtt { aps, .. } => aps[ai].has_tx_ready(),
-            SystemState::Baseline { aps, .. } => aps[ai].has_tx_ready(),
+    fn role(&self, node: NodeId) -> Role {
+        if self.is_ap(node) {
+            Role::Ap(self.ap_index(node))
+        } else {
+            Role::Client(self.client_index(node))
         }
     }
 
-    fn kick_ap(&mut self, ap: NodeId, now: SimTime) {
-        let ai = self.ap_index(ap);
-        if self.trace_at(now) {
-            eprintln!(
-                "{now} kick_ap {ap} sched={} pend={} work={}",
-                self.ap_tx_scheduled[ai],
-                self.ap_exchange_pending[ai],
-                self.ap_has_work(ai)
-            );
+    /// Index of `node`'s gate in `stations`.
+    fn station_index(&self, node: NodeId) -> usize {
+        match self.role(node) {
+            Role::Ap(ai) => ai,
+            Role::Client(ci) => self.cfg.ap_x.len() + ci,
         }
-        if self.ap_tx_scheduled[ai] || self.ap_exchange_pending[ai] || !self.ap_has_work(ai) {
-            return;
-        }
-        let at = self
-            .medium
-            .access_time(ap, now, self.ap_backoff[ai], &mut self.ap_rng[ai]);
-        self.ap_tx_scheduled[ai] = true;
-        self.queue.schedule(at, Ev::ApTxStart { ap });
     }
 
-    fn on_ap_tx_start(&mut self, ap: NodeId, now: SimTime) {
-        let ai = self.ap_index(ap);
-        self.ap_tx_scheduled[ai] = false;
-        if self.ap_exchange_pending[ai] {
+    fn has_work(&self, node: NodeId) -> bool {
+        match (self.role(node), &self.system) {
+            (Role::Ap(ai), SystemState::Wgtt { aps, .. }) => aps[ai].has_tx_ready(),
+            (Role::Ap(ai), SystemState::Baseline { aps, .. }) => aps[ai].has_tx_ready(),
+            (Role::Client(ci), _) => self.clients[ci].uplink.has_work(),
+        }
+    }
+
+    /// The node's next A-MPDU and its addressee, marked in flight at its
+    /// sender.
+    fn next_ampdu(&mut self, node: NodeId) -> Option<(NodeId, Vec<Mpdu>, Mcs)> {
+        let (to, (mpdus, mcs)) = match (self.role(node), &mut self.system) {
+            (Role::Ap(ai), SystemState::Wgtt { aps, .. }) => {
+                let client = aps[ai].next_tx_client()?;
+                (client, aps[ai].build_txop(client)?)
+            }
+            (Role::Ap(ai), SystemState::Baseline { aps, .. }) => {
+                let client = aps[ai].next_tx_client()?;
+                (client, aps[ai].build_txop(client)?)
+            }
+            (Role::Client(ci), _) => {
+                let target = self
+                    .serving_of(node)
+                    .unwrap_or(NodeId(self.cfg.ap_id_offset));
+                let policy = AggregationPolicy::default();
+                (target, self.clients[ci].uplink.build(&policy)?)
+            }
+        };
+        Some((to, mpdus, mcs))
+    }
+
+    fn kick(&mut self, node: NodeId, now: SimTime) {
+        let si = self.station_index(node);
+        let st = &self.stations[si];
+        if st.tx_scheduled || st.exchange_pending || !self.has_work(node) {
             return;
         }
-        if self.medium.is_busy_for(ap, now) || self.medium.own_tx_until(ap, now) > now {
+        let rng = match self.role(node) {
+            Role::Ap(ai) => &mut self.ap_rng[ai],
+            Role::Client(ci) => &mut self.clients[ci].rng,
+        };
+        let at = self.medium.access_time(node, now, st.backoff, rng);
+        self.stations[si].tx_scheduled = true;
+        self.queue.schedule(at, Ev::TxStart { node });
+    }
+
+    fn on_tx_start(&mut self, node: NodeId, now: SimTime) {
+        let si = self.station_index(node);
+        self.stations[si].tx_scheduled = false;
+        if self.stations[si].exchange_pending {
+            return;
+        }
+        if self.medium.is_busy_for(node, now) || self.medium.own_tx_until(node, now) > now {
             // Someone grabbed the channel during our backoff (or our own
             // previous frame is still on the air): re-contend.
-            self.kick_ap(ap, now);
+            self.kick(node, now);
             return;
         }
-        let built = match &mut self.system {
-            SystemState::Wgtt { aps, .. } => aps[ai]
-                .next_tx_client()
-                .and_then(|c| aps[ai].build_txop(c, now).map(|(m, r)| (c, m, r))),
-            SystemState::Baseline { aps, .. } => aps[ai]
-                .next_tx_client()
-                .and_then(|c| aps[ai].build_txop(c).map(|(m, r)| (c, m, r))),
-        };
-        if self.trace_at(now) {
-            eprintln!("{now} ap_tx_start {ap} built={}", built.is_some());
-        }
-        let Some((client, mpdus, mcs)) = built else {
+        let Some((to, mpdus, mcs)) = self.next_ampdu(node) else {
             return;
         };
         let frame = Frame {
-            from: ap,
-            to: client,
+            from: node,
+            to,
             kind: FrameKind::Ampdu { mpdus },
             mcs,
         };
         let dur = frame_airtime(&frame);
-        if self.trace_at(now) {
-            eprintln!("{now} ap_begin_tx {ap} dur={dur}");
-        }
-        let tx = self.medium.begin_tx(ap, now, dur);
-        self.ap_exchange_pending[ai] = true;
-        self.ap_current_peer[ai] = Some(client);
+        let tx = self.medium.begin_tx(node, now, dur);
+        self.stations[si].exchange_pending = true;
+        self.stations[si].peer = Some(to);
         self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
     }
 
-    fn resolve_ap_exchange(&mut self, ap: NodeId, now: SimTime) {
-        let ai = self.ap_index(ap);
-        if self.trace_at(now) {
-            eprintln!("{now} resolve_ap_exchange {ap}");
-        }
-        if let Some(ev) = self.ap_ba_timeout_ev[ai].take() {
+    /// The pending exchange of `node` ended, one way or the other.
+    fn end_exchange(&mut self, node: NodeId, backoff: u8, now: SimTime) {
+        let si = self.station_index(node);
+        let st = &mut self.stations[si];
+        st.exchange_pending = false;
+        st.peer = None;
+        st.backoff = backoff;
+        self.kick(node, now);
+    }
+
+    /// A Block ACK settled the window `node` had in flight.
+    fn resolve_exchange(&mut self, node: NodeId, now: SimTime) {
+        let si = self.station_index(node);
+        if let Some(ev) = self.stations[si].ba_timeout_ev.take() {
             self.queue.cancel(ev);
         }
-        self.ap_exchange_pending[ai] = false;
-        self.ap_current_peer[ai] = None;
-        self.ap_backoff[ai] = 0;
-        self.kick_ap(ap, now);
+        self.end_exchange(node, 0, now);
     }
 
-    fn on_ap_ba_timeout(&mut self, ap: NodeId, client: NodeId, now: SimTime) {
-        let ai = self.ap_index(ap);
-        if self.trace_at(now) {
-            eprintln!("{now} ap_ba_timeout {ap}");
-        }
-        self.ap_ba_timeout_ev[ai] = None;
-        match &mut self.system {
-            SystemState::Wgtt { aps, .. } => {
-                aps[ai].on_ba_timeout(client);
+    fn on_ba_timeout(&mut self, node: NodeId, peer: NodeId, now: SimTime) {
+        let si = self.station_index(node);
+        self.stations[si].ba_timeout_ev = None;
+        match (self.role(node), &mut self.system) {
+            (Role::Ap(ai), SystemState::Wgtt { aps, .. }) => {
+                aps[ai].on_ba_timeout(peer);
             }
-            SystemState::Baseline { aps, .. } => {
-                aps[ai].on_ba_timeout(client);
+            (Role::Ap(ai), SystemState::Baseline { aps, .. }) => {
+                aps[ai].on_ba_timeout(peer);
+            }
+            (Role::Client(ci), _) => {
+                self.clients[ci].uplink.on_ba_timeout(Unacked::Retry);
             }
         }
-        self.ap_exchange_pending[ai] = false;
-        self.ap_current_peer[ai] = None;
-        self.ap_backoff[ai] = (self.ap_backoff[ai] + 1).min(6);
-        self.kick_ap(ap, now);
-    }
-
-    // -------------------------------------------------- client pipeline
-
-    fn kick_client(&mut self, client: NodeId, now: SimTime) {
-        let ci = self.client_index(client);
-        let c = &self.clients[ci];
-        if c.tx_scheduled
-            || c.exchange_pending
-            || c.up_ba.has_in_flight()
-            || (c.up_fresh.is_empty() && c.up_retries.is_empty())
-        {
-            return;
-        }
-        let stage = c.backoff_stage;
-        let at = self
-            .medium
-            .access_time(client, now, stage, &mut self.clients[ci].rng);
-        self.clients[ci].tx_scheduled = true;
-        self.queue.schedule(at, Ev::ClientTxStart { client });
-    }
-
-    fn on_client_tx_start(&mut self, client: NodeId, now: SimTime) {
-        let ci = self.client_index(client);
-        self.clients[ci].tx_scheduled = false;
-        if self.clients[ci].exchange_pending {
-            return;
-        }
-        if self.medium.is_busy_for(client, now)
-            || self.medium.own_tx_until(client, now) > now
-        {
-            self.kick_client(client, now);
-            return;
-        }
-        let target = self
-            .serving_of(client)
-            .unwrap_or(NodeId(self.cfg.ap_id_offset));
-        let c = &mut self.clients[ci];
-        let policy = wgtt_mac::aggregation::AggregationPolicy::default();
-        let mcs = c.up_rate.select();
-        let mpdus = wgtt_mac::aggregation::build_ampdu(
-            &mut c.up_retries,
-            &mut c.up_fresh,
-            &policy,
-            mcs,
-        );
-        if mpdus.is_empty() {
-            return;
-        }
-        c.up_in_flight_meta = Some((mcs, mpdus.len()));
-        c.up_ba.on_ampdu_sent(mpdus.clone());
-        c.exchange_pending = true;
-        let frame = Frame {
-            from: client,
-            to: target,
-            kind: FrameKind::Ampdu { mpdus },
-            mcs,
-        };
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(client, now, dur);
-        self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
-    }
-
-    fn resolve_client_exchange(&mut self, client: NodeId, now: SimTime) {
-        let ci = self.client_index(client);
-        if let Some(ev) = self.clients[ci].ba_timeout_ev.take() {
-            self.queue.cancel(ev);
-        }
-        self.clients[ci].exchange_pending = false;
-        self.clients[ci].backoff_stage = 0;
-        self.kick_client(client, now);
-    }
-
-    fn on_client_ba_timeout(&mut self, client: NodeId, now: SimTime) {
-        let ci = self.client_index(client);
-        self.clients[ci].ba_timeout_ev = None;
-        let c = &mut self.clients[ci];
-        if c.up_ba.has_in_flight() {
-            let r = c.up_ba.on_ba_timeout();
-            if let Some((mcs, attempted)) = c.up_in_flight_meta.take() {
-                c.up_rate.on_feedback(mcs, attempted, 0);
-            }
-            c.up_retries.extend(r.to_retry.iter().copied());
-        }
-        c.exchange_pending = false;
-        c.backoff_stage = (c.backoff_stage + 1).min(6);
-        self.kick_client(client, now);
+        let backoff = (self.stations[si].backoff + 1).min(6);
+        self.end_exchange(node, backoff, now);
     }
 
     // ------------------------------------------------------ frame ends
@@ -212,10 +176,18 @@ impl World {
         } = frame;
         let from_ap = self.is_ap(from);
         match kind {
-            FrameKind::Ampdu { mpdus } if from_ap => {
-                self.end_downlink_data(tx, from, to, &mpdus, mcs, now);
+            FrameKind::Ampdu { mpdus } => {
+                if from_ap {
+                    self.end_downlink_data(tx, from, to, &mpdus, mcs, now);
+                } else {
+                    self.end_uplink_data(tx, from, &mpdus, mcs, now);
+                }
+                let ev = self
+                    .queue
+                    .schedule(now + BA_WAIT, Ev::BaTimeout { from, peer: to });
+                let si = self.station_index(from);
+                self.stations[si].ba_timeout_ev = Some(ev);
             }
-            FrameKind::Ampdu { mpdus } => self.end_uplink_data(tx, from, &mpdus, mcs, now),
             FrameKind::BlockAck { start_seq, bitmap } if from_ap => {
                 self.end_ap_blockack(tx, from, to, start_seq, bitmap, now);
             }
@@ -321,12 +293,6 @@ impl World {
                 self.deliver_to_client(client, m.packet, now);
             }
         }
-        if self.trace_at(now) {
-            eprintln!(
-                "{now} dl_data_end ap={ap} n={} mcs={mcs:?} decoded_any={decoded_any}",
-                mpdus.len()
-            );
-        }
         if decoded_any {
             self.note_delivery(client, now);
             let (start_seq, bitmap) = self.clients[ci].ba_rx[slot].block_ack();
@@ -343,11 +309,6 @@ impl World {
                 },
             );
         }
-        let ev = self
-            .queue
-            .schedule(now + BA_WAIT, Ev::BaTimeout { ap, client });
-        let aui = self.ap_index(ap);
-        self.ap_ba_timeout_ev[aui] = Some(ev);
     }
 
     /// An uplink A-MPDU finished: every AP rolls reception independently;
@@ -383,9 +344,6 @@ impl World {
                 if self.roll_mpdu(ap, client, pos, now, mcs, m.packet.len) {
                     decoded.push(*m);
                 }
-            }
-            if self.trace_at(now) {
-                eprintln!("{now} ul_end ap={ap} decoded={}/{}", decoded.len(), mpdus.len());
             }
             if decoded.is_empty() {
                 continue;
@@ -462,10 +420,6 @@ impl World {
         }
         self.decoded_scratch = decoded;
         self.new_refs_scratch = new_refs;
-        let ev = self
-            .queue
-            .schedule(now + BA_WAIT, Ev::ClientBaTimeout { client });
-        self.clients[ci].ba_timeout_ev = Some(ev);
     }
 
     /// A client's Block ACK (for downlink data) finished: the addressee
@@ -515,8 +469,8 @@ impl World {
                         !aps[aui].has_in_flight(client)
                     }
                 };
-                if cleared && self.ap_current_peer[aui] == Some(client) {
-                    self.resolve_ap_exchange(ap, now);
+                if cleared && self.stations[aui].peer == Some(client) {
+                    self.resolve_exchange(ap, now);
                 }
             } else if wgtt && self.wgtt_cfg.enable_ba_forwarding {
                 let actions = {
@@ -553,21 +507,13 @@ impl World {
         if !self.roll_control(ap, client, pos, now) {
             return;
         }
-        if self.trace_at(now) {
-            eprintln!("{now} ap_ba_at_client from={ap}");
-        }
+        // With nothing in flight the client ignores the Block ACK
+        // outright. A stale or repeated copy changes nothing either: keep
+        // waiting for a live one or the timeout.
         let ci = self.client_index(client);
-        let c = &mut self.clients[ci];
-        if c.up_ba.has_in_flight() && c.up_ba.covers_in_flight(start_seq) {
-            let r = c.up_ba.on_block_ack(start_seq, bitmap);
-            if r.duplicate {
-                return; // stale copy; keep waiting for a live BA/timeout
-            }
-            if let Some((mcs, attempted)) = c.up_in_flight_meta.take() {
-                c.up_rate.on_feedback(mcs, attempted, r.acked.len());
-            }
-            c.up_retries.extend(r.to_retry.iter().copied());
-            self.resolve_client_exchange(client, now);
+        let up = &mut self.clients[ci].uplink;
+        if up.has_in_flight() && !up.on_block_ack(start_seq, bitmap, Unacked::Retry).duplicate {
+            self.resolve_exchange(client, now);
         }
     }
 
@@ -759,7 +705,7 @@ impl World {
                             }
                         }
                     }
-                    self.kick_ap(from, now);
+                    self.kick(from, now);
                 }
             }
             _ => {}

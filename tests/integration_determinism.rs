@@ -7,7 +7,7 @@ use wgtt_scenario::testbed::{ClientPlan, TestbedConfig};
 use wgtt_scenario::world::{FlowSpec, SystemKind, World};
 use wgtt_sim::time::{SimDuration, SimTime};
 
-fn fingerprint(system: SystemKind, seed: u64) -> (u64, u64, u64, String) {
+fn fingerprint(system: SystemKind, seed: u64) -> (u64, u64, u64, [u64; 4]) {
     let cfg = TestbedConfig::paper_array().with_clients(vec![ClientPlan::drive_by(15.0)]);
     let mut w = World::new(
         cfg,
@@ -23,7 +23,12 @@ fn fingerprint(system: SystemKind, seed: u64) -> (u64, u64, u64, String) {
         m.total_bytes(),
         w.report.switches,
         fwd + dup,
-        w.debug_summary(),
+        [
+            w.report.events_handled,
+            w.report.frames_on_air,
+            w.report.ba_timeouts,
+            w.report.forwarded_ba_used,
+        ],
     )
 }
 

@@ -63,16 +63,7 @@ fn block_ack_forwarding_engages_at_cell_edges() {
     );
     w.traffic_start = SimTime::from_millis(1000);
     w.run(SimDuration::from_secs(12));
-    let fwd_used: u64 = w
-        .debug_summary()
-        .lines()
-        .filter_map(|l| {
-            l.split("fwd=")
-                .nth(1)
-                .and_then(|s| s.split(' ').next())
-                .and_then(|s| s.parse::<u64>().ok())
-        })
-        .sum();
+    let fwd_used = w.report.forwarded_ba_used;
     assert!(
         fwd_used > 0,
         "forwarded Block ACKs should rescue at least some windows over a full drive"
