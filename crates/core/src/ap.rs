@@ -1,14 +1,15 @@
 //! The WGTT AP data plane (paper Fig. 5 right, Fig. 7).
 //!
-//! Each AP holds, per client, the replicated [`CyclicQueue`], whether it
-//! is the serving AP, and the stock 802.11n [`Sender`] every radio in the
-//! model runs. What this module adds on top of the sender is WGTT's own:
-//! the sender's staged MPDUs are the NIC hardware queue, refilled from the
-//! cyclic queue only while serving; the MAC sequence number of every MPDU
-//! *is* the packet's 12-bit cyclic index — both spaces are m = 12 bits in
-//! the paper, and sharing them is what lets a client's Block ACK window
-//! survive an AP switch seamlessly; and after `stop` the old AP drains
-//! that NIC backlog once (≈6 ms, §3.1.2) without retrying what fails.
+//! Each AP runs the stock 802.11n downlink scheduler every AP in the model
+//! runs ([`Downlink`]: one sender per client, round-robin). What this
+//! module adds on top is WGTT's own: the per-client feed is the replicated
+//! [`CyclicQueue`], which refills the sender's staged MPDUs (the NIC
+//! hardware queue) only while this AP serves the client; the MAC sequence
+//! number of every MPDU *is* the packet's 12-bit cyclic index — both
+//! spaces are m = 12 bits in the paper, and sharing them is what lets a
+//! client's Block ACK window survive an AP switch seamlessly; and after
+//! `stop` the old AP drains that NIC backlog once (≈6 ms, §3.1.2) without
+//! retrying what fails.
 //!
 //! Control messages (`stop`/`start`) are processed out-of-band from data
 //! (the paper prioritizes them past the cyclic queue); the scenario
@@ -19,11 +20,9 @@ use crate::config::WgttConfig;
 use crate::cyclic::CyclicQueue;
 use crate::messages::{BackhaulDest, BackhaulMsg};
 use std::collections::HashMap;
-use wgtt_mac::aggregation::AggregationPolicy;
-use wgtt_mac::frame::{Mpdu, NodeId, PacketRef};
-use wgtt_mac::rate::RateController;
-use wgtt_mac::sender::{BaFeedback, Sender, Unacked};
-use wgtt_mac::Mcs;
+use wgtt_mac::downlink::{Downlink, Feed, TxSide};
+use wgtt_mac::frame::{Mpdu, NodeId};
+use wgtt_mac::sender::Unacked;
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::SimTime;
 
@@ -36,39 +35,24 @@ pub struct ApAction {
     pub msg: BackhaulMsg,
 }
 
-/// Per-AP statistics.
+/// One client's driver queue at one AP, and whether this AP serves it.
 #[derive(Debug, Default)]
-pub struct ApStats {
-    /// A-MPDUs transmitted.
-    pub ampdus_sent: u64,
-    /// MPDUs transmitted (including retries).
-    pub mpdus_sent: u64,
-    /// Block ACKs applied from our own radio or forwarded copies.
-    pub block_acks_applied: u64,
-    /// Forwarded Block ACKs that rescued an otherwise-lost window.
-    pub forwarded_ba_used: u64,
-    /// Block ACK timeouts (full-window retransmissions).
-    pub ba_timeouts: u64,
-    /// `stop` control packets handled.
-    pub stops_handled: u64,
-    /// `start` control packets handled.
-    pub starts_handled: u64,
-}
-
-#[derive(Debug)]
-struct ApClientState {
+pub struct CyclicFeed {
     cyclic: CyclicQueue,
     serving: bool,
-    /// Its staged MPDUs are the NIC hardware queue, below the driver's
-    /// cyclic queue.
-    sender: Sender,
 }
 
-impl ApClientState {
-    /// See [`ApAgent::tx_ready_clients`].
-    fn tx_ready(&self) -> bool {
-        !self.sender.has_in_flight()
-            && (self.sender.has_backlog() || (self.serving && !self.cyclic.is_empty()))
+impl Feed for CyclicFeed {
+    fn pop(&mut self) -> Option<Mpdu> {
+        if !self.serving {
+            return None;
+        }
+        let (seq, packet) = self.cyclic.pop()?;
+        Some(Mpdu::fresh(seq, packet.id, packet.len))
+    }
+
+    fn has_fresh(&self) -> bool {
+        self.serving && !self.cyclic.is_empty()
     }
 
     /// A serving AP retries what a Block ACK left out. Post-stop drain
@@ -88,16 +72,12 @@ impl ApClientState {
 pub struct ApAgent {
     /// This AP's node id.
     pub id: NodeId,
-    cfg: WgttConfig,
     /// client → AP currently serving it (replicated via `AssocSync`).
     serving_map: HashMap<NodeId, NodeId>,
-    clients: HashMap<NodeId, ApClientState>,
-    rng: RngStream,
-    agg_policy: AggregationPolicy,
-    /// Round-robin cursor over clients with pending work.
-    rr_cursor: usize,
-    /// Run statistics.
-    pub stats: ApStats,
+    /// The downlink scheduler, fed per client from the cyclic queue.
+    pub tx: Downlink<CyclicFeed>,
+    /// Forwarded Block ACKs that rescued an otherwise-lost window.
+    pub forwarded_ba_used: u64,
 }
 
 impl ApAgent {
@@ -106,51 +86,30 @@ impl ApAgent {
     pub fn new(id: NodeId, cfg: WgttConfig, rng: RngStream) -> Self {
         ApAgent {
             id,
-            cfg,
             serving_map: HashMap::new(),
-            clients: HashMap::new(),
-            rng,
-            agg_policy: AggregationPolicy::default(),
-            rr_cursor: 0,
-            stats: ApStats::default(),
+            tx: Downlink::new(rng, "rate-ctl", cfg.nic_queue_mpdus),
+            forwarded_ba_used: 0,
         }
     }
 
-    fn client_mut(&mut self, client: NodeId) -> &mut ApClientState {
-        let stream = self.rng;
-        self.clients.entry(client).or_insert_with(|| {
-            let rng = stream.derive_indexed("rate-ctl", client.0 as u64).rng();
-            ApClientState {
-                cyclic: CyclicQueue::new(),
-                serving: false,
-                sender: Sender::new(RateController::new(rng)),
-            }
-        })
+    fn feed(&self, client: NodeId) -> Option<&CyclicFeed> {
+        self.tx.client(client).map(|c| &c.feed)
     }
 
     /// Whether this AP currently serves `client`.
     pub fn is_serving(&self, client: NodeId) -> bool {
-        self.clients.get(&client).is_some_and(|c| c.serving)
-    }
-
-    /// Whether an A-MPDU toward `client` is awaiting its Block ACK.
-    pub fn has_in_flight(&self, client: NodeId) -> bool {
-        self.clients
-            .get(&client)
-            .is_some_and(|c| c.sender.has_in_flight())
+        self.feed(client).is_some_and(|f| f.serving)
     }
 
     /// The first unsent cyclic index for `client` — the `k` handed over
     /// in `start(c, k)`.
     pub fn first_unsent(&self, client: NodeId) -> u16 {
-        self.clients
-            .get(&client)
-            .map_or(0, |c| c.cyclic.first_unsent())
+        self.feed(client).map_or(0, |f| f.cyclic.first_unsent())
     }
 
     /// Downlink packets backlogged in the driver cyclic queue.
     pub fn backlog(&self, client: NodeId) -> usize {
-        self.clients.get(&client).map_or(0, |c| c.cyclic.backlog())
+        self.feed(client).map_or(0, |f| f.cyclic.backlog())
     }
 
     /// Process a backhaul message addressed to this AP.
@@ -161,7 +120,7 @@ impl ApAgent {
                 index,
                 packet,
             } => {
-                self.client_mut(client).cyclic.insert(index, packet);
+                self.tx.client_mut(client).feed.cyclic.insert(index, packet);
                 Vec::new()
             }
             BackhaulMsg::Stop {
@@ -169,13 +128,12 @@ impl ApAgent {
                 next_ap,
                 switch_id,
             } => {
-                self.stats.stops_handled += 1;
-                let st = self.client_mut(client);
-                st.serving = false;
+                let feed = &mut self.tx.client_mut(client).feed;
+                feed.serving = false;
                 // k = first packet still in the driver queue. Whatever is
                 // already staged in the NIC keeps draining (§3.1.2's 6 ms
                 // grace); the new AP starts *after* it.
-                let k = st.cyclic.first_unsent();
+                let k = feed.cyclic.first_unsent();
                 vec![ApAction {
                     to: BackhaulDest::Ap(next_ap),
                     msg: BackhaulMsg::Start {
@@ -190,10 +148,9 @@ impl ApAgent {
                 k,
                 switch_id,
             } => {
-                self.stats.starts_handled += 1;
-                let st = self.client_mut(client);
-                st.cyclic.jump_to(k);
-                st.serving = true;
+                let st = self.tx.client_mut(client);
+                st.feed.cyclic.jump_to(k);
+                st.feed.serving = true;
                 // A fresh serving stint: the old AP owns its in-flight
                 // window; ours starts clean.
                 st.sender.clear_window();
@@ -209,13 +166,11 @@ impl ApAgent {
             }
             BackhaulMsg::AssocSync { client, via_ap } => {
                 self.serving_map.insert(client, via_ap);
-                if via_ap != self.id {
+                if via_ap != self.id && self.is_serving(client) {
                     // Another AP serves now; make sure we don't also
                     // believe we are serving (covers races where our Stop
                     // was processed before this sync).
-                    if let Some(st) = self.clients.get_mut(&client) {
-                        st.serving = false;
-                    }
+                    self.tx.client_mut(client).feed.serving = false;
                 }
                 Vec::new()
             }
@@ -226,103 +181,15 @@ impl ApAgent {
             } => {
                 // A neighbour overheard a Block ACK our radio may have
                 // missed.
-                let fb = self.apply_block_ack(client, start_seq, bitmap);
+                let fb = self.tx.on_block_ack(client, start_seq, bitmap);
                 if !fb.duplicate && (!fb.delivered.is_empty() || !fb.dropped.is_empty()) {
-                    self.stats.forwarded_ba_used += 1;
+                    self.forwarded_ba_used += 1;
                 }
                 Vec::new()
             }
             // Controller-bound messages are not for us.
             _ => Vec::new(),
         }
-    }
-
-    /// Clients with transmittable downlink work, in id order: serving
-    /// clients with any queued data, plus non-serving clients still
-    /// draining their NIC staging or retries. Skips clients with an
-    /// A-MPDU already in flight.
-    pub fn tx_ready_clients(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .clients
-            .iter()
-            .filter(|(_, st)| st.tx_ready())
-            .map(|(&c, _)| c)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Whether [`ApAgent::tx_ready_clients`] would name anyone — what the
-    /// scenario asks after every backhaul delivery, without the list.
-    pub fn has_tx_ready(&self) -> bool {
-        self.clients.values().any(ApClientState::tx_ready)
-    }
-
-    /// Pick the next client to transmit to (round-robin across ready
-    /// clients, so multi-client airtime shares fairly).
-    pub fn next_tx_client(&mut self) -> Option<NodeId> {
-        let ready = self.tx_ready_clients();
-        if ready.is_empty() {
-            return None;
-        }
-        let pick = ready[self.rr_cursor % ready.len()];
-        self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        Some(pick)
-    }
-
-    /// Build the next A-MPDU for `client`: refill the NIC staging from
-    /// the cyclic queue (serving only), then let the sender aggregate
-    /// retries + staged MPDUs at the rate it selects.
-    pub fn build_txop(&mut self, client: NodeId) -> Option<(Vec<Mpdu>, Mcs)> {
-        let nic_cap = self.cfg.nic_queue_mpdus;
-        let policy = self.agg_policy;
-        let st = self.client_mut(client);
-        if st.sender.has_in_flight() {
-            return None;
-        }
-        if st.serving {
-            while st.sender.staged_len() < nic_cap {
-                let Some((idx, packet)) = st.cyclic.pop() else {
-                    break;
-                };
-                st.sender.stage(Mpdu {
-                    seq: idx,
-                    packet: PacketRef {
-                        id: packet.id,
-                        len: packet.len,
-                    },
-                    retries: 0,
-                });
-            }
-        }
-        let (mpdus, mcs) = st.sender.build(&policy)?;
-        self.stats.ampdus_sent += 1;
-        self.stats.mpdus_sent += mpdus.len() as u64;
-        Some((mpdus, mcs))
-    }
-
-    fn apply_block_ack(&mut self, client: NodeId, start_seq: u16, bitmap: u64) -> BaFeedback {
-        let st = self.client_mut(client);
-        let unacked = st.unacked();
-        st.sender.on_block_ack(start_seq, bitmap, unacked)
-    }
-
-    /// A Block ACK arrived on our own radio.
-    pub fn on_block_ack(&mut self, client: NodeId, start_seq: u16, bitmap: u64) -> BaFeedback {
-        self.stats.block_acks_applied += 1;
-        self.apply_block_ack(client, start_seq, bitmap)
-    }
-
-    /// No Block ACK arrived for the in-flight A-MPDU (and no neighbour
-    /// forwarded one in time): the whole window retransmits — §3.2.1's
-    /// failure mode.
-    pub fn on_ba_timeout(&mut self, client: NodeId) -> BaFeedback {
-        let st = self.client_mut(client);
-        let in_flight = st.sender.has_in_flight();
-        let unacked = st.unacked();
-        let fb = st.sender.on_ba_timeout(unacked);
-        self.stats.ba_timeouts += u64::from(in_flight);
-        fb
     }
 
     /// Any uplink frame (including Block ACKs and bare ACKs) yields a CSI
@@ -412,7 +279,7 @@ mod tests {
         feed_downlink(&mut ap, &mut f, 100);
         assert_eq!(ap.backlog(CLIENT), 100);
         assert!(!ap.is_serving(CLIENT));
-        assert!(ap.tx_ready_clients().is_empty(), "non-serving AP is silent");
+        assert!(ap.tx.ready_clients().is_empty(), "non-serving AP is silent");
     }
 
     #[test]
@@ -421,7 +288,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 100);
         make_serving(&mut ap, 0);
-        let (mpdus, mcs) = ap.build_txop(CLIENT).expect("work queued");
+        let (mpdus, mcs) = ap.tx.build(CLIENT).expect("work queued");
         // Aggregation bounded by count, byte, and 4 ms airtime caps.
         let cap =
             wgtt_mac::aggregation::AggregationPolicy::default().byte_cap_at(mcs) as usize / 1500;
@@ -431,7 +298,7 @@ mod tests {
             assert_eq!(m.seq as usize, i, "seq == cyclic index");
         }
         // Stop-and-wait: no second A-MPDU until the first resolves.
-        assert!(ap.build_txop(CLIENT).is_none());
+        assert!(ap.tx.build(CLIENT).is_none());
     }
 
     #[test]
@@ -440,14 +307,14 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 8);
         make_serving(&mut ap, 0);
-        ap.on_ba_timeout(CLIENT);
-        assert_eq!(ap.stats.ba_timeouts, 0, "nothing was in flight");
-        let (mpdus, _) = ap.build_txop(CLIENT).unwrap();
-        let fb = ap.on_ba_timeout(CLIENT);
+        ap.tx.on_ba_timeout(CLIENT);
+        assert_eq!(ap.tx.ba_timeouts, 0, "nothing was in flight");
+        let (mpdus, _) = ap.tx.build(CLIENT).unwrap();
+        let fb = ap.tx.on_ba_timeout(CLIENT);
         assert!(fb.delivered.is_empty() && fb.dropped.is_empty());
-        assert_eq!(ap.stats.ba_timeouts, 1);
+        assert_eq!(ap.tx.ba_timeouts, 1);
         // Still serving: the window goes again from its first index.
-        let (again, _) = ap.build_txop(CLIENT).unwrap();
+        let (again, _) = ap.tx.build(CLIENT).unwrap();
         assert_eq!((again[0].seq, again[0].retries), (mpdus[0].seq, 1));
     }
 
@@ -458,7 +325,7 @@ mod tests {
         feed_downlink(&mut ap1, &mut f, 200);
         make_serving(&mut ap1, 0);
         // One TXOP pulls 64 into NIC staging, sends the first aggregate.
-        ap1.build_txop(CLIENT).unwrap();
+        ap1.tx.build(CLIENT).unwrap();
         let k_expected = ap1.first_unsent(CLIENT);
         assert_eq!(k_expected, 64, "NIC staged 64, so driver head is 64");
         let actions = ap1.on_backhaul(BackhaulMsg::Stop {
@@ -489,8 +356,8 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 200);
         make_serving(&mut ap, 0);
-        let (first, _) = ap.build_txop(CLIENT).unwrap(); // 64 staged
-        ap.on_ba_timeout(CLIENT); // first aggregate becomes retries
+        let (first, _) = ap.tx.build(CLIENT).unwrap(); // 64 staged
+        ap.tx.on_ba_timeout(CLIENT); // first aggregate becomes retries
         ap.on_backhaul(BackhaulMsg::Stop {
             client: CLIENT,
             next_ap: AP2,
@@ -498,20 +365,20 @@ mod tests {
         });
         // Still drains: retries + what is left in NIC staging — but the
         // cyclic backlog is never touched again.
-        assert_eq!(ap.tx_ready_clients(), vec![CLIENT]);
+        assert_eq!(ap.tx.ready_clients(), vec![CLIENT]);
         let backlog_before = ap.backlog(CLIENT);
         let mut drained = 0;
         let mut guard = 0;
-        while let Some((d, _)) = { ap.build_txop(CLIENT) } {
+        while let Some((d, _)) = { ap.tx.build(CLIENT) } {
             guard += 1;
             assert!(guard < 20, "drain must terminate");
             let start = d[0].seq;
             drained += d.len();
             if guard == 1 {
                 // Drain mode: one shot per packet, even when it fails.
-                assert_eq!(ap.on_ba_timeout(CLIENT).dropped.len(), d.len());
+                assert_eq!(ap.tx.on_ba_timeout(CLIENT).dropped.len(), d.len());
             } else {
-                ap.on_block_ack(CLIENT, start, u64::MAX);
+                ap.tx.on_block_ack(CLIENT, start, u64::MAX);
             }
         }
         // Everything that was staged/retried went out exactly once.
@@ -540,7 +407,7 @@ mod tests {
             BackhaulMsg::SwitchAck { ap, switch_id: 42, .. } if ap == AP2
         ));
         // First TXOP resumes exactly at k.
-        let (mpdus, _) = ap2.build_txop(CLIENT).unwrap();
+        let (mpdus, _) = ap2.tx.build(CLIENT).unwrap();
         assert_eq!(mpdus[0].seq, 64);
     }
 
@@ -554,7 +421,7 @@ mod tests {
             k: 10,
             switch_id: 1,
         });
-        ap2.build_txop(CLIENT).unwrap();
+        ap2.tx.build(CLIENT).unwrap();
         let head = ap2.first_unsent(CLIENT);
         // Retransmitted stop caused a duplicate start with the same k.
         let acks = ap2.on_backhaul(BackhaulMsg::Start {
@@ -591,7 +458,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 8);
         make_serving(&mut ap, 0);
-        let (mpdus, _) = ap.build_txop(CLIENT).unwrap();
+        let (mpdus, _) = ap.tx.build(CLIENT).unwrap();
         let bitmap = (1u64 << mpdus.len()) - 1;
         // The BA comes in over the backhaul, not the radio.
         ap.on_backhaul(BackhaulMsg::BlockAckForward {
@@ -599,11 +466,11 @@ mod tests {
             start_seq: 0,
             bitmap,
         });
-        assert_eq!(ap.stats.forwarded_ba_used, 1);
+        assert_eq!(ap.forwarded_ba_used, 1);
         // Window cleared: timeout has nothing to retransmit.
-        let fb = ap.on_ba_timeout(CLIENT);
+        let fb = ap.tx.on_ba_timeout(CLIENT);
         assert!(fb.delivered.is_empty());
-        assert!(ap.build_txop(CLIENT).is_none(), "queue empty");
+        assert!(ap.tx.build(CLIENT).is_none(), "queue empty");
     }
 
     #[test]
@@ -623,8 +490,8 @@ mod tests {
     fn round_robin_across_clients() {
         let mut ap = agent(AP1);
         let mut f = PacketFactory::new();
-        let c2 = NodeId(101);
-        for (client, base) in [(CLIENT, 0u32), (c2, 1000)] {
+        let (c2, c3) = (NodeId(101), NodeId(102));
+        for (client, base) in [(CLIENT, 0u32), (c2, 1000), (c3, 2000)] {
             for i in 0..10u16 {
                 ap.on_backhaul(BackhaulMsg::DownlinkData {
                     client,
@@ -638,8 +505,20 @@ mod tests {
                 switch_id: 0,
             });
         }
-        let first = ap.next_tx_client().unwrap();
-        let second = ap.next_tx_client().unwrap();
+        let first = ap.tx.next_client().unwrap();
+        // `first` goes mid-window: it is skipped, and the cursor counts on
+        // over the two that are left as if nothing had happened.
+        let (mpdus, _) = ap.tx.build(first).unwrap();
+        let second = ap.tx.next_client().unwrap();
         assert_ne!(first, second, "round robin must alternate");
+        let mut picks = vec![first, second];
+        picks.extend((0..2).map(|_| ap.tx.next_client().unwrap()));
+        assert_eq!(picks, [CLIENT, c3, c2, c3]);
+        // Its window settles with data left: it rejoins where the cursor
+        // now points.
+        ap.tx
+            .on_block_ack(first, mpdus[0].seq, (1 << (mpdus.len() - 1)) - 1);
+        let picks: Vec<NodeId> = (0..3).map(|_| ap.tx.next_client().unwrap()).collect();
+        assert_eq!(picks, [c2, c3, CLIENT]);
     }
 }

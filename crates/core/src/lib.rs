@@ -17,7 +17,7 @@
 //! | [`dedup`] | §3.2.2–3.2.3 | controller-side uplink de-duplication on the 48-bit (src IP, IP ident) key |
 //! | [`bafwd`] | §3.2.1 | Block ACK overhearing and forwarding between APs |
 //! | [`controller`] | §3, Fig. 5 | the control-plane state machine gluing the above together |
-//! | [`ap`] | §3.1.2, §3.2.1, §4.3 | the AP data plane: cyclic queue and `stop`/`start` on top of the stock sender (`wgtt_mac::sender`), the replicated client → serving-AP map (`AssocSync`), control-packet priority |
+//! | [`ap`] | §3.1.2, §3.2.1, §4.3 | the AP data plane: cyclic queue and `stop`/`start` as the feed of the stock AP scheduler (`wgtt_mac::downlink`), the replicated client → serving-AP map (`AssocSync`), control-packet priority |
 //!
 //! Everything is an explicit, event-loop-agnostic state machine: methods
 //! take `now` and return actions (backhaul messages to deliver, packets

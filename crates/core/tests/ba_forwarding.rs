@@ -11,6 +11,7 @@ use wgtt::ap::ApAgent;
 use wgtt::config::WgttConfig;
 use wgtt::messages::{BackhaulDest, BackhaulMsg};
 use wgtt_mac::blockack::BaRecipient;
+use wgtt_mac::downlink::TxSide;
 use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::{FlowId, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
@@ -67,8 +68,8 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
     let (mut serving, mut neighbour_a, mut neighbour_b) = deployment();
 
     // The serving AP puts an A-MPDU on the air.
-    let (mpdus, _mcs) = serving.build_txop(CLIENT).expect("backlog queued");
-    assert!(serving.has_in_flight(CLIENT));
+    let (mpdus, _mcs) = serving.tx.build(CLIENT).expect("backlog queued");
+    assert!(serving.tx.has_in_flight(CLIENT));
 
     // The client receives every MPDU and answers with a Block ACK —
     // which the serving AP's own radio *misses* (cell-edge fade), while
@@ -95,31 +96,31 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
     // First forwarded copy reaches the serving AP: the window clears as
     // if the BA had been heard on its own radio.
     serving.on_backhaul(forward_a[0].msg.clone());
-    assert!(!serving.has_in_flight(CLIENT));
-    assert_eq!(serving.stats.forwarded_ba_used, 1);
+    assert!(!serving.tx.has_in_flight(CLIENT));
+    assert_eq!(serving.forwarded_ba_used, 1);
 
     // Second forwarded copy (the other neighbour's) is deduplicated —
     // §3.2.1: "AP1 first checks whether this Block ACK has been
     // received before".
     serving.on_backhaul(forward_b[0].msg.clone());
     assert_eq!(
-        serving.stats.forwarded_ba_used, 1,
+        serving.forwarded_ba_used, 1,
         "duplicate forward must not be double-counted"
     );
 
     // The BA timeout that would have retransmitted the whole window now
     // finds nothing in flight: the overheard BA suppressed the storm.
-    let timeout = serving.on_ba_timeout(CLIENT);
+    let timeout = serving.tx.on_ba_timeout(CLIENT);
     assert!(timeout.delivered.is_empty());
     assert!(timeout.dropped.is_empty());
     assert_eq!(
-        serving.stats.ba_timeouts, 0,
+        serving.tx.ba_timeouts, 0,
         "timeout on a clear window is a no-op"
     );
 
     // Every acked packet moved on: the next TXOP carries fresh data with
     // zero retries, not the already-delivered window.
-    let (next, _) = serving.build_txop(CLIENT).expect("more backlog");
+    let (next, _) = serving.tx.build(CLIENT).expect("more backlog");
     assert!(next.iter().all(|m| m.retries == 0));
     assert_eq!(
         next[0].seq,
@@ -139,7 +140,7 @@ fn serving_ap_monitor_is_disabled_end_to_end() {
 #[test]
 fn partial_overheard_ba_retries_only_the_holes() {
     let (mut serving, mut neighbour_a, _) = deployment();
-    let (mpdus, _) = serving.build_txop(CLIENT).expect("backlog queued");
+    let (mpdus, _) = serving.tx.build(CLIENT).expect("backlog queued");
 
     // The client missed MPDUs 2 and 5; the BA says so, and only the
     // serving AP's radio missed the BA itself.
@@ -155,8 +156,8 @@ fn partial_overheard_ba_retries_only_the_holes() {
 
     // The merge behaves exactly like a native BA: holes retry, the rest
     // are delivered, and the retries lead the next TXOP.
-    assert_eq!(serving.stats.forwarded_ba_used, 1);
-    let (next, _) = serving.build_txop(CLIENT).expect("retries pending");
+    assert_eq!(serving.forwarded_ba_used, 1);
+    let (next, _) = serving.tx.build(CLIENT).expect("retries pending");
     assert_eq!(next[0].seq, 2);
     assert_eq!(next[1].seq, 5);
     assert_eq!(next[0].retries, 1);

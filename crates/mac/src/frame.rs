@@ -40,6 +40,17 @@ pub struct Mpdu {
     pub retries: u8,
 }
 
+impl Mpdu {
+    /// A first transmission of packet `id`, `len` bytes on the wire.
+    pub fn fresh(seq: u16, id: u64, len: u16) -> Self {
+        Mpdu {
+            seq,
+            packet: PacketRef { id, len },
+            retries: 0,
+        }
+    }
+}
+
 /// What kind of PHY transmission a [`Frame`] is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameKind {

@@ -18,6 +18,9 @@
 //! * [`sender`] — the one sender built from the three above: staged MPDUs
 //!   and retries → A-MPDU → Block ACK or timeout → rate feedback → requeue,
 //!   run alike by the WGTT AP, the 802.11r AP and a client's uplink;
+//! * [`downlink`] — an AP's per-client table of senders with its
+//!   round-robin pick and refill-then-build, run alike by both AP kinds
+//!   over their own per-client feed;
 //! * [`medium`] — a slotted CSMA/CA single-channel medium with collision
 //!   detection and capture, shared by all APs and clients (the testbed
 //!   runs every AP on channel 11);
@@ -31,6 +34,7 @@
 pub mod aggregation;
 pub mod airtime;
 pub mod blockack;
+pub mod downlink;
 pub mod frame;
 pub mod mcs;
 pub mod medium;

@@ -33,15 +33,10 @@ pub fn table4(seed: u64, quick: bool) -> ExperimentOutput {
         let mut ratios: Vec<f64> = (0..reps)
             .map(|i| {
                 let run = drive(sys, speed, FlowSpec::DownlinkTcpBulk, seed + i as u64);
-                let trace = run
-                    .world
-                    .report
-                    .tcp_delivery_traces
-                    .get(&FlowId(0))
-                    .cloned()
-                    .unwrap_or_default();
+                let meter = run.world.report.flow_meters.get(&FlowId(0));
+                let trace = meter.map_or(&[][..], |m| m.deliveries());
                 let mut player = VideoPlayer::hd_default(run.start);
-                for (t, bytes) in trace {
+                for &(t, bytes) in trace {
                     player.on_bytes(t, bytes);
                 }
                 player.advance(run.end);
@@ -136,14 +131,9 @@ pub fn table5(seed: u64, quick: bool) -> ExperimentOutput {
         let mut times: Vec<Option<f64>> = (0..reps)
             .map(|i| {
                 let run = drive(sys, speed, FlowSpec::DownlinkTcpBulk, seed + i as u64);
-                let trace = run
-                    .world
-                    .report
-                    .tcp_delivery_traces
-                    .get(&FlowId(0))
-                    .cloned()
-                    .unwrap_or_default();
-                replay_page_load(&trace, run.start, run.end)
+                let meter = run.world.report.flow_meters.get(&FlowId(0));
+                let trace = meter.map_or(&[][..], |m| m.deliveries());
+                replay_page_load(trace, run.start, run.end)
             })
             .collect();
         times.sort_by(|a, b| {

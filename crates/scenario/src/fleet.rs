@@ -413,7 +413,7 @@ pub struct VehicleStats {
 }
 
 /// Fleet-level aggregates of one corridor run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetReport {
     /// Vehicles simulated.
     pub vehicles: usize,
@@ -505,30 +505,12 @@ impl FleetReport {
             });
         }
 
-        outage_samples.sort_by(|a, b| a.partial_cmp(b).expect("outage is never NaN"));
-        let n = outage_samples.len() as f64;
-        let outage_cdf: Vec<(f64, f64)> = outage_samples
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, (i + 1) as f64 / n))
-            .collect();
-
-        let vehicle_minutes = ids.len() as f64 * dur_s / 60.0;
-        let switch_rate_per_vehicle_minute = if vehicle_minutes > 0.0 {
-            report.switches as f64 / vehicle_minutes
-        } else {
-            0.0
-        };
-
         FleetReport {
-            vehicles: ids.len(),
             aps: cfg.n_aps,
             duration: cfg.duration,
             per_vehicle,
             switches: report.switches,
-            switch_rate_per_vehicle_minute,
             max_ap_load: report.max_ap_load,
-            outage_cdf,
             full_outage_vehicles,
             events_handled: report.events_handled,
             frames_on_air: report.frames_on_air,
@@ -536,79 +518,65 @@ impl FleetReport {
             phy: report.phy,
             backhaul_misaddressed: report.backhaul_misaddressed,
             missing_packet_refs: report.missing_packet_refs,
+            ..FleetReport::default()
         }
+        .finish(outage_samples)
     }
 
     /// Merge per-district reports into the fleet-wide report, exactly as
     /// [`FleetReport::from_world`] would have reduced the monolithic
     /// world: `per_vehicle` concatenates in district order (= global
     /// vehicle order, since vehicle blocks are contiguous), counters
-    /// sum, the switch rate is recomputed from the summed counts with
-    /// the identical expression, and the pooled outage CDF is re-sorted
-    /// from the districts' samples (stable, so ties keep global vehicle
-    /// order, matching the monolithic sort).
+    /// sum, and [`FleetReport::finish`] derives the rest from the pooled
+    /// values as it does for one world.
     pub fn merge(parts: Vec<FleetReport>, cfg: &FleetConfig) -> FleetReport {
         assert!(!parts.is_empty(), "merge needs at least one district");
-        let dur_s = cfg.duration.as_secs_f64();
-        let mut per_vehicle = Vec::new();
+        let mut out = FleetReport {
+            aps: cfg.n_aps,
+            duration: cfg.duration,
+            ..FleetReport::default()
+        };
         let mut outage_samples: Vec<f64> = Vec::new();
-        let mut switches = 0u64;
-        let mut max_ap_load = 0u64;
-        let mut full_outage_vehicles = 0usize;
-        let mut events_handled = 0u64;
-        let mut frames_on_air = 0u64;
-        let mut ctl_polls = 0u64;
-        let mut phy = PhyWork::default();
-        let mut backhaul_misaddressed = 0u64;
-        let mut missing_packet_refs = 0u64;
         for p in parts {
             // The exact per-district CDF is one point per sample, so it
             // doubles as the raw pooled-sample view.
             outage_samples.extend(p.outage_cdf.iter().map(|&(v, _)| v));
-            per_vehicle.extend(p.per_vehicle);
-            switches += p.switches;
+            out.per_vehicle.extend(p.per_vehicle);
+            out.switches += p.switches;
             // Max-of-parts is exact: clients never cross the district
             // gap, so no AP's concurrent load mixes districts.
-            max_ap_load = max_ap_load.max(p.max_ap_load);
-            full_outage_vehicles += p.full_outage_vehicles;
-            events_handled += p.events_handled;
-            frames_on_air += p.frames_on_air;
-            ctl_polls += p.ctl_polls;
-            phy += p.phy;
-            backhaul_misaddressed += p.backhaul_misaddressed;
-            missing_packet_refs += p.missing_packet_refs;
+            out.max_ap_load = out.max_ap_load.max(p.max_ap_load);
+            out.full_outage_vehicles += p.full_outage_vehicles;
+            out.events_handled += p.events_handled;
+            out.frames_on_air += p.frames_on_air;
+            out.ctl_polls += p.ctl_polls;
+            out.phy += p.phy;
+            out.backhaul_misaddressed += p.backhaul_misaddressed;
+            out.missing_packet_refs += p.missing_packet_refs;
         }
+        out.finish(outage_samples)
+    }
+
+    /// Derive the vehicle count, the switch rate and the pooled outage
+    /// CDF from the per-vehicle entries, counters and outage samples of
+    /// one world or of several districts (the sort is stable, so ties
+    /// keep global vehicle order either way).
+    fn finish(mut self, mut outage_samples: Vec<f64>) -> FleetReport {
         outage_samples.sort_by(|a, b| a.partial_cmp(b).expect("outage is never NaN"));
         let n = outage_samples.len() as f64;
-        let outage_cdf: Vec<(f64, f64)> = outage_samples
+        self.outage_cdf = outage_samples
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (i + 1) as f64 / n))
             .collect();
-        let vehicles = per_vehicle.len();
-        let vehicle_minutes = vehicles as f64 * dur_s / 60.0;
-        let switch_rate_per_vehicle_minute = if vehicle_minutes > 0.0 {
-            switches as f64 / vehicle_minutes
+        self.vehicles = self.per_vehicle.len();
+        let vehicle_minutes = self.vehicles as f64 * self.duration.as_secs_f64() / 60.0;
+        self.switch_rate_per_vehicle_minute = if vehicle_minutes > 0.0 {
+            self.switches as f64 / vehicle_minutes
         } else {
             0.0
         };
-        FleetReport {
-            vehicles,
-            aps: cfg.n_aps,
-            duration: cfg.duration,
-            per_vehicle,
-            switches,
-            switch_rate_per_vehicle_minute,
-            max_ap_load,
-            outage_cdf,
-            full_outage_vehicles,
-            events_handled,
-            frames_on_air,
-            ctl_polls,
-            phy,
-            backhaul_misaddressed,
-            missing_packet_refs,
-        }
+        self
     }
 
     /// A bit-stable rendering of every aggregate *except*

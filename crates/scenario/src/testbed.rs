@@ -8,6 +8,7 @@
 //! 5–35 mph, singly or in the §5.2.2 multi-client patterns (following at
 //! 3 m spacing, parallel, opposing).
 
+use wgtt_mac::frame::NodeId;
 use wgtt_radio::Position;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -249,6 +250,18 @@ impl TestbedConfig {
             .iter()
             .map(|&x| Position::new(x, ROAD_OFFSET_M))
             .collect()
+    }
+
+    /// Whether `id` names one of this array's APs.
+    pub(crate) fn is_ap(&self, id: NodeId) -> bool {
+        id.0 >= self.ap_id_offset && ((id.0 - self.ap_id_offset) as usize) < self.ap_x.len()
+    }
+
+    /// Local index of an AP in the per-AP vectors (AP ids are global;
+    /// a shard's vectors cover only its own slice of the corridor).
+    pub(crate) fn ap_index(&self, ap: NodeId) -> usize {
+        debug_assert!(self.is_ap(ap), "ap_index on non-AP id {ap:?}");
+        (ap.0 - self.ap_id_offset) as usize
     }
 
     /// Road length covered by the array (first to last AP).

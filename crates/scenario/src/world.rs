@@ -30,6 +30,7 @@ use wgtt_baseline::roamer::{Roamer, RoamerAction, RoamerMode};
 use wgtt_mac::aggregation::AggregationPolicy;
 use wgtt_mac::airtime::{frame_airtime, SIFS_US};
 use wgtt_mac::blockack::BaRecipient;
+use wgtt_mac::downlink::TxSide;
 use wgtt_mac::frame::{Frame, FrameKind, MgmtStep, Mpdu, NodeId, PacketRef};
 use wgtt_mac::medium::{Medium, TxId, TxOutcome};
 use wgtt_mac::rate::RateController;
@@ -184,7 +185,6 @@ enum FlowKind {
         snd: TcpSender,
         rcv: TcpReceiver,
         meter: ThroughputMeter,
-        delivered_trace: Vec<(SimTime, u64)>,
         /// Total application bytes for finite transfers (`None` = bulk).
         limit: Option<u64>,
     },
@@ -272,8 +272,6 @@ pub struct RunReport {
     pub uplink_dedup: (u64, u64),
     /// Per-flow conference fps sinks.
     pub conference_sinks: HashMap<FlowId, Vec<f64>>,
-    /// Per-flow TCP delivered-byte traces (for offline video replay).
-    pub tcp_delivery_traces: HashMap<FlowId, Vec<(SimTime, u64)>>,
     /// TCP sender stats per flow (timeouts etc.).
     pub tcp_timeouts: HashMap<FlowId, u64>,
     /// Time of each completed finite TCP flow.
@@ -400,7 +398,6 @@ enum Ev {
     BaResponse {
         from: NodeId,
         to: NodeId,
-        client: NodeId,
         start_seq: u16,
         bitmap: u64,
     },
@@ -451,22 +448,53 @@ enum Ev {
     },
 }
 
+struct WgttSystem {
+    cfg: WgttConfig,
+    controller: Controller,
+    aps: Vec<ApAgent>,
+}
+
+struct BaselineSystem {
+    ds: DistributionSystem,
+    aps: Vec<BaselineAp>,
+}
+
+/// The system under test. `World` reaches it here: what both systems
+/// share (every AP has a transmit side) comes back as one type, what is
+/// one system's own as `None` under the other.
 #[allow(clippy::large_enum_variant)] // one per world; boxing buys nothing
 enum SystemState {
-    Wgtt {
-        controller: Controller,
-        aps: Vec<ApAgent>,
-    },
-    Baseline {
-        ds: DistributionSystem,
-        aps: Vec<BaselineAp>,
-    },
+    Wgtt(WgttSystem),
+    Baseline(BaselineSystem),
+}
+
+impl SystemState {
+    fn wgtt(&mut self) -> Option<&mut WgttSystem> {
+        match self {
+            SystemState::Wgtt(w) => Some(w),
+            SystemState::Baseline(_) => None,
+        }
+    }
+
+    fn baseline(&mut self) -> Option<&mut BaselineSystem> {
+        match self {
+            SystemState::Baseline(b) => Some(b),
+            SystemState::Wgtt(_) => None,
+        }
+    }
+
+    /// The transmit side of the AP at local index `ai`.
+    fn ap_tx(&mut self, ai: usize) -> &mut dyn TxSide {
+        match self {
+            SystemState::Wgtt(w) => &mut w.aps[ai].tx,
+            SystemState::Baseline(b) => &mut b.aps[ai].tx,
+        }
+    }
 }
 
 /// The simulation world.
 pub struct World {
     cfg: TestbedConfig,
-    system_kind: SystemKind,
     queue: EventQueue<Ev>,
     medium: Medium,
     /// One radio link per (AP, client) pair, at
@@ -492,7 +520,6 @@ pub struct World {
     /// vectors): contention backoff, Block-ACK response jitter, beacon
     /// deferral. Keyed by global AP id at derivation time.
     ap_rng: Vec<Xoshiro256>,
-    wgtt_cfg: WgttConfig,
     /// One DCF gate per radio: APs by local index, then clients (see
     /// `World::station_index`).
     stations: Vec<Station>,
@@ -660,29 +687,31 @@ impl World {
             }
         }
 
-        let wgtt_cfg = match system {
-            SystemKind::Wgtt(c) => c,
-            _ => WgttConfig::default(),
-        };
-
         let ap_ids: Vec<NodeId> = (0..n_aps as u32)
             .map(|ai| NodeId(cfg.ap_id_offset + ai))
             .collect();
         let system_state = match system {
-            SystemKind::Wgtt(c) => SystemState::Wgtt {
-                controller: Controller::new(c, ap_ids.clone()),
-                aps: ap_ids
-                    .iter()
-                    .map(|&id| ApAgent::new(id, c, root.derive_indexed("ap-agent", id.0 as u64)))
-                    .collect(),
-            },
-            SystemKind::Enhanced80211r | SystemKind::Stock80211r => SystemState::Baseline {
-                ds: DistributionSystem::new(),
-                aps: ap_ids
-                    .iter()
-                    .map(|&id| BaselineAp::new(id, root.derive_indexed("bl-ap", id.0 as u64)))
-                    .collect(),
-            },
+            SystemKind::Wgtt(wgtt_cfg) => {
+                let mut controller = Controller::new(wgtt_cfg, ap_ids.clone());
+                controller.reserve_clients(cfg.clients.len());
+                let agent = |&id: &NodeId| {
+                    ApAgent::new(id, wgtt_cfg, root.derive_indexed("ap-agent", id.0 as u64))
+                };
+                SystemState::Wgtt(WgttSystem {
+                    cfg: wgtt_cfg,
+                    controller,
+                    aps: ap_ids.iter().map(agent).collect(),
+                })
+            }
+            SystemKind::Enhanced80211r | SystemKind::Stock80211r => {
+                SystemState::Baseline(BaselineSystem {
+                    ds: DistributionSystem::new(),
+                    aps: ap_ids
+                        .iter()
+                        .map(|&id| BaselineAp::new(id, root.derive_indexed("bl-ap", id.0 as u64)))
+                        .collect(),
+                })
+            }
         };
 
         let clients: Vec<ClientNode> = cfg
@@ -711,13 +740,7 @@ impl World {
                     // The *global* index keeps shard addressing identical
                     // to the monolithic world's.
                     ip: Ipv4Addr::new(172, 16, ((100 + gci) >> 8) as u8, (100 + gci) as u8),
-                    ba_rx: vec![
-                        BaRecipient::default();
-                        match system {
-                            SystemKind::Wgtt(_) => 1,
-                            _ => n_aps,
-                        }
-                    ],
+                    ba_rx: vec![BaRecipient::default(); if roamer.is_some() { n_aps } else { 1 }],
                     up_next_seq: 0,
                     uplink: Sender::new(RateController::new(
                         root.derive_indexed("client-rate", gci as u64).rng(),
@@ -731,7 +754,6 @@ impl World {
             .collect();
 
         let mut world = World {
-            system_kind: system,
             queue: EventQueue::new(),
             medium,
             links,
@@ -747,7 +769,6 @@ impl World {
                 .iter()
                 .map(|&id| root.derive_indexed("ap-phy", u64::from(id.0)).rng())
                 .collect(),
-            wgtt_cfg,
             stations: vec![Station::default(); n_aps + cfg.clients.len()],
             ap_up_rx: vec![BaRecipient::default(); n_aps * cfg.clients.len()],
             ctl_polls_armed: BTreeSet::new(),
@@ -766,9 +787,6 @@ impl World {
             end_at: SimTime::ZERO,
             cfg,
         };
-        if let SystemState::Wgtt { controller, .. } = &mut world.system {
-            controller.reserve_clients(world.clients.len());
-        }
         for (ci, spec) in flow_specs {
             world.attach_flow(ci, spec);
         }
@@ -806,14 +824,12 @@ impl World {
                 snd: TcpSender::bulk(TcpConfig::default()),
                 rcv: TcpReceiver::new(),
                 meter: ThroughputMeter::new(),
-                delivered_trace: Vec::new(),
                 limit: None,
             },
             FlowSpec::DownlinkTcpBytes { bytes } => FlowKind::DownTcp {
                 snd: TcpSender::with_limit(TcpConfig::default(), bytes),
                 rcv: TcpReceiver::new(),
                 meter: ThroughputMeter::new(),
-                delivered_trace: Vec::new(),
                 limit: Some(bytes),
             },
             FlowSpec::DownlinkConference { adaptive } => conf(Dir::Down, adaptive),
@@ -834,18 +850,6 @@ impl World {
             "client_index called with a non-client id {id:?}"
         );
         id.0.saturating_sub(self.client_base) as usize
-    }
-
-    fn is_ap(&self, id: NodeId) -> bool {
-        id.0 >= self.cfg.ap_id_offset
-            && ((id.0 - self.cfg.ap_id_offset) as usize) < self.cfg.ap_x.len()
-    }
-
-    /// Local index of an AP in the per-AP vectors (AP ids are global;
-    /// a shard's vectors cover only its own slice of the corridor).
-    fn ap_index(&self, ap: NodeId) -> usize {
-        debug_assert!(self.is_ap(ap), "ap_index on non-AP id {ap:?}");
-        (ap.0 - self.cfg.ap_id_offset) as usize
     }
 
     /// Global NodeId of the AP at local index `aui`.
@@ -888,7 +892,7 @@ impl World {
 
     /// Index of the (ap, client) pair in `links` and `ap_up_rx`.
     fn pair_index(&self, ap: NodeId, client: NodeId) -> usize {
-        self.ap_index(ap) * self.clients.len() + self.client_index(client)
+        self.cfg.ap_index(ap) * self.clients.len() + self.client_index(client)
     }
 
     fn link(&self, ap: NodeId, client: NodeId) -> &Link {
@@ -922,7 +926,7 @@ impl World {
         b: NodeId,
         now: SimTime,
     ) -> Result<(NodeId, NodeId), f64> {
-        match (self.is_ap(a), self.is_ap(b)) {
+        match (self.cfg.is_ap(a), self.cfg.is_ap(b)) {
             (true, false) => Ok((a, b)),
             (false, true) => Ok((b, a)),
             (a_is_ap, _) => {
@@ -1074,8 +1078,8 @@ impl World {
     /// individual AP's otherwise.
     fn ba_rx_slot(&self, ap: NodeId) -> usize {
         match self.system {
-            SystemState::Wgtt { .. } => 0,
-            SystemState::Baseline { .. } => self.ap_index(ap),
+            SystemState::Wgtt(_) => 0,
+            SystemState::Baseline(_) => self.cfg.ap_index(ap),
         }
     }
 
@@ -1155,20 +1159,16 @@ impl World {
                     sa.partial_cmp(&sb).expect("SNR is never NaN")
                 })
                 .expect("at least one AP");
-            match &mut self.system {
-                SystemState::Wgtt { .. } => {
-                    self.with_controller(SimTime::ZERO, |c, buf| {
-                        c.on_client_associated(client, best_ap, SimTime::ZERO, buf);
-                    });
-                }
-                SystemState::Baseline { ds, .. } => {
-                    ds.attach(client, best_ap);
-                    self.clients[ci]
-                        .roamer
-                        .as_mut()
-                        .expect("baseline clients roam")
-                        .set_associated(best_ap, SimTime::ZERO);
-                }
+            self.with_controller(SimTime::ZERO, |c, buf| {
+                c.on_client_associated(client, best_ap, SimTime::ZERO, buf);
+            });
+            if let Some(bl) = self.system.baseline() {
+                bl.ds.attach(client, best_ap);
+                self.clients[ci]
+                    .roamer
+                    .as_mut()
+                    .expect("baseline clients roam")
+                    .set_associated(best_ap, SimTime::ZERO);
             }
         }
         // Periodic machinery.
@@ -1176,10 +1176,7 @@ impl World {
             .schedule(SimTime::ZERO + MOBILITY_TICK, Ev::Mobility);
         self.queue
             .schedule(SimTime::ZERO + SAMPLE_TICK, Ev::SampleState);
-        if matches!(
-            self.system_kind,
-            SystemKind::Enhanced80211r | SystemKind::Stock80211r
-        ) {
+        if self.system.baseline().is_some() {
             for ai in 0..self.cfg.ap_x.len() {
                 // Stagger beacons across APs as real deployments do.
                 let offset =
@@ -1344,16 +1341,8 @@ impl World {
                         .insert(flow.id, (u64::from(src.emitted()), sink.received()));
                     self.report.flow_meters.insert(flow.id, sink.meter.clone());
                 }
-                FlowKind::DownTcp {
-                    meter,
-                    delivered_trace,
-                    snd,
-                    ..
-                } => {
+                FlowKind::DownTcp { meter, snd, .. } => {
                     self.report.flow_meters.insert(flow.id, meter.clone());
-                    self.report
-                        .tcp_delivery_traces
-                        .insert(flow.id, delivered_trace.clone());
                     self.report.tcp_timeouts.insert(flow.id, snd.stats.timeouts);
                 }
                 FlowKind::Conf { sink, .. } => {
@@ -1409,9 +1398,11 @@ impl World {
             }
         }
         match &self.system {
-            SystemState::Wgtt { controller, aps } => {
-                self.report.ba_timeouts = aps.iter().map(|a| a.stats.ba_timeouts).sum();
-                self.report.forwarded_ba_used = aps.iter().map(|a| a.stats.forwarded_ba_used).sum();
+            SystemState::Wgtt(WgttSystem {
+                controller, aps, ..
+            }) => {
+                self.report.ba_timeouts = aps.iter().map(|a| a.tx.ba_timeouts).sum();
+                self.report.forwarded_ba_used = aps.iter().map(|a| a.forwarded_ba_used).sum();
                 self.report.switches = controller.stats.switches_completed;
                 self.report.switches_started = controller.stats.switches_started;
                 self.report.stop_retransmits = controller.stats.stop_retransmits;
@@ -1422,8 +1413,8 @@ impl World {
                     controller.stats.uplink_duplicates,
                 );
             }
-            SystemState::Baseline { ds, .. } => {
-                self.report.switches = ds.moves;
+            SystemState::Baseline(bl) => {
+                self.report.switches = bl.ds.moves;
             }
         }
     }
@@ -1437,6 +1428,10 @@ mod tests {
     use super::*;
     use crate::testbed::ClientPlan;
 
+    fn wgtt() -> SystemKind {
+        SystemKind::Wgtt(WgttConfig::default())
+    }
+
     fn quick_world(system: SystemKind, spec: FlowSpec, seed: u64) -> World {
         let cfg = TestbedConfig::paper_array().with_clients(vec![ClientPlan::drive_by(15.0)]);
         World::new(cfg, system, vec![spec], seed)
@@ -1444,11 +1439,7 @@ mod tests {
 
     #[test]
     fn wgtt_udp_drive_delivers_data() {
-        let mut w = quick_world(
-            SystemKind::Wgtt(WgttConfig::default()),
-            FlowSpec::DownlinkUdp { rate_mbps: 20.0 },
-            1,
-        );
+        let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 20.0 }, 1);
         // The drive starts 15 m before the array; measure once in range.
         w.run(SimDuration::from_secs(6));
         let meter = w.report.flow_meters.get(&FlowId(0)).expect("flow exists");
@@ -1458,11 +1449,7 @@ mod tests {
 
     #[test]
     fn wgtt_switches_between_aps_during_drive() {
-        let mut w = quick_world(
-            SystemKind::Wgtt(WgttConfig::default()),
-            FlowSpec::DownlinkUdp { rate_mbps: 20.0 },
-            2,
-        );
+        let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 20.0 }, 2);
         w.run(SimDuration::from_secs(5));
         assert!(
             w.report.switches >= 3,
@@ -1474,11 +1461,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut w = quick_world(
-                SystemKind::Wgtt(WgttConfig::default()),
-                FlowSpec::DownlinkUdp { rate_mbps: 20.0 },
-                seed,
-            );
+            let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 20.0 }, seed);
             w.run(SimDuration::from_secs(2));
             (
                 w.report.switches,
@@ -1511,11 +1494,7 @@ mod tests {
 
     #[test]
     fn tcp_flow_makes_progress_under_wgtt() {
-        let mut w = quick_world(
-            SystemKind::Wgtt(WgttConfig::default()),
-            FlowSpec::DownlinkTcpBulk,
-            5,
-        );
+        let mut w = quick_world(wgtt(), FlowSpec::DownlinkTcpBulk, 5);
         // Start the flow once the client is entering coverage, as the
         // paper's experiments do.
         w.traffic_start = SimTime::from_millis(1500);
@@ -1527,11 +1506,7 @@ mod tests {
 
     #[test]
     fn uplink_udp_deduplicated_at_controller() {
-        let mut w = quick_world(
-            SystemKind::Wgtt(WgttConfig::default()),
-            FlowSpec::UplinkUdp { rate_mbps: 10.0 },
-            6,
-        );
+        let mut w = quick_world(wgtt(), FlowSpec::UplinkUdp { rate_mbps: 10.0 }, 6);
         w.run(SimDuration::from_secs(3));
         let (forwarded, dups) = w.report.uplink_dedup;
         assert!(forwarded > 100, "uplink forwarded only {forwarded}");
@@ -1539,6 +1514,61 @@ mod tests {
         // And the sink saw no duplicate deliveries.
         let (_sent, received) = w.report.udp_counts[&FlowId(0)];
         assert!(received <= forwarded);
+    }
+
+    #[test]
+    fn rate_control_streams_keep_their_labels() {
+        // Every golden rests on each AP's per-client Minstrel stream being
+        // root → (AP label, AP id) → (rate label, client id): a renamed
+        // label moves the probes, and this says so before the goldens do.
+        let seed = 9;
+        let kinds = [
+            (wgtt(), "ap-agent", "rate-ctl"),
+            (SystemKind::Enhanced80211r, "bl-ap", "rate"),
+        ];
+        for (system, ap_label, rate_label) in kinds {
+            let mut w = quick_world(system, FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, seed);
+            let (ai, client) = (3, w.client_ids()[0]);
+            let stream = RngStream::root(seed)
+                .derive_indexed(ap_label, u64::from(w.ap_id(ai).0))
+                .derive_indexed(rate_label, u64::from(client.0));
+            let mut model = Sender::new(RateController::new(stream.rng()));
+            if let Some(s) = w.system.wgtt() {
+                let (k, switch_id) = (0, 0);
+                s.aps[ai].on_backhaul(BackhaulMsg::Start {
+                    client,
+                    k,
+                    switch_id,
+                });
+            }
+            let mut picks = Vec::new();
+            for index in 0..100u16 {
+                let (from, to) = Dir::Down.endpoints(w.clients[0].ip);
+                let packet =
+                    w.factory
+                        .udp(FlowId(0), from, to, index.into(), UDP_LEN, SimTime::ZERO);
+                if let Some(s) = w.system.wgtt() {
+                    s.aps[ai].on_backhaul(BackhaulMsg::DownlinkData {
+                        client,
+                        index,
+                        packet,
+                    });
+                }
+                if let Some(s) = w.system.baseline() {
+                    s.aps[ai].enqueue_downlink(client, packet);
+                }
+                let (to, mpdus, mcs) = w.system.ap_tx(ai).next_ampdu().expect("one queued");
+                assert_eq!((to, mpdus.len()), (client, 1));
+                w.system.ap_tx(ai).on_block_ack(client, mpdus[0].seq, 1);
+                model.stage(mpdus[0]);
+                let (_, want) = model.build(&AggregationPolicy::default()).unwrap();
+                model.on_block_ack(mpdus[0].seq, 1, Unacked::Retry);
+                assert_eq!(mcs, want, "{ap_label}/{rate_label}, A-MPDU {index}");
+                picks.push(mcs);
+            }
+            picks.dedup();
+            assert!(picks.len() > 10, "ten probes: the stream is read");
+        }
     }
 
     // ------------------------------------------------- AP range index
@@ -1616,7 +1646,7 @@ mod tests {
         for (ap_x, is_sorted) in [(sorted, true), (unsorted, false)] {
             let mut cfg = TestbedConfig::paper_array().with_clients(clients.clone());
             cfg.ap_x = ap_x;
-            let w = World::new(cfg, SystemKind::Wgtt(WgttConfig::default()), vec![], 1);
+            let w = World::new(cfg, wgtt(), vec![], 1);
             assert_eq!(w.ap_x_sorted, is_sorted);
             let mut visited = 0;
             for step in 0..800 {
@@ -1651,11 +1681,7 @@ mod tests {
     /// A fresh world with one open-demand downlink client, its horizon
     /// pinned at `end`, ready for hand-fed deliveries.
     fn outage_rig(end: SimDuration) -> (World, NodeId) {
-        let mut w = quick_world(
-            SystemKind::Wgtt(WgttConfig::default()),
-            FlowSpec::DownlinkUdp { rate_mbps: 2.5 },
-            1,
-        );
+        let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 2.5 }, 1);
         w.end_at = SimTime::ZERO + end;
         w.report.duration = end;
         let client = w.client_ids()[0];
@@ -1717,11 +1743,7 @@ mod tests {
     fn trailing_gap_is_not_closed_for_uplink_only_demand() {
         // An uplink-only client goes quiet on the downlink legitimately;
         // finalize must not invent a trailing outage for it.
-        let mut w = quick_world(
-            SystemKind::Wgtt(WgttConfig::default()),
-            FlowSpec::UplinkUdp { rate_mbps: 0.064 },
-            1,
-        );
+        let mut w = quick_world(wgtt(), FlowSpec::UplinkUdp { rate_mbps: 0.064 }, 1);
         w.end_at = SimTime::ZERO + SimDuration::from_secs(1);
         w.report.duration = SimDuration::from_secs(1);
         let client = w.client_ids()[0];

@@ -11,10 +11,9 @@ impl World {
             Ev::BaResponse {
                 from,
                 to,
-                client,
                 start_seq,
                 bitmap,
-            } => self.on_ba_response(from, to, client, start_seq, bitmap, now),
+            } => self.on_ba_response(from, to, start_seq, bitmap, now),
             Ev::MgmtResponse { from, to, step } => self.on_mgmt_response(from, to, step, now),
             Ev::BaTimeout { from, peer } => self.on_ba_timeout(from, peer, now),
             Ev::Traffic { flow } => self.on_traffic(flow, now),
@@ -57,17 +56,18 @@ impl World {
             },
             mcs: Mcs::Mcs0,
         };
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(client, now, dur);
-        self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
+        self.transmit(frame, now);
     }
 
     // --------------------------------------------------------- backhaul
 
     /// Queue `msg` for delivery over the Ethernet backhaul, applying
     /// latency, the switching protocol's processing delays, and the
-    /// control-loss probability.
+    /// control-loss probability. Only a WGTT world has a backhaul.
     fn backhaul_send(&mut self, to: BackhaulDest, msg: BackhaulMsg, now: SimTime) {
+        let Some(cfg) = self.system.wgtt().map(|w| w.cfg) else {
+            return;
+        };
         // Control loss and processing jitter draw from the *affected
         // client's* stream (exactly the Stop/Start/SwitchAck messages,
         // which all name one): one vehicle's switch protocol must not
@@ -75,25 +75,22 @@ impl World {
         // from the monolithic world.
         if let Some(client) = msg.control_client() {
             let ci = self.client_index(client);
-            if self.clients[ci]
-                .rng
-                .chance(self.wgtt_cfg.control_loss_prob)
-            {
+            if self.clients[ci].rng.chance(cfg.control_loss_prob) {
                 return; // lost in the Click forwarding path; timeouts recover
             }
         }
         self.capture_backhaul(&to, &msg, now);
-        let mut delay = self.wgtt_cfg.backhaul_latency;
+        let mut delay = cfg.backhaul_latency;
         let proc = match &msg {
-            BackhaulMsg::Stop { .. } => Some(self.wgtt_cfg.stop_processing_mean),
-            BackhaulMsg::Start { .. } => Some(self.wgtt_cfg.start_processing_mean),
+            BackhaulMsg::Stop { .. } => Some(cfg.stop_processing_mean),
+            BackhaulMsg::Start { .. } => Some(cfg.start_processing_mean),
             _ => None,
         };
         if let (Some(mean), Some(client)) = (proc, msg.control_client()) {
             let ci = self.client_index(client);
             let jitter = self.clients[ci]
                 .rng
-                .normal_with(mean.as_secs_f64(), self.wgtt_cfg.processing_std.as_secs_f64())
+                .normal_with(mean.as_secs_f64(), cfg.processing_std.as_secs_f64())
                 .max(0.0005);
             delay += SimDuration::from_secs_f64(jitter);
         }
@@ -111,13 +108,8 @@ impl World {
     fn with_controller(&mut self, now: SimTime, f: impl FnOnce(&mut Controller, &mut ActionBuf)) {
         let mut buf = self.ctl_bufs.pop().unwrap_or_default();
         debug_assert!(buf.is_empty());
-        let ran = if let SystemState::Wgtt { controller, .. } = &mut self.system {
-            f(controller, &mut buf);
-            true
-        } else {
-            false
-        };
-        if ran {
+        if let Some(w) = self.system.wgtt() {
+            f(&mut w.controller, &mut buf);
             self.dispatch_ctl_buf(&mut buf, now);
         }
         buf.clear();
@@ -137,12 +129,10 @@ impl World {
         // polled, once. The poll kept for a deadline is the first one
         // asked for, so its place among same-instant events is the one
         // a poll per dispatch would have given it.
-        if let SystemState::Wgtt { controller, .. } = &mut self.system {
-            if let Some(t) = controller.next_timeout() {
-                let at = t.max(now);
-                if self.ctl_polls_armed.insert(at) {
-                    self.queue.schedule(at, Ev::CtlPoll);
-                }
+        if let Some(t) = self.system.wgtt().and_then(|w| w.controller.next_timeout()) {
+            let at = t.max(now);
+            if self.ctl_polls_armed.insert(at) {
+                self.queue.schedule(at, Ev::CtlPoll);
             }
         }
     }
@@ -153,7 +143,7 @@ impl World {
                 self.with_controller(now, |c, buf| c.on_msg(msg, now, buf));
             }
             BackhaulDest::Ap(ap_id) => {
-                if !self.is_ap(ap_id) {
+                if !self.cfg.is_ap(ap_id) {
                     // A message addressed outside the AP array (a stale
                     // id from a reconfigured corridor segment) is
                     // dropped, not a crash: timeouts re-drive the
@@ -161,23 +151,23 @@ impl World {
                     self.report.backhaul_misaddressed += 1;
                     return;
                 }
-                let ai = self.ap_index(ap_id);
+                let ai = self.cfg.ap_index(ap_id);
                 let kick_client = match &msg {
                     BackhaulMsg::DownlinkData { client, .. }
                     | BackhaulMsg::Start { client, .. }
                     | BackhaulMsg::BlockAckForward { client, .. } => Some(*client),
                     _ => None,
                 };
-                let SystemState::Wgtt { aps, .. } = &mut self.system else {
+                let Some(w) = self.system.wgtt() else {
                     return;
                 };
-                let actions = aps[ai].on_backhaul(msg);
+                let actions = w.aps[ai].on_backhaul(msg);
                 // A forwarded Block ACK may have resolved the pending
                 // exchange.
                 let resolved = kick_client.is_some_and(|client| {
                     self.stations[ai].exchange_pending
                         && self.stations[ai].peer == Some(client)
-                        && !aps[ai].has_in_flight(client)
+                        && !w.aps[ai].tx.has_in_flight(client)
                 });
                 if resolved {
                     self.resolve_exchange(ap_id, now);
@@ -204,14 +194,13 @@ impl World {
     /// baseline distribution).
     fn route_downlink(&mut self, client: NodeId, packet: Packet, now: SimTime) {
         self.store_packet(packet);
-        let off = self.cfg.ap_id_offset;
         match &mut self.system {
-            SystemState::Wgtt { .. } => {
+            SystemState::Wgtt(_) => {
                 self.with_controller(now, |c, buf| c.on_downlink(client, packet, now, buf));
             }
-            SystemState::Baseline { ds, aps } => {
-                if let Some(ap) = ds.route(client) {
-                    aps[(ap.0 - off) as usize].enqueue_downlink(client, packet);
+            SystemState::Baseline(bl) => {
+                if let Some(ap) = bl.ds.route(client) {
+                    bl.aps[self.cfg.ap_index(ap)].enqueue_downlink(client, packet);
                     self.kick(ap, now);
                 }
             }
@@ -234,14 +223,7 @@ impl World {
         let c = &mut self.clients[ci];
         let seq = c.up_next_seq;
         c.up_next_seq = seq_next(seq);
-        c.uplink.stage(Mpdu {
-            seq,
-            packet: PacketRef {
-                id: packet.id,
-                len: packet.len,
-            },
-            retries: 0,
-        });
+        c.uplink.stage(Mpdu::fresh(seq, packet.id, packet.len));
         self.kick(client, now);
     }
 
@@ -406,7 +388,6 @@ impl World {
             FlowKind::DownTcp {
                 rcv,
                 meter,
-                delivered_trace,
                 limit,
                 ..
             } => {
@@ -416,7 +397,6 @@ impl World {
                     let newly = rcv.delivered - before;
                     if newly > 0 {
                         meter.record(now, newly);
-                        delivered_trace.push((now, newly));
                         if let Some(lim) = limit {
                             if rcv.delivered >= *lim {
                                 self.report
@@ -480,8 +460,8 @@ impl World {
 
     fn serving_of(&self, client: NodeId) -> Option<NodeId> {
         match &self.system {
-            SystemState::Wgtt { controller, .. } => controller.serving(client),
-            SystemState::Baseline { .. } => self.clients[self.client_index(client)]
+            SystemState::Wgtt(w) => w.controller.serving(client),
+            SystemState::Baseline(_) => self.clients[self.client_index(client)]
                 .roamer
                 .as_ref()
                 .and_then(|r| r.associated()),

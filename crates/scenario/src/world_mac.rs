@@ -8,7 +8,7 @@ const SENSE_LAG: SimDuration = SimDuration::from_micros(4);
 
 /// The DCF gate of one radio, AP or client: at most one backoff armed
 /// and one A-MPDU exchange pending at a time.
-#[derive(Clone, Default)]
+#[derive(Clone, Copy, Default)]
 struct Station {
     /// An `Ev::TxStart` is queued.
     tx_scheduled: bool,
@@ -37,8 +37,8 @@ impl World {
     // stream backs it off.
 
     fn role(&self, node: NodeId) -> Role {
-        if self.is_ap(node) {
-            Role::Ap(self.ap_index(node))
+        if self.cfg.is_ap(node) {
+            Role::Ap(self.cfg.ap_index(node))
         } else {
             Role::Client(self.client_index(node))
         }
@@ -52,40 +52,31 @@ impl World {
         }
     }
 
-    fn has_work(&self, node: NodeId) -> bool {
-        match (self.role(node), &self.system) {
-            (Role::Ap(ai), SystemState::Wgtt { aps, .. }) => aps[ai].has_tx_ready(),
-            (Role::Ap(ai), SystemState::Baseline { aps, .. }) => aps[ai].has_tx_ready(),
-            (Role::Client(ci), _) => self.clients[ci].uplink.has_work(),
+    fn has_work(&mut self, node: NodeId) -> bool {
+        match self.role(node) {
+            Role::Ap(ai) => self.system.ap_tx(ai).has_work(),
+            Role::Client(ci) => self.clients[ci].uplink.has_work(),
         }
     }
 
     /// The node's next A-MPDU and its addressee, marked in flight at its
     /// sender.
     fn next_ampdu(&mut self, node: NodeId) -> Option<(NodeId, Vec<Mpdu>, Mcs)> {
-        let (to, (mpdus, mcs)) = match (self.role(node), &mut self.system) {
-            (Role::Ap(ai), SystemState::Wgtt { aps, .. }) => {
-                let client = aps[ai].next_tx_client()?;
-                (client, aps[ai].build_txop(client)?)
-            }
-            (Role::Ap(ai), SystemState::Baseline { aps, .. }) => {
-                let client = aps[ai].next_tx_client()?;
-                (client, aps[ai].build_txop(client)?)
-            }
-            (Role::Client(ci), _) => {
+        match self.role(node) {
+            Role::Ap(ai) => self.system.ap_tx(ai).next_ampdu(),
+            Role::Client(ci) => {
                 let target = self
                     .serving_of(node)
                     .unwrap_or(NodeId(self.cfg.ap_id_offset));
-                let policy = AggregationPolicy::default();
-                (target, self.clients[ci].uplink.build(&policy)?)
+                let (mpdus, mcs) = self.clients[ci].uplink.build(&AggregationPolicy::default())?;
+                Some((target, mpdus, mcs))
             }
-        };
-        Some((to, mpdus, mcs))
+        }
     }
 
     fn kick(&mut self, node: NodeId, now: SimTime) {
         let si = self.station_index(node);
-        let st = &self.stations[si];
+        let st = self.stations[si];
         if st.tx_scheduled || st.exchange_pending || !self.has_work(node) {
             return;
         }
@@ -119,11 +110,18 @@ impl World {
             kind: FrameKind::Ampdu { mpdus },
             mcs,
         };
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(node, now, dur);
+        self.transmit(frame, now);
         self.stations[si].exchange_pending = true;
         self.stations[si].peer = Some(to);
+    }
+
+    /// Put `frame` on the air from `now`; its `Ev::TxEnd` fires when the
+    /// last symbol has left.
+    fn transmit(&mut self, frame: Frame, now: SimTime) -> TxId {
+        let dur = frame_airtime(&frame);
+        let tx = self.medium.begin_tx(frame.from, now, dur);
         self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
+        tx
     }
 
     /// The pending exchange of `node` ended, one way or the other.
@@ -148,14 +146,11 @@ impl World {
     fn on_ba_timeout(&mut self, node: NodeId, peer: NodeId, now: SimTime) {
         let si = self.station_index(node);
         self.stations[si].ba_timeout_ev = None;
-        match (self.role(node), &mut self.system) {
-            (Role::Ap(ai), SystemState::Wgtt { aps, .. }) => {
-                aps[ai].on_ba_timeout(peer);
+        match self.role(node) {
+            Role::Ap(ai) => {
+                self.system.ap_tx(ai).on_ba_timeout(peer);
             }
-            (Role::Ap(ai), SystemState::Baseline { aps, .. }) => {
-                aps[ai].on_ba_timeout(peer);
-            }
-            (Role::Client(ci), _) => {
+            Role::Client(ci) => {
                 self.clients[ci].uplink.on_ba_timeout(Unacked::Retry);
             }
         }
@@ -174,7 +169,7 @@ impl World {
             kind,
             mcs,
         } = frame;
-        let from_ap = self.is_ap(from);
+        let from_ap = self.cfg.is_ap(from);
         match kind {
             FrameKind::Ampdu { mpdus } => {
                 if from_ap {
@@ -228,7 +223,7 @@ impl World {
     /// A keepalive finished: every decoding AP reports CSI (WGTT). The
     /// baseline's client-side roamer works from beacons instead.
     fn end_keepalive(&mut self, tx: TxId, client: NodeId, now: SimTime) {
-        if !matches!(self.system, SystemState::Wgtt { .. }) {
+        if self.system.wgtt().is_none() {
             return;
         }
         let pos = self.client_pos(client, now);
@@ -240,15 +235,21 @@ impl World {
             if !self.roll_mpdu(ap, client, pos, now, Mcs::Mcs0, 40) {
                 continue;
             }
-            let esnr = self.measured_esnr(ap, client, pos, now);
-            let csi = {
-                let SystemState::Wgtt { aps, .. } = &self.system else {
-                    unreachable!()
-                };
-                aps[aui].csi_report(client, esnr, now)
-            };
-            self.backhaul_send(csi.to, csi.msg, now);
+            self.report_csi(aui, client, pos, now);
         }
+    }
+
+    /// The AP at local index `aui` decoded an uplink frame of `client`:
+    /// every one is a CSI measurement for the controller. A baseline
+    /// world has nobody to tell, and measures nothing.
+    fn report_csi(&mut self, aui: usize, client: NodeId, pos: Position, now: SimTime) {
+        if self.system.wgtt().is_none() {
+            return;
+        }
+        let esnr = self.measured_esnr(self.ap_id(aui), client, pos, now);
+        let Some(w) = self.system.wgtt() else { return };
+        let csi = w.aps[aui].csi_report(client, esnr, now);
+        self.backhaul_send(csi.to, csi.msg, now);
     }
 
     /// A downlink A-MPDU finished: roll per-MPDU delivery at the client,
@@ -303,7 +304,6 @@ impl World {
                 Ev::BaResponse {
                     from: client,
                     to: ap,
-                    client,
                     start_seq,
                     bitmap,
                 },
@@ -326,11 +326,8 @@ impl World {
         self.clients[ci].up_mpdus_sent += mpdus.len() as u64;
         self.clients[ci].up_mpdu_retx +=
             mpdus.iter().filter(|m| m.retries > 0).count() as u64;
-        let wgtt = matches!(self.system, SystemState::Wgtt { .. });
-        let assoc_ap = match &self.system {
-            SystemState::Baseline { ds, .. } => ds.binding(client),
-            _ => None,
-        };
+        let wgtt = self.system.wgtt().is_some();
+        let assoc_ap = self.system.baseline().and_then(|bl| bl.ds.binding(client));
         let pos = self.client_pos(client, now);
         let mut decoded = std::mem::take(&mut self.decoded_scratch);
         let mut new_refs = std::mem::take(&mut self.new_refs_scratch);
@@ -364,14 +361,7 @@ impl World {
                 }
             }
             if wgtt {
-                let esnr = self.measured_esnr(ap, client, pos, now);
-                let csi = {
-                    let SystemState::Wgtt { aps, .. } = &self.system else {
-                        unreachable!()
-                    };
-                    aps[aui].csi_report(client, esnr, now)
-                };
-                self.backhaul_send(csi.to, csi.msg, now);
+                self.report_csi(aui, client, pos, now);
                 for &r in &new_refs {
                     let Some(packet) = self.packet_by_ref(r) else {
                         self.report.missing_packet_refs += 1;
@@ -411,7 +401,6 @@ impl World {
                     Ev::BaResponse {
                         from: ap,
                         to: client,
-                        client,
                         start_seq,
                         bitmap,
                     },
@@ -434,7 +423,6 @@ impl World {
         bitmap: u64,
         now: SimTime,
     ) {
-        let wgtt = matches!(self.system, SystemState::Wgtt { .. });
         let pos = self.client_pos(client, now);
         for aui in self.ap_window(pos.x) {
             if !self.ap_hears(aui, tx, client, pos, now) {
@@ -444,43 +432,21 @@ impl World {
             if !self.roll_control(ap, client, pos, now) {
                 continue;
             }
-            if wgtt {
-                // Every uplink frame is a CSI opportunity.
-                let esnr = self.measured_esnr(ap, client, pos, now);
-                let csi = {
-                    let SystemState::Wgtt { aps, .. } = &self.system else {
-                        unreachable!()
-                    };
-                    aps[aui].csi_report(client, esnr, now)
-                };
-                self.backhaul_send(csi.to, csi.msg, now);
-            }
+            self.report_csi(aui, client, pos, now);
             if ap == target {
-                let cleared = match &mut self.system {
-                    SystemState::Wgtt { aps, .. } => {
-                        aps[aui].on_block_ack(client, start_seq, bitmap);
-                        !aps[aui].has_in_flight(client)
-                    }
-                    SystemState::Baseline { aps, .. } => {
-                        aps[aui].on_block_ack(client, start_seq, bitmap);
-                        // A byte-identical BA for a retransmission window
-                        // is a no-op here too: resolve only when the
-                        // window actually cleared.
-                        !aps[aui].has_in_flight(client)
-                    }
-                };
+                let ap_tx = self.system.ap_tx(aui);
+                ap_tx.on_block_ack(client, start_seq, bitmap);
+                // A byte-identical BA for a retransmission window is a
+                // no-op: resolve only when the window actually cleared.
+                let cleared = !ap_tx.has_in_flight(client);
                 if cleared && self.stations[aui].peer == Some(client) {
                     self.resolve_exchange(ap, now);
                 }
-            } else if wgtt && self.wgtt_cfg.enable_ba_forwarding {
-                let actions = {
-                    let SystemState::Wgtt { aps, .. } = &mut self.system else {
-                        unreachable!()
-                    };
-                    aps[aui].on_overheard_block_ack(client, start_seq, bitmap)
-                };
-                for act in actions {
-                    self.backhaul_send(act.to, act.msg, now);
+            } else if let Some(w) = self.system.wgtt() {
+                if w.cfg.enable_ba_forwarding {
+                    for act in w.aps[aui].on_overheard_block_ack(client, start_seq, bitmap) {
+                        self.backhaul_send(act.to, act.msg, now);
+                    }
                 }
             }
         }
@@ -521,7 +487,6 @@ impl World {
         &mut self,
         from: NodeId,
         to: NodeId,
-        _client: NodeId,
         start_seq: u16,
         bitmap: u64,
         now: SimTime,
@@ -539,12 +504,10 @@ impl World {
             kind: FrameKind::BlockAck { start_seq, bitmap },
             mcs: Mcs::Mcs0,
         };
-        if self.is_ap(from) {
+        if self.cfg.is_ap(from) {
             self.report.ba_responses.incr();
         }
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(from, now, dur);
-        self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
+        self.transmit(frame, now);
     }
 
     // -------------------------------------------------- baseline frames
@@ -556,7 +519,7 @@ impl World {
         }
         if self.medium.is_busy_for(ap, now) {
             if !retry {
-                let ai = self.ap_index(ap);
+                let ai = self.cfg.ap_index(ap);
                 let at = self.medium.busy_until_for(ap, now)
                     + SimDuration::from_micros(
                         wgtt_mac::airtime::DIFS_US + self.ap_rng[ai].below(64),
@@ -571,13 +534,11 @@ impl World {
             kind: FrameKind::Beacon,
             mcs: Mcs::Mcs0,
         };
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(ap, now, dur);
-        self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
+        self.transmit(frame, now);
     }
 
     fn end_beacon(&mut self, tx: TxId, ap: NodeId, now: SimTime) {
-        let aui = self.ap_index(ap);
+        let aui = self.cfg.ap_index(ap);
         for ci in 0..self.clients.len() {
             let client = self.clients[ci].id;
             let pos = self.client_pos(client, now);
@@ -655,9 +616,7 @@ impl World {
             kind: FrameKind::Mgmt { step },
             mcs: Mcs::Mcs0,
         };
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(from, now, dur);
-        self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
+        self.transmit(frame, now);
     }
 
     fn end_mgmt(&mut self, tx: TxId, from: NodeId, to: NodeId, step: MgmtStep, now: SimTime) {
@@ -695,14 +654,11 @@ impl World {
                     .as_mut()
                     .is_some_and(|r| r.on_assoc_response(from, now));
                 if switched {
-                    let off = self.cfg.ap_id_offset;
-                    if let SystemState::Baseline { ds, aps } = &mut self.system {
-                        let old = ds.binding(to);
-                        ds.on_reassoc(to, from);
-                        if let Some(old_ap) = old {
-                            if old_ap != from {
-                                aps[(old_ap.0 - off) as usize].flush_client(to);
-                            }
+                    if let Some(bl) = self.system.baseline() {
+                        let old = bl.ds.binding(to);
+                        bl.ds.on_reassoc(to, from);
+                        if let Some(old_ap) = old.filter(|&old_ap| old_ap != from) {
+                            bl.aps[self.cfg.ap_index(old_ap)].flush_client(to);
                         }
                     }
                     self.kick(from, now);
@@ -722,8 +678,6 @@ impl World {
             kind: FrameKind::Mgmt { step },
             mcs: Mcs::Mcs0,
         };
-        let dur = frame_airtime(&frame);
-        let tx = self.medium.begin_tx(from, now, dur);
-        self.queue.schedule(now + dur, Ev::TxEnd { tx, frame });
+        self.transmit(frame, now);
     }
 }

@@ -377,6 +377,11 @@ impl ThroughputMeter {
         self.total_bytes
     }
 
+    /// Every delivery recorded, in time order.
+    pub fn deliveries(&self) -> &[(SimTime, u64)] {
+        &self.deliveries
+    }
+
     /// Number of delivery records.
     pub fn count(&self) -> usize {
         self.deliveries.len()

@@ -30,9 +30,9 @@ fn stream(system: SystemKind, name: &str, speed_mph: f64, seed: u64) {
 
     // Replay the delivered-byte trace through the player model (1,500 ms
     // pre-buffer, 2.5 Mbit/s media rate — the paper's HD configuration).
-    let trace = world.report.tcp_delivery_traces[&FlowId(0)].clone();
+    let trace = world.report.flow_meters[&FlowId(0)].deliveries();
     let mut player = VideoPlayer::hd_default(start);
-    for (t, bytes) in trace {
+    for &(t, bytes) in trace {
         player.on_bytes(t, bytes);
     }
     let end = SimTime::ZERO + transit;

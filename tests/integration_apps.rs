@@ -31,10 +31,10 @@ fn static_world(spec: FlowSpec, seed: u64) -> World {
 fn video_replay_over_good_link_never_rebuffers() {
     let mut w = static_world(FlowSpec::DownlinkTcpBulk, 51);
     w.run(SimDuration::from_secs(8));
-    let trace = w.report.tcp_delivery_traces[&FlowId(0)].clone();
+    let trace = w.report.flow_meters[&FlowId(0)].deliveries();
     assert!(!trace.is_empty());
     let mut player = VideoPlayer::hd_default(SimTime::from_millis(200));
-    for (t, b) in trace {
+    for &(t, b) in trace {
         player.on_bytes(t, b);
     }
     player.advance(SimTime::from_secs(8));
