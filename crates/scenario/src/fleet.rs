@@ -19,7 +19,7 @@
 //! outage instead of a NaN.
 
 use crate::testbed::{ClientPlan, Direction, StopAndGo, TestbedConfig, MPH};
-use crate::world::{FlowSpec, PhyWork, SystemKind, World};
+use crate::world::{EventCounts, FlowSpec, PhyWork, SystemKind, World};
 use wgtt_apps::mix::{AppKind, TrafficMix};
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::Position;
@@ -440,10 +440,10 @@ pub struct FleetReport {
     pub events_handled: u64,
     /// Frames that completed on the air (macro-bench numerator).
     pub frames_on_air: u64,
-    /// Controller timeout polls among `events_handled`. Like the event
+    /// `events_handled` by kind (see [`EventCounts`]). Like the event
     /// count, a property of the engine rather than of the physics, so
     /// it stays outside [`FleetReport::equivalence_digest`].
-    pub ctl_polls: u64,
+    pub events: EventCounts,
     /// PHY work counters (see [`PhyWork`]); outside the digest for the
     /// same reason.
     pub phy: PhyWork,
@@ -514,7 +514,7 @@ impl FleetReport {
             full_outage_vehicles,
             events_handled: report.events_handled,
             frames_on_air: report.frames_on_air,
-            ctl_polls: report.ctl_polls,
+            events: report.events,
             phy: report.phy,
             backhaul_misaddressed: report.backhaul_misaddressed,
             missing_packet_refs: report.missing_packet_refs,
@@ -549,7 +549,7 @@ impl FleetReport {
             out.full_outage_vehicles += p.full_outage_vehicles;
             out.events_handled += p.events_handled;
             out.frames_on_air += p.frames_on_air;
-            out.ctl_polls += p.ctl_polls;
+            out.events += p.events;
             out.phy += p.phy;
             out.backhaul_misaddressed += p.backhaul_misaddressed;
             out.missing_packet_refs += p.missing_packet_refs;

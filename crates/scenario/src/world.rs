@@ -285,11 +285,8 @@ pub struct RunReport {
     /// Discrete events handled by [`World::run`] — the macro-bench's
     /// events/s numerator.
     pub events_handled: u64,
-    /// Controller timeout polls among them. Each switch start and each
-    /// stop retransmission arms one deadline and a deadline is polled
-    /// once, so this stays at or below `switches_started +
-    /// stop_retransmits`.
-    pub ctl_polls: u64,
+    /// The same events by kind.
+    pub events: EventCounts,
     /// Block ACK timeouts — full-window retransmissions — summed over the
     /// WGTT APs (filled in by [`World::finish`]; 0 for baseline runs).
     pub ba_timeouts: u64,
@@ -365,6 +362,101 @@ impl std::ops::AddAssign for PhyWork {
     }
 }
 
+/// Declares [`EventCounts`] with its printing order and its sum from one
+/// list of fields.
+macro_rules! event_counts {
+    ($($(#[$doc:meta])* $field:ident $label:literal,)*) => {
+        /// Events handled, by [`Ev`] kind: `events_handled` taken apart. A
+        /// property of the engine like [`PhyWork`] — a monolithic world
+        /// and its districts need not agree — but for one engine, one
+        /// configuration and one seed every count repeats exactly.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EventCounts {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl EventCounts {
+            /// Every count under its kind's name, in declaration order.
+            pub fn by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($label, self.$field)),*].into_iter()
+            }
+        }
+
+        impl std::ops::AddAssign for EventCounts {
+            fn add_assign(&mut self, o: EventCounts) {
+                $(self.$field += o.$field;)*
+            }
+        }
+    };
+}
+
+event_counts! {
+    /// Backhaul deliveries to APs: one per message, or one per fan-out of
+    /// one message to several APs.
+    backhaul_to_ap "Backhaul->AP",
+    /// Backhaul deliveries to the controller.
+    backhaul_to_controller "Backhaul->Controller",
+    /// Controller timeout polls. Each switch start and each stop
+    /// retransmission arms one deadline and a deadline is polled once, so
+    /// this stays at or below `switches_started + stop_retransmits`.
+    ctl_poll "CtlPoll",
+    /// Backoff expiries.
+    tx_start "TxStart",
+    /// Frames leaving the air.
+    tx_end "TxEnd",
+    /// (Block) ACK responses.
+    ba_response "BaResponse",
+    /// Management-frame ACKs.
+    mgmt_response "MgmtResponse",
+    /// Contended management transmissions.
+    mgmt_tx "MgmtTx",
+    /// Block ACK timeouts.
+    ba_timeout "BaTimeout",
+    /// Traffic source ticks.
+    traffic "Traffic",
+    /// TCP retransmission timers, live and stale.
+    tcp_timer "TcpTimer",
+    /// Baseline beacons.
+    beacon "Beacon",
+    /// Baseline roamer polls.
+    roam_poll "RoamPoll",
+    /// Position refreshes.
+    mobility "Mobility",
+    /// Conference loss-feedback ticks.
+    conf_feedback "ConfFeedback",
+    /// Serving-AP / accuracy sampling ticks.
+    sample_state "SampleState",
+    /// Client keepalives.
+    keepalive "Keepalive",
+}
+
+impl EventCounts {
+    fn of(&mut self, ev: &Ev) -> &mut u64 {
+        match ev {
+            Ev::Backhaul {
+                to: BackhaulTo::One(BackhaulDest::Controller),
+                ..
+            } => &mut self.backhaul_to_controller,
+            Ev::Backhaul { .. } => &mut self.backhaul_to_ap,
+            Ev::CtlPoll => &mut self.ctl_poll,
+            Ev::TxStart { .. } => &mut self.tx_start,
+            Ev::TxEnd { .. } => &mut self.tx_end,
+            Ev::BaResponse { .. } => &mut self.ba_response,
+            Ev::MgmtResponse { .. } => &mut self.mgmt_response,
+            Ev::MgmtTx { .. } => &mut self.mgmt_tx,
+            Ev::BaTimeout { .. } => &mut self.ba_timeout,
+            Ev::Traffic { .. } => &mut self.traffic,
+            Ev::TcpTimer { .. } => &mut self.tcp_timer,
+            Ev::Beacon { .. } => &mut self.beacon,
+            Ev::RoamPoll { .. } => &mut self.roam_poll,
+            Ev::Mobility => &mut self.mobility,
+            Ev::ConfFeedback { .. } => &mut self.conf_feedback,
+            Ev::SampleState => &mut self.sample_state,
+            Ev::Keepalive { .. } => &mut self.keepalive,
+        }
+    }
+}
+
 /// The ladder of the reception being rolled: one (link, instant, MCS)
 /// at a time, replaced when a roll arrives for another. It — not the
 /// link — carries the per-frame state, so per-pair memory does not grow
@@ -379,10 +471,20 @@ struct RxContext {
     gains: Option<TapGains>,
 }
 
+/// Where a queued backhaul message is delivered.
+enum BackhaulTo {
+    One(BackhaulDest),
+    /// Each AP of the list `World::fanouts` holds under this index, in
+    /// turn at one instant: the controller's per-packet replication
+    /// (§3.1.2) and the `AssocSync` round. A second `Ev` variant would
+    /// cost the niche that keeps `Ev` at 64 bytes.
+    Aps(u32),
+}
+
 /// World events.
 enum Ev {
     Backhaul {
-        to: BackhaulDest,
+        to: BackhaulTo,
         msg: BackhaulMsg,
     },
     CtlPoll,
@@ -559,6 +661,12 @@ pub struct World {
     /// each dispatch depth pops its own buffer and returns it cleared —
     /// depth-first order preserved, zero steady-state allocation.
     ctl_bufs: Vec<ActionBuf>,
+    /// AP lists of the queued fan-outs, by their `BackhaulTo::Aps` index,
+    /// and the indices no queued event holds. A delivered fan-out's list
+    /// goes back empty with its storage, so steady state allocates
+    /// nothing and `Ev` stays at 64 bytes.
+    fanouts: Vec<Vec<NodeId>>,
+    fanouts_free: Vec<u32>,
     /// Scratch for `end_uplink_data`'s per-AP decode loop (reused across
     /// APs and frames): the MPDUs one AP decoded, and the packets among
     /// them it had not seen before.
@@ -780,6 +888,8 @@ impl World {
             sample_lean: false,
             esnr_scratch: Vec::new(),
             ctl_bufs: Vec::new(),
+            fanouts: Vec::new(),
+            fanouts_free: Vec::new(),
             decoded_scratch: Vec::new(),
             new_refs_scratch: Vec::new(),
             capture_scratch: Vec::new(),
@@ -1136,6 +1246,7 @@ impl World {
         };
         while let Some((now, ev)) = self.queue.pop_until(cap) {
             self.report.events_handled += 1;
+            *self.report.events.of(&ev) += 1;
             self.handle(now, ev);
         }
     }
@@ -1569,6 +1680,125 @@ mod tests {
             picks.dedup();
             assert!(picks.len() > 10, "ten probes: the stream is read");
         }
+    }
+
+    // ---------------------------------------------------------- fan-out
+
+    #[test]
+    fn an_event_fits_a_cache_line() {
+        assert!(std::mem::size_of::<Ev>() <= 64);
+    }
+
+    #[test]
+    fn fanout_reaches_each_ap_it_names_and_counts_the_id_that_is_none() {
+        use wgtt::controller::ActionSink;
+        let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, 1);
+        w.traffic_start = SimTime::from_secs(1);
+        w.begin(SimDuration::from_secs(1));
+        let client = w.client_ids()[0];
+        let (from, to) = Dir::Down.endpoints(w.clients[0].ip);
+        let latency = WgttConfig::default().backhaul_latency;
+        for index in 0..3u16 {
+            let now = SimTime::ZERO + latency.times(2 * u64::from(index) + 1);
+            w.advance_until(now);
+            let packet = w
+                .factory
+                .udp(FlowId(0), from, to, index.into(), UDP_LEN, now);
+            let mut buf = ActionBuf::new();
+            // NodeId(64) is neither an AP nor a client of this world.
+            for ap in [NodeId(2), NodeId(64), NodeId(5)] {
+                let msg = BackhaulMsg::DownlinkData {
+                    client,
+                    index,
+                    packet,
+                };
+                buf.send(ap, msg);
+            }
+            w.dispatch_ctl_buf(&mut buf, now);
+            w.advance_until(now + latency);
+            let sent = usize::from(index) + 1;
+            assert_eq!(w.report.backhaul_misaddressed, sent as u64);
+            let aps = &w.system.wgtt().expect("a WGTT world").aps;
+            let backlogs: Vec<usize> = aps.iter().map(|ap| ap.backlog(client)).collect();
+            assert_eq!(backlogs, [0, 0, sent, 0, 0, sent, 0, 0]);
+        }
+        // The association's sync round (its Start is still being
+        // processed), then one event per fan-out; and the one list went
+        // back each time to be used again.
+        assert_eq!(w.report.events.backhaul_to_ap, 1 + 3);
+        assert_eq!(w.fanouts_free.len(), w.fanouts.len());
+        assert_eq!(w.fanouts.len(), 1);
+    }
+
+    // ------------------------------------------------------- TCP timers
+
+    /// The flow-0 TCP sender.
+    fn tcp_sender(w: &World) -> &TcpSender {
+        match &w.flows[0].kind {
+            FlowKind::DownTcp { snd, .. } => snd,
+            _ => panic!("flow 0 is TCP"),
+        }
+    }
+
+    #[test]
+    fn every_rto_deadline_is_met_to_the_nanosecond() {
+        // A car that shuttles out of the array's reach and back: ACKs
+        // stop mid-transfer, the RTO backs off, and on the way back a
+        // fresh ACK pulls the deadline in under the timer the last
+        // back-off armed. Whoever moves the deadline arms a timer at it
+        // (`on_traffic`, `on_wan_uplink`, `on_tcp_timer`); nothing else
+        // does, so a site that stopped would show here as a missed one.
+        let plan = ClientPlan {
+            start: Position::new(20.0, 0.0),
+            speed_mps: 15.0,
+            direction: crate::testbed::Direction::East,
+            stop: None,
+            shuttle: Some((20.0, 170.0)),
+        };
+        let cfg = TestbedConfig::paper_array().with_clients(vec![plan]);
+        let mut w = World::new(cfg, wgtt(), vec![FlowSpec::DownlinkTcpBulk], 3);
+        w.begin(SimDuration::from_secs(45));
+        let ns = SimDuration::from_nanos(1);
+        // Under min_rto, so a deadline set inside a step lies beyond it.
+        let step = SimDuration::from_millis(100);
+        let (mut now, mut latest_armed) = (SimTime::ZERO, SimTime::ZERO);
+        let (mut backoffs, mut longest_backoff, mut under_a_later_timer) = (0, 0, 0);
+        while now < w.end_at() {
+            let snd = tcp_sender(&w);
+            let (deadline, rto, fired) = (snd.rto_deadline(), snd.rto(), snd.stats.timeouts);
+            // To the deadline's last nanosecond but one, if a step reaches.
+            let eve = deadline.map(|d| d - ns).filter(|&t| t <= now + step);
+            now = eve.unwrap_or(now + step);
+            w.advance_until(now);
+            let snd = tcp_sender(&w);
+            assert_eq!(snd.stats.timeouts, fired, "RTO ahead of {deadline:?}");
+            assert!(
+                snd.rto_deadline().is_none_or(|d| d > now),
+                "deadline {:?} passed unnoticed at {now}",
+                snd.rto_deadline()
+            );
+            latest_armed = latest_armed.max(snd.rto_deadline().unwrap_or(now));
+            if snd.rto_deadline() != deadline {
+                backoffs = 0; // an ACK moved it
+                continue;
+            }
+            let Some(d) = deadline.filter(|_| eve.is_some()) else {
+                continue;
+            };
+            now = d;
+            w.advance_until(now);
+            let snd = tcp_sender(&w);
+            assert_eq!(snd.stats.timeouts, fired + 1, "no RTO at {d}");
+            let doubled = SimDuration::from_nanos(rto.as_nanos() * 2);
+            assert_eq!(snd.rto(), doubled.min(TcpConfig::default().max_rto));
+            assert_eq!(snd.rto_deadline(), Some(d + snd.rto()));
+            under_a_later_timer += u32::from(d < latest_armed);
+            latest_armed = latest_armed.max(d + snd.rto());
+            backoffs += 1;
+            longest_backoff = longest_backoff.max(backoffs);
+        }
+        assert!(longest_backoff >= 3, "the car must leave coverage");
+        assert!(under_a_later_timer >= 1, "an ACK must pull a deadline in");
     }
 
     // ------------------------------------------------- AP range index

@@ -4,7 +4,10 @@
 impl World {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Backhaul { to, msg } => self.on_backhaul(to, msg, now),
+            Ev::Backhaul { to, msg } => match to {
+                BackhaulTo::One(to) => self.on_backhaul(to, msg, now),
+                BackhaulTo::Aps(aps) => self.on_backhaul_fanout(aps, msg, now),
+            },
             Ev::CtlPoll => self.on_ctl_poll(now),
             Ev::TxStart { node } => self.on_tx_start(node, now),
             Ev::TxEnd { tx, frame } => self.on_tx_end(tx, frame, now),
@@ -65,8 +68,14 @@ impl World {
     /// latency, the switching protocol's processing delays, and the
     /// control-loss probability. Only a WGTT world has a backhaul.
     fn backhaul_send(&mut self, to: BackhaulDest, msg: BackhaulMsg, now: SimTime) {
-        let Some(cfg) = self.system.wgtt().map(|w| w.cfg) else {
+        let SystemState::Wgtt(WgttSystem { cfg, .. }) = &self.system else {
             return;
+        };
+        let (loss_prob, mut delay) = (cfg.control_loss_prob, cfg.backhaul_latency);
+        let processing = match &msg {
+            BackhaulMsg::Stop { .. } => Some((cfg.stop_processing_mean, cfg.processing_std)),
+            BackhaulMsg::Start { .. } => Some((cfg.start_processing_mean, cfg.processing_std)),
+            _ => None,
         };
         // Control loss and processing jitter draw from the *affected
         // client's* stream (exactly the Stop/Start/SwitchAck messages,
@@ -75,26 +84,58 @@ impl World {
         // from the monolithic world.
         if let Some(client) = msg.control_client() {
             let ci = self.client_index(client);
-            if self.clients[ci].rng.chance(cfg.control_loss_prob) {
+            if self.clients[ci].rng.chance(loss_prob) {
                 return; // lost in the Click forwarding path; timeouts recover
             }
         }
         self.capture_backhaul(&to, &msg, now);
-        let mut delay = cfg.backhaul_latency;
-        let proc = match &msg {
-            BackhaulMsg::Stop { .. } => Some(cfg.stop_processing_mean),
-            BackhaulMsg::Start { .. } => Some(cfg.start_processing_mean),
-            _ => None,
-        };
-        if let (Some(mean), Some(client)) = (proc, msg.control_client()) {
+        if let (Some((mean, std)), Some(client)) = (processing, msg.control_client()) {
             let ci = self.client_index(client);
             let jitter = self.clients[ci]
                 .rng
-                .normal_with(mean.as_secs_f64(), cfg.processing_std.as_secs_f64())
+                .normal_with(mean.as_secs_f64(), std.as_secs_f64())
                 .max(0.0005);
             delay += SimDuration::from_secs_f64(jitter);
         }
+        let to = BackhaulTo::One(to);
         self.queue.schedule(now + delay, Ev::Backhaul { to, msg });
+    }
+
+    /// An empty AP list in `fanouts` that no queued event names.
+    fn free_fanout(&mut self) -> u32 {
+        self.fanouts_free.pop().unwrap_or_else(|| {
+            self.fanouts.push(Vec::new());
+            self.fanouts.len() as u32 - 1
+        })
+    }
+
+    /// Queue `msg` — no control message, so nothing is rolled — for every
+    /// AP of list `aps`, as one event. The events it stands for would have
+    /// had one delivery time and consecutive sequence numbers: nothing
+    /// could have popped between them, and whatever their handlers
+    /// schedule keeps its order (DESIGN §18).
+    fn backhaul_fanout(&mut self, aps: u32, msg: BackhaulMsg, now: SimTime) {
+        let SystemState::Wgtt(WgttSystem { cfg, .. }) = &self.system else {
+            return;
+        };
+        let at = now + cfg.backhaul_latency;
+        let list = std::mem::take(&mut self.fanouts[aps as usize]);
+        for &ap in &list {
+            self.capture_backhaul(&BackhaulDest::Ap(ap), &msg, now);
+        }
+        self.fanouts[aps as usize] = list;
+        let to = BackhaulTo::Aps(aps);
+        self.queue.schedule(at, Ev::Backhaul { to, msg });
+    }
+
+    fn on_backhaul_fanout(&mut self, aps: u32, msg: BackhaulMsg, now: SimTime) {
+        let mut list = std::mem::take(&mut self.fanouts[aps as usize]);
+        for &ap in &list {
+            self.on_backhaul(BackhaulDest::Ap(ap), msg.clone(), now);
+        }
+        list.clear();
+        self.fanouts[aps as usize] = list;
+        self.fanouts_free.push(aps);
     }
 
     /// Run `f` against the WGTT controller with a pooled action buffer,
@@ -117,10 +158,24 @@ impl World {
     }
 
     fn dispatch_ctl_buf(&mut self, buf: &mut ActionBuf, now: SimTime) {
-        for a in buf.drain() {
+        let mut actions = buf.drain().peekable();
+        while let Some(a) = actions.next() {
             match a {
                 ControllerAction::Send { ap, msg } => {
-                    self.backhaul_send(BackhaulDest::Ap(ap), msg, now);
+                    // The same data or sync message to the next AP too?
+                    let again = |next: &ControllerAction| {
+                        matches!(next, ControllerAction::Send { msg: m, .. } if *m == msg)
+                    };
+                    if msg.control_client().is_some() || !actions.peek().is_some_and(again) {
+                        self.backhaul_send(BackhaulDest::Ap(ap), msg, now);
+                        continue;
+                    }
+                    let aps = self.free_fanout();
+                    self.fanouts[aps as usize].push(ap);
+                    while let Some(ControllerAction::Send { ap, .. }) = actions.next_if(again) {
+                        self.fanouts[aps as usize].push(ap);
+                    }
+                    self.backhaul_fanout(aps, msg, now);
                 }
                 ControllerAction::ToWan { packet } => self.on_wan_uplink(packet, now),
             }
@@ -181,7 +236,6 @@ impl World {
     }
 
     fn on_ctl_poll(&mut self, now: SimTime) {
-        self.report.ctl_polls += 1;
         // Disarm first: the dispatch below may need this very instant
         // polled again.
         self.ctl_polls_armed.remove(&now);
@@ -311,8 +365,10 @@ impl World {
         };
         let Some(d) = snd.rto_deadline() else { return };
         if d > now {
-            // Stale timer; a fresher one is (or will be) scheduled.
-            self.queue.schedule(d, Ev::TcpTimer { flow: flow_id });
+            // Stale: the deadline moved after this timer was armed, and
+            // whoever moved it armed one at the new deadline (each of the
+            // three places that can: the bootstrap in `on_traffic`, an ACK
+            // in `on_wan_uplink`, the RTO below).
             return;
         }
         snd.on_rto(now);

@@ -37,7 +37,7 @@ fn run_pair(cfg: &FleetConfig, system: SystemKind, seed: u64) {
         "frames diverged: {label}"
     );
     assert_eq!(lean.report.switches, full.report.switches, "{label}");
-    assert_eq!(lean.report.ctl_polls, full.report.ctl_polls, "{label}");
+    assert_eq!(lean.report.events, full.report.events, "{label}");
     assert_eq!(
         lean.report.uplink_dedup, full.report.uplink_dedup,
         "{label}"

@@ -202,6 +202,10 @@ fn main() {
         report.events_handled as f64 / wall_s,
         report.frames_on_air as f64 / wall_s,
     );
+    for (kind, n) in report.events.by_kind().filter(|&(_, n)| n > 0) {
+        let share = 100.0 * n as f64 / report.events_handled as f64;
+        println!("  events/{kind}: {n} ({share:.1} %)");
+    }
     let phy = &report.phy;
     println!(
         "  {} rolls: {} settled by the static ceiling, {} by the tap-gain bound, {} by exact ESNR",
