@@ -73,6 +73,11 @@ impl ConferenceSource {
         self.frame_bytes
     }
 
+    /// The instant the next frame is due.
+    pub fn next_due(&self) -> SimTime {
+        self.next_due
+    }
+
     /// Defer the first frame to `t` (no back-fill burst).
     pub fn defer_start(&mut self, t: SimTime) {
         if t > self.next_due {

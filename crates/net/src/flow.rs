@@ -1,11 +1,10 @@
 //! Per-flow delivery accounting.
 //!
-//! Receiver-side bookkeeping behind the paper's figures: sequence-gap
-//! tracking for UDP loss (Figs. 4, 18), goodput over time (Figs. 13–15),
-//! and latency percentiles.
+//! Receiver-side bookkeeping behind the paper's figures: datagram counts
+//! for UDP loss (Figs. 4, 18) and goodput over time (Figs. 13–15).
 
 use crate::packet::{Packet, Transport};
-use wgtt_sim::metrics::{Distribution, ThroughputMeter};
+use wgtt_sim::metrics::ThroughputMeter;
 use wgtt_sim::time::SimTime;
 
 /// Receiver-side statistics for one UDP flow.
@@ -13,11 +12,7 @@ use wgtt_sim::time::SimTime;
 pub struct UdpFlowSink {
     /// Delivered-bytes meter (drives throughput curves).
     pub meter: ThroughputMeter,
-    /// One-way latency samples, seconds.
-    pub latency: Distribution,
-    highest_seq: Option<u32>,
     received: u64,
-    duplicates: u64,
 }
 
 impl UdpFlowSink {
@@ -26,42 +21,20 @@ impl UdpFlowSink {
         Self::default()
     }
 
-    /// Record the arrival of `pkt` at `now`. Duplicate detection is by
-    /// monotone sequence: a packet at or below the highest seen *and*
-    /// already counted is reported by the caller's dedup layer; here we
-    /// simply count distinct sequence observations.
+    /// Record the arrival of `pkt` at `now`. De-duplication is the
+    /// caller's layer (the MAC receive window, the controller); every
+    /// arrival counts.
     pub fn on_packet(&mut self, pkt: &Packet, now: SimTime) {
-        let Transport::Udp { seq } = pkt.transport else {
+        let Transport::Udp { .. } = pkt.transport else {
             panic!("UdpFlowSink fed a non-UDP packet");
         };
         self.received += 1;
         self.meter.record(now, u64::from(pkt.len));
-        self.latency
-            .record(now.saturating_since(pkt.created).as_secs_f64());
-        match self.highest_seq {
-            None => self.highest_seq = Some(seq),
-            Some(h) if seq > h => self.highest_seq = Some(seq),
-            _ => self.duplicates += 1,
-        }
     }
 
-    /// Packets received (including out-of-order/duplicate sequence hits).
+    /// Packets received.
     pub fn received(&self) -> u64 {
         self.received
-    }
-
-    /// Highest sequence number observed.
-    pub fn highest_seq(&self) -> Option<u32> {
-        self.highest_seq
-    }
-
-    /// Loss fraction versus `sent` packets from the source.
-    pub fn loss_rate(&self, sent: u64) -> f64 {
-        if sent == 0 {
-            return 0.0;
-        }
-        let unique = self.received - self.duplicates;
-        1.0 - (unique.min(sent) as f64 / sent as f64)
     }
 }
 
@@ -89,34 +62,9 @@ mod tests {
         for seq in [0u32, 1, 3, 4] {
             sink.on_packet(&mk(seq, &mut f), SimTime::from_millis(seq as u64));
         }
+        // 5 sent (0..=4), 4 received: the 20 % loss a report's reader
+        // takes from this count and the source's.
         assert_eq!(sink.received(), 4);
-        assert_eq!(sink.highest_seq(), Some(4));
-        // 5 sent (0..=4), 4 unique received → 20 % loss.
-        assert!((sink.loss_rate(5) - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_measured_from_creation() {
-        let mut f = PacketFactory::new();
-        let mut sink = UdpFlowSink::new();
-        let p = mk(0, &mut f);
-        sink.on_packet(&p, SimTime::from_millis(30));
-        assert!((sink.latency.mean().unwrap() - 0.030).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duplicates_do_not_reduce_loss() {
-        let mut f = PacketFactory::new();
-        let mut sink = UdpFlowSink::new();
-        sink.on_packet(&mk(0, &mut f), SimTime::ZERO);
-        sink.on_packet(&mk(0, &mut f), SimTime::from_millis(1));
-        // 2 sent, 1 unique → 50 % loss despite 2 receptions.
-        assert!((sink.loss_rate(2) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_sent_is_zero_loss() {
-        let sink = UdpFlowSink::new();
-        assert_eq!(sink.loss_rate(0), 0.0);
+        assert_eq!(sink.meter.total_bytes(), 4 * 1500);
     }
 }

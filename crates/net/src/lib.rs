@@ -14,7 +14,7 @@
 //!   enough fidelity to reproduce the baseline's timeout collapse in the
 //!   paper's Fig. 14 and the TCP rows of every table;
 //! * [`traffic`] — constant-bit-rate UDP and bulk-transfer sources;
-//! * [`flow`] — per-flow delivery accounting (goodput, loss, gaps).
+//! * [`flow`] — per-flow delivery accounting (goodput, datagram counts).
 
 pub mod flow;
 pub mod packet;

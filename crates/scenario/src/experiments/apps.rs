@@ -1,18 +1,13 @@
 //! Application case studies: Table 4 (video), Fig. 24 (conferencing),
 //! Table 5 (web browsing).
 
-use crate::experiments::common::drive;
+use crate::experiments::common::{drive, wgtt};
 use crate::results::{f, ExperimentOutput};
 use crate::world::{FlowSpec, SystemKind};
-use wgtt::WgttConfig;
 use wgtt_apps::video::VideoPlayer;
 use wgtt_net::packet::FlowId;
 use wgtt_sim::metrics::Distribution;
 use wgtt_sim::time::SimDuration;
-
-fn wgtt() -> SystemKind {
-    SystemKind::Wgtt(WgttConfig::default())
-}
 
 /// Table 4: HD-video rebuffer ratio at different speeds. The stream is a
 /// progressive download (the paper plays via FTP/VLC), so we run bulk
@@ -216,9 +211,6 @@ pub fn replay_page_load(
     }
     None
 }
-
-#[allow(unused)]
-fn _dur(_: SimDuration) {}
 
 #[cfg(test)]
 mod tests {

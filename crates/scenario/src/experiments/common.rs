@@ -2,6 +2,7 @@
 
 use crate::testbed::{ClientPlan, TestbedConfig, MPH};
 use crate::world::{FlowSpec, SystemKind, World};
+use wgtt::WgttConfig;
 use wgtt_radio::Position;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -86,7 +87,35 @@ pub fn drive_multi(
     DriveRun { world, start, end }
 }
 
+/// WGTT as the paper configured it.
+pub fn wgtt() -> SystemKind {
+    SystemKind::Wgtt(WgttConfig::default())
+}
+
+/// Loss fraction of a UDP flow from its `RunReport::udp_counts` entry
+/// (sent, received); zero when nothing was sent.
+pub fn udp_loss((sent, recv): (u64, u64)) -> f64 {
+    if sent == 0 {
+        0.0
+    } else {
+        1.0 - recv.min(sent) as f64 / sent as f64
+    }
+}
+
 /// Metres/second for a mph figure (re-export for experiment code).
 pub fn mps(speed_mph: f64) -> f64 {
     speed_mph * MPH
+}
+
+#[cfg(test)]
+mod tests {
+    use super::udp_loss;
+
+    #[test]
+    fn udp_loss_is_a_fraction_of_what_was_sent() {
+        assert!((udp_loss((5, 4)) - 0.2).abs() < 1e-12);
+        // Nothing sent is nothing lost, and a copy too many is not a gain.
+        assert_eq!(udp_loss((0, 0)), 0.0);
+        assert_eq!(udp_loss((2, 3)), 0.0);
+    }
 }

@@ -1,18 +1,13 @@
 //! End-to-end single-client results: Figs. 13–16 and Table 2.
 
-use crate::experiments::common::{drive, DriveRun};
+use crate::experiments::common::{drive, wgtt, DriveRun};
 use crate::results::{f, ExperimentOutput};
 use crate::world::{FlowSpec, SystemKind};
-use wgtt::WgttConfig;
 use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::FlowId;
 use wgtt_sim::time::SimDuration;
 
 const CLIENT: NodeId = NodeId(100);
-
-fn wgtt() -> SystemKind {
-    SystemKind::Wgtt(WgttConfig::default())
-}
 
 /// Fig. 13: TCP and UDP downlink throughput against client speed,
 /// WGTT vs Enhanced 802.11r.

@@ -2,7 +2,7 @@
 //! design-choice ablations DESIGN.md §5 calls out, and scenarios the
 //! paper's §7 discussion motivates (stop-and-go traffic).
 
-use crate::experiments::common::{drive, mps};
+use crate::experiments::common::{drive, mps, udp_loss, wgtt};
 use crate::experiments::motivation::radio_links;
 use crate::results::{f, ExperimentOutput};
 use crate::testbed::{ClientPlan, TestbedConfig};
@@ -127,10 +127,7 @@ pub fn ext_stop_and_go(seed: u64) -> ExperimentOutput {
     let t_resume = t_stop + SimDuration::from_secs_f64(pause_s);
     let total =
         SimDuration::from_secs_f64((TestbedConfig::paper_array().road_len() + 45.0) / v + pause_s);
-    for (sys, name) in [
-        (SystemKind::Wgtt(WgttConfig::default()), "WGTT"),
-        (SystemKind::Enhanced80211r, "802.11r"),
-    ] {
+    for (sys, name) in [(wgtt(), "WGTT"), (SystemKind::Enhanced80211r, "802.11r")] {
         let cfg = TestbedConfig::paper_array().with_clients(vec![plan]);
         let mut w = World::new(
             cfg,
@@ -186,7 +183,7 @@ pub fn ext_multichannel(seed: u64) -> ExperimentOutput {
         // Downlink goodput.
         let mut w = World::new(
             mk_cfg().with_clients(vec![ClientPlan::drive_by(15.0)]),
-            SystemKind::Wgtt(WgttConfig::default()),
+            wgtt(),
             vec![FlowSpec::DownlinkUdp { rate_mbps: 25.0 }],
             seed,
         );
@@ -196,18 +193,13 @@ pub fn ext_multichannel(seed: u64) -> ExperimentOutput {
         // Uplink loss + diversity.
         let mut u = World::new(
             mk_cfg().with_clients(vec![ClientPlan::drive_by(15.0)]),
-            SystemKind::Wgtt(WgttConfig::default()),
+            wgtt(),
             vec![FlowSpec::UplinkUdp { rate_mbps: 8.0 }],
             seed,
         );
         u.traffic_start = start;
         u.run(dur);
-        let (sent, recv) = u.report.udp_counts[&FlowId(0)];
-        let loss = if sent > 0 {
-            1.0 - recv.min(sent) as f64 / sent as f64
-        } else {
-            0.0
-        };
+        let loss = udp_loss(u.report.udp_counts[&FlowId(0)]);
         let (fwd, dup) = u.report.uplink_dedup;
         out.row(vec![
             name.into(),

@@ -3,6 +3,7 @@
 //! so fleet runs inherit the `--jobs` byte-identity contract and the
 //! smoke-test plumbing the per-figure drivers already have.
 
+use crate::experiments::common::wgtt;
 use crate::fleet::FleetConfig;
 use crate::results::{f, ExperimentOutput};
 use crate::world::SystemKind;
@@ -15,7 +16,7 @@ use wgtt_sim::time::SimDuration;
 pub fn fleet_smoke(seed: u64, quick: bool) -> ExperimentOutput {
     let mut cfg = FleetConfig::corridor(10, 8);
     cfg.duration = SimDuration::from_secs(if quick { 4 } else { 15 });
-    let report = cfg.run(SystemKind::Wgtt(WgttConfig::default()), seed);
+    let report = cfg.run(wgtt(), seed);
 
     let mut out = ExperimentOutput::new(
         "fleet_smoke",

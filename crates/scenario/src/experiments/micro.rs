@@ -1,6 +1,6 @@
 //! Microbenchmarks: Table 1, Fig. 21, Table 3, Fig. 22, Fig. 23.
 
-use crate::experiments::common::{drive, mps};
+use crate::experiments::common::{drive, mps, wgtt};
 use crate::experiments::motivation::radio_links;
 use crate::results::{f, ExperimentOutput};
 use crate::testbed::{ClientPlan, TestbedConfig};
@@ -9,10 +9,6 @@ use wgtt::WgttConfig;
 use wgtt_mac::mcs::capacity_mbps;
 use wgtt_radio::Modulation;
 use wgtt_sim::time::{SimDuration, SimTime};
-
-fn wgtt() -> SystemKind {
-    SystemKind::Wgtt(WgttConfig::default())
-}
 
 /// Table 1: switching-protocol execution time (stop → ack) under
 /// different offered UDP loads.

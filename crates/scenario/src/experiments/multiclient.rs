@@ -1,17 +1,11 @@
 //! Multi-client results: Figs. 17, 18, and 20.
 
-use crate::experiments::common::{drive_multi, mps};
+use crate::experiments::common::{drive_multi, mps, udp_loss, wgtt, DriveRun};
 use crate::results::{f, ExperimentOutput};
 use crate::testbed::{ClientPlan, TestbedConfig};
 use crate::world::{FlowSpec, SystemKind, World};
-use wgtt::WgttConfig;
-use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::FlowId;
 use wgtt_sim::time::{SimDuration, SimTime};
-
-fn wgtt() -> SystemKind {
-    SystemKind::Wgtt(WgttConfig::default())
-}
 
 /// Fig. 17: average per-client downlink throughput with 1–3 clients in a
 /// 15 mph convoy.
@@ -76,19 +70,9 @@ pub fn fig18(seed: u64) -> ExperimentOutput {
         .collect();
     let w = drive_multi(wgtt(), 15.0, specs.clone(), 3, seed);
     let b = drive_multi(SystemKind::Enhanced80211r, 15.0, specs, 3, seed);
-    let loss = |run: &crate::experiments::common::DriveRun, i: u32| -> f64 {
-        run.world
-            .report
-            .udp_counts
-            .get(&FlowId(i))
-            .map(|&(sent, recv)| {
-                if sent == 0 {
-                    0.0
-                } else {
-                    1.0 - recv.min(sent) as f64 / sent as f64
-                }
-            })
-            .unwrap_or(1.0)
+    let loss = |run: &DriveRun, i: u32| -> f64 {
+        let counts = run.world.report.udp_counts.get(&FlowId(i));
+        counts.copied().map_or(1.0, udp_loss)
     };
     let (fwd, dup) = w.world.report.uplink_dedup;
     for i in 0..3u32 {
@@ -179,8 +163,3 @@ pub fn fig20(seed: u64) -> ExperimentOutput {
     );
     out
 }
-
-// NodeId used in sibling modules through this re-export pattern; silence
-// the lint locally if unused here in future edits.
-#[allow(unused)]
-fn _unused(_: NodeId) {}

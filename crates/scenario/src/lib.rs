@@ -9,8 +9,10 @@
 //! * [`testbed`] — deployment geometry and client mobility;
 //! * [`world`] — the discrete-event simulation: medium access, A-MPDU
 //!   exchanges, Block ACK responses and forwarding, CSI reporting, the
-//!   switching protocol in flight, TCP/UDP endpoints, and the baseline's
-//!   beacon/roam machinery — all on one deterministic event queue;
+//!   switching protocol in flight, and the baseline's beacon/roam
+//!   machinery — all on one deterministic event queue; the traffic it
+//!   carries (`flows`: both ends of every UDP, TCP and conference flow)
+//!   is a private module beside it, `FlowSpec` re-exported from here;
 //! * [`decide`] — the frame path's threshold tests (delivery rolls,
 //!   capture) settled from provable bounds before the channel is
 //!   synthesized, byte-identically;
@@ -28,6 +30,7 @@
 pub mod decide;
 pub mod experiments;
 pub mod fleet;
+mod flows;
 pub mod pcap;
 pub mod results;
 pub mod shard;

@@ -1,7 +1,8 @@
-//! The discrete-event world: radios, MAC exchanges, backhaul, transports.
+//! The discrete-event world: radios, MAC exchanges, backhaul.
 //!
 //! One [`World`] is one run: a system under test (WGTT or a baseline
-//! roaming scheme), the Fig. 9 testbed, a set of client flows, and a
+//! roaming scheme), the Fig. 9 testbed, a set of client flows
+//! (`crate::flows`, whose packets the world carries), and a
 //! deterministic event queue. The MAC pipeline follows real 802.11n
 //! timing — DIFS + backoff contention, A-MPDU data PPDUs, SIFS-spaced
 //! Block ACK responses (with the small response jitter the paper observed
@@ -16,14 +17,13 @@
 //! an ACK packet into the client's uplink queue, which every in-range AP
 //! may decode, tunnel, and the controller de-duplicates).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 
 use wgtt::ap::ApAgent;
 use wgtt::controller::{ActionBuf, Controller, ControllerAction};
 use wgtt::messages::{BackhaulDest, BackhaulMsg};
 use wgtt::WgttConfig;
-use wgtt_apps::conference::{ConferenceSink, ConferenceSource};
 use wgtt_baseline::ap::BaselineAp;
 use wgtt_baseline::distribution::DistributionSystem;
 use wgtt_baseline::roamer::{Roamer, RoamerAction, RoamerMode};
@@ -37,9 +37,7 @@ use wgtt_mac::rate::RateController;
 use wgtt_mac::sender::{Sender, Unacked};
 use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
-use wgtt_net::packet::{FlowId, Packet, PacketFactory, Transport};
-use wgtt_net::tcp::{TcpConfig, TcpReceiver, TcpSender};
-use wgtt_net::traffic::CbrUdpSource;
+use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
 use wgtt_radio::fading::{FadingProcess, TapGains};
 use wgtt_radio::link::{Link, LinkBudget};
@@ -50,6 +48,8 @@ use wgtt_sim::rng::{RngStream, Xoshiro256};
 use wgtt_sim::time::{SimDuration, SimTime};
 
 use crate::decide::{capture_survives, Ladder, Rung, Step};
+pub use crate::flows::FlowSpec;
+use crate::flows::{Asks, Flow};
 use crate::testbed::{ClientPlan, TestbedConfig};
 
 /// Which system serves the clients.
@@ -64,146 +64,15 @@ pub enum SystemKind {
     Stock80211r,
 }
 
-/// A traffic workload attached to one client.
-#[derive(Debug, Clone, Copy)]
-pub enum FlowSpec {
-    /// Server → client constant-bit-rate UDP.
-    DownlinkUdp {
-        /// Offered load, Mbit/s.
-        rate_mbps: f64,
-    },
-    /// Client → server constant-bit-rate UDP.
-    UplinkUdp {
-        /// Offered load, Mbit/s.
-        rate_mbps: f64,
-    },
-    /// Server → client bulk TCP (iperf-style; also progressive video
-    /// download).
-    DownlinkTcpBulk,
-    /// Server → client finite TCP transfer (web objects).
-    DownlinkTcpBytes {
-        /// Transfer size.
-        bytes: u64,
-    },
-    /// Server → client conferencing video over UDP.
-    DownlinkConference {
-        /// Adaptive (Hangouts-like) vs fixed (Skype-like) frame sizing.
-        adaptive: bool,
-    },
-    /// Client → server conferencing video over UDP.
-    UplinkConference {
-        /// Adaptive vs fixed frame sizing.
-        adaptive: bool,
-    },
-}
-
-/// Conference frame reassembly bookkeeping. Sources number their frames
-/// and the flow numbers its chunks from zero, so both tables are indexed
-/// directly.
-#[derive(Debug, Default)]
-struct FrameAssembly {
-    /// Per frame id: (chunks needed, chunks received). A frame is pending
-    /// while it has received fewer chunks than it needs.
-    frames: Vec<(u32, u32)>,
-    /// Per chunk sequence number: the frame it belongs to, recorded at
-    /// send time.
-    seq_to_frame: Vec<u64>,
-    /// Frames fully generated in the current feedback window.
-    window_sent: u64,
-    /// Frames completed in the current feedback window.
-    window_done: u64,
-}
-
-impl FrameAssembly {
-    /// Record a generated frame of `chunks` chunks and hand back the
-    /// sequence numbers to send them under, starting at `*next_seq`.
-    fn on_frame_sent(&mut self, frame: u64, chunks: u32, next_seq: &mut u32) -> Range<u32> {
-        set_at(&mut self.frames, frame as usize, (chunks, 0), (0, 0));
-        self.window_sent += 1;
-        let first = *next_seq;
-        *next_seq += chunks;
-        for seq in first..*next_seq {
-            set_at(&mut self.seq_to_frame, seq as usize, frame, u64::MAX);
-        }
-        first..*next_seq
-    }
-
-    /// A chunk arrived; returns whether it completed its frame. Chunks
-    /// of unknown or already complete frames change nothing.
-    fn on_chunk(&mut self, seq: u32) -> bool {
-        let Some(e) = self
-            .seq_to_frame
-            .get(seq as usize)
-            .and_then(|&frame| self.frames.get_mut(usize::try_from(frame).ok()?))
-        else {
-            return false;
-        };
-        if e.1 >= e.0 {
-            return false;
-        }
-        e.1 += 1;
-        let done = e.1 == e.0;
-        self.window_done += u64::from(done);
-        done
-    }
-}
-
 /// `v[i] = value`, growing `v` with `fill` when `i` is past the end.
-fn set_at<T: Clone>(v: &mut Vec<T>, i: usize, value: T, fill: T) {
+pub(crate) fn set_at<T: Clone>(v: &mut Vec<T>, i: usize, value: T, fill: T) {
     if i >= v.len() {
         v.resize(i + 1, fill);
     }
     v[i] = value;
 }
 
-/// Which way a flow's data travels.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    /// Server → client.
-    Down,
-    /// Client → server.
-    Up,
-}
-
-impl Dir {
-    /// Source and destination address of a flow's data packets.
-    fn endpoints(self, client_ip: Ipv4Addr) -> (Ipv4Addr, Ipv4Addr) {
-        match self {
-            Dir::Down => (SERVER_IP, client_ip),
-            Dir::Up => (client_ip, SERVER_IP),
-        }
-    }
-}
-
-enum FlowKind {
-    Udp {
-        dir: Dir,
-        src: CbrUdpSource,
-        sink: wgtt_net::flow::UdpFlowSink,
-    },
-    DownTcp {
-        snd: TcpSender,
-        rcv: TcpReceiver,
-        meter: ThroughputMeter,
-        /// Total application bytes for finite transfers (`None` = bulk).
-        limit: Option<u64>,
-    },
-    Conf {
-        dir: Dir,
-        src: ConferenceSource,
-        asm: FrameAssembly,
-        sink: ConferenceSink,
-        next_seq: u32,
-    },
-}
-
-struct Flow {
-    id: FlowId,
-    client: NodeId,
-    kind: FlowKind,
-}
-
-/// Client-side MAC and transport state.
+/// Client-side MAC state.
 struct ClientNode {
     id: NodeId,
     plan: ClientPlan,
@@ -615,6 +484,9 @@ pub struct World {
     client_base: u32,
     flows: Vec<Flow>,
     factory: PacketFactory,
+    /// Where a flow being called puts the packets it wants carried
+    /// (reused across calls; zero steady-state allocation).
+    outbox: Vec<Packet>,
     /// Every packet routed so far, by packet id (the factory counts from
     /// zero).
     packets: Vec<Option<Packet>>,
@@ -679,7 +551,6 @@ pub struct World {
     end_at: SimTime,
 }
 
-const SERVER_IP: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
 /// Period of mobility/position refresh.
 const MOBILITY_TICK: SimDuration = SimDuration::from_millis(10);
 /// Period of serving-AP/accuracy sampling.
@@ -691,12 +562,6 @@ const BA_WAIT: SimDuration = SimDuration::from_micros(1500);
 const BEACON_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// Roamer poll cadence (drives handshake retries between beacons).
 const ROAM_POLL: SimDuration = SimDuration::from_millis(25);
-/// Conference loss-feedback cadence.
-const CONF_FEEDBACK: SimDuration = SimDuration::from_secs(1);
-/// UDP payload size used by the CBR sources (iperf3-style).
-const UDP_LEN: u16 = 1500;
-/// Conference UDP chunk payload size.
-const CONF_CHUNK: u32 = 1200;
 /// Client keepalive (NULL-data) interval.
 const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_millis(50);
 /// Smallest gap between decoded downlink A-MPDUs counted as an outage.
@@ -872,6 +737,7 @@ impl World {
             client_base,
             flows: Vec::new(),
             factory: PacketFactory::new(),
+            outbox: Vec::new(),
             packets: Vec::new(),
             ap_rng: ap_ids
                 .iter()
@@ -898,58 +764,10 @@ impl World {
             cfg,
         };
         for (ci, spec) in flow_specs {
-            world.attach_flow(ci, spec);
+            let (id, c) = (FlowId(world.flows.len() as u32), &world.clients[ci]);
+            world.flows.push(Flow::new(id, c.id, c.ip, spec));
         }
         world
-    }
-
-    /// Attach one flow to client index `ci`.
-    fn attach_flow(&mut self, ci: usize, spec: FlowSpec) {
-        let flow_id = FlowId(self.flows.len() as u32);
-        let client = self.clients[ci].id;
-        let client_ip = self.clients[ci].ip;
-        let udp = |dir: Dir, rate_mbps| {
-            let (from, to) = dir.endpoints(client_ip);
-            FlowKind::Udp {
-                dir,
-                src: CbrUdpSource::new(flow_id, from, to, rate_mbps, UDP_LEN, SimTime::ZERO),
-                sink: wgtt_net::flow::UdpFlowSink::new(),
-            }
-        };
-        let conf = |dir, adaptive| FlowKind::Conf {
-            dir,
-            src: if adaptive {
-                ConferenceSource::adaptive(SimTime::ZERO)
-            } else {
-                ConferenceSource::fixed(SimTime::ZERO)
-            },
-            asm: FrameAssembly::default(),
-            sink: ConferenceSink::new(),
-            next_seq: 0,
-        };
-        let kind = match spec {
-            FlowSpec::DownlinkUdp { rate_mbps } => udp(Dir::Down, rate_mbps),
-            FlowSpec::UplinkUdp { rate_mbps } => udp(Dir::Up, rate_mbps),
-            FlowSpec::DownlinkTcpBulk => FlowKind::DownTcp {
-                snd: TcpSender::bulk(TcpConfig::default()),
-                rcv: TcpReceiver::new(),
-                meter: ThroughputMeter::new(),
-                limit: None,
-            },
-            FlowSpec::DownlinkTcpBytes { bytes } => FlowKind::DownTcp {
-                snd: TcpSender::with_limit(TcpConfig::default(), bytes),
-                rcv: TcpReceiver::new(),
-                meter: ThroughputMeter::new(),
-                limit: Some(bytes),
-            },
-            FlowSpec::DownlinkConference { adaptive } => conf(Dir::Down, adaptive),
-            FlowSpec::UplinkConference { adaptive } => conf(Dir::Up, adaptive),
-        };
-        self.flows.push(Flow {
-            id: flow_id,
-            client,
-            kind,
-        });
     }
 
     // ------------------------------------------------------------ helpers
@@ -1316,18 +1134,8 @@ impl World {
         }
         // Traffic.
         let t0 = self.traffic_start;
-        for fi in 0..self.flows.len() {
-            let id = self.flows[fi].id;
-            match &mut self.flows[fi].kind {
-                FlowKind::Udp { src, .. } => src.defer_start(t0),
-                FlowKind::Conf { src, .. } => src.defer_start(t0),
-                FlowKind::DownTcp { .. } => {}
-            }
-            self.queue.schedule(t0, Ev::Traffic { flow: id });
-            if matches!(self.flows[fi].kind, FlowKind::Conf { .. }) {
-                self.queue
-                    .schedule(t0 + CONF_FEEDBACK, Ev::ConfFeedback { flow: id });
-            }
+        for fi in 0..self.flows.len() as u32 {
+            self.with_flow(FlowId(fi), SimTime::ZERO, |f, _, _| f.start_at(t0));
         }
     }
 
@@ -1443,26 +1251,8 @@ impl World {
             phy.syntheses += u64::from(work.syntheses);
             phy.sweeps += u64::from(work.sweeps);
         }
-        // Pull per-flow observables into the report.
         for flow in &self.flows {
-            match &flow.kind {
-                FlowKind::Udp { src, sink, .. } => {
-                    self.report
-                        .udp_counts
-                        .insert(flow.id, (u64::from(src.emitted()), sink.received()));
-                    self.report.flow_meters.insert(flow.id, sink.meter.clone());
-                }
-                FlowKind::DownTcp { meter, snd, .. } => {
-                    self.report.flow_meters.insert(flow.id, meter.clone());
-                    self.report.tcp_timeouts.insert(flow.id, snd.stats.timeouts);
-                }
-                FlowKind::Conf { sink, .. } => {
-                    let secs = self.report.duration.as_secs_f64().ceil() as usize;
-                    self.report
-                        .conference_sinks
-                        .insert(flow.id, sink.fps_per_second(SimTime::ZERO, secs));
-                }
-            }
+            flow.fold_into(&mut self.report);
         }
         for c in &self.clients {
             self.report
@@ -1482,19 +1272,12 @@ impl World {
         // the last byte; that idle tail is not an outage. The trailing
         // gap is only closed for clients with open-ended downlink
         // demand or an unfinished finite transfer.
-        let mut open_demand: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        for flow in &self.flows {
-            let open = match &flow.kind {
-                FlowKind::Udp { dir, .. } | FlowKind::Conf { dir, .. } => *dir == Dir::Down,
-                FlowKind::DownTcp { limit: None, .. } => true,
-                FlowKind::DownTcp { limit: Some(_), .. } => {
-                    !self.report.tcp_completion.contains_key(&flow.id)
-                }
-            };
-            if open {
-                open_demand.insert(flow.client);
-            }
-        }
+        let open_demand: HashSet<NodeId> = self
+            .flows
+            .iter()
+            .filter(|f| f.wants_downlink())
+            .map(|f| f.client)
+            .collect();
         for (client, last) in self.report.last_delivery.clone() {
             if !open_demand.contains(&client) {
                 continue;
@@ -1542,6 +1325,9 @@ mod tests {
     fn wgtt() -> SystemKind {
         SystemKind::Wgtt(WgttConfig::default())
     }
+
+    /// Where hand-made downlink packets come from.
+    const SERVER: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
 
     fn quick_world(system: SystemKind, spec: FlowSpec, seed: u64) -> World {
         let cfg = TestbedConfig::paper_array().with_clients(vec![ClientPlan::drive_by(15.0)]);
@@ -1654,10 +1440,10 @@ mod tests {
             }
             let mut picks = Vec::new();
             for index in 0..100u16 {
-                let (from, to) = Dir::Down.endpoints(w.clients[0].ip);
-                let packet =
-                    w.factory
-                        .udp(FlowId(0), from, to, index.into(), UDP_LEN, SimTime::ZERO);
+                let (from, to) = (SERVER, w.clients[0].ip);
+                let packet = w
+                    .factory
+                    .udp(FlowId(0), from, to, index.into(), 1500, SimTime::ZERO);
                 if let Some(s) = w.system.wgtt() {
                     s.aps[ai].on_backhaul(BackhaulMsg::DownlinkData {
                         client,
@@ -1696,14 +1482,12 @@ mod tests {
         w.traffic_start = SimTime::from_secs(1);
         w.begin(SimDuration::from_secs(1));
         let client = w.client_ids()[0];
-        let (from, to) = Dir::Down.endpoints(w.clients[0].ip);
+        let (from, to) = (SERVER, w.clients[0].ip);
         let latency = WgttConfig::default().backhaul_latency;
         for index in 0..3u16 {
             let now = SimTime::ZERO + latency.times(2 * u64::from(index) + 1);
             w.advance_until(now);
-            let packet = w
-                .factory
-                .udp(FlowId(0), from, to, index.into(), UDP_LEN, now);
+            let packet = w.factory.udp(FlowId(0), from, to, index.into(), 1500, now);
             let mut buf = ActionBuf::new();
             // NodeId(64) is neither an AP nor a client of this world.
             for ap in [NodeId(2), NodeId(64), NodeId(5)] {
@@ -1732,22 +1516,15 @@ mod tests {
 
     // ------------------------------------------------------- TCP timers
 
-    /// The flow-0 TCP sender.
-    fn tcp_sender(w: &World) -> &TcpSender {
-        match &w.flows[0].kind {
-            FlowKind::DownTcp { snd, .. } => snd,
-            _ => panic!("flow 0 is TCP"),
-        }
-    }
-
     #[test]
     fn every_rto_deadline_is_met_to_the_nanosecond() {
         // A car that shuttles out of the array's reach and back: ACKs
         // stop mid-transfer, the RTO backs off, and on the way back a
         // fresh ACK pulls the deadline in under the timer the last
         // back-off armed. Whoever moves the deadline arms a timer at it
-        // (`on_traffic`, `on_wan_uplink`, `on_tcp_timer`); nothing else
-        // does, so a site that stopped would show here as a missed one.
+        // (the flow's first tick, an ACK's arrival, an RTO, each through
+        // `World::serve`); nothing else does, so one that stopped would
+        // show here as a missed one.
         let plan = ClientPlan {
             start: Position::new(20.0, 0.0),
             speed_mps: 15.0,
@@ -1764,13 +1541,13 @@ mod tests {
         let (mut now, mut latest_armed) = (SimTime::ZERO, SimTime::ZERO);
         let (mut backoffs, mut longest_backoff, mut under_a_later_timer) = (0, 0, 0);
         while now < w.end_at() {
-            let snd = tcp_sender(&w);
+            let snd = w.flows[0].tcp_sender();
             let (deadline, rto, fired) = (snd.rto_deadline(), snd.rto(), snd.stats.timeouts);
             // To the deadline's last nanosecond but one, if a step reaches.
             let eve = deadline.map(|d| d - ns).filter(|&t| t <= now + step);
             now = eve.unwrap_or(now + step);
             w.advance_until(now);
-            let snd = tcp_sender(&w);
+            let snd = w.flows[0].tcp_sender();
             assert_eq!(snd.stats.timeouts, fired, "RTO ahead of {deadline:?}");
             assert!(
                 snd.rto_deadline().is_none_or(|d| d > now),
@@ -1787,10 +1564,11 @@ mod tests {
             };
             now = d;
             w.advance_until(now);
-            let snd = tcp_sender(&w);
+            let snd = w.flows[0].tcp_sender();
             assert_eq!(snd.stats.timeouts, fired + 1, "no RTO at {d}");
             let doubled = SimDuration::from_nanos(rto.as_nanos() * 2);
-            assert_eq!(snd.rto(), doubled.min(TcpConfig::default().max_rto));
+            let max_rto = wgtt_net::tcp::TcpConfig::default().max_rto;
+            assert_eq!(snd.rto(), doubled.min(max_rto));
             assert_eq!(snd.rto_deadline(), Some(d + snd.rto()));
             under_a_later_timer += u32::from(d < latest_armed);
             latest_armed = latest_armed.max(d + snd.rto());

@@ -1,4 +1,4 @@
-// Event dispatch, backhaul plumbing, and flow routing for `World`.
+// Event dispatch, backhaul plumbing, and packet routing for `World`.
 // Textually included by world.rs so the impl stays in one module.
 
 impl World {
@@ -19,12 +19,16 @@ impl World {
             } => self.on_ba_response(from, to, start_seq, bitmap, now),
             Ev::MgmtResponse { from, to, step } => self.on_mgmt_response(from, to, step, now),
             Ev::BaTimeout { from, peer } => self.on_ba_timeout(from, peer, now),
-            Ev::Traffic { flow } => self.on_traffic(flow, now),
-            Ev::TcpTimer { flow } => self.on_tcp_timer(flow, now),
+            Ev::Traffic { flow } => self.with_flow(flow, now, |f, factory, out| {
+                f.on_tick(now, factory, out)
+            }),
+            Ev::TcpTimer { flow } => self.with_flow(flow, now, |f, factory, out| {
+                f.on_timer(now, factory, out)
+            }),
             Ev::Beacon { ap, retry } => self.on_beacon(ap, retry, now),
             Ev::RoamPoll { client } => self.on_roam_poll(client, now),
             Ev::Mobility => self.on_mobility(now),
-            Ev::ConfFeedback { flow } => self.on_conf_feedback(flow, now),
+            Ev::ConfFeedback { flow } => self.with_flow(flow, now, |f, _, _| f.on_feedback(now)),
             Ev::SampleState => self.on_sample(now),
             Ev::Keepalive { client } => self.on_keepalive(client, now),
             Ev::MgmtTx {
@@ -177,7 +181,7 @@ impl World {
                     }
                     self.backhaul_fanout(aps, msg, now);
                 }
-                ControllerAction::ToWan { packet } => self.on_wan_uplink(packet, now),
+                ControllerAction::ToWan { packet } => self.on_arrival(packet, now),
             }
         }
         // A switch may have been started: make sure its timeout is
@@ -261,12 +265,14 @@ impl World {
         }
     }
 
-    /// Send a flow's packet on its way: into the system for the client,
-    /// or into the client's MAC for the server.
-    fn route(&mut self, dir: Dir, client: NodeId, packet: Packet, now: SimTime) {
-        match dir {
-            Dir::Down => self.route_downlink(client, packet, now),
-            Dir::Up => self.enqueue_uplink(client, packet, now),
+    /// Send a packet of one of `client`'s flows on its way: into the
+    /// system when it is addressed to the client, into the client's MAC
+    /// when it is the client's to send.
+    fn route(&mut self, client: NodeId, packet: Packet, now: SimTime) {
+        if packet.dst == self.clients[self.client_index(client)].ip {
+            self.route_downlink(client, packet, now);
+        } else {
+            self.enqueue_uplink(client, packet, now);
         }
     }
 
@@ -281,235 +287,52 @@ impl World {
         self.kick(client, now);
     }
 
-    fn on_traffic(&mut self, flow_id: FlowId, now: SimTime) {
-        let fi = flow_id.0 as usize;
-        let client = self.flows[fi].client;
-        let client_ip = self.clients[self.client_index(client)].ip;
-        match &mut self.flows[fi].kind {
-            FlowKind::Udp { dir, src, .. } => {
-                let dir = *dir;
-                let pkts = src.poll(now, &mut self.factory);
-                let next = src.next_due();
-                for p in pkts {
-                    self.route(dir, client, p, now);
-                }
-                self.queue.schedule(next, Ev::Traffic { flow: flow_id });
-            }
-            FlowKind::DownTcp { snd, .. } => {
-                // One-shot bootstrap: emit the initial window.
-                let segs = snd.poll_send(now);
-                let deadline = snd.rto_deadline();
-                self.emit_tcp_segments(flow_id, client, client_ip, segs, now);
-                if let Some(d) = deadline {
-                    self.queue.schedule(d, Ev::TcpTimer { flow: flow_id });
-                }
-            }
-            FlowKind::Conf {
-                dir,
-                src,
-                asm,
-                next_seq,
-                ..
-            } => {
-                let dir = *dir;
-                let (from, to) = dir.endpoints(client_ip);
-                let frames = src.poll(now);
-                let mut pkts = Vec::new();
-                for f in frames {
-                    let chunks = f.bytes.div_ceil(CONF_CHUNK);
-                    for seq in asm.on_frame_sent(f.id, chunks, next_seq) {
-                        let len = (CONF_CHUNK + 28) as u16;
-                        pkts.push(self.factory.udp(flow_id, from, to, seq, len, now));
-                    }
-                }
-                for p in pkts {
-                    self.route(dir, client, p, now);
-                }
-                self.queue.schedule(
-                    now + SimDuration::from_secs_f64(1.0 / 30.0),
-                    Ev::Traffic { flow: flow_id },
-                );
-            }
-        }
-    }
-
-    fn emit_tcp_segments(
+    /// Call `flow`, then do what it asks in the order its handlers always
+    /// have: route the packets it put out, then schedule its wake-ups.
+    /// Routing calls no flow, so the one outbox is free whenever a flow
+    /// is called (a nested call would merely find it empty).
+    fn with_flow(
         &mut self,
         flow: FlowId,
-        client: NodeId,
-        client_ip: Ipv4Addr,
-        segs: Vec<wgtt_net::tcp::Segment>,
         now: SimTime,
+        call: impl FnOnce(&mut Flow, &mut PacketFactory, &mut Vec<Packet>) -> Asks,
     ) {
-        for s in segs {
-            let p = self.factory.tcp(
-                flow,
-                SERVER_IP,
-                client_ip,
-                s.seq as u32,
-                s.len as u32,
-                0,
-                false,
-                now,
-            );
-            self.route_downlink(client, p, now);
-        }
-    }
-
-    fn on_tcp_timer(&mut self, flow_id: FlowId, now: SimTime) {
-        let fi = flow_id.0 as usize;
-        let client = self.flows[fi].client;
-        let client_ip = self.clients[self.client_index(client)].ip;
-        let FlowKind::DownTcp { snd, .. } = &mut self.flows[fi].kind else {
-            return;
+        let Some(f) = self.flows.get_mut(flow.0 as usize) else {
+            return; // a packet of no flow of this world
         };
-        let Some(d) = snd.rto_deadline() else { return };
-        if d > now {
-            // Stale: the deadline moved after this timer was armed, and
-            // whoever moved it armed one at the new deadline (each of the
-            // three places that can: the bootstrap in `on_traffic`, an ACK
-            // in `on_wan_uplink`, the RTO below).
-            return;
+        let client = f.client;
+        let mut out = std::mem::take(&mut self.outbox);
+        let asks = call(f, &mut self.factory, &mut out);
+        for p in out.drain(..) {
+            self.route(client, p, now);
         }
-        snd.on_rto(now);
-        let segs = snd.poll_send(now);
-        let next = snd.rto_deadline();
-        self.emit_tcp_segments(flow_id, client, client_ip, segs, now);
-        if let Some(d) = next {
-            self.queue.schedule(d.max(now), Ev::TcpTimer { flow: flow_id });
+        self.outbox = out;
+        if let Some(t) = asks.tick {
+            self.queue.schedule(t, Ev::Traffic { flow });
+        }
+        if let Some(d) = asks.timer {
+            self.queue.schedule(d.max(now), Ev::TcpTimer { flow });
+        }
+        if let Some(t) = asks.feedback {
+            self.queue.schedule(t, Ev::ConfFeedback { flow });
         }
     }
 
-    /// A de-duplicated uplink packet reached the WAN side (server).
-    fn on_wan_uplink(&mut self, packet: Packet, now: SimTime) {
-        let fi = packet.flow.0 as usize;
-        if fi >= self.flows.len() {
-            return;
-        }
-        let client = self.flows[fi].client;
-        let client_ip = self.clients[self.client_index(client)].ip;
-        match &mut self.flows[fi].kind {
-            FlowKind::Udp {
-                dir: Dir::Up, sink, ..
-            } => sink.on_packet(&packet, now),
-            FlowKind::DownTcp { snd, .. } => {
-                if let Transport::Tcp {
-                    ack_no, is_ack: true, ..
-                } = packet.transport
-                {
-                    snd.on_ack(u64::from(ack_no), now);
-                    let segs = snd.poll_send(now);
-                    let deadline = snd.rto_deadline();
-                    self.emit_tcp_segments(packet.flow, client, client_ip, segs, now);
-                    if let Some(d) = deadline {
-                        self.queue
-                            .schedule(d.max(now), Ev::TcpTimer { flow: packet.flow });
-                    }
-                }
-            }
-            FlowKind::Conf {
-                dir: Dir::Up,
-                asm,
-                sink,
-                ..
-            } => {
-                if let Transport::Udp { seq } = packet.transport {
-                    if asm.on_chunk(seq) {
-                        sink.on_frame_complete(now);
-                    }
-                }
-            }
-            _ => {}
-        }
+    /// `packet` reached the end of its flow it was addressed to: the
+    /// server, past the controller's de-duplication or the associated
+    /// baseline AP, or (`deliver_to_client`) the client.
+    fn on_arrival(&mut self, packet: Packet, now: SimTime) {
+        self.with_flow(packet.flow, now, |f, factory, out| {
+            f.on_arrival(&packet, now, factory, out)
+        });
     }
 
     /// A downlink packet was decoded (and MAC-deduplicated) at the client.
-    fn deliver_to_client(&mut self, client: NodeId, pref: PacketRef, now: SimTime) {
-        let Some(packet) = self.packet_by_ref(pref) else {
-            self.report.missing_packet_refs += 1;
-            return;
-        };
-        let fi = packet.flow.0 as usize;
-        if fi >= self.flows.len() {
-            return;
+    fn deliver_to_client(&mut self, pref: PacketRef, now: SimTime) {
+        match self.packet_by_ref(pref) {
+            Some(packet) => self.on_arrival(packet, now),
+            None => self.report.missing_packet_refs += 1,
         }
-        let client_ip = self.clients[self.client_index(client)].ip;
-        let mut ack_to_send: Option<Packet> = None;
-        match &mut self.flows[fi].kind {
-            FlowKind::Udp {
-                dir: Dir::Down,
-                sink,
-                ..
-            } => sink.on_packet(&packet, now),
-            FlowKind::DownTcp {
-                rcv,
-                meter,
-                limit,
-                ..
-            } => {
-                if let Transport::Tcp { seq, payload, .. } = packet.transport {
-                    let before = rcv.delivered;
-                    let ack_no = rcv.on_segment(u64::from(seq), u64::from(payload));
-                    let newly = rcv.delivered - before;
-                    if newly > 0 {
-                        meter.record(now, newly);
-                        if let Some(lim) = limit {
-                            if rcv.delivered >= *lim {
-                                self.report
-                                    .tcp_completion
-                                    .entry(packet.flow)
-                                    .or_insert(now);
-                            }
-                        }
-                    }
-                    ack_to_send = Some(self.factory.tcp(
-                        packet.flow,
-                        client_ip,
-                        SERVER_IP,
-                        0,
-                        0,
-                        ack_no as u32,
-                        true,
-                        now,
-                    ));
-                }
-            }
-            FlowKind::Conf {
-                dir: Dir::Down,
-                asm,
-                sink,
-                ..
-            } => {
-                if let Transport::Udp { seq } = packet.transport {
-                    if asm.on_chunk(seq) {
-                        sink.on_frame_complete(now);
-                    }
-                }
-            }
-            _ => {}
-        }
-        if let Some(ack) = ack_to_send {
-            self.enqueue_uplink(client, ack, now);
-        }
-    }
-
-    fn on_conf_feedback(&mut self, flow_id: FlowId, now: SimTime) {
-        let fi = flow_id.0 as usize;
-        match &mut self.flows[fi].kind {
-            FlowKind::Conf { src, asm, .. } => {
-                let sent = asm.window_sent;
-                let done = asm.window_done;
-                if sent > 0 {
-                    let loss = 1.0 - (done.min(sent) as f64 / sent as f64);
-                    src.on_loss_feedback(loss);
-                }
-                asm.window_sent = 0;
-                asm.window_done = 0;
-            }
-            _ => return,
-        }
-        self.queue
-            .schedule(now + CONF_FEEDBACK, Ev::ConfFeedback { flow: flow_id });
     }
 
     // -------------------------------------------------------- monitoring

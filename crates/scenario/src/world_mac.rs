@@ -291,7 +291,7 @@ impl World {
             }
             decoded_any = true;
             if self.clients[ci].ba_rx[slot].on_mpdu(m.seq) {
-                self.deliver_to_client(client, m.packet, now);
+                self.deliver_to_client(m.packet, now);
             }
         }
         if decoded_any {
@@ -379,7 +379,7 @@ impl World {
                         self.report.missing_packet_refs += 1;
                         continue;
                     };
-                    self.on_wan_uplink(packet, now);
+                    self.on_arrival(packet, now);
                 }
             }
             // Block ACK response — under WGTT *every* decoding AP is
