@@ -25,7 +25,7 @@
 //! * **Timer wheel.** `next_timeout()` — asked after *every* dispatched
 //!   action by the event loop — and `poll()` used to iterate every
 //!   client. Both now ride an amortized hierarchical
-//!   [`TimerWheel`](crate::timerwheel::TimerWheel) keyed by switch-ack
+//!   [`TimerWheel`] keyed by switch-ack
 //!   deadline: `next_timeout` is a bitmap scan of occupied slots, `poll`
 //!   touches only the clients actually due.
 //! * **Streaming fan-out.** A downlink packet resolves its in-range AP

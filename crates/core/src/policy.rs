@@ -35,7 +35,7 @@
 //!
 //! All three policies share the paper's dampers — candidate-set
 //! emptiness, time hysteresis, and the silence grace on the serving
-//! AP — via [`dampers`]; they differ only in the comparison that runs
+//! AP — via `dampers`; they differ only in the comparison that runs
 //! once those gates pass. Policies are handed around as
 //! `Arc<dyn SwitchPolicy>` (`Send + Sync`: the sharded world engine
 //! moves selectors across scoped threads), chosen by the `Copy`-able

@@ -23,9 +23,9 @@
 //! * **Overflow**: a plain vec for anything beyond ≈ 18 min; re-homed
 //!   lazily at L1 lap boundaries.
 //!
-//! Entries whose deadline has been passed by [`advance`] collect in a
-//! `due` bucket that [`drain_due`](TimerWheel::drain_due) hands to the
-//! caller.
+//! Entries whose deadline has been passed by
+//! [`advance`](TimerWheel::advance) collect in a `due` bucket that
+//! [`drain_due`](TimerWheel::drain_due) hands to the caller.
 //!
 //! ## Stale entries
 //!

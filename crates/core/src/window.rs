@@ -8,7 +8,7 @@
 //! replaces it with structures that keep order statistics *across*
 //! queries instead of rebuilding them per query:
 //!
-//! * an **indexable sorted ring** ([`SortedRing`]): the window's live
+//! * an **indexable sorted ring** (`SortedRing`): the window's live
 //!   values kept sorted under `f64::total_cmp`; insert and expiry
 //!   binary-search the position and shift the tail, and any order
 //!   statistic is a direct index. For the at-most-few-hundred readings

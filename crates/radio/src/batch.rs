@@ -31,8 +31,8 @@ const BLOCK: usize = 16;
 /// one entry per link, in iteration order).
 ///
 /// Each link goes through the two-stage split of [`Link::esnr_db_at`] —
-/// all of a block's lane BER sweeps first ([`Link::esnr_mean_ber_at`]),
-/// then all its inversions ([`Link::esnr_finish_at`]). Per link the
+/// all of a block's lane BER sweeps first (`Link::esnr_mean_ber_at`),
+/// then all its inversions (`Link::esnr_finish_at`). Per link the
 /// operation sequence is exactly the fused one, so values and memo
 /// states are bit-identical to per-link calls; only the interleaving
 /// across (independent) links changes.

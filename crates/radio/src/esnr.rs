@@ -13,7 +13,7 @@
 //! every overhearing AP, so it is the hottest scalar computation in the
 //! system. [`Modulation::snr_for_ber`] therefore uses a precomputed
 //! monotone Hermite table polished by Newton steps on the exact curve;
-//! the seed's 200-step bisection is retained verbatim in [`reference`]
+//! the seed's 200-step bisection is retained verbatim in [`mod@reference`]
 //! — dead links below the table floor still take it, and it is the
 //! equivalence oracle of `crates/radio/tests/prop_esnr.rs`. The BER
 //! sweep itself has one implementation: the lane sweep `ber_mean`, which

@@ -87,7 +87,7 @@ const SC_CHUNKS: usize = NUM_SUBCARRIERS / LANES;
 
 /// The seed implementation, retained verbatim.
 ///
-/// [`FadingProcess`](crate::fading::FadingProcess) (the shipping SoA
+/// [`FadingProcess`] (the shipping SoA
 /// path) is constructed *through* this type, so the two can never
 /// disagree on the channel realization; `tests/prop_simd.rs` differences
 /// the shipping kernels against [`reference::FadingProcess::csi_at`].
@@ -250,7 +250,7 @@ pub mod reference {
 /// needs `sin/cos(ωt)` only — one branchless vector pass for the whole
 /// delay line instead of 96 libm calls). What is time-invariant and the
 /// same for every link (the twiddle planes, the per-tap scales) lives
-/// once per process in [`DelayLine`], so a world of thousands of links
+/// once per process in `DelayLine`, so a world of thousands of links
 /// keeps those 5.4 KB hot in cache instead of carrying a copy per link.
 #[derive(Debug, Clone)]
 pub struct FadingProcess {

@@ -211,12 +211,7 @@ pub fn table2(seed: u64) -> ExperimentOutput {
     ] {
         let acc = |sys: SystemKind| -> f64 {
             let run = drive(sys, 15.0, spec, seed);
-            let r = &run.world.report;
-            if r.accuracy_total > 0.0 {
-                100.0 * r.accuracy_hits / r.accuracy_total
-            } else {
-                0.0
-            }
+            run.world.selection_accuracy().percent()
         };
         out.row(vec![
             name.into(),

@@ -69,12 +69,11 @@ pub fn ablation_selector(seed: u64) -> ExperimentOutput {
             FlowSpec::DownlinkUdp { rate_mbps: 25.0 },
             seed,
         );
-        let r = &run.world.report;
         out.row(vec![
             name.into(),
             f(run.mean_mbps(), 2),
-            r.switches.to_string(),
-            f(100.0 * r.accuracy_hits / r.accuracy_total.max(1e-9), 1),
+            run.world.report.switches.to_string(),
+            f(run.world.selection_accuracy().percent(), 1),
         ]);
     }
     out.note("the median resists single-reading fading spikes and CSI noise (Fig. 6)");

@@ -137,20 +137,15 @@ pub fn fig4(seed: u64) -> ExperimentOutput {
         let client = NodeId(100);
         let mut oracle_acc = 0.0;
         let mut n = 0u64;
-        for ap in [NodeId(0), NodeId(1)] {
-            let _ = ap;
-        }
-        if let Some(ts) = w.report.esnr_traces.get(&(client, NodeId(0))) {
-            let ts2 = w.report.esnr_traces.get(&(client, NodeId(1)));
-            for (i, &(t, e0)) in ts.points().iter().enumerate() {
-                let e1 = ts2
-                    .and_then(|s| s.points().get(i).map(|&(_, v)| v))
-                    .unwrap_or(f64::NEG_INFINITY);
-                let best = e0.max(e1);
-                if best > 2.0 && t >= w.traffic_start {
-                    oracle_acc += capacity_mbps(best);
-                    n += 1;
-                }
+        let (ap0, ap1) = (
+            w.esnr_trace(client, NodeId(0)),
+            w.esnr_trace(client, NodeId(1)),
+        );
+        for (&(t, e0), &(_, e1)) in ap0.points().iter().zip(ap1.points()) {
+            let best = e0.max(e1);
+            if best > 2.0 && t >= w.traffic_start {
+                oracle_acc += capacity_mbps(best);
+                n += 1;
             }
         }
         let oracle = if n > 0 { oracle_acc / n as f64 } else { 0.0 };

@@ -331,28 +331,20 @@ impl FleetConfig {
         plans
     }
 
-    /// Build one `World` per district (lean sampling on), each covering
-    /// its own slice of the corridor with globally consistent ids and
-    /// RNG streams. These are what `scenario::shard` advances in
-    /// parallel.
+    /// Build one `World` per district, each covering its own slice of the
+    /// corridor with globally consistent ids and RNG streams. These are
+    /// what `scenario::shard` advances in parallel.
     pub fn district_worlds(&self, system: SystemKind, seed: u64) -> Vec<(World, Vec<AppKind>)> {
         self.district_plan(seed)
             .into_iter()
-            .map(|p| {
-                let mut w = World::new_multi(p.cfg, system, p.flows, seed);
-                w.sample_lean = true;
-                (w, p.kinds)
-            })
+            .map(|p| (World::new_multi(p.cfg, system, p.flows, seed), p.kinds))
             .collect()
     }
 
-    /// Build the world for this scenario (lean sampling on: the
-    /// per-(client, AP) ESNR trace loop is dead weight at fleet scale).
+    /// Build the world for this scenario.
     pub fn build_world(&self, system: SystemKind, seed: u64) -> (World, Vec<AppKind>) {
         let (cfg, kinds, flows) = self.generate(seed);
-        let mut world = World::new_multi(cfg, system, flows, seed);
-        world.sample_lean = true;
-        (world, kinds)
+        (World::new_multi(cfg, system, flows, seed), kinds)
     }
 
     /// Run the scenario end to end and reduce it to fleet aggregates.
@@ -527,7 +519,7 @@ impl FleetReport {
     /// [`FleetReport::from_world`] would have reduced the monolithic
     /// world: `per_vehicle` concatenates in district order (= global
     /// vehicle order, since vehicle blocks are contiguous), counters
-    /// sum, and [`FleetReport::finish`] derives the rest from the pooled
+    /// sum, and `FleetReport::finish` derives the rest from the pooled
     /// values as it does for one world.
     pub fn merge(parts: Vec<FleetReport>, cfg: &FleetConfig) -> FleetReport {
         assert!(!parts.is_empty(), "merge needs at least one district");

@@ -107,7 +107,10 @@ pub struct RunReport {
     pub flow_meters: HashMap<FlowId, ThroughputMeter>,
     /// Per-flow UDP loss (sent, unique received).
     pub udp_counts: HashMap<FlowId, (u64, u64)>,
-    /// Serving-AP timeseries per client (AP index as f64).
+    /// Serving-AP timeseries per client (AP id + 1 as f64), one point per
+    /// sampling tick at which the client had a serving AP. What could be
+    /// computed from it afterwards is asked afterwards:
+    /// [`World::esnr_trace`], [`World::selection_accuracy`].
     pub serving_series: HashMap<NodeId, TimeSeries>,
     /// Instantaneous per-frame PHY bit rate samples (Mbit/s) per client.
     /// One sample per delivered A-MPDU makes this the report's unbounded
@@ -117,13 +120,6 @@ pub struct RunReport {
     /// moved to the same sketch backend with the controller-dataplane
     /// rewrite; Table 1 reads only its exact count/mean/std-dev.
     pub bitrate_series: HashMap<NodeId, Distribution>,
-    /// ESNR traces per (client, AP) — Fig. 2 style.
-    pub esnr_traces: HashMap<(NodeId, NodeId), TimeSeries>,
-    /// Time spent (s) where the serving AP equalled the oracle-best AP,
-    /// and total observed time (Table 2).
-    pub accuracy_hits: f64,
-    /// Total accuracy observations.
-    pub accuracy_total: f64,
     /// Switch protocol execution times (s) — Table 1.
     pub switch_durations: Distribution,
     /// Completed switches.
@@ -179,12 +175,34 @@ pub struct RunReport {
     /// dividing by a zero frame count.
     pub last_delivery: HashMap<NodeId, SimTime>,
     /// Downlink outage durations (s) per client: every gap of at least
-    /// [`OUTAGE_MIN`] between successive decoded A-MPDUs, measured from
+    /// `OUTAGE_MIN` (200 ms) between successive decoded A-MPDUs, measured from
     /// `traffic_start`, with the trailing gap closed at the end of the
     /// run by `finalize`.
     pub outage_durations: HashMap<NodeId, Distribution>,
     /// The run's duration.
     pub duration: SimDuration,
+}
+
+/// Table 2's switching accuracy, as [`World::selection_accuracy`] sums it
+/// over a run's sampling ticks.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SelectionAccuracy {
+    /// Time (s) the serving AP was within 1 dB of the oracle-best AP.
+    pub hits_s: f64,
+    /// Time (s) observed: the client was served and some AP was usable.
+    pub total_s: f64,
+}
+
+impl SelectionAccuracy {
+    /// Share of the observed time spent on the oracle-best AP, in percent
+    /// (0 when nothing was observed).
+    pub fn percent(&self) -> f64 {
+        if self.total_s > 0.0 {
+            100.0 * self.hits_s / self.total_s
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Work counters of the frame path's PHY consumers (`crate::decide`):
@@ -196,7 +214,8 @@ pub struct RunReport {
 /// agree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhyWork {
-    /// Delivery rolls (one per MPDU or control frame per receiver).
+    /// Delivery rolls (one per MPDU or control frame per receiver): the
+    /// three rungs below plus `rolls_unread`.
     pub rolls: u64,
     /// Rolls settled by an exact ESNR: found in the link's memo, computed
     /// for this roll, or computed for an earlier roll of the same frame.
@@ -205,6 +224,10 @@ pub struct PhyWork {
     pub rolls_ceiling: u64,
     /// Rolls settled as lost by the tap-gain bound.
     pub rolls_bound: u64,
+    /// Rolls whose verdict nothing reads — a client's Block ACK heard by a
+    /// baseline AP it was not addressed to — which draw and decide
+    /// nothing.
+    pub rolls_unread: u64,
     /// 56-subcarrier power syntheses across all links (filled in by
     /// [`World::finish`]).
     pub syntheses: u64,
@@ -224,6 +247,7 @@ impl std::ops::AddAssign for PhyWork {
         self.rolls_exact += o.rolls_exact;
         self.rolls_ceiling += o.rolls_ceiling;
         self.rolls_bound += o.rolls_bound;
+        self.rolls_unread += o.rolls_unread;
         self.syntheses += o.syntheses;
         self.sweeps += o.sweeps;
         self.capture_checks += o.capture_checks;
@@ -235,7 +259,7 @@ impl std::ops::AddAssign for PhyWork {
 /// list of fields.
 macro_rules! event_counts {
     ($($(#[$doc:meta])* $field:ident $label:literal,)*) => {
-        /// Events handled, by [`Ev`] kind: `events_handled` taken apart. A
+        /// Events handled, by `Ev` kind: `events_handled` taken apart. A
         /// property of the engine like [`PhyWork`] — a monolithic world
         /// and its districts need not agree — but for one engine, one
         /// configuration and one seed every count repeats exactly.
@@ -519,14 +543,15 @@ pub struct World {
     backhaul_capture: Option<crate::pcap::PcapWriter>,
     /// IP ident counter for the capture's outer headers.
     capture_ident: u16,
-    /// Skip the per-(client, AP) ESNR-trace/accuracy sampling loop in
-    /// `on_sample`. Fleet runs set this: with hundreds of vehicles and
-    /// dozens of APs that loop is O(clients × APs) every 10 ms and the
-    /// fleet report never reads the traces it would fill.
+    /// Inert: the sampler it used to thin computes nothing any more.
+    /// Deleted with ROADMAP item 6(ii), once `benchmark/` stops
+    /// assigning it.
+    #[doc(hidden)]
     pub sample_lean: bool,
-    /// Scratch for the sampling loop's batched per-AP ESNR map (reused
-    /// across clients and ticks; zero steady-state allocation).
-    esnr_scratch: Vec<f64>,
+    /// Sampling ticks taken so far, at `SAMPLE_TICK`, `2 · SAMPLE_TICK`, …
+    /// — the instants [`World::esnr_trace`] and
+    /// [`World::selection_accuracy`] evaluate.
+    sample_ticks: u64,
     /// Pool of reusable controller action buffers. Dispatching a
     /// controller action can recursively produce more controller work
     /// (a forwarded uplink TCP ack emits fresh downlink segments), so
@@ -588,7 +613,8 @@ const KEEPALIVE_PKT_ID: u64 = u64::MAX;
 /// (DESIGN.md §7). That is why the static ceiling alone settles only
 /// about half of the far control rolls and the ladder has a tap-gain
 /// rung behind it — and why the horizon is ratcheted at 120 m until the
-/// short-frame PER is fixed (ROADMAP item 1(c)).
+/// short-frame PER is fixed (ROADMAP item 4(iv); item 8 then derives the
+/// gate).
 const DECODE_HORIZON_M: f64 = 120.0;
 /// Large-scale model and budget of same-kind (AP↔AP, client↔client)
 /// interference, for which no fading link exists.
@@ -752,7 +778,7 @@ impl World {
             backhaul_capture: None,
             capture_ident: 0,
             sample_lean: false,
-            esnr_scratch: Vec::new(),
+            sample_ticks: 0,
             ctl_bufs: Vec::new(),
             fanouts: Vec::new(),
             fanouts_free: Vec::new(),
@@ -931,6 +957,14 @@ impl World {
         survives
     }
 
+    /// The uniform draw of one delivery roll, from the client's stream —
+    /// every roll's only draw site, whether or not a verdict follows.
+    fn roll_draw(&mut self, client: NodeId) -> f64 {
+        self.report.phy.rolls += 1;
+        let ci = self.client_index(client);
+        self.clients[ci].rng.uniform()
+    }
+
     /// Roll delivery of one MPDU of `len` bytes at `mcs` over the
     /// (ap, client) link at `now`, with the client at `pos`: one uniform
     /// draw from the client's stream, then the ladder — whose answer is
@@ -944,8 +978,7 @@ impl World {
         mcs: Mcs,
         len: u16,
     ) -> bool {
-        let ci = self.client_index(client);
-        let u = self.clients[ci].rng.uniform();
+        let u = self.roll_draw(client);
         let pair = self.pair_index(ap, client);
         let link = &self.links[pair];
         let same = |c: &RxContext| c.pair == pair && c.at == now && c.mcs == mcs;
@@ -964,7 +997,6 @@ impl World {
         }
         let ctx = self.rx_ctx.as_mut().expect("context just ensured");
         let phy = &mut self.report.phy;
-        phy.rolls += 1;
         loop {
             let (rung, esnr_db) = match ctx.ladder.step(u, len) {
                 Step::Lost(lost, rung) => {
@@ -997,6 +1029,14 @@ impl World {
         self.roll_mpdu(ap, client, pos, now, Mcs::Mcs2, 64)
     }
 
+    /// A roll nobody reads: the draw is taken, so the client's stream
+    /// stands where a decided roll would have left it, and nothing is
+    /// decided.
+    fn roll_unread(&mut self, client: NodeId) {
+        self.roll_draw(client);
+        self.report.phy.rolls_unread += 1;
+    }
+
     fn store_packet(&mut self, p: Packet) {
         set_at(&mut self.packets, p.id as usize, Some(p), None);
     }
@@ -1023,14 +1063,14 @@ impl World {
 
     // -------------------------------------------------------- run control
 
-    /// Run the world for `duration`, returning when the queue drains past
-    /// it. Consumes nothing; results accumulate in [`World::report`].
     /// Client node ids in client-index order (index `ci` of the plan /
     /// flow-attachment APIs maps to `client_ids()[ci]`).
     pub fn client_ids(&self) -> Vec<NodeId> {
         self.clients.iter().map(|c| c.id).collect()
     }
 
+    /// Run the world for `duration`, returning when the queue drains past
+    /// it. Consumes nothing; results accumulate in [`World::report`].
     pub fn run(&mut self, duration: SimDuration) {
         self.begin(duration);
         self.advance_until(self.end_at());
@@ -1577,6 +1617,211 @@ mod tests {
         }
         assert!(longest_backoff >= 3, "the car must leave coverage");
         assert!(under_a_later_timer >= 1, "an ACK must pull a deadline in");
+    }
+
+    // -------------------------------------------------- sampler queries
+    //
+    // `on_sample` used to fill an ESNR trace per (client, AP) and the
+    // accuracy sums at every tick. That body, evaluated here eagerly on
+    // the world's own links, is the oracle for the queries that replaced
+    // it — and, because it leaves the links' memos as the old sampler
+    // did, shows again that doing so moves no outcome.
+
+    const QUERY_RUN: SimDuration = SimDuration::from_millis(2500);
+    /// Ticks at which a baseline world's second car has no serving AP.
+    const UNSERVED_TICKS: Range<u64> = 60..90;
+
+    /// Two cars crossing the array in opposite lanes, from out of reach at
+    /// one end to past every cell within `QUERY_RUN`.
+    fn two_car_world(system: SystemKind) -> World {
+        use crate::testbed::Direction;
+        let plan = |x, y, speed_mps, direction| ClientPlan {
+            start: Position::new(x, y),
+            speed_mps,
+            direction,
+            stop: None,
+            shuttle: None,
+        };
+        let cfg = TestbedConfig::paper_array().with_clients(vec![
+            plan(-25.0, 0.0, 35.0, Direction::East),
+            plan(80.0, -3.5, 30.0, Direction::West),
+        ]);
+        let flows = vec![
+            FlowSpec::DownlinkUdp { rate_mbps: 10.0 },
+            FlowSpec::UplinkUdp { rate_mbps: 5.0 },
+        ];
+        World::new(cfg, system, flows, 17)
+    }
+
+    /// Drive `w` through `QUERY_RUN` stopping after every sampling tick:
+    /// `at_tick` sees the world with the tick's events handled. A baseline
+    /// world's second car loses its association for `UNSERVED_TICKS` (its
+    /// roamer parked, one that never attached in its place).
+    fn drive_by_ticks(w: &mut World, mut at_tick: impl FnMut(&World, SimTime)) {
+        w.begin(QUERY_RUN);
+        let mut parked = None;
+        for k in 1..=QUERY_RUN.as_nanos() / SAMPLE_TICK.as_nanos() {
+            if let Some(roamer) = w.clients[1].roamer.as_mut() {
+                if k == UNSERVED_TICKS.start {
+                    let hysteresis = SimDuration::from_secs(1);
+                    let detached = Roamer::new(RoamerMode::Enhanced { hysteresis });
+                    parked = Some(std::mem::replace(roamer, detached));
+                }
+                if k == UNSERVED_TICKS.end {
+                    *roamer = parked.take().expect("parked when the stretch began");
+                }
+            }
+            let tick = SimTime::ZERO + SAMPLE_TICK.times(k);
+            w.advance_until(tick);
+            at_tick(w, tick);
+        }
+        w.finish();
+    }
+
+    /// What `on_sample` recorded before PR 24, tick by tick.
+    #[derive(Default)]
+    struct EagerSampler {
+        traces: HashMap<(NodeId, NodeId), TimeSeries>,
+        accuracy: SelectionAccuracy,
+    }
+
+    impl EagerSampler {
+        fn tick(&mut self, w: &World, now: SimTime) {
+            let mut esnrs = Vec::new();
+            for c in &w.clients {
+                let (client, pos) = (c.id, w.client_pos(c.id, now));
+                let aps = (0..w.cfg.ap_x.len()).map(|aui| w.ap_id(aui));
+                wgtt_radio::batch::esnr_map(
+                    aps.clone().map(|ap| w.link(ap, client)),
+                    now,
+                    pos,
+                    Modulation::Qam16,
+                    &mut esnrs,
+                );
+                let mut best: Option<f64> = None;
+                for (ap, &e) in aps.zip(&esnrs) {
+                    let trace = self.traces.entry((client, ap)).or_default();
+                    trace.record(now, e);
+                    if best.is_none_or(|be| e > be) {
+                        best = Some(e);
+                    }
+                }
+                if let (Some(s), Some(oracle_esnr)) = (w.serving_of(client), best) {
+                    if oracle_esnr > 2.0 {
+                        self.accuracy.total_s += SAMPLE_TICK.as_secs_f64();
+                        if w.esnr_now(s, client, pos, now) >= oracle_esnr - 1.0 {
+                            self.accuracy.hits_s += SAMPLE_TICK.as_secs_f64();
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Both queries return these bits, for the ticks taken so far.
+        fn assert_answered_by(&self, w: &World) {
+            let bits = |ts: &TimeSeries| -> Vec<(SimTime, u64)> {
+                let points = ts.points().iter();
+                points.map(|&(t, e)| (t, e.to_bits())).collect()
+            };
+            assert_eq!(self.traces.len(), w.clients.len() * w.cfg.ap_x.len());
+            for (&(client, ap), want) in &self.traces {
+                assert_eq!(want.len() as u64, w.sample_ticks);
+                let got = w.esnr_trace(client, ap);
+                assert_eq!(bits(&got), bits(want), "{client:?} at {ap:?}");
+            }
+            let (got, want) = (w.selection_accuracy(), self.accuracy);
+            assert_eq!(got.hits_s.to_bits(), want.hits_s.to_bits());
+            assert_eq!(got.total_s.to_bits(), want.total_s.to_bits());
+        }
+    }
+
+    /// Everything a run reports but the PHY work counters, in one string.
+    fn outcome(r: &RunReport) -> String {
+        use std::collections::BTreeMap;
+        let bytes: BTreeMap<_, _> = r
+            .flow_meters
+            .iter()
+            .map(|(f, m)| (f, m.total_bytes()))
+            .collect();
+        let udp: BTreeMap<_, _> = r.udp_counts.iter().collect();
+        let serving: BTreeMap<_, _> = r
+            .serving_series
+            .iter()
+            .map(|(c, s)| (c, s.points()))
+            .collect();
+        let last: BTreeMap<_, _> = r.last_delivery.iter().collect();
+        let mpdus: BTreeMap<_, _> = r.uplink_mpdus.iter().collect();
+        format!(
+            "{:?} {} {} {} {} {} {:?} {bytes:?} {udp:?} {last:?} {mpdus:?} {serving:?}",
+            r.events,
+            r.events_handled,
+            r.frames_on_air,
+            r.switches,
+            r.failed_handshakes,
+            r.ba_timeouts,
+            r.uplink_dedup,
+        )
+    }
+
+    fn queries_return_what_the_sampler_recorded(system: SystemKind) {
+        // Nobody samples and nobody asks.
+        let mut plain = two_car_world(system);
+        drive_by_ticks(&mut plain, |_, _| {});
+
+        // The old sampler at every tick, the queries held against it
+        // half-way and at the end.
+        let mut sampled = two_car_world(system);
+        let mut eager = EagerSampler::default();
+        let (mut served, mut unserved) = (0, 0);
+        drive_by_ticks(&mut sampled, |w, tick| {
+            eager.tick(w, tick);
+            for c in &w.clients {
+                match w.serving_of(c.id) {
+                    Some(_) => served += 1,
+                    None => unserved += 1,
+                }
+            }
+            if tick == SimTime::ZERO + QUERY_RUN / 2 {
+                eager.assert_answered_by(w);
+            }
+        });
+        eager.assert_answered_by(&sampled);
+        let acc = sampled.selection_accuracy();
+        assert!(0.0 < acc.hits_s && acc.hits_s < acc.total_s, "{acc:?}");
+        assert!(acc.total_s < served as f64 * SAMPLE_TICK.as_secs_f64());
+        let baseline = sampled.clients[1].roamer.is_some();
+        assert_eq!(unserved, if baseline { UNSERVED_TICKS.count() } else { 0 });
+        assert_eq!(outcome(&sampled.report), outcome(&plain.report));
+
+        // Asking, mid-run and twice over, is not an event: not even the
+        // links' work counters move.
+        let mut asked = two_car_world(system);
+        drive_by_ticks(&mut asked, |w, tick| {
+            if tick.as_nanos() % SimDuration::from_millis(250).as_nanos() == 0 {
+                w.selection_accuracy();
+                w.esnr_trace(w.clients[0].id, w.ap_id(3));
+            }
+        });
+        assert_eq!(asked.selection_accuracy(), acc);
+        assert_eq!(asked.selection_accuracy(), acc);
+        assert_eq!(outcome(&asked.report), outcome(&plain.report));
+        assert_eq!(asked.report.phy, plain.report.phy);
+        let p = plain.report.phy;
+        assert_eq!(
+            p.rolls,
+            p.rolls_exact + p.rolls_ceiling + p.rolls_bound + p.rolls_unread
+        );
+        assert_eq!(p.rolls_unread > 0, baseline);
+    }
+
+    #[test]
+    fn wgtt_queries_return_what_the_sampler_recorded() {
+        queries_return_what_the_sampler_recorded(wgtt());
+    }
+
+    #[test]
+    fn baseline_queries_return_what_the_sampler_recorded() {
+        queries_return_what_the_sampler_recorded(SystemKind::Enhanced80211r);
     }
 
     // ------------------------------------------------- AP range index

@@ -354,74 +354,98 @@ impl World {
         self.queue.schedule(now + MOBILITY_TICK, Ev::Mobility);
     }
 
+    /// One sampling tick: what the run itself reads (the multi-channel
+    /// retune) and what cannot be recomputed afterwards (who served whom).
+    /// Everything else about the instant is a function of the links and
+    /// the drive plans, and is asked later: [`World::esnr_trace`],
+    /// [`World::selection_accuracy`].
     fn on_sample(&mut self, now: SimTime) {
-        let n_aps = self.cfg.ap_x.len() as u32;
-        let off = self.cfg.ap_id_offset;
+        self.sample_ticks += 1;
         for ci in 0..self.clients.len() {
             let client = self.clients[ci].id;
-            // Serving-AP trace.
-            let serving = self.serving_of(client);
+            let Some(ap) = self.serving_of(client) else {
+                continue;
+            };
             // Multi-channel deployments: the client's radio follows its
             // serving AP's channel (retune modelled at tick granularity).
-            if let Some(ap) = serving {
-                let ch = self.medium.channel_of(ap);
-                if self.medium.channel_of(client) != ch {
-                    self.medium.set_channel(client, ch);
-                }
+            let ch = self.medium.channel_of(ap);
+            if self.medium.channel_of(client) != ch {
+                self.medium.set_channel(client, ch);
             }
-            if let Some(ap) = serving {
-                self.report
-                    .serving_series
-                    .entry(client)
-                    .or_default()
-                    .record(now, ap.0 as f64 + 1.0);
-            }
-            // ESNR traces + oracle accuracy. O(clients × APs) every
-            // tick; fleet runs opt out (`sample_lean`) — their report
-            // never reads these traces.
-            if self.sample_lean {
-                continue;
-            }
-            // One batched multi-AP ESNR map per client (fused SoA sweep
-            // per link, scratch reused across clients and ticks), read
-            // back per AP below.
-            let pos = self.client_pos(client, now);
-            let mut esnrs = std::mem::take(&mut self.esnr_scratch);
-            wgtt_radio::batch::esnr_map(
-                (0..n_aps).map(|ai| self.link(NodeId(off + ai), client)),
-                now,
-                pos,
-                Modulation::Qam16,
-                &mut esnrs,
-            );
-            let mut best: Option<(NodeId, f64)> = None;
-            for ai in 0..n_aps {
-                let ap = NodeId(off + ai);
-                let e = esnrs[ai as usize];
-                self.report
-                    .esnr_traces
-                    .entry((client, ap))
-                    .or_default()
-                    .record(now, e);
-                if best.is_none_or(|(_, be)| e > be) {
-                    best = Some((ap, e));
-                }
-            }
-            self.esnr_scratch = esnrs;
-            if let (Some(s), Some((_oracle, oracle_esnr))) = (serving, best) {
+            self.report
+                .serving_series
+                .entry(client)
+                .or_default()
+                .record(now, ap.0 as f64 + 1.0);
+        }
+        self.queue.schedule(now + SAMPLE_TICK, Ev::SampleState);
+    }
+
+    /// The instants of the sampling ticks taken so far.
+    fn sample_instants(&self) -> impl Iterator<Item = SimTime> {
+        (1..=self.sample_ticks).map(|k| SimTime::ZERO + SAMPLE_TICK.times(k))
+    }
+
+    /// The (client, AP) link's exact ESNR under the reference 16-QAM
+    /// constellation at every sampling tick taken so far, with the client
+    /// where its plan puts it at the tick (Fig. 2 style). Computed on a
+    /// copy of the link: the run's memo and work counters stay as the run
+    /// left them, so asking — twice, or mid-run — changes nothing.
+    pub fn esnr_trace(&self, client: NodeId, ap: NodeId) -> TimeSeries {
+        let link = self.link(ap, client).clone();
+        let mut trace = TimeSeries::new();
+        for t in self.sample_instants() {
+            let pos = self.client_pos(client, t);
+            trace.record(t, link.esnr_db_at(t, pos, Modulation::Qam16));
+        }
+        trace
+    }
+
+    /// Table 2's switching accuracy over the sampling ticks taken so far:
+    /// the time the serving AP (read back from `serving_series`) was the
+    /// oracle-best one, over the time any AP was usable. Like
+    /// [`World::esnr_trace`] it works on copies of the links.
+    pub fn selection_accuracy(&self) -> SelectionAccuracy {
+        let links = self.links.clone();
+        let n_aps = self.cfg.ap_x.len();
+        let tick_s = SAMPLE_TICK.as_secs_f64();
+        // Each client's serving points still to be matched to a tick.
+        let mut served: Vec<&[(SimTime, f64)]> = self
+            .clients
+            .iter()
+            .map(|c| self.report.serving_series.get(&c.id))
+            .map(|s| s.map_or(&[][..], TimeSeries::points))
+            .collect();
+        let mut esnrs = Vec::with_capacity(n_aps);
+        let mut acc = SelectionAccuracy::default();
+        for t in self.sample_instants() {
+            for (ci, c) in self.clients.iter().enumerate() {
+                let Some((&(_, ap), rest)) = served[ci].split_first().filter(|(p, _)| p.0 == t)
+                else {
+                    continue; // nobody served this client at this tick
+                };
+                served[ci] = rest;
+                let serving = self.cfg.ap_index(NodeId(ap as u32 - 1));
+                wgtt_radio::batch::esnr_map(
+                    (0..n_aps).map(|aui| &links[self.pair_index(self.ap_id(aui), c.id)]),
+                    t,
+                    c.plan.position_at(t),
+                    Modulation::Qam16,
+                    &mut esnrs,
+                );
+                let oracle_esnr = esnrs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 // Only count instants where any AP is actually usable; the
                 // serving AP counts as optimal when it is within 1 dB of
                 // the instantaneous best (an indistinguishable tie at CSI
                 // measurement precision).
                 if oracle_esnr > 2.0 {
-                    self.report.accuracy_total += SAMPLE_TICK.as_secs_f64();
-                    let serving_esnr = self.esnr_now(s, client, pos, now);
-                    if serving_esnr >= oracle_esnr - 1.0 {
-                        self.report.accuracy_hits += SAMPLE_TICK.as_secs_f64();
+                    acc.total_s += tick_s;
+                    if esnrs[serving] >= oracle_esnr - 1.0 {
+                        acc.hits_s += tick_s;
                     }
                 }
             }
         }
-        self.queue.schedule(now + SAMPLE_TICK, Ev::SampleState);
+        acc
     }
 }

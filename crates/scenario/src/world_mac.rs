@@ -423,12 +423,20 @@ impl World {
         bitmap: u64,
         now: SimTime,
     ) {
+        let wgtt = self.system.wgtt().is_some();
         let pos = self.client_pos(client, now);
         for aui in self.ap_window(pos.x) {
             if !self.ap_hears(aui, tx, client, pos, now) {
                 continue;
             }
             let ap = self.ap_id(aui);
+            // A baseline AP the Block ACK does not address has nobody to
+            // tell — no CSI report, no forwarding — so whether it decoded
+            // the frame is never read.
+            if !wgtt && ap != target {
+                self.roll_unread(client);
+                continue;
+            }
             if !self.roll_control(ap, client, pos, now) {
                 continue;
             }

@@ -37,7 +37,7 @@ fn run(system: SystemKind, name: &str, seed: u64) {
     println!(
         "{name:<18} goodput {goodput:>6.2} Mbit/s   loss {loss:>5.1} %   handovers {:>3}   accuracy {:>5.1} %",
         world.report.switches,
-        100.0 * world.report.accuracy_hits / world.report.accuracy_total.max(1e-9),
+        world.selection_accuracy().percent(),
     );
 }
 

@@ -45,7 +45,7 @@ fn main() {
     );
     println!(
         "selection accuracy vs oracle: {:.1} %",
-        100.0 * report.accuracy_hits / report.accuracy_total.max(1e-9)
+        world.selection_accuracy().percent()
     );
 
     // Per-second throughput and serving AP — the Fig. 14/15 shape.

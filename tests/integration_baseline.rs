@@ -75,3 +75,49 @@ fn wgtt_outperforms_enhanced_at_speed_on_the_same_channel() {
         "WGTT {wgtt} vs baseline {base}"
     );
 }
+
+/// One seeded 15 mph drive under Enhanced 802.11r, by what it delivered
+/// and what the engine did to deliver it.
+fn enhanced_drive(spec: FlowSpec, traffic_start: SimTime) -> [u64; 7] {
+    let cfg = TestbedConfig::paper_array().with_clients(vec![ClientPlan::drive_by(15.0)]);
+    let mut w = World::new(cfg, SystemKind::Enhanced80211r, vec![spec], 7);
+    w.traffic_start = traffic_start;
+    w.run(SimDuration::from_secs(10));
+    let r = &w.report;
+    let p = &r.phy;
+    assert_eq!(
+        p.rolls,
+        p.rolls_exact + p.rolls_ceiling + p.rolls_bound + p.rolls_unread
+    );
+    [
+        r.flow_meters[&FlowId(0)].total_bytes(),
+        r.switches,
+        r.failed_handshakes,
+        r.frames_on_air,
+        r.events_handled,
+        p.rolls,
+        p.rolls_unread,
+    ]
+}
+
+// Delivered bytes, roams, failed handshakes, frames, events and delivery
+// rolls of the engine that climbed the ladder for every roll (PR 22's),
+// then how many of those rolls are now a draw and no decision: a client's
+// Block ACK at the baseline APs it does not address, so none on an uplink
+// drive. One draw skipped or doubled and the first six all move.
+
+#[test]
+fn enhanced_tcp_drive_is_where_every_roll_decided_left_it() {
+    assert_eq!(
+        enhanced_drive(FlowSpec::DownlinkTcpBulk, SimTime::from_millis(1500)),
+        [7_593_312, 7, 0, 6_663, 24_339, 76_988, 9_281]
+    );
+}
+
+#[test]
+fn enhanced_udp_uplink_drive_is_where_every_roll_decided_left_it() {
+    assert_eq!(
+        enhanced_drive(FlowSpec::UplinkUdp { rate_mbps: 10.0 }, SimTime::ZERO),
+        [11_931_000, 7, 0, 5_911, 24_125, 109_185, 0]
+    );
+}

@@ -112,37 +112,6 @@ fn different_seed_gives_a_different_fleet() {
 }
 
 #[test]
-fn sample_lean_produces_identical_fleet_aggregates() {
-    // `World::sample_lean` skips the O(clients × APs) ESNR trace loop.
-    // That skip must be observationally dead: it consumes no random
-    // draws and schedules no events, so the lean and full-trace worlds
-    // produce the same FleetReport down to the raw event count.
-    let mut cfg = FleetConfig::corridor(4, 4);
-    cfg.duration = SimDuration::from_secs(4);
-    let seed = 31;
-
-    // Lean path (what build_world/run use at fleet scale).
-    let lean_report = cfg.run(SystemKind::Wgtt(WgttConfig::default()), seed);
-
-    // Full-trace path: same scenario, sample_lean left off.
-    let (tcfg, kinds, flows) = cfg.generate(seed);
-    let mut w = World::new_multi(tcfg, SystemKind::Wgtt(WgttConfig::default()), flows, seed);
-    assert!(!w.sample_lean, "full-trace world must keep tracing on");
-    w.run(cfg.duration);
-    assert!(
-        !w.report.esnr_traces.is_empty(),
-        "full-trace world actually recorded ESNR traces"
-    );
-    let full_report = FleetReport::from_world(&w, &kinds, &cfg);
-
-    assert_eq!(lean_report.events_handled, full_report.events_handled);
-    assert_eq!(
-        lean_report.equivalence_digest(),
-        full_report.equivalence_digest()
-    );
-}
-
-#[test]
 fn fleet_smoke_experiment_is_jobs_invariant() {
     // The fleet experiment must honor the same contract as the per-figure
     // drivers: `--jobs` is a pure speed knob.

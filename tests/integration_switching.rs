@@ -79,7 +79,7 @@ fn hysteresis_bounds_switch_rate() {
 fn switching_accuracy_beats_baseline_on_same_channel() {
     let mut w = drive_world(WgttConfig::default(), 24);
     w.run(SimDuration::from_secs(12));
-    let wgtt_acc = w.report.accuracy_hits / w.report.accuracy_total.max(1e-9);
+    let wgtt_acc = w.selection_accuracy().percent() / 100.0;
 
     let cfg = TestbedConfig::paper_array().with_clients(vec![ClientPlan::drive_by(15.0)]);
     let mut b = World::new(
@@ -90,7 +90,7 @@ fn switching_accuracy_beats_baseline_on_same_channel() {
     );
     b.traffic_start = SimTime::from_millis(1000);
     b.run(SimDuration::from_secs(12));
-    let base_acc = b.report.accuracy_hits / b.report.accuracy_total.max(1e-9);
+    let base_acc = b.selection_accuracy().percent() / 100.0;
 
     assert!(
         wgtt_acc > base_acc + 0.05,
