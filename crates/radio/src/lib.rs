@@ -40,7 +40,7 @@ pub use csi::{Csi, NUM_SUBCARRIERS, SUBCARRIER_SPACING_HZ};
 pub use esnr::{effective_snr_db, effective_snr_from_powers, Modulation};
 pub use fading::{FadingProcess, TapGains};
 pub use geometry::Position;
-pub use link::{Link, LinkBudget, LinkSnapshot, LinkWork, SnapshotMemo, BOUND_MARGIN_DB};
+pub use link::{Link, LinkBudget, LinkSite, LinkSnapshot, LinkWork, SnapshotMemo, BOUND_MARGIN_DB};
 pub use pathloss::PathLossModel;
 pub use shadowing::Shadowing;
 

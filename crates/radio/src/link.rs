@@ -71,6 +71,62 @@ impl Default for LinkBudget {
     }
 }
 
+/// The static half of a [`Link`]: the AP's placement and antennas, the
+/// budget and the propagation model — everything but the fading
+/// realization, the shadowing field and the memo. Pure geometry, so a
+/// caller choosing among links it has not realized asks here
+/// ([`LinkSite::mean_snr_db`] is [`Link::mean_snr_db`] of the unshadowed
+/// link, bit for bit), and [`LinkSite::link`] realizes one.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkSite {
+    /// AP position on the plane, metres.
+    pub ap_pos: Position,
+    /// AP antenna boresight bearing, radians from +x.
+    pub ap_boresight_rad: f64,
+    /// AP directional antenna.
+    pub ap_antenna: ParabolicAntenna,
+    /// Client antenna gain (omnidirectional), dBi.
+    pub client_antenna_dbi: f64,
+    /// Power/noise budget.
+    pub budget: LinkBudget,
+    /// Large-scale propagation model.
+    pub pathloss: PathLossModel,
+}
+
+impl LinkSite {
+    /// Large-scale mean SNR for a client at `client_pos`, dB, with no
+    /// shadowing. Pure geometry — no fading.
+    pub fn mean_snr_db(&self, client_pos: Position) -> f64 {
+        self.mean_snr_db_shadowed(client_pos, 0.0)
+    }
+
+    fn mean_snr_db_shadowed(&self, client_pos: Position, shadow_db: f64) -> f64 {
+        let dist = self.ap_pos.distance_to(client_pos);
+        let bearing = self.ap_pos.bearing_to(client_pos);
+        let off_boresight = angle_between(bearing, self.ap_boresight_rad);
+        let gain = self.ap_antenna.gain_dbi(off_boresight) + self.client_antenna_dbi;
+        self.budget.tx_power_dbm + gain + shadow_db
+            - self.pathloss.loss_db(dist)
+            - self.budget.noise_floor_dbm
+    }
+
+    /// The unshadowed link from this site with the fading realization
+    /// `fading` and an empty memo.
+    pub fn link(self, fading: FadingProcess) -> Link {
+        Link {
+            ap_pos: self.ap_pos,
+            ap_boresight_rad: self.ap_boresight_rad,
+            ap_antenna: self.ap_antenna,
+            client_antenna_dbi: self.client_antenna_dbi,
+            budget: self.budget,
+            pathloss: self.pathloss,
+            fading,
+            shadowing: None,
+            memo: Default::default(),
+        }
+    }
+}
+
 /// One client↔AP radio link.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -196,17 +252,22 @@ impl Link {
     /// Large-scale mean SNR for a client at `client_pos`, dB. Pure
     /// geometry — no fading.
     pub fn mean_snr_db(&self, client_pos: Position) -> f64 {
-        let dist = self.ap_pos.distance_to(client_pos);
-        let bearing = self.ap_pos.bearing_to(client_pos);
-        let off_boresight = angle_between(bearing, self.ap_boresight_rad);
-        let gain = self.ap_antenna.gain_dbi(off_boresight) + self.client_antenna_dbi;
         let shadow = self
             .shadowing
             .as_ref()
             .map_or(0.0, |s| s.gain_db(client_pos));
-        self.budget.tx_power_dbm + gain + shadow
-            - self.pathloss.loss_db(dist)
-            - self.budget.noise_floor_dbm
+        self.site().mean_snr_db_shadowed(client_pos, shadow)
+    }
+
+    fn site(&self) -> LinkSite {
+        LinkSite {
+            ap_pos: self.ap_pos,
+            ap_boresight_rad: self.ap_boresight_rad,
+            ap_antenna: self.ap_antenna,
+            client_antenna_dbi: self.client_antenna_dbi,
+            budget: self.budget,
+            pathloss: self.pathloss,
+        }
     }
 
     /// Refresh the memo to key `(t, client_pos)`, invalidating every
@@ -611,6 +672,23 @@ mod tests {
         assert_eq!(link.work(), count(1, 2));
         link.rssi_dbm_at(SimTime::from_millis(6), pos);
         assert_eq!(link.work(), count(2, 2));
+    }
+
+    #[test]
+    fn a_site_answers_for_its_link_without_the_fading() {
+        let link = test_link(12);
+        let site = link.site();
+        for x in [-60.0, -4.0, 0.0, 2.5, 7.5, 130.0] {
+            let pos = Position::new(x, 0.0);
+            assert_eq!(
+                site.mean_snr_db(pos).to_bits(),
+                link.mean_snr_db(pos).to_bits()
+            );
+        }
+        let rebuilt = site.link(link.fading.clone());
+        let (t, pos) = (SimTime::from_millis(9), Position::new(1.5, 0.0));
+        let esnr = |l: &Link| l.esnr_db_at(t, pos, Modulation::Qam16).to_bits();
+        assert_eq!(esnr(&rebuilt), esnr(&link));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! an ACK packet into the client's uplink queue, which every in-range AP
 //! may decode, tunnel, and the controller de-duplicates).
 
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 
@@ -40,7 +41,7 @@ use wgtt_mac::Mcs;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
 use wgtt_radio::fading::{FadingProcess, TapGains};
-use wgtt_radio::link::{Link, LinkBudget};
+use wgtt_radio::link::{Link, LinkBudget, LinkSite};
 use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel, Position};
 use wgtt_sim::metrics::{Counter, Distribution, ThroughputMeter, TimeSeries};
 use wgtt_sim::queue::{EventId, EventQueue};
@@ -239,6 +240,10 @@ pub struct PhyWork {
     /// Exact received powers those comparisons evaluated (the wanted
     /// signal and each interferer count one apiece).
     pub capture_exact: u64,
+    /// (AP, client) links the world realized, at set-up or on first use
+    /// (filled in by [`World::finish`]): a monolithic world realizes
+    /// exactly the links its districts do.
+    pub links_built: u64,
 }
 
 impl std::ops::AddAssign for PhyWork {
@@ -252,6 +257,7 @@ impl std::ops::AddAssign for PhyWork {
         self.sweeps += o.sweeps;
         self.capture_checks += o.capture_checks;
         self.capture_exact += o.capture_exact;
+        self.links_built += o.links_built;
     }
 }
 
@@ -363,6 +369,10 @@ struct RxContext {
     /// exact rung synthesizes from them.
     gains: Option<TapGains>,
 }
+
+/// One (AP, client) pair's link, realized the first time anything asks
+/// for it ([`World::link_at`]): a pointer until then.
+type LinkSlot = OnceCell<Box<Link>>;
 
 /// Where a queued backhaul message is delivered.
 enum BackhaulTo {
@@ -493,8 +503,13 @@ pub struct World {
     queue: EventQueue<Ev>,
     medium: Medium,
     /// One radio link per (AP, client) pair, at
-    /// `ap_index * clients.len() + client_index`.
-    links: Vec<Link>,
+    /// `ap_index * clients.len() + client_index`, realized by
+    /// [`World::link_at`]: in [`World::new`] for the pairs each client
+    /// can reach from where it starts, on first use for any other. A
+    /// pair nothing asks for costs a pointer.
+    links: Vec<LinkSlot>,
+    /// `root.derive("link")`, the stream every link's derives from.
+    link_stream: RngStream,
     /// AP positions by local AP index.
     ap_pos: Vec<Position>,
     /// Whether `cfg.ap_x` is non-decreasing (every corridor and the paper
@@ -657,32 +672,11 @@ impl World {
             .client_id_first
             .unwrap_or_else(|| 100u32.max(n_aps as u32));
 
-        // Radio links: one fading realization per (AP, client) pair,
-        // shared verbatim between compared systems at equal seeds.
-        let boresight = cfg.ap_boresight_rad.unwrap_or(-std::f64::consts::FRAC_PI_2);
-        let mut links = Vec::with_capacity(n_aps * cfg.clients.len());
         for (ai, &ap_pos) in ap_positions.iter().enumerate() {
             let ap_id = NodeId(cfg.ap_id_offset + ai as u32);
             medium.set_position(ap_id, ap_pos);
             if let Some(&ch) = cfg.ap_channels.get(ai) {
                 medium.set_channel(ap_id, ch);
-            }
-            for (ci, plan) in cfg.clients.iter().enumerate() {
-                let stream = root
-                    .derive("link")
-                    .derive_indexed("ap", u64::from(cfg.ap_id_offset) + ai as u64)
-                    .derive_indexed("client", (cfg.client_index_offset + ci) as u64);
-                links.push(Link {
-                    ap_pos,
-                    ap_boresight_rad: boresight,
-                    ap_antenna: ParabolicAntenna::laird_gd24bp(),
-                    client_antenna_dbi: 0.0,
-                    budget: LinkBudget::default(),
-                    pathloss: PathLossModel::roadside(),
-                    fading: FadingProcess::new(stream, plan.speed_mps.max(0.3), 9.0),
-                    shadowing: None,
-                    memo: Default::default(),
-                });
             }
         }
 
@@ -752,10 +746,14 @@ impl World {
             })
             .collect();
 
+        let n_pairs = n_aps * cfg.clients.len();
         let mut world = World {
             queue: EventQueue::new(),
             medium,
-            links,
+            links: std::iter::repeat_with(LinkSlot::new)
+                .take(n_pairs)
+                .collect(),
+            link_stream: root.derive("link"),
             ap_x_sorted: cfg.ap_x.windows(2).all(|w| w[0] <= w[1]),
             ap_pos: ap_positions,
             system: system_state,
@@ -770,7 +768,7 @@ impl World {
                 .map(|&id| root.derive_indexed("ap-phy", u64::from(id.0)).rng())
                 .collect(),
             stations: vec![Station::default(); n_aps + cfg.clients.len()],
-            ap_up_rx: vec![BaRecipient::default(); n_aps * cfg.clients.len()],
+            ap_up_rx: vec![BaRecipient::default(); n_pairs],
             ctl_polls_armed: BTreeSet::new(),
             report: RunReport::default(),
             traffic_start: SimTime::ZERO,
@@ -792,6 +790,19 @@ impl World {
         for (ci, spec) in flow_specs {
             let (id, c) = (FlowId(world.flows.len() as u32), &world.clients[ci]);
             world.flows.push(Flow::new(id, c.id, c.ip, spec));
+        }
+        // Radio links: one fading realization per (AP, client) pair, a
+        // pure function of the seed and the pair's global ids — shared
+        // verbatim between compared systems at equal seeds, and between
+        // a monolithic world and its districts. Each client's starting
+        // neighbourhood is realized here, in set-up, where a run would
+        // otherwise realize it between events (DESIGN §20); the rest of
+        // the pairs wait for a first use most never get.
+        for c in &world.clients {
+            for aui in world.ap_window(c.plan.position_at(SimTime::ZERO).x) {
+                let pair = world.pair_index(world.ap_id(aui), c.id);
+                world.link_at(&world.links[pair], pair);
+            }
         }
         world
     }
@@ -850,7 +861,46 @@ impl World {
     }
 
     fn link(&self, ap: NodeId, client: NodeId) -> &Link {
-        &self.links[self.pair_index(ap, client)]
+        let pair = self.pair_index(ap, client);
+        self.link_at(&self.links[pair], pair)
+    }
+
+    /// The link of `pair` held in `slot` — the world's own slot, or a
+    /// query's copy of it — realized there on first use: the one place a
+    /// world constructs a [`Link`]. It is a pure function of the seed,
+    /// the pair's *global* AP id and client index, the AP's site and the
+    /// client's plan speed, so where and when it is realized moves no
+    /// bit; and a link realized but not yet asked anything holds the
+    /// same empty memo and zero work as one never realized.
+    fn link_at<'a>(&self, slot: &'a LinkSlot, pair: usize) -> &'a Link {
+        slot.get_or_init(|| {
+            let (aui, ci) = (pair / self.clients.len(), pair % self.clients.len());
+            let stream = self
+                .link_stream
+                .derive_indexed("ap", u64::from(self.cfg.ap_id_offset) + aui as u64)
+                .derive_indexed("client", (self.cfg.client_index_offset + ci) as u64);
+            let speed_mps = self.clients[ci].plan.speed_mps.max(0.3);
+            Box::new(
+                self.site(aui)
+                    .link(FadingProcess::new(stream, speed_mps, 9.0)),
+            )
+        })
+    }
+
+    /// What every link of the AP at local index `aui` shares: geometry
+    /// only, no fading.
+    fn site(&self, aui: usize) -> LinkSite {
+        LinkSite {
+            ap_pos: self.ap_pos[aui],
+            ap_boresight_rad: self
+                .cfg
+                .ap_boresight_rad
+                .unwrap_or(-std::f64::consts::FRAC_PI_2),
+            ap_antenna: ParabolicAntenna::laird_gd24bp(),
+            client_antenna_dbi: 0.0,
+            budget: LinkBudget::default(),
+            pathloss: PathLossModel::roadside(),
+        }
     }
 
     /// ESNR of the (ap, client) link right now, with the client at `pos`,
@@ -980,7 +1030,7 @@ impl World {
     ) -> bool {
         let u = self.roll_draw(client);
         let pair = self.pair_index(ap, client);
-        let link = &self.links[pair];
+        let link = self.link_at(&self.links[pair], pair);
         let same = |c: &RxContext| c.pair == pair && c.at == now && c.mcs == mcs;
         if !self.rx_ctx.as_ref().is_some_and(same) {
             let mut ladder = Ladder::default();
@@ -1116,17 +1166,18 @@ impl World {
     }
 
     fn bootstrap(&mut self) {
-        // Initial association: strongest mean-SNR AP at the start position.
+        // Initial association: strongest mean-SNR AP at the start position,
+        // which is geometry — no link is realized to answer it.
         for ci in 0..self.clients.len() {
             let client = self.clients[ci].id;
             let pos = self.client_pos(client, SimTime::ZERO);
             let best_ap = (0..self.cfg.ap_x.len())
-                .map(|aui| self.ap_id(aui))
                 .max_by(|&a, &b| {
-                    let sa = self.link(a, client).mean_snr_db(pos);
-                    let sb = self.link(b, client).mean_snr_db(pos);
+                    let sa = self.site(a).mean_snr_db(pos);
+                    let sb = self.site(b).mean_snr_db(pos);
                     sa.partial_cmp(&sb).expect("SNR is never NaN")
                 })
+                .map(|aui| self.ap_id(aui))
                 .expect("at least one AP");
             self.with_controller(SimTime::ZERO, |c, buf| {
                 c.on_client_associated(client, best_ap, SimTime::ZERO, buf);
@@ -1286,10 +1337,12 @@ impl World {
 
     fn finalize(&mut self) {
         let phy = &mut self.report.phy;
-        (phy.syntheses, phy.sweeps) = (0, 0);
-        for work in self.links.iter().map(Link::work) {
+        (phy.syntheses, phy.sweeps, phy.links_built) = (0, 0, 0);
+        for link in self.links.iter().filter_map(LinkSlot::get) {
+            let work = link.work();
             phy.syntheses += u64::from(work.syntheses);
             phy.sweeps += u64::from(work.sweeps);
+            phy.links_built += 1;
         }
         for flow in &self.flows {
             flow.fold_into(&mut self.report);
@@ -1822,6 +1875,129 @@ mod tests {
     #[test]
     fn baseline_queries_return_what_the_sampler_recorded() {
         queries_return_what_the_sampler_recorded(SystemKind::Enhanced80211r);
+    }
+
+    // ------------------------------------------------------- lazy links
+
+    impl World {
+        /// Realize every pair, as a world that built them all in `new`
+        /// would hold them.
+        fn realize_all_links(&self) {
+            for pair in 0..self.links.len() {
+                self.link_at(&self.links[pair], pair);
+            }
+        }
+
+        fn links_realized(&self) -> usize {
+            self.links.iter().filter(|s| s.get().is_some()).count()
+        }
+    }
+
+    #[test]
+    fn a_link_slot_is_one_pointer() {
+        assert!(std::mem::size_of::<LinkSlot>() <= 8);
+    }
+
+    /// A 24-vehicle corridor two decode horizons long: some pairs lie out
+    /// of every client's reach for the whole run.
+    fn corridor_world() -> World {
+        let fleet = crate::fleet::FleetConfig::corridor(24, 32);
+        fleet.build_world(wgtt(), 7).0
+    }
+
+    /// `build`'s world run as it comes, against the same world with every
+    /// pair realized before `begin`: the same run, the same work, and the
+    /// same answers to queries about pairs the first never realized.
+    /// Returns how many links the first realized in `new` and in all.
+    fn realizing_on_first_use_moves_nothing(
+        build: impl Fn() -> World,
+        run: SimDuration,
+    ) -> (usize, usize) {
+        let mut lazy = build();
+        let at_start = lazy.links_realized();
+        let windows = lazy.clients.iter();
+        let windows = windows.map(|c| lazy.ap_window(c.plan.position_at(SimTime::ZERO).x));
+        assert_eq!(at_start, windows.map(|w| w.len()).sum::<usize>());
+        let mut eager = build();
+        eager.realize_all_links();
+        lazy.run(run);
+        eager.run(run);
+        assert_eq!(outcome(&lazy.report), outcome(&eager.report));
+        let built = lazy.links_realized();
+        assert_eq!(lazy.report.phy.links_built, built as u64);
+        assert_eq!(eager.report.phy.links_built, eager.links.len() as u64);
+        let phy = PhyWork {
+            links_built: eager.report.phy.links_built,
+            ..lazy.report.phy
+        };
+        assert_eq!(phy, eager.report.phy);
+
+        let bits = |ts: TimeSeries| -> Vec<(SimTime, u64)> {
+            ts.points().iter().map(|&(t, e)| (t, e.to_bits())).collect()
+        };
+        let n = lazy.clients.len();
+        let unbuilt = (0..lazy.links.len()).filter(|&p| lazy.links[p].get().is_none());
+        for pair in unbuilt.take(2).chain([0]) {
+            let (ap, client) = (lazy.ap_id(pair / n), lazy.clients[pair % n].id);
+            let trace = bits(lazy.esnr_trace(client, ap));
+            assert_eq!(trace.len() as u64, lazy.sample_ticks);
+            assert_eq!(
+                trace,
+                bits(eager.esnr_trace(client, ap)),
+                "{ap:?} to {client:?}"
+            );
+        }
+        assert_eq!(lazy.selection_accuracy(), eager.selection_accuracy());
+        assert_eq!(lazy.links_realized(), built, "asking realized a link");
+        (at_start, built)
+    }
+
+    #[test]
+    fn a_two_car_world_realizing_links_on_first_use_is_the_eager_one() {
+        for system in [wgtt(), SystemKind::Enhanced80211r] {
+            let built = realizing_on_first_use_moves_nothing(|| two_car_world(system), QUERY_RUN);
+            assert_eq!(built, (16, 16), "the array is in reach from the start");
+        }
+    }
+
+    #[test]
+    fn a_corridor_realizing_links_on_first_use_is_the_eager_one() {
+        let run = SimDuration::from_millis(500);
+        let (at_start, built) = realizing_on_first_use_moves_nothing(corridor_world, run);
+        assert!(
+            at_start < built && built < 24 * 32,
+            "{at_start} then {built}"
+        );
+    }
+
+    #[test]
+    fn a_district_realizes_its_pairs_as_the_whole_corridor_does() {
+        // A link is a function of the pair's *global* ids: the second
+        // district's first AP is the corridor's ninth.
+        let mut fleet = crate::fleet::FleetConfig::corridor(6, 16);
+        fleet.districts = 2;
+        let (mono, _) = fleet.build_world(wgtt(), 5);
+        let districts = fleet.district_worlds(wgtt(), 5);
+        let t = SimTime::from_millis(3);
+        for ((d, _), plan) in districts.iter().zip(fleet.district_plan(5)) {
+            let n = d.clients.len();
+            for pair in 0..d.links.len() {
+                let (aui, ci) = (pair / n, pair % n);
+                let whole = (plan.first_ap + aui) * mono.clients.len() + plan.first_vehicle + ci;
+                let pos = d.clients[ci].plan.position_at(t);
+                let esnr = |w: &World, p| {
+                    let link = w.link_at(&w.links[p], p);
+                    link.esnr_db_at(t, pos, Modulation::Qam16).to_bits()
+                };
+                assert_eq!(
+                    esnr(d, pair),
+                    esnr(&mono, whole),
+                    "AP {} of the district at AP {}",
+                    aui,
+                    plan.first_ap
+                );
+            }
+        }
     }
 
     // ------------------------------------------------- AP range index

@@ -389,10 +389,14 @@ impl World {
     /// The (client, AP) link's exact ESNR under the reference 16-QAM
     /// constellation at every sampling tick taken so far, with the client
     /// where its plan puts it at the tick (Fig. 2 style). Computed on a
-    /// copy of the link: the run's memo and work counters stay as the run
-    /// left them, so asking — twice, or mid-run — changes nothing.
+    /// copy of the link — a clone if the run realized it, realized afresh
+    /// on the copy if not: the run's memos, work counters and realized
+    /// links stay as the run left them, so asking — twice, or mid-run —
+    /// changes nothing.
     pub fn esnr_trace(&self, client: NodeId, ap: NodeId) -> TimeSeries {
-        let link = self.link(ap, client).clone();
+        let pair = self.pair_index(ap, client);
+        let copy = self.links[pair].clone();
+        let link = self.link_at(&copy, pair);
         let mut trace = TimeSeries::new();
         for t in self.sample_instants() {
             let pos = self.client_pos(client, t);
@@ -426,8 +430,9 @@ impl World {
                 };
                 served[ci] = rest;
                 let serving = self.cfg.ap_index(NodeId(ap as u32 - 1));
+                let pairs = (0..n_aps).map(|aui| self.pair_index(self.ap_id(aui), c.id));
                 wgtt_radio::batch::esnr_map(
-                    (0..n_aps).map(|aui| &links[self.pair_index(self.ap_id(aui), c.id)]),
+                    pairs.map(|pair| self.link_at(&links[pair], pair)),
                     t,
                     c.plan.position_at(t),
                     Modulation::Qam16,

@@ -215,6 +215,11 @@ fn main() {
         "  {} capture checks evaluated {} powers; {} syntheses, {} BER sweeps in all",
         phy.capture_checks, phy.capture_exact, phy.syntheses, phy.sweeps,
     );
+    println!(
+        "  links built: {} of {}",
+        phy.links_built,
+        report.vehicles * report.aps
+    );
     assert_eq!(report.backhaul_misaddressed, 0, "misaddressed backhaul");
     assert_eq!(report.missing_packet_refs, 0, "dangling packet refs");
 }
