@@ -29,6 +29,12 @@ const HANDSHAKE_RETRY: SimDuration = SimDuration::from_millis(50);
 const RSSI_TTL: SimDuration = SimDuration::from_millis(1200);
 /// Give up on a target AP after this many reassociation attempts.
 const HANDSHAKE_MAX_TRIES: u32 = 5;
+/// Reassociate when the serving AP's smoothed RSSI drops below this.
+/// Source: ours, unvalidated.
+const THRESHOLD_DBM: f64 = -80.0;
+/// The challenger must beat the current AP's RSSI by this much.
+/// Source: ours, unvalidated.
+const MARGIN_DB: f64 = 2.0;
 
 /// What the roamer wants transmitted next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +65,6 @@ enum State {
 #[derive(Debug)]
 pub struct Roamer {
     mode: RoamerMode,
-    /// Reassociate when the serving AP's smoothed RSSI drops below this.
-    pub threshold_dbm: f64,
-    /// The challenger must beat the current AP by this much.
-    pub margin_db: f64,
     rssi: HashMap<NodeId, (f64, SimTime)>,
     associated: Option<NodeId>,
     last_switch: Option<SimTime>,
@@ -76,14 +78,12 @@ pub struct Roamer {
 }
 
 impl Roamer {
-    /// A roamer with the paper's defaults: −80 dBm threshold, 2 dB margin
-    /// (the threshold scheme only reacts once the serving link is already
+    /// A roamer with a −80 dBm RSSI threshold and a 2 dB margin (the
+    /// threshold scheme only reacts once the serving link is already
     /// near the cell edge — the §2 pathology).
     pub fn new(mode: RoamerMode) -> Self {
         Roamer {
             mode,
-            threshold_dbm: -80.0,
-            margin_db: 2.0,
             rssi: HashMap::new(),
             associated: None,
             last_switch: None,
@@ -184,7 +184,7 @@ impl Roamer {
         };
 
         // Threshold condition, with the mode's required persistence.
-        if cur_rssi >= self.threshold_dbm {
+        if cur_rssi >= THRESHOLD_DBM {
             self.below_since = None;
             return RoamerAction::None;
         }
@@ -209,7 +209,7 @@ impl Roamer {
         let Some((target, target_rssi)) = self.best_other(current, now) else {
             return RoamerAction::None;
         };
-        if target_rssi < cur_rssi + self.margin_db {
+        if target_rssi < cur_rssi + MARGIN_DB {
             return RoamerAction::None;
         }
         self.state = State::AwaitingResponse {

@@ -1,6 +1,6 @@
 //! WGTT tunables, with the paper's published defaults.
 
-use crate::policy::SwitchPolicyKind;
+use crate::selection::SwitchPolicyKind;
 use crate::window::WindowReduce;
 use wgtt_sim::time::SimDuration;
 
@@ -13,8 +13,8 @@ pub struct WgttConfig {
     /// How the window reduces to one figure per AP (paper: median).
     pub window_reduce: WindowReduce,
     /// How the reduced candidates become a switch verdict (paper: the
-    /// reactive max-median rule; predictive and load-aware alternatives
-    /// live in [`crate::policy`]).
+    /// reactive max-median rule; the load-aware alternative is
+    /// [`SwitchPolicyKind::LoadAware`]).
     pub switch_policy: SwitchPolicyKind,
     /// Time hysteresis between switches (§5.3.3, Fig. 22). Smaller adapts
     /// faster; 40 ms performs best in the paper's sweep.

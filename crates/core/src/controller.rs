@@ -42,12 +42,10 @@
 use crate::config::WgttConfig;
 use crate::dedup::DedupFilter;
 use crate::messages::BackhaulMsg;
-use crate::policy::{ApLoads, PolicyEnv, SwitchPolicy};
-use crate::selection::{ApSelector, Verdict};
+use crate::selection::{ApLoads, ApSelector, Verdict};
 use crate::switching::{SwitchEvent, SwitchProtocol};
 use crate::timerwheel::TimerWheel;
 use std::collections::HashMap;
-use std::sync::Arc;
 use wgtt_mac::frame::NodeId;
 use wgtt_mac::seq::SEQ_SPACE;
 use wgtt_net::Packet;
@@ -220,11 +218,8 @@ pub struct Controller {
     wheel: TimerWheel,
     /// Due-slot scratch for `poll` (reused, sorted by client id).
     poll_scratch: Vec<u32>,
-    /// The switch-verdict rule every client's selector runs, built once
-    /// from `cfg.switch_policy` and shared by `Arc`.
-    switch_policy: Arc<dyn SwitchPolicy>,
     /// Per-AP associated-client counts — the load term the load-aware
-    /// policy reads, maintained for every policy so `max_ap_load` is
+    /// rule reads, maintained under either rule so `max_ap_load` is
     /// comparable across them.
     loads: ApLoads,
     /// Run statistics.
@@ -236,7 +231,6 @@ impl Controller {
     pub fn new(cfg: WgttConfig, aps: Vec<NodeId>) -> Self {
         Controller {
             dedup: HashMap::new(),
-            switch_policy: cfg.switch_policy.build(),
             cfg,
             clients: Vec::new(),
             slots: HashMap::new(),
@@ -261,7 +255,6 @@ impl Controller {
             return s as usize;
         }
         let cfg = self.cfg;
-        let switch_policy = Arc::clone(&self.switch_policy);
         let s = self.clients.len() as u32;
         self.clients.push(ClientState {
             id: client,
@@ -272,7 +265,7 @@ impl Controller {
                     cfg.switch_margin_db,
                 );
                 sel.set_window_reduce(cfg.window_reduce);
-                sel.set_switch_policy(switch_policy);
+                sel.set_switch_policy(cfg.switch_policy);
                 sel
             },
             switcher: SwitchProtocol::new(cfg.switch_ack_timeout),
@@ -413,18 +406,12 @@ impl Controller {
                     st.selector.record(ap, at, esnr_db);
                 } else {
                     // The hot path: one fused call records the reading
-                    // and re-runs the switch policy against the
+                    // and re-runs the switch rule against the
                     // just-bumped argmax cache, with the controller's
                     // per-AP loads in scope for the load-aware rule.
-                    let verdict = st.selector.record_and_evaluate_with(
-                        ap,
-                        at,
-                        esnr_db,
-                        now,
-                        PolicyEnv {
-                            loads: Some(&self.loads),
-                        },
-                    );
+                    let verdict =
+                        st.selector
+                            .record_and_evaluate(ap, at, esnr_db, now, &self.loads);
                     self.act_on_verdict(slot, verdict, now, sink);
                 }
             }

@@ -9,8 +9,7 @@
 //!
 //! | Module | Paper section | Mechanism |
 //! |---|---|---|
-//! | [`selection`] | §3.1.1 | max-median-ESNR AP selection over a sliding window *W* (Fig. 6), with the time hysteresis studied in §5.3.3 |
-//! | [`policy`] | §3.1.1, ROADMAP 5 | pluggable switch-verdict rules behind the selector: the paper's reactive rule plus predictive (slope-extrapolating) and load-aware (decentralized) alternatives |
+//! | [`selection`] | §3.1.1 | max-median-ESNR AP selection over a sliding window *W* (Fig. 6), with the time hysteresis studied in §5.3.3; the verdict is the paper's reactive rule or a load-aware variant ([`SwitchPolicyKind`]) |
 //! | [`window`] | §3.1.1 | incremental order-statistics sliding window backing [`selection`]: O(log n) insert, O(1) memoized reduce, oracle-equivalent by property test |
 //! | [`cyclic`] | §3.1.2, Fig. 7 | per-client cyclic queue with m = 12-bit packet indices, replicated at every in-range AP |
 //! | [`switching`] | §3.1.2 | the three-step `stop(c)` → `start(c, k)` → `ack` protocol, 30 ms ack timeout, one outstanding switch |
@@ -31,7 +30,6 @@ pub mod controller;
 pub mod cyclic;
 pub mod dedup;
 pub mod messages;
-pub mod policy;
 pub mod selection;
 pub mod switching;
 pub mod timerwheel;
@@ -40,5 +38,5 @@ pub mod window;
 pub use config::WgttConfig;
 pub use controller::{ActionBuf, ActionSink, Controller, ControllerAction};
 pub use messages::{BackhaulDest, BackhaulMsg};
-pub use policy::{ApLoads, PolicyEnv, SwitchPolicy, SwitchPolicyKind};
+pub use selection::{ApLoads, SwitchPolicyKind};
 pub use window::WindowReduce;

@@ -44,26 +44,23 @@
 //! `crates/core/tests/prop_selection.rs` proves the fast path
 //! bit-identical to it under adversarial interleavings.
 //!
-//! ## The verdict layer
+//! ## The verdict
 //!
 //! Two layers sit on top of the windows:
 //!
 //! * [`WindowReduce`] (from [`crate::window`]) is the **window
 //!   reduction** — how one AP's readings collapse to a scalar (median,
 //!   mean, max, latest).
-//! * [`crate::policy::SwitchPolicy`] is the **verdict rule**, and the
-//!   only thing this crate calls a policy — how the reduced candidates
-//!   become a [`Verdict`]. The selector exposes itself to it through
-//!   [`crate::policy::PolicyView`], and [`ApSelector::evaluate`] simply
-//!   runs the configured policy against that view. The default
-//!   [`crate::policy::ReactiveMedian`] is the paper's rule, extracted
-//!   verbatim; the property suites pin it bit-identical to the
-//!   pre-trait code.
+//! * [`SwitchPolicyKind`] is the **verdict rule** — how the reduced
+//!   candidates become a [`Verdict`]. [`ApSelector::evaluate`] is one
+//!   `match` on it with two arms: the paper's reactive-median rule (the
+//!   default) and a load-aware variant that discounts each candidate by
+//!   the clients already on it. Both share the paper's dampers, in one
+//!   order: no serving AP, best already serving, hysteresis, the
+//!   silence grace, then the margin.
 
-use crate::policy::{PolicyEnv, PolicyView, SwitchPolicy, SwitchPolicyKind};
 use crate::window::{EsnrWindow, ExpiryHeap};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -76,14 +73,104 @@ pub use crate::window::WindowReduce;
 /// (`last_reading + SILENCE_GRACE <= now` abandons it).
 pub const SILENCE_GRACE: SimDuration = SimDuration::from_millis(100);
 
-/// Span of the per-link *trend* window the predictive policy fits its
-/// slope over. Deliberately 10× the selection window: a least-squares
-/// fit over 10 ms of CSI measures Rayleigh-fading wiggle (spurious
-/// slopes of hundreds of dB/s), while the path-loss decay a hand-off
-/// should anticipate — a vehicle crossing a picocell edge — unfolds
-/// over ~100 ms. Only maintained when the active switch policy's
-/// `wants_trend` asks for it, so other policies pay nothing.
-pub const TREND_WINDOW: SimDuration = SimDuration::from_millis(100);
+/// Load-penalty weight of [`SwitchPolicyKind::LoadAware`], dB per
+/// natural-log unit of (1 + competing clients). One competing client
+/// costs ≈ 1.4 dB and five cost ≈ 3.6 dB — comparable to the 2.5 dB
+/// switch margin, so load breaks ties between comparably strong cells
+/// without overriding a decisively stronger link. Ours, unvalidated.
+pub const LOAD_BETA_DB: f64 = 2.0;
+
+/// How the reduced candidates become a switch verdict (`WgttConfig`'s
+/// `switch_policy`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SwitchPolicyKind {
+    /// The paper's rule (§3.1.1 + §5.3.3): switch when the max-median
+    /// challenger beats the serving AP's median by the margin.
+    #[default]
+    ReactiveMedian,
+    /// Load-aware decentralized selection (arXiv 1606.02316): candidates
+    /// score `esnr − β·ln(1 + competing)`, where `competing` counts the
+    /// *other* clients on that AP ([`LOAD_BETA_DB`]), and the best score
+    /// challenges the serving AP's under the same dampers and margin.
+    /// The log makes the first few co-residents cheap and a pile-up
+    /// expensive, so a fleet spreads across overlapping picocells.
+    LoadAware,
+}
+
+impl SwitchPolicyKind {
+    /// Stable CLI/report label.
+    pub fn label(self) -> &'static str {
+        match self {
+            SwitchPolicyKind::ReactiveMedian => "reactive-median",
+            SwitchPolicyKind::LoadAware => "load-aware",
+        }
+    }
+
+    /// Parse a CLI label.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "reactive" | "reactive-median" | "median" => Some(SwitchPolicyKind::ReactiveMedian),
+            "load-aware" | "loadaware" | "load" => Some(SwitchPolicyKind::LoadAware),
+            _ => None,
+        }
+    }
+
+    /// Both rules, reactive first (comparison order).
+    pub const fn all() -> [SwitchPolicyKind; 2] {
+        [
+            SwitchPolicyKind::ReactiveMedian,
+            SwitchPolicyKind::LoadAware,
+        ]
+    }
+}
+
+/// The load-aware score of one candidate. `is_current` discounts the
+/// client's own association, so the serving AP is not penalized for
+/// serving it.
+#[inline]
+fn load_score(esnr_db: f64, load: u32, is_current: bool) -> f64 {
+    let competing = load.saturating_sub(u32::from(is_current));
+    esnr_db - LOAD_BETA_DB * f64::from(competing + 1).ln()
+}
+
+/// Per-AP associated-client counts the controller tracks: the input of
+/// [`SwitchPolicyKind::LoadAware`] and the source of the controller's
+/// `max_ap_load` high-water mark. Updated at association and switch
+/// completion.
+#[derive(Debug, Default, Clone)]
+pub struct ApLoads {
+    counts: BTreeMap<NodeId, u32>,
+}
+
+impl ApLoads {
+    /// No clients associated anywhere.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Clients currently served by `ap`.
+    #[inline]
+    pub fn get(&self, ap: NodeId) -> u32 {
+        self.counts.get(&ap).copied().unwrap_or(0)
+    }
+
+    /// Move one client from `from` (if any) to `to`; returns `to`'s new
+    /// count so the caller can track the high-water mark. A re-assignment
+    /// to the same AP is a net no-op.
+    pub fn reassign(&mut self, from: Option<NodeId>, to: NodeId) -> u32 {
+        if let Some(f) = from {
+            if let Some(c) = self.counts.get_mut(&f) {
+                *c = c.saturating_sub(1);
+                if *c == 0 {
+                    self.counts.remove(&f);
+                }
+            }
+        }
+        let c = self.counts.entry(to).or_default();
+        *c += 1;
+        *c
+    }
+}
 
 /// Per-AP link state: the selection window plus the range-liveness
 /// timestamp, kept in one map entry so each reading costs a single
@@ -91,11 +178,6 @@ pub const TREND_WINDOW: SimDuration = SimDuration::from_millis(100);
 #[derive(Debug, Default)]
 struct Link {
     window: EsnrWindow,
-    /// The long trend window ([`TREND_WINDOW`]) the predictive policy's
-    /// slope fit reads. Fed on `record` only while the active policy
-    /// wants it (empty otherwise); expired on push, so its contents are
-    /// a pure function of the reading stream.
-    trend: EsnrWindow,
     /// Most recent reading regardless of window expiry (range liveness
     /// for the fan-out grace rule).
     last_reading: SimTime,
@@ -117,12 +199,8 @@ pub struct ApSelector {
     current: Option<NodeId>,
     last_switch: Option<SimTime>,
     /// The verdict rule [`evaluate`](Self::evaluate) runs (the paper's
-    /// reactive-median rule by default). Stateless and shared — one
-    /// `Arc` serves every client of a controller.
-    switch_policy: Arc<dyn SwitchPolicy>,
-    /// Cached `switch_policy.wants_trend()`: checked on every `record`,
-    /// so it must not cost a virtual call there.
-    track_trend: bool,
+    /// reactive-median rule by default).
+    switch_policy: SwitchPolicyKind,
     /// Lazy min-heap of per-window front-expiry deadlines; its peek
     /// answers "does any window need expiring at `now`?" in O(1).
     expiry: ExpiryHeap<NodeId>,
@@ -155,8 +233,7 @@ impl ApSelector {
             links: BTreeMap::new(),
             current: None,
             last_switch: None,
-            switch_policy: SwitchPolicyKind::ReactiveMedian.build(),
-            track_trend: false,
+            switch_policy: SwitchPolicyKind::ReactiveMedian,
             expiry: ExpiryHeap::new(),
             best_cache: Some(None),
         }
@@ -169,13 +246,10 @@ impl ApSelector {
         self.best_cache = None;
     }
 
-    /// Override the switch-verdict policy (the paper's reactive-median
-    /// rule by default). The verdict layer sits strictly above the
-    /// argmax cache, so no derived state needs invalidating. A mid-run
-    /// switch to a trend-fitting policy starts its trend windows empty
-    /// (slope `None` → reactive behavior) until readings accumulate.
-    pub fn set_switch_policy(&mut self, policy: Arc<dyn SwitchPolicy>) {
-        self.track_trend = policy.wants_trend();
+    /// Override the switch-verdict rule (the paper's reactive-median
+    /// rule by default). The verdict sits strictly above the argmax
+    /// cache, so no derived state needs invalidating.
+    pub fn set_switch_policy(&mut self, policy: SwitchPolicyKind) {
         self.switch_policy = policy;
     }
 
@@ -271,9 +345,6 @@ impl ApSelector {
         let link = self.links.entry(ap).or_default();
         link.last_reading = link.last_reading.max(at);
         link.window.push(at, esnr_db, window);
-        if self.track_trend {
-            link.trend.push(at, esnr_db, TREND_WINDOW);
-        }
         let value = link.window.reduce(policy);
         Self::sync_deadline(link, &mut self.expiry, ap, window);
         Self::bump_cache(&mut self.best_cache, ap, value);
@@ -410,115 +481,88 @@ impl ApSelector {
     /// evaluate's `best()` query, so on the (overwhelmingly common)
     /// frame where the reading does not dethrone the cached winner the
     /// argmax is a pure memo hit and no window is re-reduced. Exactly
-    /// equivalent to `record(ap, at, esnr_db); evaluate(now)` — the
-    /// lockstep suite in `tests/prop_selection.rs` holds it to that.
+    /// equivalent to `record(ap, at, esnr_db)` and then the verdict
+    /// against `loads` — the lockstep suite in `tests/prop_selection.rs`
+    /// holds it to that. `loads` is the controller's per-AP table; only
+    /// [`SwitchPolicyKind::LoadAware`] reads it.
     pub fn record_and_evaluate(
         &mut self,
         ap: NodeId,
         at: SimTime,
         esnr_db: f64,
         now: SimTime,
-    ) -> Verdict {
-        self.record_and_evaluate_with(ap, at, esnr_db, now, PolicyEnv::default())
-    }
-
-    /// [`record_and_evaluate`](Self::record_and_evaluate) with
-    /// controller-level policy context (per-AP loads).
-    pub fn record_and_evaluate_with(
-        &mut self,
-        ap: NodeId,
-        at: SimTime,
-        esnr_db: f64,
-        now: SimTime,
-        env: PolicyEnv<'_>,
+        loads: &ApLoads,
     ) -> Verdict {
         self.record(ap, at, esnr_db);
-        self.evaluate_with(now, env)
+        self.decide(now, loads)
     }
 
-    /// Evaluate the configured switch policy at `now`. Under the
-    /// default [`crate::policy::ReactiveMedian`] this returns
-    /// [`Verdict::SwitchTo`] only when the best AP differs from the
-    /// current, beats it by the margin, and the hysteresis has elapsed.
+    /// Evaluate the configured switch rule at `now`, with every AP's
+    /// load read as 0 (so [`SwitchPolicyKind::LoadAware`] reduces to the
+    /// reactive rule). Returns [`Verdict::SwitchTo`] only when the best
+    /// AP differs from the current, beats it by the margin, and the
+    /// hysteresis has elapsed.
     pub fn evaluate(&mut self, now: SimTime) -> Verdict {
-        self.evaluate_with(now, PolicyEnv::default())
+        self.decide(now, &ApLoads::new())
     }
 
-    /// [`evaluate`](Self::evaluate) with controller-level policy
-    /// context (per-AP loads for [`crate::policy::LoadAware`]).
-    pub fn evaluate_with(&mut self, now: SimTime, env: PolicyEnv<'_>) -> Verdict {
-        let policy = Arc::clone(&self.switch_policy);
-        let mut view = FastView {
-            sel: self,
-            now,
-            env,
-        };
-        policy.decide(&mut view)
-    }
-}
-
-/// [`PolicyView`] over the fast-path selector: queries go through the
-/// cached argmax / lazy expiry machinery, so a policy decided through
-/// this view exercises exactly the state the production path uses.
-struct FastView<'a> {
-    sel: &'a mut ApSelector,
-    now: SimTime,
-    env: PolicyEnv<'a>,
-}
-
-impl PolicyView for FastView<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn current(&self) -> Option<NodeId> {
-        self.sel.current
-    }
-
-    fn last_switch(&self) -> Option<SimTime> {
-        self.sel.last_switch
-    }
-
-    fn hysteresis(&self) -> SimDuration {
-        self.sel.hysteresis
-    }
-
-    fn margin_db(&self) -> f64 {
-        self.sel.margin_db
-    }
-
-    fn best(&mut self) -> Option<(NodeId, f64)> {
-        self.sel.best(self.now)
-    }
-
-    fn reduced(&mut self, ap: NodeId) -> Option<f64> {
-        self.sel.median_esnr(ap, self.now)
-    }
-
-    fn slope_db_per_s(&mut self, ap: NodeId) -> Option<f64> {
-        // Trend windows expire on push only — no expiry pass needed.
-        self.sel.links.get(&ap)?.trend.slope_db_per_s()
-    }
-
-    fn silent_past_grace(&self, ap: NodeId) -> bool {
-        self.sel
-            .links
-            .get(&ap)
-            .is_none_or(|l| l.last_reading + SILENCE_GRACE <= self.now)
-    }
-
-    fn load(&self, ap: NodeId) -> u32 {
-        self.env.loads.map_or(0, |l| l.get(ap))
-    }
-
-    fn for_each_candidate(&mut self, f: &mut dyn FnMut(NodeId, f64, u32)) {
-        self.sel.process_expiries(self.now);
-        let policy = self.sel.policy;
-        let loads = self.env.loads;
-        for (&ap, l) in self.sel.links.iter_mut() {
-            if let Some(v) = l.window.reduce(policy) {
-                f(ap, v, loads.map_or(0, |t| t.get(ap)));
+    /// The verdict: the challenger the configured rule picks, then the
+    /// paper's dampers in order — no serving AP yet → switch; best is
+    /// already serving → stay; hysteresis not elapsed → stay; serving
+    /// window empty → switch only once it has been silent past the
+    /// grace — then the margin.
+    fn decide(&mut self, now: SimTime, loads: &ApLoads) -> Verdict {
+        // The challenger with the figure it is judged by, and the load
+        // table that figure is discounted by (none for the paper's rule).
+        // Both argmaxes scan in ascending AP-id order with strict `>`, so
+        // the lowest id wins ties.
+        let (best, discount) = match self.switch_policy {
+            SwitchPolicyKind::ReactiveMedian => (self.best(now), None),
+            SwitchPolicyKind::LoadAware => {
+                self.process_expiries(now);
+                let (policy, current) = (self.policy, self.current);
+                let mut best: Option<(NodeId, f64)> = None;
+                for (&ap, l) in self.links.iter_mut() {
+                    if let Some(v) = l.window.reduce(policy) {
+                        let score = load_score(v, loads.get(ap), current == Some(ap));
+                        if best.is_none_or(|(_, bs)| score > bs) {
+                            best = Some((ap, score));
+                        }
+                    }
+                }
+                (best, Some(loads))
             }
+        };
+        let Some((best_ap, best_v)) = best else {
+            return Verdict::NoCandidate;
+        };
+        let Some(current) = self.current else {
+            return Verdict::SwitchTo(best_ap);
+        };
+        if best_ap == current {
+            return Verdict::Stay;
+        }
+        if let Some(last) = self.last_switch {
+            if now.saturating_since(last) < self.hysteresis {
+                return Verdict::Stay;
+            }
+        }
+        let Some(cv) = self.median_esnr(current, now) else {
+            let silent = self
+                .links
+                .get(&current)
+                .is_none_or(|l| l.last_reading + SILENCE_GRACE <= now);
+            return if silent {
+                Verdict::SwitchTo(best_ap)
+            } else {
+                Verdict::Stay
+            };
+        };
+        let cv = discount.map_or(cv, |l| load_score(cv, l.get(current), true));
+        if best_v > cv + self.margin_db {
+            Verdict::SwitchTo(best_ap)
+        } else {
+            Verdict::Stay
         }
     }
 }
@@ -779,5 +823,45 @@ mod tests {
         // t=13: AP1 readings at 0 and 2 ms expired, leaving {10}.
         assert_eq!(s.best(ms(13)), Some((AP2, 15.0)));
         assert_eq!(s.median_esnr(AP1, ms(13)), Some(10.0));
+    }
+
+    #[test]
+    fn loads_reassign_and_max() {
+        let mut l = ApLoads::new();
+        assert_eq!(l.get(AP1), 0);
+        assert_eq!(l.reassign(None, AP1), 1);
+        assert_eq!(l.reassign(None, AP1), 2);
+        assert_eq!(l.reassign(None, AP2), 1);
+        // Moving one client over flips the majority.
+        assert_eq!(l.reassign(Some(AP1), AP2), 2);
+        assert_eq!(l.get(AP1), 1);
+        // Re-association to the same AP is a net no-op.
+        assert_eq!(l.reassign(Some(AP2), AP2), 2);
+        assert_eq!(l.get(AP2), 2);
+        // Draining an AP removes its entry entirely.
+        assert_eq!(l.reassign(Some(AP1), AP2), 3);
+        assert_eq!(l.get(AP1), 0);
+        assert!(!l.counts.contains_key(&AP1));
+    }
+
+    #[test]
+    fn load_aware_score_discounts_own_association() {
+        // Serving AP with only us on it scores like an empty AP.
+        assert_eq!(load_score(20.0, 1, true), load_score(20.0, 0, false));
+        // A competing client costs β·ln 2.
+        let d = load_score(20.0, 1, false) - load_score(20.0, 0, false);
+        assert!((d + LOAD_BETA_DB * 2.0f64.ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kind_parses_labels() {
+        for kind in SwitchPolicyKind::all() {
+            assert_eq!(SwitchPolicyKind::parse(kind.label()), Some(kind));
+        }
+        assert_eq!(SwitchPolicyKind::parse("nope"), None);
+        assert_eq!(
+            SwitchPolicyKind::parse("reactive"),
+            Some(SwitchPolicyKind::ReactiveMedian)
+        );
     }
 }

@@ -305,46 +305,6 @@ impl EsnrWindow {
             WindowReduce::Latest => self.readings.back().map(|&(_, v)| v),
         }
     }
-
-    /// Least-squares slope of the live readings, dB per second — the
-    /// link's ESNR trend over the window, used by the predictive switch
-    /// policy to extrapolate ahead of the next evaluation horizon.
-    ///
-    /// `None` when fewer than two readings remain or all share one
-    /// timestamp (no time base to fit against). Times are taken
-    /// relative to the oldest live reading before squaring, so the fit
-    /// is numerically exact in window-scale seconds rather than
-    /// catastrophically cancelling in absolute nanoseconds. Computed on
-    /// demand — it runs only for the serving AP and the challenger on
-    /// the (rare) evaluations that reach the predictive comparison, not
-    /// per reading.
-    pub fn slope_db_per_s(&self) -> Option<f64> {
-        let n = self.readings.len();
-        if n < 2 {
-            return None;
-        }
-        let (t0, _) = *self.readings.front().expect("n >= 2");
-        let inv_n = 1.0 / n as f64;
-        let mut t_mean = 0.0;
-        let mut v_mean = 0.0;
-        for &(t, v) in &self.readings {
-            t_mean += t.saturating_since(t0).as_secs_f64();
-            v_mean += v;
-        }
-        t_mean *= inv_n;
-        v_mean *= inv_n;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for &(t, v) in &self.readings {
-            let dt = t.saturating_since(t0).as_secs_f64() - t_mean;
-            num += dt * (v - v_mean);
-            den += dt * dt;
-        }
-        if den == 0.0 {
-            return None; // all readings at one instant
-        }
-        Some(num / den)
-    }
 }
 
 /// Lazy min-heap of per-window front-expiry deadlines, keyed by an

@@ -8,11 +8,9 @@
 //! every event.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use wgtt::controller::{ControllerAction, ControllerStats};
 use wgtt::dedup::DedupFilter;
-use wgtt::policy::{ApLoads, PolicyEnv, SwitchPolicy};
-use wgtt::selection::{ApSelector, Verdict};
+use wgtt::selection::{ApLoads, ApSelector, Verdict};
 use wgtt::switching::{SwitchEvent, SwitchProtocol};
 use wgtt::{BackhaulMsg, WgttConfig};
 use wgtt_mac::frame::NodeId;
@@ -40,8 +38,6 @@ pub struct Controller {
     /// per-client, which is what lets a spatially sharded run keep a
     /// controller per shard without cross-shard coupling.
     dedup: HashMap<u32, DedupFilter>,
-    /// The switch-verdict rule, built once from `cfg.switch_policy`.
-    switch_policy: Arc<dyn SwitchPolicy>,
     /// Per-AP associated-client counts (the load-aware policy's input).
     loads: ApLoads,
     /// Run statistics.
@@ -53,7 +49,6 @@ impl Controller {
     pub fn new(cfg: WgttConfig, aps: Vec<NodeId>) -> Self {
         Controller {
             dedup: HashMap::new(),
-            switch_policy: cfg.switch_policy.build(),
             cfg,
             clients: HashMap::new(),
             all_aps: aps,
@@ -64,7 +59,6 @@ impl Controller {
 
     fn client_mut(&mut self, client: NodeId) -> &mut ClientState {
         let cfg = self.cfg;
-        let switch_policy = Arc::clone(&self.switch_policy);
         self.clients.entry(client).or_insert_with(|| ClientState {
             selector: {
                 let mut s = ApSelector::new(
@@ -73,7 +67,7 @@ impl Controller {
                     cfg.switch_margin_db,
                 );
                 s.set_window_reduce(cfg.window_reduce);
-                s.set_switch_policy(switch_policy);
+                s.set_switch_policy(cfg.switch_policy);
                 s
             },
             switcher: SwitchProtocol::new(cfg.switch_ack_timeout),
@@ -180,10 +174,7 @@ impl Controller {
                 ap,
                 esnr_db,
                 at,
-            } => {
-                self.client_mut(client).selector.record(ap, at, esnr_db);
-                self.evaluate(client, now)
-            }
+            } => self.on_csi(client, ap, at, esnr_db, now),
             BackhaulMsg::UplinkData { packet, .. } => {
                 let src = (packet.dedup_key() >> 16) as u32;
                 let cap = self.cfg.dedup_capacity;
@@ -235,25 +226,29 @@ impl Controller {
         }
     }
 
-    /// Re-run the selection rule for `client` and start a switch if it
-    /// says so and none is outstanding.
-    fn evaluate(&mut self, client: NodeId, now: SimTime) -> Vec<ControllerAction> {
+    /// Fold a CSI reading into `client`'s selector; unless a switch is
+    /// outstanding or the client is not yet associated, re-run the
+    /// selection rule against the load table and start a switch if it
+    /// says so.
+    fn on_csi(
+        &mut self,
+        client: NodeId,
+        ap: NodeId,
+        at: SimTime,
+        esnr_db: f64,
+        now: SimTime,
+    ) -> Vec<ControllerAction> {
+        self.client_mut(client);
         let loads = &self.loads;
-        let Some(st) = self.clients.get_mut(&client) else {
-            // Unreachable from `on_msg` (the CSI record above created
-            // the entry), kept total for direct callers.
-            return Vec::new();
+        let st = self.clients.get_mut(&client).expect("created above");
+        let current = match st.serving {
+            Some(current) if !st.switcher.busy() => current,
+            _ => {
+                st.selector.record(ap, at, esnr_db);
+                return Vec::new();
+            }
         };
-        if st.switcher.busy() {
-            return Vec::new();
-        }
-        let Some(current) = st.serving else {
-            return Vec::new(); // not yet associated
-        };
-        match st
-            .selector
-            .evaluate_with(now, PolicyEnv { loads: Some(loads) })
-        {
+        match st.selector.record_and_evaluate(ap, at, esnr_db, now, loads) {
             Verdict::SwitchTo(target) if target != current => {
                 match st.switcher.begin(current, target, now) {
                     Some(SwitchEvent::SendStop {

@@ -1,9 +1,9 @@
 //! The full-scan selector: expire and reduce every link on every query.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use wgtt::policy::{PolicyEnv, PolicyView, SwitchPolicy, SwitchPolicyKind};
-use wgtt::selection::{Verdict, WindowReduce, SILENCE_GRACE, TREND_WINDOW};
+use wgtt::selection::{
+    ApLoads, SwitchPolicyKind, Verdict, WindowReduce, LOAD_BETA_DB, SILENCE_GRACE,
+};
 use wgtt::window::EsnrWindow;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -11,9 +11,10 @@ use wgtt_sim::time::{SimDuration, SimTime};
 /// The pre-fast-path selector, kept as the equivalence oracle — this
 /// layer's `NaiveWindow`. Every query expires and reduces
 /// **every** link (O(A) per frame); there is no argmax cache and no
-/// expiry heap, so there is nothing to go stale. `prop_selection.rs`
-/// drives it in lockstep with [`ApSelector`] and requires bit-identical
-/// answers from every method.
+/// expiry heap, so there is nothing to go stale. Its verdict is its own
+/// scan-and-compare, sharing no code with [`ApSelector`]'s.
+/// `prop_selection.rs` drives it in lockstep with [`ApSelector`] and
+/// requires bit-identical answers from every method.
 #[derive(Debug)]
 pub struct FullScanSelector {
     window: SimDuration,
@@ -23,15 +24,12 @@ pub struct FullScanSelector {
     links: BTreeMap<NodeId, OracleLink>,
     current: Option<NodeId>,
     last_switch: Option<SimTime>,
-    switch_policy: Arc<dyn SwitchPolicy>,
-    track_trend: bool,
+    switch_policy: SwitchPolicyKind,
 }
 
 #[derive(Debug, Default)]
 struct OracleLink {
     window: EsnrWindow,
-    /// Trend window for the slope fit (mirror of `ApSelector`'s).
-    trend: EsnrWindow,
     last_reading: SimTime,
 }
 
@@ -46,8 +44,7 @@ impl FullScanSelector {
             links: BTreeMap::new(),
             current: None,
             last_switch: None,
-            switch_policy: SwitchPolicyKind::ReactiveMedian.build(),
-            track_trend: false,
+            switch_policy: SwitchPolicyKind::ReactiveMedian,
         }
     }
 
@@ -56,10 +53,9 @@ impl FullScanSelector {
         self.policy = policy;
     }
 
-    /// Override the switch-verdict policy (mirror of
+    /// Override the switch-verdict rule (mirror of
     /// [`ApSelector::set_switch_policy`]).
-    pub fn set_switch_policy(&mut self, policy: Arc<dyn SwitchPolicy>) {
-        self.track_trend = policy.wants_trend();
+    pub fn set_switch_policy(&mut self, policy: SwitchPolicyKind) {
         self.switch_policy = policy;
     }
 
@@ -72,9 +68,6 @@ impl FullScanSelector {
         let link = self.links.entry(ap).or_default();
         link.last_reading = link.last_reading.max(at);
         link.window.push(at, esnr_db, self.window);
-        if self.track_trend {
-            link.trend.push(at, esnr_db, TREND_WINDOW);
-        }
     }
 
     /// Forget `ap` entirely (mirror of [`ApSelector::remove_ap`]).
@@ -140,7 +133,7 @@ impl FullScanSelector {
         self.links.get(&ap).map(|l| l.last_reading)
     }
 
-    /// Record-then-evaluate in one call (mirror of
+    /// Record-then-evaluate against `loads` in one call (mirror of
     /// [`ApSelector::record_and_evaluate`], full-scan semantics).
     pub fn record_and_evaluate(
         &mut self,
@@ -148,106 +141,73 @@ impl FullScanSelector {
         at: SimTime,
         esnr_db: f64,
         now: SimTime,
-    ) -> Verdict {
-        self.record_and_evaluate_with(ap, at, esnr_db, now, PolicyEnv::default())
-    }
-
-    /// Record-then-evaluate with controller-level policy context.
-    pub fn record_and_evaluate_with(
-        &mut self,
-        ap: NodeId,
-        at: SimTime,
-        esnr_db: f64,
-        now: SimTime,
-        env: PolicyEnv<'_>,
+        loads: &ApLoads,
     ) -> Verdict {
         self.record(ap, at, esnr_db);
-        self.evaluate_with(now, env)
+        self.decide(now, loads)
     }
 
-    /// Evaluate the configured switch policy at `now` (same dampers as
-    /// [`ApSelector::evaluate`], full-scan semantics).
+    /// Evaluate the configured switch rule at `now` with every load 0
+    /// (same dampers as [`ApSelector::evaluate`], full-scan semantics).
     pub fn evaluate(&mut self, now: SimTime) -> Verdict {
-        self.evaluate_with(now, PolicyEnv::default())
+        self.decide(now, &ApLoads::new())
     }
 
-    /// [`evaluate`](Self::evaluate) with controller-level policy
-    /// context.
-    pub fn evaluate_with(&mut self, now: SimTime, env: PolicyEnv<'_>) -> Verdict {
-        let policy = Arc::clone(&self.switch_policy);
-        let mut view = OracleView {
-            sel: self,
-            now,
-            env,
-        };
-        policy.decide(&mut view)
-    }
-}
-
-/// [`PolicyView`] over the full-scan oracle: every query expires the
-/// touched link(s) on the spot (no caches, nothing to go stale).
-struct OracleView<'a> {
-    sel: &'a mut FullScanSelector,
-    now: SimTime,
-    env: PolicyEnv<'a>,
-}
-
-impl PolicyView for OracleView<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn current(&self) -> Option<NodeId> {
-        self.sel.current
-    }
-
-    fn last_switch(&self) -> Option<SimTime> {
-        self.sel.last_switch
-    }
-
-    fn hysteresis(&self) -> SimDuration {
-        self.sel.hysteresis
-    }
-
-    fn margin_db(&self) -> f64 {
-        self.sel.margin_db
-    }
-
-    fn best(&mut self) -> Option<(NodeId, f64)> {
-        self.sel.best(self.now)
-    }
-
-    fn reduced(&mut self, ap: NodeId) -> Option<f64> {
-        self.sel.median_esnr(ap, self.now)
-    }
-
-    fn slope_db_per_s(&mut self, ap: NodeId) -> Option<f64> {
-        // The trend window expires on push only (its contents are a
-        // pure function of the reading stream), so reads on both
-        // selectors see identical samples without an expire here.
-        self.sel.links.get(&ap)?.trend.slope_db_per_s()
-    }
-
-    fn silent_past_grace(&self, ap: NodeId) -> bool {
-        self.sel
-            .links
-            .get(&ap)
-            .is_none_or(|l| l.last_reading + SILENCE_GRACE <= self.now)
-    }
-
-    fn load(&self, ap: NodeId) -> u32 {
-        self.env.loads.map_or(0, |l| l.get(ap))
-    }
-
-    fn for_each_candidate(&mut self, f: &mut dyn FnMut(NodeId, f64, u32)) {
-        let window = self.sel.window;
-        let policy = self.sel.policy;
-        let loads = self.env.loads;
-        for (&ap, l) in self.sel.links.iter_mut() {
-            l.window.expire(self.now, window);
-            if let Some(v) = l.window.reduce(policy) {
-                f(ap, v, loads.map_or(0, |t| t.get(ap)));
+    /// One scan scores every live link — its reduction under the
+    /// reactive rule, `v − β·ln(1 + competing)` under the load-aware one
+    /// — and the argmax score challenges the serving AP's score through
+    /// the dampers and the margin.
+    fn decide(&mut self, now: SimTime, loads: &ApLoads) -> Verdict {
+        let kind = self.switch_policy;
+        let current = self.current;
+        let score = |ap: NodeId, v: f64| match kind {
+            SwitchPolicyKind::ReactiveMedian => v,
+            SwitchPolicyKind::LoadAware => {
+                let competing = loads.get(ap).saturating_sub(u32::from(current == Some(ap)));
+                v - LOAD_BETA_DB * f64::from(competing + 1).ln()
             }
+        };
+        let (window, policy) = (self.window, self.policy);
+        let mut best: Option<(NodeId, f64)> = None;
+        for (&ap, l) in self.links.iter_mut() {
+            l.window.expire(now, window);
+            if let Some(v) = l.window.reduce(policy) {
+                let s = score(ap, v);
+                if best.is_none_or(|(_, bs)| s > bs) {
+                    best = Some((ap, s));
+                }
+            }
+        }
+        let Some((best_ap, best_score)) = best else {
+            return Verdict::NoCandidate;
+        };
+        let Some(current) = current else {
+            return Verdict::SwitchTo(best_ap);
+        };
+        if best_ap == current {
+            return Verdict::Stay;
+        }
+        if let Some(last) = self.last_switch {
+            if now.saturating_since(last) < self.hysteresis {
+                return Verdict::Stay;
+            }
+        }
+        match self.median_esnr(current, now) {
+            None => {
+                let silent = self
+                    .links
+                    .get(&current)
+                    .is_none_or(|l| l.last_reading + SILENCE_GRACE <= now);
+                if silent {
+                    Verdict::SwitchTo(best_ap)
+                } else {
+                    Verdict::Stay
+                }
+            }
+            Some(cv) if best_score > score(current, cv) + self.margin_db => {
+                Verdict::SwitchTo(best_ap)
+            }
+            Some(_) => Verdict::Stay,
         }
     }
 }

@@ -30,8 +30,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use wgtt::controller::{ActionSink, Controller, ControllerAction, ControllerStats};
 use wgtt::messages::BackhaulMsg;
-use wgtt::policy::SwitchPolicyKind;
-use wgtt::WgttConfig;
+use wgtt::{SwitchPolicyKind, WgttConfig};
 use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
@@ -289,14 +288,14 @@ proptest! {
         d.drain();
     }
 
-    /// The same contract under the non-default switch policies: both
-    /// controllers build the verdict rule from `cfg.switch_policy` and
-    /// feed it the same load table, so Predictive and LoadAware runs
-    /// must stay observationally identical too — including the new
-    /// `max_ap_load` high-water mark in the stats signature.
+    /// The same contract under every switch rule: both controllers set
+    /// `cfg.switch_policy` on their selectors and feed them the same
+    /// load table, so LoadAware runs must stay observationally
+    /// identical too — including the `max_ap_load` high-water mark in
+    /// the stats signature.
     #[test]
     fn policy_configs_match_reference_under_random_interleavings(
-        kind_idx in 0usize..3,
+        kind_idx in 0usize..SwitchPolicyKind::all().len(),
         script in proptest::collection::vec((0u8..8, 0u8..16, 0u8..16, 0u16..5000), 1..80)
     ) {
         let cfg = WgttConfig {

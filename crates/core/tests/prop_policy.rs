@@ -1,37 +1,30 @@
-//! Property suite for the pluggable switch-verdict layer
-//! (`wgtt::policy`).
+//! Property suite for the switch verdict ([`SwitchPolicyKind`] inside
+//! `ApSelector::evaluate`).
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here:
 //!
-//! 1. **The trait extraction changed nothing.** `ReactiveMedian`
-//!    through `evaluate()` must reproduce the seed's decision table
-//!    *verbatim*. The oracle is an external replica of that table,
-//!    computed in the test from public selector queries only (`best`,
-//!    `median_esnr`, `last_heard`) plus shadow `current`/`last_switch`
-//!    bookkeeping — so a regression anywhere in the trait plumbing
-//!    (view wiring, damper order, margin comparison) diverges from a
-//!    reimplementation that never touches the trait.
-//! 2. **The slope fit is a least-squares fit.** `EsnrWindow::
-//!    slope_db_per_s` against a from-scratch two-pass least-squares
-//!    oracle over the same readings, plus recompute determinism to the
-//!    bit.
-//! 3. **The new policies do what they claim.** `Predictive` switches on
-//!    an extrapolated crossing the reactive rule ignores (and never
-//!    later than reactive); `LoadAware` spreads clients off a piled-up
-//!    AP and degrades to the reactive rule when no load table is in
-//!    scope.
+//! 1. **Each rule is its decision table.** The oracle is an external
+//!    replica of that table, computed in the test from public selector
+//!    queries only (`best`, `in_range`, `median_esnr`, `last_heard`)
+//!    plus shadow `current`/`last_switch` bookkeeping — so a regression
+//!    anywhere in the verdict (argmax, scoring, damper order, margin
+//!    comparison) diverges from a reimplementation that shares none of
+//!    its code. The reactive twin is the seed's table verbatim; the
+//!    load-aware twin scores `v − β·ln(1 + competing)` with the
+//!    own-AP discount, against random load tables that move with every
+//!    applied switch.
+//! 2. **`LoadAware` does what it claims.** It spreads clients off a
+//!    piled-up AP, does not override a decisive ESNR lead, and degrades
+//!    to the reactive rule when no load table is in scope.
 //!
-//! Fast-vs-full-scan bit-identity for every policy lives in
+//! Fast-vs-full-scan bit-identity for both rules lives in
 //! `prop_selection.rs`; this file owns verdict-semantics correctness.
 
 mod oracle;
 
 use oracle::selection::FullScanSelector;
 use proptest::prelude::*;
-use std::sync::Arc;
-use wgtt::policy::{ApLoads, PolicyEnv, SwitchPolicyKind};
-use wgtt::selection::{ApSelector, Verdict};
-use wgtt::window::EsnrWindow;
+use wgtt::selection::{ApLoads, ApSelector, SwitchPolicyKind, Verdict};
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -41,6 +34,9 @@ const MARGIN_DB: f64 = 1.0;
 /// Must track `wgtt::selection::SILENCE_GRACE`; the replica hardcodes
 /// the value on purpose, so a change to the constant shows up here.
 const GRACE: SimDuration = SimDuration::from_millis(100);
+/// Must track `wgtt::selection::LOAD_BETA_DB`, hardcoded for the same
+/// reason.
+const BETA_DB: f64 = 2.0;
 
 fn esnr(raw: u32) -> f64 {
     raw as f64 / 10.0 - 20.0
@@ -50,16 +46,39 @@ fn ms(v: u64) -> SimTime {
     SimTime::from_millis(v)
 }
 
-/// The seed's `evaluate` decision table, recomputed from public queries
-/// against `probe` (kept in lockstep with the selectors under test) and
-/// the shadow `current`/`last_switch` the driver maintains.
+/// The decision table, recomputed from public queries against `probe`
+/// (kept in lockstep with the selectors under test) and the shadow
+/// `current`/`last_switch` the property loop maintains. With `loads` absent it
+/// is the seed's reactive table; with a load table, every candidate and
+/// the serving AP are judged by their load-discounted score.
 fn legacy_verdict(
     probe: &mut FullScanSelector,
     current: Option<NodeId>,
     last_switch: Option<SimTime>,
     now: SimTime,
+    loads: Option<&ApLoads>,
 ) -> Verdict {
-    let Some((best_ap, best_v)) = probe.best(now) else {
+    let score = |ap: NodeId, v: f64| match loads {
+        None => v,
+        Some(l) => {
+            let competing = l.get(ap).saturating_sub(u32::from(current == Some(ap)));
+            v - BETA_DB * (1.0 + f64::from(competing)).ln()
+        }
+    };
+    let best = match loads {
+        None => probe.best(now),
+        Some(_) => {
+            let mut best: Option<(NodeId, f64)> = None;
+            for ap in probe.in_range(now) {
+                let s = score(ap, probe.median_esnr(ap, now).expect("in range"));
+                if best.is_none_or(|(_, b)| s > b) {
+                    best = Some((ap, s));
+                }
+            }
+            best
+        }
+    };
+    let Some((best_ap, best_v)) = best else {
         return Verdict::NoCandidate;
     };
     let Some(current) = current else {
@@ -83,16 +102,25 @@ fn legacy_verdict(
                 Verdict::Stay
             }
         }
-        Some(cv) if best_v > cv + MARGIN_DB => Verdict::SwitchTo(best_ap),
+        Some(cv) if best_v > score(current, cv) + MARGIN_DB => Verdict::SwitchTo(best_ap),
         Some(_) => Verdict::Stay,
     }
 }
 
+/// Decode a time step: mostly sub-window steps; the tail makes
+/// multi-window silences (the grace path) routine.
+fn step_us(dt_us: u64) -> u64 {
+    match dt_us {
+        0..=499 => 0,
+        500..=1_999 => dt_us - 500,
+        _ => (dt_us - 2_000) * 25_000,
+    }
+}
+
 proptest! {
-    /// `ReactiveMedian` through the trait layer reproduces the seed
-    /// decision table exactly, on both selectors, under adversarial
-    /// interleavings of readings, removals, long silences, and applied
-    /// switches.
+    /// `ReactiveMedian` reproduces the seed decision table exactly, on
+    /// both selectors, under adversarial interleavings of readings,
+    /// removals, long silences, and applied switches.
     #[test]
     fn reactive_median_matches_legacy_decision_table(
         ops in proptest::collection::vec(
@@ -109,13 +137,7 @@ proptest! {
         let mut last_switch: Option<SimTime> = None;
         let mut t_us = 0u64;
         for (kind, ap_raw, dt_us, raw) in ops {
-            // Mostly sub-window steps; the tail makes multi-window
-            // silences (the grace path) routine.
-            t_us += match dt_us {
-                0..=499 => 0,
-                500..=1_999 => dt_us - 500,
-                _ => (dt_us - 2_000) * 25_000,
-            };
+            t_us += step_us(dt_us);
             let now = SimTime::from_micros(t_us);
             let ap = NodeId(ap_raw % 4);
             match kind {
@@ -131,7 +153,7 @@ proptest! {
                     probe.remove_ap(ap);
                 }
                 _ => {
-                    let expected = legacy_verdict(&mut probe, current, last_switch, now);
+                    let expected = legacy_verdict(&mut probe, current, last_switch, now, None);
                     let fv = fast.evaluate(now);
                     let ov = full.evaluate(now);
                     prop_assert_eq!(fv, expected, "fast diverged from seed table at t={}µs", t_us);
@@ -147,117 +169,63 @@ proptest! {
         }
     }
 
-    /// `EsnrWindow::slope_db_per_s` equals a from-scratch least-squares
-    /// fit over the window's live readings (absolute-time formulation,
-    /// a numerically different path than the implementation's
-    /// relative-time one), and recomputation is deterministic to the
-    /// bit.
+    /// `LoadAware` reproduces its decision table — the reactive table
+    /// with every figure discounted by `β·ln(1 + competing)` — on both
+    /// selectors. The load table starts random and non-empty, and every
+    /// applied switch moves the client's own count from the old AP to
+    /// the new one, so the own-AP discount is exercised on both sides of
+    /// every switch.
     #[test]
-    fn slope_matches_least_squares_oracle(
-        ops in proptest::collection::vec((0u64..2_000, 0u32..600), 1..120)
-    ) {
-        let mut w = EsnrWindow::new();
-        let mut kept: Vec<(u64, f64)> = Vec::new();
-        let mut t_us = 0u64;
-        for (dt_us, raw) in ops {
-            t_us += if dt_us > 1_900 { dt_us * 15 } else { dt_us };
-            let at = SimTime::from_micros(t_us);
-            let v = esnr(raw);
-            w.push(at, v, WINDOW);
-            kept.push((t_us, v));
-            // Mirror the strict `t + W < now` expiry.
-            kept.retain(|&(t, _)| SimTime::from_micros(t) + WINDOW >= at);
-            prop_assert_eq!(w.len(), kept.len());
-
-            let got = w.slope_db_per_s();
-            prop_assert_eq!(
-                got.map(f64::to_bits),
-                w.slope_db_per_s().map(f64::to_bits),
-                "recompute not deterministic at t={}µs", t_us
-            );
-            // Oracle fit in absolute seconds.
-            let n = kept.len() as f64;
-            let distinct = kept.iter().any(|&(t, _)| t != kept[0].0);
-            if kept.len() < 2 || !distinct {
-                prop_assert_eq!(got.map(f64::to_bits), None, "expected no fit at t={}µs", t_us);
-            } else {
-                let t_mean = kept.iter().map(|&(t, _)| t as f64 * 1e-6).sum::<f64>() / n;
-                let v_mean = kept.iter().map(|&(_, v)| v).sum::<f64>() / n;
-                let num: f64 = kept
-                    .iter()
-                    .map(|&(t, v)| (t as f64 * 1e-6 - t_mean) * (v - v_mean))
-                    .sum();
-                let den: f64 = kept
-                    .iter()
-                    .map(|&(t, _)| (t as f64 * 1e-6 - t_mean).powi(2))
-                    .sum();
-                let expected = num / den;
-                let slope = got.expect("fit exists");
-                let tol = 1e-6 * expected.abs().max(1.0);
-                prop_assert!(
-                    (slope - expected).abs() <= tol,
-                    "slope {} vs oracle {} at t={}µs", slope, expected, t_us
-                );
-            }
-        }
-    }
-
-    /// `Predictive` never switches *later* than `ReactiveMedian`: on
-    /// any reading stream, whenever the reactive twin switches, the
-    /// predictive twin has either already switched or switches at the
-    /// same instant (its verdict rule contains the reactive trigger).
-    /// Concretely: at every evaluation, reactive `SwitchTo` implies
-    /// predictive `SwitchTo` unless their serving state already
-    /// diverged by an *earlier* predictive switch.
-    #[test]
-    fn predictive_is_never_later_than_reactive(
+    fn load_aware_matches_its_decision_table(
+        initial in proptest::collection::vec(0u32..4, 1..24),
         ops in proptest::collection::vec(
-            (0u32..8, 0u32..4, 0u64..1_500, 0u32..600), 1..200
+            (0u32..10, 0u32..5, 0u64..2_500, 0u32..600), 1..250
         )
     ) {
-        let mut reactive = ApSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
-        let mut predictive = ApSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
-        predictive.set_switch_policy(SwitchPolicyKind::predictive().build());
-        let mut diverged = false;
+        let mut loads = ApLoads::new();
+        for ap in initial {
+            loads.reassign(None, NodeId(ap));
+        }
+        let mut fast = ApSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
+        let mut full = FullScanSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
+        fast.set_switch_policy(SwitchPolicyKind::LoadAware);
+        full.set_switch_policy(SwitchPolicyKind::LoadAware);
+        let mut probe = FullScanSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
+        let mut current: Option<NodeId> = None;
+        let mut last_switch: Option<SimTime> = None;
         let mut t_us = 0u64;
         for (kind, ap_raw, dt_us, raw) in ops {
-            t_us += if dt_us > 1_400 { dt_us * 15 } else { dt_us };
+            t_us += step_us(dt_us);
             let now = SimTime::from_micros(t_us);
             let ap = NodeId(ap_raw % 4);
+            let v = esnr(raw);
             match kind {
-                0..=5 => {
-                    let v = esnr(raw);
-                    reactive.record(ap, now, v);
-                    predictive.record(ap, now, v);
+                0..=4 => {
+                    fast.record(ap, now, v);
+                    full.record(ap, now, v);
+                    probe.record(ap, now, v);
+                }
+                5 => {
+                    fast.remove_ap(ap);
+                    full.remove_ap(ap);
+                    probe.remove_ap(ap);
                 }
                 _ => {
-                    let rv = reactive.evaluate(now);
-                    let pv = predictive.evaluate(now);
-                    if !diverged {
-                        // Identical serving state: the predictive rule
-                        // is reactive-trigger ∨ forecast-trigger, so a
-                        // reactive switch forces a predictive one.
-                        if let Verdict::SwitchTo(t) = rv {
-                            prop_assert!(
-                                matches!(pv, Verdict::SwitchTo(_)),
-                                "predictive lagged reactive at t={}µs: {:?} vs SwitchTo({:?})",
-                                t_us, pv, t
-                            );
-                        }
-                        prop_assert_eq!(
-                            matches!(rv, Verdict::NoCandidate),
-                            matches!(pv, Verdict::NoCandidate),
-                            "candidate emptiness diverged at t={}µs", t_us
-                        );
-                    }
-                    if rv != pv {
-                        diverged = true;
-                    }
-                    if let Verdict::SwitchTo(t) = rv {
-                        reactive.set_current(t, now);
-                    }
-                    if let Verdict::SwitchTo(t) = pv {
-                        predictive.set_current(t, now);
+                    // The controller's entry: the reading, then the
+                    // verdict against the load table.
+                    probe.record(ap, now, v);
+                    let expected =
+                        legacy_verdict(&mut probe, current, last_switch, now, Some(&loads));
+                    let fv = fast.record_and_evaluate(ap, now, v, now, &loads);
+                    let ov = full.record_and_evaluate(ap, now, v, now, &loads);
+                    prop_assert_eq!(fv, expected, "fast diverged from load table at t={}µs", t_us);
+                    prop_assert_eq!(ov, expected, "oracle diverged from load table at t={}µs", t_us);
+                    if let Verdict::SwitchTo(target) = expected {
+                        loads.reassign(current, target);
+                        fast.set_current(target, now);
+                        full.set_current(target, now);
+                        current = Some(target);
+                        last_switch = Some(now);
                     }
                 }
             }
@@ -276,7 +244,7 @@ proptest! {
     ) {
         let mut reactive = ApSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
         let mut loadaware = ApSelector::new(WINDOW, HYSTERESIS, MARGIN_DB);
-        loadaware.set_switch_policy(SwitchPolicyKind::load_aware().build());
+        loadaware.set_switch_policy(SwitchPolicyKind::LoadAware);
         let mut t_us = 0u64;
         for (kind, ap_raw, dt_us, raw) in ops {
             t_us += if dt_us > 1_400 { dt_us * 15 } else { dt_us };
@@ -293,7 +261,7 @@ proptest! {
                     let lv = loadaware.evaluate(now);
                     prop_assert_eq!(
                         rv, lv,
-                        "LoadAware with empty env diverged from reactive at t={}µs", t_us
+                        "LoadAware without loads diverged from reactive at t={}µs", t_us
                     );
                     if let Verdict::SwitchTo(t) = rv {
                         reactive.set_current(t, now);
@@ -306,52 +274,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Pinned behavioral scenarios for the two new policies.
+// Pinned behavioral scenarios for the load-aware rule.
 // ---------------------------------------------------------------------
 
-/// The hand-off geometry: serving AP decaying at 100 dB/s, challenger
-/// rising at 100 dB/s, currently 1 dB apart — inside the 2.5 dB margin,
-/// so the reactive rule stays. Extrapolated 40 ms ahead the gap is 9 dB
-/// and the predictive rule switches — one hysteresis period earlier
-/// than reactive would.
-#[test]
-fn predictive_switches_on_extrapolated_crossing() {
-    let margin = 2.5;
-    let mk = || ApSelector::new(WINDOW, HYSTERESIS, margin);
-    let ap1 = NodeId(1);
-    let ap2 = NodeId(2);
-    let mut reactive = mk();
-    let mut predictive = mk();
-    predictive.set_switch_policy(SwitchPolicyKind::predictive().build());
-    for s in [&mut reactive, &mut predictive] {
-        s.set_current(ap1, ms(0));
-        for i in 0..=10u64 {
-            // AP1: 16.5 → 15.5 dB (−100 dB/s), median 16.0.
-            s.record(ap1, ms(100 + i), 16.5 - 0.1 * i as f64);
-            // AP2: 16.5 → 17.5 dB (+100 dB/s), median 17.0.
-            s.record(ap2, ms(100 + i), 16.5 + 0.1 * i as f64);
-        }
+/// Ten clients on `ap1`: the pile-up both scenarios below start from.
+fn piled_up_on(ap1: NodeId) -> ApLoads {
+    let mut loads = ApLoads::new();
+    for _ in 0..10 {
+        loads.reassign(None, ap1);
     }
-    // Challenger leads by 1.0 dB — under the margin: reactive stays.
-    assert_eq!(reactive.evaluate(ms(110)), Verdict::Stay);
-    // Extrapolated to now + 40 ms: 12.0 vs 21.0 — predictive switches.
-    assert_eq!(predictive.evaluate(ms(110)), Verdict::SwitchTo(ap2));
-}
-
-/// A flat geometry must NOT trigger the forecast: same setup but both
-/// links steady. Predictive agrees with reactive (Stay).
-#[test]
-fn predictive_stays_on_flat_links() {
-    let ap1 = NodeId(1);
-    let ap2 = NodeId(2);
-    let mut s = ApSelector::new(WINDOW, HYSTERESIS, 2.5);
-    s.set_switch_policy(SwitchPolicyKind::predictive().build());
-    s.set_current(ap1, ms(0));
-    for i in 0..=10u64 {
-        s.record(ap1, ms(100 + i), 16.0);
-        s.record(ap2, ms(100 + i), 17.0); // 1 dB lead, no trend
-    }
-    assert_eq!(s.evaluate(ms(110)), Verdict::Stay);
+    loads
 }
 
 /// The fleet pile-up: two equal-ESNR APs, ten clients on the serving
@@ -362,27 +294,25 @@ fn predictive_stays_on_flat_links() {
 fn load_aware_spreads_off_a_piled_up_ap() {
     let ap1 = NodeId(1);
     let ap2 = NodeId(2);
-    let mut loads = ApLoads::new();
-    for _ in 0..10 {
-        loads.reassign(None, ap1);
-    }
-    let env = PolicyEnv {
-        loads: Some(&loads),
-    };
+    let loads = piled_up_on(ap1);
 
     let mut reactive = ApSelector::new(WINDOW, HYSTERESIS, 2.5);
     let mut loadaware = ApSelector::new(WINDOW, HYSTERESIS, 2.5);
-    loadaware.set_switch_policy(SwitchPolicyKind::load_aware().build());
+    loadaware.set_switch_policy(SwitchPolicyKind::LoadAware);
     for s in [&mut reactive, &mut loadaware] {
         s.set_current(ap1, ms(0));
-        for i in 0..=5u64 {
+        for i in 0..5u64 {
             s.record(ap1, ms(100 + i), 18.0);
             s.record(ap2, ms(100 + i), 18.0);
         }
+        s.record(ap1, ms(105), 18.0);
     }
-    assert_eq!(reactive.evaluate_with(ms(105), env), Verdict::Stay);
     assert_eq!(
-        loadaware.evaluate_with(ms(105), env),
+        reactive.record_and_evaluate(ap2, ms(105), 18.0, ms(105), &loads),
+        Verdict::Stay
+    );
+    assert_eq!(
+        loadaware.record_and_evaluate(ap2, ms(105), 18.0, ms(105), &loads),
         Verdict::SwitchTo(ap2)
     );
 }
@@ -393,36 +323,17 @@ fn load_aware_spreads_off_a_piled_up_ap() {
 fn load_aware_does_not_override_a_decisive_esnr_lead() {
     let ap1 = NodeId(1);
     let ap2 = NodeId(2);
-    let mut loads = ApLoads::new();
-    for _ in 0..10 {
-        loads.reassign(None, ap1);
-    }
-    let env = PolicyEnv {
-        loads: Some(&loads),
-    };
+    let loads = piled_up_on(ap1);
     let mut s = ApSelector::new(WINDOW, HYSTERESIS, 2.5);
-    s.set_switch_policy(SwitchPolicyKind::load_aware().build());
+    s.set_switch_policy(SwitchPolicyKind::LoadAware);
     s.set_current(ap1, ms(0));
-    for i in 0..=5u64 {
+    for i in 0..5u64 {
         s.record(ap1, ms(100 + i), 26.0);
         s.record(ap2, ms(100 + i), 18.0);
     }
-    assert_eq!(s.evaluate_with(ms(105), env), Verdict::Stay);
-}
-
-/// Policies are shared trait objects: one `Arc` serving two selectors
-/// must not entangle their verdicts (stateless by contract).
-#[test]
-fn one_policy_arc_serves_independent_selectors() {
-    let sp: Arc<_> = SwitchPolicyKind::predictive().build();
-    let ap1 = NodeId(1);
-    let ap2 = NodeId(2);
-    let mut a = ApSelector::new(WINDOW, HYSTERESIS, 2.5);
-    let mut b = ApSelector::new(WINDOW, HYSTERESIS, 2.5);
-    a.set_switch_policy(Arc::clone(&sp));
-    b.set_switch_policy(sp);
-    a.record(ap1, ms(0), 20.0);
-    b.record(ap2, ms(0), 20.0);
-    assert_eq!(a.evaluate(ms(0)), Verdict::SwitchTo(ap1));
-    assert_eq!(b.evaluate(ms(0)), Verdict::SwitchTo(ap2));
+    s.record(ap1, ms(105), 26.0);
+    assert_eq!(
+        s.record_and_evaluate(ap2, ms(105), 18.0, ms(105), &loads),
+        Verdict::Stay
+    );
 }

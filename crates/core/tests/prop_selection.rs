@@ -26,9 +26,7 @@ use oracle::selection::FullScanSelector;
 use oracle::window::NaiveWindow;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use wgtt::policy::{ApLoads, PolicyEnv, SwitchPolicyKind};
-use wgtt::selection::{ApSelector, Verdict, WindowReduce};
+use wgtt::selection::{ApLoads, ApSelector, SwitchPolicyKind, Verdict, WindowReduce};
 use wgtt::window::EsnrWindow;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -376,7 +374,7 @@ proptest! {
             } else {
                 esnr(raw)
             };
-            let fused = fast_fused.record_and_evaluate(ap, now, v, now);
+            let fused = fast_fused.record_and_evaluate(ap, now, v, now, &ApLoads::new());
             fast_split.record(ap, now, v);
             let split = fast_split.evaluate(now);
             oracle_split.record(ap, now, v);
@@ -528,27 +526,25 @@ proptest! {
         }
     }
 
-    /// The verdict layer under every shipped [`SwitchPolicyKind`] —
-    /// reactive, predictive, load-aware — is bit-identical between the
-    /// fast path and the full-scan oracle, including mid-run policy
-    /// swaps, shifting per-AP loads, and applied switches. This is the
-    /// trait-extraction proof extended to the new policies: both
-    /// selectors feed the same `PolicyView` queries from different
-    /// machinery (cached argmax + heap vs full rescan), so any drift in
-    /// what the views expose shows up as a verdict or argmax mismatch.
+    /// The verdict under every [`SwitchPolicyKind`] — reactive and
+    /// load-aware — is identical between the fast path and the
+    /// full-scan oracle, including mid-run rule swaps, shifting per-AP
+    /// loads, and applied switches. The two sides share no verdict code:
+    /// the fast path reads its cached argmax and heap, the oracle
+    /// rescans and re-scores every link, so a bug in either's argmax,
+    /// scoring or damper chain shows up as a verdict or argmax mismatch.
     #[test]
     fn switch_policies_bit_identical_fast_vs_full_scan(
-        kind_idx in 0usize..3,
+        kind_idx in 0usize..SwitchPolicyKind::all().len(),
         ops in proptest::collection::vec(
             (0u32..12, 0u32..5, 0u64..2_000, 0u32..600), 1..250
         )
     ) {
         let kinds = SwitchPolicyKind::all();
-        let sp = kinds[kind_idx].build();
         let mut fast = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
         let mut oracle = FullScanSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-        fast.set_switch_policy(Arc::clone(&sp));
-        oracle.set_switch_policy(sp);
+        fast.set_switch_policy(kinds[kind_idx]);
+        oracle.set_switch_policy(kinds[kind_idx]);
         let mut loads = ApLoads::new();
         let mut t_us = 0u64;
         for (kind, ap_raw, dt_us, raw) in ops {
@@ -576,8 +572,8 @@ proptest! {
                 // Swap the verdict rule mid-run on both sides.
                 7 => {
                     let k = kinds[(raw as usize) % kinds.len()];
-                    fast.set_switch_policy(k.build());
-                    oracle.set_switch_policy(k.build());
+                    fast.set_switch_policy(k);
+                    oracle.set_switch_policy(k);
                 }
                 8 => {
                     prop_assert_eq!(
@@ -585,16 +581,24 @@ proptest! {
                         "in_range diverged at t={}µs", t_us
                     );
                 }
+                // Verdicts with every load 0 (`evaluate`) and against the
+                // load table (the fused entry the controller calls).
                 _ => {
-                    let env = PolicyEnv { loads: Some(&loads) };
-                    let fv = fast.evaluate_with(now, env);
-                    let ov = oracle.evaluate_with(now, env);
+                    let (fv, ov) = if kind == 9 {
+                        (fast.evaluate(now), oracle.evaluate(now))
+                    } else {
+                        let v = esnr(raw);
+                        (
+                            fast.record_and_evaluate(ap, now, v, now, &loads),
+                            oracle.record_and_evaluate(ap, now, v, now, &loads),
+                        )
+                    };
                     prop_assert_eq!(fv, ov, "verdict diverged at t={}µs", t_us);
                     prop_assert_eq!(fast.current(), oracle.current());
                     if let Verdict::SwitchTo(target) = fv {
+                        loads.reassign(fast.current(), target);
                         fast.set_current(target, now);
                         oracle.set_current(target, now);
-                        loads.reassign(None, target);
                     }
                 }
             }

@@ -74,10 +74,10 @@ impl RateController {
         let best = self.best_rate();
         if self.frames_since_probe >= PROBE_INTERVAL {
             self.frames_since_probe = 0;
-            // Probe an adjacent or random rate ≠ best.
-            let candidates: Vec<Mcs> = ALL_MCS.iter().copied().filter(|m| *m != best).collect();
-            let pick = self.rng.below(candidates.len() as u64) as usize;
-            return candidates[pick];
+            // Probe a uniformly random rate ≠ best: draw one of the other
+            // seven and step over `best`'s slot.
+            let p = self.rng.below(ALL_MCS.len() as u64 - 1) as usize;
+            return ALL_MCS[p + usize::from(p >= best.index())];
         }
         best
     }
@@ -115,13 +115,6 @@ impl RateController {
             self.prob[i] = observed;
             self.sampled[i] = true;
         }
-    }
-
-    /// Forget learned state (e.g. after a long idle period).
-    pub fn reset(&mut self) {
-        self.prob = [1.0; 8];
-        self.sampled = [false; 8];
-        self.frames_since_probe = 0;
     }
 }
 
@@ -195,6 +188,28 @@ mod tests {
     }
 
     #[test]
+    fn probes_reach_every_rate_but_the_best() {
+        let mut c = ctl(9);
+        c.on_feedback(Mcs::Mcs7, 32, 4);
+        c.on_feedback(Mcs::Mcs4, 32, 30);
+        let best = c.best_rate();
+        assert_eq!(best, Mcs::Mcs4);
+        let mut probed = [0u32; 8];
+        for i in 1..=2_000 {
+            let m = c.select();
+            if i % PROBE_INTERVAL == 0 {
+                probed[m.index()] += 1;
+            } else {
+                assert_eq!(m, best);
+            }
+        }
+        // Every rate but the best is probed, and the best never is.
+        for (i, &n) in probed.iter().enumerate() {
+            assert_eq!(n > 0, i != best.index(), "{:?} probed {n}×", ALL_MCS[i]);
+        }
+    }
+
+    #[test]
     fn ewma_is_gradual() {
         let mut c = ctl(5);
         c.on_feedback(Mcs::Mcs5, 32, 32); // first sample pins to 1.0
@@ -220,15 +235,5 @@ mod tests {
             c.on_feedback(Mcs::Mcs0, 32, 32); // 100 % at 7.2 ⇒ 7.2 Mbps
         }
         assert_eq!(c.best_rate(), Mcs::Mcs4);
-    }
-
-    #[test]
-    fn reset_restores_optimism() {
-        let mut c = ctl(8);
-        for _ in 0..20 {
-            c.on_feedback(Mcs::Mcs7, 32, 0);
-        }
-        c.reset();
-        assert_eq!(c.best_rate(), Mcs::Mcs7);
     }
 }

@@ -7,8 +7,7 @@ use crate::experiments::common::wgtt;
 use crate::fleet::FleetConfig;
 use crate::results::{f, ExperimentOutput};
 use crate::world::SystemKind;
-use wgtt::policy::SwitchPolicyKind;
-use wgtt::WgttConfig;
+use wgtt::{SwitchPolicyKind, WgttConfig};
 use wgtt_sim::time::SimDuration;
 
 /// `fleet_smoke`: a 10-vehicle × 8-AP corridor at the paper's picocell
@@ -55,9 +54,9 @@ pub fn fleet_smoke(seed: u64, quick: bool) -> ExperimentOutput {
     out
 }
 
-/// `policy_smoke`: the same CI-sized corridor under each switch policy
-/// (reactive-median, predictive, load-aware) from one seed — the
-/// registry-shaped miniature of `examples/policy_compare.rs`.
+/// `policy_smoke`: the same CI-sized corridor under each switch rule
+/// (reactive-median, load-aware) from one seed — the registry-shaped
+/// miniature of `examples/policy_compare.rs`.
 pub fn policy_smoke(seed: u64, quick: bool) -> ExperimentOutput {
     let mut cfg = FleetConfig::corridor(10, 8);
     cfg.duration = SimDuration::from_secs(if quick { 4 } else { 15 });

@@ -29,8 +29,8 @@
 //! `ablation_selector`, `ablation_back_fwd`, `ext_stop_and_go`,
 //! `ext_multichannel` (the §7 discussion, implemented), and
 //! `fleet_smoke` (a CI-sized [`crate::fleet`] corridor), and
-//! `policy_smoke` (the same corridor under each [`wgtt::policy`]
-//! switch policy).
+//! `policy_smoke` (the same corridor under each
+//! [`wgtt::SwitchPolicyKind`]).
 
 pub mod apps;
 pub mod common;

@@ -651,8 +651,8 @@ impl FleetReport {
 
     /// Total downlink outage time (s) contributed by outages lasting at
     /// least `threshold_s` — e.g. `outage_time_over(0.2)` is the
-    /// user-visible stall budget the predictive policy targets (gaps
-    /// short enough to hide inside a player buffer are excluded).
+    /// user-visible stall budget (gaps short enough to hide inside a
+    /// player buffer are excluded).
     pub fn outage_time_over(&self, threshold_s: f64) -> f64 {
         self.outage_cdf
             .iter()

@@ -14,8 +14,7 @@
 
 use std::time::Instant;
 
-use wgtt::policy::SwitchPolicyKind;
-use wgtt::WgttConfig;
+use wgtt::{SwitchPolicyKind, WgttConfig};
 use wgtt_apps::mix::AppKind;
 use wgtt_scenario::fleet::FleetConfig;
 use wgtt_scenario::shard::run_sharded;
@@ -68,16 +67,15 @@ fn parse_args() -> Args {
             "--per-vehicle" => args.per_vehicle = true,
             "--policy" => {
                 let v = it.next().expect("--policy needs a value");
-                args.policy = SwitchPolicyKind::parse(&v).unwrap_or_else(|| {
-                    panic!("unknown policy {v} (reactive|predictive|load-aware)")
-                });
+                args.policy = SwitchPolicyKind::parse(&v)
+                    .unwrap_or_else(|| panic!("unknown policy {v} (reactive|load-aware)"));
             }
             "--help" | "-h" => {
                 println!(
                     "usage: fleet_corridor [--vehicles N] [--aps N] [--spacing M] \
                      [--cell-radius M] [--seed S] [--duration SECS] \
                      [--shards N] [--shard-workers M] \
-                     [--policy reactive|predictive|load-aware]"
+                     [--policy reactive|load-aware]"
                 );
                 std::process::exit(0);
             }

@@ -58,23 +58,9 @@ fn baseline_runs_are_also_deterministic() {
 }
 
 #[test]
-fn predictive_policy_runs_are_bit_identical() {
-    // The predictive verdict rule adds per-link least-squares slope
-    // fits to the hot path; the fits are pure functions of the window
-    // contents, so reruns must stay bit-identical.
-    let cfg = WgttConfig {
-        switch_policy: wgtt::policy::SwitchPolicyKind::predictive(),
-        ..Default::default()
-    };
-    let a = fingerprint(SystemKind::Wgtt(cfg), 99);
-    let b = fingerprint(SystemKind::Wgtt(cfg), 99);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn load_aware_policy_runs_are_bit_identical() {
     let cfg = WgttConfig {
-        switch_policy: wgtt::policy::SwitchPolicyKind::load_aware(),
+        switch_policy: wgtt::SwitchPolicyKind::LoadAware,
         ..Default::default()
     };
     let a = fingerprint(SystemKind::Wgtt(cfg), 99);

@@ -127,7 +127,7 @@ fn fleet_smoke_experiment_is_jobs_invariant() {
 
 #[test]
 fn policy_smoke_experiment_is_jobs_invariant() {
-    // Three corridor runs per render (one per switch policy) — the
+    // Two corridor runs per render (one per switch rule) — the
     // experiment is still a pure function of (id, seed, quick), so
     // `--jobs` stays a pure speed knob.
     let ids: Vec<String> = ["policy_smoke", "policy_smoke"]
@@ -137,7 +137,7 @@ fn policy_smoke_experiment_is_jobs_invariant() {
     let sequential = wgtt_scenario::experiments::render_all(&ids, 3, true, false, 1);
     let parallel = wgtt_scenario::experiments::render_all(&ids, 3, true, false, 2);
     assert_eq!(sequential, parallel);
-    for label in ["reactive-median", "predictive", "load-aware"] {
+    for label in ["reactive-median", "load-aware"] {
         assert!(sequential.contains(label), "missing {label} row");
     }
 }
