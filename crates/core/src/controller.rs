@@ -283,13 +283,6 @@ impl Controller {
             .and_then(|&s| self.clients[s as usize].serving)
     }
 
-    /// Direct read access to a client's selector (experiments use this to
-    /// compute the oracle-best AP for the Table 2 accuracy metric).
-    pub fn selector_mut(&mut self, client: NodeId) -> &mut ApSelector {
-        let slot = self.slot_of(client);
-        &mut self.clients[slot].selector
-    }
-
     /// Number of dedup filters, total remembered keys, and total
     /// reserved hash capacity across them — the memory-bound contract
     /// checked by `prop_controller.rs` at 10⁵ sources.
@@ -406,8 +399,7 @@ impl Controller {
                     st.selector.record(ap, at, esnr_db);
                 } else {
                     // The hot path: one fused call records the reading
-                    // and re-runs the switch rule against the
-                    // just-bumped argmax cache, with the controller's
+                    // and re-runs the switch rule, with the controller's
                     // per-AP loads in scope for the load-aware rule.
                     let verdict =
                         st.selector

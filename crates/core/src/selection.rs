@@ -14,35 +14,19 @@
 //!
 //! The per-link window reduction is delegated to
 //! [`crate::window::EsnrWindow`], an incremental order-statistics
-//! structure (indexable sorted ring, O(1) memoized query).
+//! structure (indexable sorted ring, memoized reduce).
 //!
-//! ## The O(1) untouched-frame fast path
+//! ## The scan
 //!
-//! The selection rule runs per uplink frame, and a dense deployment puts
-//! hundreds of APs in a client's candidate map, so even an O(A) walk per
-//! frame — just to *check* each window for expiry — is the scaling
-//! bottleneck. [`ApSelector`] therefore keeps two pieces of derived
-//! state:
-//!
-//! * a **cached argmax** (`best_cache`): the result of the last
-//!   [`ApSelector::best`] computation, updated incrementally by the one
-//!   window a reading or expiry actually touched, and invalidated (full
-//!   rescan) only when that window was the cached winner and its reduced
-//!   value fell;
-//! * an [`crate::window::ExpiryHeap`] of per-window **front-expiry
-//!   deadlines** ([`crate::window::EsnrWindow::front_deadline`]), so
-//!   `best(now)` expires exactly the windows whose deadline has passed —
-//!   an O(1) peek on the frames (the overwhelming majority) where none
-//!   has.
-//!
-//! The result: on a frame that touched no window, `best(now)` is O(1) in
-//! the AP count; on a frame with one reading it is O(log A) (one heap
-//! push) amortized, with the O(A) rescan only when the cached winner
-//! worsened. This is the crate's one selector; the previous
-//! implementation — a full expire-and-reduce scan per query — lives on
-//! only as the oracle in `crates/core/tests/oracle/selection.rs`, and
-//! `crates/core/tests/prop_selection.rs` proves the fast path
-//! bit-identical to it under adversarial interleavings.
+//! A client's links sit in a `Vec` sorted by AP id, and every argmax is
+//! one pass over them: expire the window at `now`, read its memoized
+//! reduction, score it. No workload gives a client more than a few
+//! dozen candidate APs, and the controller already walks the same links
+//! on every downlink packet ([`ApSelector::for_each_heard`]), so the
+//! pass costs about what the bookkeeping to avoid it would.
+//! `crates/core/tests/prop_selection.rs` holds it bit-identical to an
+//! independent full-scan selector (`tests/oracle/selection.rs`) under
+//! adversarial interleavings.
 //!
 //! ## The verdict
 //!
@@ -59,7 +43,7 @@
 //!   order: no serving AP, best already serving, hysteresis, the
 //!   silence grace, then the margin.
 
-use crate::window::{EsnrWindow, ExpiryHeap};
+use crate::window::EsnrWindow;
 use std::collections::BTreeMap;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -173,19 +157,13 @@ impl ApLoads {
 }
 
 /// Per-AP link state: the selection window plus the range-liveness
-/// timestamp, kept in one map entry so each reading costs a single
-/// tree walk.
+/// timestamp, kept in one entry so each reading costs a single lookup.
 #[derive(Debug, Default)]
 struct Link {
     window: EsnrWindow,
     /// Most recent reading regardless of window expiry (range liveness
     /// for the fan-out grace rule).
     last_reading: SimTime,
-    /// The front-expiry deadline this link most recently queued in the
-    /// selector's [`ExpiryHeap`] (`None` when the window is empty).
-    /// A popped heap entry is live iff it equals this; anything else is
-    /// stale and skipped.
-    queued_deadline: Option<SimTime>,
 }
 
 /// Per-client AP selection state.
@@ -195,19 +173,13 @@ pub struct ApSelector {
     hysteresis: SimDuration,
     margin_db: f64,
     policy: WindowReduce,
-    links: BTreeMap<NodeId, Link>,
+    /// Every AP ever heard, sorted by AP id.
+    links: Vec<(NodeId, Link)>,
     current: Option<NodeId>,
     last_switch: Option<SimTime>,
     /// The verdict rule [`evaluate`](Self::evaluate) runs (the paper's
     /// reactive-median rule by default).
     switch_policy: SwitchPolicyKind,
-    /// Lazy min-heap of per-window front-expiry deadlines; its peek
-    /// answers "does any window need expiring at `now`?" in O(1).
-    expiry: ExpiryHeap<NodeId>,
-    /// Memoized argmax of the per-AP reduction: `None` = dirty (full
-    /// rescan on next query), `Some(inner)` = `best()` would return
-    /// `inner` once due expiries are processed.
-    best_cache: Option<Option<(NodeId, f64)>>,
 }
 
 /// The selector's verdict after a new reading.
@@ -230,12 +202,10 @@ impl ApSelector {
             hysteresis,
             margin_db,
             policy: WindowReduce::Median,
-            links: BTreeMap::new(),
+            links: Vec::new(),
             current: None,
             last_switch: None,
             switch_policy: SwitchPolicyKind::ReactiveMedian,
-            expiry: ExpiryHeap::new(),
-            best_cache: Some(None),
         }
     }
 
@@ -243,156 +213,63 @@ impl ApSelector {
     /// algorithm is the default median).
     pub fn set_window_reduce(&mut self, policy: WindowReduce) {
         self.policy = policy;
-        self.best_cache = None;
     }
 
     /// Override the switch-verdict rule (the paper's reactive-median
-    /// rule by default). The verdict sits strictly above the argmax
-    /// cache, so no derived state needs invalidating.
+    /// rule by default).
     pub fn set_switch_policy(&mut self, policy: SwitchPolicyKind) {
         self.switch_policy = policy;
     }
 
-    /// Incrementally fold "`ap`'s reduced value is now `value`" into the
-    /// cached argmax, or mark it dirty when only a rescan can answer.
-    ///
-    /// Correctness leans on the invariant a valid cache `Some((b, bv))`
-    /// carries (matching the oracle's ascending-id, strict-`>` scan):
-    /// every AP below `b` reduces strictly below `bv`, every AP above
-    /// `b` reduces to at most `bv`. Each arm below preserves it.
-    fn bump_cache(cache: &mut Option<Option<(NodeId, f64)>>, ap: NodeId, value: Option<f64>) {
-        let Some(inner) = cache.as_mut() else {
-            return; // already dirty
-        };
-        match (*inner, value) {
-            // No candidate anywhere and this window is (still) empty.
-            (None, None) => {}
-            // First window with a reading: it is the argmax.
-            (None, Some(v)) => *inner = Some((ap, v)),
-            (Some((b, bv)), value) => {
-                if ap == b {
-                    match value {
-                        // The winner improved (or tied itself): every
-                        // other AP was already ≤ bv ≤ v, and `b` keeps
-                        // winning ties it already won.
-                        Some(v) if v >= bv => *inner = Some((b, v)),
-                        // The winner worsened or emptied: the new argmax
-                        // could be any other AP — rescan.
-                        _ => *cache = None,
-                    }
-                } else if let Some(v) = value {
-                    // A challenger: it takes over iff the oracle's scan
-                    // would have kept it — strictly better, or equal
-                    // with a lower id (the invariant guarantees no AP
-                    // below `ap` also holds `bv`).
-                    if v > bv || (v == bv && ap < b) {
-                        *inner = Some((ap, v));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-queue `ap`'s front-expiry deadline if the front changed since
-    /// the last time it was queued (lazy heap: old entries stay behind
-    /// and are skipped as stale when popped).
-    fn sync_deadline(
-        link: &mut Link,
-        expiry: &mut ExpiryHeap<NodeId>,
-        ap: NodeId,
-        window: SimDuration,
-    ) {
-        let actual = link.window.front_deadline(window);
-        if link.queued_deadline != actual {
-            if let Some(deadline) = actual {
-                expiry.schedule(deadline, ap);
-            }
-            link.queued_deadline = actual;
-        }
-    }
-
-    /// Expire exactly the windows whose front deadline has passed at
-    /// `now`, folding each change into the argmax cache. O(1) when
-    /// nothing is due — the common case, and the whole point.
-    fn process_expiries(&mut self, now: SimTime) {
-        while let Some((deadline, ap)) = self.expiry.pop_due(now) {
-            let Some(link) = self.links.get_mut(&ap) else {
-                continue; // AP was removed; entry is garbage
-            };
-            if link.queued_deadline != Some(deadline) {
-                continue; // stale entry from an earlier front
-            }
-            link.window.expire(now, self.window);
-            let value = link.window.reduce(self.policy);
-            Self::sync_deadline(link, &mut self.expiry, ap, self.window);
-            Self::bump_cache(&mut self.best_cache, ap, value);
-        }
+    /// Where `ap` sits in `links`: `Ok` at its entry, `Err` where it
+    /// would be inserted.
+    fn slot(&self, ap: NodeId) -> Result<usize, usize> {
+        self.links.binary_search_by_key(&ap, |&(id, _)| id)
     }
 
     /// Record an ESNR reading from `ap` at `at`.
     ///
     /// Non-finite readings (a corrupt CSI report) are rejected outright:
     /// a NaN compares false both ways and would wedge the strict-`>`
-    /// argmax cache on a value no rescan dislodges, and a ±inf would
-    /// pin the argmax forever. A rejected reading does not refresh range
-    /// liveness either — garbage is not evidence the link is alive.
+    /// argmax for as long as it sat in the window, and a ±inf would pin
+    /// the argmax for a whole window. A rejected reading does not
+    /// refresh range liveness either — garbage is not evidence the link
+    /// is alive.
     pub fn record(&mut self, ap: NodeId, at: SimTime, esnr_db: f64) {
         if !esnr_db.is_finite() {
             return;
         }
-        let window = self.window;
-        let policy = self.policy;
-        let link = self.links.entry(ap).or_default();
-        link.last_reading = link.last_reading.max(at);
-        link.window.push(at, esnr_db, window);
-        let value = link.window.reduce(policy);
-        Self::sync_deadline(link, &mut self.expiry, ap, window);
-        Self::bump_cache(&mut self.best_cache, ap, value);
-    }
-
-    /// Forget `ap` entirely (decommissioned or out of the deployment).
-    /// If it was the serving AP it stays nominally current until
-    /// [`ApSelector::evaluate`] notices the dead link and switches away
-    /// (the silence grace does not protect a removed AP: its
-    /// `last_reading` is gone with the link).
-    ///
-    /// Removal-then-reinsert is safe against the lazy heap: a later
-    /// `record(ap, ..)` starts from a fresh `queued_deadline: None`, so
-    /// it always re-queues its front. Stale entries left behind either
-    /// mismatch `queued_deadline` (skipped on pop) or — when the
-    /// reinserted reading carries the removed front's timestamp — alias
-    /// the fresh deadline exactly, in which case the "live" visit *is*
-    /// the legitimate expiry of the new front. The hand-off
-    /// interleavings in `prop_selection.rs` pin both paths against the
-    /// full-scan oracle.
-    pub fn remove_ap(&mut self, ap: NodeId) {
-        if self.links.remove(&ap).is_some() {
-            // Stale heap entries for `ap` are skipped on pop. The cache
-            // only dirties when the removed AP was the cached winner —
-            // dropping a loser cannot move the argmax.
-            if matches!(self.best_cache, Some(Some((b, _))) if b == ap) {
-                self.best_cache = None;
+        let i = match self.slot(ap) {
+            Ok(i) => i,
+            Err(i) => {
+                self.links.insert(i, (ap, Link::default()));
+                i
             }
-        }
+        };
+        let link = &mut self.links[i].1;
+        link.last_reading = link.last_reading.max(at);
+        link.window.push(at, esnr_db, self.window);
     }
 
     /// Whether any AP has heard this client within `grace` of `now` —
     /// if not, the client is out of coverage and downlink fan-out should
     /// stop rather than burn airtime on a dark link.
-    pub fn heard_within(&self, now: SimTime, grace: wgtt_sim::time::SimDuration) -> bool {
-        self.links.values().any(|l| l.last_reading + grace >= now)
+    pub fn heard_within(&self, now: SimTime, grace: SimDuration) -> bool {
+        self.links
+            .iter()
+            .any(|(_, l)| l.last_reading + grace >= now)
     }
 
     /// Visit the downlink replication set — every AP heard within
-    /// `grace` of `now`, in ascending AP-id order (`BTreeMap` iteration
-    /// order). The set is deliberately wider than the selection window:
-    /// an AP whose CSI arrives sporadically must still hold the client's
-    /// packets in its cyclic queue, or a switch to it starts with holes
-    /// in the ring. The controller's fan-out streams packets through
-    /// this straight into its action sink, so the per-packet hot path
-    /// allocates nothing.
+    /// `grace` of `now`, in ascending AP-id order. The set is
+    /// deliberately wider than the selection window: an AP whose CSI
+    /// arrives sporadically must still hold the client's packets in its
+    /// cyclic queue, or a switch to it starts with holes in the ring.
+    /// The controller's fan-out streams packets through this straight
+    /// into its action sink, so the per-packet hot path allocates
+    /// nothing.
     pub fn for_each_heard(&self, now: SimTime, grace: SimDuration, mut f: impl FnMut(NodeId)) {
-        for (&ap, l) in self.links.iter() {
+        for &(ap, ref l) in &self.links {
             if l.last_reading + grace >= now {
                 f(ap);
             }
@@ -411,79 +288,65 @@ impl ApSelector {
         self.last_switch = Some(now);
     }
 
-    /// APs with at least one reading inside the window — the fan-out set
-    /// for downlink replication.
-    pub fn in_range(&mut self, now: SimTime) -> Vec<NodeId> {
-        self.process_expiries(now);
-        // BTreeMap iteration is already in ascending AP-id order, and
-        // every window is current as of `now` after the heap drain.
-        self.links
-            .iter()
-            .filter(|(_, l)| !l.window.is_empty())
-            .map(|(&ap, _)| ap)
-            .collect()
-    }
-
     /// Reduced (by the configured [`WindowReduce`]; median by default)
     /// ESNR of `ap` over the window, if it has readings.
     pub fn median_esnr(&mut self, ap: NodeId, now: SimTime) -> Option<f64> {
-        self.process_expiries(now);
-        let policy = self.policy;
-        self.links.get_mut(&ap)?.window.reduce(policy)
+        let i = self.slot(ap).ok()?;
+        let window = &mut self.links[i].1.window;
+        window.expire(now, self.window);
+        window.reduce(self.policy)
     }
 
-    /// The instantaneous argmax-median AP (no hysteresis) — the paper's
-    /// "optimal AP" reference for the Table 2 switching-accuracy metric.
-    ///
-    /// O(1) on frames where no window changed since the last query; the
-    /// O(A) rescan runs only when the cached winner's value fell (new
-    /// reading below its old reduce, front expiry, or AP removal).
-    ///
-    /// **Tie-break contract:** exact ties go to the *lowest AP id*,
-    /// independent of reading arrival order, cache state, or re-query —
-    /// the same verdict as the oracle's ascending-id strict-`>` scan.
-    /// Ties are not hypothetical: the ESNR inversion clamps BER at
-    /// 1e-12, so every strong in-range AP saturates at the identical
-    /// per-modulation ceiling, and an unstable order here would flap the
-    /// serving AP among them on every frame.
-    pub fn best(&mut self, now: SimTime) -> Option<(NodeId, f64)> {
-        self.process_expiries(now);
-        if let Some(cached) = self.best_cache {
-            return cached;
-        }
-        let policy = self.policy;
+    /// The selector's one pass: expire every window at `now`, read its
+    /// memoized reduction, and keep the AP with the highest `score`.
+    /// Links are in ascending AP id and the comparison is a strict `>`,
+    /// so the lowest id wins ties.
+    fn argmax(
+        &mut self,
+        now: SimTime,
+        score: impl Fn(NodeId, f64) -> f64,
+    ) -> Option<(NodeId, f64)> {
+        let (window, policy) = (self.window, self.policy);
         let mut best: Option<(NodeId, f64)> = None;
-        // BTreeMap iteration is ascending by AP id, so the strict `>`
-        // keeps the lowest id on ties — same verdict as the seed's
-        // collect-and-sort scan. Windows are already expired by the heap
-        // drain above; `reduce` is memoized per link.
-        for (&ap, l) in self.links.iter_mut() {
-            if let Some(m) = l.window.reduce(policy) {
-                if best.is_none_or(|(_, bm)| m > bm) {
-                    best = Some((ap, m));
+        for (ap, l) in &mut self.links {
+            l.window.expire(now, window);
+            if let Some(v) = l.window.reduce(policy) {
+                let s = score(*ap, v);
+                if best.is_none_or(|(_, bs)| s > bs) {
+                    best = Some((*ap, s));
                 }
             }
         }
-        self.best_cache = Some(best);
         best
     }
 
+    /// The instantaneous argmax-median AP (no hysteresis) — the paper's
+    /// "optimal AP" from the selector's own windows. (Table 2's
+    /// reference is `World::selection_accuracy`, which samples the
+    /// channel itself.)
+    ///
+    /// **Tie-break contract:** exact ties go to the *lowest AP id*,
+    /// independent of reading arrival order or re-query. Ties are not
+    /// hypothetical: the ESNR inversion clamps BER at 1e-12, so every
+    /// strong in-range AP saturates at the identical per-modulation
+    /// ceiling, and an unstable order here would flap the serving AP
+    /// among them on every frame.
+    pub fn best(&mut self, now: SimTime) -> Option<(NodeId, f64)> {
+        self.argmax(now, |_, v| v)
+    }
+
     /// Most recent reading timestamp from `ap` regardless of window
-    /// expiry (`None` if the AP was never heard or was removed) — the
-    /// range-liveness anchor the silence grace tests against.
+    /// expiry (`None` if the AP was never heard) — the range-liveness
+    /// anchor the silence grace tests against.
     pub fn last_heard(&self, ap: NodeId) -> Option<SimTime> {
-        self.links.get(&ap).map(|l| l.last_reading)
+        self.slot(ap).ok().map(|i| self.links[i].1.last_reading)
     }
 
     /// Record a reading and immediately evaluate the selection rule —
-    /// the controller's per-CsiReport hot path fused into one call.
-    /// The record's incremental argmax bump feeds straight into the
-    /// evaluate's `best()` query, so on the (overwhelmingly common)
-    /// frame where the reading does not dethrone the cached winner the
-    /// argmax is a pure memo hit and no window is re-reduced. Exactly
-    /// equivalent to `record(ap, at, esnr_db)` and then the verdict
-    /// against `loads` — the lockstep suite in `tests/prop_selection.rs`
-    /// holds it to that. `loads` is the controller's per-AP table; only
+    /// the controller's per-CsiReport entry. Exactly `record(ap, at,
+    /// esnr_db)` and then the verdict against `loads`; the lockstep
+    /// suite in `tests/prop_selection.rs` holds it to that. `loads` is
+    /// the controller's per-AP table; only
     /// [`SwitchPolicyKind::LoadAware`] reads it.
     pub fn record_and_evaluate(
         &mut self,
@@ -512,31 +375,18 @@ impl ApSelector {
     /// window empty → switch only once it has been silent past the
     /// grace — then the margin.
     fn decide(&mut self, now: SimTime, loads: &ApLoads) -> Verdict {
-        // The challenger with the figure it is judged by, and the load
-        // table that figure is discounted by (none for the paper's rule).
-        // Both argmaxes scan in ascending AP-id order with strict `>`, so
-        // the lowest id wins ties.
-        let (best, discount) = match self.switch_policy {
-            SwitchPolicyKind::ReactiveMedian => (self.best(now), None),
-            SwitchPolicyKind::LoadAware => {
-                self.process_expiries(now);
-                let (policy, current) = (self.policy, self.current);
-                let mut best: Option<(NodeId, f64)> = None;
-                for (&ap, l) in self.links.iter_mut() {
-                    if let Some(v) = l.window.reduce(policy) {
-                        let score = load_score(v, loads.get(ap), current == Some(ap));
-                        if best.is_none_or(|(_, bs)| score > bs) {
-                            best = Some((ap, score));
-                        }
-                    }
-                }
-                (best, Some(loads))
-            }
+        // The figure every candidate, the serving AP included, is judged
+        // by: its reduction, discounted by its load under the load-aware
+        // rule.
+        let (kind, current) = (self.switch_policy, self.current);
+        let score = |ap: NodeId, v: f64| match kind {
+            SwitchPolicyKind::ReactiveMedian => v,
+            SwitchPolicyKind::LoadAware => load_score(v, loads.get(ap), current == Some(ap)),
         };
-        let Some((best_ap, best_v)) = best else {
+        let Some((best_ap, best_v)) = self.argmax(now, score) else {
             return Verdict::NoCandidate;
         };
-        let Some(current) = self.current else {
+        let Some(current) = current else {
             return Verdict::SwitchTo(best_ap);
         };
         if best_ap == current {
@@ -549,17 +399,15 @@ impl ApSelector {
         }
         let Some(cv) = self.median_esnr(current, now) else {
             let silent = self
-                .links
-                .get(&current)
-                .is_none_or(|l| l.last_reading + SILENCE_GRACE <= now);
+                .last_heard(current)
+                .is_none_or(|t| t + SILENCE_GRACE <= now);
             return if silent {
                 Verdict::SwitchTo(best_ap)
             } else {
                 Verdict::Stay
             };
         };
-        let cv = discount.map_or(cv, |l| load_score(cv, l.get(current), true));
-        if best_v > cv + self.margin_db {
+        if best_v > score(current, cv) + self.margin_db {
             Verdict::SwitchTo(best_ap)
         } else {
             Verdict::Stay
@@ -616,7 +464,7 @@ mod tests {
         // At t=12 ms, AP1's reading (t=0) is outside the 10 ms window.
         let (best, _) = s.best(ms(12)).unwrap();
         assert_eq!(best, AP2);
-        assert_eq!(s.in_range(ms(12)), vec![AP2]);
+        assert_eq!(s.median_esnr(AP1, ms(12)), None);
     }
 
     #[test]
@@ -678,12 +526,23 @@ mod tests {
     }
 
     #[test]
-    fn in_range_is_sorted_and_windowed() {
+    fn for_each_heard_is_sorted_and_graced() {
         let mut s = selector();
         s.record(AP3, ms(5), 10.0);
         s.record(AP1, ms(6), 10.0);
         s.record(AP2, ms(7), 10.0);
-        assert_eq!(s.in_range(ms(8)), vec![AP1, AP2, AP3]);
+        let heard = |s: &ApSelector, now, grace| {
+            let mut aps = Vec::new();
+            s.for_each_heard(now, grace, |ap| aps.push(ap));
+            aps
+        };
+        let grace = SimDuration::from_millis(50);
+        assert_eq!(heard(&s, ms(8), grace), vec![AP1, AP2, AP3]);
+        // AP3 (last heard at 5 ms) falls out first; the boundary is
+        // inclusive.
+        assert_eq!(heard(&s, ms(56), grace), vec![AP1, AP2]);
+        assert!(s.heard_within(ms(57), grace));
+        assert!(!s.heard_within(ms(58), grace));
     }
 
     #[test]
@@ -720,42 +579,12 @@ mod tests {
         s.record(AP1, ms(0), 20.0);
         s.record(AP2, ms(1), 25.0);
         let first = s.best(ms(2));
-        // The cached argmax must return the identical answer on every
-        // re-query at the same instant (and not corrupt later queries).
+        // The memoized reductions must return the identical answer on
+        // every re-query at the same instant.
         for _ in 0..5 {
             assert_eq!(s.best(ms(2)), first);
         }
         assert_eq!(s.best(ms(2)), Some((AP2, 25.0)));
-    }
-
-    #[test]
-    fn remove_ap_forgets_candidate_and_range() {
-        let mut s = selector();
-        s.record(AP1, ms(0), 20.0);
-        s.record(AP2, ms(0), 30.0);
-        assert_eq!(s.best(ms(1)), Some((AP2, 30.0)));
-        // Removing the cached winner forces a rescan to the runner-up.
-        s.remove_ap(AP2);
-        assert_eq!(s.best(ms(1)), Some((AP1, 20.0)));
-        assert_eq!(s.in_range(ms(1)), vec![AP1]);
-        // Removing a loser leaves the argmax untouched.
-        s.record(AP3, ms(1), 5.0);
-        s.remove_ap(AP3);
-        assert_eq!(s.best(ms(2)), Some((AP1, 20.0)));
-        assert!(!s.heard_within(ms(200), SimDuration::from_millis(50)));
-    }
-
-    #[test]
-    fn removed_serving_ap_triggers_switch_immediately() {
-        let mut s = selector();
-        s.record(AP1, ms(0), 25.0);
-        s.set_current(AP1, ms(0));
-        s.record(AP2, ms(1), 10.0);
-        assert_eq!(s.evaluate(ms(1)), Verdict::Stay);
-        // A removed AP has no `last_reading` left to earn silence grace.
-        s.remove_ap(AP1);
-        s.record(AP2, ms(45), 10.0);
-        assert_eq!(s.evaluate(ms(50)), Verdict::SwitchTo(AP2));
     }
 
     #[test]
@@ -804,14 +633,10 @@ mod tests {
                 "tied APs must not flap at t={t}"
             );
         }
-        // Once the tied winner-by-id is removed, the next lowest id
-        // takes over deterministically.
-        s.remove_ap(AP1);
-        assert_eq!(s.best(ms(200)).map(|(ap, _)| ap), Some(AP2));
     }
 
     #[test]
-    fn expiry_heap_catches_cascaded_front_expiries() {
+    fn one_late_query_expires_cascaded_fronts() {
         let mut s = selector();
         // Three readings whose deadlines pass at different instants; a
         // single late query must expire all of them at once.

@@ -11,27 +11,17 @@
 //! * an **indexable sorted ring** (`SortedRing`): the window's live
 //!   values kept sorted under `f64::total_cmp`; insert and expiry
 //!   binary-search the position and shift the tail, and any order
-//!   statistic is a direct index. For the at-most-few-hundred readings
-//!   a 10 ms window holds, the shift is a small `memmove` — measured
-//!   faster than a two-heap lazy-deletion median (no hashing, no
-//!   tombstones, no rebalancing) while staying exactly
-//!   population-sized;
-//! * a **monotonic deque** for the window maximum (classic
-//!   sliding-window-maximum, O(1) amortized);
+//!   statistic — the median, the maximum — is a direct index. For the
+//!   at-most-few-hundred readings a 10 ms window holds, the shift is a
+//!   small `memmove` — measured faster than a two-heap lazy-deletion
+//!   median (no hashing, no tombstones, no rebalancing) while staying
+//!   exactly population-sized;
 //! * a running deque of `(time, value)` readings giving expiry order,
 //!   the latest sample, and the mean.
 //!
 //! [`EsnrWindow::reduce`] additionally memoizes its result until the
-//! next insert or expiry, so a selector scanning many APs per frame
+//! next insert or expiry, so a selector scanning every AP per frame
 //! recomputes only the links that actually changed.
-//!
-//! For a controller tracking many APs per client, even *visiting* every
-//! link per frame to check for expiry is O(A). [`ExpiryHeap`] removes
-//! that scan: it is a lazy min-heap of per-window front-expiry deadlines
-//! ([`EsnrWindow::front_deadline`]) whose peek answers "does any window
-//! anywhere need expiring at `now`?" in O(1), which is what makes
-//! [`crate::selection::ApSelector::best`] O(1) on frames that touched no
-//! window.
 //!
 //! **Equivalence guarantee.** [`EsnrWindow`] is the crate's one window.
 //! For every [`WindowReduce`] the reduced value is numerically identical
@@ -54,14 +44,16 @@
 //!   run produces, and the sum/compensation pair resets exactly to
 //!   zero whenever the window empties, so rounding residue cannot
 //!   accumulate across windows.
-//! * *Max*/*Latest*: order-insensitive / positional, identical by
-//!   construction.
+//! * *Max*: the ring's last element. Every reading is finite (the
+//!   selector rejects the rest), so this is the oracle's `f64::max`
+//!   fold up to the sign of a zero, which no ESNR reading carries.
+//! * *Latest*: positional, identical by construction.
 //!
 //! `crates/core/tests/prop_selection.rs` pins this equivalence under
 //! arbitrary insert/expiry sequences, duplicate timestamps included.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 /// How the sliding window of ESNR readings reduces to one figure per AP.
@@ -142,6 +134,12 @@ impl SortedRing {
     fn median(&self) -> Option<f64> {
         self.sorted.get(self.sorted.len() / 2).copied()
     }
+
+    /// The largest live value.
+    #[inline]
+    fn max(&self) -> Option<f64> {
+        self.sorted.last().copied()
+    }
 }
 
 /// Incremental sliding-window ESNR history for one (client, AP) link.
@@ -167,8 +165,6 @@ pub struct EsnrWindow {
     /// `(time, esnr_db)`, oldest first — expiry order, latest, and mean.
     readings: VecDeque<(SimTime, f64)>,
     ring: SortedRing,
-    /// Monotonic non-increasing values; front is the window maximum.
-    maxq: VecDeque<(SimTime, f64)>,
     /// Neumaier-compensated running sum of the live readings: `sum` is
     /// the naive accumulator, `comp` the exactly-tracked rounding
     /// residue. The mean is `(sum + comp) / len` — O(1) per query.
@@ -208,29 +204,10 @@ impl EsnrWindow {
         self.readings.push_back((at, esnr_db));
         self.add_to_sum(esnr_db);
         self.ring.insert(esnr_db);
-        while self.maxq.back().is_some_and(|&(_, v)| v <= esnr_db) {
-            self.maxq.pop_back();
-        }
-        self.maxq.push_back((at, esnr_db));
-        self.cached = None;
         self.expire(at, window);
         // `expire` only clears the cache when something left the
         // window, so clear unconditionally for the insert itself.
         self.cached = None;
-    }
-
-    /// The instant at which the oldest reading leaves the window: with
-    /// the strict `t + window < now` expiry rule, the front reading is
-    /// dropped by the first `expire(now, ..)` whose `now` *exceeds* this
-    /// deadline. `None` when the window is empty.
-    ///
-    /// This is what a selector schedules in an [`ExpiryHeap`] so that a
-    /// scan over many links only visits windows whose deadline has
-    /// actually passed instead of calling [`EsnrWindow::expire`] on all
-    /// of them per frame.
-    #[inline]
-    pub fn front_deadline(&self, window: SimDuration) -> Option<SimTime> {
-        self.readings.front().map(|&(t, _)| t + window)
     }
 
     /// Drop readings with `t + window < now` (same strict inequality as
@@ -254,12 +231,6 @@ impl EsnrWindow {
                 // must not leak into the next one.
                 self.sum = 0.0;
                 self.comp = 0.0;
-            }
-            // `maxq` is a subsequence of the live readings and both use
-            // the same strict expiry rule, so a maxq entry can only be
-            // stale when the oldest reading was.
-            while self.maxq.front().is_some_and(|&(t, _)| t + window < now) {
-                self.maxq.pop_front();
             }
             self.cached = None;
         }
@@ -301,69 +272,9 @@ impl EsnrWindow {
         match policy {
             WindowReduce::Median => self.ring.median(),
             WindowReduce::Mean => Some((self.sum + self.comp) / self.readings.len() as f64),
-            WindowReduce::Max => self.maxq.front().map(|&(_, v)| v),
+            WindowReduce::Max => self.ring.max(),
             WindowReduce::Latest => self.readings.back().map(|&(_, v)| v),
         }
-    }
-}
-
-/// Lazy min-heap of per-window front-expiry deadlines, keyed by an
-/// arbitrary link identifier (the selector uses the AP id).
-///
-/// The contract that makes a scan over many links O(1) when nothing
-/// expired: **every non-empty window has at least one queued entry whose
-/// deadline is ≤ the window's actual [`EsnrWindow::front_deadline`]**.
-/// Then `pop_due(now)` returning `None` proves no window anywhere needs
-/// an `expire(now, ..)` call. Entries are never removed eagerly; a
-/// popped entry may be stale (the window it referred to was mutated
-/// since), which the owner detects by comparing against the deadline it
-/// last queued for that link and ignores. Staleness is always on the
-/// *early* side — deadlines only move later as fronts expire — so a
-/// stale entry can cause a harmless no-op visit, never a missed expiry.
-#[derive(Debug, Default, Clone)]
-pub struct ExpiryHeap<K: Ord> {
-    heap: BinaryHeap<Reverse<(SimTime, K)>>,
-}
-
-impl<K: Ord + Copy> ExpiryHeap<K> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        ExpiryHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Queue `key`'s window for an expiry visit once `now` exceeds
-    /// `deadline`.
-    #[inline]
-    pub fn schedule(&mut self, deadline: SimTime, key: K) {
-        self.heap.push(Reverse((deadline, key)));
-    }
-
-    /// Pop the earliest entry whose deadline has passed (`deadline <
-    /// now`, the strict complement of the window's strict-`<` expiry
-    /// rule), or `None` when no queued window can have an expired front.
-    #[inline]
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, K)> {
-        match self.heap.peek() {
-            Some(&Reverse((deadline, _))) if deadline < now => {
-                let Reverse(entry) = self.heap.pop().expect("peeked entry exists");
-                Some(entry)
-            }
-            _ => None,
-        }
-    }
-
-    /// Number of queued (live + stale) entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no entries are queued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -424,37 +335,6 @@ mod tests {
         assert!(w.is_empty());
         w.push(ms(1_000), 17.3, W);
         assert_eq!(w.reduce(WindowReduce::Mean), Some(17.3));
-    }
-
-    #[test]
-    fn front_deadline_tracks_oldest_reading() {
-        let mut w = EsnrWindow::new();
-        assert_eq!(w.front_deadline(W), None);
-        w.push(ms(5), 1.0, W);
-        w.push(ms(7), 2.0, W);
-        assert_eq!(w.front_deadline(W), Some(ms(15)));
-        // Exactly at the deadline the front survives (strict `<`)...
-        w.expire(ms(15), W);
-        assert_eq!(w.front_deadline(W), Some(ms(15)));
-        // ...one tick past it the deadline advances to the next reading.
-        w.expire(SimTime::from_micros(15_001), W);
-        assert_eq!(w.front_deadline(W), Some(ms(17)));
-    }
-
-    #[test]
-    fn expiry_heap_pops_in_deadline_order_strictly_past() {
-        let mut h: ExpiryHeap<u32> = ExpiryHeap::new();
-        h.schedule(ms(30), 2);
-        h.schedule(ms(10), 1);
-        h.schedule(ms(20), 3);
-        // `deadline < now` is strict: nothing due exactly at 10 ms.
-        assert_eq!(h.pop_due(ms(10)), None);
-        assert_eq!(h.pop_due(SimTime::from_micros(10_001)), Some((ms(10), 1)));
-        assert_eq!(h.pop_due(ms(11)), None);
-        assert_eq!(h.pop_due(ms(31)), Some((ms(20), 3)));
-        assert_eq!(h.pop_due(ms(31)), Some((ms(30), 2)));
-        assert_eq!(h.pop_due(ms(31)), None);
-        assert!(h.is_empty());
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Controller {
         self.clients.get(&client).and_then(|c| c.serving)
     }
 
-    /// Direct read access to a client's selector.
-    pub fn selector_mut(&mut self, client: NodeId) -> &mut ApSelector {
-        &mut self.client_mut(client).selector
-    }
-
     /// A client completed 802.11 association through `via_ap`: install it
     /// as serving and replicate association state to every AP (§4.3).
     pub fn on_client_associated(

@@ -8,13 +8,13 @@ use wgtt::window::EsnrWindow;
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
-/// The pre-fast-path selector, kept as the equivalence oracle — this
-/// layer's `NaiveWindow`. Every query expires and reduces
-/// **every** link (O(A) per frame); there is no argmax cache and no
-/// expiry heap, so there is nothing to go stale. Its verdict is its own
+/// The selector's equivalence oracle — this layer's `NaiveWindow`.
+/// Every query expires and reduces **every** link, kept in a `BTreeMap`
+/// rather than [`ApSelector`]'s sorted `Vec`. Its verdict is its own
 /// scan-and-compare, sharing no code with [`ApSelector`]'s.
 /// `prop_selection.rs` drives it in lockstep with [`ApSelector`] and
-/// requires bit-identical answers from every method.
+/// requires bit-identical answers from every method. `in_range` is its
+/// own: the decision-table replica in `prop_policy.rs` reads it.
 #[derive(Debug)]
 pub struct FullScanSelector {
     window: SimDuration,
@@ -68,11 +68,6 @@ impl FullScanSelector {
         let link = self.links.entry(ap).or_default();
         link.last_reading = link.last_reading.max(at);
         link.window.push(at, esnr_db, self.window);
-    }
-
-    /// Forget `ap` entirely (mirror of [`ApSelector::remove_ap`]).
-    pub fn remove_ap(&mut self, ap: NodeId) {
-        self.links.remove(&ap);
     }
 
     /// The AP currently serving this client, if any.

@@ -6,10 +6,9 @@
 //! sort-per-query implementation ([`NaiveWindow`], kept verbatim in
 //! `tests/oracle/window.rs`) under arbitrary insert/expiry sequences —
 //! duplicate timestamps, duplicate values, and exact window-boundary
-//! readings included. The O(1) fast path (cached argmax + expiry heap)
-//! is held to the same bar against [`FullScanSelector`]
-//! (`tests/oracle/selection.rs`), the previous full expire-and-reduce
-//! selector.
+//! readings included. [`ApSelector`]'s scan is held to the same bar
+//! against [`FullScanSelector`] (`tests/oracle/selection.rs`), an
+//! independent full expire-and-reduce selector.
 //! Selection *verdicts* are a pure function of the reduced values, so
 //! equality here means every experiment artifact in EXPERIMENTS.md is
 //! unchanged by the optimization.
@@ -62,6 +61,21 @@ fn mean_close(a: Option<f64>, b: Option<f64>) -> bool {
     }
 }
 
+/// The reduction of each of APs `0..aps` at `now`, as bits: the
+/// per-AP view both selectors must agree on.
+fn reductions(s: &mut ApSelector, aps: u32, now: SimTime) -> Vec<Option<u64>> {
+    (0..aps)
+        .map(|a| s.median_esnr(NodeId(a), now).map(f64::to_bits))
+        .collect()
+}
+
+/// [`reductions`] on the oracle.
+fn oracle_reductions(s: &mut FullScanSelector, aps: u32, now: SimTime) -> Vec<Option<u64>> {
+    (0..aps)
+        .map(|a| s.median_esnr(NodeId(a), now).map(f64::to_bits))
+        .collect()
+}
+
 proptest! {
     /// After every insert, all four reductions agree with the oracle.
     /// `dt = 0` steps produce duplicate timestamps; steps larger than
@@ -96,8 +110,8 @@ proptest! {
         }
     }
 
-    /// Interleaved insert and expiry-only steps (the `in_range` /
-    /// `median_esnr` paths expire without inserting) stay equivalent.
+    /// Interleaved insert and expiry-only steps (`median_esnr` and the
+    /// argmax expire without inserting) stay equivalent.
     #[test]
     fn window_matches_oracle_under_expiry_only_steps(
         ops in proptest::collection::vec(
@@ -244,19 +258,12 @@ proptest! {
                     );
                 }
             }
-            let expected_in_range: Vec<NodeId> = oracle
-                .iter()
-                .filter(|(_, w)| !w.is_empty())
-                .map(|(&id, _)| NodeId(id))
-                .collect();
-            prop_assert_eq!(selector.in_range(at), expected_in_range);
         }
     }
 
-    /// The O(1) fast path (cached argmax + expiry heap) is bit-identical
-    /// to the kept-in-tree full-scan selector under random interleavings
-    /// of readings, expiry-only queries, duplicate timestamps, AP
-    /// add/remove, verdict evaluation (with switches applied), and
+    /// `ApSelector` is bit-identical to the full-scan oracle under random
+    /// interleavings of readings, expiry-only queries, duplicate
+    /// timestamps, verdict evaluation (with switches applied), and
     /// repeated same-`now` queries. `best()` is compared through
     /// `f64::to_bits` — bit-identical, not merely numerically equal.
     #[test]
@@ -285,21 +292,16 @@ proptest! {
             let ap = NodeId(ap_raw % 5);
             match kind {
                 // Readings are the bulk of the workload.
-                0..=2 => {
+                0..=3 => {
                     let v = esnr(raw);
                     fast.record(ap, now, v);
                     oracle.record(ap, now, v);
                 }
-                3 => {
-                    fast.remove_ap(ap);
-                    oracle.remove_ap(ap);
-                }
-                // Expiry-only paths: these must keep the argmax cache
-                // and the heap coherent without a reading arriving.
+                // Expiry-only paths: every window, then one.
                 4 => {
                     prop_assert_eq!(
-                        fast.in_range(now), oracle.in_range(now),
-                        "in_range diverged at t={}µs", t_us
+                        reductions(&mut fast, 5, now), oracle_reductions(&mut oracle, 5, now),
+                        "reductions diverged at t={}µs", t_us
                     );
                 }
                 5 => {
@@ -457,9 +459,8 @@ proptest! {
     }
 
     /// Mid-run `set_window_reduce` interleaved with readings, expiries,
-    /// removals, and verdicts: the fast path's cache dirtying and the
-    /// per-window memoized reduce must track a reduction-policy change
-    /// exactly like the full-scan oracle. (The selector-vs-selector
+    /// and verdicts: the per-window memoized reduce must track a
+    /// reduction-policy change exactly like the full-scan oracle. (The selector-vs-selector
     /// comparison is bit-exact under every policy — both sides run the
     /// same `EsnrWindow`, including the Mean running sum — so `to_bits`
     /// applies throughout; the Mean-vs-`NaiveWindow` epsilon contract
@@ -482,33 +483,22 @@ proptest! {
             let now = SimTime::from_micros(t_us);
             let ap = NodeId(ap_raw % 4);
             match kind {
-                0..=4 => {
+                0..=5 => {
                     let v = esnr(raw);
                     fast.record(ap, now, v);
                     oracle.record(ap, now, v);
                 }
                 // The op under test: change the reduction mid-stream,
-                // with warm caches and queued expiries behind it.
-                5..=6 => {
+                // with warm memos behind it.
+                6..=7 => {
                     let p = POLICIES[(raw as usize) % POLICIES.len()];
                     fast.set_window_reduce(p);
                     oracle.set_window_reduce(p);
                 }
-                7 => {
-                    fast.remove_ap(ap);
-                    oracle.remove_ap(ap);
-                }
-                8 => {
+                8..=9 => {
                     prop_assert_eq!(
-                        fast.in_range(now), oracle.in_range(now),
-                        "in_range diverged at t={}µs", t_us
-                    );
-                }
-                9 => {
-                    prop_assert_eq!(
-                        fast.median_esnr(ap, now).map(f64::to_bits),
-                        oracle.median_esnr(ap, now).map(f64::to_bits),
-                        "median_esnr({:?}) diverged at t={}µs", ap, t_us
+                        reductions(&mut fast, 4, now), oracle_reductions(&mut oracle, 4, now),
+                        "reductions diverged at t={}µs", t_us
                     );
                 }
                 _ => {
@@ -527,12 +517,11 @@ proptest! {
     }
 
     /// The verdict under every [`SwitchPolicyKind`] — reactive and
-    /// load-aware — is identical between the fast path and the
-    /// full-scan oracle, including mid-run rule swaps, shifting per-AP
-    /// loads, and applied switches. The two sides share no verdict code:
-    /// the fast path reads its cached argmax and heap, the oracle
-    /// rescans and re-scores every link, so a bug in either's argmax,
-    /// scoring or damper chain shows up as a verdict or argmax mismatch.
+    /// load-aware — is identical between `ApSelector` and the full-scan
+    /// oracle, including mid-run rule swaps, shifting per-AP loads, and
+    /// applied switches. The two sides share no verdict code, so a bug
+    /// in either's argmax, scoring or damper chain shows up as a
+    /// verdict or argmax mismatch.
     #[test]
     fn switch_policies_bit_identical_fast_vs_full_scan(
         kind_idx in 0usize..SwitchPolicyKind::all().len(),
@@ -556,18 +545,14 @@ proptest! {
             let now = SimTime::from_micros(t_us);
             let ap = NodeId(ap_raw % 4);
             match kind {
-                0..=4 => {
+                0..=5 => {
                     let v = esnr(raw);
                     fast.record(ap, now, v);
                     oracle.record(ap, now, v);
                 }
                 // Shift the load landscape the load-aware rule reads.
-                5 => {
-                    loads.reassign(None, ap);
-                }
                 6 => {
-                    fast.remove_ap(ap);
-                    oracle.remove_ap(ap);
+                    loads.reassign(None, ap);
                 }
                 // Swap the verdict rule mid-run on both sides.
                 7 => {
@@ -577,8 +562,8 @@ proptest! {
                 }
                 8 => {
                     prop_assert_eq!(
-                        fast.in_range(now), oracle.in_range(now),
-                        "in_range diverged at t={}µs", t_us
+                        reductions(&mut fast, 4, now), oracle_reductions(&mut oracle, 4, now),
+                        "reductions diverged at t={}µs", t_us
                     );
                 }
                 // Verdicts with every load 0 (`evaluate`) and against the
@@ -610,8 +595,7 @@ proptest! {
 
     /// Same lockstep check concentrated on window-boundary instants:
     /// steps drawn from {0, 1, W−1, W, W+1} µs offsets, where the strict
-    /// `t + W < now` expiry rule and the heap's strict `deadline < now`
-    /// pop rule must agree reading-for-reading.
+    /// `t + W < now` expiry rule decides which readings survive.
     #[test]
     fn fast_selector_matches_oracle_at_window_boundaries(
         steps in proptest::collection::vec((0usize..5, 0u32..3, 0u32..600), 1..150)
@@ -631,108 +615,81 @@ proptest! {
             let oracle_bits = oracle.best(now).map(|(a, m)| (a, m.to_bits()));
             prop_assert_eq!(fast_bits, oracle_bits, "best diverged at t={}µs", t_us);
             prop_assert_eq!(
-                fast.in_range(now), oracle.in_range(now),
-                "in_range diverged at t={}µs", t_us
+                reductions(&mut fast, 3, now), oracle_reductions(&mut oracle, 3, now),
+                "reductions diverged at t={}µs", t_us
             );
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Removal-then-reinsert interleavings (shard hand-off regression).
-//
-// When a picocell district hands a client record off, the receiving
-// selector can see `remove_ap(a)` for its *cached argmax* followed by a
-// fresh `record(a, ..)` for the same id — sometimes at the very same
-// instant. The lazy `ExpiryHeap` never deletes eagerly, so after the
-// reinsert the heap holds a stale entry for `a`, and if the reinserted
-// reading carries the removed front's timestamp the stale deadline
-// *aliases* the freshly queued one (`queued_deadline` matches both).
-// The liveness check then treats the stale entry as live. That visit
-// must be a harmless legitimate expiry, never a cache corruption. The
-// property and the pinned regressions below hold the fast path to the
-// oracle through exactly these interleavings; they pass at high case
-// counts, proving the alias is benign — the contract is pinned here so
-// any future heap/cache change that breaks it fails loudly.
-// ---------------------------------------------------------------------
+// ---- At the map sizes the scan serves: the properties above draw from
+// 3–5 AP ids; `corridor_dense` gives a client 32.
 
-/// Bit-exact policies (Mean has its own epsilon suite above).
-const EXACT_POLICIES: [WindowReduce; 3] = [
-    WindowReduce::Median,
-    WindowReduce::Max,
-    WindowReduce::Latest,
-];
+/// APs along the road in the drive below.
+const ROAD_APS: u32 = 32;
 
 proptest! {
-    /// Random interleavings biased to the hand-off shape: warm the
-    /// argmax cache, remove the cached winner specifically, and
-    /// reinsert the same id — usually at the same instant, so stale
-    /// heap entries alias fresh deadlines as often as possible.
+    /// A client drives past 32 APs. Each reading op is a run of readings
+    /// from the APs around its position; a move op carries it on, and
+    /// the windows of the APs behind it drain. After every op
+    /// `ApSelector` agrees with the full-scan oracle: `best` to the bit,
+    /// and verdicts under both rules — the rule swaps mid-run — against
+    /// a random load table that moves with every applied switch.
     #[test]
-    fn removed_argmax_reinsertion_matches_oracle(
-        policy_idx in 0usize..3,
+    fn thirty_two_ap_drive_matches_full_scan_oracle(
+        initial in proptest::collection::vec(0u32..ROAD_APS, 0..64),
         ops in proptest::collection::vec(
-            (0u32..10, 0u32..4, 0u64..1_500, 0u32..600), 1..200
+            (0u32..10, 0u32..5, 0u64..2_000, 0u32..600), 1..250
         )
     ) {
-        let policy = EXACT_POLICIES[policy_idx];
+        let mut loads = ApLoads::new();
+        for ap in initial {
+            loads.reassign(None, NodeId(ap));
+        }
+        let kinds = SwitchPolicyKind::all();
         let mut fast = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
         let mut oracle = FullScanSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-        fast.set_window_reduce(policy);
-        oracle.set_window_reduce(policy);
+        let mut pos = 0u32;
         let mut t_us = 0u64;
-        for (kind, ap_raw, dt_us, raw) in ops {
-            // ~20% duplicate timestamps; the rest small sub-window steps
-            // with occasional window-clearing jumps.
+        for (kind, offset, dt_us, raw) in ops {
             t_us += match dt_us {
-                0..=299 => 0,
-                300..=1_399 => dt_us - 300,
-                _ => (dt_us - 1_400) * 12_000,
+                0..=399 => 0,
+                400..=1_899 => dt_us - 400,
+                _ => (dt_us - 1_900) * 200,
             };
             let now = SimTime::from_micros(t_us);
-            let ap = NodeId(ap_raw % 4);
+            // One of the five APs centred on the client.
+            let ap = NodeId((pos + offset).saturating_sub(2).min(ROAD_APS - 1));
             match kind {
-                // The hand-off: remove the *cached argmax* (cache is
-                // warm — best() just ran), then usually reinsert the
-                // same id at the same `now`, creating the stale-entry
-                // deadline alias.
-                0..=3 => {
-                    let winner = fast.best(now).map(|(a, _)| a);
-                    prop_assert_eq!(winner, oracle.best(now).map(|(a, _)| a));
-                    if let Some(w) = winner {
-                        fast.remove_ap(w);
-                        oracle.remove_ap(w);
-                        if kind != 3 {
-                            let v = esnr(raw);
-                            fast.record(w, now, v);
-                            oracle.record(w, now, v);
-                        }
+                // A run of one to four readings from neighbouring APs.
+                0..=4 => {
+                    for i in 0..=raw % 4 {
+                        let a = NodeId((ap.0 + i).min(ROAD_APS - 1));
+                        let v = esnr((raw + 97 * i) % 600);
+                        fast.record(a, now, v);
+                        oracle.record(a, now, v);
                     }
                 }
-                // Background traffic so a runner-up exists to rescan to.
-                4..=6 => {
-                    let v = esnr(raw);
-                    fast.record(ap, now, v);
-                    oracle.record(ap, now, v);
+                // Move on, leaving windows behind.
+                5 => pos = (pos + 1 + raw % 3).min(ROAD_APS - 1),
+                6 => {
+                    let k = kinds[(raw as usize) % kinds.len()];
+                    fast.set_switch_policy(k);
+                    oracle.set_switch_policy(k);
                 }
-                // Arbitrary (usually non-winner) removal.
-                7 => {
-                    fast.remove_ap(ap);
-                    oracle.remove_ap(ap);
-                }
-                // Expiry-only query: drains due heap entries, stale
-                // aliases included.
-                8 => {
-                    prop_assert_eq!(
-                        fast.in_range(now), oracle.in_range(now),
-                        "in_range diverged at t={}µs", t_us
-                    );
-                }
-                // Full verdicts with switches applied.
                 _ => {
-                    let fv = fast.evaluate(now);
-                    prop_assert_eq!(fv, oracle.evaluate(now), "verdict diverged at t={}µs", t_us);
+                    let (fv, ov) = if kind == 7 {
+                        (fast.evaluate(now), oracle.evaluate(now))
+                    } else {
+                        let v = esnr(raw);
+                        (
+                            fast.record_and_evaluate(ap, now, v, now, &loads),
+                            oracle.record_and_evaluate(ap, now, v, now, &loads),
+                        )
+                    };
+                    prop_assert_eq!(fv, ov, "verdict diverged at t={}µs", t_us);
                     if let Verdict::SwitchTo(target) = fv {
+                        loads.reassign(fast.current(), target);
                         fast.set_current(target, now);
                         oracle.set_current(target, now);
                     }
@@ -743,84 +700,6 @@ proptest! {
             prop_assert_eq!(fast_bits, oracle_bits, "best diverged at t={}µs", t_us);
         }
     }
-}
-
-/// Pinned regression: remove the cached argmax, reinsert it at the
-/// *same instant* — the stale heap entry now carries the identical
-/// deadline the fresh front queued, so the liveness check treats it as
-/// live. Its visit must behave as the legitimate expiry of the new
-/// front, and the second (genuinely queued) duplicate must be skipped
-/// without a double-expire.
-#[test]
-fn stale_heap_entry_aliasing_a_reinserted_front_is_harmless() {
-    let a = NodeId(1);
-    let b = NodeId(2);
-    let mut s = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-    let t0 = SimTime::from_micros(0);
-    s.record(a, t0, 30.0);
-    s.record(b, SimTime::from_millis(5), 20.0);
-    // Warm the cache: `a` is the argmax, heap holds (t0 + W, a).
-    assert_eq!(s.best(SimTime::from_millis(6)), Some((a, 30.0)));
-    // Hand-off: drop the winner, reinsert it at its original timestamp.
-    // The fresh front re-queues the *same* deadline the stale entry
-    // already holds.
-    s.remove_ap(a);
-    s.record(a, t0, 25.0);
-    assert_eq!(s.best(SimTime::from_millis(6)), Some((a, 25.0)));
-    // One tick past the aliased deadline both duplicates become due.
-    // The first pops as "live" and performs the (correct) expiry of the
-    // reinserted reading; the second must be detected stale. Result:
-    // `a`'s window is empty and the runner-up wins.
-    let past = SimTime::from_micros(10_001);
-    assert_eq!(s.best(past), Some((b, 20.0)));
-    assert_eq!(s.in_range(past), vec![b]);
-    // And `a` is genuinely gone, not resurrectable by a later query.
-    assert_eq!(s.median_esnr(a, past), None);
-}
-
-/// Pinned regression: remove the cached argmax, reinsert it *later*.
-/// The stale entry (old deadline) pops strictly before the new front's
-/// deadline and must be skipped — honouring it would expire nothing,
-/// but mishandling `queued_deadline` there would lose the live entry
-/// and miss the real expiry that follows.
-#[test]
-fn removal_of_cached_argmax_then_later_reinsert_expires_on_time() {
-    let a = NodeId(1);
-    let b = NodeId(2);
-    let mut s = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-    s.record(a, SimTime::from_micros(0), 30.0);
-    s.record(b, SimTime::from_millis(5), 20.0);
-    assert_eq!(s.best(SimTime::from_millis(6)), Some((a, 30.0)));
-    s.remove_ap(a);
-    // Reinsert 2 ms later: fresh deadline 12 ms, stale entry still 10 ms.
-    s.record(a, SimTime::from_millis(2), 25.0);
-    assert_eq!(s.best(SimTime::from_millis(6)), Some((a, 25.0)));
-    // Past the stale deadline but before the fresh one: the stale pop
-    // must not expire the reinserted reading.
-    assert_eq!(s.best(SimTime::from_micros(10_500)), Some((a, 25.0)));
-    // Past the fresh deadline the reading really expires.
-    assert_eq!(s.best(SimTime::from_micros(12_001)), Some((b, 20.0)));
-}
-
-/// Pinned regression: removal while the heap entry is already *due*
-/// (pop sees `links.get_mut == None`), then reinsert. The orphaned pop
-/// must not dirty or corrupt the cache built after the reinsert.
-#[test]
-fn due_heap_entry_for_a_removed_ap_is_garbage_collected_on_pop() {
-    let a = NodeId(1);
-    let b = NodeId(2);
-    let mut s = ApSelector::new(WINDOW, SimDuration::from_millis(40), 1.0);
-    s.record(a, SimTime::from_micros(0), 30.0);
-    s.record(b, SimTime::from_micros(0), 20.0);
-    assert_eq!(s.best(SimTime::from_micros(1)), Some((a, 30.0)));
-    s.remove_ap(a);
-    // Reinsert well past the orphaned deadline; the first query both
-    // pops the orphan (no link → skipped) and serves from the cache
-    // folded by the reinsert.
-    let later = SimTime::from_millis(20);
-    s.record(a, later, 5.0);
-    assert_eq!(s.best(later), Some((a, 5.0)));
-    assert_eq!(s.in_range(later), vec![a]);
 }
 
 // ---- Pinned cases: the Fig. 6 window, boundary and duplicate readings,
@@ -925,7 +804,7 @@ fn duplicate_values_and_timestamps_match_oracle() {
 #[test]
 fn non_finite_readings_are_rejected() {
     // Regression: a NaN reading used to enter the window and wedge
-    // the strict-`>` argmax cache (NaN compares false both ways),
+    // the strict-`>` argmax (NaN compares false both ways),
     // so best() returned the NaN link until its window expired and
     // no finite challenger could dethrone it meanwhile.
     let mut s = ApSelector::new(WINDOW, HYSTERESIS, 1.0);

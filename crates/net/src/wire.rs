@@ -5,10 +5,9 @@
 //! de-duplicates uplink packets on a 48-bit key built from the *source IP
 //! address* and the *IPv4 identification field*. Getting those mechanisms
 //! right means owning the headers, so this module implements checked
-//! parse/emit for Ethernet II, IPv4, UDP, TCP, and the WGTT tunnel
-//! header, in the style of smoltcp's `wire` layer: plain functions over
-//! byte slices, no allocation surprises, errors for every malformed
-//! input.
+//! parse/emit for Ethernet II, IPv4, UDP, and the WGTT tunnel header,
+//! in the style of smoltcp's `wire` layer: plain functions over byte
+//! slices, no allocation surprises, errors for every malformed input.
 
 /// Errors a parser can report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,143 +278,6 @@ impl UdpHeader {
     }
 }
 
-// --------------------------------------------------------------------- TCP
-
-/// TCP header (20 bytes, options not modelled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcpHeader {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Sequence number.
-    pub seq: u32,
-    /// Acknowledgement number (valid when `ack` flag set).
-    pub ack_no: u32,
-    /// ACK flag.
-    pub ack: bool,
-    /// SYN flag.
-    pub syn: bool,
-    /// FIN flag.
-    pub fin: bool,
-    /// Receive window.
-    pub window: u16,
-}
-
-/// TCP header length (no options).
-pub const TCP_HEADER_LEN: usize = 20;
-
-impl TcpHeader {
-    /// Serialize into the first 20 bytes of `buf`.
-    pub fn emit(&self, buf: &mut [u8]) -> Result<(), WireError> {
-        if buf.len() < TCP_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        buf[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        buf[8..12].copy_from_slice(&self.ack_no.to_be_bytes());
-        buf[12] = 5 << 4; // data offset 5 words
-        buf[13] = (u8::from(self.ack) << 4) | (u8::from(self.syn) << 1) | u8::from(self.fin);
-        buf[14..16].copy_from_slice(&self.window.to_be_bytes());
-        buf[16..20].copy_from_slice(&[0, 0, 0, 0]); // checksum+urgent
-        Ok(())
-    }
-
-    /// Parse from the first 20 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, WireError> {
-        if buf.len() < TCP_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let data_offset = (buf[12] >> 4) as usize;
-        if data_offset < 5 {
-            return Err(WireError::Malformed);
-        }
-        Ok(TcpHeader {
-            src_port: u16::from_be_bytes([buf[0], buf[1]]),
-            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            seq: u32::from_be_bytes(buf[4..8].try_into().expect("slice length checked")),
-            ack_no: u32::from_be_bytes(buf[8..12].try_into().expect("slice length checked")),
-            ack: buf[13] & 0x10 != 0,
-            syn: buf[13] & 0x02 != 0,
-            fin: buf[13] & 0x01 != 0,
-            window: u16::from_be_bytes([buf[14], buf[15]]),
-        })
-    }
-}
-
-// --------------------------------------------------------------------- ARP
-
-/// ARP packet (IPv4-over-Ethernet flavour, 28 bytes). The paper's
-/// footnote 5: uplink packets without an IP header are ARP, which need
-/// no de-duplication (they are idempotent request/reply state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArpPacket {
-    /// True for a request, false for a reply.
-    pub is_request: bool,
-    /// Sender MAC.
-    pub sender_mac: MacAddr,
-    /// Sender IPv4.
-    pub sender_ip: Ipv4Addr,
-    /// Target MAC (zero in requests).
-    pub target_mac: MacAddr,
-    /// Target IPv4.
-    pub target_ip: Ipv4Addr,
-}
-
-/// ARP packet length (Ethernet/IPv4).
-pub const ARP_LEN: usize = 28;
-
-impl ArpPacket {
-    /// Serialize into the first 28 bytes of `buf`.
-    pub fn emit(&self, buf: &mut [u8]) -> Result<(), WireError> {
-        if buf.len() < ARP_LEN {
-            return Err(WireError::Truncated);
-        }
-        buf[0..2].copy_from_slice(&1u16.to_be_bytes()); // HTYPE Ethernet
-        buf[2..4].copy_from_slice(&ETHERTYPE_IPV4.to_be_bytes()); // PTYPE
-        buf[4] = 6; // HLEN
-        buf[5] = 4; // PLEN
-        let oper: u16 = if self.is_request { 1 } else { 2 };
-        buf[6..8].copy_from_slice(&oper.to_be_bytes());
-        buf[8..14].copy_from_slice(&self.sender_mac.0);
-        buf[14..18].copy_from_slice(&self.sender_ip.octets());
-        buf[18..24].copy_from_slice(&self.target_mac.0);
-        buf[24..28].copy_from_slice(&self.target_ip.octets());
-        Ok(())
-    }
-
-    /// Parse from the first 28 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, WireError> {
-        if buf.len() < ARP_LEN {
-            return Err(WireError::Truncated);
-        }
-        if u16::from_be_bytes([buf[0], buf[1]]) != 1
-            || u16::from_be_bytes([buf[2], buf[3]]) != ETHERTYPE_IPV4
-            || buf[4] != 6
-            || buf[5] != 4
-        {
-            return Err(WireError::Malformed);
-        }
-        let is_request = match u16::from_be_bytes([buf[6], buf[7]]) {
-            1 => true,
-            2 => false,
-            _ => return Err(WireError::Malformed),
-        };
-        Ok(ArpPacket {
-            is_request,
-            sender_mac: MacAddr(buf[8..14].try_into().expect("length checked")),
-            sender_ip: Ipv4Addr(u32::from_be_bytes(
-                buf[14..18].try_into().expect("length checked"),
-            )),
-            target_mac: MacAddr(buf[18..24].try_into().expect("length checked")),
-            target_ip: Ipv4Addr(u32::from_be_bytes(
-                buf[24..28].try_into().expect("length checked"),
-            )),
-        })
-    }
-}
-
 // ----------------------------------------------------------- WGTT tunnel
 
 /// The WGTT backhaul tunnel header: the original client packet is carried
@@ -604,61 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_roundtrip_flags() {
-        for (ack, syn, fin) in [
-            (false, true, false),
-            (true, false, false),
-            (true, false, true),
-        ] {
-            let h = TcpHeader {
-                src_port: 80,
-                dst_port: 54321,
-                seq: 0xDEADBEEF,
-                ack_no: 0x01020304,
-                ack,
-                syn,
-                fin,
-                window: 65_000,
-            };
-            let mut buf = [0u8; TCP_HEADER_LEN];
-            h.emit(&mut buf).unwrap();
-            assert_eq!(TcpHeader::parse(&buf).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn arp_roundtrip() {
-        for is_request in [true, false] {
-            let a = ArpPacket {
-                is_request,
-                sender_mac: MacAddr([1, 2, 3, 4, 5, 6]),
-                sender_ip: Ipv4Addr::new(172, 16, 0, 100),
-                target_mac: MacAddr([0; 6]),
-                target_ip: Ipv4Addr::new(172, 16, 0, 1),
-            };
-            let mut buf = [0u8; ARP_LEN];
-            a.emit(&mut buf).unwrap();
-            assert_eq!(ArpPacket::parse(&buf).unwrap(), a);
-        }
-    }
-
-    #[test]
-    fn arp_rejects_wrong_htype() {
-        let mut buf = [0u8; ARP_LEN];
-        ArpPacket {
-            is_request: true,
-            sender_mac: MacAddr([1; 6]),
-            sender_ip: Ipv4Addr::new(1, 1, 1, 1),
-            target_mac: MacAddr([0; 6]),
-            target_ip: Ipv4Addr::new(2, 2, 2, 2),
-        }
-        .emit(&mut buf)
-        .unwrap();
-        buf[0] = 9;
-        assert_eq!(ArpPacket::parse(&buf), Err(WireError::Malformed));
-    }
-
-    #[test]
     fn tunnel_roundtrip_all_kinds() {
         for kind in [
             TunnelKind::Downlink,
@@ -757,27 +564,10 @@ mod tests {
         }
 
         #[test]
-        fn tcp_roundtrip_any(
-            sp in any::<u16>(), dp in any::<u16>(), seq in any::<u32>(),
-            ack_no in any::<u32>(), flags in 0u8..8, window in any::<u16>()
-        ) {
-            let h = TcpHeader {
-                src_port: sp, dst_port: dp, seq, ack_no,
-                ack: flags & 1 != 0, syn: flags & 2 != 0, fin: flags & 4 != 0,
-                window,
-            };
-            let mut buf = [0u8; TCP_HEADER_LEN];
-            h.emit(&mut buf).unwrap();
-            prop_assert_eq!(TcpHeader::parse(&buf).unwrap(), h);
-        }
-
-        #[test]
         fn parser_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             let _ = EthernetHeader::parse(&bytes);
-            let _ = ArpPacket::parse(&bytes);
             let _ = Ipv4Header::parse(&bytes);
             let _ = UdpHeader::parse(&bytes);
-            let _ = TcpHeader::parse(&bytes);
             let _ = TunnelHeader::parse(&bytes);
         }
     }

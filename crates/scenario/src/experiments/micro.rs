@@ -59,8 +59,9 @@ pub fn fig21(seed: u64) -> ExperimentOutput {
     let span_s = 73.0 / plan.speed_mps;
     let steps = (span_s * 1000.0 / CSI_PERIOD_MS as f64) as usize;
     // Pre-sample every link's true ESNR and a noisy *measured* reading
-    // (CSI estimation error ≈1.5 dB) at every step — the paper's readings
-    // are measurements, and the noise is exactly why small windows lose.
+    // (σ = 2.5 dB here, against the world's 1.5 dB `CSI_NOISE_DB`; see
+    // DESIGN §7) at every step — the paper's readings are measurements,
+    // and the noise is exactly why small windows lose.
     let mut esnr: Vec<Vec<f64>> = vec![Vec::with_capacity(steps); links.len()];
     let mut meas: Vec<Vec<f64>> = vec![Vec::with_capacity(steps); links.len()];
     let mut noise_rng = wgtt_sim::rng::RngStream::root(seed)

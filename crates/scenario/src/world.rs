@@ -95,9 +95,6 @@ struct ClientNode {
     rng: Xoshiro256,
     /// Baseline roamer (None under WGTT).
     roamer: Option<Roamer>,
-    /// Uplink MPDU (re)transmission counters (Table 3).
-    up_mpdus_sent: u64,
-    up_mpdu_retx: u64,
 }
 
 /// Per-run observables the experiments reduce into figures and tables.
@@ -132,8 +129,6 @@ pub struct RunReport {
     pub ba_collisions: Counter,
     /// Block ACK responses sent.
     pub ba_responses: Counter,
-    /// Uplink MPDUs sent / retransmitted per client.
-    pub uplink_mpdus: HashMap<NodeId, (u64, u64)>,
     /// Uplink packets forwarded vs duplicate-dropped at the controller.
     pub uplink_dedup: (u64, u64),
     /// Per-flow conference fps sinks.
@@ -740,8 +735,6 @@ impl World {
                     )),
                     rng: root.derive_indexed("client-phy", gci as u64).rng(),
                     roamer,
-                    up_mpdus_sent: 0,
-                    up_mpdu_retx: 0,
                 }
             })
             .collect();
@@ -1348,9 +1341,6 @@ impl World {
             flow.fold_into(&mut self.report);
         }
         for c in &self.clients {
-            self.report
-                .uplink_mpdus
-                .insert(c.id, (c.up_mpdus_sent, c.up_mpdu_retx));
             if let Some(r) = &c.roamer {
                 self.report.failed_handshakes += r.failed_handshakes;
             }
@@ -1803,9 +1793,8 @@ mod tests {
             .map(|(c, s)| (c, s.points()))
             .collect();
         let last: BTreeMap<_, _> = r.last_delivery.iter().collect();
-        let mpdus: BTreeMap<_, _> = r.uplink_mpdus.iter().collect();
         format!(
-            "{:?} {} {} {} {} {} {:?} {bytes:?} {udp:?} {last:?} {mpdus:?} {serving:?}",
+            "{:?} {} {} {} {} {} {:?} {bytes:?} {udp:?} {last:?} {serving:?}",
             r.events,
             r.events_handled,
             r.frames_on_air,

@@ -322,10 +322,6 @@ impl World {
         mcs: Mcs,
         now: SimTime,
     ) {
-        let ci = self.client_index(client);
-        self.clients[ci].up_mpdus_sent += mpdus.len() as u64;
-        self.clients[ci].up_mpdu_retx +=
-            mpdus.iter().filter(|m| m.retries > 0).count() as u64;
         let wgtt = self.system.wgtt().is_some();
         let assoc_ap = self.system.baseline().and_then(|bl| bl.ds.binding(client));
         let pos = self.client_pos(client, now);
