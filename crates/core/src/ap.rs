@@ -15,7 +15,6 @@
 //! (the paper prioritizes them past the cyclic queue); the scenario
 //! delivers them with the configured processing delays.
 
-use crate::bafwd::MonitorPolicy;
 use crate::config::WgttConfig;
 use crate::cyclic::CyclicQueue;
 use crate::messages::{BackhaulDest, BackhaulMsg};
@@ -206,16 +205,27 @@ impl ApAgent {
         }
     }
 
-    /// Our monitor interface overheard a Block ACK from `client`. Forward
-    /// it to the serving AP unless that is us (§3.2.1 / Fig. 8).
+    /// Our monitor interface overheard a Block ACK from `client`: Block
+    /// ACK forwarding between APs (§3.2.1).
+    ///
+    /// Each AP runs two virtual interfaces: AP-mode for normal traffic and
+    /// a monitor-mode interface that overhears frames. The monitor
+    /// interface is *disabled on the AP currently serving the client*
+    /// (Fig. 8). When a non-serving AP overhears a Block ACK from a
+    /// client, it forwards `(client, start_seq, bitmap)` over the backhaul
+    /// to the serving AP, which applies it if its own radio missed the
+    /// frame — cutting the retransmission storms that lost Block ACKs
+    /// otherwise cause at cell edges. With no serving AP there is nothing
+    /// to forward to. Duplicate suppression on the receiving side lives in
+    /// [`wgtt_mac::blockack::BaOriginator`].
     pub fn on_overheard_block_ack(
         &mut self,
         client: NodeId,
         start_seq: u16,
         bitmap: u64,
     ) -> Vec<ApAction> {
-        let policy = MonitorPolicy { me: self.id };
-        match policy.should_forward(self.serving_map.get(&client).copied()) {
+        let serving = self.serving_map.get(&client).copied();
+        match serving.filter(|&ap| ap != self.id) {
             Some(serving_ap) => vec![ApAction {
                 to: BackhaulDest::Ap(serving_ap),
                 msg: BackhaulMsg::BlockAckForward {
@@ -436,6 +446,8 @@ mod tests {
     #[test]
     fn overheard_ba_forwarded_to_serving_ap_only() {
         let mut ap2 = agent(AP2);
+        // No serving AP known yet: nothing to forward to.
+        assert!(ap2.on_overheard_block_ack(CLIENT, 0, 0xFF).is_empty());
         ap2.on_backhaul(BackhaulMsg::AssocSync {
             client: CLIENT,
             via_ap: AP1,

@@ -20,14 +20,13 @@
 //!   [`ActionSink`] too, which keeps tests and one-shot callers simple.)
 //! * **Client slab.** Per-client state lives in a dense `Vec` slab
 //!   indexed by a stable `u32` slot; the id→slot map is consulted once
-//!   per event, and everything downstream (timer wheel payloads, poll
+//!   per event, and everything downstream (deadline payloads, poll
 //!   scratch) speaks slots.
-//! * **Timer wheel.** `next_timeout()` — asked after *every* dispatched
-//!   action by the event loop — and `poll()` used to iterate every
-//!   client. Both now ride an amortized hierarchical
-//!   [`TimerWheel`] keyed by switch-ack
-//!   deadline: `next_timeout` is a bitmap scan of occupied slots, `poll`
-//!   touches only the clients actually due.
+//! * **Deadline heap.** `next_timeout()` — asked after *every*
+//!   dispatched action by the event loop — and `poll()` used to iterate
+//!   every client. Both now ride a min-heap of switch-ack deadlines
+//!   ([`TimerWheel`], at most one live entry per client): `next_timeout`
+//!   reads its head, `poll` touches only the clients actually due.
 //! * **Streaming fan-out.** A downlink packet resolves its in-range AP
 //!   set by walking the selector's link map directly into the sink
 //!   ([`ApSelector::for_each_heard`]) — no intermediate `Vec`.
@@ -438,7 +437,7 @@ impl Controller {
                     self.stats.max_ap_load = self.stats.max_ap_load.max(u64::from(load));
                     self.stats.switches_completed += 1;
                     self.stats.switch_durations.record(elapsed.as_secs_f64());
-                    // The wheel entry for this switch goes stale here;
+                    // The deadline entry for this switch goes stale here;
                     // the next query compacts it.
                     // Tell every AP who serves now (monitor-mode
                     // forwarding needs it, §3.2.1).
@@ -497,8 +496,8 @@ impl Controller {
     }
 
     /// Earliest pending protocol timeout across clients, for the event
-    /// loop to schedule a poll. `&mut` because the query lazily compacts
-    /// wheel entries whose switch already completed.
+    /// loop to schedule a poll. `&mut` because the query lazily drops
+    /// deadline entries whose switch already completed.
     pub fn next_timeout(&mut self) -> Option<SimTime> {
         let clients = &self.clients;
         self.wheel.next_deadline(|slot, ns| {
@@ -737,7 +736,7 @@ mod tests {
         assert_eq!(done.len(), 3, "serving update to all APs");
         let d = c.stats.switch_durations.mean().unwrap();
         assert!((d - 0.017).abs() < 1e-9);
-        // The completed switch's wheel entry is stale: no timeout left.
+        // The completed switch's deadline entry is stale: no timeout left.
         assert_eq!(c.next_timeout(), None);
     }
 
@@ -775,7 +774,7 @@ mod tests {
             }
         ));
         assert_eq!(c.stats.stop_retransmits, 1);
-        // The retransmit re-armed a fresh 30 ms deadline on the wheel.
+        // The retransmit re-armed a fresh 30 ms deadline on the heap.
         assert_eq!(
             c.next_timeout(),
             Some(deadline + SimDuration::from_millis(30))

@@ -14,9 +14,8 @@
 //! | [`cyclic`] | §3.1.2, Fig. 7 | per-client cyclic queue with m = 12-bit packet indices, replicated at every in-range AP |
 //! | [`switching`] | §3.1.2 | the three-step `stop(c)` → `start(c, k)` → `ack` protocol, 30 ms ack timeout, one outstanding switch |
 //! | [`dedup`] | §3.2.2–3.2.3 | controller-side uplink de-duplication on the 48-bit (src IP, IP ident) key |
-//! | [`bafwd`] | §3.2.1 | Block ACK overhearing and forwarding between APs |
 //! | [`controller`] | §3, Fig. 5 | the control-plane state machine gluing the above together |
-//! | [`ap`] | §3.1.2, §3.2.1, §4.3 | the AP data plane: cyclic queue and `stop`/`start` as the feed of the stock AP scheduler (`wgtt_mac::downlink`), the replicated client → serving-AP map (`AssocSync`), control-packet priority |
+//! | [`ap`] | §3.1.2, §3.2.1, §4.3 | the AP data plane: cyclic queue and `stop`/`start` as the feed of the stock AP scheduler (`wgtt_mac::downlink`), the replicated client → serving-AP map (`AssocSync`), Block ACK overhearing and forwarding to the serving AP, control-packet priority |
 //!
 //! Everything is an explicit, event-loop-agnostic state machine: methods
 //! take `now` and return actions (backhaul messages to deliver, packets
@@ -24,7 +23,6 @@
 //! substrate, and the MAC medium.
 
 pub mod ap;
-pub mod bafwd;
 pub mod config;
 pub mod controller;
 pub mod cyclic;

@@ -1,211 +1,85 @@
-//! Amortized hierarchical timer wheel for the controller's switch-ack
-//! deadlines.
+//! The controller's switch-ack deadlines: a min-heap plus a due list.
 //!
-//! The controller arms one 30 ms ack timeout per in-flight switch, and
-//! the event loop asks for the earliest pending deadline after *every*
-//! dispatched action. With a fleet of 10⁵ clients the seed
-//! implementation's answer — iterate every client — turns each packet
-//! into an O(n) scan. The wheel makes `schedule` O(1),
-//! [`next_deadline`](TimerWheel::next_deadline) O(occupied slots) with a
-//! bitmap front-end, and [`advance`](TimerWheel::advance) amortized O(1)
-//! per elapsed ~1 ms tick.
+//! The controller arms one 30 ms ack timeout per in-flight switch, at
+//! most one per client (§3.1.2), and the event loop asks for the
+//! earliest pending deadline after every dispatched action. A binary
+//! heap keyed by deadline answers that at its head. The type keeps the
+//! name `TimerWheel` only because `benchmark/` imports it by that name.
 //!
-//! ## Shape
-//!
-//! Two levels plus an overflow list, all keyed by absolute deadline in
-//! nanoseconds:
-//!
-//! * **L0**: 256 slots of 2²⁰ ns (≈ 1.05 ms) each — ≈ 269 ms of near
-//!   horizon, an order of magnitude past the 30 ms ack timeout, so in
-//!   steady state every real deadline lives here.
-//! * **L1**: 64 slots of 256 ticks each (≈ 17.2 s). Entries cascade
-//!   down into L0 when the cursor reaches their slot.
-//! * **Overflow**: a plain vec for anything beyond ≈ 18 min; re-homed
-//!   lazily at L1 lap boundaries.
-//!
-//! Entries whose deadline has been passed by
-//! [`advance`](TimerWheel::advance) collect in a `due` bucket that
-//! [`drain_due`](TimerWheel::drain_due) hands to the caller.
+//! Entries whose deadline [`advance`](TimerWheel::advance) has passed
+//! move to a `due` list that [`drain_due`](TimerWheel::drain_due) hands
+//! to the caller.
 //!
 //! ## Stale entries
 //!
-//! The wheel never cancels. A completed or abandoned switch simply
+//! Nothing is ever cancelled. A completed or abandoned switch simply
 //! leaves its entry behind; the entry is *stale* because the client's
-//! protocol driver no longer reports that deadline. Every query takes an
-//! `is_live(item, deadline_ns)` predicate and compacts the stale entries
-//! it visits, so memory is bounded by live timers plus the stale ones
-//! not yet walked past. Re-arming the same client at a new deadline just
-//! schedules a second entry — at most one of the two can ever be live,
-//! and the caller de-duplicates per-item when draining.
+//! protocol driver no longer reports that deadline.
+//! [`next_deadline`](TimerWheel::next_deadline) takes an
+//! `is_live(item, deadline_ns)` predicate, drops the stale entries of the
+//! due list and pops stale heads off the heap, so memory is bounded by
+//! live timers plus stale ones not yet at the head or due. Re-arming the
+//! same client at a new deadline just schedules a second entry — at most
+//! one of the two can ever be live, and the caller de-duplicates per item
+//! when draining.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wgtt_sim::time::SimTime;
-
-/// log2 of the L0 slot count.
-const L0_BITS: u64 = 8;
-/// Near-horizon slots (one ~1 ms tick each).
-const L0_SLOTS: usize = 1 << L0_BITS;
-/// log2 of the L1 slot count.
-const L1_BITS: u64 = 6;
-/// Far-horizon slots (256 ticks each).
-const L1_SLOTS: usize = 1 << L1_BITS;
-/// log2 of the tick length in nanoseconds (2²⁰ ns ≈ 1.05 ms).
-const TICK_SHIFT: u64 = 20;
 
 /// One scheduled entry: absolute deadline (ns) plus the caller's payload
 /// (the controller stores a client slab index).
 type Entry = (u64, u32);
 
-/// Hierarchical timer wheel over `u32` payloads.
-#[derive(Debug)]
+/// Deadline min-heap over `u32` payloads.
+#[derive(Debug, Default)]
 pub struct TimerWheel {
-    l0: Vec<Vec<Entry>>,
-    /// Occupancy bitmap over `l0` (4 × 64 bits = 256 slots): lets the
-    /// min-scan skip empty regions a word at a time.
-    l0_occ: [u64; 4],
-    l1: Vec<Vec<Entry>>,
-    l1_occ: u64,
-    overflow: Vec<Entry>,
+    /// Entries not yet due, earliest deadline at the head.
+    heap: BinaryHeap<Reverse<Entry>>,
     /// Entries whose deadline `advance` has passed, awaiting `drain_due`.
     due: Vec<Entry>,
-    /// Tick index of the cursor (== `now_ns >> TICK_SHIFT`).
-    base_tick: u64,
     /// The instant `advance` last moved to.
     now_ns: u64,
-    /// Total entries anywhere (l0 + l1 + overflow + due), live or stale.
-    len: usize,
-}
-
-impl Default for TimerWheel {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TimerWheel {
-    /// An empty wheel with its cursor at time zero.
+    /// An empty heap with its clock at time zero.
     pub fn new() -> Self {
-        TimerWheel {
-            l0: vec![Vec::new(); L0_SLOTS],
-            l0_occ: [0; 4],
-            l1: vec![Vec::new(); L1_SLOTS],
-            l1_occ: 0,
-            overflow: Vec::new(),
-            due: Vec::new(),
-            base_tick: 0,
-            now_ns: 0,
-            len: 0,
-        }
+        Self::default()
     }
 
     /// Entries currently held (live or stale).
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.due.len()
     }
 
-    /// Whether the wheel holds no entries at all.
+    /// Whether no entries are held at all.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    fn set_l0(&mut self, slot: usize) {
-        self.l0_occ[slot >> 6] |= 1 << (slot & 63);
-    }
-
-    fn clear_l0(&mut self, slot: usize) {
-        self.l0_occ[slot >> 6] &= !(1 << (slot & 63));
-    }
-
-    /// Arm `item` to fire at `deadline`. O(1).
+    /// Arm `item` to fire at `deadline`; at or before the current instant
+    /// it is due at once. O(log n).
     pub fn schedule(&mut self, deadline: SimTime, item: u32) {
         let ns = deadline.as_nanos();
-        self.len += 1;
         if ns <= self.now_ns {
             self.due.push((ns, item));
-            return;
-        }
-        let tick = ns >> TICK_SHIFT;
-        if tick - self.base_tick < L0_SLOTS as u64 {
-            let slot = (tick as usize) & (L0_SLOTS - 1);
-            self.l0[slot].push((ns, item));
-            self.set_l0(slot);
-        } else if (tick >> L0_BITS) - (self.base_tick >> L0_BITS) < L1_SLOTS as u64 {
-            let slot = ((tick >> L0_BITS) as usize) & (L1_SLOTS - 1);
-            self.l1[slot].push((ns, item));
-            self.l1_occ |= 1 << slot;
         } else {
-            self.overflow.push((ns, item));
+            self.heap.push(Reverse((ns, item)));
         }
     }
 
-    /// Re-home an entry that the cursor's motion has brought inside a
-    /// nearer horizon (or made due). Does not touch `len`.
-    fn replace(&mut self, e: Entry) {
-        self.len -= 1;
-        self.schedule(SimTime::from_nanos(e.0), e.1);
-    }
-
-    /// Move the cursor to `now`, collecting every entry whose deadline
-    /// is ≤ `now` into the due bucket and cascading L1/overflow entries
-    /// whose horizon the cursor reached. Amortized O(1) per elapsed
-    /// tick; O(1) total when the wheel is empty.
+    /// Move the clock to `now`, collecting every entry whose deadline is
+    /// ≤ `now` into the due list. A `now` at or before the current
+    /// instant changes nothing.
     pub fn advance(&mut self, now: SimTime) {
-        let now_ns = now.as_nanos();
-        if now_ns <= self.now_ns {
-            return;
-        }
-        let target_tick = now_ns >> TICK_SHIFT;
-        if self.len == self.due.len() {
-            // Nothing armed: jump the cursor without walking ticks.
-            self.base_tick = target_tick;
-            self.now_ns = now_ns;
-            return;
-        }
-        self.now_ns = now_ns;
-        // The cursor's own slot first: a sub-tick advance can make its
-        // entries due without the tick index moving.
-        self.drain_l0_due(self.base_tick as usize & (L0_SLOTS - 1));
-        while self.base_tick < target_tick {
-            self.base_tick += 1;
-            if self.base_tick & ((1 << L0_BITS) - 1) == 0 {
-                // Entering a new L1 slot: cascade it down into L0.
-                let l1_slot = ((self.base_tick >> L0_BITS) as usize) & (L1_SLOTS - 1);
-                if self.l1_occ & (1 << l1_slot) != 0 {
-                    let entries = std::mem::take(&mut self.l1[l1_slot]);
-                    self.l1_occ &= !(1 << l1_slot);
-                    for e in entries {
-                        self.replace(e);
-                    }
-                }
-                if (self.base_tick >> L0_BITS) & ((1 << L1_BITS) - 1) == 0 {
-                    // New L1 lap: overflow entries may fit the wheel now.
-                    let entries = std::mem::take(&mut self.overflow);
-                    for e in entries {
-                        self.replace(e);
-                    }
-                }
+        self.now_ns = self.now_ns.max(now.as_nanos());
+        while let Some(&Reverse(e)) = self.heap.peek() {
+            if e.0 > self.now_ns {
+                break;
             }
-            self.drain_l0_due(self.base_tick as usize & (L0_SLOTS - 1));
-        }
-    }
-
-    /// Move the entries of one L0 slot whose deadline has passed into
-    /// the due bucket.
-    fn drain_l0_due(&mut self, slot: usize) {
-        if self.l0_occ[slot >> 6] & (1 << (slot & 63)) == 0 {
-            return;
-        }
-        let now_ns = self.now_ns;
-        let mut i = 0;
-        while i < self.l0[slot].len() {
-            if self.l0[slot][i].0 <= now_ns {
-                let e = self.l0[slot].swap_remove(i);
-                self.due.push(e);
-            } else {
-                i += 1;
-            }
-        }
-        if self.l0[slot].is_empty() {
-            self.clear_l0(slot);
+            self.heap.pop();
+            self.due.push(e);
         }
     }
 
@@ -213,90 +87,31 @@ impl TimerWheel {
     /// to `f` and remove it. Call order is unspecified; the controller
     /// sorts by client id before firing, matching the oracle.
     pub fn drain_due(&mut self, mut f: impl FnMut(u32, u64)) {
-        self.len -= self.due.len();
         for (ns, item) in self.due.drain(..) {
             f(item, ns);
         }
     }
 
-    /// Earliest deadline among live entries, or `None`. Compacts the
-    /// stale entries it visits: the due bucket and overflow fully, each
-    /// level's slots in cursor order up to (and including) the first
-    /// slot holding a live entry.
+    /// Earliest deadline among live entries, or `None`. Drops the stale
+    /// entries of the due list and pops stale heads off the heap.
     pub fn next_deadline(&mut self, mut is_live: impl FnMut(u32, u64) -> bool) -> Option<SimTime> {
-        let mut best: Option<u64> = None;
-        let before = self.due.len();
         self.due.retain(|&(ns, item)| is_live(item, ns));
-        self.len -= before - self.due.len();
-        for &(ns, _) in &self.due {
-            best = Some(best.map_or(ns, |b: u64| b.min(ns)));
-        }
-        // Level scans stop at the first surviving slot: within a level,
-        // cursor ring order is deadline-tick order (every entry is
-        // within one lap of the cursor), so later slots can't beat it.
-        // Entries in coarser levels *can* — an L1 slot spans 256 ticks,
-        // so its min is compared, not trusted blindly.
-        let l0_min = self.scan_l0(&mut is_live);
-        let l1_min = self.scan_l1(&mut is_live);
-        let before = self.overflow.len();
-        self.overflow.retain(|&(ns, item)| is_live(item, ns));
-        self.len -= before - self.overflow.len();
-        let of_min = self.overflow.iter().map(|&(ns, _)| ns).min();
-        for m in [l0_min, l1_min, of_min].into_iter().flatten() {
-            best = Some(best.map_or(m, |b: u64| b.min(m)));
+        let mut best = self.due.iter().map(|&(ns, _)| ns).min();
+        while let Some(&Reverse((ns, item))) = self.heap.peek() {
+            if is_live(item, ns) {
+                best = Some(best.map_or(ns, |b| b.min(ns)));
+                break;
+            }
+            self.heap.pop();
         }
         best.map(SimTime::from_nanos)
-    }
-
-    fn scan_l0(&mut self, is_live: &mut impl FnMut(u32, u64) -> bool) -> Option<u64> {
-        let cursor = self.base_tick as usize & (L0_SLOTS - 1);
-        let mut i = 0;
-        while i < L0_SLOTS {
-            let s = (cursor + i) & (L0_SLOTS - 1);
-            if s & 63 == 0 && self.l0_occ[s >> 6] == 0 {
-                i += 64;
-                continue;
-            }
-            if self.l0_occ[s >> 6] & (1 << (s & 63)) != 0 {
-                let before = self.l0[s].len();
-                self.l0[s].retain(|&(ns, item)| is_live(item, ns));
-                self.len -= before - self.l0[s].len();
-                if self.l0[s].is_empty() {
-                    self.clear_l0(s);
-                } else {
-                    return self.l0[s].iter().map(|&(ns, _)| ns).min();
-                }
-            }
-            i += 1;
-        }
-        None
-    }
-
-    fn scan_l1(&mut self, is_live: &mut impl FnMut(u32, u64) -> bool) -> Option<u64> {
-        if self.l1_occ == 0 {
-            return None;
-        }
-        let cursor = ((self.base_tick >> L0_BITS) as usize) & (L1_SLOTS - 1);
-        for i in 0..L1_SLOTS {
-            let s = (cursor + i) & (L1_SLOTS - 1);
-            if self.l1_occ & (1 << s) != 0 {
-                let before = self.l1[s].len();
-                self.l1[s].retain(|&(ns, item)| is_live(item, ns));
-                self.len -= before - self.l1[s].len();
-                if self.l1[s].is_empty() {
-                    self.l1_occ &= !(1 << s);
-                } else {
-                    return self.l1[s].iter().map(|&(ns, _)| ns).min();
-                }
-            }
-        }
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wgtt_sim::time::SimDuration;
 
     fn ms(v: u64) -> SimTime {
@@ -334,7 +149,7 @@ mod tests {
     #[test]
     fn far_deadline_cascades_from_l1() {
         let mut w = TimerWheel::new();
-        // ~2 s is far past L0's ~269 ms horizon.
+        // Seconds ahead, far past any 30 ms ack timeout.
         w.schedule(SimTime::from_secs(2), 1);
         w.advance(SimTime::from_secs(1));
         assert!(drain(&mut w).is_empty());
@@ -345,7 +160,7 @@ mod tests {
     #[test]
     fn overflow_deadline_survives_long_jumps() {
         let mut w = TimerWheel::new();
-        // 30 min is beyond L1's ~18 min horizon.
+        // Half an hour ahead, approached in long jumps.
         w.schedule(SimTime::from_secs(1800), 9);
         for s in [600u64, 1200, 1799] {
             w.advance(SimTime::from_secs(s));
@@ -359,8 +174,8 @@ mod tests {
     fn next_deadline_is_min_across_levels() {
         let mut w = TimerWheel::new();
         w.advance(ms(250));
-        // L0 entry at 400 ms lands *behind* the ring cursor slot of an
-        // L1 entry at 300 ms scheduled earlier — the min must still win.
+        // Scheduled out of deadline order after the clock moved: the
+        // earliest must still win.
         w.schedule(ms(400), 1);
         w.schedule(ms(300), 2);
         w.schedule(SimTime::from_secs(5), 3);
@@ -442,5 +257,62 @@ mod tests {
         fired.sort_unstable();
         assert_eq!(fired, expect);
         assert!(w.is_empty());
+    }
+
+    proptest! {
+        /// Random interleavings of every operation, against a plain `Vec`
+        /// of everything scheduled and not yet drained. Items whose bit is
+        /// clear in `live` are stale: the heap may drop them early, so
+        /// only live entries must match the model exactly.
+        #[test]
+        fn matches_a_vec_model_under_random_liveness(
+            live in any::<u8>(),
+            script in proptest::collection::vec((0u8..6, 0u64..200, 0u32..8), 1..120)
+        ) {
+            let is_live = |item: u32, _ns: u64| live & (1 << item) != 0;
+            let live_only = |v: &[(u64, u32)]| -> Vec<(u64, u32)> {
+                v.iter().copied().filter(|&(ns, i)| is_live(i, ns)).collect()
+            };
+            let mut w = TimerWheel::new();
+            let mut model: Vec<(u64, u32)> = Vec::new();
+            let mut now = 0u64;
+            for (op, dt, item) in script {
+                match op {
+                    // Ahead of the clock, or at or before it (due at once).
+                    0 | 1 => {
+                        let ns = if op == 0 { now + dt } else { now.saturating_sub(dt) };
+                        w.schedule(SimTime::from_nanos(ns), item);
+                        model.push((ns, item));
+                    }
+                    // Forward, or backward (a no-op).
+                    2 => {
+                        now += dt;
+                        w.advance(SimTime::from_nanos(now));
+                    }
+                    3 => w.advance(SimTime::from_nanos(now.saturating_sub(dt))),
+                    4 => {
+                        let mut drained = Vec::new();
+                        w.drain_due(|item, ns| drained.push((ns, item)));
+                        let (mut due, kept): (Vec<_>, Vec<_>) =
+                            model.iter().partition(|e| e.0 <= now);
+                        model = kept;
+                        // Every drained entry was due in the model, and
+                        // every live due entry was drained.
+                        for e in &drained {
+                            let at = due.iter().position(|d| d == e);
+                            prop_assert!(at.is_some(), "drained {e:?}, not due in the model");
+                            due.swap_remove(at.unwrap());
+                        }
+                        prop_assert_eq!(live_only(&due), vec![]);
+                    }
+                    _ => {
+                        let want = live_only(&model).iter().map(|&(ns, _)| ns).min();
+                        prop_assert_eq!(w.next_deadline(is_live), want.map(SimTime::from_nanos));
+                    }
+                }
+                prop_assert!(w.len() <= model.len());
+                prop_assert!(w.len() >= live_only(&model).len());
+            }
+        }
     }
 }

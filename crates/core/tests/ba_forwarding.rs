@@ -1,8 +1,9 @@
 //! End-to-end Block ACK forwarding (paper §3.2.1, Fig. 8): a serving
 //! AP's radio misses the client's Block ACK, two neighbouring APs
 //! overhear it on their monitor interfaces, and the forwarded copies
-//! arrive over the backhaul — [`wgtt::bafwd::MonitorPolicy`] decides the
-//! forward, [`wgtt::ap::ApAgent::on_backhaul`] delivers it, and the
+//! arrive over the backhaul —
+//! [`wgtt::ap::ApAgent::on_overheard_block_ack`] decides the forward,
+//! [`wgtt::ap::ApAgent::on_backhaul`] delivers it, and the
 //! serving AP's `BaOriginator` merges it. The overheard BA must suppress
 //! the full-window retransmission a BA timeout would otherwise trigger,
 //! and the second forwarded copy must be recognized as a duplicate.
@@ -80,7 +81,7 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
     }
     let (start_seq, bitmap) = rx.block_ack();
 
-    // MonitorPolicy: each non-serving AP forwards to the serving AP.
+    // Each non-serving AP forwards to the serving AP.
     let forward_a = neighbour_a.on_overheard_block_ack(CLIENT, start_seq, bitmap);
     let forward_b = neighbour_b.on_overheard_block_ack(CLIENT, start_seq, bitmap);
     for forward in [&forward_a, &forward_b] {

@@ -4,7 +4,8 @@
 //! `tests/oracle/controller.rs`; the shipping [`Controller`] replaced its
 //! per-call `Vec` returns with an action sink, its `HashMap` client state
 //! with a dense slab, and its scan-everyone `next_timeout`/`poll` with a
-//! hierarchical timer wheel.
+//! min-heap of switch-ack deadlines that never cancels (stale entries are
+//! skipped by a liveness check).
 //! None of that may be observable: this suite replays randomized event
 //! interleavings — downlink packets, uplink duplicate bursts, CSI
 //! reports, switch acks (fresh and stale), polls at arbitrary instants
@@ -182,7 +183,7 @@ impl Diff {
             }
             6 => {
                 // Poll at the exact pending deadline — the boundary the
-                // timer wheel must hit neither early nor late.
+                // deadline heap must hit neither early nor late.
                 let t = self.oracle.next_timeout();
                 assert_eq!(self.ship.next_timeout(), t, "next_timeout diverged");
                 let Some(t) = t else { return };
@@ -271,7 +272,7 @@ proptest! {
 
     /// Switch-protocol-heavy interleavings: only CSI flips, acks, and
     /// exact-deadline polls, so retry chains run deep enough to cross
-    /// the 10-retransmit abandon budget with the wheel re-arming at
+    /// the 10-retransmit abandon budget with the deadline heap re-arming at
     /// every step.
     #[test]
     fn switch_protocol_paths_match_reference(

@@ -481,43 +481,22 @@ pub fn effective_snr_db(csi: &Csi, mean_snr_db: f64, modulation: Modulation) -> 
 
 /// [`effective_snr_db`] from a fused per-subcarrier power array (what
 /// [`crate::fading::FadingProcess::powers_at`] produces without
-/// materializing a [`Csi`]) — the entry point of the batch/memoized ESNR
-/// paths. Bit-identical to `effective_snr_db(&csi, …)` when `powers ==
+/// materializing a [`Csi`]) — the entry point of the memoized ESNR
+/// path. Bit-identical to `effective_snr_db(&csi, …)` when `powers ==
 /// csi.powers()`.
 pub fn effective_snr_from_powers(
     powers: &[f64; NUM_SUBCARRIERS],
     mean_snr_db: f64,
     modulation: Modulation,
 ) -> f64 {
-    esnr_from_mean_ber(
-        mean_ber_from_powers(powers, mean_snr_db, modulation),
-        modulation,
-    )
-}
-
-/// First half of [`effective_snr_from_powers`]: the lane BER sweep,
-/// stopping at the subcarrier-mean BER. [`crate::batch`] runs this stage
-/// for every overhearing AP before any inversion, so the independent
-/// divider-bound sweeps overlap in the out-of-order core; composing the
-/// halves is operation-for-operation the fused function.
-pub(crate) fn mean_ber_from_powers(
-    powers: &[f64; NUM_SUBCARRIERS],
-    mean_snr_db: f64,
-    modulation: Modulation,
-) -> f64 {
     let (coeff, scale, scale_divides) = modulation.lane_params();
-    ber_mean(
+    let mean_ber = ber_mean(
         powers,
         db_to_linear(mean_snr_db),
         coeff,
         scale,
         scale_divides,
-    )
-}
-
-/// Second half of [`effective_snr_from_powers`]: the BER→SNR inversion
-/// back to dB.
-pub(crate) fn esnr_from_mean_ber(mean_ber: f64, modulation: Modulation) -> f64 {
+    );
     linear_to_db(modulation.snr_for_ber(mean_ber))
 }
 

@@ -17,8 +17,8 @@
 //!
 //! ## Two implementations, two contracts
 //!
-//! CSI synthesis runs once per overhearing AP per uplink frame — the
-//! simulator's hottest loop now that AP selection is O(1) per frame. This
+//! CSI synthesis runs once per overhearing AP per uplink frame, in the
+//! simulator's hottest loop (the frame path's `TxEnd`). This
 //! module therefore ships a structure-of-arrays implementation whose lane
 //! loops vectorize (see `crates/simd`), built on top of the seed
 //! implementation:

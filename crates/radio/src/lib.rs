@@ -32,7 +32,6 @@ pub mod fading;
 pub mod geometry;
 pub mod link;
 pub mod pathloss;
-pub mod shadowing;
 
 pub use antenna::{Antenna, IsotropicAntenna, ParabolicAntenna};
 pub use complex::Complex;
@@ -40,9 +39,8 @@ pub use csi::{Csi, NUM_SUBCARRIERS, SUBCARRIER_SPACING_HZ};
 pub use esnr::{effective_snr_db, effective_snr_from_powers, Modulation};
 pub use fading::{FadingProcess, TapGains};
 pub use geometry::Position;
-pub use link::{Link, LinkBudget, LinkSite, LinkSnapshot, LinkWork, SnapshotMemo, BOUND_MARGIN_DB};
+pub use link::{Link, LinkBudget, LinkSite, LinkSnapshot, LinkWork, BOUND_MARGIN_DB};
 pub use pathloss::PathLossModel;
-pub use shadowing::Shadowing;
 
 /// Carrier wavelength at 2.4 GHz channel 11 (2.462 GHz), metres.
 pub const WAVELENGTH_M: f64 = 0.1218;

@@ -1,10 +1,11 @@
 //! The composed client↔AP link model.
 //!
-//! A [`Link`] bundles the static radio configuration of one AP (position,
-//! boresight, antenna pattern, link budget, path-loss model) with the
-//! link's [`FadingProcess`]. Sampling it at `(time, client position)`
-//! yields a [`LinkSnapshot`] with everything the layers above consume:
-//! per-subcarrier CSI, instantaneous RSSI, and Effective SNR.
+//! A [`Link`] bundles the static radio configuration of one AP (its
+//! [`LinkSite`]: position, boresight, antenna pattern, link budget,
+//! path-loss model) with the link's [`FadingProcess`]. Sampling it at
+//! `(time, client position)` yields a [`LinkSnapshot`] with everything
+//! the layers above consume: per-subcarrier CSI, instantaneous RSSI, and
+//! Effective SNR.
 //!
 //! The channel is treated as reciprocal (Wi-Fi is TDD on one carrier):
 //! the same snapshot describes uplink reception at the AP and downlink
@@ -73,10 +74,9 @@ impl Default for LinkBudget {
 
 /// The static half of a [`Link`]: the AP's placement and antennas, the
 /// budget and the propagation model — everything but the fading
-/// realization, the shadowing field and the memo. Pure geometry, so a
-/// caller choosing among links it has not realized asks here
-/// ([`LinkSite::mean_snr_db`] is [`Link::mean_snr_db`] of the unshadowed
-/// link, bit for bit), and [`LinkSite::link`] realizes one.
+/// realization and the memo. Pure geometry, so a caller choosing among
+/// links it has not realized asks here ([`LinkSite::mean_snr_db`] is what
+/// [`Link::mean_snr_db`] returns), and [`LinkSite::link`] realizes one.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSite {
     /// AP position on the plane, metres.
@@ -94,66 +94,39 @@ pub struct LinkSite {
 }
 
 impl LinkSite {
-    /// Large-scale mean SNR for a client at `client_pos`, dB, with no
-    /// shadowing. Pure geometry — no fading.
+    /// Large-scale mean SNR for a client at `client_pos`, dB. Pure
+    /// geometry — no fading.
     pub fn mean_snr_db(&self, client_pos: Position) -> f64 {
-        self.mean_snr_db_shadowed(client_pos, 0.0)
-    }
-
-    fn mean_snr_db_shadowed(&self, client_pos: Position, shadow_db: f64) -> f64 {
         let dist = self.ap_pos.distance_to(client_pos);
         let bearing = self.ap_pos.bearing_to(client_pos);
         let off_boresight = angle_between(bearing, self.ap_boresight_rad);
         let gain = self.ap_antenna.gain_dbi(off_boresight) + self.client_antenna_dbi;
-        self.budget.tx_power_dbm + gain + shadow_db
-            - self.pathloss.loss_db(dist)
-            - self.budget.noise_floor_dbm
+        self.budget.tx_power_dbm + gain - self.pathloss.loss_db(dist) - self.budget.noise_floor_dbm
     }
 
-    /// The unshadowed link from this site with the fading realization
-    /// `fading` and an empty memo.
+    /// The link from this site with the fading realization `fading` and
+    /// an empty memo.
     pub fn link(self, fading: FadingProcess) -> Link {
         Link {
-            ap_pos: self.ap_pos,
-            ap_boresight_rad: self.ap_boresight_rad,
-            ap_antenna: self.ap_antenna,
-            client_antenna_dbi: self.client_antenna_dbi,
-            budget: self.budget,
-            pathloss: self.pathloss,
+            site: self,
             fading,
-            shadowing: None,
             memo: Default::default(),
         }
     }
 }
 
-/// One client↔AP radio link.
+/// One client↔AP radio link: a site, a fading realization and a memo.
 #[derive(Debug, Clone)]
 pub struct Link {
-    /// AP position on the plane, metres.
-    pub ap_pos: Position,
-    /// AP antenna boresight bearing, radians from +x.
-    pub ap_boresight_rad: f64,
-    /// AP directional antenna.
-    pub ap_antenna: ParabolicAntenna,
-    /// Client antenna gain (omnidirectional), dBi.
-    pub client_antenna_dbi: f64,
-    /// Power/noise budget.
-    pub budget: LinkBudget,
-    /// Large-scale propagation model.
-    pub pathloss: PathLossModel,
+    /// The AP's placement, antennas, budget and propagation model.
+    pub site: LinkSite,
     /// Small-scale fading realization for this link.
     pub fading: FadingProcess,
-    /// Optional spatially correlated shadowing field (the short,
-    /// line-of-sight testbed road carries none; see
-    /// [`crate::shadowing`]).
-    pub shadowing: Option<crate::shadowing::Shadowing>,
-    /// Single-entry sample memo (see [`SnapshotMemo`]). Construction
-    /// sites just write `memo: Default::default()`.
-    pub memo: SnapshotMemo,
+    memo: RefCell<MemoState>,
 }
 
-/// Single-entry memo of the most recent `(t, client_pos)` sample.
+/// A link's single-entry memo of the most recent `(t, client_pos)`
+/// sample.
 ///
 /// The MAC layer samples the same link at the same instant several times
 /// per frame exchange: a control roll (QPSK) or one per MPDU of an A-MPDU
@@ -171,9 +144,6 @@ pub struct Link {
 /// no RNG draws and returns the identical floats, so experiment output is
 /// byte-identical with or without it (enforced by
 /// `crates/radio/tests/prop_fading.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotMemo(RefCell<MemoState>);
-
 #[derive(Debug, Clone, Default)]
 struct MemoState {
     entry: Option<MemoEntry>,
@@ -252,22 +222,7 @@ impl Link {
     /// Large-scale mean SNR for a client at `client_pos`, dB. Pure
     /// geometry — no fading.
     pub fn mean_snr_db(&self, client_pos: Position) -> f64 {
-        let shadow = self
-            .shadowing
-            .as_ref()
-            .map_or(0.0, |s| s.gain_db(client_pos));
-        self.site().mean_snr_db_shadowed(client_pos, shadow)
-    }
-
-    fn site(&self) -> LinkSite {
-        LinkSite {
-            ap_pos: self.ap_pos,
-            ap_boresight_rad: self.ap_boresight_rad,
-            ap_antenna: self.ap_antenna,
-            client_antenna_dbi: self.client_antenna_dbi,
-            budget: self.budget,
-            pathloss: self.pathloss,
-        }
+        self.site.mean_snr_db(client_pos)
     }
 
     /// Refresh the memo to key `(t, client_pos)`, invalidating every
@@ -328,7 +283,7 @@ impl Link {
         let csi = self.fading.csi_at(t);
         let fade_db = linear_to_db(csi.mean_power());
         let snr_db = mean_snr_db + fade_db;
-        let rssi_dbm = snr_db + self.budget.noise_floor_dbm;
+        let rssi_dbm = snr_db + self.site.budget.noise_floor_dbm;
         LinkSnapshot {
             mean_snr_db,
             csi,
@@ -343,7 +298,7 @@ impl Link {
     /// for bit (the powers reduce in the same order
     /// [`Csi::mean_power`] uses).
     pub fn snr_db_at(&self, t: SimTime, client_pos: Position) -> f64 {
-        let mut memo = self.memo.0.borrow_mut();
+        let mut memo = self.memo.borrow_mut();
         let (entry, work) = self.memo_refresh(&mut memo, t, client_pos);
         if !entry.snr_db.is_nan() {
             return entry.snr_db;
@@ -362,7 +317,7 @@ impl Link {
     /// power sweep. Equal to `self.snapshot(t, client_pos).rssi_dbm` bit
     /// for bit.
     pub fn rssi_dbm_at(&self, t: SimTime, client_pos: Position) -> f64 {
-        self.snr_db_at(t, client_pos) + self.budget.noise_floor_dbm
+        self.snr_db_at(t, client_pos) + self.site.budget.noise_floor_dbm
     }
 
     /// Effective SNR (dB) at `(t, client_pos)` under `modulation`,
@@ -396,7 +351,7 @@ impl Link {
         modulation: Modulation,
         gains: Option<&TapGains>,
     ) -> f64 {
-        let mut memo = self.memo.0.borrow_mut();
+        let mut memo = self.memo.borrow_mut();
         let (entry, work) = self.memo_refresh(&mut memo, t, client_pos);
         if let Some(e) = entry.esnr(modulation) {
             return e;
@@ -418,7 +373,7 @@ impl Link {
         client_pos: Position,
         modulation: Modulation,
     ) -> Option<f64> {
-        match &self.memo.0.borrow().entry {
+        match &self.memo.borrow().entry {
             Some(e) if e.t == t && e.client_pos == client_pos => e.esnr(modulation),
             _ => None,
         }
@@ -432,7 +387,7 @@ impl Link {
     /// for the tighter bound and the exact value a caller may ask for
     /// next.
     pub fn esnr_ceiling_db_at(&self, t: SimTime, client_pos: Position) -> f64 {
-        let mut memo = self.memo.0.borrow_mut();
+        let mut memo = self.memo.borrow_mut();
         let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
         entry.mean_snr_db + self.fading.peak_gain_db()
     }
@@ -442,7 +397,7 @@ impl Link {
     /// so the two compare term by term. Pure: a capture comparison reads
     /// this for links it will mostly never evaluate.
     pub fn rssi_ceiling_dbm(&self, client_pos: Position) -> f64 {
-        self.mean_snr_db(client_pos) + self.fading.peak_gain_db() + self.budget.noise_floor_dbm
+        self.mean_snr_db(client_pos) + self.fading.peak_gain_db() + self.site.budget.noise_floor_dbm
     }
 
     /// Instant bound on [`Link::esnr_db_at`] at `(t, client_pos)` under
@@ -453,77 +408,14 @@ impl Link {
     /// inverts to at most that SNR; the inversion's clamp to
     /// `[1e-12, ber(0)]` only lowers it further.
     pub fn esnr_bound_db_at(&self, t: SimTime, client_pos: Position, gains: &TapGains) -> f64 {
-        let mut memo = self.memo.0.borrow_mut();
+        let mut memo = self.memo.borrow_mut();
         let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
         entry.mean_snr_db + linear_to_db(self.fading.wideband_gain_of(gains))
     }
 
     /// Syntheses and sweeps this link's memoized accessors have run.
     pub fn work(&self) -> LinkWork {
-        self.memo.0.borrow().work
-    }
-
-    /// Stage 1+2 of a batched ESNR evaluation (see [`crate::batch`]):
-    /// refresh the memo to `(t, client_pos)`, synthesize the fused power
-    /// sweep, and run the lane BER sweep — `Ok(mean_ber)` awaiting
-    /// inversion, or `Err(esnr)` when the memo already holds the final
-    /// value. Followed by [`Link::esnr_finish_at`], this is
-    /// operation-for-operation [`Link::esnr_db_at`].
-    pub(crate) fn esnr_mean_ber_at(
-        &self,
-        t: SimTime,
-        client_pos: Position,
-        modulation: Modulation,
-    ) -> Result<f64, f64> {
-        let mut memo = self.memo.0.borrow_mut();
-        let (entry, work) = self.memo_refresh(&mut memo, t, client_pos);
-        if let Some(e) = entry.esnr(modulation) {
-            return Err(e);
-        }
-        let mean_snr_db = entry.mean_snr_db;
-        let powers = self.ensure_powers(entry, work, None);
-        work.sweeps += 1;
-        Ok(crate::esnr::mean_ber_from_powers(
-            powers,
-            mean_snr_db,
-            modulation,
-        ))
-    }
-
-    /// Stage 3 of a batched ESNR evaluation: invert a staged mean BER
-    /// (memoizing the result) or pass a memo hit through unchanged.
-    pub(crate) fn esnr_finish_at(
-        &self,
-        t: SimTime,
-        client_pos: Position,
-        modulation: Modulation,
-        staged: Result<f64, f64>,
-    ) -> f64 {
-        match staged {
-            Err(esnr) => esnr,
-            Ok(mean_ber) => {
-                let esnr = crate::esnr::esnr_from_mean_ber(mean_ber, modulation);
-                let mut memo = self.memo.0.borrow_mut();
-                let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
-                entry.esnr[modulation as usize] = esnr;
-                esnr
-            }
-        }
-    }
-
-    /// Per-AP ESNR map of every link overhearing one frame — see
-    /// [`crate::batch::esnr_map`] (this is the same call, hung off `Link`
-    /// for discoverability).
-    pub fn esnr_batch<'a, I>(
-        links: I,
-        t: SimTime,
-        client_pos: Position,
-        modulation: Modulation,
-        out: &mut Vec<f64>,
-    ) where
-        I: IntoIterator<Item = &'a Link>,
-    {
-        crate::batch::esnr_map(links, t, client_pos, modulation, out);
+        self.memo.borrow().work
     }
 }
 
@@ -534,17 +426,19 @@ mod tests {
 
     /// An AP at (0, 12) pointing straight down at the road (y = 0).
     fn test_link(seed: u64) -> Link {
-        Link {
+        LinkSite {
             ap_pos: Position::new(0.0, 12.0),
             ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
             ap_antenna: ParabolicAntenna::laird_gd24bp(),
             client_antenna_dbi: 0.0,
             budget: LinkBudget::default(),
             pathloss: PathLossModel::roadside(),
-            fading: FadingProcess::new(RngStream::root(seed).derive("link"), 6.7, 6.0),
-            shadowing: None,
-            memo: Default::default(),
         }
+        .link(FadingProcess::new(
+            RngStream::root(seed).derive("link"),
+            6.7,
+            6.0,
+        ))
     }
 
     #[test]
@@ -575,7 +469,7 @@ mod tests {
         // must still be usable — the grey-zone overlap WGTT exploits.
         let a = test_link(3);
         let mut b = test_link(4);
-        b.ap_pos = Position::new(7.5, 12.0);
+        b.site.ap_pos = Position::new(7.5, 12.0);
         let mid = Position::new(3.75, 0.0);
         assert!(a.mean_snr_db(mid) > 6.0, "A at mid: {}", a.mean_snr_db(mid));
         assert!(b.mean_snr_db(mid) > 6.0, "B at mid: {}", b.mean_snr_db(mid));
@@ -587,26 +481,11 @@ mod tests {
         let pos = Position::new(1.0, 0.0);
         let s = link.snapshot(SimTime::from_millis(7), pos);
         // Instantaneous SNR = mean + fade; RSSI = SNR + noise floor.
-        assert!((s.rssi_dbm - (s.snr_db + link.budget.noise_floor_dbm)).abs() < 1e-9);
+        assert!((s.rssi_dbm - (s.snr_db + link.site.budget.noise_floor_dbm)).abs() < 1e-9);
         // ESNR should be within a plausible band of the wideband SNR.
         let e = s.esnr_db(Modulation::Qam16);
         assert!(e <= s.snr_db + 1.0, "ESNR {e} vs SNR {}", s.snr_db);
         assert!(e > s.snr_db - 15.0, "ESNR {e} vs SNR {}", s.snr_db);
-    }
-
-    #[test]
-    fn shadowing_shifts_the_mean_snr() {
-        let mut link = test_link(9);
-        let pos = Position::new(1.0, 0.0);
-        let base = link.mean_snr_db(pos);
-        link.shadowing = Some(crate::shadowing::Shadowing::new(
-            RngStream::root(9).derive("shadow"),
-            4.0,
-            8.0,
-        ));
-        let shadowed = link.mean_snr_db(pos);
-        assert_ne!(base, shadowed);
-        assert!((base - shadowed).abs() < 20.0, "shadow within sane bounds");
     }
 
     #[test]
@@ -656,7 +535,7 @@ mod tests {
         let gains = link.fading.tap_gains_at(t);
         let ceiling = link.esnr_ceiling_db_at(t, pos);
         let bound = link.esnr_bound_db_at(t, pos, &gains);
-        assert!(link.rssi_ceiling_dbm(pos) == ceiling + link.budget.noise_floor_dbm);
+        assert!(link.rssi_ceiling_dbm(pos) == ceiling + link.site.budget.noise_floor_dbm);
         assert_eq!(link.esnr_memo(t, pos, Modulation::Qpsk), None);
         assert_eq!(link.work(), count(0, 0));
         // One synthesis per instant, one sweep per modulation read at it;
@@ -677,7 +556,7 @@ mod tests {
     #[test]
     fn a_site_answers_for_its_link_without_the_fading() {
         let link = test_link(12);
-        let site = link.site();
+        let site = link.site;
         for x in [-60.0, -4.0, 0.0, 2.5, 7.5, 130.0] {
             let pos = Position::new(x, 0.0);
             assert_eq!(
@@ -698,7 +577,7 @@ mod tests {
         // The ladder's per-frame state (tap gains, bounds) lives in one
         // context on the world, not here.
         assert!(std::mem::size_of::<FadingProcess>() <= 1984);
-        assert!(std::mem::size_of::<Link>() <= 2688);
+        assert!(std::mem::size_of::<Link>() <= 2624);
     }
 
     #[test]

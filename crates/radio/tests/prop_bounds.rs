@@ -22,8 +22,8 @@
 use proptest::prelude::*;
 use wgtt_radio::fading::FadingProcess;
 use wgtt_radio::{
-    linear_to_db, Link, LinkBudget, Modulation, ParabolicAntenna, PathLossModel, Position,
-    BOUND_MARGIN_DB, NUM_SUBCARRIERS,
+    linear_to_db, Link, LinkBudget, LinkSite, Modulation, ParabolicAntenna, PathLossModel,
+    Position, BOUND_MARGIN_DB, NUM_SUBCARRIERS,
 };
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::SimTime;
@@ -54,7 +54,7 @@ fn extra_loss_db(idx: u32) -> f64 {
 }
 
 fn link(seed: u64, k: f64, extra_loss_db: f64) -> Link {
-    Link {
+    LinkSite {
         ap_pos: Position::new(0.0, 12.0),
         ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
         ap_antenna: ParabolicAntenna::laird_gd24bp(),
@@ -64,10 +64,12 @@ fn link(seed: u64, k: f64, extra_loss_db: f64) -> Link {
             extra_loss_db,
             ..PathLossModel::roadside()
         },
-        fading: FadingProcess::new(RngStream::root(seed).derive("prop-bounds"), 6.7, k),
-        shadowing: None,
-        memo: Default::default(),
     }
+    .link(FadingProcess::new(
+        RngStream::root(seed).derive("prop-bounds"),
+        6.7,
+        k,
+    ))
 }
 
 /// `(exact, bound, ceiling)` of one link-instant under `m`.

@@ -7,7 +7,7 @@ use crate::world::{FlowSpec, SystemKind, World};
 use wgtt_mac::frame::NodeId;
 use wgtt_mac::mcs::capacity_mbps;
 use wgtt_radio::fading::FadingProcess;
-use wgtt_radio::link::{Link, LinkBudget};
+use wgtt_radio::link::{Link, LinkBudget, LinkSite};
 use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel};
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -24,22 +24,22 @@ pub fn radio_links(n: usize, speed_mph: f64, seed: u64) -> (Vec<Link>, ClientPla
         .into_iter()
         .take(n)
         .enumerate()
-        .map(|(ai, ap_pos)| Link {
-            ap_pos,
-            ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-            ap_antenna: ParabolicAntenna::laird_gd24bp(),
-            client_antenna_dbi: 0.0,
-            budget: LinkBudget::default(),
-            pathloss: PathLossModel::roadside(),
-            fading: FadingProcess::new(
+        .map(|(ai, ap_pos)| {
+            LinkSite {
+                ap_pos,
+                ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
+                ap_antenna: ParabolicAntenna::laird_gd24bp(),
+                client_antenna_dbi: 0.0,
+                budget: LinkBudget::default(),
+                pathloss: PathLossModel::roadside(),
+            }
+            .link(FadingProcess::new(
                 root.derive("link")
                     .derive_indexed("ap", ai as u64)
                     .derive_indexed("client", 0),
                 crate::experiments::common::mps(speed_mph),
                 9.0,
-            ),
-            shadowing: None,
-            memo: Default::default(),
+            ))
         })
         .collect();
     (links, plan)
