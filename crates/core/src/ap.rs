@@ -111,8 +111,10 @@ impl ApAgent {
         self.feed(client).map_or(0, |f| f.cyclic.backlog())
     }
 
-    /// Process a backhaul message addressed to this AP.
-    pub fn on_backhaul(&mut self, msg: BackhaulMsg) -> Vec<ApAction> {
+    /// Process a backhaul message addressed to this AP. At most one
+    /// message goes back out: the `start` a `stop` hands on, or the
+    /// `ack` a `start` earns.
+    pub fn on_backhaul(&mut self, msg: BackhaulMsg) -> Option<ApAction> {
         match msg {
             BackhaulMsg::DownlinkData {
                 client,
@@ -120,7 +122,7 @@ impl ApAgent {
                 packet,
             } => {
                 self.tx.client_mut(client).feed.cyclic.insert(index, packet);
-                Vec::new()
+                None
             }
             BackhaulMsg::Stop {
                 client,
@@ -133,14 +135,14 @@ impl ApAgent {
                 // already staged in the NIC keeps draining (§3.1.2's 6 ms
                 // grace); the new AP starts *after* it.
                 let k = feed.cyclic.first_unsent();
-                vec![ApAction {
+                Some(ApAction {
                     to: BackhaulDest::Ap(next_ap),
                     msg: BackhaulMsg::Start {
                         client,
                         k,
                         switch_id,
                     },
-                }]
+                })
             }
             BackhaulMsg::Start {
                 client,
@@ -154,14 +156,14 @@ impl ApAgent {
                 // window; ours starts clean.
                 st.sender.clear_window();
                 self.serving_map.insert(client, self.id);
-                vec![ApAction {
+                Some(ApAction {
                     to: BackhaulDest::Controller,
                     msg: BackhaulMsg::SwitchAck {
                         client,
                         ap: self.id,
                         switch_id,
                     },
-                }]
+                })
             }
             BackhaulMsg::AssocSync { client, via_ap } => {
                 self.serving_map.insert(client, via_ap);
@@ -171,7 +173,7 @@ impl ApAgent {
                     // was processed before this sync).
                     self.tx.client_mut(client).feed.serving = false;
                 }
-                Vec::new()
+                None
             }
             BackhaulMsg::BlockAckForward {
                 client,
@@ -184,10 +186,10 @@ impl ApAgent {
                 if !fb.duplicate && (!fb.delivered.is_empty() || !fb.dropped.is_empty()) {
                     self.forwarded_ba_used += 1;
                 }
-                Vec::new()
+                None
             }
             // Controller-bound messages are not for us.
-            _ => Vec::new(),
+            _ => None,
         }
     }
 
@@ -223,19 +225,18 @@ impl ApAgent {
         client: NodeId,
         start_seq: u16,
         bitmap: u64,
-    ) -> Vec<ApAction> {
+    ) -> Option<ApAction> {
         let serving = self.serving_map.get(&client).copied();
-        match serving.filter(|&ap| ap != self.id) {
-            Some(serving_ap) => vec![ApAction {
+        serving
+            .filter(|&ap| ap != self.id)
+            .map(|serving_ap| ApAction {
                 to: BackhaulDest::Ap(serving_ap),
                 msg: BackhaulMsg::BlockAckForward {
                     client,
                     start_seq,
                     bitmap,
                 },
-            }],
-            None => Vec::new(),
-        }
+            })
     }
 }
 
@@ -338,14 +339,14 @@ mod tests {
         ap1.tx.build(CLIENT).unwrap();
         let k_expected = ap1.first_unsent(CLIENT);
         assert_eq!(k_expected, 64, "NIC staged 64, so driver head is 64");
-        let actions = ap1.on_backhaul(BackhaulMsg::Stop {
+        let action = ap1.on_backhaul(BackhaulMsg::Stop {
             client: CLIENT,
             next_ap: AP2,
             switch_id: 42,
         });
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].to, BackhaulDest::Ap(AP2));
-        match &actions[0].msg {
+        let action = action.expect("a stop hands on a start");
+        assert_eq!(action.to, BackhaulDest::Ap(AP2));
+        match &action.msg {
             BackhaulMsg::Start {
                 client,
                 k,
@@ -403,17 +404,17 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap2, &mut f, 200);
         assert!(!ap2.is_serving(CLIENT));
-        let actions = ap2.on_backhaul(BackhaulMsg::Start {
+        let action = ap2.on_backhaul(BackhaulMsg::Start {
             client: CLIENT,
             k: 64,
             switch_id: 42,
         });
         assert!(ap2.is_serving(CLIENT));
         assert_eq!(ap2.first_unsent(CLIENT), 64);
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].to, BackhaulDest::Controller);
+        let action = action.expect("a start earns an ack");
+        assert_eq!(action.to, BackhaulDest::Controller);
         assert!(matches!(
-            actions[0].msg,
+            action.msg,
             BackhaulMsg::SwitchAck { ap, switch_id: 42, .. } if ap == AP2
         ));
         // First TXOP resumes exactly at k.
@@ -434,12 +435,12 @@ mod tests {
         ap2.tx.build(CLIENT).unwrap();
         let head = ap2.first_unsent(CLIENT);
         // Retransmitted stop caused a duplicate start with the same k.
-        let acks = ap2.on_backhaul(BackhaulMsg::Start {
+        let ack = ap2.on_backhaul(BackhaulMsg::Start {
             client: CLIENT,
             k: 10,
             switch_id: 1,
         });
-        assert_eq!(acks.len(), 1, "re-ack so the controller unblocks");
+        assert!(ack.is_some(), "re-ack so the controller unblocks");
         assert_eq!(ap2.first_unsent(CLIENT), head, "no rewind");
     }
 
@@ -447,21 +448,20 @@ mod tests {
     fn overheard_ba_forwarded_to_serving_ap_only() {
         let mut ap2 = agent(AP2);
         // No serving AP known yet: nothing to forward to.
-        assert!(ap2.on_overheard_block_ack(CLIENT, 0, 0xFF).is_empty());
+        assert!(ap2.on_overheard_block_ack(CLIENT, 0, 0xFF).is_none());
         ap2.on_backhaul(BackhaulMsg::AssocSync {
             client: CLIENT,
             via_ap: AP1,
         });
         let fwd = ap2.on_overheard_block_ack(CLIENT, 0, 0xFF);
-        assert_eq!(fwd.len(), 1);
-        assert_eq!(fwd[0].to, BackhaulDest::Ap(AP1));
+        assert_eq!(fwd.map(|a| a.to), Some(BackhaulDest::Ap(AP1)));
         // The serving AP itself (monitor disabled) forwards nothing.
         let mut ap1 = agent(AP1);
         ap1.on_backhaul(BackhaulMsg::AssocSync {
             client: CLIENT,
             via_ap: AP1,
         });
-        assert!(ap1.on_overheard_block_ack(CLIENT, 0, 0xFF).is_empty());
+        assert!(ap1.on_overheard_block_ack(CLIENT, 0, 0xFF).is_none());
     }
 
     #[test]

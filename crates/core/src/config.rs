@@ -46,7 +46,11 @@ pub struct WgttConfig {
     /// this long, the controller drops its downlink packets instead of
     /// queueing them toward a dark link (the client is out of coverage).
     pub fanout_grace: SimDuration,
-    /// Capacity of the per-client uplink de-duplication window (keys).
+    /// Capacity of the per-source uplink de-duplication window (keys).
+    /// It must stay below the 2¹⁶ IP idents one source can use: a filter
+    /// that holds every ident never evicts, so once the ident wraps each
+    /// fresh packet would hit as a duplicate and be dropped.
+    /// [`Controller::new`](crate::Controller::new) rejects 2¹⁶ or more.
     pub dedup_capacity: usize,
     /// Capacity of the NIC staging queue, MPDUs (the hardware backlog the
     /// old AP is allowed to drain during a switch — ≈6 ms of airtime).
@@ -72,7 +76,7 @@ impl Default for WgttConfig {
             processing_std: SimDuration::from_millis(2),
             control_loss_prob: 0.001,
             fanout_grace: SimDuration::from_millis(150),
-            dedup_capacity: 1 << 16,
+            dedup_capacity: 1 << 15,
             nic_queue_mpdus: 64,
             enable_ba_forwarding: true,
         }

@@ -5,35 +5,30 @@
 //! windows, the [`switching`](crate::switching) protocol driver, the
 //! downlink packet-index counter, and the uplink
 //! [`dedup`](crate::dedup) filter. It is a pure state machine: feed it
-//! backhaul messages and WAN packets with a timestamp and a sink, and it
-//! emits actions (backhaul sends, WAN deliveries) to schedule.
+//! backhaul messages and WAN packets with a timestamp and an output
+//! `Vec`, and it appends the actions (backhaul sends, WAN deliveries) to
+//! schedule.
 //!
-//! ## The dataplane, rebuilt for line rate
+//! Its shape follows the traffic it serves:
 //!
-//! At fleet scale every packet of every vehicle crosses this component,
-//! so the per-packet path is allocation-free:
-//!
-//! * **Action sink, not `Vec` returns.** Every entry point writes its
-//!   actions into a caller-provided [`ActionSink`]. The event loop keeps
-//!   a small pool of [`ActionBuf`]s, so steady-state dispatch performs
-//!   zero heap allocation. (`Vec<ControllerAction>` implements
-//!   [`ActionSink`] too, which keeps tests and one-shot callers simple.)
-//! * **Client slab.** Per-client state lives in a dense `Vec` slab
-//!   indexed by a stable `u32` slot; the id→slot map is consulted once
-//!   per event, and everything downstream (deadline payloads, poll
-//!   scratch) speaks slots.
-//! * **Deadline heap.** `next_timeout()` — asked after *every*
-//!   dispatched action by the event loop — and `poll()` used to iterate
-//!   every client. Both now ride a min-heap of switch-ack deadlines
-//!   ([`TimerWheel`], at most one live entry per client): `next_timeout`
-//!   reads its head, `poll` touches only the clients actually due.
+//! * **Actions go into the caller's `Vec`.** Every entry point appends
+//!   to a `&mut Vec<ControllerAction>`. The event loop keeps a small pool
+//!   of them and clears each after dispatch, so steady-state dispatch
+//!   allocates nothing.
+//! * **One client map.** Per-client state lives in a `HashMap` keyed by
+//!   client id; each entry point looks its client up once.
+//! * **Deadline heap.** `next_timeout()`, asked after *every* dispatch
+//!   by the event loop, and `poll()` ride a min-heap of switch-ack
+//!   deadlines ([`TimerWheel`], at most one live entry per client, keyed
+//!   by client id): `next_timeout` reads its head, `poll` touches only
+//!   the clients actually due.
 //! * **Streaming fan-out.** A downlink packet resolves its in-range AP
-//!   set by walking the selector's link map directly into the sink
-//!   ([`ApSelector::for_each_heard`]) — no intermediate `Vec`.
+//!   set by walking the selector's link map directly into the output
+//!   ([`ApSelector::for_each_heard`]), with no intermediate `Vec`.
 //!
 //! This is the crate's one controller. The seed implementation (`Vec`
-//! returns, `HashMap` state, scan-all-clients timeouts) survives verbatim
-//! as the oracle in `crates/core/tests/oracle/controller.rs`;
+//! returns, scan-all-clients timeouts) survives verbatim as the oracle
+//! in `crates/core/tests/oracle/controller.rs`;
 //! `crates/core/tests/prop_controller.rs` proves the two
 //! action-sequence-, stats-, and timeout-identical under randomized
 //! event interleavings.
@@ -68,77 +63,13 @@ pub enum ControllerAction {
     },
 }
 
-/// Receives the controller's actions as they are produced. The event
-/// loop hands in a reusable buffer; tests can pass a plain `Vec`.
-pub trait ActionSink {
-    /// Deliver `msg` to `ap` over the backhaul.
-    fn send(&mut self, ap: NodeId, msg: BackhaulMsg);
-    /// Forward a de-duplicated uplink packet to the Internet.
-    fn to_wan(&mut self, packet: Packet);
-}
+/// The buffer the controller's entry points append to. It is a plain
+/// `Vec`; the name exists only because `benchmark/src/layers.rs` imports
+/// it, as it does [`TimerWheel`].
+pub type ActionBuf = Vec<ControllerAction>;
 
-impl ActionSink for Vec<ControllerAction> {
-    fn send(&mut self, ap: NodeId, msg: BackhaulMsg) {
-        self.push(ControllerAction::Send { ap, msg });
-    }
-    fn to_wan(&mut self, packet: Packet) {
-        self.push(ControllerAction::ToWan { packet });
-    }
-}
-
-/// A reusable action buffer: the allocation-free way to drive the
-/// controller. Pool these in the event loop — `clear()` keeps the
-/// backing storage, so steady-state dispatch never allocates.
-#[derive(Debug, Default)]
-pub struct ActionBuf {
-    actions: Vec<ControllerAction>,
-}
-
-impl ActionBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The actions accumulated so far, in emission order.
-    pub fn actions(&self) -> &[ControllerAction] {
-        &self.actions
-    }
-
-    /// Number of accumulated actions.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// Whether no actions have accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Remove and yield the accumulated actions in order, keeping the
-    /// backing storage for reuse.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, ControllerAction> {
-        self.actions.drain(..)
-    }
-
-    /// Drop accumulated actions, keeping the backing storage.
-    pub fn clear(&mut self) {
-        self.actions.clear();
-    }
-
-    /// Take the accumulated actions as an owned `Vec` (tests).
-    pub fn take(&mut self) -> Vec<ControllerAction> {
-        std::mem::take(&mut self.actions)
-    }
-}
-
-impl ActionSink for ActionBuf {
-    fn send(&mut self, ap: NodeId, msg: BackhaulMsg) {
-        self.actions.push(ControllerAction::Send { ap, msg });
-    }
-    fn to_wan(&mut self, packet: Packet) {
-        self.actions.push(ControllerAction::ToWan { packet });
-    }
+fn send(out: &mut Vec<ControllerAction>, ap: NodeId, msg: BackhaulMsg) {
+    out.push(ControllerAction::Send { ap, msg });
 }
 
 /// Aggregate controller statistics.
@@ -186,23 +117,36 @@ impl Default for ControllerStats {
 
 #[derive(Debug)]
 struct ClientState {
-    /// The client's id (slots are the dense index; this maps back).
-    id: NodeId,
     selector: ApSelector,
     switcher: SwitchProtocol,
     next_index: u16,
     serving: Option<NodeId>,
 }
 
+impl ClientState {
+    fn new(cfg: &WgttConfig) -> Self {
+        let mut selector = ApSelector::new(
+            cfg.selection_window,
+            cfg.switch_hysteresis,
+            cfg.switch_margin_db,
+        );
+        selector.set_window_reduce(cfg.window_reduce);
+        selector.set_switch_policy(cfg.switch_policy);
+        ClientState {
+            selector,
+            switcher: SwitchProtocol::new(cfg.switch_ack_timeout),
+            next_index: 0,
+            serving: None,
+        }
+    }
+}
+
 /// The WGTT controller.
 pub struct Controller {
     cfg: WgttConfig,
-    /// Dense per-client state slab; stable slots, never freed (a client
-    /// that leaves coverage keeps its slot for the run, exactly like the
-    /// seed's map entries).
-    clients: Vec<ClientState>,
-    /// Client id → slab slot.
-    slots: HashMap<NodeId, u32>,
+    /// Per-client state, made on first contact and kept for the run (a
+    /// client that leaves coverage keeps its entry).
+    clients: HashMap<NodeId, ClientState>,
     all_aps: Vec<NodeId>,
     /// Uplink de-duplication, one filter per source address. The dedup
     /// key already namespaces by source (src ⧺ IP ident, §3.2.2), so
@@ -211,11 +155,11 @@ pub struct Controller {
     /// per-client, which is what lets a spatially sharded run keep a
     /// controller per shard without cross-shard coupling.
     dedup: HashMap<u32, DedupFilter>,
-    /// Switch-ack deadlines, payload = client slot. Entries are never
-    /// cancelled; liveness is re-checked against the slot's protocol
-    /// driver on every query.
+    /// Switch-ack deadlines, payload = client id (`NodeId.0`). Entries
+    /// are never cancelled; liveness is re-checked against the client's
+    /// protocol driver on every query.
     wheel: TimerWheel,
-    /// Due-slot scratch for `poll` (reused, sorted by client id).
+    /// Due-client scratch for `poll` (reused).
     poll_scratch: Vec<u32>,
     /// Per-AP associated-client counts — the load term the load-aware
     /// rule reads, maintained under either rule so `max_ap_load` is
@@ -227,12 +171,21 @@ pub struct Controller {
 
 impl Controller {
     /// A controller managing the given AP array.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.dedup_capacity` is not below 2¹⁶ (see
+    /// [`WgttConfig::dedup_capacity`]).
     pub fn new(cfg: WgttConfig, aps: Vec<NodeId>) -> Self {
+        assert!(
+            cfg.dedup_capacity < 1 << 16,
+            "dedup_capacity must stay below the 2^16 IP idents of one source, \
+             or a full filter never evicts and drops every packet after the ident wraps"
+        );
         Controller {
             dedup: HashMap::new(),
             cfg,
-            clients: Vec::new(),
-            slots: HashMap::new(),
+            clients: HashMap::new(),
             all_aps: aps,
             wheel: TimerWheel::new(),
             poll_scratch: Vec::new(),
@@ -241,45 +194,15 @@ impl Controller {
         }
     }
 
-    /// Preallocate the client slab for `n` clients (the fleet generator
+    /// Preallocate the client map for `n` clients (the fleet generator
     /// knows the vehicle count up front).
     pub fn reserve_clients(&mut self, n: usize) {
         self.clients.reserve(n);
-        self.slots.reserve(n);
-    }
-
-    /// Slab slot for `client`, creating fresh state on first contact.
-    fn slot_of(&mut self, client: NodeId) -> usize {
-        if let Some(&s) = self.slots.get(&client) {
-            return s as usize;
-        }
-        let cfg = self.cfg;
-        let s = self.clients.len() as u32;
-        self.clients.push(ClientState {
-            id: client,
-            selector: {
-                let mut sel = ApSelector::new(
-                    cfg.selection_window,
-                    cfg.switch_hysteresis,
-                    cfg.switch_margin_db,
-                );
-                sel.set_window_reduce(cfg.window_reduce);
-                sel.set_switch_policy(cfg.switch_policy);
-                sel
-            },
-            switcher: SwitchProtocol::new(cfg.switch_ack_timeout),
-            next_index: 0,
-            serving: None,
-        });
-        self.slots.insert(client, s);
-        s as usize
     }
 
     /// The AP currently serving `client`, if known.
     pub fn serving(&self, client: NodeId) -> Option<NodeId> {
-        self.slots
-            .get(&client)
-            .and_then(|&s| self.clients[s as usize].serving)
+        self.clients.get(&client).and_then(|st| st.serving)
     }
 
     /// Number of dedup filters, total remembered keys, and total
@@ -293,26 +216,26 @@ impl Controller {
 
     /// A client completed 802.11 association through `via_ap`: install it
     /// as serving and replicate association state to every AP (§4.3).
-    pub fn on_client_associated<S: ActionSink>(
+    pub fn on_client_associated(
         &mut self,
         client: NodeId,
         via_ap: NodeId,
         now: SimTime,
-        sink: &mut S,
+        out: &mut Vec<ControllerAction>,
     ) {
-        let slot = self.slot_of(client);
-        let st = &mut self.clients[slot];
+        let st = state(&mut self.clients, &self.cfg, client);
         let prev = st.serving.replace(via_ap);
         st.selector.set_current(via_ap, now);
         let k = st.next_index;
         let load = self.loads.reassign(prev, via_ap);
         self.stats.max_ap_load = self.stats.max_ap_load.max(u64::from(load));
         for &ap in &self.all_aps {
-            sink.send(ap, BackhaulMsg::AssocSync { client, via_ap });
+            send(out, ap, BackhaulMsg::AssocSync { client, via_ap });
         }
         // Degenerate "switch": tell the first AP to serve from the current
         // index.
-        sink.send(
+        send(
+            out,
             via_ap,
             BackhaulMsg::Start {
                 client,
@@ -324,17 +247,16 @@ impl Controller {
 
     /// A downlink packet for `client` arrived from the WAN: assign the
     /// next 12-bit index and replicate to every in-range AP (§3.1.2),
-    /// streaming the fan-out straight into the sink.
-    pub fn on_downlink<S: ActionSink>(
+    /// streaming the fan-out straight into `out`.
+    pub fn on_downlink(
         &mut self,
         client: NodeId,
         packet: Packet,
         now: SimTime,
-        sink: &mut S,
+        out: &mut Vec<ControllerAction>,
     ) {
         let grace = self.cfg.fanout_grace;
-        let slot = self.slot_of(client);
-        let st = &mut self.clients[slot];
+        let st = state(&mut self.clients, &self.cfg, client);
         // Replicate to every AP heard within the grace window — wider
         // than the selection window W, so that an AP with sporadic CSI
         // still holds a gap-free cyclic ring when a switch lands on it.
@@ -351,36 +273,23 @@ impl Controller {
         let index = st.next_index;
         st.next_index = (st.next_index + 1) % SEQ_SPACE;
         let serving = st.serving;
+        let data = BackhaulMsg::DownlinkData {
+            client,
+            index,
+            packet,
+        };
         let mut serving_heard = false;
         st.selector.for_each_heard(now, grace, |ap| {
-            if Some(ap) == serving {
-                serving_heard = true;
-            }
-            sink.send(
-                ap,
-                BackhaulMsg::DownlinkData {
-                    client,
-                    index,
-                    packet,
-                },
-            );
+            serving_heard |= Some(ap) == serving;
+            send(out, ap, data.clone());
         });
-        if serving_eligible && !serving_heard {
-            if let Some(s) = serving {
-                sink.send(
-                    s,
-                    BackhaulMsg::DownlinkData {
-                        client,
-                        index,
-                        packet,
-                    },
-                );
-            }
+        if let Some(s) = serving.filter(|_| serving_eligible && !serving_heard) {
+            send(out, s, data);
         }
     }
 
     /// Handle a message arriving from an AP.
-    pub fn on_msg<S: ActionSink>(&mut self, msg: BackhaulMsg, now: SimTime, sink: &mut S) {
+    pub fn on_msg(&mut self, msg: BackhaulMsg, now: SimTime, out: &mut Vec<ControllerAction>) {
         match msg {
             BackhaulMsg::CsiReport {
                 client,
@@ -388,34 +297,53 @@ impl Controller {
                 esnr_db,
                 at,
             } => {
-                let slot = self.slot_of(client);
-                let st = &mut self.clients[slot];
-                if st.switcher.busy() || st.serving.is_none() {
+                let st = state(&mut self.clients, &self.cfg, client);
+                let Some(current) = st.serving.filter(|_| !st.switcher.busy()) else {
                     // Nothing can act on a verdict right now (switch in
                     // flight, or not yet associated): fold the reading
-                    // into the window and stop — the same work the old
-                    // record-then-bail path did.
+                    // into the window and stop.
                     st.selector.record(ap, at, esnr_db);
-                } else {
-                    // The hot path: one fused call records the reading
-                    // and re-runs the switch rule, with the controller's
-                    // per-AP loads in scope for the load-aware rule.
-                    let verdict =
-                        st.selector
-                            .record_and_evaluate(ap, at, esnr_db, now, &self.loads);
-                    self.act_on_verdict(slot, verdict, now, sink);
+                    return;
+                };
+                // The hot path: one fused call records the reading and
+                // re-runs the switch rule, with the controller's per-AP
+                // loads in scope for the load-aware rule. A verdict for
+                // another AP starts a switch (none is outstanding here).
+                let verdict = st
+                    .selector
+                    .record_and_evaluate(ap, at, esnr_db, now, &self.loads);
+                let Verdict::SwitchTo(target) = verdict else {
+                    return;
+                };
+                if target == current {
+                    return;
+                }
+                if let Some(SwitchEvent::SendStop {
+                    old_ap,
+                    new_ap,
+                    switch_id,
+                }) = st.switcher.begin(current, target, now)
+                {
+                    self.stats.switches_started += 1;
+                    let deadline = st.switcher.timeout_at().expect("switch just armed");
+                    self.wheel.schedule(deadline, client.0);
+                    let stop = BackhaulMsg::Stop {
+                        client,
+                        next_ap: new_ap,
+                        switch_id,
+                    };
+                    send(out, old_ap, stop);
                 }
             }
             BackhaulMsg::UplinkData { packet, .. } => {
                 let src = (packet.dedup_key() >> 16) as u32;
-                let cap = self.cfg.dedup_capacity;
                 let filter = self
                     .dedup
                     .entry(src)
-                    .or_insert_with(|| DedupFilter::new(cap));
+                    .or_insert_with(|| DedupFilter::new(self.cfg.dedup_capacity));
                 if filter.check_and_insert(packet.dedup_key()) {
                     self.stats.uplink_forwarded += 1;
-                    sink.to_wan(packet);
+                    out.push(ControllerAction::ToWan { packet });
                 } else {
                     self.stats.uplink_duplicates += 1;
                 }
@@ -425,8 +353,7 @@ impl Controller {
                 ap,
                 switch_id,
             } => {
-                let slot = self.slot_of(client);
-                let st = &mut self.clients[slot];
+                let st = state(&mut self.clients, &self.cfg, client);
                 if let SwitchEvent::Completed { new_ap, elapsed } =
                     st.switcher.on_ack(switch_id, now)
                 {
@@ -441,14 +368,12 @@ impl Controller {
                     // the next query compacts it.
                     // Tell every AP who serves now (monitor-mode
                     // forwarding needs it, §3.2.1).
+                    let sync = BackhaulMsg::AssocSync {
+                        client,
+                        via_ap: new_ap,
+                    };
                     for &a in &self.all_aps {
-                        sink.send(
-                            a,
-                            BackhaulMsg::AssocSync {
-                                client,
-                                via_ap: new_ap,
-                            },
-                        );
+                        send(out, a, sync.clone());
                     }
                 }
             }
@@ -457,80 +382,39 @@ impl Controller {
         }
     }
 
-    /// Start the switch a [`Verdict::SwitchTo`] asks for, if any and
-    /// none is outstanding (the acting half of the fused
-    /// record-and-evaluate hot path).
-    fn act_on_verdict<S: ActionSink>(
-        &mut self,
-        slot: usize,
-        verdict: Verdict,
-        now: SimTime,
-        sink: &mut S,
-    ) {
-        let st = &mut self.clients[slot];
-        let Some(current) = st.serving else {
-            return; // not yet associated
-        };
-        if let Verdict::SwitchTo(target) = verdict {
-            if target != current {
-                if let Some(SwitchEvent::SendStop {
-                    old_ap,
-                    new_ap,
-                    switch_id,
-                }) = st.switcher.begin(current, target, now)
-                {
-                    self.stats.switches_started += 1;
-                    let deadline = st.switcher.timeout_at().expect("switch just armed");
-                    self.wheel.schedule(deadline, slot as u32);
-                    sink.send(
-                        old_ap,
-                        BackhaulMsg::Stop {
-                            client: st.id,
-                            next_ap: new_ap,
-                            switch_id,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
     /// Earliest pending protocol timeout across clients, for the event
     /// loop to schedule a poll. `&mut` because the query lazily drops
     /// deadline entries whose switch already completed.
     pub fn next_timeout(&mut self) -> Option<SimTime> {
         let clients = &self.clients;
-        self.wheel.next_deadline(|slot, ns| {
-            clients[slot as usize].switcher.timeout_at() == Some(SimTime::from_nanos(ns))
-        })
+        self.wheel.next_deadline(|id, ns| is_live(clients, id, ns))
     }
 
     /// Fire due timeouts: retransmit stops whose ack is overdue. Only
     /// the clients whose deadline actually passed are touched; they fire
     /// in ascending client-id order, matching the seed's sorted scan.
-    pub fn poll<S: ActionSink>(&mut self, now: SimTime, sink: &mut S) {
+    pub fn poll(&mut self, now: SimTime, out: &mut Vec<ControllerAction>) {
         self.wheel.advance(now);
-        let clients = &self.clients;
-        let scratch = &mut self.poll_scratch;
-        scratch.clear();
-        self.wheel.drain_due(|slot, ns| {
-            // A due entry is live iff the protocol driver still reports
-            // exactly this deadline (completed/abandoned/re-armed
-            // switches left a stale entry behind).
-            if clients[slot as usize].switcher.timeout_at() == Some(SimTime::from_nanos(ns)) {
-                scratch.push(slot);
+        let (clients, due) = (&self.clients, &mut self.poll_scratch);
+        due.clear();
+        // A due entry is live iff the protocol driver still reports
+        // exactly this deadline (completed/abandoned/re-armed switches
+        // left a stale entry behind).
+        self.wheel.drain_due(|id, ns| {
+            if is_live(clients, id, ns) {
+                due.push(id);
             }
         });
-        {
-            let (scratch, clients) = (&mut self.poll_scratch, &self.clients);
-            scratch.sort_unstable_by_key(|&s| clients[s as usize].id);
-            // Same-deadline re-schedules can leave two live entries for
-            // one slot; fire each client once.
-            scratch.dedup();
-        }
-        for i in 0..self.poll_scratch.len() {
-            let slot = self.poll_scratch[i] as usize;
-            let st = &mut self.clients[slot];
+        // Same-deadline re-schedules can leave two live entries for one
+        // client; fire each client once.
+        due.sort_unstable();
+        due.dedup();
+        for &id in &self.poll_scratch {
+            let client = NodeId(id);
+            let st = self
+                .clients
+                .get_mut(&client)
+                .expect("deadline of a known client");
             if let SwitchEvent::SendStop {
                 old_ap,
                 new_ap,
@@ -540,18 +424,33 @@ impl Controller {
                 self.stats.stop_retransmits += 1;
                 // Re-arm the retransmitted stop's fresh deadline.
                 let deadline = st.switcher.timeout_at().expect("retransmit re-armed");
-                self.wheel.schedule(deadline, slot as u32);
-                sink.send(
-                    old_ap,
-                    BackhaulMsg::Stop {
-                        client: st.id,
-                        next_ap: new_ap,
-                        switch_id,
-                    },
-                );
+                self.wheel.schedule(deadline, id);
+                let stop = BackhaulMsg::Stop {
+                    client,
+                    next_ap: new_ap,
+                    switch_id,
+                };
+                send(out, old_ap, stop);
             }
         }
     }
+}
+
+/// `client`'s state, made on first contact.
+fn state<'a>(
+    clients: &'a mut HashMap<NodeId, ClientState>,
+    cfg: &WgttConfig,
+    client: NodeId,
+) -> &'a mut ClientState {
+    clients
+        .entry(client)
+        .or_insert_with(|| ClientState::new(cfg))
+}
+
+/// Whether the deadline entry `(id, ns)` still belongs to an armed
+/// switch of client `id`.
+fn is_live(clients: &HashMap<NodeId, ClientState>, id: u32, ns: u64) -> bool {
+    clients[&NodeId(id)].switcher.timeout_at() == Some(SimTime::from_nanos(ns))
 }
 
 #[cfg(test)]
@@ -886,11 +785,11 @@ mod tests {
         let mut buf = ActionBuf::new();
         c.on_client_associated(CLIENT, AP1, ms(0), &mut buf);
         assert_eq!(buf.len(), 4);
-        let cap = buf.actions.capacity();
+        let cap = buf.capacity();
         buf.clear();
         assert!(buf.is_empty());
         c.on_client_associated(NodeId(101), AP2, ms(1), &mut buf);
         assert_eq!(buf.len(), 4);
-        assert_eq!(buf.actions.capacity(), cap, "no reallocation on reuse");
+        assert_eq!(buf.capacity(), cap, "no reallocation on reuse");
     }
 }

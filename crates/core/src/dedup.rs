@@ -8,7 +8,11 @@
 //! identification field. We add bounded memory: once the set reaches
 //! capacity, the *least recently seen* key ages out (the ident field
 //! wraps at 65,536 packets per source, so unbounded retention would
-//! eventually *drop fresh packets*). Recency — not insertion order — is
+//! eventually *drop fresh packets*). The controller keeps one filter per
+//! source, so no other source's keys push an old ident out: eviction
+//! happens only if the capacity is below the 2¹⁶ idents of one source,
+//! which is why `WgttConfig::dedup_capacity` defaults to 2¹⁵ and
+//! `Controller::new` refuses 2¹⁶ or more. Recency — not insertion order — is
 //! what must drive eviction: a duplicate hit proves the key's flow is
 //! still alive across multiple APs, and under the old FIFO order a
 //! long-lived chatty flow's key aged out while its copies were still
@@ -49,10 +53,10 @@ impl DedupFilter {
         DedupFilter {
             // Grow lazily: the controller keeps one filter per source
             // address, and a fleet has ~one source per vehicle plus the
-            // servers. Reserving `capacity` (default 2¹⁶) buckets up
-            // front cost ~1 MiB per source — ~100 GiB at the 10⁵-source
-            // scale the controller tests pin — for sources that mostly
-            // hold a handful of in-flight keys.
+            // servers. Reserving 2¹⁶ buckets up front cost ~1 MiB per
+            // source — ~100 GiB at the 10⁵-source scale the controller
+            // tests pin — for sources that mostly hold a handful of
+            // in-flight keys.
             seen: HashMap::new(),
             order: BTreeMap::new(),
             tick: 0,

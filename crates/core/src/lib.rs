@@ -18,9 +18,10 @@
 //! | [`ap`] | §3.1.2, §3.2.1, §4.3 | the AP data plane: cyclic queue and `stop`/`start` as the feed of the stock AP scheduler (`wgtt_mac::downlink`), the replicated client → serving-AP map (`AssocSync`), Block ACK overhearing and forwarding to the serving AP, control-packet priority |
 //!
 //! Everything is an explicit, event-loop-agnostic state machine: methods
-//! take `now` and return actions (backhaul messages to deliver, packets
-//! for the WAN); the `wgtt-scenario` crate owns scheduling, the radio
-//! substrate, and the MAC medium.
+//! take `now` and yield actions (backhaul messages to deliver, packets
+//! for the WAN). The controller appends them to a caller's `Vec`; an AP
+//! answers each message with at most one. The `wgtt-scenario` crate owns
+//! scheduling, the radio substrate, and the MAC medium.
 
 pub mod ap;
 pub mod config;
@@ -34,7 +35,7 @@ pub mod timerwheel;
 pub mod window;
 
 pub use config::WgttConfig;
-pub use controller::{ActionBuf, ActionSink, Controller, ControllerAction};
+pub use controller::{ActionBuf, Controller, ControllerAction};
 pub use messages::{BackhaulDest, BackhaulMsg};
 pub use selection::{ApLoads, SwitchPolicyKind};
 pub use window::WindowReduce;

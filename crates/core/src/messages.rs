@@ -99,18 +99,12 @@ pub enum BackhaulMsg {
 }
 
 impl BackhaulMsg {
-    /// Control packets bypass data queues at the AP (§3.1.2).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            BackhaulMsg::Stop { .. } | BackhaulMsg::Start { .. } | BackhaulMsg::SwitchAck { .. }
-        )
-    }
-
     /// The client a *control* message concerns (`None` for data, CSI,
-    /// Block-ACK-forward and association-sync traffic). Control loss and
-    /// processing jitter are modelled per affected client so that one
-    /// client's switch never perturbs another's random stream.
+    /// Block-ACK-forward and association-sync traffic). Control packets
+    /// bypass data queues at the AP (§3.1.2), so `Some` is also what
+    /// marks a message as control. Control loss and processing jitter
+    /// are modelled per affected client so that one client's switch
+    /// never perturbs another's random stream.
     pub fn control_client(&self) -> Option<NodeId> {
         match self {
             BackhaulMsg::Stop { client, .. }
@@ -142,15 +136,15 @@ mod tests {
             ap: NodeId(2),
             switch_id: 0,
         };
-        assert!(stop.is_control());
-        assert!(start.is_control());
-        assert!(ack.is_control());
+        for control in [stop, start, ack] {
+            assert_eq!(control.control_client(), Some(NodeId(1)));
+        }
         let csi = BackhaulMsg::CsiReport {
             client: NodeId(1),
             ap: NodeId(2),
             esnr_db: 10.0,
             at: SimTime::ZERO,
         };
-        assert!(!csi.is_control());
+        assert_eq!(csi.control_client(), None);
     }
 }

@@ -12,6 +12,11 @@
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
+/// Abandon an attempt after this many stop retransmissions (the old AP
+/// may have died; the controller re-evaluates selection instead of
+/// blocking forever).
+const MAX_RETRIES: u32 = 10;
+
 /// State of one client's switching protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchState {
@@ -25,6 +30,9 @@ pub enum SwitchState {
         to: NodeId,
         /// Attempt identifier carried by the control packets.
         switch_id: u64,
+        /// When the *first* `stop` of this attempt went out (the Table 1
+        /// execution time spans retransmissions).
+        started: SimTime,
         /// When the pending `stop` was (re)sent.
         sent_at: SimTime,
         /// How many times `stop` has been retransmitted.
@@ -74,13 +82,6 @@ pub struct SwitchProtocol {
     state: SwitchState,
     ack_timeout: SimDuration,
     next_switch_id: u64,
-    /// When the *first* stop of the current attempt went out (for the
-    /// Table 1 execution-time metric, which spans retransmissions).
-    attempt_started: Option<SimTime>,
-    /// Abandon an attempt after this many stop retransmissions (the old
-    /// AP may have died; the controller re-evaluates selection instead of
-    /// blocking forever).
-    max_retries: u32,
 }
 
 impl SwitchProtocol {
@@ -90,8 +91,6 @@ impl SwitchProtocol {
             state: SwitchState::Idle,
             ack_timeout,
             next_switch_id: 0,
-            attempt_started: None,
-            max_retries: 10,
         }
     }
 
@@ -118,10 +117,10 @@ impl SwitchProtocol {
             from,
             to,
             switch_id,
+            started: now,
             sent_at: now,
             retries: 0,
         };
-        self.attempt_started = Some(now);
         Some(SwitchEvent::SendStop {
             old_ap: from,
             new_ap: to,
@@ -136,18 +135,10 @@ impl SwitchProtocol {
             SwitchState::AwaitingAck {
                 to,
                 switch_id: pending,
-                sent_at,
+                started,
                 ..
             } if pending == switch_id => {
-                // `begin` records the attempt start alongside the state,
-                // but a driver that reconstructs per-client state (or a
-                // late ack racing an abandon in a many-client world) can
-                // observe `AwaitingAck` without it. Completing with the
-                // elapsed time measured from the last (re)send beats
-                // taking down a fleet run over a metrics field.
-                let started = self.attempt_started.unwrap_or(sent_at);
                 self.state = SwitchState::Idle;
-                self.attempt_started = None;
                 SwitchEvent::Completed {
                     new_ap: to,
                     elapsed: now.saturating_since(started),
@@ -166,39 +157,33 @@ impl SwitchProtocol {
     }
 
     /// Poll at `now`: retransmit the stop if the timeout elapsed, or give
-    /// up after `max_retries`.
+    /// up after `MAX_RETRIES`.
     pub fn poll(&mut self, now: SimTime) -> SwitchEvent {
-        match self.state {
-            SwitchState::AwaitingAck {
-                from,
-                to,
-                switch_id,
-                sent_at,
-                retries,
-            } => {
-                if now.saturating_since(sent_at) < self.ack_timeout {
-                    return SwitchEvent::None;
-                }
-                if retries >= self.max_retries {
-                    // Abandon; the selector will decide afresh.
-                    self.state = SwitchState::Idle;
-                    self.attempt_started = None;
-                    return SwitchEvent::None;
-                }
-                self.state = SwitchState::AwaitingAck {
-                    from,
-                    to,
-                    switch_id,
-                    sent_at: now,
-                    retries: retries + 1,
-                };
-                SwitchEvent::SendStop {
-                    old_ap: from,
-                    new_ap: to,
-                    switch_id,
-                }
-            }
-            SwitchState::Idle => SwitchEvent::None,
+        let SwitchState::AwaitingAck {
+            from,
+            to,
+            switch_id,
+            sent_at,
+            retries,
+            ..
+        } = &mut self.state
+        else {
+            return SwitchEvent::None;
+        };
+        if now.saturating_since(*sent_at) < self.ack_timeout {
+            return SwitchEvent::None;
+        }
+        if *retries >= MAX_RETRIES {
+            // Abandon; the selector will decide afresh.
+            self.state = SwitchState::Idle;
+            return SwitchEvent::None;
+        }
+        *sent_at = now;
+        *retries += 1;
+        SwitchEvent::SendStop {
+            old_ap: *from,
+            new_ap: *to,
+            switch_id: *switch_id,
         }
     }
 }
@@ -345,7 +330,7 @@ mod tests {
     #[test]
     fn abandon_after_max_retries_exact_budget() {
         // The abandon path, counted exactly: the initial stop plus
-        // `max_retries` retransmissions, then the next elapsed timeout
+        // `MAX_RETRIES` retransmissions, then the next elapsed timeout
         // abandons (returns None, goes Idle, disarms the timer).
         let mut p = proto();
         p.begin(AP1, AP2, ms(0)).unwrap();
@@ -429,29 +414,6 @@ mod tests {
         }
         assert!(!p.busy());
         p.begin(AP1, AP2, t).expect("idle after abandonment");
-    }
-
-    #[test]
-    fn ack_without_recorded_attempt_start_completes_instead_of_panicking() {
-        // Regression: this used to hit
-        // `attempt_started.expect("attempt start recorded with state")`.
-        // The inconsistency — AwaitingAck with no attempt start — arises
-        // when a driver rebuilds per-client state around an abandon; the
-        // ack must still complete, with the execution time falling back
-        // to the last (re)send instant.
-        let mut p = proto();
-        let SwitchEvent::SendStop { switch_id, .. } = p.begin(AP1, AP2, ms(0)).unwrap() else {
-            panic!();
-        };
-        p.attempt_started = None;
-        assert_eq!(
-            p.on_ack(switch_id, ms(17)),
-            SwitchEvent::Completed {
-                new_ap: AP2,
-                elapsed: SimDuration::from_millis(17)
-            }
-        );
-        assert!(!p.busy());
     }
 
     #[test]

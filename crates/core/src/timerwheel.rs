@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 use wgtt_sim::time::SimTime;
 
 /// One scheduled entry: absolute deadline (ns) plus the caller's payload
-/// (the controller stores a client slab index).
+/// (the controller stores a client id, `NodeId.0`).
 type Entry = (u64, u32);
 
 /// Deadline min-heap over `u32` payloads.

@@ -84,11 +84,12 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
     // Each non-serving AP forwards to the serving AP.
     let forward_a = neighbour_a.on_overheard_block_ack(CLIENT, start_seq, bitmap);
     let forward_b = neighbour_b.on_overheard_block_ack(CLIENT, start_seq, bitmap);
+    let forward_a = forward_a.expect("neighbour A forwards");
+    let forward_b = forward_b.expect("neighbour B forwards");
     for forward in [&forward_a, &forward_b] {
-        assert_eq!(forward.len(), 1);
-        assert_eq!(forward[0].to, BackhaulDest::Ap(SERVING));
+        assert_eq!(forward.to, BackhaulDest::Ap(SERVING));
         assert!(matches!(
-            forward[0].msg,
+            forward.msg,
             BackhaulMsg::BlockAckForward { client, start_seq: s, bitmap: b }
                 if client == CLIENT && s == start_seq && b == bitmap
         ));
@@ -96,14 +97,14 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
 
     // First forwarded copy reaches the serving AP: the window clears as
     // if the BA had been heard on its own radio.
-    serving.on_backhaul(forward_a[0].msg.clone());
+    serving.on_backhaul(forward_a.msg);
     assert!(!serving.tx.has_in_flight(CLIENT));
     assert_eq!(serving.forwarded_ba_used, 1);
 
     // Second forwarded copy (the other neighbour's) is deduplicated —
     // §3.2.1: "AP1 first checks whether this Block ACK has been
     // received before".
-    serving.on_backhaul(forward_b[0].msg.clone());
+    serving.on_backhaul(forward_b.msg);
     assert_eq!(
         serving.forwarded_ba_used, 1,
         "duplicate forward must not be double-counted"
@@ -135,7 +136,7 @@ fn serving_ap_monitor_is_disabled_end_to_end() {
     let (mut serving, _, _) = deployment();
     // Fig. 8: the serving AP's monitor interface is off — overhearing
     // its own client's BA must produce no backhaul traffic.
-    assert!(serving.on_overheard_block_ack(CLIENT, 0, 0xFF).is_empty());
+    assert!(serving.on_overheard_block_ack(CLIENT, 0, 0xFF).is_none());
 }
 
 #[test]
@@ -153,7 +154,7 @@ fn partial_overheard_ba_retries_only_the_holes() {
     }
     let (start_seq, bitmap) = rx.block_ack();
     let forward = neighbour_a.on_overheard_block_ack(CLIENT, start_seq, bitmap);
-    serving.on_backhaul(forward[0].msg.clone());
+    serving.on_backhaul(forward.expect("neighbour forwards").msg);
 
     // The merge behaves exactly like a native BA: holes retry, the rest
     // are delivered, and the retries lead the next TXOP.

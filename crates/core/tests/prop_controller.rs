@@ -2,10 +2,10 @@
 //!
 //! The seed controller is retained verbatim as the oracle in
 //! `tests/oracle/controller.rs`; the shipping [`Controller`] replaced its
-//! per-call `Vec` returns with an action sink, its `HashMap` client state
-//! with a dense slab, and its scan-everyone `next_timeout`/`poll` with a
-//! min-heap of switch-ack deadlines that never cancels (stale entries are
-//! skipped by a liveness check).
+//! per-call `Vec` returns with a caller-provided output `Vec`, and its
+//! scan-everyone `next_timeout`/`poll` with a min-heap of switch-ack
+//! deadlines that never cancels (stale entries are skipped by a liveness
+//! check).
 //! None of that may be observable: this suite replays randomized event
 //! interleavings — downlink packets, uplink duplicate bursts, CSI
 //! reports, switch acks (fresh and stale), polls at arbitrary instants
@@ -21,7 +21,7 @@
 //! Alongside the differential suite live the deterministic accounting
 //! regressions nothing previously pinned (`downlink_no_ap`, uplink
 //! conservation, the 10-retry stop budget), the 10⁵-source dedup-split
-//! scaling contract, and the rank-error bound for the sketch-backed
+//! scaling contract, a source whose IP ident wraps, and the rank-error bound for the sketch-backed
 //! switch-duration distribution.
 
 mod oracle;
@@ -29,7 +29,7 @@ mod oracle;
 use oracle::controller::Controller as ReferenceController;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use wgtt::controller::{ActionSink, Controller, ControllerAction, ControllerStats};
+use wgtt::controller::{Controller, ControllerAction, ControllerStats};
 use wgtt::messages::BackhaulMsg;
 use wgtt::{SwitchPolicyKind, WgttConfig};
 use wgtt_mac::frame::NodeId;
@@ -524,6 +524,32 @@ fn dedup_split_isolates_100k_sources() {
     );
 }
 
+// One source's filter holds at most `dedup_capacity` keys. At 2¹⁶ it
+// could hold every IP ident the source has, never evicted, and so
+// dropped every fresh packet once the ident wrapped.
+#[test]
+fn one_source_past_the_ident_space_is_still_forwarded() {
+    const PACKETS: u32 = (1 << 16) + 100;
+    let mut c = Controller::new(WgttConfig::default(), aps());
+    let mut factory = PacketFactory::new();
+    let src = Ipv4Addr::new(172, 16, 0, 100);
+    let at = ms(1);
+    let mut out = Vec::new();
+    let mut last = None;
+    for seq in 0..PACKETS {
+        let packet = factory.udp(FlowId(0), src, SERVER, seq, 200, at);
+        c.on_msg(BackhaulMsg::UplinkData { ap: ap(0), packet }, at, &mut out);
+        last = Some(packet);
+    }
+    assert_eq!(c.stats.uplink_forwarded, u64::from(PACKETS));
+    assert_eq!(c.stats.uplink_duplicates, 0);
+    assert_eq!(out.len(), PACKETS as usize);
+    // A second AP's copy of a fresh packet is still a duplicate.
+    let packet = last.expect("sent at least one");
+    c.on_msg(BackhaulMsg::UplinkData { ap: ap(1), packet }, at, &mut out);
+    assert_eq!(c.stats.uplink_duplicates, 1);
+}
+
 // ------------------------------------------------------------------
 // Sketch-backed switch durations: bounded memory, exact moments,
 // rank-accurate quantiles (the PR-2 `bitrate_series` contract, now
@@ -583,11 +609,4 @@ fn switch_durations_sketch_is_bounded_and_rank_accurate() {
             "q={q}: value {value} has rank error {err:.4} > {EPSILON}"
         );
     }
-}
-
-// Keep the unused-import lint honest: ActionSink is the trait bound the
-// harness exercises through `Vec<ControllerAction>`.
-#[allow(dead_code)]
-fn _assert_vec_is_sink(v: &mut Vec<ControllerAction>) -> &mut impl ActionSink {
-    v
 }

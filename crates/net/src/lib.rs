@@ -12,10 +12,8 @@
 //!   avoidance, fast retransmit/recovery, RFC 6298 RTO with Karn's rule),
 //!   enough fidelity to reproduce the baseline's timeout collapse in the
 //!   paper's Fig. 14 and the TCP rows of every table;
-//! * [`traffic`] — the constant-bit-rate UDP source;
-//! * [`flow`] — per-flow delivery accounting (goodput, datagram counts).
+//! * [`traffic`] — the constant-bit-rate UDP source.
 
-pub mod flow;
 pub mod packet;
 pub mod tcp;
 pub mod traffic;

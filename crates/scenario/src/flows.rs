@@ -11,7 +11,6 @@ use std::ops::Range;
 
 use wgtt_apps::conference::{ConferenceSink, ConferenceSource};
 use wgtt_mac::frame::NodeId;
-use wgtt_net::flow::UdpFlowSink;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory, Transport};
 use wgtt_net::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use wgtt_net::traffic::CbrUdpSource;
@@ -117,7 +116,9 @@ impl FrameAssembly {
 enum FlowKind {
     Udp {
         src: CbrUdpSource,
-        sink: UdpFlowSink,
+        meter: ThroughputMeter,
+        /// Datagrams that reached the sink.
+        received: u64,
     },
     DownTcp {
         snd: TcpSender,
@@ -187,7 +188,8 @@ impl Flow {
         let kind = match spec {
             DownlinkUdp { rate_mbps } | UplinkUdp { rate_mbps } => FlowKind::Udp {
                 src: CbrUdpSource::new(id, from, to, rate_mbps, UDP_LEN, SimTime::ZERO),
-                sink: UdpFlowSink::new(),
+                meter: ThroughputMeter::new(),
+                received: 0,
             },
             // The sender's own sentinel for unlimited application data.
             DownlinkTcpBulk => tcp(u64::MAX),
@@ -318,7 +320,15 @@ impl Flow {
         out: &mut Vec<Packet>,
     ) -> Asks {
         match (&mut self.kind, packet.transport) {
-            (FlowKind::Udp { sink, .. }, _) => sink.on_packet(packet, now),
+            (
+                FlowKind::Udp {
+                    meter, received, ..
+                },
+                Transport::Udp { .. },
+            ) => {
+                *received += 1;
+                meter.record(now, u64::from(packet.len));
+            }
             (FlowKind::Conf { asm, sink, .. }, Transport::Udp { seq }) => {
                 let completes = asm.on_chunk(seq);
                 if completes {
@@ -389,10 +399,14 @@ impl Flow {
     /// the run's).
     pub(crate) fn fold_into(&self, report: &mut RunReport) {
         match &self.kind {
-            FlowKind::Udp { src, sink, .. } => {
-                let counts = (u64::from(src.emitted()), sink.received());
+            FlowKind::Udp {
+                src,
+                meter,
+                received,
+            } => {
+                let counts = (u64::from(src.emitted()), *received);
                 report.udp_counts.insert(self.id, counts);
-                report.flow_meters.insert(self.id, sink.meter.clone());
+                report.flow_meters.insert(self.id, meter.clone());
             }
             FlowKind::DownTcp {
                 snd,

@@ -22,7 +22,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 
 use wgtt::ap::ApAgent;
-use wgtt::controller::{ActionBuf, Controller, ControllerAction};
+use wgtt::controller::{Controller, ControllerAction};
 use wgtt::messages::{BackhaulDest, BackhaulMsg};
 use wgtt::WgttConfig;
 use wgtt_baseline::ap::BaselineAp;
@@ -567,7 +567,7 @@ pub struct World {
     /// (a forwarded uplink TCP ack emits fresh downlink segments), so
     /// each dispatch depth pops its own buffer and returns it cleared —
     /// depth-first order preserved, zero steady-state allocation.
-    ctl_bufs: Vec<ActionBuf>,
+    ctl_bufs: Vec<Vec<ControllerAction>>,
     /// AP lists of the queued fan-outs, by their `BackhaulTo::Aps` index,
     /// and the indices no queued event holds. A delivered fan-out's list
     /// goes back empty with its storage, so steady state allocates
@@ -1560,7 +1560,6 @@ mod tests {
 
     #[test]
     fn fanout_reaches_each_ap_it_names_and_counts_the_id_that_is_none() {
-        use wgtt::controller::ActionSink;
         let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, 1);
         w.traffic_start = SimTime::from_secs(1);
         w.begin(SimDuration::from_secs(1));
@@ -1571,7 +1570,7 @@ mod tests {
             let now = SimTime::ZERO + latency.times(2 * u64::from(index) + 1);
             w.advance_until(now);
             let packet = w.factory.udp(FlowId(0), from, to, index.into(), 1500, now);
-            let mut buf = ActionBuf::new();
+            let mut buf = Vec::new();
             // NodeId(64) is neither an AP nor a client of this world.
             for ap in [NodeId(2), NodeId(64), NodeId(5)] {
                 let msg = BackhaulMsg::DownlinkData {
@@ -1579,7 +1578,7 @@ mod tests {
                     index,
                     packet,
                 };
-                buf.send(ap, msg);
+                buf.push(ControllerAction::Send { ap, msg });
             }
             w.dispatch_ctl_buf(&mut buf, now);
             w.advance_until(now + latency);

@@ -150,7 +150,11 @@ impl World {
     /// here again), so each depth takes its own buffer from the pool —
     /// depth-first dispatch order is preserved exactly, and in steady
     /// state no dispatch allocates.
-    fn with_controller(&mut self, now: SimTime, f: impl FnOnce(&mut Controller, &mut ActionBuf)) {
+    fn with_controller(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut Controller, &mut Vec<ControllerAction>),
+    ) {
         let mut buf = self.ctl_bufs.pop().unwrap_or_default();
         debug_assert!(buf.is_empty());
         if let Some(w) = self.system.wgtt() {
@@ -161,8 +165,8 @@ impl World {
         self.ctl_bufs.push(buf);
     }
 
-    fn dispatch_ctl_buf(&mut self, buf: &mut ActionBuf, now: SimTime) {
-        let mut actions = buf.drain().peekable();
+    fn dispatch_ctl_buf(&mut self, buf: &mut Vec<ControllerAction>, now: SimTime) {
+        let mut actions = buf.drain(..).peekable();
         while let Some(a) = actions.next() {
             match a {
                 ControllerAction::Send { ap, msg } => {
@@ -220,7 +224,7 @@ impl World {
                 let Some(w) = self.system.wgtt() else {
                     return;
                 };
-                let actions = w.aps[ai].on_backhaul(msg);
+                let action = w.aps[ai].on_backhaul(msg);
                 // A forwarded Block ACK may have resolved the pending
                 // exchange.
                 let resolved = kick_client.is_some_and(|client| {
@@ -231,7 +235,7 @@ impl World {
                 if resolved {
                     self.resolve_exchange(ap_id, now);
                 }
-                for act in actions {
+                if let Some(act) = action {
                     self.backhaul_send(act.to, act.msg, now);
                 }
                 self.kick(ap_id, now);

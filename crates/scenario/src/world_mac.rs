@@ -448,7 +448,7 @@ impl World {
                 }
             } else if let Some(w) = self.system.wgtt() {
                 if w.cfg.enable_ba_forwarding {
-                    for act in w.aps[aui].on_overheard_block_ack(client, start_seq, bitmap) {
+                    if let Some(act) = w.aps[aui].on_overheard_block_ack(client, start_seq, bitmap) {
                         self.backhaul_send(act.to, act.msg, now);
                     }
                 }
