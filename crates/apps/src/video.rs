@@ -67,11 +67,6 @@ impl VideoPlayer {
         self.state
     }
 
-    /// Media seconds buffered ahead of the playhead.
-    pub fn buffered_seconds(&self) -> f64 {
-        self.buffered_s
-    }
-
     /// Advance the playback clock to `now`, consuming buffer while
     /// playing and accumulating stall time while not.
     pub fn advance(&mut self, now: SimTime) {

@@ -10,7 +10,7 @@
 //! | Module | Paper section | Mechanism |
 //! |---|---|---|
 //! | [`selection`] | §3.1.1 | max-median-ESNR AP selection over a sliding window *W* (Fig. 6), with the time hysteresis studied in §5.3.3; the verdict is the paper's reactive rule or a load-aware variant ([`SwitchPolicyKind`]) |
-//! | [`window`] | §3.1.1 | the sliding window backing [`selection`]: a sorted ring (binary-searched insert and expiry, median and max by index), a compensated running mean, and a reduce memoized until the window changes; equal to the seed's sort-per-query window by property test (the mean within 1e-9) |
+//! | [`window`] | §3.1.1 | the sliding window backing [`selection`]: a sorted ring (binary-searched insert and expiry, median and max by index) beside the time-ordered readings (latest, and the mean summed when asked); bit-identical to the seed's sort-per-query window by property test |
 //! | [`cyclic`] | §3.1.2, Fig. 7 | per-client cyclic queue with m = 12-bit packet indices, replicated at every in-range AP |
 //! | [`switching`] | §3.1.2 | the three-step `stop(c)` → `start(c, k)` → `ack` protocol, 30 ms ack timeout, one outstanding switch |
 //! | [`dedup`] | §3.2.2–3.2.3 | controller-side uplink de-duplication on the 48-bit (src IP, IP ident) key |

@@ -14,13 +14,13 @@
 //!
 //! The per-link window reduction is delegated to
 //! [`crate::window::EsnrWindow`], an incremental order-statistics
-//! structure (indexable sorted ring, memoized reduce).
+//! structure (an indexable sorted ring, so the median is an index read).
 //!
 //! ## The scan
 //!
 //! A client's links sit in a `Vec` sorted by AP id, and every argmax is
-//! one pass over them: expire the window at `now`, read its memoized
-//! reduction, score it. No workload gives a client more than a few
+//! one pass over them: expire the window at `now`, read its reduction,
+//! score it. No workload gives a client more than a few
 //! dozen candidate APs, and the controller already walks the same links
 //! on every downlink packet ([`ApSelector::for_each_heard`]), so the
 //! pass costs about what the bookkeeping to avoid it would.
@@ -298,7 +298,7 @@ impl ApSelector {
     }
 
     /// The selector's one pass: expire every window at `now`, read its
-    /// memoized reduction, and keep the AP with the highest `score`.
+    /// reduction, and keep the AP with the highest `score`.
     /// Links are in ascending AP id and the comparison is a strict `>`,
     /// so the lowest id wins ties.
     fn argmax(
@@ -579,8 +579,8 @@ mod tests {
         s.record(AP1, ms(0), 20.0);
         s.record(AP2, ms(1), 25.0);
         let first = s.best(ms(2));
-        // The memoized reductions must return the identical answer on
-        // every re-query at the same instant.
+        // The reductions must return the identical answer on every
+        // re-query at the same instant.
         for _ in 0..5 {
             assert_eq!(s.best(ms(2)), first);
         }

@@ -5,8 +5,7 @@
 //! window reduction the hottest path in the whole system. The seed
 //! implementation re-collected and re-sorted the window per AP per
 //! frame — O(A · n log n) with an allocation per query. This module
-//! replaces it with structures that keep order statistics *across*
-//! queries instead of rebuilding them per query:
+//! keeps the window sorted *across* queries instead:
 //!
 //! * an **indexable sorted ring** (`SortedRing`): the window's live
 //!   values kept sorted under `f64::total_cmp`; insert and expiry
@@ -16,17 +15,17 @@
 //!   small `memmove` — measured faster than a two-heap lazy-deletion
 //!   median (no hashing, no tombstones, no rebalancing) while staying
 //!   exactly population-sized;
-//! * a running deque of `(time, value)` readings giving expiry order,
-//!   the latest sample, and the mean.
+//! * a deque of `(time, value)` readings giving expiry order, the
+//!   latest sample, and the mean.
 //!
-//! [`EsnrWindow::reduce`] additionally memoizes its result until the
-//! next insert or expiry, so a selector scanning every AP per frame
-//! recomputes only the links that actually changed.
+//! [`EsnrWindow::reduce`] is a plain read of that state: an index into
+//! the ring, the deque's back, or (for the mean, which only the
+//! selector ablation asks for) one pass over the deque.
 //!
 //! **Equivalence guarantee.** [`EsnrWindow`] is the crate's one window.
-//! For every [`WindowReduce`] the reduced value is numerically identical
-//! to the seed's naive sort-per-query window, which survives verbatim as
-//! the oracle in `crates/core/tests/oracle/window.rs`:
+//! For every [`WindowReduce`] the reduced value is bit-identical to the
+//! seed's naive sort-per-query window, which survives verbatim as the
+//! oracle in `crates/core/tests/oracle/window.rs`:
 //!
 //! * *Median*: the ring is the window multiset sorted under
 //!   `total_cmp`, and the reduction reads element `n/2` (0-based) —
@@ -34,16 +33,8 @@
 //!   oracle's `partial_cmp` sort can only disagree about the relative
 //!   order of bit-distinct but numerically equal values (`-0.0` vs
 //!   `0.0`), which cannot change the value at any sorted index.
-//! * *Mean*: maintained as a **Neumaier-compensated running sum**
-//!   (O(1) per insert/expiry instead of an O(n) re-summation on every
-//!   invalidation). This trades bit-equality with the oracle's
-//!   left-to-right summation for the same within-epsilon +
-//!   identical-verdict contract already accepted for the ESNR
-//!   inversion: the compensated total is at least as accurate as the
-//!   naive sum, deviates from it by ≤ 1e-9 dB over any window a fleet
-//!   run produces, and the sum/compensation pair resets exactly to
-//!   zero whenever the window empties, so rounding residue cannot
-//!   accumulate across windows.
+//! * *Mean*: the oracle's own expression — the deque summed left to
+//!   right, oldest first, divided by its length.
 //! * *Max*: the ring's last element. Every reading is finite (the
 //!   selector rejects the rest), so this is the oracle's `f64::max`
 //!   fold up to the sign of a zero, which no ESNR reading carries.
@@ -145,8 +136,7 @@ impl SortedRing {
 /// Incremental sliding-window ESNR history for one (client, AP) link.
 ///
 /// Maintains median / mean / max / latest under time-ordered inserts
-/// ([`EsnrWindow::push`]) and front expiry ([`EsnrWindow::expire`]),
-/// with the reduced value memoized between mutations.
+/// ([`EsnrWindow::push`]) and front expiry ([`EsnrWindow::expire`]).
 ///
 /// ```
 /// use wgtt::window::{EsnrWindow, WindowReduce};
@@ -165,13 +155,6 @@ pub struct EsnrWindow {
     /// `(time, esnr_db)`, oldest first — expiry order, latest, and mean.
     readings: VecDeque<(SimTime, f64)>,
     ring: SortedRing,
-    /// Neumaier-compensated running sum of the live readings: `sum` is
-    /// the naive accumulator, `comp` the exactly-tracked rounding
-    /// residue. The mean is `(sum + comp) / len` — O(1) per query.
-    sum: f64,
-    comp: f64,
-    /// Memoized `reduce` result, invalidated by insert/expiry.
-    cached: Option<(WindowReduce, Option<f64>)>,
 }
 
 impl EsnrWindow {
@@ -202,76 +185,36 @@ impl EsnrWindow {
             "per-link readings must arrive in time order"
         );
         self.readings.push_back((at, esnr_db));
-        self.add_to_sum(esnr_db);
         self.ring.insert(esnr_db);
         self.expire(at, window);
-        // `expire` only clears the cache when something left the
-        // window, so clear unconditionally for the insert itself.
-        self.cached = None;
     }
 
     /// Drop readings with `t + window < now` (same strict inequality as
     /// the seed implementation: a reading exactly `window` old stays).
     #[inline]
     pub fn expire(&mut self, now: SimTime, window: SimDuration) {
-        let mut changed = false;
         while let Some(&(t, v)) = self.readings.front() {
             if t + window < now {
                 self.readings.pop_front();
-                self.add_to_sum(-v);
                 self.ring.remove(v);
-                changed = true;
             } else {
                 break;
             }
         }
-        if changed {
-            if self.readings.is_empty() {
-                // Exact reset: rounding residue from a drained window
-                // must not leak into the next one.
-                self.sum = 0.0;
-                self.comp = 0.0;
-            }
-            self.cached = None;
-        }
     }
 
-    /// Fold `v` into the compensated running sum (Neumaier's variant of
-    /// Kahan summation: the branch keeps the residue exact even when
-    /// `v` dominates the accumulator). Expiry folds in `-v`.
+    /// Reduce the window under `policy`: O(1) for median, max and
+    /// latest, one pass over the live readings for the mean.
     #[inline]
-    fn add_to_sum(&mut self, v: f64) {
-        let t = self.sum + v;
-        self.comp += if self.sum.abs() >= v.abs() {
-            (self.sum - t) + v
-        } else {
-            (v - t) + self.sum
-        };
-        self.sum = t;
-    }
-
-    /// Reduce the window under `policy`. O(1) when nothing changed since
-    /// the last call, and O(1) after a mutation for every policy (mean
-    /// included, via the compensated running sum).
-    #[inline]
-    pub fn reduce(&mut self, policy: WindowReduce) -> Option<f64> {
-        if let Some((p, v)) = self.cached {
-            if p == policy {
-                return v;
-            }
-        }
-        let v = self.compute(policy);
-        self.cached = Some((policy, v));
-        v
-    }
-
-    fn compute(&mut self, policy: WindowReduce) -> Option<f64> {
+    pub fn reduce(&self, policy: WindowReduce) -> Option<f64> {
         if self.readings.is_empty() {
             return None;
         }
         match policy {
             WindowReduce::Median => self.ring.median(),
-            WindowReduce::Mean => Some((self.sum + self.comp) / self.readings.len() as f64),
+            WindowReduce::Mean => Some(
+                self.readings.iter().map(|&(_, v)| v).sum::<f64>() / self.readings.len() as f64,
+            ),
             WindowReduce::Max => self.ring.max(),
             WindowReduce::Latest => self.readings.back().map(|&(_, v)| v),
         }
@@ -297,36 +240,17 @@ mod tests {
 
     #[test]
     fn empty_reduces_to_none() {
-        let mut w = EsnrWindow::new();
+        let w = EsnrWindow::new();
         for p in POLICIES {
             assert_eq!(w.reduce(p), None);
         }
     }
 
     #[test]
-    fn mean_running_sum_survives_catastrophic_cancellation() {
-        // Regression for the O(n) re-summation this replaced: the naive
-        // left-to-right sum of [1e16, 1, -1e16] loses the 1.0 entirely
-        // (1e16 + 1 rounds back to 1e16), reporting a mean of 0. The
-        // Neumaier-compensated running sum keeps the residue exact and
-        // reports the true mean 1/3 — so this test fails on the pre-fix
-        // code.
-        let mut w = EsnrWindow::new();
-        w.push(ms(0), 1e16, W);
-        w.push(ms(1), 1.0, W);
-        w.push(ms(2), -1e16, W);
-        let mean = w.reduce(WindowReduce::Mean).expect("non-empty");
-        assert!(
-            (mean - 1.0 / 3.0).abs() < 1e-12,
-            "compensated mean should be 1/3, got {mean}"
-        );
-    }
-
-    #[test]
     fn mean_sum_resets_exactly_when_window_drains() {
         // Expire everything, then push a fresh reading: the mean must be
-        // that reading exactly, with no rounding residue from the dead
-        // window leaking into the new sum.
+        // that reading exactly — no reading of the dead window survives
+        // in the deque the mean sums over.
         let mut w = EsnrWindow::new();
         for i in 0..50u64 {
             w.push(ms(i / 8), 0.1 * i as f64 + 3.7, W);

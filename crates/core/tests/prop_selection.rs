@@ -11,13 +11,8 @@
 //! independent full expire-and-reduce selector.
 //! Selection *verdicts* are a pure function of the reduced values, so
 //! equality here means every experiment artifact in EXPERIMENTS.md is
-//! unchanged by the optimization.
-//!
-//! One deliberate exception: the **Mean** policy runs on an O(1)
-//! compensated running sum and is pinned to a within-[`MEAN_EPS`] +
-//! identical-verdict contract instead of bit-equality (same trade
-//! already accepted for the fast BER→SNR inverse; see the equivalence
-//! notes in `wgtt::window`).
+//! unchanged by the optimization. Every reduction — median, mean, max
+//! and latest — is held to exact equality; none has an epsilon.
 
 mod oracle;
 
@@ -44,21 +39,6 @@ const POLICIES: [WindowReduce; 4] = [
 /// regime where order-statistics bookkeeping goes wrong.
 fn esnr(raw: u32) -> f64 {
     raw as f64 / 10.0 - 20.0
-}
-
-/// The Mean policy runs on a compensated running sum and is held to a
-/// within-epsilon contract against the oracle's per-query summation
-/// (module docs of `wgtt::window`); every other policy stays bit-exact.
-const MEAN_EPS: f64 = 1e-9;
-
-/// Within-epsilon equality for the Mean reduction: presence must match
-/// exactly, values within [`MEAN_EPS`].
-fn mean_close(a: Option<f64>, b: Option<f64>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => (x - y).abs() <= MEAN_EPS,
-        _ => false,
-    }
 }
 
 /// The reduction of each of APs `0..aps` at `now`, as bits: the
@@ -95,17 +75,10 @@ proptest! {
             naive.push(at, v, WINDOW);
             prop_assert_eq!(inc.len(), naive.len());
             for p in POLICIES {
-                if p == WindowReduce::Mean {
-                    prop_assert!(
-                        mean_close(inc.reduce(p), naive.reduce(p)),
-                        "Mean diverged at t={}µs", t_us
-                    );
-                } else {
-                    prop_assert_eq!(
-                        inc.reduce(p), naive.reduce(p),
-                        "{:?} diverged at t={}µs", p, t_us
-                    );
-                }
+                prop_assert_eq!(
+                    inc.reduce(p), naive.reduce(p),
+                    "{:?} diverged at t={}µs", p, t_us
+                );
             }
         }
     }
@@ -132,17 +105,10 @@ proptest! {
             }
             prop_assert_eq!(inc.len(), naive.len());
             for p in POLICIES {
-                if p == WindowReduce::Mean {
-                    prop_assert!(
-                        mean_close(inc.reduce(p), naive.reduce(p)),
-                        "Mean diverged at t={}µs (insert={})", t_us, is_insert
-                    );
-                } else {
-                    prop_assert_eq!(
-                        inc.reduce(p), naive.reduce(p),
-                        "{:?} diverged at t={}µs (insert={})", p, t_us, is_insert
-                    );
-                }
+                prop_assert_eq!(
+                    inc.reduce(p), naive.reduce(p),
+                    "{:?} diverged at t={}µs (insert={})", p, t_us, is_insert
+                );
             }
         }
     }
@@ -165,17 +131,10 @@ proptest! {
             naive.push(at, esnr(raw), WINDOW);
             prop_assert_eq!(inc.len(), naive.len(), "len diverged at t={}µs", t_us);
             for p in POLICIES {
-                if p == WindowReduce::Mean {
-                    prop_assert!(
-                        mean_close(inc.reduce(p), naive.reduce(p)),
-                        "Mean diverged at t={}µs", t_us
-                    );
-                } else {
-                    prop_assert_eq!(
-                        inc.reduce(p), naive.reduce(p),
-                        "{:?} diverged at t={}µs", p, t_us
-                    );
-                }
+                prop_assert_eq!(
+                    inc.reduce(p), naive.reduce(p),
+                    "{:?} diverged at t={}µs", p, t_us
+                );
             }
         }
     }
@@ -203,60 +162,20 @@ proptest! {
 
             // Naive argmax: ascending AP id, strict > keeps the first.
             let mut expected: Option<(NodeId, f64)> = None;
-            let mut oracle_vals: Vec<(NodeId, f64)> = Vec::new();
             for (&id, w) in oracle.iter_mut() {
                 w.expire(at, WINDOW);
                 if let Some(m) = w.reduce(policy) {
-                    oracle_vals.push((NodeId(id), m));
                     if expected.is_none_or(|(_, bm)| m > bm) {
                         expected = Some((NodeId(id), m));
                     }
                 }
             }
-            let got = selector.best(at);
-            if policy == WindowReduce::Mean {
-                // Within-epsilon contract: the selected value must be
-                // ≤ MEAN_EPS from the oracle's best, and if a different
-                // AP was picked its oracle mean must be an epsilon-tie
-                // with the oracle's winner.
-                match (got, expected) {
-                    (None, None) => {}
-                    (Some((gap, gv)), Some((_, ev))) => {
-                        prop_assert!(
-                            (gv - ev).abs() <= MEAN_EPS,
-                            "Mean best value diverged at t={}µs: {} vs {}", t_us, gv, ev
-                        );
-                        let gap_oracle = oracle_vals
-                            .iter()
-                            .find(|&&(id, _)| id == gap)
-                            .map(|&(_, v)| v);
-                        prop_assert!(
-                            gap_oracle.is_some_and(|v| (v - ev).abs() <= MEAN_EPS),
-                            "Mean best picked a non-tied AP at t={}µs", t_us
-                        );
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "Mean best presence diverged at t={}µs: {:?} vs {:?}", t_us, got, expected
-                    ),
-                }
-            } else {
-                prop_assert_eq!(got, expected, "best diverged at t={}µs", t_us);
-            }
+            prop_assert_eq!(selector.best(at), expected, "best diverged at t={}µs", t_us);
             for (&id, w) in oracle.iter() {
-                let sel = selector.median_esnr(NodeId(id), at);
-                let nv = w.reduce(policy);
-                if policy == WindowReduce::Mean {
-                    prop_assert!(
-                        mean_close(sel, nv),
-                        "Mean median_esnr({}) diverged at t={}µs", id, t_us
-                    );
-                } else {
-                    prop_assert_eq!(
-                        sel, nv,
-                        "median_esnr({}) diverged at t={}µs", id, t_us
-                    );
-                }
+                prop_assert_eq!(
+                    selector.median_esnr(NodeId(id), at), w.reduce(policy),
+                    "median_esnr({}) diverged at t={}µs", id, t_us
+                );
             }
         }
     }
@@ -395,16 +314,14 @@ proptest! {
         }
     }
 
-    /// The Mean-policy contract for the O(1) compensated running sum
-    /// (this is the proptest the running-sum change lands with):
-    /// window reductions stay within [`MEAN_EPS`] of the retained
-    /// sort-per-query oracle under arbitrary insert/expiry interleavings
-    /// — windows that drain completely and refill included, which is
-    /// where an uncompensated running sum accumulates drift — and the
-    /// fast selector's `best()`/`evaluate()` verdicts under Mean are
+    /// The Mean policy, the one reduction that sums rather than indexes:
+    /// window reductions equal the retained sort-per-query oracle's bit
+    /// for bit under arbitrary insert/expiry interleavings — windows
+    /// that drain completely and refill included — and the fast
+    /// selector's `best()`/`evaluate()` verdicts under Mean are
     /// *identical* to the retained full-scan oracle's at every step.
     #[test]
-    fn mean_running_sum_within_epsilon_and_identical_verdicts(
+    fn mean_bit_exact_with_identical_verdicts(
         ops in proptest::collection::vec(
             (0u32..4, 0u32..8, 0u64..3_000, 0u32..600), 1..250
         )
@@ -418,7 +335,7 @@ proptest! {
         let mut t_us = 0u64;
         for (ap_raw, kind, dt_us, raw) in ops {
             // Occasional large jumps drain every window completely, so
-            // the sum's exact reset-on-empty is exercised.
+            // the mean of a refilled window is exercised.
             t_us += if dt_us > 2_800 { dt_us * 20 } else { dt_us };
             let at = SimTime::from_micros(t_us);
             let ap = NodeId(ap_raw % 5);
@@ -446,9 +363,10 @@ proptest! {
                     }
                 }
             }
-            prop_assert!(
-                mean_close(inc.reduce(WindowReduce::Mean), naive.reduce(WindowReduce::Mean)),
-                "Mean window deviated > {} at t={}µs", MEAN_EPS, t_us
+            prop_assert_eq!(
+                inc.reduce(WindowReduce::Mean).map(f64::to_bits),
+                naive.reduce(WindowReduce::Mean).map(f64::to_bits),
+                "Mean window diverged at t={}µs", t_us
             );
             prop_assert_eq!(
                 fast.best(at).map(|(a, m)| (a, m.to_bits())),
@@ -459,12 +377,8 @@ proptest! {
     }
 
     /// Mid-run `set_window_reduce` interleaved with readings, expiries,
-    /// and verdicts: the per-window memoized reduce must track a
-    /// reduction-policy change exactly like the full-scan oracle. (The selector-vs-selector
-    /// comparison is bit-exact under every policy — both sides run the
-    /// same `EsnrWindow`, including the Mean running sum — so `to_bits`
-    /// applies throughout; the Mean-vs-`NaiveWindow` epsilon contract
-    /// lives in its own suite above.)
+    /// and verdicts: the selector must track a reduction-policy change
+    /// exactly like the full-scan oracle, compared through `to_bits`.
     #[test]
     fn mid_run_set_policy_matches_full_scan_oracle(
         ops in proptest::collection::vec(
@@ -718,19 +632,6 @@ fn both() -> (EsnrWindow, NaiveWindow) {
     (EsnrWindow::new(), NaiveWindow::new())
 }
 
-/// Oracle comparison per reduction: bit-exact for order statistics,
-/// within [`MEAN_EPS`] for the compensated-running-sum mean.
-fn assert_matches_oracle(inc: Option<f64>, naive: Option<f64>, p: WindowReduce, ctx: &str) {
-    if p == WindowReduce::Mean {
-        assert!(
-            mean_close(inc, naive),
-            "Mean {ctx}: {inc:?} vs oracle {naive:?}"
-        );
-    } else {
-        assert_eq!(inc, naive, "{p:?} {ctx}");
-    }
-}
-
 #[test]
 fn matches_oracle_on_fig6_window() {
     let (mut inc, mut naive) = both();
@@ -739,7 +640,7 @@ fn matches_oracle_on_fig6_window() {
         naive.push(ms(100 + i as u64), *v, WINDOW);
     }
     for p in POLICIES {
-        assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "fig6 window");
+        assert_eq!(inc.reduce(p), naive.reduce(p), "{p:?} fig6 window");
     }
     assert_eq!(inc.reduce(WindowReduce::Median), Some(23.0));
 }
@@ -777,7 +678,7 @@ fn sliding_stream_matches_oracle() {
         inc.push(at, v, WINDOW);
         naive.push(at, v, WINDOW);
         for p in POLICIES {
-            assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, &format!("at t={t}µs"));
+            assert_eq!(inc.reduce(p), naive.reduce(p), "{p:?} at t={t}µs");
         }
         assert_eq!(inc.len(), naive.len());
     }
@@ -791,13 +692,13 @@ fn duplicate_values_and_timestamps_match_oracle() {
         naive.push(ms(t), v, WINDOW);
     }
     for p in POLICIES {
-        assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "duplicates");
+        assert_eq!(inc.reduce(p), naive.reduce(p), "{p:?} duplicates");
     }
     // Slide far enough that the t=0 triple expires.
     inc.expire(ms(12), WINDOW);
     naive.expire(ms(12), WINDOW);
     for p in POLICIES {
-        assert_matches_oracle(inc.reduce(p), naive.reduce(p), p, "after expiry");
+        assert_eq!(inc.reduce(p), naive.reduce(p), "{p:?} after expiry");
     }
 }
 

@@ -113,71 +113,3 @@ pub struct Frame {
     /// robust basic rates internally; see `airtime`).
     pub mcs: Mcs,
 }
-
-impl Frame {
-    /// Total payload bytes carried (0 for control/management frames).
-    pub fn payload_bytes(&self) -> u32 {
-        match &self.kind {
-            FrameKind::Ampdu { mpdus } => mpdus.iter().map(|m| m.packet.len as u32).sum(),
-            FrameKind::Data { packet, .. } => packet.len as u32,
-            _ => 0,
-        }
-    }
-
-    /// Number of MPDUs (1 for unaggregated kinds).
-    pub fn mpdu_count(&self) -> usize {
-        match &self.kind {
-            FrameKind::Ampdu { mpdus } => mpdus.len(),
-            _ => 1,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn pkt(id: u64, len: u16) -> PacketRef {
-        PacketRef { id, len }
-    }
-
-    #[test]
-    fn payload_bytes_sums_ampdu() {
-        let f = Frame {
-            from: NodeId(1),
-            to: NodeId(2),
-            kind: FrameKind::Ampdu {
-                mpdus: vec![
-                    Mpdu {
-                        seq: 0,
-                        packet: pkt(1, 1500),
-                        retries: 0,
-                    },
-                    Mpdu {
-                        seq: 1,
-                        packet: pkt(2, 500),
-                        retries: 0,
-                    },
-                ],
-            },
-            mcs: Mcs::Mcs7,
-        };
-        assert_eq!(f.payload_bytes(), 2000);
-        assert_eq!(f.mpdu_count(), 2);
-    }
-
-    #[test]
-    fn control_frames_have_no_payload() {
-        let f = Frame {
-            from: NodeId(1),
-            to: NodeId(2),
-            kind: FrameKind::BlockAck {
-                start_seq: 0,
-                bitmap: u64::MAX,
-            },
-            mcs: Mcs::Mcs0,
-        };
-        assert_eq!(f.payload_bytes(), 0);
-        assert_eq!(f.mpdu_count(), 1);
-    }
-}

@@ -55,11 +55,6 @@ impl Mcs {
         self as usize
     }
 
-    /// Construct from an index (panics if > 7).
-    pub fn from_index(i: usize) -> Mcs {
-        ALL_MCS[i]
-    }
-
     /// PHY data rate, Mbit/s (20 MHz, short GI, 1 SS).
     pub fn rate_mbps(self) -> f64 {
         match self {
@@ -278,7 +273,6 @@ mod tests {
     fn index_roundtrip() {
         for (i, m) in ALL_MCS.iter().enumerate() {
             assert_eq!(m.index(), i);
-            assert_eq!(Mcs::from_index(i), *m);
         }
     }
 }

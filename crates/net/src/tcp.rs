@@ -157,12 +157,6 @@ impl TcpSender {
         }
     }
 
-    /// Add more application data (streaming sources call this as frames
-    /// are produced). Saturates at the bulk sentinel.
-    pub fn push_app_data(&mut self, bytes: u64) {
-        self.app_limit = self.app_limit.saturating_add(bytes);
-    }
-
     /// Current congestion window, bytes.
     pub fn cwnd(&self) -> u64 {
         self.cwnd
@@ -203,8 +197,8 @@ impl TcpSender {
     }
 
     /// Emit every segment currently allowed by the window: queued
-    /// retransmissions first, then fresh data. Call after `on_ack`,
-    /// `on_rto`, or `push_app_data`.
+    /// retransmissions first, then fresh data. Call after `on_ack` or
+    /// `on_rto`.
     pub fn poll_send(&mut self, now: SimTime) -> Vec<Segment> {
         let mut out = Vec::new();
         // Retransmissions ignore cwnd gating beyond being sent one window

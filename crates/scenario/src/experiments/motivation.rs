@@ -6,41 +6,24 @@ use crate::testbed::{ClientPlan, TestbedConfig};
 use crate::world::{FlowSpec, SystemKind, World};
 use wgtt_mac::frame::NodeId;
 use wgtt_mac::mcs::capacity_mbps;
-use wgtt_radio::fading::FadingProcess;
-use wgtt_radio::link::{Link, LinkBudget, LinkSite};
-use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel};
+use wgtt_radio::link::Link;
+use wgtt_radio::Modulation;
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 /// Build the pure-radio links of the first `n` APs of the paper array
 /// for a client moving at `speed_mph` (no MAC, no world — Fig. 2 and the
-/// Fig. 21 emulation sample the channel directly).
+/// Fig. 21 emulation sample the channel directly). They are the links a
+/// paper-array world with this one plan realizes at `seed`.
 pub fn radio_links(n: usize, speed_mph: f64, seed: u64) -> (Vec<Link>, ClientPlan) {
-    let testbed = TestbedConfig::paper_array();
     let plan = ClientPlan::drive_by(speed_mph);
-    let root = RngStream::root(seed);
-    let links = testbed
-        .ap_positions()
-        .into_iter()
-        .take(n)
-        .enumerate()
-        .map(|(ai, ap_pos)| {
-            LinkSite {
-                ap_pos,
-                ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-                ap_antenna: ParabolicAntenna::laird_gd24bp(),
-                client_antenna_dbi: 0.0,
-                budget: LinkBudget::default(),
-                pathloss: PathLossModel::roadside(),
-            }
-            .link(FadingProcess::new(
-                root.derive("link")
-                    .derive_indexed("ap", ai as u64)
-                    .derive_indexed("client", 0),
-                crate::experiments::common::mps(speed_mph),
-                9.0,
-            ))
-        })
+    let testbed = TestbedConfig {
+        clients: vec![plan],
+        ..TestbedConfig::paper_array()
+    };
+    let links = RngStream::root(seed).derive("link");
+    let links = (0..n.min(testbed.ap_x.len()))
+        .map(|aui| testbed.link(&links, aui, 0))
         .collect();
     (links, plan)
 }

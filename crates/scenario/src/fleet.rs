@@ -23,6 +23,7 @@ use crate::world::{EventCounts, FlowSpec, PhyWork, SystemKind, World};
 use wgtt_apps::mix::{AppKind, TrafficMix};
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::Position;
+use wgtt_sim::metrics::nearest_rank;
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::SimDuration;
 
@@ -621,11 +622,8 @@ impl FleetReport {
     /// that have one (nearest-rank).
     fn quantile_of(&self, q: f64, f: impl Fn(&VehicleStats) -> Option<f64>) -> Option<f64> {
         let mut vals: Vec<f64> = self.per_vehicle.iter().filter_map(f).collect();
-        if vals.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
+        let idx = nearest_rank(vals.len(), q)?;
         vals.sort_by(|a, b| a.partial_cmp(b).expect("stat is never NaN"));
-        let idx = ((q * (vals.len() - 1) as f64).round() as usize).min(vals.len() - 1);
         Some(vals[idx])
     }
 
@@ -641,11 +639,7 @@ impl FleetReport {
 
     /// Quantile of the pooled outage-duration samples.
     pub fn outage_quantile(&self, q: f64) -> Option<f64> {
-        if self.outage_cdf.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let idx = ((q * (self.outage_cdf.len() - 1) as f64).round() as usize)
-            .min(self.outage_cdf.len() - 1);
+        let idx = nearest_rank(self.outage_cdf.len(), q)?;
         Some(self.outage_cdf[idx].0)
     }
 

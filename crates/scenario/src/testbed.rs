@@ -9,7 +9,10 @@
 //! 3 m spacing, parallel, opposing).
 
 use wgtt_mac::frame::NodeId;
-use wgtt_radio::Position;
+use wgtt_radio::fading::FadingProcess;
+use wgtt_radio::link::{Link, LinkBudget, LinkSite};
+use wgtt_radio::{ParabolicAntenna, PathLossModel, Position};
+use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 /// Metres per second per mile-per-hour.
@@ -250,6 +253,37 @@ impl TestbedConfig {
             .iter()
             .map(|&x| Position::new(x, ROAD_OFFSET_M))
             .collect()
+    }
+
+    /// What every link of the AP at local index `aui` shares: geometry
+    /// only, no fading.
+    pub(crate) fn site(&self, aui: usize) -> LinkSite {
+        LinkSite {
+            ap_pos: Position::new(self.ap_x[aui], ROAD_OFFSET_M),
+            ap_boresight_rad: self
+                .ap_boresight_rad
+                .unwrap_or(-std::f64::consts::FRAC_PI_2),
+            ap_antenna: ParabolicAntenna::laird_gd24bp(),
+            client_antenna_dbi: 0.0,
+            budget: LinkBudget::testbed(),
+            pathloss: PathLossModel::roadside(),
+        }
+    }
+
+    /// The radio link between the AP at local index `aui` and client
+    /// `ci`: the one place this crate builds a [`Link`]. Its fading
+    /// stream derives from `links` (the seed's `"link"` stream) by the
+    /// pair's *global* AP id and client index, so a shard and the
+    /// monolithic world, or a world and a bare radio sample, realize the
+    /// same channel. Rician K is 9 dB, and a parked client fades as if
+    /// moving at 0.3 m/s.
+    pub(crate) fn link(&self, links: &RngStream, aui: usize, ci: usize) -> Link {
+        let stream = links
+            .derive_indexed("ap", u64::from(self.ap_id_offset) + aui as u64)
+            .derive_indexed("client", (self.client_index_offset + ci) as u64);
+        let speed_mps = self.clients[ci].speed_mps.max(0.3);
+        self.site(aui)
+            .link(FadingProcess::new(stream, speed_mps, 9.0))
     }
 
     /// Whether `id` names one of this array's APs.

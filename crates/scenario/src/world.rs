@@ -40,9 +40,9 @@ use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
-use wgtt_radio::fading::{FadingProcess, TapGains};
-use wgtt_radio::link::{Link, LinkBudget, LinkSite};
-use wgtt_radio::{Modulation, ParabolicAntenna, PathLossModel, Position};
+use wgtt_radio::fading::TapGains;
+use wgtt_radio::link::{Link, LinkBudget};
+use wgtt_radio::{Modulation, PathLossModel, Position};
 use wgtt_sim::metrics::{Counter, Distribution, ThroughputMeter, TimeSeries};
 use wgtt_sim::queue::{EventId, EventQueue};
 use wgtt_sim::rng::{RngStream, Xoshiro256};
@@ -859,41 +859,17 @@ impl World {
     }
 
     /// The link of `pair` held in `slot` — the world's own slot, or a
-    /// query's copy of it — realized there on first use: the one place a
-    /// world constructs a [`Link`]. It is a pure function of the seed,
-    /// the pair's *global* AP id and client index, the AP's site and the
+    /// query's copy of it — realized there on first use by
+    /// [`TestbedConfig::link`]. It is a pure function of the seed, the
+    /// pair's *global* AP id and client index, the AP's site and the
     /// client's plan speed, so where and when it is realized moves no
     /// bit; and a link realized but not yet asked anything holds the
     /// same empty memo and zero work as one never realized.
     fn link_at<'a>(&self, slot: &'a LinkSlot, pair: usize) -> &'a Link {
         slot.get_or_init(|| {
             let (aui, ci) = (pair / self.clients.len(), pair % self.clients.len());
-            let stream = self
-                .link_stream
-                .derive_indexed("ap", u64::from(self.cfg.ap_id_offset) + aui as u64)
-                .derive_indexed("client", (self.cfg.client_index_offset + ci) as u64);
-            let speed_mps = self.clients[ci].plan.speed_mps.max(0.3);
-            Box::new(
-                self.site(aui)
-                    .link(FadingProcess::new(stream, speed_mps, 9.0)),
-            )
+            Box::new(self.cfg.link(&self.link_stream, aui, ci))
         })
-    }
-
-    /// What every link of the AP at local index `aui` shares: geometry
-    /// only, no fading.
-    fn site(&self, aui: usize) -> LinkSite {
-        LinkSite {
-            ap_pos: self.ap_pos[aui],
-            ap_boresight_rad: self
-                .cfg
-                .ap_boresight_rad
-                .unwrap_or(-std::f64::consts::FRAC_PI_2),
-            ap_antenna: ParabolicAntenna::laird_gd24bp(),
-            client_antenna_dbi: 0.0,
-            budget: LinkBudget::default(),
-            pathloss: PathLossModel::roadside(),
-        }
     }
 
     /// ESNR of the (ap, client) link right now, with the client at `pos`,
@@ -1166,8 +1142,8 @@ impl World {
             let pos = self.client_pos(client, SimTime::ZERO);
             let best_ap = (0..self.cfg.ap_x.len())
                 .max_by(|&a, &b| {
-                    let sa = self.site(a).mean_snr_db(pos);
-                    let sb = self.site(b).mean_snr_db(pos);
+                    let sa = self.cfg.site(a).mean_snr_db(pos);
+                    let sb = self.cfg.site(b).mean_snr_db(pos);
                     sa.partial_cmp(&sb).expect("SNR is never NaN")
                 })
                 .map(|aui| self.ap_id(aui))

@@ -106,12 +106,10 @@ impl TimeSeries {
 /// Fig. 24 fps CDF), with a selectable backend:
 ///
 /// * **exact** ([`Distribution::new`], the default): every sample is
-///   stored; order statistics are served from an incrementally
-///   maintained sorted view (a query sorts only the samples recorded
-///   since the previous query and merges them in, so repeated
-///   quantile/CDF queries cost O(1) when nothing new was recorded).
-///   This is the oracle the property suite compares the sketch against,
-///   and the right mode for tier-1 shape checks.
+///   stored, and each quantile or CDF query sorts a copy of them (no
+///   run asks one exact distribution more than a few times). This is
+///   the oracle the property suite compares the sketch against, and
+///   the right mode for tier-1 shape checks.
 /// * **sketch** ([`Distribution::sketch`]): a bounded-memory extended
 ///   P² estimator ([`crate::sketch::P2Sketch`]) — O(markers) memory
 ///   however many samples stream through, quantiles within the
@@ -144,13 +142,7 @@ impl Default for Distribution {
 
 #[derive(Debug, Clone)]
 enum Backend {
-    Exact {
-        samples: Vec<f64>,
-        /// Sorted view of `samples[..cache.merged]`, refreshed lazily at
-        /// query time (interior mutability keeps `quantile(&self)` stable
-        /// for render call sites).
-        cache: std::cell::RefCell<SortedCache>,
-    },
+    Exact(Vec<f64>),
     Sketch {
         /// Boxed: the marker arrays are ~0.5 KiB, far larger than the
         /// `Exact` variant header, and most metrics are exact.
@@ -162,21 +154,36 @@ enum Backend {
     },
 }
 
-#[derive(Debug, Clone, Default)]
-struct SortedCache {
-    sorted: Vec<f64>,
-    /// How many leading entries of `samples` are reflected in `sorted`.
-    merged: usize,
+/// The nearest-rank index of the `q`-quantile among `n` sorted values:
+/// `round(q · (n − 1))`. `None` when `n == 0` or `q` is outside
+/// `[0, 1]` (NaN included) — an out-of-range request is a caller bug
+/// reported through the type, not a panic.
+///
+/// ```
+/// use wgtt_sim::metrics::nearest_rank;
+/// assert_eq!(nearest_rank(5, 0.5), Some(2));
+/// assert_eq!(nearest_rank(0, 0.5), None);
+/// assert_eq!(nearest_rank(5, f64::NAN), None);
+/// ```
+pub fn nearest_rank(n: usize, q: f64) -> Option<usize> {
+    if n == 0 || !(0.0..=1.0).contains(&q) {
+        return None;
+    }
+    Some(((q * (n - 1) as f64).round() as usize).min(n - 1))
+}
+
+/// A sorted copy of `samples` (the exact backend's order statistics).
+fn sorted(samples: &[f64]) -> Vec<f64> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    sorted
 }
 
 impl Distribution {
     /// An empty distribution with the exact (store-everything) backend.
     pub fn new() -> Self {
         Distribution {
-            backend: Backend::Exact {
-                samples: Vec::new(),
-                cache: std::cell::RefCell::new(SortedCache::default()),
-            },
+            backend: Backend::Exact(Vec::new()),
         }
     }
 
@@ -199,7 +206,7 @@ impl Distribution {
     /// Add one sample.
     pub fn record(&mut self, value: f64) {
         match &mut self.backend {
-            Backend::Exact { samples, .. } => samples.push(value),
+            Backend::Exact(samples) => samples.push(value),
             Backend::Sketch { sketch, mean, m2 } => {
                 sketch.observe(value);
                 let delta = value - *mean;
@@ -209,40 +216,10 @@ impl Distribution {
         }
     }
 
-    /// Run `f` over the sorted samples of the exact backend, merging in
-    /// anything recorded since the last query first.
-    fn with_sorted<R>(
-        samples: &[f64],
-        cache: &std::cell::RefCell<SortedCache>,
-        f: impl FnOnce(&[f64]) -> R,
-    ) -> R {
-        let mut cache = cache.borrow_mut();
-        if cache.merged < samples.len() {
-            let mut tail: Vec<f64> = samples[cache.merged..].to_vec();
-            tail.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            let mut merged = Vec::with_capacity(cache.sorted.len() + tail.len());
-            let (mut i, mut j) = (0, 0);
-            while i < cache.sorted.len() && j < tail.len() {
-                if cache.sorted[i] <= tail[j] {
-                    merged.push(cache.sorted[i]);
-                    i += 1;
-                } else {
-                    merged.push(tail[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&cache.sorted[i..]);
-            merged.extend_from_slice(&tail[j..]);
-            cache.sorted = merged;
-            cache.merged = samples.len();
-        }
-        f(&cache.sorted)
-    }
-
     /// Number of samples recorded (not necessarily retained).
     pub fn len(&self) -> usize {
         match &self.backend {
-            Backend::Exact { samples, .. } => samples.len(),
+            Backend::Exact(samples) => samples.len(),
             Backend::Sketch { sketch, .. } => sketch.count() as usize,
         }
     }
@@ -252,7 +229,7 @@ impl Distribution {
     /// memory-bound test's hard assertion hangs off this.
     pub fn stored_samples(&self) -> usize {
         match &self.backend {
-            Backend::Exact { samples, .. } => samples.len(),
+            Backend::Exact(samples) => samples.len(),
             Backend::Sketch { sketch, .. } => sketch.stored_values(),
         }
     }
@@ -265,7 +242,7 @@ impl Distribution {
     /// Mean, or `None` if empty. Exact in both backends.
     pub fn mean(&self) -> Option<f64> {
         match &self.backend {
-            Backend::Exact { samples, .. } => {
+            Backend::Exact(samples) => {
                 if samples.is_empty() {
                     return None;
                 }
@@ -285,7 +262,7 @@ impl Distribution {
     /// backends (Welford under the sketch).
     pub fn std_dev(&self) -> Option<f64> {
         match &self.backend {
-            Backend::Exact { samples, .. } => {
+            Backend::Exact(samples) => {
                 let mean = self.mean()?;
                 let var =
                     samples.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / samples.len() as f64;
@@ -308,19 +285,10 @@ impl Distribution {
     /// outside `[0, 1]`** (including NaN) — out-of-range requests are a
     /// caller bug reported through the type, not a panic.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if !(0.0..=1.0).contains(&q) {
-            return None;
-        }
         match &self.backend {
-            Backend::Exact { samples, cache } => {
-                if samples.is_empty() {
-                    return None;
-                }
-                Self::with_sorted(samples, cache, |sorted| {
-                    let idx =
-                        ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-                    Some(sorted[idx])
-                })
+            Backend::Exact(samples) => {
+                let idx = nearest_rank(samples.len(), q)?;
+                Some(sorted(samples)[idx])
             }
             Backend::Sketch { sketch, .. } => sketch.quantile(q),
         }
@@ -336,14 +304,14 @@ impl Distribution {
     /// Monotone in both coordinates and directly plottable either way.
     pub fn cdf(&self) -> Vec<(f64, f64)> {
         match &self.backend {
-            Backend::Exact { samples, cache } => Self::with_sorted(samples, cache, |sorted| {
-                let n = sorted.len() as f64;
-                sorted
-                    .iter()
+            Backend::Exact(samples) => {
+                let n = samples.len() as f64;
+                sorted(samples)
+                    .into_iter()
                     .enumerate()
-                    .map(|(i, &v)| (v, (i + 1) as f64 / n))
+                    .map(|(i, v)| (v, (i + 1) as f64 / n))
                     .collect()
-            }),
+            }
             Backend::Sketch { sketch, .. } => sketch.cdf(),
         }
     }
@@ -532,9 +500,9 @@ mod tests {
 
     #[test]
     fn distribution_interleaved_queries_track_new_samples() {
-        // The lazy sorted view must fold in everything recorded since
-        // the previous query — interleave records and queries and check
-        // against a from-scratch sort every time.
+        // Every query must see everything recorded before it —
+        // interleave records and queries and check against an
+        // independent sort every time.
         let mut d = Distribution::new();
         let mut x = 0x9e37_79b9u64;
         let mut all: Vec<f64> = Vec::new();

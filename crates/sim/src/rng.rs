@@ -119,14 +119,6 @@ impl Xoshiro256 {
         let u = (self.next_u64() >> 11).max(1) as f64 * (1.0 / (1u64 << 53) as f64);
         -mean * u.ln()
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 /// A seed-derivation tree. The experiment harness creates one root from the
@@ -289,16 +281,5 @@ mod tests {
             assert!(!r.chance(0.0));
             assert!(r.chance(1.0));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Xoshiro256::seed_from_u64(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "seed 8 should permute");
     }
 }

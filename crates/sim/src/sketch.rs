@@ -34,6 +34,8 @@
 //! uniform, normal, bimodal, and adversarially-sorted streams, and the
 //! memory bound after 10⁶ observations.
 
+use crate::metrics::nearest_rank;
+
 /// Number of CDF markers the sketch maintains (heights + positions).
 /// 33 markers put the estimation grid at 1/32 ≈ 3.1% quantile spacing,
 /// comfortably inside the [`EPSILON`] = 5% rank contract while keeping
@@ -188,8 +190,7 @@ impl P2Sketch {
         }
         let seen = self.count as usize;
         if seen < MARKERS {
-            let idx = ((q * (seen - 1) as f64).round() as usize).min(seen - 1);
-            return Some(self.heights[idx]);
+            return nearest_rank(seen, q).map(|idx| self.heights[idx]);
         }
         // Interpolate on the markers' *actual* positions, not the
         // desired grid — positions lag desired by design.

@@ -111,20 +111,32 @@ fn cli_jobs_flag_is_byte_identical() {
 #[test]
 fn systems_share_the_channel_realization() {
     // The *radio* draw is seed-keyed, not system-keyed: comparing systems
-    // at equal seeds compares them over the same fading realization. We
-    // verify via the pure radio layer (the worlds consume RNG differently
-    // thereafter, which is expected).
+    // at equal seeds compares them over the same fading realization, and
+    // the bare radio links Figs. 2, 10 and 21 sample are that realization
+    // too. A WGTT and an Enhanced 802.11r world at one seed each report
+    // every AP's ESNR trace; both must equal `radio_links` at every
+    // sampling tick, bit for bit (the worlds consume RNG differently
+    // otherwise, which is expected).
+    use wgtt_mac::frame::NodeId;
     use wgtt_radio::Modulation;
-    let (links_a, plan) = wgtt_scenario::experiments::motivation::radio_links(3, 15.0, 5);
-    let (links_b, _) = wgtt_scenario::experiments::motivation::radio_links(3, 15.0, 5);
-    for t_ms in [100u64, 500, 1500] {
-        let t = SimTime::from_millis(t_ms);
-        let pos = plan.position_at(t);
-        for (a, b) in links_a.iter().zip(links_b.iter()) {
-            assert_eq!(
-                a.snapshot(t, pos).esnr_db(Modulation::Qam16),
-                b.snapshot(t, pos).esnr_db(Modulation::Qam16)
-            );
+    // `plan` is the one 15 mph drive-by the links were built for.
+    let (links, plan) = wgtt_scenario::experiments::motivation::radio_links(8, 15.0, 5);
+    for system in [
+        SystemKind::Wgtt(WgttConfig::default()),
+        SystemKind::Enhanced80211r,
+    ] {
+        let cfg = TestbedConfig::paper_array().with_clients(vec![plan]);
+        let transit = cfg.transit_time(&plan).expect("the drive moves");
+        let mut w = World::new(cfg, system, vec![], 5);
+        w.run(transit);
+        let client = w.client_ids()[0];
+        for (ai, link) in links.iter().enumerate() {
+            let trace = w.esnr_trace(client, NodeId(ai as u32));
+            assert!(!trace.is_empty());
+            for &(t, esnr) in trace.points() {
+                let want = link.esnr_db_at(t, plan.position_at(t), Modulation::Qam16);
+                assert_eq!(esnr.to_bits(), want.to_bits(), "AP{ai} at {t:?}");
+            }
         }
     }
 }
