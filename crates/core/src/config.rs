@@ -24,9 +24,6 @@ pub struct WgttConfig {
     /// selector doesn't ping-pong between statistically indistinguishable
     /// links.
     pub switch_margin_db: f64,
-    /// Retransmit the `stop` control packet if no `ack` arrives within
-    /// this timeout (§3.1.2: 30 ms).
-    pub switch_ack_timeout: SimDuration,
     /// One-way Ethernet backhaul latency between controller and APs
     /// (the paper's Fig. 3 labels it "< 1 ms").
     pub backhaul_latency: SimDuration,
@@ -42,10 +39,6 @@ pub struct WgttConfig {
     /// Probability that a control packet (stop/start/ack) is lost on the
     /// backhaul path (drops in the Click user-level forwarding path).
     pub control_loss_prob: f64,
-    /// Downlink fan-out liveness grace: if no AP has heard the client for
-    /// this long, the controller drops its downlink packets instead of
-    /// queueing them toward a dark link (the client is out of coverage).
-    pub fanout_grace: SimDuration,
     /// Capacity of the per-source uplink de-duplication window (keys).
     /// It must stay below the 2¹⁶ IP idents one source can use: a filter
     /// that holds every ident never evicts, so once the ident wraps each
@@ -69,13 +62,11 @@ impl Default for WgttConfig {
             switch_policy: SwitchPolicyKind::ReactiveMedian,
             switch_hysteresis: SimDuration::from_millis(40),
             switch_margin_db: 2.5,
-            switch_ack_timeout: SimDuration::from_millis(30),
             backhaul_latency: SimDuration::from_micros(300),
             stop_processing_mean: SimDuration::from_millis(9),
             start_processing_mean: SimDuration::from_millis(7),
             processing_std: SimDuration::from_millis(2),
             control_loss_prob: 0.001,
-            fanout_grace: SimDuration::from_millis(150),
             dedup_capacity: 1 << 15,
             nic_queue_mpdus: 64,
             enable_ba_forwarding: true,
@@ -92,7 +83,6 @@ mod tests {
         let c = WgttConfig::default();
         assert_eq!(c.selection_window, SimDuration::from_millis(10));
         assert_eq!(c.switch_policy, SwitchPolicyKind::ReactiveMedian);
-        assert_eq!(c.switch_ack_timeout, SimDuration::from_millis(30));
         assert!(c.backhaul_latency < SimDuration::from_millis(1));
         // Table 1: protocol execution ≈ 17–21 ms ≈ stop + start processing
         // plus three backhaul hops.

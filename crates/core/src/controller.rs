@@ -44,7 +44,12 @@ use wgtt_mac::frame::NodeId;
 use wgtt_mac::seq::SEQ_SPACE;
 use wgtt_net::Packet;
 use wgtt_sim::metrics::Distribution;
-use wgtt_sim::time::SimTime;
+use wgtt_sim::time::{SimDuration, SimTime};
+
+/// Downlink fan-out liveness grace: if no AP has heard the client for
+/// this long, the controller drops its downlink packets instead of
+/// queueing them toward a dark link (the client is out of coverage).
+pub const FANOUT_GRACE: SimDuration = SimDuration::from_millis(150);
 
 /// An effect the controller wants performed.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,7 +139,7 @@ impl ClientState {
         selector.set_switch_policy(cfg.switch_policy);
         ClientState {
             selector,
-            switcher: SwitchProtocol::new(cfg.switch_ack_timeout),
+            switcher: SwitchProtocol::new(),
             next_index: 0,
             serving: None,
         }
@@ -255,17 +260,16 @@ impl Controller {
         now: SimTime,
         out: &mut Vec<ControllerAction>,
     ) {
-        let grace = self.cfg.fanout_grace;
         let st = state(&mut self.clients, &self.cfg, client);
         // Replicate to every AP heard within the grace window — wider
         // than the selection window W, so that an AP with sporadic CSI
         // still holds a gap-free cyclic ring when a switch lands on it.
-        let heard_any = st.selector.heard_within(now, grace);
+        let heard_any = st.selector.heard_within(now, FANOUT_GRACE);
         // The serving AP still gets the packet during a short CSI lull
         // (TCP restarting after an idle period), but once no AP has heard
         // the client for the grace period it is out of coverage and
         // queueing more data would only burn airtime on a dark link.
-        let serving_eligible = heard_any || now < SimTime::ZERO + grace;
+        let serving_eligible = heard_any || now < SimTime::ZERO + FANOUT_GRACE;
         if !(heard_any || (serving_eligible && st.serving.is_some())) {
             self.stats.downlink_no_ap += 1;
             return;
@@ -279,7 +283,7 @@ impl Controller {
             packet,
         };
         let mut serving_heard = false;
-        st.selector.for_each_heard(now, grace, |ap| {
+        st.selector.for_each_heard(now, FANOUT_GRACE, |ap| {
             serving_heard |= Some(ap) == serving;
             send(out, ap, data.clone());
         });

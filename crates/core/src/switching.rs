@@ -12,15 +12,19 @@
 use wgtt_mac::frame::NodeId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
+/// Retransmit `stop` if no `ack` arrives within this long (§3.1.2).
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(30);
+
 /// Abandon an attempt after this many stop retransmissions (the old AP
 /// may have died; the controller re-evaluates selection instead of
 /// blocking forever).
 const MAX_RETRIES: u32 = 10;
 
 /// State of one client's switching protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SwitchState {
     /// No switch in progress.
+    #[default]
     Idle,
     /// `stop` sent; waiting for the `ack` from the new AP.
     AwaitingAck {
@@ -68,30 +72,25 @@ pub enum SwitchEvent {
 /// ```
 /// use wgtt::switching::{SwitchEvent, SwitchProtocol};
 /// use wgtt_mac::frame::NodeId;
-/// use wgtt_sim::{SimDuration, SimTime};
+/// use wgtt_sim::SimTime;
 ///
-/// let mut p = SwitchProtocol::new(SimDuration::from_millis(30));
+/// let mut p = SwitchProtocol::new();
 /// let Some(SwitchEvent::SendStop { switch_id, .. }) =
 ///     p.begin(NodeId(1), NodeId(2), SimTime::ZERO) else { unreachable!() };
 /// // The new AP acks ≈17 ms later (paper Table 1):
 /// let done = p.on_ack(switch_id, SimTime::from_millis(17));
 /// assert!(matches!(done, SwitchEvent::Completed { .. }));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SwitchProtocol {
     state: SwitchState,
-    ack_timeout: SimDuration,
     next_switch_id: u64,
 }
 
 impl SwitchProtocol {
-    /// New driver with the paper's 30 ms ack timeout.
-    pub fn new(ack_timeout: SimDuration) -> Self {
-        SwitchProtocol {
-            state: SwitchState::Idle,
-            ack_timeout,
-            next_switch_id: 0,
-        }
+    /// New idle driver; `stop` is resent every [`ACK_TIMEOUT`].
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current state.
@@ -151,7 +150,7 @@ impl SwitchProtocol {
     /// The instant the ack timeout fires, if a switch is outstanding.
     pub fn timeout_at(&self) -> Option<SimTime> {
         match self.state {
-            SwitchState::AwaitingAck { sent_at, .. } => Some(sent_at + self.ack_timeout),
+            SwitchState::AwaitingAck { sent_at, .. } => Some(sent_at + ACK_TIMEOUT),
             SwitchState::Idle => None,
         }
     }
@@ -170,7 +169,7 @@ impl SwitchProtocol {
         else {
             return SwitchEvent::None;
         };
-        if now.saturating_since(*sent_at) < self.ack_timeout {
+        if now.saturating_since(*sent_at) < ACK_TIMEOUT {
             return SwitchEvent::None;
         }
         if *retries >= MAX_RETRIES {
@@ -200,7 +199,7 @@ mod tests {
     const AP2: NodeId = NodeId(2);
 
     fn proto() -> SwitchProtocol {
-        SwitchProtocol::new(SimDuration::from_millis(30))
+        SwitchProtocol::new()
     }
 
     #[test]
@@ -443,7 +442,7 @@ mod proptests {
         fn never_wedges_or_double_completes(
             events in proptest::collection::vec((0u8..3, 0u64..4), 1..60)
         ) {
-            let mut p = SwitchProtocol::new(SimDuration::from_millis(30));
+            let mut p = SwitchProtocol::new();
             let mut now = SimTime::ZERO;
             let mut begun = 0u32;
             let mut completed = 0u32;

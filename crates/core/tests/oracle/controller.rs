@@ -8,7 +8,7 @@
 //! every event.
 
 use std::collections::HashMap;
-use wgtt::controller::{ControllerAction, ControllerStats};
+use wgtt::controller::{ControllerAction, ControllerStats, FANOUT_GRACE};
 use wgtt::dedup::DedupFilter;
 use wgtt::selection::{ApLoads, ApSelector, Verdict};
 use wgtt::switching::{SwitchEvent, SwitchProtocol};
@@ -70,7 +70,7 @@ impl Controller {
                 s.set_switch_policy(cfg.switch_policy);
                 s
             },
-            switcher: SwitchProtocol::new(cfg.switch_ack_timeout),
+            switcher: SwitchProtocol::new(),
             next_index: 0,
             serving: None,
         })
@@ -124,7 +124,7 @@ impl Controller {
         packet: Packet,
         now: SimTime,
     ) -> Vec<ControllerAction> {
-        let grace = self.cfg.fanout_grace;
+        let grace = FANOUT_GRACE;
         let st = self.client_mut(client);
         // Replicate to every AP heard within the grace window — wider
         // than the selection window W, so that an AP with sporadic CSI

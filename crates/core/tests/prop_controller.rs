@@ -29,7 +29,7 @@ mod oracle;
 use oracle::controller::Controller as ReferenceController;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use wgtt::controller::{Controller, ControllerAction, ControllerStats};
+use wgtt::controller::{Controller, ControllerAction, ControllerStats, FANOUT_GRACE};
 use wgtt::messages::BackhaulMsg;
 use wgtt::{SwitchPolicyKind, WgttConfig};
 use wgtt_mac::frame::NodeId;
@@ -368,7 +368,7 @@ fn downlink_no_ap_increments_once_per_undeliverable_packet() {
     assert_eq!(t.c.stats.downlink_no_ap, 5);
     // Past the fanout grace with no CSI ever heard: undeliverable
     // again, one increment per packet, no double counting.
-    let late = ms(10) + WgttConfig::default().fanout_grace + SimDuration::from_millis(1);
+    let late = ms(10) + FANOUT_GRACE + SimDuration::from_millis(1);
     assert!(t.downlink(c, late).is_empty());
     assert!(t.downlink(c, late).is_empty());
     assert_eq!(t.c.stats.downlink_no_ap, 7);

@@ -19,8 +19,8 @@ use crate::seq::{seq_add, seq_in_window, seq_lt, seq_sub};
 /// Block ACK window size (compressed bitmap), MPDUs.
 pub const BA_WINDOW: u16 = 64;
 
-/// Default MPDU retry limit before the originator drops a packet.
-pub const DEFAULT_RETRY_LIMIT: u8 = 7;
+/// MPDU retry limit before the originator drops a packet.
+pub const RETRY_LIMIT: u8 = 7;
 
 /// What an originator learned from one Block ACK (or its absence).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -37,30 +37,14 @@ pub struct BaResult {
 }
 
 /// Sender-side Block ACK state for one (AP, client) traffic stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BaOriginator {
     in_flight: Vec<Mpdu>,
     /// Identity of the last Block ACK applied, for §3.2.1 dedup.
     last_ba: Option<(u16, u64)>,
-    retry_limit: u8,
-}
-
-impl Default for BaOriginator {
-    fn default() -> Self {
-        Self::new(DEFAULT_RETRY_LIMIT)
-    }
 }
 
 impl BaOriginator {
-    /// Create with the given per-MPDU retry limit.
-    pub fn new(retry_limit: u8) -> Self {
-        BaOriginator {
-            in_flight: Vec::new(),
-            last_ba: None,
-            retry_limit,
-        }
-    }
-
     /// Whether an A-MPDU is outstanding (sent but not yet acknowledged).
     pub fn has_in_flight(&self) -> bool {
         !self.in_flight.is_empty()
@@ -112,7 +96,7 @@ impl BaOriginator {
             let acked = offset < BA_WINDOW && (bitmap >> offset) & 1 == 1;
             if acked {
                 result.acked.push(mpdu.packet);
-            } else if mpdu.retries >= self.retry_limit {
+            } else if mpdu.retries >= RETRY_LIMIT {
                 result.dropped.push(mpdu.packet);
             } else {
                 result.to_retry.push(Mpdu {
@@ -130,7 +114,7 @@ impl BaOriginator {
     pub fn on_ba_timeout(&mut self) -> BaResult {
         let mut result = BaResult::default();
         for mpdu in std::mem::take(&mut self.in_flight) {
-            if mpdu.retries >= self.retry_limit {
+            if mpdu.retries >= RETRY_LIMIT {
                 result.dropped.push(mpdu.packet);
             } else {
                 result.to_retry.push(Mpdu {
@@ -308,13 +292,16 @@ mod tests {
 
     #[test]
     fn retry_limit_drops() {
-        let mut o = BaOriginator::new(1);
-        let mut m = mpdu(5, 5);
-        m.retries = 1; // already at the limit
-        o.on_ampdu_sent(vec![m]);
+        let mut o = BaOriginator::default();
+        let mut last_try = mpdu(5, 5);
+        last_try.retries = RETRY_LIMIT - 1;
+        let mut spent = mpdu(6, 6);
+        spent.retries = RETRY_LIMIT; // already at the limit
+        o.on_ampdu_sent(vec![last_try, spent]);
         let r = o.on_block_ack(5, 0);
-        assert_eq!(r.dropped.len(), 1);
-        assert!(r.to_retry.is_empty());
+        assert_eq!(r.dropped, vec![spent.packet]);
+        assert_eq!(r.to_retry.len(), 1);
+        assert_eq!(r.to_retry[0].retries, RETRY_LIMIT);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub struct Downlink<F> {
     rng: RngStream,
     rate_label: &'static str,
     stage_cap: usize,
-    policy: AggregationPolicy,
     /// Round-robin cursor over clients with pending work.
     rr_cursor: usize,
     /// Block ACK timeouts that found a window in flight (full-window
@@ -69,7 +68,6 @@ impl<F: Feed> Downlink<F> {
             rng,
             rate_label,
             stage_cap,
-            policy: AggregationPolicy::default(),
             rr_cursor: 0,
             ba_timeouts: 0,
         }
@@ -122,7 +120,7 @@ impl<F: Feed> Downlink<F> {
     /// the feed, then let the sender aggregate retries + staged MPDUs at
     /// the rate it selects.
     pub fn build(&mut self, client: NodeId) -> Option<(Vec<Mpdu>, Mcs)> {
-        let (cap, policy) = (self.stage_cap, self.policy);
+        let cap = self.stage_cap;
         let c = self.client_mut(client);
         if c.sender.has_in_flight() {
             return None;
@@ -131,7 +129,7 @@ impl<F: Feed> Downlink<F> {
             let Some(mpdu) = c.feed.pop() else { break };
             c.sender.stage(mpdu);
         }
-        c.sender.build(&policy)
+        c.sender.build(&AggregationPolicy::default())
     }
 }
 

@@ -173,7 +173,7 @@ impl Sender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockack::DEFAULT_RETRY_LIMIT;
+    use crate::blockack::RETRY_LIMIT;
     use wgtt_sim::rng::RngStream;
 
     fn sender() -> Sender {
@@ -259,7 +259,7 @@ mod tests {
         while let Some((mpdus, _)) = s.build(&POLICY) {
             txops += 1;
             assert!(txops < 1000, "must terminate by retry exhaustion");
-            assert!(mpdus.iter().all(|m| m.retries <= DEFAULT_RETRY_LIMIT));
+            assert!(mpdus.iter().all(|m| m.retries <= RETRY_LIMIT));
             dropped += s.on_ba_timeout(Unacked::Retry).dropped.len();
         }
         assert_eq!(dropped, 64, "everything is eventually dropped");

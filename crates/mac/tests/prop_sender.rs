@@ -5,7 +5,7 @@
 //! ACK or timeout settles from the 802.11 rules alone: a bitmap covers 64
 //! sequence numbers from its start, a copy of the last applied pair is a
 //! duplicate, a window that covers nothing in flight is stale, and an
-//! MPDU goes at most `DEFAULT_RETRY_LIMIT + 1` times. Under random
+//! MPDU goes at most `RETRY_LIMIT + 1` times. Under random
 //! interleavings of stage / build / Block ACK / timeout / clear, with the
 //! caller switching between retrying and draining as a WGTT AP does on
 //! `stop`, the sender must agree with it on every return value and:
@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use wgtt_mac::aggregation::AggregationPolicy;
-use wgtt_mac::blockack::{BA_WINDOW, DEFAULT_RETRY_LIMIT};
+use wgtt_mac::blockack::{BA_WINDOW, RETRY_LIMIT};
 use wgtt_mac::frame::{Mpdu, PacketRef};
 use wgtt_mac::rate::RateController;
 use wgtt_mac::sender::{BaFeedback, Sender, Unacked};
@@ -64,7 +64,7 @@ impl Model {
 
     /// What a failed MPDU becomes, by mode and budget.
     fn fail(&mut self, m: Tracked, unacked: Unacked, fb: &mut BaFeedback) {
-        let exhausted = m.sent > u32::from(DEFAULT_RETRY_LIMIT);
+        let exhausted = m.sent > u32::from(RETRY_LIMIT);
         if exhausted || unacked == Unacked::Drop {
             fb.dropped.push(PacketRef { id: m.id, len: 0 });
         } else {
@@ -174,7 +174,7 @@ impl Pair {
             prop_assert!(seq_sub(m.seq, mpdus[0].seq) < BA_WINDOW);
             want.sent += 1;
             prop_assert!(
-                want.sent <= u32::from(DEFAULT_RETRY_LIMIT) + 1,
+                want.sent <= u32::from(RETRY_LIMIT) + 1,
                 "MPDU {} sent {} times",
                 want.id,
                 want.sent
@@ -349,6 +349,6 @@ proptest! {
             pair.check()?;
         }
         prop_assert_eq!(pair.model.count(Fate::Dropped), u64::from(n));
-        prop_assert_eq!(sent, u64::from(n) * (u64::from(DEFAULT_RETRY_LIMIT) + 1));
+        prop_assert_eq!(sent, u64::from(n) * (u64::from(RETRY_LIMIT) + 1));
     }
 }

@@ -38,7 +38,7 @@ fn main() {
                     .unwrap_or_else(|| die("--jobs needs an integer"));
             }
             "--list" => {
-                for id in experiments::ALL {
+                for id in experiments::ids() {
                     println!("{id}");
                 }
                 return;
@@ -47,7 +47,7 @@ fn main() {
                 eprintln!(
                     "usage: wgtt-experiments [--seed N] [--quick] [--csv] [--jobs N] [ids...]"
                 );
-                eprintln!("ids: {}", experiments::ALL.join(" "));
+                eprintln!("ids: {}", experiments::ids().collect::<Vec<_>>().join(" "));
                 return;
             }
             other => ids.push(other.to_string()),
@@ -55,12 +55,12 @@ fn main() {
         i += 1;
     }
     if ids.is_empty() {
-        ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
+        ids = experiments::ids().map(String::from).collect();
     }
     // Reject unknown ids before burning minutes on the known ones —
     // the same validation regardless of `--jobs`.
     for id in &ids {
-        if !experiments::ALL.contains(&id.as_str()) {
+        if !experiments::ids().any(|known| known == id) {
             eprintln!("unknown experiment id: {id} (try --list)");
             std::process::exit(2);
         }

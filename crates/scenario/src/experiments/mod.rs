@@ -43,36 +43,51 @@ pub mod multiclient;
 
 use crate::results::ExperimentOutput;
 
-/// Run an experiment by id. `quick` shrinks sweeps for smoke testing.
+/// An experiment driver: `(seed, quick)` to its output. `quick` shrinks
+/// sweeps for smoke testing; drivers without a sweep ignore it.
+pub type Driver = fn(u64, bool) -> ExperimentOutput;
+
+/// Every experiment by id: the paper's artifacts in paper order, then
+/// the extension/ablation studies.
+pub const EXPERIMENTS: [(&str, Driver); 25] = [
+    ("fig2", |s, _| motivation::fig2(s)),
+    ("fig4", |s, _| motivation::fig4(s)),
+    ("table1", micro::table1),
+    ("fig13", endtoend::fig13),
+    ("fig14", |s, _| endtoend::fig14(s)),
+    ("fig15", |s, _| endtoend::fig15(s)),
+    ("fig16", |s, _| endtoend::fig16(s)),
+    ("table2", |s, _| endtoend::table2(s)),
+    ("fig17", multiclient::fig17),
+    ("fig18", |s, _| multiclient::fig18(s)),
+    ("fig20", |s, _| multiclient::fig20(s)),
+    ("fig21", |s, _| micro::fig21(s)),
+    ("table3", micro::table3),
+    ("fig22", |s, _| micro::fig22(s)),
+    ("fig23", micro::fig23),
+    ("table4", apps::table4),
+    ("fig24", |s, _| apps::fig24(s)),
+    ("table5", apps::table5),
+    ("fig10", |s, _| extensions::fig10(s)),
+    ("ablation_selector", |s, _| extensions::ablation_selector(s)),
+    ("ablation_back_fwd", |s, _| extensions::ablation_back_fwd(s)),
+    ("ext_stop_and_go", |s, _| extensions::ext_stop_and_go(s)),
+    ("ext_multichannel", |s, _| extensions::ext_multichannel(s)),
+    ("fleet_smoke", fleetexp::fleet_smoke),
+    ("policy_smoke", fleetexp::policy_smoke),
+];
+
+/// Every experiment id, in [`EXPERIMENTS`] order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id)
+}
+
+/// Run an experiment by id; `None` for an unknown id.
 pub fn run(id: &str, seed: u64, quick: bool) -> Option<ExperimentOutput> {
-    Some(match id {
-        "fig2" => motivation::fig2(seed),
-        "fig4" => motivation::fig4(seed),
-        "table1" => micro::table1(seed, quick),
-        "fig13" => endtoend::fig13(seed, quick),
-        "fig14" => endtoend::fig14(seed),
-        "fig15" => endtoend::fig15(seed),
-        "fig16" => endtoend::fig16(seed),
-        "table2" => endtoend::table2(seed),
-        "fig17" => multiclient::fig17(seed, quick),
-        "fig18" => multiclient::fig18(seed),
-        "fig20" => multiclient::fig20(seed),
-        "fig21" => micro::fig21(seed),
-        "table3" => micro::table3(seed, quick),
-        "fig22" => micro::fig22(seed),
-        "fig23" => micro::fig23(seed, quick),
-        "table4" => apps::table4(seed, quick),
-        "fig24" => apps::fig24(seed),
-        "table5" => apps::table5(seed, quick),
-        "fig10" => extensions::fig10(seed),
-        "ablation_selector" => extensions::ablation_selector(seed),
-        "ablation_back_fwd" => extensions::ablation_back_fwd(seed),
-        "ext_stop_and_go" => extensions::ext_stop_and_go(seed),
-        "ext_multichannel" => extensions::ext_multichannel(seed),
-        "fleet_smoke" => fleetexp::fleet_smoke(seed, quick),
-        "policy_smoke" => fleetexp::policy_smoke(seed, quick),
-        _ => return None,
-    })
+    EXPERIMENTS
+        .iter()
+        .find(|&&(known, _)| known == id)
+        .map(|&(_, driver)| driver(seed, quick))
 }
 
 /// Render `ids` on up to `jobs` worker threads and concatenate the
@@ -118,33 +133,3 @@ pub fn render_all(ids: &[String], seed: u64, quick: bool, csv: bool, jobs: usize
     }
     out
 }
-
-/// Every experiment id: the paper's artifacts in paper order, then the
-/// extension/ablation studies.
-pub const ALL: [&str; 25] = [
-    "fig2",
-    "fig4",
-    "table1",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "table2",
-    "fig17",
-    "fig18",
-    "fig20",
-    "fig21",
-    "table3",
-    "fig22",
-    "fig23",
-    "table4",
-    "fig24",
-    "table5",
-    "fig10",
-    "ablation_selector",
-    "ablation_back_fwd",
-    "ext_stop_and_go",
-    "ext_multichannel",
-    "fleet_smoke",
-    "policy_smoke",
-];

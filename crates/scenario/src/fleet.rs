@@ -3,12 +3,12 @@
 //! The paper's testbed is one 8-AP block of one road with one or two
 //! cars. A transit *network* is hundreds of vehicles over kilometres of
 //! corridor — the deployment the abstract actually argues for. This
-//! module generates such corridors parametrically: AP spacing and
-//! count, antenna azimuth, per-AP cell radius (which drives the channel
-//! reuse plan), a speed profile, directional and stop-and-go traffic
-//! fractions, and a per-vehicle application mix drawn from
-//! [`wgtt_apps::mix::TrafficMix`]. Everything derives from one seed
-//! through named [`RngStream`]s, so a fleet run is exactly as
+//! module generates such corridors from a vehicle count, an AP count and
+//! spacing, a per-AP cell radius (which drives the channel reuse plan),
+//! a duration and a district count. The traffic is fixed: 20 ± 6 mph,
+//! 30 % opposing, 20 % stop-and-go, and a per-vehicle application mix
+//! dealt from [`TrafficMix::transit_default`]. Everything derives from
+//! one seed through named [`RngStream`]s, so a fleet run is exactly as
 //! reproducible as the single-car figures.
 //!
 //! The companion [`FleetReport`] reduces a run to the aggregates a
@@ -39,6 +39,24 @@ const WEB_BYTES: u64 = 2_100_000;
 /// Speed samples are clamped into this band (mph): no parked fleet
 /// vehicles, nothing faster than arterial traffic.
 const SPEED_CLAMP_MPH: (f64, f64) = (3.0, 60.0);
+/// Vehicle speed, mph: mean and standard deviation.
+const SPEED_MEAN_MPH: f64 = 20.0;
+const SPEED_STD_MPH: f64 = 6.0;
+/// Fraction of vehicles travelling the opposite direction in the far
+/// lane.
+const OPPOSING_FRACTION: f64 = 0.3;
+/// Fraction of vehicles that make one stop-and-go pause at a random
+/// waypoint along the corridor.
+const STOP_AND_GO_FRACTION: f64 = 0.2;
+/// Empty road between adjacent districts' AP blocks, metres: clears the
+/// 40 m carrier-sense/interference range and the 120 m decode horizon
+/// even after the 5 m shuttle tails on each side.
+const DISTRICT_GAP_M: f64 = 160.0;
+const _: () = assert!(
+    DISTRICT_GAP_M >= 150.0,
+    "the district gap must clear every radio interaction range \
+     (decode horizon + shuttle tails)"
+);
 
 /// Parameters of a generated corridor fleet scenario.
 #[derive(Debug, Clone)]
@@ -53,37 +71,17 @@ pub struct FleetConfig {
     /// reuse plan: when a cell reaches past the next AP, adjacent APs
     /// alternate channels to trade overhearing for interference (§7).
     pub cell_radius_m: f64,
-    /// Boresight azimuth of every AP antenna, radians in world
-    /// coordinates (`None` = the testbed default, facing the road).
-    pub antenna_azimuth_rad: Option<f64>,
-    /// Mean vehicle speed, mph.
-    pub speed_mean_mph: f64,
-    /// Vehicle speed standard deviation, mph.
-    pub speed_std_mph: f64,
-    /// Fraction of vehicles travelling the opposite direction in the far
-    /// lane.
-    pub opposing_fraction: f64,
-    /// Fraction of vehicles that make one stop-and-go pause at a random
-    /// waypoint along the corridor.
-    pub stop_and_go_fraction: f64,
-    /// Application mix dealt across the fleet.
-    pub mix: TrafficMix,
     /// Run duration.
     pub duration: SimDuration,
     /// Number of spatially separated districts the corridor splits into.
-    /// Districts are contiguous AP/vehicle blocks with a [`Self::
-    /// district_gap_m`] of empty road between them; with the gap wider
-    /// than every radio interaction range, districts cannot exchange a
-    /// single frame, carrier-sense deferral, or capture event — which is
-    /// what lets `scenario::shard` run them on parallel threads with a
+    /// Districts are contiguous AP/vehicle blocks with 160 m of empty
+    /// road between them; with the gap wider than every radio
+    /// interaction range, districts cannot exchange a single frame,
+    /// carrier-sense deferral, or capture event — which is what lets
+    /// `scenario::shard` run them on parallel threads with a
     /// bit-identical merged report. `1` (the default) is the classic
     /// unbroken corridor.
     pub districts: usize,
-    /// Empty road between adjacent districts' AP blocks, metres. The
-    /// default 160 m clears the 40 m carrier-sense/interference range
-    /// and the 120 m decode horizon even after the 5 m shuttle tails on
-    /// each side.
-    pub district_gap_m: f64,
 }
 
 impl FleetConfig {
@@ -98,15 +96,8 @@ impl FleetConfig {
             n_aps,
             ap_spacing_m: 8.0,
             cell_radius_m: 8.0,
-            antenna_azimuth_rad: None,
-            speed_mean_mph: 20.0,
-            speed_std_mph: 6.0,
-            opposing_fraction: 0.3,
-            stop_and_go_fraction: 0.2,
-            mix: TrafficMix::transit_default(),
             duration: SimDuration::from_secs(30),
             districts: 1,
-            district_gap_m: 160.0,
         }
     }
 
@@ -128,7 +119,7 @@ impl FleetConfig {
         let mut out = Vec::with_capacity(counts.len());
         for &c in &counts {
             out.push(x0);
-            x0 += self.ap_spacing_m * (c.saturating_sub(1)) as f64 + self.district_gap_m;
+            x0 += self.ap_spacing_m * (c.saturating_sub(1)) as f64 + DISTRICT_GAP_M;
         }
         out
     }
@@ -142,7 +133,7 @@ impl FleetConfig {
             .iter()
             .map(|&c| self.ap_spacing_m * (c.saturating_sub(1)) as f64)
             .sum();
-        spans + self.district_gap_m * (counts.len().saturating_sub(1)) as f64
+        spans + DISTRICT_GAP_M * (counts.len().saturating_sub(1)) as f64
     }
 
     /// Channel reuse factor implied by the cell geometry: 1 (single
@@ -182,7 +173,6 @@ impl FleetConfig {
             ap_x,
             ap_channels,
             clients,
-            ap_boresight_rad: self.antenna_azimuth_rad,
             ap_id_offset: 0,
             // `None` resolves to the same fleet-wide base the district
             // plans bake in, so client ids agree between the monolithic
@@ -211,11 +201,6 @@ impl FleetConfig {
             self.n_vehicles >= self.districts,
             "each district needs at least one vehicle"
         );
-        assert!(
-            self.districts == 1 || self.district_gap_m >= 150.0,
-            "the district gap must clear every radio interaction range \
-             (decode horizon + shuttle tails)"
-        );
         let reuse = self.channel_reuse();
         let ap_counts = self.district_ap_counts();
         let veh_counts = self.district_vehicle_counts();
@@ -223,6 +208,7 @@ impl FleetConfig {
         // Fleet-wide client-id base: what a monolithic world would pick.
         let client_base = 100u32.max(self.n_aps as u32);
         let root = RngStream::root(seed).derive("fleet");
+        let mix = TrafficMix::transit_default();
 
         let mut plans = Vec::with_capacity(self.districts);
         let mut first_ap = 0usize;
@@ -249,15 +235,15 @@ impl FleetConfig {
                 let vi = first_vehicle + lv;
                 let mut rng = root.derive_indexed("vehicle", vi as u64).rng();
                 let speed_mph = rng
-                    .normal_with(self.speed_mean_mph, self.speed_std_mph)
+                    .normal_with(SPEED_MEAN_MPH, SPEED_STD_MPH)
                     .clamp(SPEED_CLAMP_MPH.0, SPEED_CLAMP_MPH.1);
-                let opposing = rng.chance(self.opposing_fraction);
+                let opposing = rng.chance(OPPOSING_FRACTION);
                 // Vehicles start spread along their district (a fleet in
                 // steady state), not clumped at the entrance. The draws
                 // are district-relative, so a single-district corridor
                 // reproduces the historical sequence bit for bit.
                 let start_x = x0 + rng.uniform_range(-5.0, d_len + 5.0);
-                let stop = if rng.chance(self.stop_and_go_fraction) {
+                let stop = if rng.chance(STOP_AND_GO_FRACTION) {
                     Some(StopAndGo {
                         at_x: x0 + rng.uniform_range(0.0, d_len.max(1.0)),
                         pause_s: rng.uniform_range(5.0, 20.0),
@@ -285,7 +271,7 @@ impl FleetConfig {
                     shuttle: Some((x0 - 5.0, x0 + d_len + 5.0)),
                 });
 
-                let kind = self.mix.sample(&mut rng);
+                let kind = mix.sample(&mut rng);
                 kinds.push(kind);
                 match kind {
                     AppKind::Video => flows.push((
@@ -316,7 +302,6 @@ impl FleetConfig {
                     ap_x,
                     ap_channels,
                     clients,
-                    ap_boresight_rad: self.antenna_azimuth_rad,
                     ap_id_offset: first_ap as u32,
                     client_id_first: Some(client_base + first_vehicle as u32),
                     client_index_offset: first_vehicle,

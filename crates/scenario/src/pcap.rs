@@ -2,14 +2,16 @@
 //!
 //! The controller↔AP data path rides UDP/IP tunnels on the Ethernet
 //! backhaul (paper §3.1.3 downlink, §3.2.2 uplink). When capture is
-//! enabled (see [`World::enable_backhaul_capture`]) every tunnelled data
-//! packet is serialized with the real `wgtt-net` wire formats —
-//! Ethernet II / IPv4 / UDP / WGTT shim / inner IPv4 — and recorded as a
-//! classic pcap (linktype 1) that Wireshark opens directly, in the
+//! enabled (see [`World::enable_backhaul_capture`]) the world hands every
+//! backhaul message to [`PcapWriter::record_backhaul`], and each
+//! tunnelled data packet is serialized with the real `wgtt-net` wire
+//! formats — Ethernet II / IPv4 / UDP / WGTT shim / inner IPv4 — and
+//! recorded as a classic pcap (linktype 1) that Wireshark opens directly, in the
 //! spirit of smoltcp's `--pcap` example option.
 //!
 //! [`World::enable_backhaul_capture`]: crate::world::World::enable_backhaul_capture
 
+use wgtt::messages::{BackhaulDest, BackhaulMsg};
 use wgtt_net::wire::{
     EthernetHeader, IpProtocol, Ipv4Addr, Ipv4Header, MacAddr, TunnelHeader, TunnelKind, UdpHeader,
     ETHERNET_HEADER_LEN, ETHERTYPE_IPV4, IPV4_HEADER_LEN, TUNNEL_HEADER_LEN, UDP_HEADER_LEN,
@@ -20,10 +22,15 @@ use wgtt_sim::time::SimTime;
 /// UDP port the tunnel runs on (both directions).
 pub const TUNNEL_PORT: u16 = 9000;
 
+/// The controller's node number in the capture; APs are numbered by id.
+const CONTROLLER_NODE: u8 = 0xFE;
+
 /// Classic pcap writer (microsecond timestamps, linktype Ethernet).
 #[derive(Debug, Default)]
 pub struct PcapWriter {
     records: Vec<(SimTime, Vec<u8>)>,
+    /// IP ident of the next recorded tunnel's outer header.
+    ident: u16,
 }
 
 impl PcapWriter {
@@ -35,6 +42,38 @@ impl PcapWriter {
     /// Append one frame.
     pub fn record(&mut self, at: SimTime, frame: Vec<u8>) {
         self.records.push((at, frame));
+    }
+
+    /// Record `msg`, sent toward `to` over the backhaul at `at`, if it is
+    /// a data tunnel; control and CSI messages are not captured.
+    pub fn record_backhaul(&mut self, at: SimTime, to: &BackhaulDest, msg: &BackhaulMsg) {
+        let dst = match to {
+            BackhaulDest::Controller => CONTROLLER_NODE,
+            BackhaulDest::Ap(id) => id.0 as u8,
+        };
+        let (src, kind, client, index, inner) = match msg {
+            BackhaulMsg::DownlinkData {
+                client,
+                index,
+                packet,
+            } => (
+                CONTROLLER_NODE,
+                TunnelKind::Downlink,
+                client.0,
+                *index,
+                packet,
+            ),
+            BackhaulMsg::UplinkData { ap, packet } => {
+                (ap.0 as u8, TunnelKind::Uplink, packet.flow.0, 0, packet)
+            }
+            _ => return,
+        };
+        let ident = self.ident;
+        self.ident = self.ident.wrapping_add(1);
+        self.record(
+            at,
+            encode_tunnel_frame(src, dst, ident, kind, client, index, inner),
+        );
     }
 
     /// Number of captured frames.

@@ -72,99 +72,56 @@ pub fn run_sharded(
     assert!(window > SimDuration::from_micros(0), "zero-width window");
     let duration = cfg.duration;
     let worlds = cfg.district_worlds(system, seed);
-    let n = worlds.len();
 
     // Deal districts round-robin onto workers, remembering each
     // district's index so the merge below is by district order, never
     // by completion order.
-    let workers_used = workers.min(n);
+    let workers_used = workers.min(worlds.len());
     let mut buckets: Vec<Vec<(usize, World, Vec<AppKind>)>> =
         (0..workers_used).map(|_| Vec::new()).collect();
     for (d, (w, kinds)) in worlds.into_iter().enumerate() {
         buckets[d % workers_used].push((d, w, kinds));
     }
 
-    let mut parts: Vec<Option<FleetReport>> = (0..n).map(|_| None).collect();
-    if workers_used == 1 {
-        // Single worker: same windowed schedule, no threads.
-        for (d, world, kinds) in &mut buckets[0] {
-            run_windows(world, duration, window, || {});
-            parts[*d] = Some(FleetReport::from_world(world, kinds, cfg));
-        }
-    } else {
-        let barrier = Barrier::new(workers_used);
-        let results: Vec<Vec<(usize, FleetReport)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|mut bucket| {
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut out = Vec::with_capacity(bucket.len());
+    let barrier = Barrier::new(workers_used);
+    let rounds = duration.as_nanos() / window.as_nanos();
+    let mut parts: Vec<(usize, FleetReport)> = std::thread::scope(|s| {
+        let handles: Vec<_> = buckets
+            .into_iter()
+            .map(|mut bucket| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut out = Vec::with_capacity(bucket.len());
+                    for (_, world, _) in &mut bucket {
+                        world.begin(duration);
+                    }
+                    // Whole windows; the trailing partial one is the
+                    // final `advance_until(end)` below.
+                    let mut t = SimTime::ZERO;
+                    for _ in 0..rounds {
+                        t += window;
                         for (_, world, _) in &mut bucket {
-                            world.begin(duration);
+                            world.advance_until(t);
                         }
-                        let rounds = round_count(duration, window);
-                        let mut t = SimTime::ZERO;
-                        for _ in 0..rounds {
-                            t += window;
-                            for (_, world, _) in &mut bucket {
-                                world.advance_until(t);
-                            }
-                            // Conservative-lookahead barrier: nobody
-                            // enters window k+1 until every shard has
-                            // drained window k.
-                            barrier.wait();
-                        }
-                        for (d, world, kinds) in &mut bucket {
-                            world.advance_until(world.end_at());
-                            world.finish();
-                            out.push((*d, FleetReport::from_world(world, kinds, cfg)));
-                        }
-                        out
-                    })
+                        // Conservative-lookahead barrier: nobody enters
+                        // window k+1 until every shard has drained
+                        // window k.
+                        barrier.wait();
+                    }
+                    for (d, world, kinds) in &mut bucket {
+                        world.advance_until(world.end_at());
+                        world.finish();
+                        out.push((*d, FleetReport::from_world(world, kinds, cfg)));
+                    }
+                    out
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        for bucket in results {
-            for (d, report) in bucket {
-                parts[d] = Some(report);
-            }
-        }
-    }
-    let parts: Vec<FleetReport> = parts
-        .into_iter()
-        .map(|p| p.expect("every district produced a report"))
-        .collect();
-    FleetReport::merge(parts, cfg)
-}
-
-/// Advance one world through the full windowed schedule (the
-/// single-worker path; `between` is a hook so the code path mirrors the
-/// threaded one).
-fn run_windows(
-    world: &mut World,
-    duration: SimDuration,
-    window: SimDuration,
-    mut between: impl FnMut(),
-) {
-    world.begin(duration);
-    let rounds = round_count(duration, window);
-    let mut t = SimTime::ZERO;
-    for _ in 0..rounds {
-        t += window;
-        world.advance_until(t);
-        between();
-    }
-    world.advance_until(world.end_at());
-    world.finish();
-}
-
-/// Whole windows inside `duration`; the trailing partial window is
-/// handled by the final `advance_until(end)`.
-fn round_count(duration: SimDuration, window: SimDuration) -> u64 {
-    duration.as_nanos() / window.as_nanos()
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    });
+    parts.sort_by_key(|&(d, _)| d);
+    FleetReport::merge(parts.into_iter().map(|(_, r)| r).collect(), cfg)
 }

@@ -182,11 +182,6 @@ pub struct TestbedConfig {
     pub ap_channels: Vec<u8>,
     /// Client drive plans.
     pub clients: Vec<ClientPlan>,
-    /// Boresight direction of every AP's directional antenna, radians
-    /// in world coordinates (`None` = the paper testbed's default of
-    /// facing the road, −π/2). Fleet corridors steer this to model
-    /// down-the-road mounting.
-    pub ap_boresight_rad: Option<f64>,
     /// NodeId of the first AP in this config. A monolithic world always
     /// uses 0; a spatial shard of a larger corridor keeps its APs'
     /// *global* ids by offsetting into the fleet-wide id space, so a
@@ -213,7 +208,6 @@ impl TestbedConfig {
             ap_x: vec![0.0, 6.0, 12.0, 18.0, 26.0, 35.0, 44.0, 53.0],
             ap_channels: Vec::new(),
             clients: Vec::new(),
-            ap_boresight_rad: None,
             ap_id_offset: 0,
             client_id_first: None,
             client_index_offset: 0,
@@ -234,7 +228,6 @@ impl TestbedConfig {
             ap_x: vec![0.0, 7.5],
             ap_channels: Vec::new(),
             clients: Vec::new(),
-            ap_boresight_rad: None,
             ap_id_offset: 0,
             client_id_first: None,
             client_index_offset: 0,
@@ -256,13 +249,11 @@ impl TestbedConfig {
     }
 
     /// What every link of the AP at local index `aui` shares: geometry
-    /// only, no fading.
+    /// only, no fading. Every antenna faces the road (boresight −π/2).
     pub(crate) fn site(&self, aui: usize) -> LinkSite {
         LinkSite {
             ap_pos: Position::new(self.ap_x[aui], ROAD_OFFSET_M),
-            ap_boresight_rad: self
-                .ap_boresight_rad
-                .unwrap_or(-std::f64::consts::FRAC_PI_2),
+            ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
             ap_antenna: ParabolicAntenna::laird_gd24bp(),
             client_antenna_dbi: 0.0,
             budget: LinkBudget::testbed(),

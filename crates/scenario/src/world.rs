@@ -507,9 +507,6 @@ pub struct World {
     link_stream: RngStream,
     /// AP positions by local AP index.
     ap_pos: Vec<Position>,
-    /// Whether `cfg.ap_x` is non-decreasing (every corridor and the paper
-    /// array), which lets [`World::ap_window`] bisect it.
-    ap_x_sorted: bool,
     system: SystemState,
     clients: Vec<ClientNode>,
     /// First client NodeId: 100 for every paper-scale world, pushed up
@@ -551,8 +548,6 @@ pub struct World {
     /// When enabled, every tunnelled data packet on the backhaul is
     /// captured as a real Ethernet/IP/UDP frame (Wireshark-compatible).
     backhaul_capture: Option<crate::pcap::PcapWriter>,
-    /// IP ident counter for the capture's outer headers.
-    capture_ident: u16,
     /// Inert: the sampler it used to thin computes nothing any more.
     /// Deleted with ROADMAP item 6(ii), once `benchmark/` stops
     /// assigning it.
@@ -647,12 +642,18 @@ impl World {
     }
 
     /// Build a world with `(client_index, spec)` flow attachments.
+    /// Panics if `cfg.ap_x` decreases anywhere: every AP array runs
+    /// along the road in order.
     pub fn new_multi(
         cfg: TestbedConfig,
         system: SystemKind,
         flow_specs: Vec<(usize, FlowSpec)>,
         seed: u64,
     ) -> Self {
+        assert!(
+            cfg.ap_x.windows(2).all(|w| w[0] <= w[1]),
+            "AP x-coordinates must be non-decreasing along the road"
+        );
         let root = RngStream::root(seed);
         let mut medium = Medium::roadside();
         let ap_positions = cfg.ap_positions();
@@ -747,7 +748,6 @@ impl World {
                 .take(n_pairs)
                 .collect(),
             link_stream: root.derive("link"),
-            ap_x_sorted: cfg.ap_x.windows(2).all(|w| w[0] <= w[1]),
             ap_pos: ap_positions,
             system: system_state,
             clients,
@@ -767,7 +767,6 @@ impl World {
             traffic_start: SimTime::ZERO,
             frame_log: None,
             backhaul_capture: None,
-            capture_ident: 0,
             sample_lean: false,
             sample_ticks: 0,
             ctl_bufs: Vec::new(),
@@ -827,15 +826,11 @@ impl World {
     /// Local indices of the APs that can lie inside the decode horizon
     /// of a client at along-road coordinate `x`, ascending: a superset of
     /// the ones [`World::in_decode_horizon`] accepts, which every caller
-    /// still applies. With `ap_x` sorted this is the bisected run of APs
-    /// within the horizon along the road (no AP is nearer than its
-    /// along-road offset), so an every-AP loop costs what is in range
-    /// rather than what is in the world; an unsorted array gets the full
-    /// range.
+    /// still applies: the bisected run of the sorted `ap_x` within the
+    /// horizon along the road (no AP is nearer than its along-road
+    /// offset), so an every-AP loop costs what is in range rather than
+    /// what is in the world.
     fn ap_window(&self, x: f64) -> Range<usize> {
-        if !self.ap_x_sorted {
-            return 0..self.cfg.ap_x.len();
-        }
         // A millimetre of slack keeps rounding in the two bounds from
         // excluding an AP the exact test would accept.
         let reach = DECODE_HORIZON_M + 1e-3;
@@ -1214,45 +1209,6 @@ impl World {
     /// The backhaul capture, if enabled.
     pub fn backhaul_capture(&self) -> Option<&crate::pcap::PcapWriter> {
         self.backhaul_capture.as_ref()
-    }
-
-    fn capture_backhaul(&mut self, to: &BackhaulDest, msg: &BackhaulMsg, now: SimTime) {
-        if self.backhaul_capture.is_none() {
-            return;
-        }
-        // Node numbering in the capture: APs by id, controller = 0xFE.
-        let dst = match to {
-            BackhaulDest::Controller => 0xFEu8,
-            BackhaulDest::Ap(id) => id.0 as u8,
-        };
-        let (src, kind, client, index, inner) = match msg {
-            BackhaulMsg::DownlinkData {
-                client,
-                index,
-                packet,
-            } => (
-                0xFEu8,
-                wgtt_net::wire::TunnelKind::Downlink,
-                client.0,
-                *index,
-                *packet,
-            ),
-            BackhaulMsg::UplinkData { ap, packet } => (
-                ap.0 as u8,
-                wgtt_net::wire::TunnelKind::Uplink,
-                packet.flow.0,
-                0,
-                *packet,
-            ),
-            _ => return, // control/CSI messages are not data tunnels
-        };
-        let ident = self.capture_ident;
-        self.capture_ident = self.capture_ident.wrapping_add(1);
-        let frame = crate::pcap::encode_tunnel_frame(src, dst, ident, kind, client, index, &inner);
-        self.backhaul_capture
-            .as_mut()
-            .expect("checked above")
-            .record(now, frame);
     }
 
     /// The recorded frame log (empty unless enabled).
@@ -1986,11 +1942,9 @@ mod tests {
     fn range_index_visits_what_the_full_scan_accepts_in_the_same_order() {
         use crate::testbed::{Direction, StopAndGo};
         // Two 40-AP blocks 160 m apart, with one coincident pair.
-        let mut sorted: Vec<f64> = (0..40).map(|i| i as f64 * 8.0).collect();
-        sorted.extend((0..40).map(|i| 472.0 + i as f64 * 8.0));
-        sorted[7] = sorted[6];
-        // The same array with the blocks interleaved: not sorted.
-        let unsorted: Vec<f64> = (0..40).flat_map(|i| [sorted[40 + i], sorted[i]]).collect();
+        let mut ap_x: Vec<f64> = (0..40).map(|i| i as f64 * 8.0).collect();
+        ap_x.extend((0..40).map(|i| 472.0 + i as f64 * 8.0));
+        ap_x[7] = ap_x[6];
         let plan = |x, y, speed_mps, direction, stop, shuttle| ClientPlan {
             start: Position::new(x, y),
             speed_mps,
@@ -2036,33 +1990,33 @@ mod tests {
             // Parked past the far end, out of everyone's reach.
             plan(984.0, 0.0, 0.0, Direction::East, None, None),
         ];
-        for (ap_x, is_sorted) in [(sorted, true), (unsorted, false)] {
-            let mut cfg = TestbedConfig::paper_array().with_clients(clients.clone());
-            cfg.ap_x = ap_x;
-            let w = World::new(cfg, wgtt(), vec![], 1);
-            assert_eq!(w.ap_x_sorted, is_sorted);
-            let mut visited = 0;
-            for step in 0..800 {
-                let now = SimTime::from_millis(step * 50);
-                for client in w.client_ids() {
-                    let want = full_scan(&w, client, now);
-                    assert_eq!(
-                        range_index(&w, client, now),
-                        want,
-                        "sorted={is_sorted} {client:?} at {now}"
-                    );
-                    visited += want.len();
-                }
+        let mut cfg = TestbedConfig::paper_array().with_clients(clients);
+        cfg.ap_x = ap_x;
+        let w = World::new(cfg, wgtt(), vec![], 1);
+        let mut visited = 0;
+        for step in 0..800 {
+            let now = SimTime::from_millis(step * 50);
+            for client in w.client_ids() {
+                let want = full_scan(&w, client, now);
+                assert_eq!(range_index(&w, client, now), want, "{client:?} at {now}");
+                visited += want.len();
             }
-            assert!(visited > 10_000, "the scenario must exercise the gate");
-            // The boundary client hears the first AP, and the index is a
-            // real restriction where it applies.
-            let boundary = w.client_ids()[4];
-            let first_ap = w.cfg.ap_x.iter().position(|&x| x == 0.0);
-            assert!(full_scan(&w, boundary, SimTime::ZERO).contains(&first_ap.expect("x = 0")));
-            let parked = w.client_pos(w.client_ids()[5], SimTime::ZERO);
-            assert_eq!(w.ap_window(parked.x).is_empty(), is_sorted);
         }
+        assert!(visited > 10_000, "the scenario must exercise the gate");
+        // The boundary client hears the first AP, and the index is a
+        // real restriction where it applies.
+        let boundary = w.client_ids()[4];
+        assert!(full_scan(&w, boundary, SimTime::ZERO).contains(&0));
+        let parked = w.client_pos(w.client_ids()[5], SimTime::ZERO);
+        assert!(w.ap_window(parked.x).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn an_unsorted_ap_array_is_rejected() {
+        let mut cfg = TestbedConfig::paper_array();
+        cfg.ap_x.swap(0, 1);
+        World::new(cfg, wgtt(), vec![], 1);
     }
 
     // ------------------------------------------- outage accounting edges

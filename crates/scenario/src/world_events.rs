@@ -92,7 +92,9 @@ impl World {
                 return; // lost in the Click forwarding path; timeouts recover
             }
         }
-        self.capture_backhaul(&to, &msg, now);
+        if let Some(cap) = self.backhaul_capture.as_mut() {
+            cap.record_backhaul(now, &to, &msg);
+        }
         if let (Some((mean, std)), Some(client)) = (processing, msg.control_client()) {
             let ci = self.client_index(client);
             let jitter = self.clients[ci]
@@ -123,11 +125,11 @@ impl World {
             return;
         };
         let at = now + cfg.backhaul_latency;
-        let list = std::mem::take(&mut self.fanouts[aps as usize]);
-        for &ap in &list {
-            self.capture_backhaul(&BackhaulDest::Ap(ap), &msg, now);
+        if let Some(cap) = self.backhaul_capture.as_mut() {
+            for &ap in &self.fanouts[aps as usize] {
+                cap.record_backhaul(now, &BackhaulDest::Ap(ap), &msg);
+            }
         }
-        self.fanouts[aps as usize] = list;
         let to = BackhaulTo::Aps(aps);
         self.queue.schedule(at, Ev::Backhaul { to, msg });
     }
