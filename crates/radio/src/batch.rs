@@ -50,6 +50,7 @@ mod tests {
             client_antenna_dbi: 0.0,
             budget: LinkBudget::default(),
             pathloss: PathLossModel::roadside(),
+            fading_peak_db: crate::fading::peak_gain_db(6.0),
         }
         .link(FadingProcess::new(
             RngStream::root(seed).derive("link"),

@@ -49,8 +49,9 @@
 //! [`FadingProcess::powers_at`] operation for operation. A caller that
 //! only has a threshold to test can often stop early:
 //!
-//! * [`FadingProcess::peak_gain_db`] bounds the wideband gain at *every*
-//!   instant from the tap powers and the Rician scale alone;
+//! * [`peak_gain_db`] bounds the wideband gain at *every* instant from
+//!   the tap powers and the Rician K alone, so it bounds a link that has
+//!   not been drawn ([`FadingProcess::peak_gain_db`] is the same value);
 //! * [`FadingProcess::wideband_gain_of`] gives the wideband gain *at one
 //!   instant* from the six tap gains through the 6 × 6 Gram matrix of
 //!   the twiddle planes, with no subcarrier sweep.
@@ -263,15 +264,13 @@ pub struct FadingProcess {
     /// `cos`/`sin` of the quadrature phase offsets, per lane.
     cos_phi_q: [f64; SIN_LANES],
     sin_phi_q: [f64; SIN_LANES],
-    /// Rician LoS component of tap 0: `(amp·k_scale, k_scale, omega,
-    /// phase)`.
+    /// Rician LoS component of tap 0: `(amp, k_scale, omega, phase)`,
+    /// `amp = √K` and `k_scale = √(1/(1 + K))`.
     los: Option<(f64, f64, f64, f64)>,
     /// Twiddle planes and per-tap scales, shared by every link.
     delay_line: &'static DelayLine,
     /// Maximum Doppler shift, Hz.
     doppler_hz: f64,
-    /// [`FadingProcess::peak_gain_db`], baked at construction.
-    peak_gain_db: f64,
 }
 
 /// The link-independent half of the synthesis tables: everything that is
@@ -297,13 +296,13 @@ struct DelayLine {
 }
 
 impl DelayLine {
-    /// The process-wide table. The first link built bakes it from its
-    /// reference realization; every later one is checked against it, so
-    /// the kernel reads the bits a private per-link copy would have held.
-    fn shared(r: &reference::FadingProcess) -> &'static DelayLine {
+    /// The process-wide table, baked on first use from a throwaway seed
+    /// realization: the tap delays, powers and sinusoid counts it reads
+    /// are the same for every link, whatever the stream, speed or K.
+    fn shared() -> &'static DelayLine {
         static TABLE: OnceLock<DelayLine> = OnceLock::new();
-        assert_eq!(r.taps.len(), NUM_TAPS, "reference tap count fixed");
-        let dl = TABLE.get_or_init(|| {
+        TABLE.get_or_init(|| {
+            let r = reference::FadingProcess::new(RngStream::root(0), 0.0, f64::NEG_INFINITY);
             let mut twiddle_re = [[0.0; NUM_SUBCARRIERS]; NUM_TAPS];
             let mut twiddle_im = [[0.0; NUM_SUBCARRIERS]; NUM_TAPS];
             for l in 0..NUM_TAPS {
@@ -340,7 +339,14 @@ impl DelayLine {
                 gram_re,
                 gram_im,
             }
-        });
+        })
+    }
+
+    /// The table, checked against realization `r`: the kernel reads the
+    /// bits a private per-link copy would have held.
+    fn of(r: &reference::FadingProcess) -> &'static DelayLine {
+        let dl = Self::shared();
+        assert_eq!(r.taps.len(), NUM_TAPS, "reference tap count fixed");
         for (l, rt) in r.taps.iter().enumerate() {
             assert_eq!(rt.sinusoids.len(), SINUSOIDS_PER_TAP);
             assert_eq!(rt.delay_s.to_bits(), dl.delay_s[l].to_bits());
@@ -348,6 +354,44 @@ impl DelayLine {
         }
         dl
     }
+
+    /// The most a channel whose Rician tap has LoS amplitude `los_amp`
+    /// (`√K`; `None` for pure Rayleigh) can ever add to its mean SNR, dB:
+    /// `|H_k| ≤ Σ_l |g_l|` on every subcarrier (the twiddles have unit
+    /// modulus) and each `|g_l|` is bounded by its synthesizer's
+    /// all-sinusoids-aligned magnitude — every I and Q sum is at most
+    /// `n·scale`, and the Rician tap adds its LoS amplitude to the
+    /// rescaled scatter — so `10·log₁₀` of `(Σ_l √P_l·|g_l|max)²` is a
+    /// ceiling on the wideband gain at every instant. No random phase
+    /// enters it.
+    fn peak_gain_db(&self, los_amp: Option<f64>) -> f64 {
+        let mut peak_amp = 0.0;
+        for l in 0..NUM_TAPS {
+            let scatter =
+                SINUSOIDS_PER_TAP as f64 * self.scatter_scale[l] * std::f64::consts::SQRT_2;
+            let tap = match los_amp {
+                Some(amp) if l == 0 => {
+                    let k_scale = (1.0 / (1.0 + amp * amp)).sqrt();
+                    scatter * k_scale + amp * k_scale
+                }
+                _ => scatter,
+            };
+            peak_amp += self.power_sqrt[l] * tap;
+        }
+        crate::linear_to_db(peak_amp * peak_amp)
+    }
+}
+
+/// [`FadingProcess::peak_gain_db`] of every link whose first tap has
+/// Rician K-factor `rician_k_db` (dB; `f64::NEG_INFINITY` for pure
+/// Rayleigh), bit for bit: the peak depends on K and the delay line
+/// alone, so a caller bounds a link it has not drawn.
+pub fn peak_gain_db(rician_k_db: f64) -> f64 {
+    // The LoS amplitude exactly as the seed constructor computes it.
+    let los_amp = rician_k_db
+        .is_finite()
+        .then(|| crate::db_to_linear(rician_k_db).sqrt());
+    DelayLine::shared().peak_gain_db(los_amp)
 }
 
 /// The six complex tap gains `g_l(t)` of one link at one instant: what
@@ -401,7 +445,8 @@ fn tap_gains_impl(fp: &FadingProcess, ts: f64) -> TapGains {
         g_re[l] = sre * dl.scatter_scale[l];
         g_im[l] = sim * dl.scatter_scale[l];
     }
-    if let Some((amp_scaled, k_scale, omega, phase)) = fp.los {
+    if let Some((amp, k_scale, omega, phase)) = fp.los {
+        let amp_scaled = amp * k_scale;
         let (s, c) = wgtt_simd::math::sincos_e(omega * ts + phase);
         g_re[0] = g_re[0] * k_scale + amp_scaled * c;
         g_im[0] = g_im[0] * k_scale + amp_scaled * s;
@@ -530,7 +575,7 @@ impl FadingProcess {
 
     /// Precompute the SoA tables from a seed-constructed process.
     pub fn from_reference(r: &reference::FadingProcess) -> Self {
-        let delay_line = DelayLine::shared(r);
+        let delay_line = DelayLine::of(r);
         let mut omega = [0.0; SIN_LANES];
         let mut cos_phi_i = [0.0; SIN_LANES];
         let mut sin_phi_i = [0.0; SIN_LANES];
@@ -548,21 +593,8 @@ impl FadingProcess {
         }
         let los = r.taps[0].los.map(|(amp, om, ph)| {
             let k_scale = (1.0 / (1.0 + amp * amp)).sqrt();
-            (amp * k_scale, k_scale, om, ph)
+            (amp, k_scale, om, ph)
         });
-        // No tap can exceed `√P_l` times the largest magnitude its
-        // synthesizer reaches: every I and Q sum is at most n·scale, and
-        // the Rician tap adds its LoS amplitude to the rescaled scatter.
-        let mut peak_amp = 0.0;
-        for l in 0..NUM_TAPS {
-            let scatter =
-                SINUSOIDS_PER_TAP as f64 * delay_line.scatter_scale[l] * std::f64::consts::SQRT_2;
-            let tap = match los {
-                Some((amp_scaled, k_scale, _, _)) if l == 0 => scatter * k_scale + amp_scaled,
-                _ => scatter,
-            };
-            peak_amp += delay_line.power_sqrt[l] * tap;
-        }
         FadingProcess {
             omega,
             cos_phi_i,
@@ -572,7 +604,6 @@ impl FadingProcess {
             los,
             delay_line,
             doppler_hz: r.doppler_hz,
-            peak_gain_db: crate::linear_to_db(peak_amp * peak_amp),
         }
     }
 
@@ -674,13 +705,11 @@ impl FadingProcess {
     }
 
     /// The most this link's small-scale channel can ever add to its mean
-    /// SNR, dB: `|H_k| ≤ Σ_l |g_l|` on every subcarrier (the twiddles
-    /// have unit modulus) and each `|g_l|` is bounded by its
-    /// synthesizer's all-sinusoids-aligned magnitude, so `10·log₁₀` of
-    /// `(Σ_l √P_l·|g_l|max)²` is a ceiling on the wideband gain at every
-    /// instant. Time-independent, baked at construction.
+    /// SNR at any instant, dB (DESIGN.md §17, inequality 3): it reads the
+    /// LoS amplitude `√K` and the delay line, none of the random phases,
+    /// so it equals the module's [`peak_gain_db`] of this link's K.
     pub fn peak_gain_db(&self) -> f64 {
-        self.peak_gain_db
+        self.delay_line.peak_gain_db(self.los.map(|(amp, ..)| amp))
     }
 
     /// Wideband (subcarrier-averaged) instantaneous power gain at `t`,

@@ -17,22 +17,24 @@
 //! The `*_at` accessors return *values* — ESNR, SNR, RSSI — memoized per
 //! `(t, client_pos)` and bit-identical to [`Link::snapshot`]. Most of
 //! the frame path only compares such a value against a threshold, and
-//! for that the link also offers two upper bounds that cost a fraction
-//! of the value (DESIGN.md §17), in decreasing slack and increasing cost:
+//! for that there are two upper bounds that cost a fraction of the value
+//! (DESIGN.md §17), in decreasing slack and increasing cost:
 //!
-//! | accessor | holds for | costs |
-//! |---|---|---|
-//! | [`Link::esnr_ceiling_db_at`], [`Link::rssi_ceiling_dbm`] | every instant | geometry |
-//! | [`Link::esnr_bound_db_at`] | the instant of the tap gains | + the sinusoid pass |
-//! | [`Link::esnr_db_at`] / [`Link::esnr_db_from_gains`] | — (exact) | + twiddle MAC, BER sweep, inversion |
+//! | accessor | holds for | needs | costs |
+//! |---|---|---|---|
+//! | [`LinkSite::esnr_ceiling_db`], [`LinkSite::rssi_ceiling_dbm`] | every link of the site, every instant | the site | geometry |
+//! | [`Link::esnr_bound_db_at`] | the instant of the tap gains | the drawn link | + the sinusoid pass |
+//! | [`Link::esnr_db_at`] / [`Link::esnr_db_from_gains`] | — (exact) | the drawn link | + twiddle MAC, BER sweep, inversion |
 //!
-//! `esnr_db_at ≤ esnr_bound_db_at ≤ esnr_ceiling_db_at` under every
+//! `esnr_db_at ≤ esnr_bound_db_at ≤ esnr_ceiling_db` under every
 //! modulation, and `rssi_dbm_at ≤ rssi_ceiling_dbm`
 //! (`crates/radio/tests/prop_bounds.rs`); a caller adds
 //! [`BOUND_MARGIN_DB`] before trusting a bound in place of the value.
-//! The bounds keep no per-link state beyond the memo's mean SNR: the tap
-//! gains travel with the caller. [`Link::work`] says how much exact
-//! arithmetic a link has actually been asked for.
+//! The ceilings are site geometry — the peak fading gain is a function
+//! of the Rician K alone — so a caller asks them of a link it has not
+//! drawn. The bound keeps no per-link state beyond the memo's mean SNR:
+//! the tap gains travel with the caller. [`Link::work`] says how much
+//! exact arithmetic a link has actually been asked for.
 
 use crate::antenna::{Antenna, ParabolicAntenna};
 use crate::csi::{Csi, NUM_SUBCARRIERS};
@@ -73,10 +75,12 @@ impl Default for LinkBudget {
 }
 
 /// The static half of a [`Link`]: the AP's placement and antennas, the
-/// budget and the propagation model — everything but the fading
-/// realization and the memo. Pure geometry, so a caller choosing among
-/// links it has not realized asks here ([`LinkSite::mean_snr_db`] is what
-/// [`Link::mean_snr_db`] returns), and [`LinkSite::link`] realizes one.
+/// budget, the propagation model and the fading's peak gain — everything
+/// but the fading realization and the memo. Pure geometry, so a caller
+/// choosing among links it has not drawn asks here
+/// ([`LinkSite::mean_snr_db`] is what [`Link::mean_snr_db`] returns, and
+/// the ceilings hold for every link of the site), and [`LinkSite::link`]
+/// builds one.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSite {
     /// AP position on the plane, metres.
@@ -91,6 +95,10 @@ pub struct LinkSite {
     pub budget: LinkBudget,
     /// Large-scale propagation model.
     pub pathloss: PathLossModel,
+    /// The most the fading of this site's links can add to their mean
+    /// SNR at any instant, dB: [`crate::fading::peak_gain_db`] of their
+    /// Rician K.
+    pub fading_peak_db: f64,
 }
 
 impl LinkSite {
@@ -104,9 +112,31 @@ impl LinkSite {
         self.budget.tx_power_dbm + gain - self.pathloss.loss_db(dist) - self.budget.noise_floor_dbm
     }
 
+    /// Static ceiling on [`Link::esnr_db_at`] and [`Link::snr_db_at`]
+    /// for a client at `client_pos`, under any modulation, at every
+    /// instant, for every link of this site: the mean SNR plus the most
+    /// the fading can add. Geometry only — no link is asked.
+    pub fn esnr_ceiling_db(&self, client_pos: Position) -> f64 {
+        self.mean_snr_db(client_pos) + self.fading_peak_db
+    }
+
+    /// Static ceiling on [`Link::rssi_dbm_at`] for a client at
+    /// `client_pos`, associated like it (`(mean + fade) + noise floor`)
+    /// so the two compare term by term. A capture comparison reads this
+    /// for links it will mostly never evaluate.
+    pub fn rssi_ceiling_dbm(&self, client_pos: Position) -> f64 {
+        self.esnr_ceiling_db(client_pos) + self.budget.noise_floor_dbm
+    }
+
     /// The link from this site with the fading realization `fading` and
-    /// an empty memo.
+    /// an empty memo. `fading` must have the K the site's
+    /// [`LinkSite::fading_peak_db`] was computed for.
     pub fn link(self, fading: FadingProcess) -> Link {
+        debug_assert_eq!(
+            fading.peak_gain_db().to_bits(),
+            self.fading_peak_db.to_bits(),
+            "the realization's peak gain is not the site's"
+        );
         Link {
             site: self,
             fading,
@@ -379,25 +409,12 @@ impl Link {
         }
     }
 
-    /// Static ceiling on [`Link::esnr_db_at`] and [`Link::snr_db_at`] at
-    /// `(t, client_pos)` under any modulation: the mean SNR plus the
-    /// most the fading process can ever add
-    /// ([`FadingProcess::peak_gain_db`]). Geometry only — the channel is
-    /// not evaluated; `t` just keys the memo, which keeps the mean SNR
-    /// for the tighter bound and the exact value a caller may ask for
-    /// next.
-    pub fn esnr_ceiling_db_at(&self, t: SimTime, client_pos: Position) -> f64 {
+    /// [`Link::mean_snr_db`] through the memo, keyed `(t, client_pos)`:
+    /// the channel is not evaluated, and the tighter bound and the exact
+    /// value a caller may ask for next find the geometry done.
+    pub fn mean_snr_db_at(&self, t: SimTime, client_pos: Position) -> f64 {
         let mut memo = self.memo.borrow_mut();
-        let (entry, _) = self.memo_refresh(&mut memo, t, client_pos);
-        entry.mean_snr_db + self.fading.peak_gain_db()
-    }
-
-    /// Static ceiling on [`Link::rssi_dbm_at`] for a client at
-    /// `client_pos`, associated like it (`(mean + fade) + noise floor`)
-    /// so the two compare term by term. Pure: a capture comparison reads
-    /// this for links it will mostly never evaluate.
-    pub fn rssi_ceiling_dbm(&self, client_pos: Position) -> f64 {
-        self.mean_snr_db(client_pos) + self.fading.peak_gain_db() + self.site.budget.noise_floor_dbm
+        self.memo_refresh(&mut memo, t, client_pos).0.mean_snr_db
     }
 
     /// Instant bound on [`Link::esnr_db_at`] at `(t, client_pos)` under
@@ -433,6 +450,7 @@ mod tests {
             client_antenna_dbi: 0.0,
             budget: LinkBudget::default(),
             pathloss: PathLossModel::roadside(),
+            fading_peak_db: crate::fading::peak_gain_db(6.0),
         }
         .link(FadingProcess::new(
             RngStream::root(seed).derive("link"),
@@ -531,11 +549,13 @@ mod tests {
         let pos = Position::new(2.0, 0.0);
         let t = SimTime::from_millis(5);
         let count = |syntheses, sweeps| LinkWork { syntheses, sweeps };
-        // The bounds and the memo peek compute no channel.
+        // The bounds, the memoized geometry and the memo peek compute no
+        // channel.
         let gains = link.fading.tap_gains_at(t);
-        let ceiling = link.esnr_ceiling_db_at(t, pos);
+        let ceiling = link.site.esnr_ceiling_db(pos);
         let bound = link.esnr_bound_db_at(t, pos, &gains);
-        assert!(link.rssi_ceiling_dbm(pos) == ceiling + link.site.budget.noise_floor_dbm);
+        link.mean_snr_db_at(t, pos);
+        assert!(link.site.rssi_ceiling_dbm(pos) == ceiling + link.site.budget.noise_floor_dbm);
         assert_eq!(link.esnr_memo(t, pos, Modulation::Qpsk), None);
         assert_eq!(link.work(), count(0, 0));
         // One synthesis per instant, one sweep per modulation read at it;
@@ -557,12 +577,14 @@ mod tests {
     fn a_site_answers_for_its_link_without_the_fading() {
         let link = test_link(12);
         let site = link.site;
+        let t = SimTime::from_millis(2);
         for x in [-60.0, -4.0, 0.0, 2.5, 7.5, 130.0] {
             let pos = Position::new(x, 0.0);
-            assert_eq!(
-                site.mean_snr_db(pos).to_bits(),
-                link.mean_snr_db(pos).to_bits()
-            );
+            let mean = site.mean_snr_db(pos).to_bits();
+            assert_eq!(mean, link.mean_snr_db(pos).to_bits());
+            assert_eq!(mean, link.mean_snr_db_at(t, pos).to_bits());
+            let ceiling = site.mean_snr_db(pos) + link.fading.peak_gain_db();
+            assert_eq!(site.esnr_ceiling_db(pos).to_bits(), ceiling.to_bits());
         }
         let rebuilt = site.link(link.fading.clone());
         let (t, pos) = (SimTime::from_millis(9), Position::new(1.5, 0.0));

@@ -6,9 +6,13 @@
 //! byte-identical only if the bounds really are bounds — in floats, not
 //! just on paper:
 //!
-//! * `esnr_db_at ≤ esnr_bound_db_at ≤ esnr_ceiling_db_at` for every
-//!   modulation (Jensen on the convex BER curves; `|H_k| ≤ Σ_l |g_l|`);
+//! * `esnr_db_at ≤ esnr_bound_db_at ≤ esnr_ceiling_db` for every
+//!   modulation (Jensen on the convex BER curves; `|H_k| ≤ Σ_l |g_l|`),
+//!   the ceiling asked of the link's `LinkSite`;
 //! * `rssi_dbm_at ≤ rssi_ceiling_dbm`;
+//! * the site's ceilings are the realization's: the peak gain is a
+//!   function of K alone, bit for bit, so a link need not be drawn to be
+//!   bounded;
 //! * the tap-gain quadratic form `gᴴGg` is the wideband gain to rounding;
 //! * splitting a synthesis into tap gains + twiddle MAC changes no bit,
 //!   on any backend, so a bound that fails to decide costs no second
@@ -20,7 +24,7 @@
 //! thousand times above the worst violation found.
 
 use proptest::prelude::*;
-use wgtt_radio::fading::FadingProcess;
+use wgtt_radio::fading::{self, FadingProcess};
 use wgtt_radio::{
     linear_to_db, Link, LinkBudget, LinkSite, Modulation, ParabolicAntenna, PathLossModel,
     Position, BOUND_MARGIN_DB, NUM_SUBCARRIERS,
@@ -64,6 +68,7 @@ fn link(seed: u64, k: f64, extra_loss_db: f64) -> Link {
             extra_loss_db,
             ..PathLossModel::roadside()
         },
+        fading_peak_db: fading::peak_gain_db(k),
     }
     .link(FadingProcess::new(
         RngStream::root(seed).derive("prop-bounds"),
@@ -72,13 +77,14 @@ fn link(seed: u64, k: f64, extra_loss_db: f64) -> Link {
     ))
 }
 
-/// `(exact, bound, ceiling)` of one link-instant under `m`.
+/// `(exact, bound, ceiling)` of one link-instant under `m`, the ceiling
+/// from the link's site.
 fn rungs(l: &Link, t: SimTime, pos: Position, m: Modulation) -> (f64, f64, f64) {
     let gains = l.fading.tap_gains_at(t);
     (
         l.esnr_db_at(t, pos, m),
         l.esnr_bound_db_at(t, pos, &gains),
-        l.esnr_ceiling_db_at(t, pos),
+        l.site.esnr_ceiling_db(pos),
     )
 }
 
@@ -98,8 +104,27 @@ proptest! {
             prop_assert!(bound <= ceiling + TOL_DB, "bound {bound} above ceiling {ceiling}");
             let (snr, rssi) = (l.snr_db_at(t, pos), l.rssi_dbm_at(t, pos));
             prop_assert!(snr <= ceiling + TOL_DB, "snr {snr} above ceiling {ceiling}");
-            let rssi_ceiling = l.rssi_ceiling_dbm(pos);
+            let rssi_ceiling = l.site.rssi_ceiling_dbm(pos);
             prop_assert!(rssi <= rssi_ceiling + TOL_DB, "rssi {rssi} above {rssi_ceiling}");
+        }
+    }
+
+    #[test]
+    fn site_ceilings_are_the_realizations(
+        params in (0u64..1_000_000, 0u32..3, 0u32..4),
+        positions in proptest::collection::vec(0u32..4_000, 1..24),
+    ) {
+        let (seed, k_idx, loss_idx) = params;
+        let k = k_db(k_idx);
+        let l = link(seed, k, extra_loss_db(loss_idx));
+        let peak = l.fading.peak_gain_db();
+        prop_assert_eq!(fading::peak_gain_db(k).to_bits(), peak.to_bits());
+        for &pos_q in &positions {
+            let pos = Position::new(f64::from(pos_q) * 0.05, 0.0);
+            let mean = l.mean_snr_db(pos);
+            prop_assert_eq!(l.site.esnr_ceiling_db(pos).to_bits(), (mean + peak).to_bits());
+            let rssi = mean + peak + l.site.budget.noise_floor_dbm;
+            prop_assert_eq!(l.site.rssi_ceiling_dbm(pos).to_bits(), rssi.to_bits());
         }
     }
 

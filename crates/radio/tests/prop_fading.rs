@@ -38,6 +38,7 @@ fn link_pair(seed: u64, speed_mps: f64, k: f64) -> Link {
         client_antenna_dbi: 0.0,
         budget: LinkBudget::default(),
         pathloss: PathLossModel::roadside(),
+        fading_peak_db: wgtt_radio::fading::peak_gain_db(k),
     }
     .link(FadingProcess::new(
         RngStream::root(seed).derive("prop-link"),

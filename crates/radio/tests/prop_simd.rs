@@ -82,6 +82,7 @@ fn ap_link(seed: u64, x: f64) -> Link {
         client_antenna_dbi: 0.0,
         budget: LinkBudget::default(),
         pathloss: PathLossModel::roadside(),
+        fading_peak_db: wgtt_radio::fading::peak_gain_db(6.0),
     }
     .link(FadingProcess::new(
         RngStream::root(seed).derive("prop-simd-link"),

@@ -9,7 +9,7 @@
 //! 3 m spacing, parallel, opposing).
 
 use wgtt_mac::frame::NodeId;
-use wgtt_radio::fading::FadingProcess;
+use wgtt_radio::fading::{self, FadingProcess};
 use wgtt_radio::link::{Link, LinkBudget, LinkSite};
 use wgtt_radio::{ParabolicAntenna, PathLossModel, Position};
 use wgtt_sim::rng::RngStream;
@@ -20,6 +20,11 @@ pub const MPH: f64 = 0.44704;
 
 /// Distance from the AP building line to the near lane, metres.
 pub const ROAD_OFFSET_M: f64 = 12.0;
+
+/// Rician K-factor of every link's first tap, dB: the open-road
+/// mainlobe's line of sight. [`TestbedConfig::link`] draws with it and
+/// [`TestbedConfig::site`]'s ceilings bound with it.
+pub(crate) const RICIAN_K_DB: f64 = 9.0;
 
 /// Travel direction along the road.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,7 +254,8 @@ impl TestbedConfig {
     }
 
     /// What every link of the AP at local index `aui` shares: geometry
-    /// only, no fading. Every antenna faces the road (boresight −π/2).
+    /// and the fading's peak gain at [`RICIAN_K_DB`], no realization.
+    /// Every antenna faces the road (boresight −π/2).
     pub(crate) fn site(&self, aui: usize) -> LinkSite {
         LinkSite {
             ap_pos: Position::new(self.ap_x[aui], ROAD_OFFSET_M),
@@ -258,6 +264,7 @@ impl TestbedConfig {
             client_antenna_dbi: 0.0,
             budget: LinkBudget::testbed(),
             pathloss: PathLossModel::roadside(),
+            fading_peak_db: fading::peak_gain_db(RICIAN_K_DB),
         }
     }
 
@@ -266,15 +273,15 @@ impl TestbedConfig {
     /// stream derives from `links` (the seed's `"link"` stream) by the
     /// pair's *global* AP id and client index, so a shard and the
     /// monolithic world, or a world and a bare radio sample, realize the
-    /// same channel. Rician K is 9 dB, and a parked client fades as if
-    /// moving at 0.3 m/s.
+    /// same channel. Rician K is [`RICIAN_K_DB`], and a parked client
+    /// fades as if moving at 0.3 m/s.
     pub(crate) fn link(&self, links: &RngStream, aui: usize, ci: usize) -> Link {
         let stream = links
             .derive_indexed("ap", u64::from(self.ap_id_offset) + aui as u64)
             .derive_indexed("client", (self.client_index_offset + ci) as u64);
         let speed_mps = self.clients[ci].speed_mps.max(0.3);
         self.site(aui)
-            .link(FadingProcess::new(stream, speed_mps, 9.0))
+            .link(FadingProcess::new(stream, speed_mps, RICIAN_K_DB))
     }
 
     /// Whether `id` names one of this array's APs.

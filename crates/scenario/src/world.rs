@@ -41,7 +41,7 @@ use wgtt_mac::Mcs;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
 use wgtt_radio::fading::TapGains;
-use wgtt_radio::link::{Link, LinkBudget};
+use wgtt_radio::link::{Link, LinkBudget, LinkSite};
 use wgtt_radio::{Modulation, PathLossModel, Position};
 use wgtt_sim::metrics::{Counter, Distribution, ThroughputMeter, TimeSeries};
 use wgtt_sim::queue::{EventId, EventQueue};
@@ -235,9 +235,12 @@ pub struct PhyWork {
     /// Exact received powers those comparisons evaluated (the wanted
     /// signal and each interferer count one apiece).
     pub capture_exact: u64,
-    /// (AP, client) links the world realized, at set-up or on first use
-    /// (filled in by [`World::finish`]): a monolithic world realizes
-    /// exactly the links its districts do.
+    /// (AP, client) links the world drew (filled in by
+    /// [`World::finish`]): exactly the pairs whose channel something
+    /// evaluated — a tap-gain bound, an exact ESNR or an exact received
+    /// power. `World::new` draws none, and a pair every roll of which
+    /// the static ceiling settled stays undrawn. A monolithic world
+    /// evaluates, and so draws, exactly the links its districts do.
     pub links_built: u64,
 }
 
@@ -365,8 +368,9 @@ struct RxContext {
     gains: Option<TapGains>,
 }
 
-/// One (AP, client) pair's link, realized the first time anything asks
-/// for it ([`World::link_at`]): a pointer until then.
+/// One (AP, client) pair's link, drawn the first time something asks
+/// about its channel ([`World::link_at`]): a pointer until then. Its
+/// ceilings need no draw — they are the AP's [`LinkSite`]'s.
 type LinkSlot = OnceCell<Box<Link>>;
 
 /// Where a queued backhaul message is delivered.
@@ -498,15 +502,16 @@ pub struct World {
     queue: EventQueue<Ev>,
     medium: Medium,
     /// One radio link per (AP, client) pair, at
-    /// `ap_index * clients.len() + client_index`, realized by
-    /// [`World::link_at`]: in [`World::new`] for the pairs each client
-    /// can reach from where it starts, on first use for any other. A
-    /// pair nothing asks for costs a pointer.
+    /// `ap_index * clients.len() + client_index`, drawn by
+    /// [`World::link_at`] when a verdict or a query first evaluates the
+    /// pair's channel — never in [`World::new`]. A pair nothing
+    /// evaluates costs a pointer.
     links: Vec<LinkSlot>,
     /// `root.derive("link")`, the stream every link's derives from.
     link_stream: RngStream,
-    /// AP positions by local AP index.
-    ap_pos: Vec<Position>,
+    /// Each AP's [`LinkSite`] by local AP index: its position, and the
+    /// geometry every ceiling and the initial association read.
+    sites: Vec<LinkSite>,
     system: SystemState,
     clients: Vec<ClientNode>,
     /// First client NodeId: 100 for every paper-scale world, pushed up
@@ -748,7 +753,7 @@ impl World {
                 .take(n_pairs)
                 .collect(),
             link_stream: root.derive("link"),
-            ap_pos: ap_positions,
+            sites: (0..n_aps).map(|aui| cfg.site(aui)).collect(),
             system: system_state,
             clients,
             client_base,
@@ -783,19 +788,6 @@ impl World {
             let (id, c) = (FlowId(world.flows.len() as u32), &world.clients[ci]);
             world.flows.push(Flow::new(id, c.id, c.ip, spec));
         }
-        // Radio links: one fading realization per (AP, client) pair, a
-        // pure function of the seed and the pair's global ids — shared
-        // verbatim between compared systems at equal seeds, and between
-        // a monolithic world and its districts. Each client's starting
-        // neighbourhood is realized here, in set-up, where a run would
-        // otherwise realize it between events (DESIGN §20); the rest of
-        // the pairs wait for a first use most never get.
-        for c in &world.clients {
-            for aui in world.ap_window(c.plan.position_at(SimTime::ZERO).x) {
-                let pair = world.pair_index(world.ap_id(aui), c.id);
-                world.link_at(&world.links[pair], pair);
-            }
-        }
         world
     }
 
@@ -820,7 +812,7 @@ impl World {
     /// monolithic world and a spatial shard skip exactly the same pairs
     /// — before any random draw.
     fn in_decode_horizon(&self, aui: usize, pos: Position) -> bool {
-        pos.distance_to(self.ap_pos[aui]) <= DECODE_HORIZON_M
+        pos.distance_to(self.sites[aui].ap_pos) <= DECODE_HORIZON_M
     }
 
     /// Local indices of the APs that can lie inside the decode horizon
@@ -854,12 +846,14 @@ impl World {
     }
 
     /// The link of `pair` held in `slot` — the world's own slot, or a
-    /// query's copy of it — realized there on first use by
-    /// [`TestbedConfig::link`]. It is a pure function of the seed, the
-    /// pair's *global* AP id and client index, the AP's site and the
-    /// client's plan speed, so where and when it is realized moves no
-    /// bit; and a link realized but not yet asked anything holds the
-    /// same empty memo and zero work as one never realized.
+    /// query's copy of it — drawn there on first use by
+    /// [`TestbedConfig::link`]: one fading realization, a pure function
+    /// of the seed, the pair's *global* AP id and client index, the AP's
+    /// site and the client's plan speed — shared verbatim between
+    /// compared systems at equal seeds, and between a monolithic world
+    /// and its districts. So where and when it is drawn moves no bit,
+    /// and a link drawn but not yet asked anything holds the same empty
+    /// memo and zero work as one never drawn.
     fn link_at<'a>(&self, slot: &'a LinkSlot, pair: usize) -> &'a Link {
         slot.get_or_init(|| {
             let (aui, ci) = (pair / self.clients.len(), pair % self.clients.len());
@@ -924,12 +918,13 @@ impl World {
         }
     }
 
-    /// What [`World::rssi_between`] can at most return: geometry only.
+    /// What [`World::rssi_between`] can at most return: the AP's site
+    /// answers, and no link is drawn.
     fn rssi_ceiling_between(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
         match self.link_or_large_scale(a, b, now) {
-            Ok((ap, client)) => self
-                .link(ap, client)
-                .rssi_ceiling_dbm(self.client_pos(client, now)),
+            Ok((ap, client)) => {
+                self.sites[self.cfg.ap_index(ap)].rssi_ceiling_dbm(self.client_pos(client, now))
+            }
             Err(rssi) => rssi,
         }
     }
@@ -983,6 +978,8 @@ impl World {
     /// (ap, client) link at `now`, with the client at `pos`: one uniform
     /// draw from the client's stream, then the ladder — whose answer is
     /// `draw < mcs.per(exact ESNR, len)` however few rungs it climbs.
+    /// The ceiling rung asks the AP's site; only the bound and exact
+    /// rungs draw the link.
     fn roll_mpdu(
         &mut self,
         ap: NodeId,
@@ -994,11 +991,11 @@ impl World {
     ) -> bool {
         let u = self.roll_draw(client);
         let pair = self.pair_index(ap, client);
-        let link = self.link_at(&self.links[pair], pair);
         let same = |c: &RxContext| c.pair == pair && c.at == now && c.mcs == mcs;
         if !self.rx_ctx.as_ref().is_some_and(same) {
             let mut ladder = Ladder::default();
-            if let Some(esnr) = link.esnr_memo(now, pos, mcs.modulation()) {
+            let drawn = self.links[pair].get();
+            if let Some(esnr) = drawn.and_then(|l| l.esnr_memo(now, pos, mcs.modulation())) {
                 ladder.set(mcs, Rung::Exact, esnr);
             }
             self.rx_ctx = Some(RxContext {
@@ -1009,11 +1006,11 @@ impl World {
                 gains: None,
             });
         }
-        let ctx = self.rx_ctx.as_mut().expect("context just ensured");
-        let phy = &mut self.report.phy;
         loop {
+            let ctx = self.rx_ctx.as_ref().expect("context just ensured");
             let (rung, esnr_db) = match ctx.ladder.step(u, len) {
                 Step::Lost(lost, rung) => {
+                    let phy = &mut self.report.phy;
                     match rung {
                         Rung::Ceiling => phy.rolls_ceiling += 1,
                         Rung::Bound => phy.rolls_bound += 1,
@@ -1021,17 +1018,30 @@ impl World {
                     }
                     return !lost;
                 }
-                Step::Need(Rung::Ceiling) => (Rung::Ceiling, link.esnr_ceiling_db_at(now, pos)),
+                Step::Need(Rung::Ceiling) => {
+                    // The site's ceiling. A drawn link's memo supplies the
+                    // mean SNR, so the rungs above find the geometry done.
+                    let site = &self.sites[self.cfg.ap_index(ap)];
+                    let ceiling = match self.links[pair].get() {
+                        Some(link) => link.mean_snr_db_at(now, pos) + site.fading_peak_db,
+                        None => site.esnr_ceiling_db(pos),
+                    };
+                    (Rung::Ceiling, ceiling)
+                }
                 Step::Need(Rung::Bound) => {
+                    let link = self.link_at(&self.links[pair], pair);
+                    let ctx = self.rx_ctx.as_mut().expect("context just ensured");
                     let gains = ctx.gains.insert(link.fading.tap_gains_at(now));
                     (Rung::Bound, link.esnr_bound_db_at(now, pos, gains))
                 }
                 Step::Need(Rung::Exact) => {
+                    let link = self.link_at(&self.links[pair], pair);
                     let gains = ctx.gains.as_ref().expect("the bound rung ran first");
                     let esnr = link.esnr_db_from_gains(now, pos, mcs.modulation(), gains);
                     (Rung::Exact, esnr)
                 }
             };
+            let ctx = self.rx_ctx.as_mut().expect("context just ensured");
             ctx.ladder.set(mcs, rung, esnr_db);
         }
     }
@@ -1131,14 +1141,14 @@ impl World {
 
     fn bootstrap(&mut self) {
         // Initial association: strongest mean-SNR AP at the start position,
-        // which is geometry — no link is realized to answer it.
+        // which is site geometry — no link is drawn to answer it.
         for ci in 0..self.clients.len() {
             let client = self.clients[ci].id;
             let pos = self.client_pos(client, SimTime::ZERO);
             let best_ap = (0..self.cfg.ap_x.len())
                 .max_by(|&a, &b| {
-                    let sa = self.cfg.site(a).mean_snr_db(pos);
-                    let sb = self.cfg.site(b).mean_snr_db(pos);
+                    let sa = self.sites[a].mean_snr_db(pos);
+                    let sb = self.sites[b].mean_snr_db(pos);
                     sa.partial_cmp(&sb).expect("SNR is never NaN")
                 })
                 .map(|aui| self.ap_id(aui))
@@ -1336,6 +1346,7 @@ include!("world_mac.rs");
 mod tests {
     use super::*;
     use crate::testbed::ClientPlan;
+    use wgtt_radio::link::{LinkWork, BOUND_MARGIN_DB};
 
     fn wgtt() -> SystemKind {
         SystemKind::Wgtt(WgttConfig::default())
@@ -1800,8 +1811,8 @@ mod tests {
     // ------------------------------------------------------- lazy links
 
     impl World {
-        /// Realize every pair, as a world that built them all in `new`
-        /// would hold them.
+        /// Draw every pair, as a world that drew them all in `new` would
+        /// hold them.
         fn realize_all_links(&self) {
             for pair in 0..self.links.len() {
                 self.link_at(&self.links[pair], pair);
@@ -1826,18 +1837,12 @@ mod tests {
     }
 
     /// `build`'s world run as it comes, against the same world with every
-    /// pair realized before `begin`: the same run, the same work, and the
-    /// same answers to queries about pairs the first never realized.
-    /// Returns how many links the first realized in `new` and in all.
-    fn realizing_on_first_use_moves_nothing(
-        build: impl Fn() -> World,
-        run: SimDuration,
-    ) -> (usize, usize) {
+    /// pair drawn before `begin`: the same run, the same work, and the
+    /// same answers to queries about pairs the first never drew. Returns
+    /// how many links the first drew; `new` draws none.
+    fn realizing_on_first_use_moves_nothing(build: impl Fn() -> World, run: SimDuration) -> usize {
         let mut lazy = build();
-        let at_start = lazy.links_realized();
-        let windows = lazy.clients.iter();
-        let windows = windows.map(|c| lazy.ap_window(c.plan.position_at(SimTime::ZERO).x));
-        assert_eq!(at_start, windows.map(|w| w.len()).sum::<usize>());
+        assert_eq!(lazy.links_realized(), 0, "`new` drew a link");
         let mut eager = build();
         eager.realize_all_links();
         lazy.run(run);
@@ -1851,6 +1856,15 @@ mod tests {
             ..lazy.report.phy
         };
         assert_eq!(phy, eager.report.phy);
+        // Pair by pair: a drawn link did its eager twin's exact work, and
+        // an undrawn pair's twin did none — the run evaluated nothing of
+        // its channel.
+        for (slot, twin) in lazy.links.iter().zip(&eager.links) {
+            let twin = twin.get().expect("drawn before `begin`").work();
+            let work = slot.get().map(|link| link.work());
+            assert_eq!(work.unwrap_or(twin), twin);
+            assert!(work.is_some() || twin == LinkWork::default());
+        }
 
         let bits = |ts: TimeSeries| -> Vec<(SimTime, u64)> {
             ts.points().iter().map(|&(t, e)| (t, e.to_bits())).collect()
@@ -1869,25 +1883,72 @@ mod tests {
         }
         assert_eq!(lazy.selection_accuracy(), eager.selection_accuracy());
         assert_eq!(lazy.links_realized(), built, "asking realized a link");
-        (at_start, built)
+        built
     }
 
     #[test]
     fn a_two_car_world_realizing_links_on_first_use_is_the_eager_one() {
         for system in [wgtt(), SystemKind::Enhanced80211r] {
             let built = realizing_on_first_use_moves_nothing(|| two_car_world(system), QUERY_RUN);
-            assert_eq!(built, (16, 16), "the array is in reach from the start");
+            assert_eq!(built, 16, "both cars pass every cell");
         }
     }
 
     #[test]
     fn a_corridor_realizing_links_on_first_use_is_the_eager_one() {
         let run = SimDuration::from_millis(500);
-        let (at_start, built) = realizing_on_first_use_moves_nothing(corridor_world, run);
-        assert!(
-            at_start < built && built < 24 * 32,
-            "{at_start} then {built}"
-        );
+        let built = realizing_on_first_use_moves_nothing(corridor_world, run);
+        // Fewer than the pairs inside some client's decode horizon at
+        // the start, which every one of its frames was rolled at.
+        let w = corridor_world();
+        let reach = w.clients.iter().map(|c| {
+            let pos = c.plan.position_at(SimTime::ZERO);
+            let window = w.ap_window(pos.x);
+            window.filter(|&aui| w.in_decode_horizon(aui, pos)).count()
+        });
+        let reach = reach.sum::<usize>();
+        assert!(0 < built && built < reach, "{built} of {reach} in reach");
+        // The count repeats exactly; a ceiling that drew its link would
+        // draw every pair a frame was rolled at.
+        assert_eq!(built, 423);
+    }
+
+    #[test]
+    fn a_link_is_drawn_when_its_channel_is_first_evaluated() {
+        let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, 1);
+        let client = w.client_ids()[0];
+        let (near, far) = (w.ap_id(0), w.ap_id(7));
+        let drawn = |w: &World, ap| w.links[w.pair_index(ap, client)].get().is_some();
+        // 109 m from the last AP: inside its decode horizon, under its
+        // sidelobes, where even the static ceiling loses a 1500-byte MCS7
+        // frame whatever the draw.
+        let far_pos = Position::new(-55.0, 0.0);
+        let far_ceiling = w.sites[w.cfg.ap_index(far)].esnr_ceiling_db(far_pos);
+        assert!(w.in_decode_horizon(w.cfg.ap_index(far), far_pos));
+        assert_eq!(Mcs::Mcs7.per(far_ceiling + BOUND_MARGIN_DB, 1500), 1.0);
+        for ms in 1..=5 {
+            let now = SimTime::from_millis(ms);
+            assert!(!w.roll_mpdu(far, client, far_pos, now, Mcs::Mcs7, 1500));
+            w.rssi_ceiling_between(far, client, now);
+            w.rssi_ceiling_between(client, far, now);
+        }
+        assert_eq!(w.report.phy.rolls_ceiling, 5);
+        assert_eq!(w.links_realized(), 0, "the ceiling drew a link");
+        // A query works on a copy.
+        w.sample_ticks = 3;
+        w.esnr_trace(client, near);
+        assert_eq!(w.links_realized(), 0, "a query drew a link");
+        // On the first AP's boresight a control roll is not settled by
+        // the ceiling: it evaluates the tap-gain bound, and that draws
+        // the pair.
+        let now = SimTime::from_millis(6);
+        w.roll_control(near, client, Position::new(w.cfg.ap_x[0], 0.0), now);
+        assert!(w.report.phy.rolls_ceiling == 5 && drawn(&w, near));
+        assert_eq!(w.links_realized(), 1);
+        // An exact received power draws the far pair too.
+        w.rssi_between(far, client, now);
+        assert!(drawn(&w, far));
+        assert_eq!(w.links_realized(), 2);
     }
 
     #[test]

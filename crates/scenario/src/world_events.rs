@@ -395,10 +395,10 @@ impl World {
     /// The (client, AP) link's exact ESNR under the reference 16-QAM
     /// constellation at every sampling tick taken so far, with the client
     /// where its plan puts it at the tick (Fig. 2 style). Computed on a
-    /// copy of the link — a clone if the run realized it, realized afresh
-    /// on the copy if not: the run's memos, work counters and realized
-    /// links stay as the run left them, so asking — twice, or mid-run —
-    /// changes nothing.
+    /// copy of the link — a clone if the run drew it, drawn afresh on the
+    /// copy if not: the run's memos, work counters and drawn links stay
+    /// as the run left them, so asking — twice, or mid-run — changes
+    /// nothing.
     pub fn esnr_trace(&self, client: NodeId, ap: NodeId) -> TimeSeries {
         let pair = self.pair_index(ap, client);
         let copy = self.links[pair].clone();

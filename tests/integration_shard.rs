@@ -20,7 +20,7 @@
 //!    changes nothing.
 //!
 //! A fourth test bounds the oracle's own cost: the monolithic world may
-//! not handle many more events than the districts it contains, realizes
+//! not handle many more events than the districts it contains, draws
 //! exactly the links they do, and polls the controller once per armed
 //! timeout.
 
@@ -100,9 +100,10 @@ fn monolithic_world_handles_about_the_events_its_districts_do() {
         mono.events_handled,
         districts.events_handled
     );
-    // Nor links: the monolithic world realizes the (AP, client) pairs its
-    // districts do — each district's four vehicles reach its eight APs
-    // and none of the other district's — not all 16 × 8.
+    // Nor links: the monolithic world draws the (AP, client) pairs its
+    // districts do — each district's four vehicles evaluate the channel
+    // to each of its eight APs and to none of the other district's — not
+    // all 16 × 8.
     assert_eq!(mono.phy.links_built, districts.phy.links_built);
     assert_eq!(mono.phy.links_built, 2 * 4 * 8);
     // One poll per armed deadline: every switch start and every stop
