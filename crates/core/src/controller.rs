@@ -78,7 +78,7 @@ fn send(out: &mut Vec<ControllerAction>, ap: NodeId, msg: BackhaulMsg) {
 }
 
 /// Aggregate controller statistics.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ControllerStats {
     /// Switches initiated.
     pub switches_started: u64,
@@ -86,12 +86,8 @@ pub struct ControllerStats {
     pub switches_completed: u64,
     /// Stop retransmissions due to ack timeout.
     pub stop_retransmits: u64,
-    /// Protocol execution times (stop sent → ack), seconds. Bounded
-    /// memory: one sample per completed switch over a multi-hour fleet
-    /// run is an unbounded recorder, so this uses the extended-P²
-    /// sketch backend ([`Distribution::sketch`]) — mean/std-dev/len stay
-    /// exact (Welford), quantiles carry the documented ≤ 0.05 rank
-    /// error.
+    /// Protocol execution times (stop sent → ack), seconds, one stored
+    /// sample per completed switch.
     pub switch_durations: Distribution,
     /// Downlink packets with no in-range AP (dropped).
     pub downlink_no_ap: u64,
@@ -103,21 +99,6 @@ pub struct ControllerStats {
     /// metric the load-aware policy exists to reduce. Updated at every
     /// association and switch completion.
     pub max_ap_load: u64,
-}
-
-impl Default for ControllerStats {
-    fn default() -> Self {
-        ControllerStats {
-            switches_started: 0,
-            switches_completed: 0,
-            stop_retransmits: 0,
-            switch_durations: Distribution::sketch(),
-            downlink_no_ap: 0,
-            uplink_duplicates: 0,
-            uplink_forwarded: 0,
-            max_ap_load: 0,
-        }
-    }
 }
 
 #[derive(Debug)]

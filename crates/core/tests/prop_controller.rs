@@ -21,8 +21,7 @@
 //! Alongside the differential suite live the deterministic accounting
 //! regressions nothing previously pinned (`downlink_no_ap`, uplink
 //! conservation, the 10-retry stop budget), the 10⁵-source dedup-split
-//! scaling contract, a source whose IP ident wraps, and the rank-error bound for the sketch-backed
-//! switch-duration distribution.
+//! scaling contract, and a source whose IP ident wraps.
 
 mod oracle;
 
@@ -35,7 +34,6 @@ use wgtt::{SwitchPolicyKind, WgttConfig};
 use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
-use wgtt_sim::sketch::EPSILON;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 const N_CLIENTS: u32 = 4;
@@ -548,65 +546,4 @@ fn one_source_past_the_ident_space_is_still_forwarded() {
     let packet = last.expect("sent at least one");
     c.on_msg(BackhaulMsg::UplinkData { ap: ap(1), packet }, at, &mut out);
     assert_eq!(c.stats.uplink_duplicates, 1);
-}
-
-// ------------------------------------------------------------------
-// Sketch-backed switch durations: bounded memory, exact moments,
-// rank-accurate quantiles (the PR-2 `bitrate_series` contract, now
-// applied to `ControllerStats::switch_durations`).
-// ------------------------------------------------------------------
-
-#[test]
-fn switch_durations_sketch_is_bounded_and_rank_accurate() {
-    let mut stats = ControllerStats::default();
-    assert!(stats.switch_durations.is_sketch());
-    // Plausible protocol durations: 17 ms nominal, long retry tail.
-    let mut x = 0x243f_6a88_85a3_08d3u64;
-    let mut exact: Vec<f64> = Vec::new();
-    for _ in 0..20_000 {
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        let d = 0.017
-            + 0.030 * u * u
-            + if u > 0.95 {
-                0.030 * (u - 0.95) * 20.0
-            } else {
-                0.0
-            };
-        stats.switch_durations.record(d);
-        exact.push(d);
-    }
-    exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = exact.len();
-    let d = &stats.switch_durations;
-    assert_eq!(d.len(), n);
-    assert!(
-        d.stored_samples() <= 64,
-        "sketch must not retain the stream (stored {})",
-        d.stored_samples()
-    );
-    // Moments are Welford-exact on the sketch backend.
-    let mean = exact.iter().sum::<f64>() / n as f64;
-    assert!((d.mean().unwrap() - mean).abs() <= 1e-12 * mean.abs());
-    // Quantiles carry the documented rank-error bound.
-    for q in [0.05, 0.25, 0.5, 0.75, 0.9, 0.99] {
-        let value = d.quantile(q).unwrap();
-        let below = exact.partition_point(|&s| s < value);
-        let at_or_below = exact.partition_point(|&s| s <= value);
-        let denom = (n - 1).max(1) as f64;
-        let lo = (below.saturating_sub(1)) as f64 / denom;
-        let hi = at_or_below as f64 / denom;
-        let err = if q < lo {
-            lo - q
-        } else if q > hi {
-            q - hi
-        } else {
-            0.0
-        };
-        assert!(
-            err <= EPSILON,
-            "q={q}: value {value} has rank error {err:.4} > {EPSILON}"
-        );
-    }
 }

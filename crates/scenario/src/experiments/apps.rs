@@ -25,21 +25,19 @@ pub fn table4(seed: u64, quick: bool) -> ExperimentOutput {
     );
     let reps = if quick { 1 } else { 3 };
     let ratio = |sys: SystemKind, speed: f64| -> f64 {
-        let mut ratios: Vec<f64> = (0..reps)
-            .map(|i| {
-                let run = drive(sys, speed, FlowSpec::DownlinkTcpBulk, seed + i as u64);
-                let meter = run.world.report.flow_meters.get(&FlowId(0));
-                let trace = meter.map_or(&[][..], |m| m.deliveries());
-                let mut player = VideoPlayer::hd_default(run.start);
-                for &(t, bytes) in trace {
-                    player.on_bytes(t, bytes);
-                }
-                player.advance(run.end);
-                player.rebuffer_ratio(run.window())
-            })
-            .collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        ratios[ratios.len() / 2]
+        let mut ratios = Distribution::new();
+        for i in 0..reps {
+            let run = drive(sys, speed, FlowSpec::DownlinkTcpBulk, seed + i as u64);
+            let meter = run.world.report.flow_meters.get(&FlowId(0));
+            let trace = meter.map_or(&[][..], |m| m.deliveries());
+            let mut player = VideoPlayer::hd_default(run.start);
+            for &(t, bytes) in trace {
+                player.on_bytes(t, bytes);
+            }
+            player.advance(run.end);
+            ratios.record(player.rebuffer_ratio(run.window()));
+        }
+        ratios.median().expect("at least one repetition")
     };
     for &speed in speeds {
         out.row(vec![
@@ -123,20 +121,15 @@ pub fn table5(seed: u64, quick: bool) -> ExperimentOutput {
     // of three seeded repetitions (TCP cold-start luck varies a lot).
     let reps = if quick { 1 } else { 3 };
     let load_time = |sys: SystemKind, speed: f64| -> Option<f64> {
-        let mut times: Vec<Option<f64>> = (0..reps)
-            .map(|i| {
-                let run = drive(sys, speed, FlowSpec::DownlinkTcpBulk, seed + i as u64);
-                let meter = run.world.report.flow_meters.get(&FlowId(0));
-                let trace = meter.map_or(&[][..], |m| m.deliveries());
-                replay_page_load(trace, run.start, run.end)
-            })
-            .collect();
-        times.sort_by(|a, b| {
-            a.unwrap_or(f64::INFINITY)
-                .partial_cmp(&b.unwrap_or(f64::INFINITY))
-                .expect("finite or inf")
-        });
-        times[times.len() / 2]
+        // An unfinished load ranks as an infinite time.
+        let mut times = Distribution::new();
+        for i in 0..reps {
+            let run = drive(sys, speed, FlowSpec::DownlinkTcpBulk, seed + i as u64);
+            let meter = run.world.report.flow_meters.get(&FlowId(0));
+            let trace = meter.map_or(&[][..], |m| m.deliveries());
+            times.record(replay_page_load(trace, run.start, run.end).unwrap_or(f64::INFINITY));
+        }
+        times.median().filter(|t| t.is_finite())
     };
     let cell = |v: Option<f64>| v.map(|s| f(s, 2)).unwrap_or_else(|| "inf".into());
     for &speed in speeds {

@@ -5,6 +5,7 @@ use crate::results::{f, ExperimentOutput};
 use crate::world::{FlowSpec, SystemKind};
 use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::FlowId;
+use wgtt_sim::metrics::Distribution;
 use wgtt_sim::time::SimDuration;
 
 const CLIENT: NodeId = NodeId(100);
@@ -168,7 +169,7 @@ pub fn fig16(seed: u64) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "fig16",
         "Link bit-rate CDF at 15 mph (Mbit/s)",
-        &["system", "flow", "p10", "p50", "p90", "mean"],
+        &["system", "flow", "p10", "p50", "p90", "mean", "CDF"],
     );
     for (sys, name) in [(wgtt(), "WGTT"), (SystemKind::Enhanced80211r, "802.11r")] {
         for (spec, fname) in [
@@ -190,11 +191,31 @@ pub fn fig16(seed: u64) -> ExperimentOutput {
                 d.quantile(0.5).map(|v| f(v, 1)).unwrap_or("-".into()),
                 d.quantile(0.9).map(|v| f(v, 1)).unwrap_or("-".into()),
                 d.mean().map(|v| f(v, 1)).unwrap_or("-".into()),
+                rate_steps(&d),
             ]);
         }
     }
+    out.note("CDF: `rate:share`, the share of A-MPDUs sent at or below each MCS rate that occurs");
     out.note("paper: WGTT's 90th-percentile bit rate ≈70 Mbit/s, ≈30 above Enhanced 802.11r");
     out
+}
+
+/// The CDF's step at each distinct rate — the last `cdf()` point of each
+/// run of equal values — as space-separated `rate:share` pairs.
+fn rate_steps(d: &Distribution) -> String {
+    let steps: Vec<String> = d
+        .cdf()
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let (rate, share) = run[run.len() - 1];
+            format!("{}:{}", f(rate, 1), f(share, 2))
+        })
+        .collect();
+    if steps.is_empty() {
+        "-".into()
+    } else {
+        steps.join(" ")
+    }
 }
 
 /// Table 2: switching accuracy — fraction of time the serving AP is the

@@ -8,6 +8,7 @@ use wgtt_mac::frame::NodeId;
 use wgtt_mac::mcs::capacity_mbps;
 use wgtt_radio::link::Link;
 use wgtt_radio::Modulation;
+use wgtt_sim::metrics::Distribution;
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -51,7 +52,7 @@ pub fn fig2(seed: u64) -> ExperimentOutput {
     let steps = (span_s * 1000.0) as usize;
     let mut counts = [0u64; 3];
     let mut flips = 0u64;
-    let mut holds: Vec<f64> = Vec::new();
+    let mut holds = Distribution::new();
     let mut hold_ms = 0.0;
     let mut last_best: Option<usize> = None;
     for i in 0..steps {
@@ -68,15 +69,14 @@ pub fn fig2(seed: u64) -> ExperimentOutput {
         match last_best {
             Some(prev) if prev != best => {
                 flips += 1;
-                holds.push(hold_ms);
+                holds.record(hold_ms);
                 hold_ms = 1.0;
             }
             _ => hold_ms += 1.0,
         }
         last_best = Some(best);
     }
-    holds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let median_hold = holds.get(holds.len() / 2).copied().unwrap_or(span_s * 1e3);
+    let median_hold = holds.median().unwrap_or(span_s * 1e3);
     let total = steps as f64;
     out.row(vec![
         format!("{:.2}s drive", span_s),

@@ -13,7 +13,7 @@
 //!
 //! The companion [`FleetReport`] reduces a run to the aggregates a
 //! network operator would watch: per-vehicle p50/p99 PHY bitrate
-//! (bounded-memory sketch, never the raw sample stream), switch rate
+//! (nearest-rank over every A-MPDU's MCS rate), switch rate
 //! per vehicle-minute, and the downlink outage-duration CDF — including
 //! vehicles that never received a frame, which report one full-run
 //! outage instead of a NaN.
@@ -453,8 +453,8 @@ impl FleetReport {
             if has_downlink {
                 if report.last_delivery.contains_key(&client) {
                     if let Some(d) = report.outage_durations.get(&client) {
-                        // The exact backend's CDF is one point per
-                        // sample, so it doubles as a raw-sample view.
+                        // The CDF is one point per sample, so it
+                        // doubles as a raw-sample view.
                         for (v, _) in d.cdf() {
                             outage_s += v;
                             outages += 1;

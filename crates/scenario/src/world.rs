@@ -110,15 +110,13 @@ pub struct RunReport {
     /// computed from it afterwards is asked afterwards:
     /// [`World::esnr_trace`], [`World::selection_accuracy`].
     pub serving_series: HashMap<NodeId, TimeSeries>,
-    /// Instantaneous per-frame PHY bit rate samples (Mbit/s) per client.
-    /// One sample per delivered A-MPDU makes this the report's unbounded
-    /// recorder on long runs, so it uses the bounded-memory sketch
-    /// backend ([`Distribution::sketch`], rank error ≤ the documented
-    /// epsilon). `switch_durations` (one sample per completed switch)
-    /// moved to the same sketch backend with the controller-dataplane
-    /// rewrite; Table 1 reads only its exact count/mean/std-dev.
+    /// Instantaneous per-frame PHY bit rate samples (Mbit/s) per client,
+    /// one per A-MPDU put on the air. Every sample is stored, so each
+    /// quantile is an MCS rate a frame was sent at; the largest fleet
+    /// run stores about 0.1 M of them (under 1 MiB).
     pub bitrate_series: HashMap<NodeId, Distribution>,
-    /// Switch protocol execution times (s) — Table 1.
+    /// Switch protocol execution times (s), one per completed switch —
+    /// Table 1 reads their count, mean and standard deviation.
     pub switch_durations: Distribution,
     /// Completed switches.
     pub switches: u64,

@@ -266,7 +266,7 @@ impl World {
         self.report
             .bitrate_series
             .entry(client)
-            .or_insert_with(wgtt_sim::metrics::Distribution::sketch)
+            .or_default()
             .record(mcs.rate_mbps());
         let survives =
             self.medium.same_channel(ap, client) && self.rx_survives(tx, ap, client, now);

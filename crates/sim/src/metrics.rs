@@ -6,7 +6,6 @@
 //! summary (Tables 1–5). The types here record those shapes during a run
 //! and reduce them afterwards.
 
-use crate::sketch::P2Sketch;
 use crate::time::{SimDuration, SimTime};
 
 /// A `(time, value)` series, e.g. ESNR per received frame or the serving-AP
@@ -103,21 +102,9 @@ impl TimeSeries {
 }
 
 /// Empirical distribution that reduces to a CDF (e.g. Fig. 16 bit-rate CDF,
-/// Fig. 24 fps CDF), with a selectable backend:
-///
-/// * **exact** ([`Distribution::new`], the default): every sample is
-///   stored, and each quantile or CDF query sorts a copy of them (no
-///   run asks one exact distribution more than a few times). This is
-///   the oracle the property suite compares the sketch against, and
-///   the right mode for tier-1 shape checks.
-/// * **sketch** ([`Distribution::sketch`]): a bounded-memory extended
-///   P² estimator ([`crate::sketch::P2Sketch`]) — O(markers) memory
-///   however many samples stream through, quantiles within the
-///   documented [`crate::sketch::EPSILON`] rank error. The mode for
-///   per-frame metrics on million-user-scale runs, where storing one
-///   `f64` per frame is gigabytes. Mean and standard deviation stay
-///   exact in both modes (the sketch backend carries Welford running
-///   moments).
+/// Fig. 24 fps CDF). Every sample is stored, and each quantile or CDF
+/// query sorts a copy of them (no run asks one distribution more than a
+/// few times), so every reported quantile is a value that was recorded.
 ///
 /// ```
 /// use wgtt_sim::metrics::Distribution;
@@ -128,30 +115,9 @@ impl TimeSeries {
 /// assert_eq!(d.median(), Some(3.0));
 /// assert_eq!(d.cdf().last().unwrap().1, 1.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Distribution {
-    backend: Backend,
-}
-
-impl Default for Distribution {
-    /// Defaults to the exact backend (the seed behavior).
-    fn default() -> Self {
-        Distribution::new()
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Backend {
-    Exact(Vec<f64>),
-    Sketch {
-        /// Boxed: the marker arrays are ~0.5 KiB, far larger than the
-        /// `Exact` variant header, and most metrics are exact.
-        sketch: Box<P2Sketch>,
-        /// Welford running moments so `mean`/`std_dev` stay exact even
-        /// though the samples themselves are not retained.
-        mean: f64,
-        m2: f64,
-    },
+    samples: Vec<f64>,
 }
 
 /// The nearest-rank index of the `q`-quantile among `n` sorted values:
@@ -172,126 +138,51 @@ pub fn nearest_rank(n: usize, q: f64) -> Option<usize> {
     Some(((q * (n - 1) as f64).round() as usize).min(n - 1))
 }
 
-/// A sorted copy of `samples` (the exact backend's order statistics).
-fn sorted(samples: &[f64]) -> Vec<f64> {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    sorted
-}
-
 impl Distribution {
-    /// An empty distribution with the exact (store-everything) backend.
+    /// An empty distribution.
     pub fn new() -> Self {
-        Distribution {
-            backend: Backend::Exact(Vec::new()),
-        }
-    }
-
-    /// An empty distribution with the bounded-memory P² sketch backend.
-    pub fn sketch() -> Self {
-        Distribution {
-            backend: Backend::Sketch {
-                sketch: Box::new(P2Sketch::new()),
-                mean: 0.0,
-                m2: 0.0,
-            },
-        }
-    }
-
-    /// Whether this distribution uses the bounded-memory sketch backend.
-    pub fn is_sketch(&self) -> bool {
-        matches!(self.backend, Backend::Sketch { .. })
+        Self::default()
     }
 
     /// Add one sample.
     pub fn record(&mut self, value: f64) {
-        match &mut self.backend {
-            Backend::Exact(samples) => samples.push(value),
-            Backend::Sketch { sketch, mean, m2 } => {
-                sketch.observe(value);
-                let delta = value - *mean;
-                *mean += delta / sketch.count() as f64;
-                *m2 += delta * (value - *mean);
-            }
-        }
+        self.samples.push(value);
     }
 
-    /// Number of samples recorded (not necessarily retained).
+    /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Exact(samples) => samples.len(),
-            Backend::Sketch { sketch, .. } => sketch.count() as usize,
-        }
-    }
-
-    /// Number of values actually held in memory: `len()` for the exact
-    /// backend, at most the fixed marker count for the sketch — the
-    /// memory-bound test's hard assertion hangs off this.
-    pub fn stored_samples(&self) -> usize {
-        match &self.backend {
-            Backend::Exact(samples) => samples.len(),
-            Backend::Sketch { sketch, .. } => sketch.stored_values(),
-        }
+        self.samples.len()
     }
 
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.samples.is_empty()
     }
 
-    /// Mean, or `None` if empty. Exact in both backends.
+    /// Mean, or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
-        match &self.backend {
-            Backend::Exact(samples) => {
-                if samples.is_empty() {
-                    return None;
-                }
-                Some(samples.iter().sum::<f64>() / samples.len() as f64)
-            }
-            Backend::Sketch { sketch, mean, .. } => {
-                if sketch.is_empty() {
-                    None
-                } else {
-                    Some(*mean)
-                }
-            }
+        if self.samples.is_empty() {
+            return None;
         }
+        Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
     }
 
-    /// Population standard deviation, or `None` if empty. Exact in both
-    /// backends (Welford under the sketch).
+    /// Population standard deviation, or `None` if empty.
     pub fn std_dev(&self) -> Option<f64> {
-        match &self.backend {
-            Backend::Exact(samples) => {
-                let mean = self.mean()?;
-                let var =
-                    samples.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-                Some(var.sqrt())
-            }
-            Backend::Sketch { sketch, m2, .. } => {
-                if sketch.is_empty() {
-                    None
-                } else {
-                    Some((m2 / sketch.count() as f64).sqrt())
-                }
-            }
-        }
+        let mean = self.mean()?;
+        let var = self.samples.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
+            / self.samples.len() as f64;
+        Some(var.sqrt())
     }
 
-    /// The `q`-quantile by nearest-rank on the sorted samples (exact
-    /// backend) or within the documented rank epsilon (sketch backend).
+    /// The `q`-quantile by nearest-rank on the sorted samples.
     ///
     /// Returns `None` if the distribution is empty **or if `q` is
     /// outside `[0, 1]`** (including NaN) — out-of-range requests are a
     /// caller bug reported through the type, not a panic.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        match &self.backend {
-            Backend::Exact(samples) => {
-                let idx = nearest_rank(samples.len(), q)?;
-                Some(sorted(samples)[idx])
-            }
-            Backend::Sketch { sketch, .. } => sketch.quantile(q),
-        }
+        let idx = nearest_rank(self.samples.len(), q)?;
+        Some(self.sorted()[idx])
     }
 
     /// Median (0.5-quantile).
@@ -299,21 +190,23 @@ impl Distribution {
         self.quantile(0.5)
     }
 
-    /// CDF as `(value, cumulative_fraction)` pairs — every sample for
-    /// the exact backend, the marker grid (≤ 33 points) for the sketch.
-    /// Monotone in both coordinates and directly plottable either way.
+    /// CDF as `(value, cumulative_fraction)` pairs, one per sample in
+    /// ascending order — monotone in both coordinates and directly
+    /// plottable.
     pub fn cdf(&self) -> Vec<(f64, f64)> {
-        match &self.backend {
-            Backend::Exact(samples) => {
-                let n = samples.len() as f64;
-                sorted(samples)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, v)| (v, (i + 1) as f64 / n))
-                    .collect()
-            }
-            Backend::Sketch { sketch, .. } => sketch.cdf(),
-        }
+        let n = self.samples.len() as f64;
+        self.sorted()
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (v, (i + 1) as f64 / n))
+            .collect()
+    }
+
+    /// A sorted copy of the samples.
+    fn sorted(&self) -> Vec<f64> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        sorted
     }
 }
 
@@ -533,46 +426,6 @@ mod tests {
         assert_eq!(d.quantile(1.001), None);
         assert_eq!(d.quantile(f64::NAN), None);
         assert_eq!(d.quantile(0.5), Some(1.0));
-        let mut s = Distribution::sketch();
-        s.record(1.0);
-        assert_eq!(s.quantile(2.0), None);
-        assert_eq!(s.quantile(0.5), Some(1.0));
-    }
-
-    #[test]
-    fn sketch_backend_tracks_moments_exactly() {
-        let (mut exact, mut sk) = (Distribution::new(), Distribution::sketch());
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            exact.record(v);
-            sk.record(v);
-        }
-        assert!(sk.is_sketch());
-        assert_eq!(sk.len(), exact.len());
-        assert!((sk.mean().unwrap() - exact.mean().unwrap()).abs() < 1e-12);
-        assert!((sk.std_dev().unwrap() - exact.std_dev().unwrap()).abs() < 1e-12);
-        // Below the marker count the sketch is still exact on quantiles.
-        for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(sk.quantile(q), exact.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn sketch_backend_bounds_memory() {
-        let mut d = Distribution::sketch();
-        for i in 0..100_000u64 {
-            d.record((i % 1_000) as f64);
-        }
-        assert_eq!(d.len(), 100_000);
-        assert!(d.stored_samples() <= wgtt_sim_sketch_markers());
-        let med = d.median().unwrap();
-        assert!((med - 500.0).abs() < 50.0, "median = {med}");
-        let cdf = d.cdf();
-        assert!(cdf.len() <= wgtt_sim_sketch_markers());
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-    }
-
-    fn wgtt_sim_sketch_markers() -> usize {
-        crate::sketch::MARKERS
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Bounded-memory streaming quantile sketch (extended P² algorithm).
 //!
-//! [`metrics::Distribution`](crate::metrics::Distribution) in its exact
-//! mode stores every sample, which is the right call for the tier-1
-//! shape checks (a few thousand samples, bit-exact order statistics) but
-//! an unbounded liability for the million-user-scale runs the roadmap
-//! targets: one `f64` per delivered frame per client adds up to
-//! gigabytes over a long drive. [`P2Sketch`] caps that at a fixed
-//! handful of markers.
+//! No recorder in the simulator uses it:
+//! [`metrics::Distribution`](crate::metrics::Distribution) stores every
+//! sample, so each quantile it reports is a value that was recorded.
+//! Its only remaining caller is the `sim.sketch.ns_per_record` layer
+//! metric of the `benchmark/` crate; the module goes with that metric.
 //!
 //! The algorithm is the **piecewise-parabolic (P²) method** of Jain &
 //! Chlamtac (CACM 1985), extended from the original 5 markers tracking

@@ -1,9 +1,9 @@
 //! Oracle-equivalence property suite for the bounded-memory quantile
-//! sketch (`wgtt_sim::sketch::P2Sketch` behind
-//! `wgtt_sim::metrics::Distribution::sketch()`).
+//! sketch `wgtt_sim::sketch::P2Sketch`.
 //!
-//! The exact `Distribution` (store-and-sort) is the oracle, exactly as
-//! `NaiveWindow` is for the selection fast path. The sketch's contract
+//! The exact order statistics (store-and-sort, as
+//! `wgtt_sim::metrics::Distribution` computes them) are the oracle. The
+//! sketch's contract
 //! is *rank* accuracy: a returned quantile value must sit within
 //! [`EPSILON`] of the requested rank in the oracle's sorted sample set.
 //! Rank error is the honest metric for a CDF estimate — it is invariant
@@ -101,11 +101,11 @@ proptest! {
     ) {
         let mut g = Gen(seed);
         let mut exact: Vec<f64> = Vec::with_capacity(n);
-        let mut sk = Distribution::sketch();
+        let mut sk = P2Sketch::new();
         for i in 0..n {
             let v = sample(shape, i, n, &mut g);
             exact.push(v);
-            sk.record(v);
+            sk.observe(v);
         }
         exact.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         for q in [0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.85, 0.9, 0.95, 1.0] {
@@ -128,9 +128,9 @@ proptest! {
         n in 50usize..2_000
     ) {
         let mut g = Gen(seed);
-        let mut sk = Distribution::sketch();
+        let mut sk = P2Sketch::new();
         for i in 0..n {
-            sk.record(sample(shape, i, n, &mut g));
+            sk.observe(sample(shape, i, n, &mut g));
         }
         let cdf = sk.cdf();
         prop_assert!(!cdf.is_empty());
@@ -143,18 +143,19 @@ proptest! {
         prop_assert_eq!(cdf.last().unwrap().1, 1.0);
     }
 
-    /// Out-of-range quantile requests answer `None` on both backends,
-    /// never panic — the regression contract for the old `assert!`.
+    /// Out-of-range quantile requests answer `None` from both the sketch
+    /// and the exact `Distribution`, never panic — the regression
+    /// contract for the old `assert!`.
     #[test]
     fn out_of_range_quantiles_are_none_not_panic(
         q in -10.0f64..10.0,
         n in 0usize..50
     ) {
         let mut exact = Distribution::new();
-        let mut sk = Distribution::sketch();
+        let mut sk = P2Sketch::new();
         for i in 0..n {
             exact.record(i as f64);
-            sk.record(i as f64);
+            sk.observe(i as f64);
         }
         let in_range = (0.0..=1.0).contains(&q);
         prop_assert_eq!(exact.quantile(q).is_some(), in_range && n > 0);
@@ -166,16 +167,16 @@ proptest! {
 /// retains O(markers) values — nothing grows with the stream.
 #[test]
 fn sketch_memory_stays_o_markers_after_1e6_records() {
-    let mut d = Distribution::sketch();
+    let mut d = P2Sketch::new();
     let mut g = Gen(0xfeed_beef);
     for _ in 0..1_000_000u32 {
-        d.record(g.uniform() * 1_000.0);
+        d.observe(g.uniform() * 1_000.0);
     }
-    assert_eq!(d.len(), 1_000_000);
+    assert_eq!(d.count(), 1_000_000);
     assert!(
-        d.stored_samples() <= MARKERS,
+        d.stored_values() <= MARKERS,
         "sketch retained {} values (> {MARKERS} markers)",
-        d.stored_samples()
+        d.stored_values()
     );
     // The sketch itself is a fixed-size struct: two marker arrays plus a
     // counter. If someone adds a growable buffer, this fails the build
@@ -185,7 +186,7 @@ fn sketch_memory_stays_o_markers_after_1e6_records() {
         "P2Sketch grew beyond its marker arrays"
     );
     // And it still answers sanely after a million observations.
-    let med = d.median().expect("non-empty");
+    let med = d.quantile(0.5).expect("non-empty");
     assert!((med - 500.0).abs() < 25.0, "median = {med}");
     assert_eq!(d.quantile(1.5), None);
 }

@@ -3,6 +3,7 @@
 //! flow sink — over the real radio/MAC substrate.
 
 use wgtt::WgttConfig;
+use wgtt_mac::mcs::{Mcs, ALL_MCS};
 use wgtt_net::packet::FlowId;
 use wgtt_radio::Position;
 use wgtt_scenario::testbed::{ClientPlan, Direction, TestbedConfig};
@@ -84,6 +85,15 @@ fn drive_by_delivers_throughout_the_array() {
     assert!(first_half > 2.0, "first half {first_half} Mbit/s");
     assert!(second_half > 2.0, "second half {second_half} Mbit/s");
     assert!(w.report.switches >= 4, "switches: {}", w.report.switches);
+    // Every bit-rate quantile is a rate some A-MPDU was sent at, never
+    // a value interpolated between two MCS steps.
+    let rates = ALL_MCS.map(Mcs::rate_mbps);
+    for d in w.report.bitrate_series.values() {
+        for q in [0.1, 0.5, 0.9, 0.99] {
+            let v = d.quantile(q).expect("frames were sent");
+            assert!(rates.contains(&v), "q{q} bit rate {v} is no MCS rate");
+        }
+    }
 }
 
 #[test]
