@@ -10,16 +10,13 @@
 //! airtime toward a departed client until retries exhaust, exactly the §3
 //! buffering pathology WGTT's queue management removes.
 
-use wgtt_mac::downlink::{Downlink, Feed};
+use wgtt_mac::downlink::{Downlink, Feed, NIC_QUEUE_MPDUS};
 use wgtt_mac::frame::{Mpdu, NodeId};
 use wgtt_mac::queues::BoundedQueue;
 use wgtt_mac::sender::Unacked;
 use wgtt_mac::seq::seq_next;
 use wgtt_net::Packet;
 use wgtt_sim::rng::RngStream;
-
-/// MPDUs staged below the FIFO with their sequence numbers assigned.
-const STAGED_MPDUS: usize = 64;
 
 /// One client's mac80211 queue and the next sequence number it assigns.
 #[derive(Debug)]
@@ -69,7 +66,7 @@ impl BaselineAp {
     pub fn new(id: NodeId, rng: RngStream) -> Self {
         BaselineAp {
             id,
-            tx: Downlink::new(rng, "rate", STAGED_MPDUS),
+            tx: Downlink::new(rng, "rate", NIC_QUEUE_MPDUS),
             queue_drops: 0,
         }
     }

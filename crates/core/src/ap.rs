@@ -13,13 +13,12 @@
 //!
 //! Control messages (`stop`/`start`) are processed out-of-band from data
 //! (the paper prioritizes them past the cyclic queue); the scenario
-//! delivers them with the configured processing delays.
+//! delivers them after [`crate::switching`]'s processing delays.
 
-use crate::config::WgttConfig;
 use crate::cyclic::CyclicQueue;
 use crate::messages::{BackhaulDest, BackhaulMsg};
 use std::collections::HashMap;
-use wgtt_mac::downlink::{Downlink, Feed, TxSide};
+use wgtt_mac::downlink::{Downlink, Feed, TxSide, NIC_QUEUE_MPDUS};
 use wgtt_mac::frame::{Mpdu, NodeId};
 use wgtt_mac::sender::Unacked;
 use wgtt_sim::rng::RngStream;
@@ -82,11 +81,11 @@ pub struct ApAgent {
 impl ApAgent {
     /// Build an AP agent. `rng` must be unique per AP (derive it from the
     /// AP's node id) so rate-control probing decorrelates across APs.
-    pub fn new(id: NodeId, cfg: WgttConfig, rng: RngStream) -> Self {
+    pub fn new(id: NodeId, rng: RngStream) -> Self {
         ApAgent {
             id,
             serving_map: HashMap::new(),
-            tx: Downlink::new(rng, "rate-ctl", cfg.nic_queue_mpdus),
+            tx: Downlink::new(rng, "rate-ctl", NIC_QUEUE_MPDUS),
             forwarded_ba_used: 0,
         }
     }
@@ -251,7 +250,7 @@ mod tests {
     const CLIENT: NodeId = NodeId(100);
 
     fn agent(id: NodeId) -> ApAgent {
-        ApAgent::new(id, WgttConfig::default(), RngStream::root(7))
+        ApAgent::new(id, RngStream::root(7))
     }
 
     fn pkt(f: &mut PacketFactory, seq: u32) -> wgtt_net::Packet {

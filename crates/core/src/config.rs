@@ -24,18 +24,6 @@ pub struct WgttConfig {
     /// selector doesn't ping-pong between statistically indistinguishable
     /// links.
     pub switch_margin_db: f64,
-    /// One-way Ethernet backhaul latency between controller and APs
-    /// (the paper's Fig. 3 labels it "< 1 ms").
-    pub backhaul_latency: SimDuration,
-    /// Mean user/kernel processing delay for a `stop` at the old AP —
-    /// the ioctl round trip that queries the first-unsent index plus the
-    /// Click user-level handling. Dominates Table 1's 17–21 ms protocol
-    /// execution time.
-    pub stop_processing_mean: SimDuration,
-    /// Mean processing delay for a `start` at the new AP.
-    pub start_processing_mean: SimDuration,
-    /// Standard deviation applied to both processing delays.
-    pub processing_std: SimDuration,
     /// Probability that a control packet (stop/start/ack) is lost on the
     /// backhaul path (drops in the Click user-level forwarding path).
     pub control_loss_prob: f64,
@@ -45,9 +33,6 @@ pub struct WgttConfig {
     /// fresh packet would hit as a duplicate and be dropped.
     /// [`Controller::new`](crate::Controller::new) rejects 2¹⁶ or more.
     pub dedup_capacity: usize,
-    /// Capacity of the NIC staging queue, MPDUs (the hardware backlog the
-    /// old AP is allowed to drain during a switch — ≈6 ms of airtime).
-    pub nic_queue_mpdus: usize,
     /// Enable §3.2.1 Block ACK forwarding from monitor-mode APs to the
     /// serving AP (the ablation benches turn this off to quantify its
     /// contribution).
@@ -62,13 +47,8 @@ impl Default for WgttConfig {
             switch_policy: SwitchPolicyKind::ReactiveMedian,
             switch_hysteresis: SimDuration::from_millis(40),
             switch_margin_db: 2.5,
-            backhaul_latency: SimDuration::from_micros(300),
-            stop_processing_mean: SimDuration::from_millis(9),
-            start_processing_mean: SimDuration::from_millis(7),
-            processing_std: SimDuration::from_millis(2),
             control_loss_prob: 0.001,
             dedup_capacity: 1 << 15,
-            nic_queue_mpdus: 64,
             enable_ba_forwarding: true,
         }
     }
@@ -77,18 +57,19 @@ impl Default for WgttConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::BACKHAUL_LATENCY;
+    use crate::switching::{START_PROCESSING_MEAN, STOP_PROCESSING_MEAN};
 
     #[test]
     fn defaults_match_paper() {
         let c = WgttConfig::default();
         assert_eq!(c.selection_window, SimDuration::from_millis(10));
         assert_eq!(c.switch_policy, SwitchPolicyKind::ReactiveMedian);
-        assert!(c.backhaul_latency < SimDuration::from_millis(1));
+        assert!(BACKHAUL_LATENCY < SimDuration::from_millis(1));
         // Table 1: protocol execution ≈ 17–21 ms ≈ stop + start processing
         // plus three backhaul hops.
-        let proto_ms =
-            (c.stop_processing_mean + c.start_processing_mean + c.backhaul_latency.times(3))
-                .as_millis_f64();
+        let proto_ms = (STOP_PROCESSING_MEAN + START_PROCESSING_MEAN + BACKHAUL_LATENCY.times(3))
+            .as_millis_f64();
         assert!((14.0..24.0).contains(&proto_ms), "{proto_ms} ms");
     }
 }

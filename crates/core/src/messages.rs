@@ -2,14 +2,18 @@
 //!
 //! On the real testbed these ride UDP/IP tunnels over Ethernet (paper
 //! §3.1.3, §3.2.2 — the byte formats live in `wgtt-net::wire`); in the
-//! simulation the scenario delivers them as events after the configured
-//! backhaul latency. Control packets (`Stop`/`Start`/`SwitchAck`) are
+//! simulation the scenario delivers them as events after
+//! [`BACKHAUL_LATENCY`]. Control packets (`Stop`/`Start`/`SwitchAck`) are
 //! *prioritized* at the AP — they bypass the data queues (§3.1.2) — which
 //! the scenario honours by dispatching them ahead of data processing.
 
 use wgtt_mac::frame::NodeId;
 use wgtt_net::Packet;
-use wgtt_sim::time::SimTime;
+use wgtt_sim::time::{SimDuration, SimTime};
+
+/// One-way Ethernet backhaul latency between controller and APs. The
+/// paper's Fig. 3 labels the hop "< 1 ms"; 300 µs is ours within that.
+pub const BACKHAUL_LATENCY: SimDuration = SimDuration::from_micros(300);
 
 /// Where a backhaul message is headed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,6 +15,19 @@ use wgtt_sim::time::{SimDuration, SimTime};
 /// Retransmit `stop` if no `ack` arrives within this long (§3.1.2).
 pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(30);
 
+/// Mean processing delay of a `stop` at the old AP: the ioctl round trip
+/// that queries the first-unsent index plus the Click user-level
+/// handling. With [`START_PROCESSING_MEAN`], [`PROCESSING_STD`] and three
+/// backhaul hops it is fitted to Table 1's 17–21 ms mean and 3–5 ms std
+/// of protocol execution time.
+pub const STOP_PROCESSING_MEAN: SimDuration = SimDuration::from_millis(9);
+
+/// Mean processing delay of a `start` at the new AP (Table 1 fit).
+pub const START_PROCESSING_MEAN: SimDuration = SimDuration::from_millis(7);
+
+/// Standard deviation of both processing delays (Table 1 fit).
+pub const PROCESSING_STD: SimDuration = SimDuration::from_millis(2);
+
 /// Abandon an attempt after this many stop retransmissions (the old AP
 /// may have died; the controller re-evaluates selection instead of
 /// blocking forever).

@@ -9,7 +9,6 @@
 //! and the second forwarded copy must be recognized as a duplicate.
 
 use wgtt::ap::ApAgent;
-use wgtt::config::WgttConfig;
 use wgtt::messages::{BackhaulDest, BackhaulMsg};
 use wgtt_mac::blockack::BaRecipient;
 use wgtt_mac::downlink::TxSide;
@@ -25,7 +24,7 @@ const NEIGHBOUR_B: NodeId = NodeId(3);
 const CLIENT: NodeId = NodeId(100);
 
 fn agent(id: NodeId) -> ApAgent {
-    ApAgent::new(id, WgttConfig::default(), RngStream::root(11).derive("ap"))
+    ApAgent::new(id, RngStream::root(11).derive("ap"))
 }
 
 /// Build the three-AP deployment: `SERVING` serves the client with a

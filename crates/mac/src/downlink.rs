@@ -17,6 +17,12 @@ use crate::sender::{BaFeedback, Sender, Unacked};
 use std::collections::HashMap;
 use wgtt_sim::rng::RngStream;
 
+/// MPDUs a sender stages below its feed: the NIC hardware queue of the
+/// testbed's ath9k radios, ≈ 6 ms of airtime, which is all the old AP
+/// still drains after a switch (paper §3.1.2). Both AP kinds pass it to
+/// [`Downlink::new`].
+pub const NIC_QUEUE_MPDUS: usize = 64;
+
 /// What sits above one client's [`Sender`] and refills its staged MPDUs.
 pub trait Feed: Default {
     /// The next fresh MPDU, if the feed releases one now.

@@ -4,8 +4,10 @@ use crate::experiments::common::{drive, mps, wgtt};
 use crate::experiments::motivation::radio_links;
 use crate::results::{f, ExperimentOutput};
 use crate::testbed::{ClientPlan, TestbedConfig};
-use crate::world::{FlowSpec, SystemKind, World};
+use crate::world::{FlowSpec, SystemKind, World, CSI_NOISE_DB};
+use wgtt::selection::ApSelector;
 use wgtt::WgttConfig;
+use wgtt_mac::frame::NodeId;
 use wgtt_mac::mcs::capacity_mbps;
 use wgtt_radio::Modulation;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -43,9 +45,14 @@ pub fn table1(seed: u64, quick: bool) -> ExperimentOutput {
 }
 
 /// Fig. 21: capacity loss against the selection window size *W* —
-/// the paper's trace-driven emulation. We sample per-AP ESNR traces from
-/// the radio model at CSI-report granularity and replay the max-median
-/// selection rule offline for each W.
+/// the paper's trace-driven emulation. We sample per-AP ESNR from the
+/// radio model every 1 ms, add the world's CSI estimation noise
+/// (`world::CSI_NOISE_DB`) to get the readings, and replay them through one
+/// production [`ApSelector`] per W: each step records every AP's reading
+/// and takes [`ApSelector::best`] (max median, lowest AP id on a tie, no
+/// hysteresis or margin). The loss is the capacity of the oracle AP (max
+/// true ESNR) minus that of the chosen one, averaged over in-coverage
+/// steps.
 pub fn fig21(seed: u64) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "fig21",
@@ -58,43 +65,40 @@ pub fn fig21(seed: u64) -> ExperimentOutput {
     let t_start = SimTime::from_secs_f64(7.0 / plan.speed_mps);
     let span_s = 73.0 / plan.speed_mps;
     let steps = (span_s * 1000.0 / CSI_PERIOD_MS as f64) as usize;
-    // Pre-sample every link's true ESNR and a noisy *measured* reading
-    // (σ = 2.5 dB here, against the world's 1.5 dB `CSI_NOISE_DB`; see
-    // DESIGN §7) at every step — the paper's readings are measurements,
-    // and the noise is exactly why small windows lose.
+    // Pre-sample every link's true ESNR and its measured reading at every
+    // step — the paper's readings are measurements, and the noise is
+    // exactly why small windows lose.
     let mut esnr: Vec<Vec<f64>> = vec![Vec::with_capacity(steps); links.len()];
     let mut meas: Vec<Vec<f64>> = vec![Vec::with_capacity(steps); links.len()];
     let mut noise_rng = wgtt_sim::rng::RngStream::root(seed)
         .derive("csi-noise")
         .rng();
+    let at = |i: usize| t_start + SimDuration::from_millis(i as u64 * CSI_PERIOD_MS);
     for i in 0..steps {
-        let t = t_start + SimDuration::from_millis(i as u64 * CSI_PERIOD_MS);
+        let t = at(i);
         let pos = plan.position_at(t);
         for (l, link) in links.iter().enumerate() {
             let e = link.snapshot(t, pos).esnr_db(Modulation::Qam16);
             esnr[l].push(e);
-            meas[l].push(e + noise_rng.normal_with(0.0, 2.5));
+            meas[l].push(e + noise_rng.normal_with(0.0, CSI_NOISE_DB));
         }
     }
     for &w_ms in &[2u64, 5, 10, 20, 50, 100, 200, 400] {
-        let w_steps = (w_ms / CSI_PERIOD_MS).max(1) as usize;
+        let mut selector = ApSelector::new(SimDuration::from_millis(w_ms), SimDuration::ZERO, 0.0);
         let mut loss_acc = 0.0;
         let mut n = 0u64;
         for i in 0..steps {
-            let lo = i.saturating_sub(w_steps - 1);
-            // Median ESNR per AP over the window.
-            let chosen = (0..links.len())
-                .max_by(|&a, &b| {
-                    let ma = median(&meas[a][lo..=i]);
-                    let mb = median(&meas[b][lo..=i]);
-                    ma.partial_cmp(&mb).expect("finite")
-                })
-                .expect("links");
+            let t = at(i);
+            for (l, m) in meas.iter().enumerate() {
+                selector.record(NodeId(l as u32), t, m[i]);
+            }
+            let (NodeId(chosen), _) = selector.best(t).expect("every AP has a reading");
             let oracle = (0..links.len())
                 .max_by(|&a, &b| esnr[a][i].partial_cmp(&esnr[b][i]).expect("finite"))
                 .expect("links");
             if esnr[oracle][i] > 2.0 {
-                loss_acc += capacity_mbps(esnr[oracle][i]) - capacity_mbps(esnr[chosen][i]);
+                loss_acc +=
+                    capacity_mbps(esnr[oracle][i]) - capacity_mbps(esnr[chosen as usize][i]);
                 n += 1;
             }
         }
@@ -105,12 +109,6 @@ pub fn fig21(seed: u64) -> ExperimentOutput {
     }
     out.note("paper: loss is minimized at W = 10 ms, rising on both sides");
     out
-}
-
-fn median(xs: &[f64]) -> f64 {
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v[v.len() / 2]
 }
 
 /// Table 3: link-layer (Block) ACK collision rate at the client during

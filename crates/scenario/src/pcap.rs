@@ -107,11 +107,6 @@ impl PcapWriter {
         }
         out
     }
-
-    /// Write the capture to a file.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
 }
 
 /// Deterministic backhaul MAC address for a node id (controller = 0xFE).

@@ -45,12 +45,13 @@
 use crate::fleet::{FleetConfig, FleetReport};
 use crate::world::{SystemKind, World};
 use std::sync::Barrier;
+use wgtt::messages::BACKHAUL_LATENCY;
 use wgtt_apps::mix::AppKind;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 /// Default conservative lookahead between shard barriers: the backhaul
 /// latency, i.e. the minimum delay any cross-shard event would incur.
-pub const DEFAULT_SYNC_WINDOW: SimDuration = SimDuration::from_micros(300);
+pub const DEFAULT_SYNC_WINDOW: SimDuration = BACKHAUL_LATENCY;
 
 /// Run the districted corridor `cfg` on `workers` threads and merge the
 /// per-district reports. `sync_window` overrides

@@ -23,7 +23,8 @@ use std::ops::Range;
 
 use wgtt::ap::ApAgent;
 use wgtt::controller::{Controller, ControllerAction};
-use wgtt::messages::{BackhaulDest, BackhaulMsg};
+use wgtt::messages::{BackhaulDest, BackhaulMsg, BACKHAUL_LATENCY};
+use wgtt::switching::{PROCESSING_STD, START_PROCESSING_MEAN, STOP_PROCESSING_MEAN};
 use wgtt::WgttConfig;
 use wgtt_baseline::ap::BaselineAp;
 use wgtt_baseline::distribution::DistributionSystem;
@@ -604,7 +605,7 @@ const OUTAGE_MIN: SimDuration = SimDuration::from_millis(200);
 /// CSI estimation error applied to *measured* ESNR readings (the true
 /// channel still decides delivery) — the reason a single reading is noisy
 /// and the paper's median-over-W smoothing matters (Fig. 21).
-const CSI_NOISE_DB: f64 = 1.5;
+pub(crate) const CSI_NOISE_DB: f64 = 1.5;
 /// Capture threshold: a reception survives an overlap when the wanted
 /// signal exceeds the strongest interferer by this margin at the receiver.
 const CAPTURE_MARGIN_DB: f64 = 10.0;
@@ -686,9 +687,8 @@ impl World {
             SystemKind::Wgtt(wgtt_cfg) => {
                 let mut controller = Controller::new(wgtt_cfg, ap_ids.clone());
                 controller.reserve_clients(cfg.clients.len());
-                let agent = |&id: &NodeId| {
-                    ApAgent::new(id, wgtt_cfg, root.derive_indexed("ap-agent", id.0 as u64))
-                };
+                let agent =
+                    |&id: &NodeId| ApAgent::new(id, root.derive_indexed("ap-agent", id.0 as u64));
                 SystemState::Wgtt(WgttSystem {
                     cfg: wgtt_cfg,
                     controller,
@@ -1506,7 +1506,7 @@ mod tests {
         w.begin(SimDuration::from_secs(1));
         let client = w.client_ids()[0];
         let (from, to) = (SERVER, w.clients[0].ip);
-        let latency = WgttConfig::default().backhaul_latency;
+        let latency = BACKHAUL_LATENCY;
         for index in 0..3u16 {
             let now = SimTime::ZERO + latency.times(2 * u64::from(index) + 1);
             w.advance_until(now);

@@ -75,10 +75,10 @@ impl World {
         let SystemState::Wgtt(WgttSystem { cfg, .. }) = &self.system else {
             return;
         };
-        let (loss_prob, mut delay) = (cfg.control_loss_prob, cfg.backhaul_latency);
+        let (loss_prob, mut delay) = (cfg.control_loss_prob, BACKHAUL_LATENCY);
         let processing = match &msg {
-            BackhaulMsg::Stop { .. } => Some((cfg.stop_processing_mean, cfg.processing_std)),
-            BackhaulMsg::Start { .. } => Some((cfg.start_processing_mean, cfg.processing_std)),
+            BackhaulMsg::Stop { .. } => Some(STOP_PROCESSING_MEAN),
+            BackhaulMsg::Start { .. } => Some(START_PROCESSING_MEAN),
             _ => None,
         };
         // Control loss and processing jitter draw from the *affected
@@ -95,11 +95,11 @@ impl World {
         if let Some(cap) = self.backhaul_capture.as_mut() {
             cap.record_backhaul(now, &to, &msg);
         }
-        if let (Some((mean, std)), Some(client)) = (processing, msg.control_client()) {
+        if let (Some(mean), Some(client)) = (processing, msg.control_client()) {
             let ci = self.client_index(client);
             let jitter = self.clients[ci]
                 .rng
-                .normal_with(mean.as_secs_f64(), std.as_secs_f64())
+                .normal_with(mean.as_secs_f64(), PROCESSING_STD.as_secs_f64())
                 .max(0.0005);
             delay += SimDuration::from_secs_f64(jitter);
         }
@@ -121,10 +121,7 @@ impl World {
     /// could have popped between them, and whatever their handlers
     /// schedule keeps its order (DESIGN §18).
     fn backhaul_fanout(&mut self, aps: u32, msg: BackhaulMsg, now: SimTime) {
-        let SystemState::Wgtt(WgttSystem { cfg, .. }) = &self.system else {
-            return;
-        };
-        let at = now + cfg.backhaul_latency;
+        let at = now + BACKHAUL_LATENCY;
         if let Some(cap) = self.backhaul_capture.as_mut() {
             for &ap in &self.fanouts[aps as usize] {
                 cap.record_backhaul(now, &BackhaulDest::Ap(ap), &msg);

@@ -309,22 +309,6 @@ macro_rules! multiversion {
     };
 }
 
-multiversion! {
-    /// `(sin, cos)` of every element of `xs` into `sn`/`cs` (lengths must
-    /// match), processed in [`F64s`]`<8>` chunks with a scalar tail.
-    pub fn sincos_slice, sincos_slice_with(xs: &[f64], sn: &mut [f64], cs: &mut [f64]) {
-        math::sincos_lanes::<8>(xs, sn, cs);
-    }
-}
-
-multiversion! {
-    /// `exp` of every element of `xs` into `out` (lengths must match),
-    /// processed in [`F64s`]`<8>` chunks with a scalar tail.
-    pub fn exp_slice, exp_slice_with(xs: &[f64], out: &mut [f64]) {
-        math::exp_lanes::<8>(xs, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,30 +337,5 @@ mod tests {
             F64s::<4>([4.0, 9.0, 16.0, 25.0]).sqrt().0,
             [2.0, 3.0, 4.0, 5.0]
         );
-    }
-
-    #[test]
-    fn slice_kernels_bit_identical_across_backends() {
-        let xs: Vec<f64> = (0..257)
-            .map(|i| (i as f64 - 128.0) * 97.31 + 0.125 * i as f64)
-            .collect();
-        let mut s0 = vec![0.0; xs.len()];
-        let mut c0 = vec![0.0; xs.len()];
-        sincos_slice_with(Backend::Scalar, &xs, &mut s0, &mut c0);
-        let es: Vec<f64> = xs.iter().map(|x| -x.abs() * 0.01).collect();
-        let mut e0 = vec![0.0; xs.len()];
-        exp_slice_with(Backend::Scalar, &es, &mut e0);
-        for b in [Backend::Avx2, Backend::Avx512] {
-            let mut s1 = vec![0.0; xs.len()];
-            let mut c1 = vec![0.0; xs.len()];
-            sincos_slice_with(b, &xs, &mut s1, &mut c1);
-            let mut e1 = vec![0.0; xs.len()];
-            exp_slice_with(b, &es, &mut e1);
-            for i in 0..xs.len() {
-                assert_eq!(s0[i].to_bits(), s1[i].to_bits(), "sin lane {i} on {b:?}");
-                assert_eq!(c0[i].to_bits(), c1[i].to_bits(), "cos lane {i} on {b:?}");
-                assert_eq!(e0[i].to_bits(), e1[i].to_bits(), "exp lane {i} on {b:?}");
-            }
-        }
     }
 }
