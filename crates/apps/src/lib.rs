@@ -8,8 +8,8 @@
 //! * [`conference`] — bidirectional real-time video (Skype-like fixed
 //!   frame size, Hangouts-like adaptive resolution); the metric is the
 //!   per-second frames-per-second CDF (Fig. 24);
-//! * [`web`] — a 2.1 MB page (the paper's eBay homepage) fetched over
-//!   parallel connections; the metric is the full load time (Table 5).
+//! * [`web`] — a 2.1 MB page (the paper's eBay homepage); the metric is
+//!   the full load time (Table 5), which only the page's weight decides.
 
 pub mod conference;
 pub mod mix;
@@ -19,4 +19,3 @@ pub mod web;
 pub use conference::{ConferenceSink, ConferenceSource};
 pub use mix::{AppKind, TrafficMix};
 pub use video::{PlaybackState, VideoPlayer};
-pub use web::PageLoad;

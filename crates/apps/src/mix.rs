@@ -16,8 +16,8 @@ pub enum AppKind {
     /// HD streaming video: a constant-rate downlink matching the
     /// [`crate::video::VideoPlayer`] 720p consumption rate.
     Video,
-    /// A finite web page fetch ([`crate::web::PageLoad`]-sized TCP
-    /// transfer).
+    /// A finite web page fetch (a TCP transfer of
+    /// [`crate::web::PAGE_BYTES`]).
     Web,
     /// Bidirectional adaptive video conference.
     Conference,

@@ -2,191 +2,11 @@
 //!
 //! The paper's volunteer loads the 2.1 MB eBay homepage, cached on a
 //! local server to exclude Internet latency; the metric is the time from
-//! navigation to the last byte. We model the page as an HTML document
-//! plus a set of sub-resources fetched over up to six parallel
-//! connections (browser-typical), with the sub-resources discoverable
-//! only after the HTML finishes — the classic two-wave load.
+//! navigation to the last byte. That time is all the model keeps: the
+//! page is its weight. A browser's HTML-first, six-connection fetch
+//! splits the same delivered bytes among more objects, and while every
+//! byte that arrives goes to some in-flight object the last one lands
+//! when the page's weight has arrived, whatever the split.
 
-use wgtt_sim::time::{SimDuration, SimTime};
-
-/// Status of one resource on the page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResourceState {
-    /// Not yet requestable (HTML not parsed).
-    Blocked,
-    /// Ready to fetch but no connection available.
-    Queued,
-    /// Currently downloading.
-    InFlight,
-    /// Fully received at the recorded instant.
-    Done(SimTime),
-}
-
-/// The page-load model: object sizes, dependency wave, and parallel
-/// connection bookkeeping. The scenario owns the actual TCP transfers
-/// and calls [`PageLoad::next_fetches`]/[`PageLoad::on_object_done`].
-#[derive(Debug)]
-pub struct PageLoad {
-    sizes: Vec<u64>,
-    states: Vec<ResourceState>,
-    max_parallel: usize,
-    started: SimTime,
-}
-
-impl PageLoad {
-    /// The paper's 2.1 MB page: a 100 kB HTML document plus 40 objects
-    /// of 50 kB each.
-    pub fn ebay_homepage(now: SimTime) -> Self {
-        let mut sizes = vec![100_000u64];
-        sizes.extend(std::iter::repeat_n(50_000, 40));
-        Self::new(sizes, 6, now)
-    }
-
-    /// A custom page: `sizes[0]` is the HTML; the rest unblock when it
-    /// completes. `max_parallel` caps concurrent fetches.
-    pub fn new(sizes: Vec<u64>, max_parallel: usize, now: SimTime) -> Self {
-        assert!(!sizes.is_empty(), "a page needs at least the HTML");
-        assert!(max_parallel >= 1);
-        let mut states = vec![ResourceState::Blocked; sizes.len()];
-        states[0] = ResourceState::Queued;
-        PageLoad {
-            sizes,
-            states,
-            max_parallel,
-            started: now,
-        }
-    }
-
-    /// Total page weight, bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.sizes.iter().sum()
-    }
-
-    /// Size of object `i`.
-    pub fn size_of(&self, i: usize) -> u64 {
-        self.sizes[i]
-    }
-
-    /// Objects to start fetching now (marks them in flight). Respects the
-    /// parallel-connection cap and the HTML-first dependency.
-    pub fn next_fetches(&mut self) -> Vec<usize> {
-        let in_flight = self
-            .states
-            .iter()
-            .filter(|s| matches!(s, ResourceState::InFlight))
-            .count();
-        let slots = self.max_parallel.saturating_sub(in_flight);
-        let mut out = Vec::new();
-        for (i, st) in self.states.iter_mut().enumerate() {
-            if out.len() >= slots {
-                break;
-            }
-            if *st == ResourceState::Queued {
-                *st = ResourceState::InFlight;
-                out.push(i);
-            }
-        }
-        out
-    }
-
-    /// Object `i` finished at `now`. Completing the HTML unblocks the
-    /// sub-resources.
-    pub fn on_object_done(&mut self, i: usize, now: SimTime) {
-        debug_assert!(matches!(self.states[i], ResourceState::InFlight));
-        self.states[i] = ResourceState::Done(now);
-        if i == 0 {
-            for st in self.states.iter_mut().skip(1) {
-                if *st == ResourceState::Blocked {
-                    *st = ResourceState::Queued;
-                }
-            }
-        }
-    }
-
-    /// Whether every resource is done.
-    pub fn is_complete(&self) -> bool {
-        self.states
-            .iter()
-            .all(|s| matches!(s, ResourceState::Done(_)))
-    }
-
-    /// Navigation-to-last-byte load time, once complete.
-    pub fn load_time(&self) -> Option<SimDuration> {
-        let mut last = self.started;
-        for s in &self.states {
-            match s {
-                ResourceState::Done(t) => last = last.max(*t),
-                _ => return None,
-            }
-        }
-        Some(last.saturating_since(self.started))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ms(v: u64) -> SimTime {
-        SimTime::from_millis(v)
-    }
-
-    #[test]
-    fn page_weight_matches_paper() {
-        let p = PageLoad::ebay_homepage(SimTime::ZERO);
-        assert_eq!(p.total_bytes(), 2_100_000);
-    }
-
-    #[test]
-    fn html_fetches_first_alone() {
-        let mut p = PageLoad::ebay_homepage(SimTime::ZERO);
-        assert_eq!(p.next_fetches(), vec![0]);
-        // Nothing else until the HTML finishes.
-        assert!(p.next_fetches().is_empty());
-    }
-
-    #[test]
-    fn html_completion_unblocks_six_parallel() {
-        let mut p = PageLoad::ebay_homepage(SimTime::ZERO);
-        p.next_fetches();
-        p.on_object_done(0, ms(300));
-        let wave = p.next_fetches();
-        assert_eq!(wave.len(), 6);
-        assert_eq!(wave, vec![1, 2, 3, 4, 5, 6]);
-        // Finishing one admits exactly one more.
-        p.on_object_done(1, ms(500));
-        assert_eq!(p.next_fetches(), vec![7]);
-    }
-
-    #[test]
-    fn load_time_is_last_byte() {
-        let mut p = PageLoad::new(vec![1000, 2000, 3000], 2, ms(100));
-        p.next_fetches();
-        p.on_object_done(0, ms(200));
-        p.next_fetches();
-        p.on_object_done(2, ms(900));
-        assert!(p.load_time().is_none(), "object 1 outstanding");
-        p.on_object_done(1, ms(700));
-        assert!(p.is_complete());
-        assert_eq!(p.load_time(), Some(SimDuration::from_millis(800)));
-    }
-
-    #[test]
-    fn all_objects_eventually_fetched() {
-        let mut p = PageLoad::ebay_homepage(SimTime::ZERO);
-        let mut done = 0;
-        let mut t = 0u64;
-        loop {
-            let wave = p.next_fetches();
-            if wave.is_empty() && p.is_complete() {
-                break;
-            }
-            for i in wave {
-                t += 10;
-                p.on_object_done(i, ms(t));
-                done += 1;
-            }
-        }
-        assert_eq!(done, 41);
-    }
-}
+/// The page's weight, bytes: the paper's eBay homepage.
+pub const PAGE_BYTES: u64 = 2_100_000;

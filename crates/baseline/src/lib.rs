@@ -18,14 +18,14 @@
 //!
 //! [`roamer`] is the client-side decision state machine (including the
 //! lossy two-frame reassociation exchange); [`ap`] is a conventional
-//! 802.11n AP (FIFO queue + A-MPDU/Block ACK + Minstrel);
-//! [`distribution`] is the wired distribution system that forwards each
-//! client's downlink to its currently-associated AP.
+//! 802.11n AP (FIFO queue + A-MPDU/Block ACK + Minstrel). Because
+//! association state is pre-shared (3), the wired distribution system
+//! learns of a move the instant the client does, so it keeps no state of
+//! its own: the scenario forwards each client's downlink to the AP its
+//! [`Roamer`] is associated with.
 
 pub mod ap;
-pub mod distribution;
 pub mod roamer;
 
 pub use ap::BaselineAp;
-pub use distribution::DistributionSystem;
 pub use roamer::{Roamer, RoamerAction, RoamerMode};

@@ -396,6 +396,43 @@ mod tests {
     }
 
     #[test]
+    fn only_the_target_response_moves_the_association() {
+        // A drive past four APs under noisy beacons. Every request goes to
+        // an AP other than the associated one, and a response from any AP
+        // but the target changes nothing, so each counted switch is a
+        // change of AP: the switch count is the count of moves.
+        let aps = [AP1, AP2, NodeId(3), NodeId(4)];
+        let mut r = enhanced();
+        let mut noise = 0x9e37_79b9_u32;
+        let mut moves = 0;
+        for step in 0..2_000u64 {
+            let now = ms(step * 10);
+            for (i, &ap) in aps.iter().enumerate() {
+                noise = noise.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let metres = (step as f64 - 500.0 * (i + 1) as f64).abs() / 10.0;
+                r.on_beacon(ap, -50.0 - metres + f64::from(noise >> 28), now);
+            }
+            let RoamerAction::SendMgmt { ap: target, .. } = r.evaluate(now) else {
+                continue;
+            };
+            let before = (r.associated(), r.switches);
+            assert_ne!(Some(target), before.0, "step {step}");
+            for &other in aps.iter().filter(|&&ap| ap != target) {
+                assert!(!r.on_assoc_response(other, now));
+            }
+            assert_eq!((r.associated(), r.switches), before);
+            // Every third request is lost; its retry goes to the same AP.
+            if step % 3 != 0 {
+                assert!(r.on_assoc_response(target, now));
+                assert_eq!(r.associated(), Some(target));
+                moves += 1;
+            }
+        }
+        assert!(moves >= 3, "the drive crosses four cells: {moves} moves");
+        assert_eq!(r.switches, moves);
+    }
+
+    #[test]
     fn stale_assoc_response_ignored() {
         let mut r = enhanced();
         assert!(!r.on_assoc_response(AP2, ms(100)));

@@ -23,10 +23,12 @@
 //!   over their own per-client feed;
 //! * [`medium`] — a slotted CSMA/CA single-channel medium with collision
 //!   detection and capture, shared by all APs and clients (the testbed
-//!   runs every AP on channel 11);
-//! * [`queues`] — the drop-tail mac80211 software queue of paper Fig. 7
-//!   (the NIC hardware queue below it is the sender's staged MPDUs; the
-//!   WGTT-specific *cyclic* queue lives in the `wgtt` core crate).
+//!   runs every AP on channel 11).
+//!
+//! The queue above the NIC is each AP kind's own feed: the WGTT-specific
+//! *cyclic* queue in the `wgtt` core crate, and the 802.11r AP's
+//! drop-tail mac80211 FIFO of paper Fig. 7 in `wgtt-baseline`. The NIC
+//! hardware queue below it is the sender's staged MPDUs.
 //!
 //! Everything is an explicit state machine driven by the caller's event
 //! loop; nothing here schedules events itself.
@@ -38,7 +40,6 @@ pub mod downlink;
 pub mod frame;
 pub mod mcs;
 pub mod medium;
-pub mod queues;
 pub mod rate;
 pub mod sender;
 pub mod seq;

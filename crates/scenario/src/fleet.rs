@@ -21,6 +21,7 @@
 use crate::testbed::{ClientPlan, Direction, StopAndGo, TestbedConfig, MPH};
 use crate::world::{EventCounts, FlowSpec, PhyWork, SystemKind, World};
 use wgtt_apps::mix::{AppKind, TrafficMix};
+use wgtt_apps::web::PAGE_BYTES;
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::Position;
 use wgtt_sim::metrics::nearest_rank;
@@ -33,9 +34,6 @@ const TELEMETRY_MBPS: f64 = 0.064;
 /// Streaming-video downlink rate — matches the 720p
 /// [`wgtt_apps::video::VideoPlayer`] consumption rate (2.5 Mbit/s).
 const VIDEO_MBPS: f64 = 2.5;
-/// Web-fetch transfer size — the paper's 2.1 MB eBay homepage
-/// ([`wgtt_apps::web::PageLoad`]).
-const WEB_BYTES: u64 = 2_100_000;
 /// Speed samples are clamped into this band (mph): no parked fleet
 /// vehicles, nothing faster than arterial traffic.
 const SPEED_CLAMP_MPH: (f64, f64) = (3.0, 60.0);
@@ -281,7 +279,7 @@ impl FleetConfig {
                         },
                     )),
                     AppKind::Web => {
-                        flows.push((lv, FlowSpec::DownlinkTcpBytes { bytes: WEB_BYTES }));
+                        flows.push((lv, FlowSpec::DownlinkTcpBytes { bytes: PAGE_BYTES }));
                     }
                     AppKind::Conference => {
                         flows.push((lv, FlowSpec::DownlinkConference { adaptive: true }));

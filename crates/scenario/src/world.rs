@@ -27,7 +27,6 @@ use wgtt::messages::{BackhaulDest, BackhaulMsg, BACKHAUL_LATENCY};
 use wgtt::switching::{PROCESSING_STD, START_PROCESSING_MEAN, STOP_PROCESSING_MEAN};
 use wgtt::WgttConfig;
 use wgtt_baseline::ap::BaselineAp;
-use wgtt_baseline::distribution::DistributionSystem;
 use wgtt_baseline::roamer::{Roamer, RoamerAction, RoamerMode};
 use wgtt_mac::aggregation::AggregationPolicy;
 use wgtt_mac::airtime::{frame_airtime, SIFS_US};
@@ -457,18 +456,13 @@ struct WgttSystem {
     aps: Vec<ApAgent>,
 }
 
-struct BaselineSystem {
-    ds: DistributionSystem,
-    aps: Vec<BaselineAp>,
-}
-
 /// The system under test. `World` reaches it here: what both systems
 /// share (every AP has a transmit side) comes back as one type, what is
 /// one system's own as `None` under the other.
 #[allow(clippy::large_enum_variant)] // one per world; boxing buys nothing
 enum SystemState {
     Wgtt(WgttSystem),
-    Baseline(BaselineSystem),
+    Baseline(Vec<BaselineAp>),
 }
 
 impl SystemState {
@@ -479,7 +473,7 @@ impl SystemState {
         }
     }
 
-    fn baseline(&mut self) -> Option<&mut BaselineSystem> {
+    fn baseline(&mut self) -> Option<&mut [BaselineAp]> {
         match self {
             SystemState::Baseline(b) => Some(b),
             SystemState::Wgtt(_) => None,
@@ -490,7 +484,7 @@ impl SystemState {
     fn ap_tx(&mut self, ai: usize) -> &mut dyn TxSide {
         match self {
             SystemState::Wgtt(w) => &mut w.aps[ai].tx,
-            SystemState::Baseline(b) => &mut b.aps[ai].tx,
+            SystemState::Baseline(aps) => &mut aps[ai].tx,
         }
     }
 }
@@ -695,15 +689,12 @@ impl World {
                     aps: ap_ids.iter().map(agent).collect(),
                 })
             }
-            SystemKind::Enhanced80211r | SystemKind::Stock80211r => {
-                SystemState::Baseline(BaselineSystem {
-                    ds: DistributionSystem::new(),
-                    aps: ap_ids
-                        .iter()
-                        .map(|&id| BaselineAp::new(id, root.derive_indexed("bl-ap", id.0 as u64)))
-                        .collect(),
-                })
-            }
+            SystemKind::Enhanced80211r | SystemKind::Stock80211r => SystemState::Baseline(
+                ap_ids
+                    .iter()
+                    .map(|&id| BaselineAp::new(id, root.derive_indexed("bl-ap", id.0 as u64)))
+                    .collect(),
+            ),
         };
 
         let clients: Vec<ClientNode> = cfg
@@ -1154,13 +1145,8 @@ impl World {
             self.with_controller(SimTime::ZERO, |c, buf| {
                 c.on_client_associated(client, best_ap, SimTime::ZERO, buf);
             });
-            if let Some(bl) = self.system.baseline() {
-                bl.ds.attach(client, best_ap);
-                self.clients[ci]
-                    .roamer
-                    .as_mut()
-                    .expect("baseline clients roam")
-                    .set_associated(best_ap, SimTime::ZERO);
+            if let Some(roamer) = self.clients[ci].roamer.as_mut() {
+                roamer.set_associated(best_ap, SimTime::ZERO);
             }
         }
         // Periodic machinery.
@@ -1330,8 +1316,13 @@ impl World {
                     controller.stats.uplink_duplicates,
                 );
             }
-            SystemState::Baseline(bl) => {
-                self.report.switches = bl.ds.moves;
+            SystemState::Baseline(_) => {
+                self.report.switches = self
+                    .clients
+                    .iter()
+                    .flat_map(|c| &c.roamer)
+                    .map(|r| r.switches)
+                    .sum();
             }
         }
     }
@@ -1475,8 +1466,8 @@ mod tests {
                         packet,
                     });
                 }
-                if let Some(s) = w.system.baseline() {
-                    s.aps[ai].enqueue_downlink(client, packet);
+                if let Some(aps) = w.system.baseline() {
+                    aps[ai].enqueue_downlink(client, packet);
                 }
                 let (to, mpdus, mcs) = w.system.ap_tx(ai).next_ampdu().expect("one queued");
                 assert_eq!((to, mpdus.len()), (client, 1));

@@ -227,8 +227,7 @@ impl World {
                 // A forwarded Block ACK may have resolved the pending
                 // exchange.
                 let resolved = kick_client.is_some_and(|client| {
-                    self.stations[ai].exchange_pending
-                        && self.stations[ai].peer == Some(client)
+                    self.stations[ai].peer == Some(client)
                         && !w.aps[ai].tx.has_in_flight(client)
                 });
                 if resolved {
@@ -251,20 +250,17 @@ impl World {
 
     // --------------------------------------------------------- transport
 
-    /// Send one downlink packet into the system (controller fan-out or
-    /// baseline distribution).
+    /// Send one downlink packet into the system (controller fan-out, or
+    /// the baseline client's associated AP).
     fn route_downlink(&mut self, client: NodeId, packet: Packet, now: SimTime) {
         self.store_packet(packet);
-        match &mut self.system {
-            SystemState::Wgtt(_) => {
-                self.with_controller(now, |c, buf| c.on_downlink(client, packet, now, buf));
+        if self.system.wgtt().is_some() {
+            self.with_controller(now, |c, buf| c.on_downlink(client, packet, now, buf));
+        } else if let Some(ap) = self.serving_of(client) {
+            if let Some(aps) = self.system.baseline() {
+                aps[self.cfg.ap_index(ap)].enqueue_downlink(client, packet);
             }
-            SystemState::Baseline(bl) => {
-                if let Some(ap) = bl.ds.route(client) {
-                    bl.aps[self.cfg.ap_index(ap)].enqueue_downlink(client, packet);
-                    self.kick(ap, now);
-                }
-            }
+            self.kick(ap, now);
         }
     }
 

@@ -12,13 +12,11 @@ const SENSE_LAG: SimDuration = SimDuration::from_micros(4);
 struct Station {
     /// An `Ev::TxStart` is queued.
     tx_scheduled: bool,
-    /// An A-MPDU went out and neither its Block ACK nor its timeout has
-    /// settled it.
-    exchange_pending: bool,
     /// Backoff stage: consecutive timeouts, capped at CWmax's.
     backoff: u8,
     ba_timeout_ev: Option<EventId>,
-    /// Whom the pending exchange addresses.
+    /// Whom the pending exchange addresses: `Some` from the moment an
+    /// A-MPDU goes out until its Block ACK or its timeout settles it.
     peer: Option<NodeId>,
 }
 
@@ -77,7 +75,7 @@ impl World {
     fn kick(&mut self, node: NodeId, now: SimTime) {
         let si = self.station_index(node);
         let st = self.stations[si];
-        if st.tx_scheduled || st.exchange_pending || !self.has_work(node) {
+        if st.tx_scheduled || st.peer.is_some() || !self.has_work(node) {
             return;
         }
         let rng = match self.role(node) {
@@ -92,7 +90,7 @@ impl World {
     fn on_tx_start(&mut self, node: NodeId, now: SimTime) {
         let si = self.station_index(node);
         self.stations[si].tx_scheduled = false;
-        if self.stations[si].exchange_pending {
+        if self.stations[si].peer.is_some() {
             return;
         }
         if self.medium.is_busy_for(node, now) || self.medium.own_tx_until(node, now) > now {
@@ -111,7 +109,6 @@ impl World {
             mcs,
         };
         self.transmit(frame, now);
-        self.stations[si].exchange_pending = true;
         self.stations[si].peer = Some(to);
     }
 
@@ -128,7 +125,6 @@ impl World {
     fn end_exchange(&mut self, node: NodeId, backoff: u8, now: SimTime) {
         let si = self.station_index(node);
         let st = &mut self.stations[si];
-        st.exchange_pending = false;
         st.peer = None;
         st.backoff = backoff;
         self.kick(node, now);
@@ -323,7 +319,7 @@ impl World {
         now: SimTime,
     ) {
         let wgtt = self.system.wgtt().is_some();
-        let assoc_ap = self.system.baseline().and_then(|bl| bl.ds.binding(client));
+        let assoc_ap = if wgtt { None } else { self.serving_of(client) };
         let pos = self.client_pos(client, now);
         let mut decoded = std::mem::take(&mut self.decoded_scratch);
         let mut new_refs = std::mem::take(&mut self.new_refs_scratch);
@@ -653,17 +649,15 @@ impl World {
                     return;
                 }
                 let ci = self.client_index(to);
-                let switched = self.clients[ci]
-                    .roamer
-                    .as_mut()
-                    .is_some_and(|r| r.on_assoc_response(from, now));
-                if switched {
-                    if let Some(bl) = self.system.baseline() {
-                        let old = bl.ds.binding(to);
-                        bl.ds.on_reassoc(to, from);
-                        if let Some(old_ap) = old.filter(|&old_ap| old_ap != from) {
-                            bl.aps[self.cfg.ap_index(old_ap)].flush_client(to);
-                        }
+                let Some(roamer) = self.clients[ci].roamer.as_mut() else {
+                    return;
+                };
+                let old = roamer.associated();
+                if roamer.on_assoc_response(from, now) {
+                    // The handshake's target is never the AP the client
+                    // is leaving.
+                    if let (Some(old_ap), Some(aps)) = (old, self.system.baseline()) {
+                        aps[self.cfg.ap_index(old_ap)].flush_client(to);
                     }
                     self.kick(from, now);
                 }
