@@ -237,11 +237,6 @@ impl Roamer {
             _ => false,
         }
     }
-
-    /// Whether a reassociation handshake is in progress.
-    pub fn handshaking(&self) -> bool {
-        matches!(self.state, State::AwaitingResponse { .. })
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +281,6 @@ mod tests {
                 step: MgmtStep::AssocReq
             }
         );
-        assert!(r.handshaking());
         assert!(r.on_assoc_response(AP2, ms(2010)));
         assert_eq!(r.associated(), Some(AP2));
         assert_eq!(r.switches, 1);

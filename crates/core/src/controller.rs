@@ -533,23 +533,36 @@ mod tests {
 
     #[test]
     fn downlink_fans_out_to_in_range_aps() {
-        let mut c = controller();
-        assoc(&mut c, CLIENT, AP1, ms(0));
-        msg(&mut c, csi(AP1, 15.0, ms(100)), ms(100));
-        msg(&mut c, csi(AP2, 12.0, ms(101)), ms(101));
-        let mut f = PacketFactory::new();
-        let actions = downlink(&mut c, CLIENT, pkt(&mut f, 0), ms(102));
-        let targets: Vec<NodeId> = actions
-            .iter()
-            .filter_map(|a| match a {
-                ControllerAction::Send {
-                    ap,
-                    msg: BackhaulMsg::DownlinkData { .. },
-                } => Some(*ap),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(targets, vec![AP1, AP2]);
+        // One `Send` per AP that reported CSI, in ascending AP id whatever
+        // order the reports arrived in.
+        let cases = [
+            (vec![(AP1, 15.0), (AP2, 12.0)], vec![AP1, AP2]),
+            (
+                vec![(AP3, 12.0), (AP2, 14.0), (AP1, 15.0)],
+                vec![AP1, AP2, AP3],
+            ),
+        ];
+        for (reports, expected) in cases {
+            let mut c = controller();
+            assoc(&mut c, CLIENT, AP1, ms(0));
+            for (i, &(ap, esnr)) in reports.iter().enumerate() {
+                let at = ms(100 + i as u64);
+                msg(&mut c, csi(ap, esnr, at), at);
+            }
+            let mut f = PacketFactory::new();
+            let actions = downlink(&mut c, CLIENT, pkt(&mut f, 0), ms(110));
+            let targets: Vec<NodeId> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    ControllerAction::Send {
+                        ap,
+                        msg: BackhaulMsg::DownlinkData { .. },
+                    } => Some(*ap),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(targets, expected, "reports {reports:?}");
+        }
     }
 
     #[test]

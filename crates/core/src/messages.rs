@@ -1,8 +1,8 @@
 //! The backhaul message vocabulary between controller and APs.
 //!
 //! On the real testbed these ride UDP/IP tunnels over Ethernet (paper
-//! §3.1.3, §3.2.2 — the byte formats live in `wgtt-net::wire`); in the
-//! simulation the scenario delivers them as events after
+//! §3.1.3, §3.2.2); in the simulation they stay typed values, never
+//! serialized, and the scenario delivers them as events after
 //! [`BACKHAUL_LATENCY`]. Control packets (`Stop`/`Start`/`SwitchAck`) are
 //! *prioritized* at the AP — they bypass the data queues (§3.1.2) — which
 //! the scenario honours by dispatching them ahead of data processing.

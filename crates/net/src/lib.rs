@@ -2,12 +2,12 @@
 //!
 //! The layers the paper's testbed got for free from Linux and iperf3:
 //!
-//! * [`wire`] — byte-accurate wire formats (Ethernet II, IPv4 with the
-//!   identification field WGTT's §3.2.2 de-duplication keys on, UDP, and
-//!   the WGTT UDP/IP tunnel header), smoltcp-style checked parse/emit;
+//! * [`wire`] — the IPv4 address (the backhaul carries typed messages,
+//!   not bytes, so no header is ever serialized);
 //! * [`packet`] — the in-simulation packet record each subsystem passes
-//!   around (headers + length; payload bytes are synthesized only when a
-//!   path actually serializes, e.g. the tunnel codec);
+//!   around (header fields + length, never payload bytes), with the
+//!   48-bit source-address + IPv4-identification key WGTT's §3.2.2
+//!   de-duplication uses;
 //! * [`tcp`] — a Reno TCP sender/receiver pair (slow start, congestion
 //!   avoidance, fast retransmit/recovery, RFC 6298 RTO with Karn's rule),
 //!   enough fidelity to reproduce the baseline's timeout collapse in the

@@ -7,7 +7,7 @@
 //! transport sequence numbers that the flow metrics and TCP endpoints
 //! track.
 
-use crate::wire::{Ipv4Addr, Ipv4Header};
+use crate::wire::Ipv4Addr;
 use wgtt_sim::time::SimTime;
 
 /// Identity of an end-to-end flow in a scenario.
@@ -64,22 +64,6 @@ impl Packet {
     /// source address (32 bits) + IP identification (16 bits).
     pub fn dedup_key(&self) -> u64 {
         (u64::from(self.src.0) << 16) | u64::from(self.ip_ident)
-    }
-
-    /// The equivalent [`Ipv4Header`] for paths that serialize this packet
-    /// (the backhaul tunnel codec).
-    pub fn ip_header(&self) -> Ipv4Header {
-        Ipv4Header {
-            src: self.src,
-            dst: self.dst,
-            ident: self.ip_ident,
-            ttl: 64,
-            protocol: match self.transport {
-                Transport::Udp { .. } => crate::wire::IpProtocol::Udp,
-                Transport::Tcp { .. } => crate::wire::IpProtocol::Tcp,
-            },
-            payload_len: self.len.saturating_sub(crate::wire::IPV4_HEADER_LEN as u16),
-        }
     }
 }
 
@@ -210,10 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn dedup_key_matches_wire_header() {
+    fn dedup_key_layout() {
         let mut f = PacketFactory::new();
-        let p = f.udp(FlowId(0), addr(7), addr(9), 0, 1200, SimTime::ZERO);
-        assert_eq!(p.dedup_key(), p.ip_header().dedup_key());
+        let src = Ipv4Addr::new(1, 2, 3, 4);
+        f.next_ident.insert(src, 0xABCD);
+        let p = f.udp(FlowId(0), src, addr(9), 0, 1200, SimTime::ZERO);
+        assert_eq!(p.dedup_key(), 0x0102_0304_ABCD);
+        // The paper's key is 48 bits: address, then identification.
+        assert!(p.dedup_key() < (1u64 << 48));
     }
 
     #[test]

@@ -93,7 +93,8 @@ pub fn wgtt() -> SystemKind {
 }
 
 /// Loss fraction of a UDP flow from its `RunReport::udp_counts` entry
-/// (sent, received); zero when nothing was sent.
+/// (sent, received); zero when nothing was sent. `received` counts copies
+/// too, so where copies reach the sink this reads below the true loss.
 pub fn udp_loss((sent, recv): (u64, u64)) -> f64 {
     if sent == 0 {
         0.0

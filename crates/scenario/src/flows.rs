@@ -117,7 +117,7 @@ enum FlowKind {
     Udp {
         src: CbrUdpSource,
         meter: ThroughputMeter,
-        /// Datagrams that reached the sink.
+        /// Arrivals at the sink, copies of one datagram included.
         received: u64,
     },
     DownTcp {

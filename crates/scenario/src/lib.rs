@@ -24,14 +24,12 @@
 //! * [`shard`] — the sharded parallel engine: spatial districts on a
 //!   scoped-thread pool, proven shard-count-invariant against the
 //!   sequential world by a differential harness;
-//! * [`pcap`] — Wireshark-compatible capture of the backhaul tunnels;
 //! * [`results`] — small formatting helpers for paper-style output.
 
 pub mod decide;
 pub mod experiments;
 pub mod fleet;
 mod flows;
-pub mod pcap;
 pub mod results;
 pub mod shard;
 pub mod testbed;

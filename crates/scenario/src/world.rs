@@ -103,7 +103,11 @@ pub struct RunReport {
     /// Per-flow delivered-byte meters (downlink goodput at the client,
     /// uplink goodput at the server).
     pub flow_meters: HashMap<FlowId, ThroughputMeter>,
-    /// Per-flow UDP loss (sent, unique received).
+    /// Per-flow UDP counts: (datagrams the source sent, arrivals at the
+    /// sink). Every arrival counts, a second copy of one datagram too, so
+    /// `received` can exceed the distinct datagrams delivered and even
+    /// `sent`; the flow's meter in `flow_meters` records the copies'
+    /// bytes alike (ROADMAP item 14).
     pub udp_counts: HashMap<FlowId, (u64, u64)>,
     /// Serving-AP timeseries per client (AP id + 1 as f64), one point per
     /// sampling tick at which the client had a serving AP. What could be
@@ -540,12 +544,6 @@ pub struct World {
     /// that is still approaching coverage spends its time in TCP RTO
     /// backoff instead). Defaults to time zero.
     pub traffic_start: SimTime,
-    /// When enabled, a tcpdump-style line is recorded for every frame
-    /// that finishes on the air (see [`World::enable_frame_log`]).
-    frame_log: Option<Vec<String>>,
-    /// When enabled, every tunnelled data packet on the backhaul is
-    /// captured as a real Ethernet/IP/UDP frame (Wireshark-compatible).
-    backhaul_capture: Option<crate::pcap::PcapWriter>,
     /// Inert: the sampler it used to thin computes nothing any more.
     /// Deleted with ROADMAP item 6(ii), once `benchmark/` stops
     /// assigning it.
@@ -759,8 +757,6 @@ impl World {
             ctl_polls_armed: BTreeSet::new(),
             report: RunReport::default(),
             traffic_start: SimTime::ZERO,
-            frame_log: None,
-            backhaul_capture: None,
             sample_lean: false,
             sample_ticks: 0,
             ctl_bufs: Vec::new(),
@@ -1186,51 +1182,6 @@ impl World {
         for fi in 0..self.flows.len() as u32 {
             self.with_flow(FlowId(fi), SimTime::ZERO, |f, _, _| f.start_at(t0));
         }
-    }
-
-    /// Record a tcpdump-style line for every frame that completes on the
-    /// air. Read the result with [`World::frame_log`] after `run`.
-    pub fn enable_frame_log(&mut self) {
-        self.frame_log = Some(Vec::new());
-    }
-
-    /// Capture the backhaul's tunnelled data packets as a pcap (see
-    /// [`crate::pcap`]); retrieve it with [`World::backhaul_capture`].
-    pub fn enable_backhaul_capture(&mut self) {
-        self.backhaul_capture = Some(crate::pcap::PcapWriter::new());
-    }
-
-    /// The backhaul capture, if enabled.
-    pub fn backhaul_capture(&self) -> Option<&crate::pcap::PcapWriter> {
-        self.backhaul_capture.as_ref()
-    }
-
-    /// The recorded frame log (empty unless enabled).
-    pub fn frame_log(&self) -> &[String] {
-        self.frame_log.as_deref().unwrap_or(&[])
-    }
-
-    fn log_frame(&mut self, now: SimTime, frame: &Frame) {
-        let Some(log) = self.frame_log.as_mut() else {
-            return;
-        };
-        let desc = match &frame.kind {
-            FrameKind::Ampdu { mpdus } => format!(
-                "A-MPDU {} MPDUs seq {}..{} @{:?}",
-                mpdus.len(),
-                mpdus.first().map(|m| m.seq).unwrap_or(0),
-                mpdus.last().map(|m| m.seq).unwrap_or(0),
-                frame.mcs
-            ),
-            FrameKind::BlockAck { start_seq, bitmap } => {
-                format!("BlockAck start {} bitmap {:#x}", start_seq, bitmap)
-            }
-            FrameKind::Beacon => "Beacon".to_string(),
-            FrameKind::Mgmt { step } => format!("Mgmt {step:?}"),
-            FrameKind::Data { packet, .. } => format!("Data {} B", packet.len),
-            FrameKind::Ack => "Ack".to_string(),
-        };
-        log.push(format!("{now} {} > {}: {desc}", frame.from, frame.to));
     }
 
     /// Record a decoded downlink A-MPDU for `client` and close any

@@ -92,9 +92,6 @@ impl World {
                 return; // lost in the Click forwarding path; timeouts recover
             }
         }
-        if let Some(cap) = self.backhaul_capture.as_mut() {
-            cap.record_backhaul(now, &to, &msg);
-        }
         if let (Some(mean), Some(client)) = (processing, msg.control_client()) {
             let ci = self.client_index(client);
             let jitter = self.clients[ci]
@@ -122,11 +119,6 @@ impl World {
     /// schedule keeps its order (DESIGN §18).
     fn backhaul_fanout(&mut self, aps: u32, msg: BackhaulMsg, now: SimTime) {
         let at = now + BACKHAUL_LATENCY;
-        if let Some(cap) = self.backhaul_capture.as_mut() {
-            for &ap in &self.fanouts[aps as usize] {
-                cap.record_backhaul(now, &BackhaulDest::Ap(ap), &msg);
-            }
-        }
         let to = BackhaulTo::Aps(aps);
         self.queue.schedule(at, Ev::Backhaul { to, msg });
     }

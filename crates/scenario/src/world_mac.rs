@@ -158,7 +158,6 @@ impl World {
 
     fn on_tx_end(&mut self, tx: TxId, frame: Frame, now: SimTime) {
         self.report.frames_on_air += 1;
-        self.log_frame(now, &frame);
         let Frame {
             from,
             to,

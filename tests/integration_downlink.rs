@@ -120,45 +120,6 @@ fn finite_tcp_transfer_completes_and_is_timed() {
 
 // ------------------------------------------------- events that do nothing
 
-/// The APs each downlink packet of a backhaul capture was tunnelled to,
-/// in the order recorded: one entry per packet (consecutive downlink
-/// records carrying one cyclic index).
-fn downlink_fanouts(pcap: &[u8]) -> Vec<Vec<u8>> {
-    use wgtt_net::wire::{
-        EthernetHeader, TunnelHeader, TunnelKind, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN,
-        UDP_HEADER_LEN,
-    };
-    let mut fanouts: Vec<Vec<u8>> = Vec::new();
-    let mut last_index = None;
-    let mut at = 24; // past the global header
-    while at < pcap.len() {
-        let len = u32::from_le_bytes(pcap[at + 8..at + 12].try_into().unwrap()) as usize;
-        let frame = &pcap[at + 16..at + 16 + len];
-        at += 16 + len;
-        let shim = &frame[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN..];
-        let shim = TunnelHeader::parse(shim).expect("a tunnel record");
-        if shim.kind != TunnelKind::Downlink {
-            continue;
-        }
-        let ap = EthernetHeader::parse(frame)
-            .expect("an Ethernet frame")
-            .dst
-            .0[5];
-        if last_index != Some(shim.index) {
-            fanouts.push(Vec::new());
-            last_index = Some(shim.index);
-        }
-        fanouts.last_mut().expect("just pushed").push(ap);
-    }
-    fanouts
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 #[test]
 fn tcp_drive_schedules_no_timer_and_no_backhaul_event_it_does_not_need() {
     let cfg = TestbedConfig::paper_array().with_clients(vec![ClientPlan::drive_by(15.0)]);
@@ -169,30 +130,17 @@ fn tcp_drive_schedules_no_timer_and_no_backhaul_event_it_does_not_need() {
         7,
     );
     w.traffic_start = SimTime::from_secs(3); // the car reaches coverage
-    w.enable_backhaul_capture();
     w.run(SimDuration::from_secs(5));
-    let pcap = w.backhaul_capture().expect("enabled").to_bytes();
     let r = &w.report;
 
     // What the run delivers does not depend on how many events carry it:
     // these are the values of the engine that scheduled them all.
     assert_eq!(r.flow_meters[&FlowId(0)].total_bytes(), 3_365_152);
     assert_eq!(r.tcp_timeouts[&FlowId(0)], 1);
-    assert_eq!(
-        fnv1a(&pcap),
-        0xa710_899e_99f1_f9f1,
-        "backhaul capture moved"
-    );
-
-    // One record per (AP, packet), each packet's in the controller's
-    // emission order: ascending AP id, the order of its link map.
-    let fanouts = downlink_fanouts(&pcap);
-    assert!(fanouts.len() > 3_000, "{} packets", fanouts.len());
-    assert!(fanouts
-        .iter()
-        .all(|aps| aps.windows(2).all(|w| w[0] < w[1])));
-    let records: usize = fanouts.iter().map(Vec::len).sum();
-    assert!(records > 7 * fanouts.len(), "most packets go to all 8 APs");
+    // What the backhaul stream decides: the uplink copies the controller
+    // forwarded and discarded, and the switches it started and finished.
+    assert_eq!(r.uplink_dedup, (3_799, 4_719));
+    assert_eq!((r.switches_started, r.switches), (3, 3));
 
     // Every ACK that reaches the sender, every RTO and the flow's first
     // window arm one timer, and nothing re-arms a stale one.
@@ -203,13 +151,14 @@ fn tcp_drive_schedules_no_timer_and_no_backhaul_event_it_does_not_need() {
         "{} TcpTimer events for {armed} armings",
         r.events.tcp_timer
     );
-    // A packet's replication is one event whatever its width; the rest
-    // are Start, forwarded Block ACKs and AssocSync rounds.
+    // A packet's replication is one event whatever its width (this run
+    // fans 3 809 downlink packets out to 30 376 AP deliveries, DESIGN §7);
+    // the rest are Start, forwarded Block ACKs and AssocSync rounds.
+    let packets = 3_809;
     assert!(
-        r.events.backhaul_to_ap < 2 * fanouts.len() as u64,
-        "{} Backhaul->AP events for {} packets",
+        r.events.backhaul_to_ap < 2 * packets,
+        "{} Backhaul->AP events for {packets} packets",
         r.events.backhaul_to_ap,
-        fanouts.len()
     );
     assert_eq!(
         r.events.by_kind().map(|(_, n)| n).sum::<u64>(),
