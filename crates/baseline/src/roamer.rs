@@ -1,7 +1,7 @@
 //! Client-side roaming decisions for the baseline schemes.
 
-use std::collections::HashMap;
 use wgtt_mac::frame::{MgmtStep, NodeId};
+use wgtt_sim::hash::FastMap;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 /// Which baseline policy the client runs.
@@ -65,7 +65,7 @@ enum State {
 #[derive(Debug)]
 pub struct Roamer {
     mode: RoamerMode,
-    rssi: HashMap<NodeId, (f64, SimTime)>,
+    rssi: FastMap<NodeId, (f64, SimTime)>,
     associated: Option<NodeId>,
     last_switch: Option<SimTime>,
     below_since: Option<SimTime>,
@@ -84,7 +84,7 @@ impl Roamer {
     pub fn new(mode: RoamerMode) -> Self {
         Roamer {
             mode,
-            rssi: HashMap::new(),
+            rssi: FastMap::default(),
             associated: None,
             last_switch: None,
             below_since: None,

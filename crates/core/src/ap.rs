@@ -17,10 +17,10 @@
 
 use crate::cyclic::CyclicQueue;
 use crate::messages::{BackhaulDest, BackhaulMsg};
-use std::collections::HashMap;
 use wgtt_mac::downlink::{Downlink, Feed, TxSide, NIC_QUEUE_MPDUS};
 use wgtt_mac::frame::{Mpdu, NodeId};
 use wgtt_mac::sender::Unacked;
+use wgtt_sim::hash::FastMap;
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::SimTime;
 
@@ -71,7 +71,7 @@ pub struct ApAgent {
     /// This AP's node id.
     pub id: NodeId,
     /// client → AP currently serving it (replicated via `AssocSync`).
-    serving_map: HashMap<NodeId, NodeId>,
+    serving_map: FastMap<NodeId, NodeId>,
     /// The downlink scheduler, fed per client from the cyclic queue.
     pub tx: Downlink<CyclicFeed>,
     /// Forwarded Block ACKs that rescued an otherwise-lost window.
@@ -84,7 +84,7 @@ impl ApAgent {
     pub fn new(id: NodeId, rng: RngStream) -> Self {
         ApAgent {
             id,
-            serving_map: HashMap::new(),
+            serving_map: FastMap::default(),
             tx: Downlink::new(rng, "rate-ctl", NIC_QUEUE_MPDUS),
             forwarded_ba_used: 0,
         }

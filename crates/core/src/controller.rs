@@ -39,10 +39,10 @@ use crate::messages::BackhaulMsg;
 use crate::selection::{ApLoads, ApSelector, Verdict};
 use crate::switching::{SwitchEvent, SwitchProtocol};
 use crate::timerwheel::TimerWheel;
-use std::collections::HashMap;
 use wgtt_mac::frame::NodeId;
 use wgtt_mac::seq::SEQ_SPACE;
 use wgtt_net::Packet;
+use wgtt_sim::hash::FastMap;
 use wgtt_sim::metrics::Distribution;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -132,7 +132,7 @@ pub struct Controller {
     cfg: WgttConfig,
     /// Per-client state, made on first contact and kept for the run (a
     /// client that leaves coverage keeps its entry).
-    clients: HashMap<NodeId, ClientState>,
+    clients: FastMap<NodeId, ClientState>,
     all_aps: Vec<NodeId>,
     /// Uplink de-duplication, one filter per source address. The dedup
     /// key already namespaces by source (src ⧺ IP ident, §3.2.2), so
@@ -140,7 +140,7 @@ pub struct Controller {
     /// pressure — and it makes every piece of controller state
     /// per-client, which is what lets a spatially sharded run keep a
     /// controller per shard without cross-shard coupling.
-    dedup: HashMap<u32, DedupFilter>,
+    dedup: FastMap<u32, DedupFilter>,
     /// Switch-ack deadlines, payload = client id (`NodeId.0`). Entries
     /// are never cancelled; liveness is re-checked against the client's
     /// protocol driver on every query.
@@ -169,9 +169,9 @@ impl Controller {
              or a full filter never evicts and drops every packet after the ident wraps"
         );
         Controller {
-            dedup: HashMap::new(),
+            dedup: FastMap::default(),
             cfg,
-            clients: HashMap::new(),
+            clients: FastMap::default(),
             all_aps: aps,
             wheel: TimerWheel::new(),
             poll_scratch: Vec::new(),
@@ -423,7 +423,7 @@ impl Controller {
 
 /// `client`'s state, made on first contact.
 fn state<'a>(
-    clients: &'a mut HashMap<NodeId, ClientState>,
+    clients: &'a mut FastMap<NodeId, ClientState>,
     cfg: &WgttConfig,
     client: NodeId,
 ) -> &'a mut ClientState {
@@ -434,7 +434,7 @@ fn state<'a>(
 
 /// Whether the deadline entry `(id, ns)` still belongs to an armed
 /// switch of client `id`.
-fn is_live(clients: &HashMap<NodeId, ClientState>, id: u32, ns: u64) -> bool {
+fn is_live(clients: &FastMap<NodeId, ClientState>, id: u32, ns: u64) -> bool {
     clients[&NodeId(id)].switcher.timeout_at() == Some(SimTime::from_nanos(ns))
 }
 

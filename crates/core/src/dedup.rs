@@ -18,7 +18,8 @@
 //! long-lived chatty flow's key aged out while its copies were still
 //! arriving, so a late third copy was re-accepted and forwarded twice.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
+use wgtt_sim::hash::FastMap;
 
 /// Bounded-memory duplicate filter over 48-bit packet keys, evicting in
 /// least-recently-seen order.
@@ -33,10 +34,14 @@ use std::collections::{BTreeMap, HashMap};
 pub struct DedupFilter {
     /// key → recency stamp of its most recent sighting (first copy *or*
     /// duplicate hit).
-    seen: HashMap<u64, u64>,
-    /// recency stamp → key; `BTreeMap` iteration order is ascending, so
-    /// the first entry is always the eviction victim.
-    order: BTreeMap<u64, u64>,
+    seen: FastMap<u64, u64>,
+    /// `(stamp, key)` of every sighting not yet compacted away, in stamp
+    /// order. An entry is live while `seen[key]` still holds its stamp;
+    /// a hit leaves the key's older entry stale, so the first live entry
+    /// is always the eviction victim. Stale entries are skipped when
+    /// they reach the front and dropped wholesale once the deque holds
+    /// more than `2·len + 64` entries.
+    order: VecDeque<(u64, u64)>,
     /// Monotonic sighting counter backing the recency stamps.
     tick: u64,
     capacity: usize,
@@ -57,8 +62,8 @@ impl DedupFilter {
             // source — ~100 GiB at the 10⁵-source scale the controller
             // tests pin — for sources that mostly hold a handful of
             // in-flight keys.
-            seen: HashMap::new(),
-            order: BTreeMap::new(),
+            seen: FastMap::default(),
+            order: VecDeque::new(),
             tick: 0,
             capacity,
             accepted: 0,
@@ -71,21 +76,36 @@ impl DedupFilter {
     /// so an actively chatty flow is never evicted ahead of idle ones.
     pub fn check_and_insert(&mut self, key: u64) -> bool {
         self.tick += 1;
-        if let Some(stamp) = self.seen.get_mut(&key) {
+        let fresh = if let Some(stamp) = self.seen.get_mut(&key) {
             self.duplicates += 1;
-            let old = std::mem::replace(stamp, self.tick);
-            self.order.remove(&old);
-            self.order.insert(self.tick, key);
-            return false;
+            *stamp = self.tick;
+            false
+        } else {
+            if self.seen.len() >= self.capacity {
+                self.evict_least_recent();
+            }
+            self.seen.insert(key, self.tick);
+            self.accepted += 1;
+            true
+        };
+        self.order.push_back((self.tick, key));
+        if self.order.len() > 2 * self.seen.len() + 64 {
+            let seen = &self.seen;
+            self.order
+                .retain(|(stamp, key)| seen.get(key) == Some(stamp));
         }
-        if self.seen.len() >= self.capacity {
-            let (_, victim) = self.order.pop_first().expect("non-empty at capacity");
-            self.seen.remove(&victim);
+        fresh
+    }
+
+    /// Forget the key whose latest sighting is the oldest.
+    fn evict_least_recent(&mut self) {
+        loop {
+            let (stamp, key) = self.order.pop_front().expect("every key has a live entry");
+            if self.seen.get(&key) == Some(&stamp) {
+                self.seen.remove(&key);
+                return;
+            }
         }
-        self.seen.insert(key, self.tick);
-        self.order.insert(self.tick, key);
-        self.accepted += 1;
-        true
     }
 
     /// Keys currently remembered.
@@ -208,12 +228,54 @@ mod tests {
 
     proptest! {
         #[test]
-        fn set_and_queue_stay_consistent(keys in proptest::collection::vec(0u64..50, 1..300)) {
+        fn set_and_queue_stay_consistent(
+            span in 1u64..50,
+            keys in proptest::collection::vec(0u64..50, 1..600),
+        ) {
+            // Spans up to 16 never evict, so only compaction can bound
+            // the stale stamps their hits leave.
             let mut d = DedupFilter::new(16);
             for k in keys {
-                d.check_and_insert(k);
+                d.check_and_insert(k % span);
                 prop_assert!(d.len() <= 16);
-                prop_assert_eq!(d.order.len(), d.seen.len());
+                // Each remembered key has exactly one live stamp, and the
+                // stale ones never pile up past the compaction bound.
+                for (key, stamp) in &d.seen {
+                    let live = d.order.iter().filter(|&e| *e == (*stamp, *key)).count();
+                    prop_assert_eq!(live, 1);
+                }
+                prop_assert!(d.order.len() <= 2 * d.seen.len() + 64);
+            }
+        }
+
+        /// The filter against a naive LRU list (least recent first): the
+        /// same verdict on every key and the same remembered set after
+        /// every step.
+        #[test]
+        fn evicts_exactly_like_a_naive_lru(keys in proptest::collection::vec(0u64..40, 1..600)) {
+            const CAPACITY: usize = 16;
+            let mut d = DedupFilter::new(CAPACITY);
+            let mut lru: Vec<u64> = Vec::new();
+            for k in keys {
+                let fresh = match lru.iter().position(|&x| x == k) {
+                    Some(i) => {
+                        lru.remove(i);
+                        false
+                    }
+                    None => {
+                        if lru.len() >= CAPACITY {
+                            lru.remove(0);
+                        }
+                        true
+                    }
+                };
+                lru.push(k);
+                prop_assert_eq!(d.check_and_insert(k), fresh);
+                let mut remembered: Vec<u64> = d.seen.keys().copied().collect();
+                remembered.sort_unstable();
+                let mut want = lru.clone();
+                want.sort_unstable();
+                prop_assert_eq!(remembered, want);
             }
         }
     }

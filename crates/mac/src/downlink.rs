@@ -14,7 +14,7 @@ use crate::frame::{Mpdu, NodeId};
 use crate::mcs::Mcs;
 use crate::rate::RateController;
 use crate::sender::{BaFeedback, Sender, Unacked};
-use std::collections::HashMap;
+use wgtt_sim::hash::FastMap;
 use wgtt_sim::rng::RngStream;
 
 /// MPDUs a sender stages below its feed: the NIC hardware queue of the
@@ -52,7 +52,7 @@ impl<F: Feed> Client<F> {
 
 /// The transmit side of one AP.
 pub struct Downlink<F> {
-    clients: HashMap<NodeId, Client<F>>,
+    clients: FastMap<NodeId, Client<F>>,
     rng: RngStream,
     rate_label: &'static str,
     stage_cap: usize,
@@ -70,7 +70,7 @@ impl<F: Feed> Downlink<F> {
     /// `stage_cap` fresh MPDUs below its feed.
     pub fn new(rng: RngStream, rate_label: &'static str, stage_cap: usize) -> Self {
         Downlink {
-            clients: HashMap::new(),
+            clients: FastMap::default(),
             rng,
             rate_label,
             stage_cap,

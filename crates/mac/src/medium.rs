@@ -44,11 +44,35 @@ pub enum TxOutcome {
 
 #[derive(Debug)]
 struct Ongoing {
-    from: NodeId,
-    start: SimTime,
     end: SimTime,
     /// Senders of transmissions that overlapped this one in time.
     overlapped_with: Vec<NodeId>,
+}
+
+/// A transmission that had not ended at the latest `begin_tx`: what a
+/// busy query reads, without a visit to its `recent` entry.
+#[derive(Debug, Clone, Copy)]
+struct Air {
+    id: u64,
+    from: NodeId,
+    start: SimTime,
+    end: SimTime,
+}
+
+/// What the medium knows of one node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    /// `None` until the node is placed.
+    pos: Option<Position>,
+    /// Wireless channel (default 0). Nodes on different channels
+    /// neither sense, interfere with, nor receive each other — the §7
+    /// multi-channel discussion of the paper.
+    channel: u8,
+    /// Latest end of any transmission the node has begun. Every
+    /// transmission that had not ended at the latest `begin_tx` is on
+    /// `on_air`, so for a query at or after it this is what a walk of
+    /// `on_air` for the node's own entries would find.
+    own_until: SimTime,
 }
 
 /// Single-channel medium shared by all nodes of a scenario.
@@ -59,11 +83,7 @@ struct Ongoing {
 #[derive(Debug)]
 pub struct Medium {
     /// Indexed by node id (scenario ids are small and dense).
-    positions: Vec<Option<Position>>,
-    /// Wireless channel per node id (default 0). Nodes on different
-    /// channels neither sense, interfere with, nor receive each other —
-    /// the §7 multi-channel discussion of the paper.
-    channels: Vec<u8>,
+    nodes: Vec<Node>,
     /// Range within which a node defers to another's transmission, metres.
     pub cs_range_m: f64,
     /// Range within which an overlapping sender corrupts a reception,
@@ -74,27 +94,30 @@ pub struct Medium {
     /// offset and retiring pops the front.
     recent: VecDeque<Ongoing>,
     first_id: u64,
-    /// Ids (ascending) of the `recent` entries that had not ended at the
-    /// latest `begin_tx` — the only ones a busy or overlap query has to
-    /// look at. A handful, where `recent` holds the whole grace window.
-    on_air: Vec<u64>,
+    /// The `recent` entries that had not ended at the latest `begin_tx`,
+    /// in id order — the only ones a busy or overlap query has to look
+    /// at. A handful, where `recent` holds the whole grace window.
+    on_air: Vec<Air>,
     /// Instant of the latest `begin_tx`: an entry is retired, for lookups
     /// by id too, once its grace period ends at or before this.
     retired_at: SimTime,
+    /// Emptied `overlapped_with` lists of retired entries, for
+    /// `begin_tx` to reuse: a steady state allocates none.
+    spare_lists: Vec<Vec<NodeId>>,
 }
 
 impl Medium {
     /// A medium with the given carrier-sense and interference ranges.
     pub fn new(cs_range_m: f64, interference_range_m: f64) -> Self {
         Medium {
-            positions: Vec::new(),
-            channels: Vec::new(),
+            nodes: Vec::new(),
             cs_range_m,
             interference_range_m,
             recent: VecDeque::new(),
             first_id: 0,
             on_air: Vec::new(),
             retired_at: SimTime::ZERO,
+            spare_lists: Vec::new(),
         }
     }
 
@@ -104,28 +127,34 @@ impl Medium {
         Medium::new(40.0, 40.0)
     }
 
+    /// What the medium knows of `node` (the default if nothing yet).
+    fn node(&self, node: NodeId) -> Node {
+        self.nodes.get(node.0 as usize).copied().unwrap_or_default()
+    }
+
+    /// `node`'s entry, made on first use.
+    fn node_mut(&mut self, node: NodeId) -> &mut Node {
+        let i = node.0 as usize;
+        if i >= self.nodes.len() {
+            self.nodes.resize(i + 1, Node::default());
+        }
+        &mut self.nodes[i]
+    }
+
     /// Update a node's position (mobility ticks call this).
     pub fn set_position(&mut self, node: NodeId, pos: Position) {
-        let i = node.0 as usize;
-        if i >= self.positions.len() {
-            self.positions.resize(i + 1, None);
-        }
-        self.positions[i] = Some(pos);
+        self.node_mut(node).pos = Some(pos);
     }
 
     /// Tune a node to a channel (default 0; single-channel deployments
     /// never need to call this).
     pub fn set_channel(&mut self, node: NodeId, channel: u8) {
-        let i = node.0 as usize;
-        if i >= self.channels.len() {
-            self.channels.resize(i + 1, 0);
-        }
-        self.channels[i] = channel;
+        self.node_mut(node).channel = channel;
     }
 
     /// The channel a node is tuned to.
     pub fn channel_of(&self, node: NodeId) -> u8 {
-        self.channels.get(node.0 as usize).copied().unwrap_or(0)
+        self.node(node).channel
     }
 
     /// Whether two nodes share a channel (can hear each other at all).
@@ -136,29 +165,32 @@ impl Medium {
     /// A node's current position. Panics on unknown nodes — registering
     /// positions before use is a scenario invariant.
     pub fn position(&self, node: NodeId) -> Position {
-        self.positions
-            .get(node.0 as usize)
-            .copied()
-            .flatten()
-            .unwrap_or_else(|| panic!("node {node} has no position"))
+        placed(node, self.node(node))
     }
 
-    fn in_range(&self, a: NodeId, b: NodeId, range: f64) -> bool {
-        self.same_channel(a, b) && self.position(a).distance_to(self.position(b)) <= range
-    }
-
-    /// The transmissions that may still be on the air.
-    fn on_air(&self) -> impl Iterator<Item = &Ongoing> + '_ {
-        self.on_air
-            .iter()
-            .map(|&id| &self.recent[(id - self.first_id) as usize])
+    /// Whether another node shares `node`'s channel and lies within
+    /// `range` of it, with `node`'s channel and position looked up once.
+    /// The along-road offset rejects most nodes before the distance: in
+    /// binary64, `sqrt(fl(dx²) + fl(dy²)) ≥ sqrt(fl(dx²)) = |dx|`, so the
+    /// shortcut never rejects a node the distance would accept.
+    fn near(&self, node: NodeId, range: f64) -> impl Fn(NodeId) -> bool + '_ {
+        let me = self.node(node);
+        move |other| {
+            let them = self.node(other);
+            if them.channel != me.channel {
+                return false;
+            }
+            let (here, there) = (placed(node, me), placed(other, them));
+            (here.x - there.x).abs() <= range && here.distance_to(there) <= range
+        }
     }
 
     /// Transmissions other than `node`'s own that it can sense at `now`.
-    fn sensed_by(&self, node: NodeId, now: SimTime) -> impl Iterator<Item = &Ongoing> + '_ {
-        self.on_air().filter(move |o| {
-            o.end > now && o.from != node && self.in_range(node, o.from, self.cs_range_m)
-        })
+    fn sensed_by(&self, node: NodeId, now: SimTime) -> impl Iterator<Item = &Air> + '_ {
+        let near = self.near(node, self.cs_range_m);
+        self.on_air
+            .iter()
+            .filter(move |o| o.end > now && o.from != node && near(o.from))
     }
 
     /// Transmission `id`, unless it was never begun or has been retired.
@@ -195,11 +227,7 @@ impl Medium {
     /// Latest end time of `node`'s *own* ongoing transmissions (a radio
     /// cannot start a second frame while one is still leaving it).
     pub fn own_tx_until(&self, node: NodeId, now: SimTime) -> SimTime {
-        self.on_air()
-            .filter(|o| o.end > now && o.from == node)
-            .map(|o| o.end)
-            .max()
-            .unwrap_or(now)
+        self.node(node).own_until.max(now)
     }
 
     /// When could `node`, starting to contend at `now` after `retries`
@@ -233,12 +261,13 @@ impl Medium {
         // Entries still on the air overlap us; the ones that ended drop
         // off the active list (they stay queryable by id for `GRACE`).
         let (recent, first_id) = (&mut self.recent, self.first_id);
-        let mut overlapped_with = Vec::new();
-        self.on_air.retain(|&id| {
-            let other = &mut recent[(id - first_id) as usize];
+        let mut overlapped_with = self.spare_lists.pop().unwrap_or_default();
+        self.on_air.retain(|other| {
             let live = other.end > now;
             if live {
-                other.overlapped_with.push(from);
+                recent[(other.id - first_id) as usize]
+                    .overlapped_with
+                    .push(from);
                 overlapped_with.push(other.from);
             }
             live
@@ -247,15 +276,27 @@ impl Medium {
         // `now`.
         self.retired_at = now;
         while self.recent.front().is_some_and(|o| o.end + GRACE <= now) {
-            self.recent.pop_front();
+            let mut retired = self
+                .recent
+                .pop_front()
+                .expect("front exists")
+                .overlapped_with;
+            retired.clear();
+            self.spare_lists.push(retired);
             self.first_id += 1;
         }
         let id = self.first_id + self.recent.len() as u64;
-        self.on_air.push(id);
-        self.recent.push_back(Ongoing {
+        let end = now + dur;
+        let own = &mut self.node_mut(from).own_until;
+        *own = (*own).max(end);
+        self.on_air.push(Air {
+            id,
             from,
             start: now,
-            end: now + dur,
+            end,
+        });
+        self.recent.push_back(Ongoing {
+            end,
             overlapped_with,
         });
         TxId(id)
@@ -265,11 +306,7 @@ impl Medium {
     /// the transmission's end. The transmission stays queryable until
     /// a `begin_tx` at least `GRACE` (100 ms) after its end retires it.
     pub fn outcome_for(&self, id: TxId, rx: NodeId) -> TxOutcome {
-        assert!(
-            self.lookup(id).is_some(),
-            "outcome_for on unknown or retired transmission"
-        );
-        if self.interferers_for(id, rx).next().is_some() {
+        if self.corrupters(id, rx).next().is_some() {
             TxOutcome::Collided
         } else {
             TxOutcome::Clean
@@ -288,9 +325,26 @@ impl Medium {
     /// cell-radii away overlaps in time but contributes nothing at the
     /// receiver, so it must not enter capture comparisons either.
     pub fn interferers_for(&self, id: TxId, rx: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.overlappers(id).iter().copied().filter(move |&other| {
-            other != rx && self.in_range(other, rx, self.interference_range_m)
-        })
+        let near = self.near(rx, self.interference_range_m);
+        self.overlappers(id)
+            .iter()
+            .copied()
+            .filter(move |&other| other != rx && near(other))
+    }
+
+    /// [`Medium::interferers_for`] of a transmission that must still be
+    /// queryable — the walk a receiver's verdict takes: none means
+    /// [`TxOutcome::Clean`], any means [`TxOutcome::Collided`].
+    ///
+    /// # Panics
+    ///
+    /// If `id` was never begun or has been retired.
+    pub fn corrupters(&self, id: TxId, rx: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        assert!(
+            self.lookup(id).is_some(),
+            "a verdict asked of an unknown or retired transmission"
+        );
+        self.interferers_for(id, rx)
     }
 
     /// Whether transmission `id` overlapped any other transmission at all
@@ -301,10 +355,18 @@ impl Medium {
 
     /// Number of transmissions currently on the air at `now`.
     pub fn active_count(&self, now: SimTime) -> usize {
-        self.on_air()
+        self.on_air
+            .iter()
             .filter(|o| o.start <= now && o.end > now)
             .count()
     }
+}
+
+/// `node`'s position. Panics on unknown nodes — registering positions
+/// before use is a scenario invariant.
+fn placed(id: NodeId, node: Node) -> Position {
+    node.pos
+        .unwrap_or_else(|| panic!("node {id} has no position"))
 }
 
 #[cfg(test)]
@@ -426,6 +488,36 @@ mod tests {
         assert_eq!(m.outcome_for(a, NodeId(3)), TxOutcome::Clean);
         assert!(m.same_channel(NodeId(1), NodeId(3)));
         assert!(!m.same_channel(NodeId(1), NodeId(2)));
+    }
+
+    #[test]
+    fn range_edge_along_the_road_is_inclusive() {
+        let mut m = medium_with(&[(1, 0.0, 0.0), (2, 40.0, 0.0), (3, -40.0, 3.0)]);
+        m.begin_tx(NodeId(1), ms(0), SimDuration::from_millis(2));
+        assert!(
+            m.is_busy_for(NodeId(2), ms(1)),
+            "exactly 40 m along the road"
+        );
+        assert!(
+            !m.is_busy_for(NodeId(3), ms(1)),
+            "40 m along and 3 m across"
+        );
+    }
+
+    #[test]
+    fn retired_lists_come_back_empty_and_own_time_lapses() {
+        let mut m = medium_with(&[(1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0)]);
+        let a = m.begin_tx(NodeId(1), ms(0), SimDuration::from_millis(2));
+        m.begin_tx(NodeId(2), ms(1), SimDuration::from_millis(2));
+        assert_eq!(m.overlappers(a), &[NodeId(2)]);
+        assert_eq!(m.own_tx_until(NodeId(1), ms(1)), ms(2));
+        // 200 ms on, both have retired, and the next ones take their lists.
+        let c = m.begin_tx(NodeId(3), ms(200), SimDuration::from_millis(2));
+        let d = m.begin_tx(NodeId(1), ms(201), SimDuration::from_millis(2));
+        assert_eq!(m.overlappers(c), &[NodeId(1)]);
+        assert_eq!(m.overlappers(d), &[NodeId(3)]);
+        assert_eq!(m.own_tx_until(NodeId(2), ms(201)), ms(201));
+        assert_eq!(m.own_tx_until(NodeId(1), ms(202)), ms(203));
     }
 
     #[test]

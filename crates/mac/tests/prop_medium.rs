@@ -16,7 +16,18 @@ use wgtt_radio::Position;
 use wgtt_sim::time::{SimDuration, SimTime};
 
 const GRACE: SimDuration = SimDuration::from_millis(100);
-const NODES: u32 = 12;
+/// Nodes 0–11 line the road 9 m apart; 12–15 are a second cluster
+/// 300 m on, far beyond either range of anything in the first.
+const NODES: u32 = 16;
+/// Where a node starts.
+fn home(n: u32) -> Position {
+    if n < 12 {
+        // 9 m apart: each node senses about four neighbours a side.
+        Position::new(f64::from(n) * 9.0, f64::from(n % 3) * 4.0)
+    } else {
+        Position::new(300.0 + f64::from(n - 12) * 9.0, f64::from(n % 2) * 4.0)
+    }
+}
 
 struct ModelTx {
     from: NodeId,
@@ -127,15 +138,13 @@ impl Model {
 proptest! {
     #[test]
     fn random_call_sequences_match_the_naive_medium(
-        ops in proptest::collection::vec((0u8..12, 0u32..NODES, 0u64..4000, 0u64..600), 1..300)
+        ops in proptest::collection::vec((0u8..13, 0u32..NODES, 0u64..4000, 0u64..600), 1..300)
     ) {
         let mut medium = Medium::roadside();
         let mut model = Model::roadside();
         for n in 0..NODES {
-            // 9 m apart: each node senses about four neighbours a side.
-            let pos = Position::new(f64::from(n) * 9.0, f64::from(n % 3) * 4.0);
-            medium.set_position(NodeId(n), pos);
-            model.positions.insert(NodeId(n), pos);
+            medium.set_position(NodeId(n), home(n));
+            model.positions.insert(NodeId(n), home(n));
         }
         let mut now = SimTime::ZERO;
         let mut txs: Vec<(TxId, usize)> = Vec::new();
@@ -179,6 +188,20 @@ proptest! {
                 10 => prop_assert_eq!(
                     medium.active_count(now), model.active_count(now), "op {}", i
                 ),
+                12 => {
+                    // Move `node`'s neighbour to exactly the range along
+                    // the road from it (both ranges are 40 m): on the
+                    // road axis (in range, distance exactly 40), a hair
+                    // off it (the distance still rounds to 40) or
+                    // diagonally (out of range).
+                    let other = NodeId((n + 1) % NODES);
+                    let at = model.positions[&node];
+                    let dx = if a % 2 == 0 { 40.0 } else { -40.0 };
+                    let dy = [0.0, 1e-9, 0.25, 3.0][(b % 4) as usize];
+                    let pos = Position::new(at.x + dx, at.y + dy);
+                    medium.set_position(other, pos);
+                    model.positions.insert(other, pos);
+                }
                 _ => {
                     // Any transmission ever begun, retired ones included.
                     if txs.is_empty() {

@@ -8,6 +8,7 @@
 //! track.
 
 use crate::wire::Ipv4Addr;
+use wgtt_sim::hash::FastMap;
 use wgtt_sim::time::SimTime;
 
 /// Identity of an end-to-end flow in a scenario.
@@ -72,7 +73,7 @@ impl Packet {
 #[derive(Debug, Default)]
 pub struct PacketFactory {
     next_id: u64,
-    next_ident: std::collections::HashMap<Ipv4Addr, u16>,
+    next_ident: FastMap<Ipv4Addr, u16>,
 }
 
 impl PacketFactory {

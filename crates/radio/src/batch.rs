@@ -38,20 +38,18 @@ mod tests {
     use super::*;
     use crate::antenna::ParabolicAntenna;
     use crate::fading::FadingProcess;
-    use crate::link::{LinkBudget, LinkSite};
+    use crate::link::LinkSite;
     use crate::pathloss::PathLossModel;
     use wgtt_sim::rng::RngStream;
 
     fn ap_link(seed: u64, x: f64) -> Link {
-        LinkSite {
-            ap_pos: Position::new(x, 12.0),
-            ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-            ap_antenna: ParabolicAntenna::laird_gd24bp(),
-            client_antenna_dbi: 0.0,
-            budget: LinkBudget::default(),
-            pathloss: PathLossModel::roadside(),
-            fading_peak_db: crate::fading::peak_gain_db(6.0),
-        }
+        LinkSite::new(
+            Position::new(x, 12.0),
+            -std::f64::consts::FRAC_PI_2,
+            ParabolicAntenna::laird_gd24bp(),
+            PathLossModel::roadside(),
+            crate::fading::peak_gain_db(6.0),
+        )
         .link(FadingProcess::new(
             RngStream::root(seed).derive("link"),
             6.7,

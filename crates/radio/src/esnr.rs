@@ -386,13 +386,14 @@ pub mod reference {
     }
 }
 
-/// Lane width of the BER sweep. All 56 subcarriers form **one** pack:
-/// each lane operation compiles to seven independent 512-bit (or
-/// fourteen 256-bit) instructions, so the deep erfc/exp Horner chains —
-/// which Rust never FMA-contracts, keeping them bit-exact — overlap in
-/// the out-of-order core instead of serializing per 8-lane chunk.
-/// Lane width is correctness-neutral (no operation crosses lanes);
-/// `prop_simd` pins bit-identity across widths.
+/// Lane width of the BER sweep: the 56 subcarriers go through as seven
+/// chunks of eight, and each lane operation is one 512-bit instruction
+/// (or two 256-bit ones). The chunks are independent until their BERs join the
+/// running sum, so the deep erfc/exp Horner chains — which Rust never
+/// FMA-contracts, keeping them bit-exact — of one chunk overlap the next
+/// in the out-of-order core. Wider packs (14, 28 or all 56 lanes) were
+/// no faster (DESIGN.md §22.4). Lane width is correctness-neutral (no
+/// operation crosses lanes); `prop_simd` pins bit-identity across widths.
 const LANES: usize = 8;
 
 multiversion! {

@@ -46,7 +46,8 @@ use crate::pathloss::PathLossModel;
 use std::cell::RefCell;
 use wgtt_sim::time::SimTime;
 
-/// Transmit power and noise assumptions shared by every node.
+/// Transmit power and noise assumptions shared by every node: one
+/// [`LinkBudget::testbed`] for every site.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkBudget {
     /// Transmit power, dBm (per-direction EIRP before antenna gains).
@@ -56,7 +57,7 @@ pub struct LinkBudget {
 }
 
 impl LinkBudget {
-    /// The testbed's budget (also the `Default`), calibrated so a
+    /// The testbed's budget, calibrated so a
     /// boresight client at the road (≈12 m) sees ≈25 dB mean SNR, falling
     /// through the MCS range within ±5–6 m along the road — the ≈5 m
     /// picocell with 6–10 m overlap of paper Figs. 9–10.
@@ -68,31 +69,36 @@ impl LinkBudget {
     }
 }
 
-impl Default for LinkBudget {
-    fn default() -> Self {
-        Self::testbed()
-    }
-}
+/// Every node's budget.
+const BUDGET: LinkBudget = LinkBudget::testbed();
 
-/// The static half of a [`Link`]: the AP's placement and antennas, the
-/// budget, the propagation model and the fading's peak gain — everything
-/// but the fading realization and the memo. Pure geometry, so a caller
+/// Gain of every client's antenna, dBi: the laptops' built-in
+/// omnidirectional antennas (paper §4.2).
+const CLIENT_ANTENNA_DBI: f64 = 0.0;
+
+/// The static half of a [`Link`]: the AP's placement and antenna, the
+/// propagation model and the fading's peak gain — everything but the
+/// fading realization and the memo. The budget and the client's antenna
+/// are the same for every site. Pure geometry, so a caller
 /// choosing among links it has not drawn asks here
 /// ([`LinkSite::mean_snr_db`] is what [`Link::mean_snr_db`] returns, and
 /// the ceilings hold for every link of the site), and [`LinkSite::link`]
-/// builds one.
+/// builds one. [`LinkSite::new`] fixes the boresight and the antenna,
+/// from which it derives where the pattern's sidelobe floor begins.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSite {
     /// AP position on the plane, metres.
     pub ap_pos: Position,
     /// AP antenna boresight bearing, radians from +x.
-    pub ap_boresight_rad: f64,
+    ap_boresight_rad: f64,
     /// AP directional antenna.
-    pub ap_antenna: ParabolicAntenna,
-    /// Client antenna gain (omnidirectional), dBi.
-    pub client_antenna_dbi: f64,
-    /// Power/noise budget.
-    pub budget: LinkBudget,
+    ap_antenna: ParabolicAntenna,
+    /// Unit vector along the boresight.
+    boresight: (f64, f64),
+    /// Cosine of the off-boresight angle beyond which the antenna gain is
+    /// its flat floor, with [`FLOOR_MARGIN_RAD`] added to the angle; −∞
+    /// when the floor is not reached before π.
+    floor_cos: f64,
     /// Large-scale propagation model.
     pub pathloss: PathLossModel,
     /// The most the fading of this site's links can add to their mean
@@ -101,15 +107,59 @@ pub struct LinkSite {
     pub fading_peak_db: f64,
 }
 
+/// Slack, radians, between the parabolic pattern's floor edge and where
+/// [`LinkSite::mean_snr_db`] starts reading the floor without the angle.
+/// It dwarfs the ulp-level error of both ways of measuring the angle.
+const FLOOR_MARGIN_RAD: f64 = 1e-6;
+
 impl LinkSite {
+    /// A site from its parts; see the fields of the same names.
+    pub fn new(
+        ap_pos: Position,
+        ap_boresight_rad: f64,
+        ap_antenna: ParabolicAntenna,
+        pathloss: PathLossModel,
+        fading_peak_db: f64,
+    ) -> Self {
+        // `12·(θ/θ_3dB)² ≥ A_sl` from `θ_3dB·√(A_sl/12)` on.
+        let edge = ap_antenna.beamwidth_deg.abs().to_radians()
+            * (ap_antenna.sidelobe_db / 12.0).sqrt()
+            + FLOOR_MARGIN_RAD;
+        LinkSite {
+            ap_pos,
+            ap_boresight_rad,
+            ap_antenna,
+            boresight: (ap_boresight_rad.cos(), ap_boresight_rad.sin()),
+            floor_cos: if edge < std::f64::consts::PI {
+                edge.cos()
+            } else {
+                f64::NEG_INFINITY
+            },
+            pathloss,
+            fading_peak_db,
+        }
+    }
+
     /// Large-scale mean SNR for a client at `client_pos`, dB. Pure
     /// geometry — no fading.
+    ///
+    /// A client more than 1e-6 rad beyond the floor edge reads
+    /// the floor `peak − sidelobe` — what
+    /// [`ParabolicAntenna::gain_dbi`] returns there, bit for bit — from
+    /// one dot product, without the bearing's `atan2` and the angle's
+    /// remainder; inside it the angle is taken as before.
     pub fn mean_snr_db(&self, client_pos: Position) -> f64 {
         let dist = self.ap_pos.distance_to(client_pos);
-        let bearing = self.ap_pos.bearing_to(client_pos);
-        let off_boresight = angle_between(bearing, self.ap_boresight_rad);
-        let gain = self.ap_antenna.gain_dbi(off_boresight) + self.client_antenna_dbi;
-        self.budget.tx_power_dbm + gain - self.pathloss.loss_db(dist) - self.budget.noise_floor_dbm
+        let (dx, dy) = (client_pos.x - self.ap_pos.x, client_pos.y - self.ap_pos.y);
+        let ap_gain = if dx * self.boresight.0 + dy * self.boresight.1 < self.floor_cos * dist {
+            self.ap_antenna.peak_gain_dbi - self.ap_antenna.sidelobe_db
+        } else {
+            let bearing = self.ap_pos.bearing_to(client_pos);
+            self.ap_antenna
+                .gain_dbi(angle_between(bearing, self.ap_boresight_rad))
+        };
+        let gain = ap_gain + CLIENT_ANTENNA_DBI;
+        BUDGET.tx_power_dbm + gain - self.pathloss.loss_db(dist) - BUDGET.noise_floor_dbm
     }
 
     /// Static ceiling on [`Link::esnr_db_at`] and [`Link::snr_db_at`]
@@ -125,7 +175,7 @@ impl LinkSite {
     /// so the two compare term by term. A capture comparison reads this
     /// for links it will mostly never evaluate.
     pub fn rssi_ceiling_dbm(&self, client_pos: Position) -> f64 {
-        self.esnr_ceiling_db(client_pos) + self.budget.noise_floor_dbm
+        self.esnr_ceiling_db(client_pos) + BUDGET.noise_floor_dbm
     }
 
     /// The link from this site with the fading realization `fading` and
@@ -313,7 +363,7 @@ impl Link {
         let csi = self.fading.csi_at(t);
         let fade_db = linear_to_db(csi.mean_power());
         let snr_db = mean_snr_db + fade_db;
-        let rssi_dbm = snr_db + self.site.budget.noise_floor_dbm;
+        let rssi_dbm = snr_db + BUDGET.noise_floor_dbm;
         LinkSnapshot {
             mean_snr_db,
             csi,
@@ -347,7 +397,7 @@ impl Link {
     /// power sweep. Equal to `self.snapshot(t, client_pos).rssi_dbm` bit
     /// for bit.
     pub fn rssi_dbm_at(&self, t: SimTime, client_pos: Position) -> f64 {
-        self.snr_db_at(t, client_pos) + self.site.budget.noise_floor_dbm
+        self.snr_db_at(t, client_pos) + BUDGET.noise_floor_dbm
     }
 
     /// Effective SNR (dB) at `(t, client_pos)` under `modulation`,
@@ -443,15 +493,13 @@ mod tests {
 
     /// An AP at (0, 12) pointing straight down at the road (y = 0).
     fn test_link(seed: u64) -> Link {
-        LinkSite {
-            ap_pos: Position::new(0.0, 12.0),
-            ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-            ap_antenna: ParabolicAntenna::laird_gd24bp(),
-            client_antenna_dbi: 0.0,
-            budget: LinkBudget::default(),
-            pathloss: PathLossModel::roadside(),
-            fading_peak_db: crate::fading::peak_gain_db(6.0),
-        }
+        LinkSite::new(
+            Position::new(0.0, 12.0),
+            -std::f64::consts::FRAC_PI_2,
+            ParabolicAntenna::laird_gd24bp(),
+            PathLossModel::roadside(),
+            crate::fading::peak_gain_db(6.0),
+        )
         .link(FadingProcess::new(
             RngStream::root(seed).derive("link"),
             6.7,
@@ -499,7 +547,7 @@ mod tests {
         let pos = Position::new(1.0, 0.0);
         let s = link.snapshot(SimTime::from_millis(7), pos);
         // Instantaneous SNR = mean + fade; RSSI = SNR + noise floor.
-        assert!((s.rssi_dbm - (s.snr_db + link.site.budget.noise_floor_dbm)).abs() < 1e-9);
+        assert!((s.rssi_dbm - (s.snr_db + BUDGET.noise_floor_dbm)).abs() < 1e-9);
         // ESNR should be within a plausible band of the wideband SNR.
         let e = s.esnr_db(Modulation::Qam16);
         assert!(e <= s.snr_db + 1.0, "ESNR {e} vs SNR {}", s.snr_db);
@@ -555,7 +603,7 @@ mod tests {
         let ceiling = link.site.esnr_ceiling_db(pos);
         let bound = link.esnr_bound_db_at(t, pos, &gains);
         link.mean_snr_db_at(t, pos);
-        assert!(link.site.rssi_ceiling_dbm(pos) == ceiling + link.site.budget.noise_floor_dbm);
+        assert!(link.site.rssi_ceiling_dbm(pos) == ceiling + BUDGET.noise_floor_dbm);
         assert_eq!(link.esnr_memo(t, pos, Modulation::Qpsk), None);
         assert_eq!(link.work(), count(0, 0));
         // One synthesis per instant, one sweep per modulation read at it;

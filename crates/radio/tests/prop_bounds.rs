@@ -58,18 +58,16 @@ fn extra_loss_db(idx: u32) -> f64 {
 }
 
 fn link(seed: u64, k: f64, extra_loss_db: f64) -> Link {
-    LinkSite {
-        ap_pos: Position::new(0.0, 12.0),
-        ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-        ap_antenna: ParabolicAntenna::laird_gd24bp(),
-        client_antenna_dbi: 0.0,
-        budget: LinkBudget::default(),
-        pathloss: PathLossModel {
+    LinkSite::new(
+        Position::new(0.0, 12.0),
+        -std::f64::consts::FRAC_PI_2,
+        ParabolicAntenna::laird_gd24bp(),
+        PathLossModel {
             extra_loss_db,
             ..PathLossModel::roadside()
         },
-        fading_peak_db: fading::peak_gain_db(k),
-    }
+        fading::peak_gain_db(k),
+    )
     .link(FadingProcess::new(
         RngStream::root(seed).derive("prop-bounds"),
         6.7,
@@ -123,7 +121,7 @@ proptest! {
             let pos = Position::new(f64::from(pos_q) * 0.05, 0.0);
             let mean = l.mean_snr_db(pos);
             prop_assert_eq!(l.site.esnr_ceiling_db(pos).to_bits(), (mean + peak).to_bits());
-            let rssi = mean + peak + l.site.budget.noise_floor_dbm;
+            let rssi = mean + peak + LinkBudget::testbed().noise_floor_dbm;
             prop_assert_eq!(l.site.rssi_ceiling_dbm(pos).to_bits(), rssi.to_bits());
         }
     }

@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use wgtt_radio::fading::{reference, FadingProcess, NUM_TAPS};
 use wgtt_radio::{
-    Link, LinkBudget, LinkSite, Modulation, ParabolicAntenna, PathLossModel, Position,
-    NUM_SUBCARRIERS,
+    Link, LinkSite, Modulation, ParabolicAntenna, PathLossModel, Position, NUM_SUBCARRIERS,
 };
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::SimTime;
@@ -31,15 +30,13 @@ fn modulation(idx: u32) -> Modulation {
 }
 
 fn link_pair(seed: u64, speed_mps: f64, k: f64) -> Link {
-    LinkSite {
-        ap_pos: Position::new(0.0, 12.0),
-        ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-        ap_antenna: ParabolicAntenna::laird_gd24bp(),
-        client_antenna_dbi: 0.0,
-        budget: LinkBudget::default(),
-        pathloss: PathLossModel::roadside(),
-        fading_peak_db: wgtt_radio::fading::peak_gain_db(k),
-    }
+    LinkSite::new(
+        Position::new(0.0, 12.0),
+        -std::f64::consts::FRAC_PI_2,
+        ParabolicAntenna::laird_gd24bp(),
+        PathLossModel::roadside(),
+        wgtt_radio::fading::peak_gain_db(k),
+    )
     .link(FadingProcess::new(
         RngStream::root(seed).derive("prop-link"),
         speed_mps,

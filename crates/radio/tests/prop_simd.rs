@@ -31,7 +31,7 @@ use wgtt_radio::esnr::{self, Modulation};
 use wgtt_radio::fading::{reference, FadingProcess};
 use wgtt_radio::{
     batch, db_to_linear, effective_snr_db, effective_snr_from_powers, linear_to_db, Csi, Link,
-    LinkBudget, LinkSite, ParabolicAntenna, PathLossModel, Position, NUM_SUBCARRIERS,
+    LinkSite, ParabolicAntenna, PathLossModel, Position, NUM_SUBCARRIERS,
 };
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -75,15 +75,13 @@ fn scalar_esnr_db(csi: &Csi, mean_snr_db: f64, m: Modulation) -> f64 {
 }
 
 fn ap_link(seed: u64, x: f64) -> Link {
-    LinkSite {
-        ap_pos: Position::new(x, 12.0),
-        ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-        ap_antenna: ParabolicAntenna::laird_gd24bp(),
-        client_antenna_dbi: 0.0,
-        budget: LinkBudget::default(),
-        pathloss: PathLossModel::roadside(),
-        fading_peak_db: wgtt_radio::fading::peak_gain_db(6.0),
-    }
+    LinkSite::new(
+        Position::new(x, 12.0),
+        -std::f64::consts::FRAC_PI_2,
+        ParabolicAntenna::laird_gd24bp(),
+        PathLossModel::roadside(),
+        wgtt_radio::fading::peak_gain_db(6.0),
+    )
     .link(FadingProcess::new(
         RngStream::root(seed).derive("prop-simd-link"),
         6.7,

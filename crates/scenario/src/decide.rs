@@ -48,14 +48,42 @@ pub enum Step {
 
 /// What is known so far about one (link, instant, MCS) reception: per
 /// rung, `Mcs::q1500` of its ESNR once the caller has supplied it — the
-/// length-independent half of `Mcs::per`, so each further MPDU of an
-/// A-MPDU costs one `powf` per rung it visits. A rung is asked for at
-/// most once, and only when the cheaper ones failed to settle a draw.
+/// length-independent half of `Mcs::per` — and the PER it last gave,
+/// with that length. An A-MPDU's MPDUs mostly share one length, so each
+/// rung pays `Mcs::per_from_q`'s `powf` once per length it meets. A rung
+/// is asked for at most once, and only when the cheaper ones failed to
+/// settle a draw.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ladder {
-    q_ceiling: Option<f64>,
-    q_bound: Option<f64>,
-    q_exact: Option<f64>,
+    ceiling: Option<Known>,
+    bound: Option<Known>,
+    exact: Option<Known>,
+}
+
+/// One rung's `q1500` and its PER at the last length asked.
+#[derive(Debug, Clone, Copy)]
+struct Known {
+    q: f64,
+    per: Option<(u16, f64)>,
+}
+
+impl Known {
+    fn new(q: f64) -> Self {
+        Known { q, per: None }
+    }
+
+    /// `Mcs::per_from_q(q, len)`, the same bits whether computed now or
+    /// remembered.
+    fn per(&mut self, len: u16) -> f64 {
+        match self.per {
+            Some((at, per)) if at == len => per,
+            _ => {
+                let per = Mcs::per_from_q(self.q, len);
+                self.per = Some((len, per));
+                per
+            }
+        }
+    }
 }
 
 impl Ladder {
@@ -63,24 +91,28 @@ impl Ladder {
     /// take their margin here.
     pub fn set(&mut self, mcs: Mcs, rung: Rung, esnr_db: f64) {
         match rung {
-            Rung::Ceiling => self.q_ceiling = Some(mcs.q1500(esnr_db + BOUND_MARGIN_DB)),
-            Rung::Bound => self.q_bound = Some(mcs.q1500(esnr_db + BOUND_MARGIN_DB)),
-            Rung::Exact => self.q_exact = Some(mcs.q1500(esnr_db)),
+            Rung::Ceiling => self.ceiling = Some(Known::new(mcs.q1500(esnr_db + BOUND_MARGIN_DB))),
+            Rung::Bound => self.bound = Some(Known::new(mcs.q1500(esnr_db + BOUND_MARGIN_DB))),
+            Rung::Exact => self.exact = Some(Known::new(mcs.q1500(esnr_db))),
         }
     }
 
     /// Whether a `len`-byte MPDU whose delivery draw came up `u` is lost
     /// — `u < mcs.per(exact, len)`, bit for bit — or which rung is needed
     /// to say.
-    pub fn step(&self, u: f64, len: u16) -> Step {
-        if let Some(q) = self.q_exact {
-            return Step::Lost(u < Mcs::per_from_q(q, len), Rung::Exact);
+    pub fn step(&mut self, u: f64, len: u16) -> Step {
+        if let Some(exact) = &mut self.exact {
+            return Step::Lost(u < exact.per(len), Rung::Exact);
         }
-        for (q, rung) in [(self.q_ceiling, Rung::Ceiling), (self.q_bound, Rung::Bound)] {
-            match q {
-                None => return Step::Need(rung),
-                Some(q) if u < Mcs::per_from_q(q, len) => return Step::Lost(true, rung),
-                Some(_) => {}
+        for (known, rung) in [
+            (&mut self.ceiling, Rung::Ceiling),
+            (&mut self.bound, Rung::Bound),
+        ] {
+            let Some(known) = known else {
+                return Step::Need(rung);
+            };
+            if u < known.per(len) {
+                return Step::Lost(true, rung);
             }
         }
         Step::Need(Rung::Exact)

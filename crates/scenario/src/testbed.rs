@@ -10,7 +10,7 @@
 
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::fading::{self, FadingProcess};
-use wgtt_radio::link::{Link, LinkBudget, LinkSite};
+use wgtt_radio::link::{Link, LinkSite};
 use wgtt_radio::{ParabolicAntenna, PathLossModel, Position};
 use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
@@ -257,15 +257,13 @@ impl TestbedConfig {
     /// and the fading's peak gain at [`RICIAN_K_DB`], no realization.
     /// Every antenna faces the road (boresight −π/2).
     pub(crate) fn site(&self, aui: usize) -> LinkSite {
-        LinkSite {
-            ap_pos: Position::new(self.ap_x[aui], ROAD_OFFSET_M),
-            ap_boresight_rad: -std::f64::consts::FRAC_PI_2,
-            ap_antenna: ParabolicAntenna::laird_gd24bp(),
-            client_antenna_dbi: 0.0,
-            budget: LinkBudget::testbed(),
-            pathloss: PathLossModel::roadside(),
-            fading_peak_db: fading::peak_gain_db(RICIAN_K_DB),
-        }
+        LinkSite::new(
+            Position::new(self.ap_x[aui], ROAD_OFFSET_M),
+            -std::f64::consts::FRAC_PI_2,
+            ParabolicAntenna::laird_gd24bp(),
+            PathLossModel::roadside(),
+            fading::peak_gain_db(RICIAN_K_DB),
+        )
     }
 
     /// The radio link between the AP at local index `aui` and client

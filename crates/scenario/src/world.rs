@@ -33,7 +33,7 @@ use wgtt_mac::airtime::{frame_airtime, SIFS_US};
 use wgtt_mac::blockack::BaRecipient;
 use wgtt_mac::downlink::TxSide;
 use wgtt_mac::frame::{Frame, FrameKind, MgmtStep, Mpdu, NodeId, PacketRef};
-use wgtt_mac::medium::{Medium, TxId, TxOutcome};
+use wgtt_mac::medium::{Medium, TxId};
 use wgtt_mac::rate::RateController;
 use wgtt_mac::sender::{Sender, Unacked};
 use wgtt_mac::seq::seq_next;
@@ -921,20 +921,22 @@ impl World {
     /// ACK collision rate (§5.3.2). Evaluates only the received powers
     /// the comparison turns on (`crate::decide::capture_survives`).
     fn rx_survives(&mut self, tx: TxId, from: NodeId, rx: NodeId, now: SimTime) -> bool {
-        if self.medium.outcome_for(tx, rx) == TxOutcome::Clean {
-            return true;
-        }
         // Only overlappers that can actually corrupt this receiver
         // (same channel, within interference range) enter the capture
         // comparison — a sender several cells away overlaps in time but
         // contributes nothing here, exactly as in `Medium::outcome_for`.
+        // One walk: no such overlapper is `TxOutcome::Clean`.
         let mut interferers = std::mem::take(&mut self.capture_scratch);
         interferers.clear();
         interferers.extend(
             self.medium
-                .interferers_for(tx, rx)
+                .corrupters(tx, rx)
                 .map(|n| (n, self.rssi_ceiling_between(n, rx, now))),
         );
+        if interferers.is_empty() {
+            self.capture_scratch = interferers;
+            return true;
+        }
         let mut evaluated = 0;
         let survives = capture_survives(
             CAPTURE_MARGIN_DB,
@@ -992,8 +994,9 @@ impl World {
             });
         }
         loop {
+            let step = (self.rx_ctx.as_mut().expect("context just ensured").ladder).step(u, len);
             let ctx = self.rx_ctx.as_ref().expect("context just ensured");
-            let (rung, esnr_db) = match ctx.ladder.step(u, len) {
+            let (rung, esnr_db) = match step {
                 Step::Lost(lost, rung) => {
                     let phy = &mut self.report.phy;
                     match rung {
@@ -1130,14 +1133,23 @@ impl World {
         for ci in 0..self.clients.len() {
             let client = self.clients[ci].id;
             let pos = self.client_pos(client, SimTime::ZERO);
-            let best_ap = (0..self.cfg.ap_x.len())
-                .max_by(|&a, &b| {
-                    let sa = self.sites[a].mean_snr_db(pos);
-                    let sb = self.sites[b].mean_snr_db(pos);
-                    sa.partial_cmp(&sb).expect("SNR is never NaN")
+            // Each site evaluated once; the last of equal maxima wins, as
+            // in `Iterator::max_by`.
+            let (best, _) = self
+                .sites
+                .iter()
+                .map(|site| site.mean_snr_db(pos))
+                .enumerate()
+                .reduce(|best, next| {
+                    let order = next.1.partial_cmp(&best.1).expect("SNR is never NaN");
+                    if order.is_ge() {
+                        next
+                    } else {
+                        best
+                    }
                 })
-                .map(|aui| self.ap_id(aui))
                 .expect("at least one AP");
+            let best_ap = self.ap_id(best);
             self.with_controller(SimTime::ZERO, |c, buf| {
                 c.on_client_associated(client, best_ap, SimTime::ZERO, buf);
             });
@@ -1435,6 +1447,30 @@ mod tests {
     }
 
     // ---------------------------------------------------------- fan-out
+
+    #[test]
+    fn a_tie_at_the_start_associates_with_the_later_ap() {
+        // Two APs 10 m either side of a parked client: the same distance
+        // and the same angle off boresight, so the same mean SNR.
+        let plan = ClientPlan {
+            start: Position::new(0.0, 0.0),
+            speed_mps: 0.0,
+            ..ClientPlan::drive_by(0.0)
+        };
+        let cfg = TestbedConfig {
+            ap_x: vec![-10.0, 10.0],
+            ..TestbedConfig::two_ap()
+        }
+        .with_clients(vec![plan]);
+        for system in [wgtt(), SystemKind::Enhanced80211r] {
+            let mut w = World::new(cfg.clone(), system, Vec::new(), 1);
+            let [a, b] = [0, 1].map(|aui| w.sites[aui].mean_snr_db(plan.start));
+            assert_eq!(a.to_bits(), b.to_bits(), "the two sites must tie");
+            w.begin(SimDuration::from_millis(1));
+            let client = w.clients[0].id;
+            assert_eq!(w.serving_of(client), Some(w.ap_id(1)));
+        }
+    }
 
     #[test]
     fn an_event_fits_a_cache_line() {

@@ -93,6 +93,40 @@ proptest! {
         prop_assert!(memo_hit != 0 || asked.is_empty(), "a memo hit climbs nothing");
     }
 
+    /// An A-MPDU's MPDUs through one ladder: every verdict is a fresh
+    /// `Mcs::per`'s, whether the lengths repeat, alternate or mix — a
+    /// rung's remembered PER answers only for the length it was taken at.
+    #[test]
+    fn an_ampdu_through_one_ladder_is_a_fresh_per_for_each_mpdu(
+        exact in -10.0f64..40.0,
+        slacks in (0.0f64..6.0, 0.0f64..12.0),
+        mcs_idx in 0usize..8,
+        pattern in 0u32..3,
+        mpdus in proptest::collection::vec((0.0f64..1.0, 0usize..4), 1..64),
+    ) {
+        const LENS: [u16; 4] = [1500, 1488, 64, 0];
+        let mcs = ALL_MCS[mcs_idx];
+        let bound = exact + slacks.0;
+        let ceiling = bound + slacks.1;
+        let mut ladder = Ladder::default();
+        for (i, &(u, pick)) in mpdus.iter().enumerate() {
+            let len = match pattern {
+                0 => LENS[pick],
+                1 => LENS[i % 2],
+                _ => LENS[(i / 8) % 4],
+            };
+            let lost = loop {
+                match ladder.step(u, len) {
+                    Step::Lost(lost, _) => break lost,
+                    Step::Need(Rung::Ceiling) => ladder.set(mcs, Rung::Ceiling, ceiling),
+                    Step::Need(Rung::Bound) => ladder.set(mcs, Rung::Bound, bound),
+                    Step::Need(Rung::Exact) => ladder.set(mcs, Rung::Exact, exact),
+                }
+            };
+            prop_assert_eq!(lost, u < mcs.per(exact, len), "MPDU {} len {} u {}", i, len, u);
+        }
+    }
+
     /// Non-finite ESNRs take the same verdicts through the ladder as
     /// through `per` itself.
     #[test]

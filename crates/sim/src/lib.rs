@@ -25,6 +25,7 @@
 //! each scenario defines its own event enum and drives
 //! [`queue::EventQueue`] in a `while let Some(..) = queue.pop()` loop.
 
+pub mod hash;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
