@@ -203,8 +203,8 @@ impl FleetConfig {
         let ap_counts = self.district_ap_counts();
         let veh_counts = self.district_vehicle_counts();
         let x0s = self.district_x0s();
-        // Fleet-wide client-id base: what a monolithic world would pick.
-        let client_base = 100u32.max(self.n_aps as u32);
+        // Fleet-wide client-id base: what a monolithic world picks.
+        let client_base = TestbedConfig::first_client_id(self.n_aps);
         let root = RngStream::root(seed).derive("fleet");
         let mix = TrafficMix::transit_default();
 

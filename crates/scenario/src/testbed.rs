@@ -294,6 +294,39 @@ impl TestbedConfig {
         (ap.0 - self.ap_id_offset) as usize
     }
 
+    /// Global NodeId of the AP at local index `aui`.
+    pub(crate) fn ap_id(&self, aui: usize) -> NodeId {
+        NodeId(self.ap_id_offset + aui as u32)
+    }
+
+    /// The first client id of a corridor of `n_aps` APs that names none:
+    /// 100, as every paper-scale world has it, pushed up to the AP count
+    /// for corridors of 100 APs or more, so that client ids never alias
+    /// AP ids (`is_ap` is an id-range test).
+    pub(crate) fn first_client_id(n_aps: usize) -> u32 {
+        100u32.max(n_aps as u32)
+    }
+
+    /// Global NodeId of the client at local index `ci`: from
+    /// `client_id_first`, or [`TestbedConfig::first_client_id`] of this
+    /// array.
+    pub(crate) fn client_id(&self, ci: usize) -> NodeId {
+        let by_rule = || Self::first_client_id(self.ap_x.len());
+        NodeId(self.client_id_first.unwrap_or_else(by_rule) + ci as u32)
+    }
+
+    /// Local index of a client in the per-client vectors.
+    pub(crate) fn client_index(&self, id: NodeId) -> usize {
+        let first = self.client_id(0).0;
+        debug_assert!(id.0 >= first, "client_index on non-client id {id:?}");
+        id.0.saturating_sub(first) as usize
+    }
+
+    /// Where the client `id`'s plan puts it at `t`.
+    pub(crate) fn client_pos(&self, id: NodeId, t: SimTime) -> Position {
+        self.clients[self.client_index(id)].position_at(t)
+    }
+
     /// Road length covered by the array (first to last AP).
     pub fn road_len(&self) -> f64 {
         match (self.ap_x.first(), self.ap_x.last()) {

@@ -16,42 +16,50 @@
 //! A-MPDU on the air → client `BaRecipient` → flow sink (and, for TCP,
 //! an ACK packet into the client's uplink queue, which every in-range AP
 //! may decode, tunnel, and the controller de-duplicates).
+//!
+//! Three subsystems with private state meet only in `World`'s handlers:
+//! `air::Air` (the testbed layout, medium, links and radios: did this
+//! frame reach whom), `backhaul::Backhaul` (the WGTT system's; latency,
+//! switch processing, control loss) and `traffic::Traffic` (the flows
+//! and their packets). `World` keeps the queue, the system, the clients
+//! and the report, and dispatches.
 
-use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::ops::Range;
+mod air;
+mod backhaul;
+mod traffic;
+
+use std::collections::{BTreeSet, HashMap};
 
 use wgtt::ap::ApAgent;
 use wgtt::controller::{Controller, ControllerAction};
-use wgtt::messages::{BackhaulDest, BackhaulMsg, BACKHAUL_LATENCY};
-use wgtt::switching::{PROCESSING_STD, START_PROCESSING_MEAN, STOP_PROCESSING_MEAN};
+use wgtt::messages::{BackhaulDest, BackhaulMsg};
 use wgtt::WgttConfig;
 use wgtt_baseline::ap::BaselineAp;
 use wgtt_baseline::roamer::{Roamer, RoamerAction, RoamerMode};
 use wgtt_mac::aggregation::AggregationPolicy;
-use wgtt_mac::airtime::{frame_airtime, SIFS_US};
+use wgtt_mac::airtime::{DIFS_US, SIFS_US};
 use wgtt_mac::blockack::BaRecipient;
 use wgtt_mac::downlink::TxSide;
 use wgtt_mac::frame::{Frame, FrameKind, MgmtStep, Mpdu, NodeId, PacketRef};
-use wgtt_mac::medium::{Medium, TxId};
+use wgtt_mac::medium::TxId;
 use wgtt_mac::rate::RateController;
 use wgtt_mac::sender::{Sender, Unacked};
 use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory};
 use wgtt_net::wire::Ipv4Addr;
-use wgtt_radio::fading::TapGains;
-use wgtt_radio::link::{Link, LinkBudget, LinkSite};
-use wgtt_radio::{Modulation, PathLossModel, Position};
+use wgtt_radio::Modulation;
 use wgtt_sim::metrics::{Counter, Distribution, ThroughputMeter, TimeSeries};
-use wgtt_sim::queue::{EventId, EventQueue};
-use wgtt_sim::rng::{RngStream, Xoshiro256};
+use wgtt_sim::queue::EventQueue;
+use wgtt_sim::rng::RngStream;
 use wgtt_sim::time::{SimDuration, SimTime};
 
-use crate::decide::{capture_survives, Ladder, Rung, Step};
+use self::air::{Air, Role};
+use self::backhaul::Backhaul;
+use self::traffic::Traffic;
 pub use crate::flows::FlowSpec;
 use crate::flows::{Asks, Flow};
-use crate::testbed::{ClientPlan, TestbedConfig};
+use crate::testbed::TestbedConfig;
 
 /// Which system serves the clients.
 #[derive(Debug, Clone, Copy)]
@@ -76,23 +84,15 @@ pub(crate) fn set_at<T: Clone>(v: &mut Vec<T>, i: usize, value: T, fill: T) {
 /// Client-side MAC state.
 struct ClientNode {
     id: NodeId,
-    plan: ClientPlan,
     ip: Ipv4Addr,
-    /// Downlink data receive windows, one per transmitter identity
-    /// (see `World::ba_rx_slot`). WGTT APs share one BSSID (one window,
-    /// which survives switches by design); baseline APs are distinct
-    /// transmitters with independent Block ACK sessions.
+    /// Downlink data receive windows, one per transmitter identity:
+    /// WGTT APs share one BSSID (one window, which survives switches by
+    /// design); baseline APs are distinct transmitters with independent
+    /// Block ACK sessions.
     ba_rx: Vec<BaRecipient>,
     /// Uplink: the next sequence number to assign, and the sender.
     up_next_seq: u16,
     uplink: Sender,
-    /// This client's PHY/MAC random stream: backoff slots, per-MPDU
-    /// error rolls on frames addressed to or sent by it, CSI noise on
-    /// its readings, and control loss/jitter on its switch messages.
-    /// Derived from the *global* vehicle index, so a client draws the
-    /// same sequence whether it lives in a monolithic world or in a
-    /// spatial shard.
-    rng: Xoshiro256,
     /// Baseline roamer (None under WGTT).
     roamer: Option<Roamer>,
 }
@@ -175,7 +175,7 @@ pub struct RunReport {
     /// Downlink outage durations (s) per client: every gap of at least
     /// `OUTAGE_MIN` (200 ms) between successive decoded A-MPDUs, measured from
     /// `traffic_start`, with the trailing gap closed at the end of the
-    /// run by `finalize`.
+    /// run by [`World::finish`].
     pub outage_durations: HashMap<NodeId, Distribution>,
     /// The run's duration.
     pub duration: SimDuration,
@@ -261,10 +261,10 @@ impl std::ops::AddAssign for PhyWork {
     }
 }
 
-/// Declares [`EventCounts`] with its printing order and its sum from one
-/// list of fields.
+/// Declares [`EventCounts`] with its printing order, its sum and the
+/// `Ev` kinds each count counts from one list of fields.
 macro_rules! event_counts {
-    ($($(#[$doc:meta])* $field:ident $label:literal,)*) => {
+    ($($(#[$doc:meta])* $field:ident $label:literal $kind:pat,)*) => {
         /// Events handled, by `Ev` kind: `events_handled` taken apart. A
         /// property of the engine like [`PhyWork`] — a monolithic world
         /// and its districts need not agree — but for one engine, one
@@ -279,6 +279,13 @@ macro_rules! event_counts {
             pub fn by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> {
                 [$(($label, self.$field)),*].into_iter()
             }
+
+            /// The count of `ev`'s kind.
+            fn of(&mut self, ev: &Ev) -> &mut u64 {
+                match ev {
+                    $($kind => &mut self.$field,)*
+                }
+            }
         }
 
         impl std::ops::AddAssign for EventCounts {
@@ -292,96 +299,52 @@ macro_rules! event_counts {
 event_counts! {
     /// Backhaul deliveries to APs: one per message, or one per fan-out of
     /// one message to several APs.
-    backhaul_to_ap "Backhaul->AP",
+    backhaul_to_ap "Backhaul->AP"
+        Ev::Backhaul { to: BackhaulTo::Aps(_) | BackhaulTo::One(BackhaulDest::Ap(_)), .. },
     /// Backhaul deliveries to the controller.
-    backhaul_to_controller "Backhaul->Controller",
+    backhaul_to_controller "Backhaul->Controller"
+        Ev::Backhaul { to: BackhaulTo::One(BackhaulDest::Controller), .. },
     /// Controller timeout polls. Each switch start and each stop
     /// retransmission arms one deadline and a deadline is polled once, so
     /// this stays at or below `switches_started + stop_retransmits`.
-    ctl_poll "CtlPoll",
+    ctl_poll "CtlPoll" Ev::CtlPoll,
     /// Backoff expiries.
-    tx_start "TxStart",
+    tx_start "TxStart" Ev::TxStart { .. },
     /// Frames leaving the air.
-    tx_end "TxEnd",
+    tx_end "TxEnd" Ev::TxEnd { .. },
     /// (Block) ACK responses.
-    ba_response "BaResponse",
+    ba_response "BaResponse" Ev::BaResponse { .. },
     /// Management-frame ACKs.
-    mgmt_response "MgmtResponse",
+    mgmt_response "MgmtResponse" Ev::MgmtResponse { .. },
     /// Contended management transmissions.
-    mgmt_tx "MgmtTx",
+    mgmt_tx "MgmtTx" Ev::MgmtTx { .. },
     /// Block ACK timeouts.
-    ba_timeout "BaTimeout",
+    ba_timeout "BaTimeout" Ev::BaTimeout { .. },
     /// Traffic source ticks.
-    traffic "Traffic",
+    traffic "Traffic" Ev::Traffic { .. },
     /// TCP retransmission timers, live and stale.
-    tcp_timer "TcpTimer",
+    tcp_timer "TcpTimer" Ev::TcpTimer { .. },
     /// Baseline beacons.
-    beacon "Beacon",
+    beacon "Beacon" Ev::Beacon { .. },
     /// Baseline roamer polls.
-    roam_poll "RoamPoll",
+    roam_poll "RoamPoll" Ev::RoamPoll { .. },
     /// Position refreshes.
-    mobility "Mobility",
+    mobility "Mobility" Ev::Mobility,
     /// Conference loss-feedback ticks.
-    conf_feedback "ConfFeedback",
+    conf_feedback "ConfFeedback" Ev::ConfFeedback { .. },
     /// Serving-AP / accuracy sampling ticks.
-    sample_state "SampleState",
+    sample_state "SampleState" Ev::SampleState,
     /// Client keepalives.
-    keepalive "Keepalive",
+    keepalive "Keepalive" Ev::Keepalive { .. },
 }
-
-impl EventCounts {
-    fn of(&mut self, ev: &Ev) -> &mut u64 {
-        match ev {
-            Ev::Backhaul {
-                to: BackhaulTo::One(BackhaulDest::Controller),
-                ..
-            } => &mut self.backhaul_to_controller,
-            Ev::Backhaul { .. } => &mut self.backhaul_to_ap,
-            Ev::CtlPoll => &mut self.ctl_poll,
-            Ev::TxStart { .. } => &mut self.tx_start,
-            Ev::TxEnd { .. } => &mut self.tx_end,
-            Ev::BaResponse { .. } => &mut self.ba_response,
-            Ev::MgmtResponse { .. } => &mut self.mgmt_response,
-            Ev::MgmtTx { .. } => &mut self.mgmt_tx,
-            Ev::BaTimeout { .. } => &mut self.ba_timeout,
-            Ev::Traffic { .. } => &mut self.traffic,
-            Ev::TcpTimer { .. } => &mut self.tcp_timer,
-            Ev::Beacon { .. } => &mut self.beacon,
-            Ev::RoamPoll { .. } => &mut self.roam_poll,
-            Ev::Mobility => &mut self.mobility,
-            Ev::ConfFeedback { .. } => &mut self.conf_feedback,
-            Ev::SampleState => &mut self.sample_state,
-            Ev::Keepalive { .. } => &mut self.keepalive,
-        }
-    }
-}
-
-/// The ladder of the reception being rolled: one (link, instant, MCS)
-/// at a time, replaced when a roll arrives for another. It — not the
-/// link — carries the per-frame state, so per-pair memory does not grow
-/// with what a frame happens to need.
-struct RxContext {
-    pair: usize,
-    at: SimTime,
-    mcs: Mcs,
-    ladder: Ladder,
-    /// The link's tap gains at `at`, once the bound rung has run; the
-    /// exact rung synthesizes from them.
-    gains: Option<TapGains>,
-}
-
-/// One (AP, client) pair's link, drawn the first time something asks
-/// about its channel ([`World::link_at`]): a pointer until then. Its
-/// ceilings need no draw — they are the AP's [`LinkSite`]'s.
-type LinkSlot = OnceCell<Box<Link>>;
 
 /// Where a queued backhaul message is delivered.
 enum BackhaulTo {
     One(BackhaulDest),
-    /// Each AP of the list `World::fanouts` holds under this index, in
-    /// turn at one instant: the controller's per-packet replication
-    /// (§3.1.2) and the `AssocSync` round. A second `Ev` variant would
-    /// cost the niche that keeps `Ev` at 64 bytes.
+    /// Each AP of the list the backhaul holds under this index, in turn
+    /// at one instant: the controller's per-packet replication (§3.1.2)
+    /// and the `AssocSync` round. A second `Ev` variant would cost the
+    /// niche that keeps `Ev` at 64 bytes.
     Aps(u32),
 }
 
@@ -400,12 +363,12 @@ enum Ev {
         tx: TxId,
         frame: Frame,
     },
-    /// A (Block) ACK response due after SIFS + hardware jitter.
+    /// A Block ACK response, `(start_seq, bitmap)`, due after SIFS +
+    /// hardware jitter.
     BaResponse {
         from: NodeId,
         to: NodeId,
-        start_seq: u16,
-        bitmap: u64,
+        ba: (u16, u64),
     },
     /// Bare ACK response for management frames.
     MgmtResponse {
@@ -454,15 +417,27 @@ enum Ev {
     },
 }
 
+/// WGTT: the controller, its APs and the backhaul between them.
 struct WgttSystem {
     cfg: WgttConfig,
     controller: Controller,
     aps: Vec<ApAgent>,
+    backhaul: Backhaul,
+    /// Pool of reusable controller action buffers. Dispatching a
+    /// controller action can recursively produce more controller work
+    /// (a forwarded uplink TCP ack emits fresh downlink segments), so
+    /// each dispatch depth pops its own buffer and returns it cleared —
+    /// depth-first order preserved, zero steady-state allocation.
+    ctl_bufs: Vec<Vec<ControllerAction>>,
+    /// Deadlines that already have an `Ev::CtlPoll` in the queue: the
+    /// controller asks for its next timeout after every dispatch, and one
+    /// poll per deadline is all it needs.
+    ctl_polls_armed: BTreeSet<SimTime>,
 }
 
 /// The system under test. `World` reaches it here: what both systems
-/// share (every AP has a transmit side) comes back as one type, what is
-/// one system's own as `None` under the other.
+/// share (every AP has a transmit side) comes back as one type; what is
+/// WGTT's own only a WGTT world asks for.
 #[allow(clippy::large_enum_variant)] // one per world; boxing buys nothing
 enum SystemState {
     Wgtt(WgttSystem),
@@ -470,18 +445,16 @@ enum SystemState {
 }
 
 impl SystemState {
-    fn wgtt(&mut self) -> Option<&mut WgttSystem> {
+    /// The WGTT system: no baseline world has a controller or a backhaul.
+    fn wgtt(&mut self) -> &mut WgttSystem {
         match self {
-            SystemState::Wgtt(w) => Some(w),
-            SystemState::Baseline(_) => None,
+            SystemState::Wgtt(w) => w,
+            SystemState::Baseline(_) => unreachable!("a baseline world has no controller"),
         }
     }
 
-    fn baseline(&mut self) -> Option<&mut [BaselineAp]> {
-        match self {
-            SystemState::Baseline(b) => Some(b),
-            SystemState::Wgtt(_) => None,
-        }
+    fn is_wgtt(&self) -> bool {
+        matches!(self, SystemState::Wgtt(_))
     }
 
     /// The transmit side of the AP at local index `ai`.
@@ -495,48 +468,11 @@ impl SystemState {
 
 /// The simulation world.
 pub struct World {
-    cfg: TestbedConfig,
     queue: EventQueue<Ev>,
-    medium: Medium,
-    /// One radio link per (AP, client) pair, at
-    /// `ap_index * clients.len() + client_index`, drawn by
-    /// [`World::link_at`] when a verdict or a query first evaluates the
-    /// pair's channel — never in [`World::new`]. A pair nothing
-    /// evaluates costs a pointer.
-    links: Vec<LinkSlot>,
-    /// `root.derive("link")`, the stream every link's derives from.
-    link_stream: RngStream,
-    /// Each AP's [`LinkSite`] by local AP index: its position, and the
-    /// geometry every ceiling and the initial association read.
-    sites: Vec<LinkSite>,
+    air: Air,
+    traffic: Traffic,
     system: SystemState,
     clients: Vec<ClientNode>,
-    /// First client NodeId: 100 for every paper-scale world, pushed up
-    /// to the AP count for corridors with ≥ 100 APs so client ids can
-    /// never collide with AP ids (`is_ap` is an id-range test).
-    client_base: u32,
-    flows: Vec<Flow>,
-    factory: PacketFactory,
-    /// Where a flow being called puts the packets it wants carried
-    /// (reused across calls; zero steady-state allocation).
-    outbox: Vec<Packet>,
-    /// Every packet routed so far, by packet id (the factory counts from
-    /// zero).
-    packets: Vec<Option<Packet>>,
-    /// Per-AP PHY/MAC random streams (indexed like the other per-AP
-    /// vectors): contention backoff, Block-ACK response jitter, beacon
-    /// deferral. Keyed by global AP id at derivation time.
-    ap_rng: Vec<Xoshiro256>,
-    /// One DCF gate per radio: APs by local index, then clients (see
-    /// `World::station_index`).
-    stations: Vec<Station>,
-    /// Uplink Block-ACK receive windows per (AP, client), indexed like
-    /// `links`.
-    ap_up_rx: Vec<BaRecipient>,
-    /// Deadlines that already have an `Ev::CtlPoll` in the queue: the
-    /// controller asks for its next timeout after every dispatch, and one
-    /// poll per deadline is all it needs.
-    ctl_polls_armed: BTreeSet<SimTime>,
     /// Collected observables.
     pub report: RunReport,
     /// Instant at which the traffic sources start (the paper starts its
@@ -553,28 +489,6 @@ pub struct World {
     /// — the instants [`World::esnr_trace`] and
     /// [`World::selection_accuracy`] evaluate.
     sample_ticks: u64,
-    /// Pool of reusable controller action buffers. Dispatching a
-    /// controller action can recursively produce more controller work
-    /// (a forwarded uplink TCP ack emits fresh downlink segments), so
-    /// each dispatch depth pops its own buffer and returns it cleared —
-    /// depth-first order preserved, zero steady-state allocation.
-    ctl_bufs: Vec<Vec<ControllerAction>>,
-    /// AP lists of the queued fan-outs, by their `BackhaulTo::Aps` index,
-    /// and the indices no queued event holds. A delivered fan-out's list
-    /// goes back empty with its storage, so steady state allocates
-    /// nothing and `Ev` stays at 64 bytes.
-    fanouts: Vec<Vec<NodeId>>,
-    fanouts_free: Vec<u32>,
-    /// Scratch for `end_uplink_data`'s per-AP decode loop (reused across
-    /// APs and frames): the MPDUs one AP decoded, and the packets among
-    /// them it had not seen before.
-    decoded_scratch: Vec<Mpdu>,
-    new_refs_scratch: Vec<PacketRef>,
-    /// Scratch for `rx_survives`: each interferer with its RSSI ceiling.
-    capture_scratch: Vec<(NodeId, f64)>,
-    /// See [`RxContext`].
-    rx_ctx: Option<RxContext>,
-    end_at: SimTime,
 }
 
 /// Period of mobility/position refresh.
@@ -598,29 +512,11 @@ const OUTAGE_MIN: SimDuration = SimDuration::from_millis(200);
 /// channel still decides delivery) — the reason a single reading is noisy
 /// and the paper's median-over-W smoothing matters (Fig. 21).
 pub(crate) const CSI_NOISE_DB: f64 = 1.5;
-/// Capture threshold: a reception survives an overlap when the wanted
-/// signal exceeds the strongest interferer by this margin at the receiver.
-const CAPTURE_MARGIN_DB: f64 = 10.0;
 /// Sentinel packet id for keepalive frames (no packet-store entry).
 const KEEPALIVE_PKT_ID: u64 = u64::MAX;
-/// Beyond this AP–client distance a frame is treated as unreceivable,
-/// so the every-AP decode loops skip the pair without consuming a random
-/// draw. The skip is what keeps per-entity RNG streams identical between
-/// a monolithic world and its spatial shards: a shard never even
-/// iterates far-away APs, so the monolithic world must not draw for
-/// them. The value is *not* where the PER reaches 1: `Mcs::per` scales
-/// by `len/1500`, so a 64-byte control frame still decodes 22 % of the
-/// time at −15 dB ESNR and control rolls pass out to the horizon
-/// (DESIGN.md §7). That is why the static ceiling alone settles only
-/// about half of the far control rolls and the ladder has a tap-gain
-/// rung behind it — and why the horizon is ratcheted at 120 m until the
-/// short-frame PER is fixed (ROADMAP item 4(iv); item 8 then derives the
-/// gate).
-const DECODE_HORIZON_M: f64 = 120.0;
-/// Large-scale model and budget of same-kind (AP↔AP, client↔client)
-/// interference, for which no fading link exists.
-const SAME_KIND_PATHLOSS: PathLossModel = PathLossModel::roadside();
-const SAME_KIND_BUDGET: LinkBudget = LinkBudget::testbed();
+/// Preamble-detection lag: a transmission younger than this is invisible
+/// to carrier sense, allowing SIFS-spaced responses to collide.
+const SENSE_LAG: SimDuration = SimDuration::from_micros(4);
 
 impl World {
     /// Build a world: testbed geometry + system + per-client flows
@@ -651,30 +547,8 @@ impl World {
             "AP x-coordinates must be non-decreasing along the road"
         );
         let root = RngStream::root(seed);
-        let mut medium = Medium::roadside();
-        let ap_positions = cfg.ap_positions();
-        let n_aps = ap_positions.len();
-        // Client ids historically start at 100; a fleet corridor with
-        // ≥ 100 APs would alias AP ids into the client range, so the
-        // base moves up with the AP count (identical to the old scheme
-        // for every world the paper experiments build). Shards of a
-        // larger corridor pass the fleet-wide base explicitly so client
-        // ids stay global.
-        let client_base = cfg
-            .client_id_first
-            .unwrap_or_else(|| 100u32.max(n_aps as u32));
-
-        for (ai, &ap_pos) in ap_positions.iter().enumerate() {
-            let ap_id = NodeId(cfg.ap_id_offset + ai as u32);
-            medium.set_position(ap_id, ap_pos);
-            if let Some(&ch) = cfg.ap_channels.get(ai) {
-                medium.set_channel(ap_id, ch);
-            }
-        }
-
-        let ap_ids: Vec<NodeId> = (0..n_aps as u32)
-            .map(|ai| NodeId(cfg.ap_id_offset + ai))
-            .collect();
+        let n_aps = cfg.ap_x.len();
+        let ap_ids: Vec<NodeId> = (0..n_aps).map(|ai| cfg.ap_id(ai)).collect();
         let system_state = match system {
             SystemKind::Wgtt(wgtt_cfg) => {
                 let mut controller = Controller::new(wgtt_cfg, ap_ids.clone());
@@ -685,36 +559,33 @@ impl World {
                     cfg: wgtt_cfg,
                     controller,
                     aps: ap_ids.iter().map(agent).collect(),
+                    backhaul: Backhaul::new(wgtt_cfg.control_loss_prob),
+                    ctl_bufs: Vec::new(),
+                    ctl_polls_armed: BTreeSet::new(),
                 })
             }
-            SystemKind::Enhanced80211r | SystemKind::Stock80211r => SystemState::Baseline(
-                ap_ids
-                    .iter()
-                    .map(|&id| BaselineAp::new(id, root.derive_indexed("bl-ap", id.0 as u64)))
-                    .collect(),
-            ),
+            SystemKind::Enhanced80211r | SystemKind::Stock80211r => {
+                let ap =
+                    |&id: &NodeId| BaselineAp::new(id, root.derive_indexed("bl-ap", id.0 as u64));
+                SystemState::Baseline(ap_ids.iter().map(ap).collect())
+            }
         };
 
-        let clients: Vec<ClientNode> = cfg
-            .clients
-            .iter()
-            .enumerate()
-            .map(|(ci, &plan)| {
-                let gci = cfg.client_index_offset + ci;
-                let id = NodeId(client_base + ci as u32);
-                medium.set_position(id, plan.position_at(SimTime::ZERO));
-                let roamer = match system {
-                    SystemKind::Wgtt(_) => None,
-                    SystemKind::Enhanced80211r => Some(Roamer::new(RoamerMode::Enhanced {
-                        hysteresis: SimDuration::from_secs(1),
-                    })),
-                    SystemKind::Stock80211r => Some(Roamer::new(RoamerMode::Stock {
-                        history: SimDuration::from_secs(5),
-                    })),
-                };
+        let roaming = match system {
+            SystemKind::Wgtt(_) => None,
+            SystemKind::Enhanced80211r => Some(RoamerMode::Enhanced {
+                hysteresis: SimDuration::from_secs(1),
+            }),
+            SystemKind::Stock80211r => Some(RoamerMode::Stock {
+                history: SimDuration::from_secs(5),
+            }),
+        };
+        let rate = |gci: usize| root.derive_indexed("client-rate", gci as u64).rng();
+        let clients: Vec<ClientNode> = (0..cfg.clients.len())
+            .map(|ci| {
+                let (gci, roamer) = (cfg.client_index_offset + ci, roaming.map(Roamer::new));
                 ClientNode {
-                    id,
-                    plan,
+                    id: cfg.client_id(ci),
                     // Client addresses spread over the low two octets:
                     // `100 + gci` would overflow the single-octet form at
                     // gci = 156, which a fleet-sized world reaches easily.
@@ -723,354 +594,31 @@ impl World {
                     ip: Ipv4Addr::new(172, 16, ((100 + gci) >> 8) as u8, (100 + gci) as u8),
                     ba_rx: vec![BaRecipient::default(); if roamer.is_some() { n_aps } else { 1 }],
                     up_next_seq: 0,
-                    uplink: Sender::new(RateController::new(
-                        root.derive_indexed("client-rate", gci as u64).rng(),
-                    )),
-                    rng: root.derive_indexed("client-phy", gci as u64).rng(),
+                    uplink: Sender::new(RateController::new(rate(gci))),
                     roamer,
                 }
             })
             .collect();
-
-        let n_pairs = n_aps * cfg.clients.len();
-        let mut world = World {
+        let flows = flow_specs.into_iter().enumerate().map(|(fi, (ci, spec))| {
+            let c = &clients[ci];
+            Flow::new(FlowId(fi as u32), c.id, c.ip, spec)
+        });
+        World {
             queue: EventQueue::new(),
-            medium,
-            links: std::iter::repeat_with(LinkSlot::new)
-                .take(n_pairs)
-                .collect(),
-            link_stream: root.derive("link"),
-            sites: (0..n_aps).map(|aui| cfg.site(aui)).collect(),
+            air: Air::new(cfg, &root),
+            traffic: Traffic::new(flows.collect()),
             system: system_state,
             clients,
-            client_base,
-            flows: Vec::new(),
-            factory: PacketFactory::new(),
-            outbox: Vec::new(),
-            packets: Vec::new(),
-            ap_rng: ap_ids
-                .iter()
-                .map(|&id| root.derive_indexed("ap-phy", u64::from(id.0)).rng())
-                .collect(),
-            stations: vec![Station::default(); n_aps + cfg.clients.len()],
-            ap_up_rx: vec![BaRecipient::default(); n_pairs],
-            ctl_polls_armed: BTreeSet::new(),
             report: RunReport::default(),
             traffic_start: SimTime::ZERO,
             sample_lean: false,
             sample_ticks: 0,
-            ctl_bufs: Vec::new(),
-            fanouts: Vec::new(),
-            fanouts_free: Vec::new(),
-            decoded_scratch: Vec::new(),
-            new_refs_scratch: Vec::new(),
-            capture_scratch: Vec::new(),
-            rx_ctx: None,
-            end_at: SimTime::ZERO,
-            cfg,
-        };
-        for (ci, spec) in flow_specs {
-            let (id, c) = (FlowId(world.flows.len() as u32), &world.clients[ci]);
-            world.flows.push(Flow::new(id, c.id, c.ip, spec));
-        }
-        world
-    }
-
-    // ------------------------------------------------------------ helpers
-
-    fn client_index(&self, id: NodeId) -> usize {
-        debug_assert!(
-            id.0 >= self.client_base,
-            "client_index called with a non-client id {id:?}"
-        );
-        id.0.saturating_sub(self.client_base) as usize
-    }
-
-    /// Global NodeId of the AP at local index `aui`.
-    fn ap_id(&self, aui: usize) -> NodeId {
-        NodeId(self.cfg.ap_id_offset + aui as u32)
-    }
-
-    /// Whether the AP at local index `aui` is close enough to a client
-    /// at `pos` for any frame between them to be decodable at all. Pure
-    /// geometry (the drive plan and the static AP grid), so both the
-    /// monolithic world and a spatial shard skip exactly the same pairs
-    /// — before any random draw.
-    fn in_decode_horizon(&self, aui: usize, pos: Position) -> bool {
-        pos.distance_to(self.sites[aui].ap_pos) <= DECODE_HORIZON_M
-    }
-
-    /// Local indices of the APs that can lie inside the decode horizon
-    /// of a client at along-road coordinate `x`, ascending: a superset of
-    /// the ones [`World::in_decode_horizon`] accepts, which every caller
-    /// still applies: the bisected run of the sorted `ap_x` within the
-    /// horizon along the road (no AP is nearer than its along-road
-    /// offset), so an every-AP loop costs what is in range rather than
-    /// what is in the world.
-    fn ap_window(&self, x: f64) -> Range<usize> {
-        // A millimetre of slack keeps rounding in the two bounds from
-        // excluding an AP the exact test would accept.
-        let reach = DECODE_HORIZON_M + 1e-3;
-        let lo = self.cfg.ap_x.partition_point(|&a| a < x - reach);
-        let hi = self.cfg.ap_x.partition_point(|&a| a <= x + reach);
-        lo..hi
-    }
-
-    fn client_pos(&self, id: NodeId, now: SimTime) -> Position {
-        self.clients[self.client_index(id)].plan.position_at(now)
-    }
-
-    /// Index of the (ap, client) pair in `links` and `ap_up_rx`.
-    fn pair_index(&self, ap: NodeId, client: NodeId) -> usize {
-        self.cfg.ap_index(ap) * self.clients.len() + self.client_index(client)
-    }
-
-    fn link(&self, ap: NodeId, client: NodeId) -> &Link {
-        let pair = self.pair_index(ap, client);
-        self.link_at(&self.links[pair], pair)
-    }
-
-    /// The link of `pair` held in `slot` — the world's own slot, or a
-    /// query's copy of it — drawn there on first use by
-    /// [`TestbedConfig::link`]: one fading realization, a pure function
-    /// of the seed, the pair's *global* AP id and client index, the AP's
-    /// site and the client's plan speed — shared verbatim between
-    /// compared systems at equal seeds, and between a monolithic world
-    /// and its districts. So where and when it is drawn moves no bit,
-    /// and a link drawn but not yet asked anything holds the same empty
-    /// memo and zero work as one never drawn.
-    fn link_at<'a>(&self, slot: &'a LinkSlot, pair: usize) -> &'a Link {
-        slot.get_or_init(|| {
-            let (aui, ci) = (pair / self.clients.len(), pair % self.clients.len());
-            Box::new(self.cfg.link(&self.link_stream, aui, ci))
-        })
-    }
-
-    /// ESNR of the (ap, client) link right now, with the client at `pos`,
-    /// under the reference 16-QAM constellation (the controller's
-    /// selection metric).
-    fn esnr_now(&self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> f64 {
-        self.link(ap, client)
-            .esnr_db_at(now, pos, Modulation::Qam16)
-    }
-
-    /// The ESNR an AP *measures* from one frame's CSI: the true value
-    /// plus estimation noise. Selection consumes these; delivery rolls
-    /// use the true channel.
-    fn measured_esnr(&mut self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> f64 {
-        let true_esnr = self.esnr_now(ap, client, pos, now);
-        let ci = self.client_index(client);
-        true_esnr + self.clients[ci].rng.normal_with(0.0, CSI_NOISE_DB)
-    }
-
-    /// The modelled link a transmission between `a` and `b` rides on, as
-    /// `Ok((ap, client))` — or, for same-kind pairs (AP↔AP,
-    /// client↔client), which have no fading model, `Err(rssi)`: the
-    /// large-scale received power with omni gains.
-    fn link_or_large_scale(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        now: SimTime,
-    ) -> Result<(NodeId, NodeId), f64> {
-        match (self.cfg.is_ap(a), self.cfg.is_ap(b)) {
-            (true, false) => Ok((a, b)),
-            (false, true) => Ok((b, a)),
-            (a_is_ap, _) => {
-                let at = |n| {
-                    if a_is_ap {
-                        self.medium.position(n)
-                    } else {
-                        self.client_pos(n, now)
-                    }
-                };
-                let pl = SAME_KIND_PATHLOSS.loss_db(at(a).distance_to(at(b)));
-                Err(SAME_KIND_BUDGET.tx_power_dbm - pl)
-            }
         }
     }
 
-    /// Received power of a transmission from `a` at `b`, dBm, for
-    /// capture comparisons.
-    fn rssi_between(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        match self.link_or_large_scale(a, b, now) {
-            // Power only — the fused sweep path; no 56-coefficient CSI
-            // materialization for a capture comparison that never reads it.
-            Ok((ap, client)) => self
-                .link(ap, client)
-                .rssi_dbm_at(now, self.client_pos(client, now)),
-            Err(rssi) => rssi,
-        }
-    }
-
-    /// What [`World::rssi_between`] can at most return: the AP's site
-    /// answers, and no link is drawn.
-    fn rssi_ceiling_between(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        match self.link_or_large_scale(a, b, now) {
-            Ok((ap, client)) => {
-                self.sites[self.cfg.ap_index(ap)].rssi_ceiling_dbm(self.client_pos(client, now))
-            }
-            Err(rssi) => rssi,
-        }
-    }
-
-    /// Capture-aware reception check: a temporal overlap only corrupts
-    /// the frame when the strongest interferer is within
-    /// [`CAPTURE_MARGIN_DB`] of the wanted signal at the receiver — the
-    /// power disparity the paper credits (sidelobes) for its negligible
-    /// ACK collision rate (§5.3.2). Evaluates only the received powers
-    /// the comparison turns on (`crate::decide::capture_survives`).
-    fn rx_survives(&mut self, tx: TxId, from: NodeId, rx: NodeId, now: SimTime) -> bool {
-        // Only overlappers that can actually corrupt this receiver
-        // (same channel, within interference range) enter the capture
-        // comparison — a sender several cells away overlaps in time but
-        // contributes nothing here, exactly as in `Medium::outcome_for`.
-        // One walk: no such overlapper is `TxOutcome::Clean`.
-        let mut interferers = std::mem::take(&mut self.capture_scratch);
-        interferers.clear();
-        interferers.extend(
-            self.medium
-                .corrupters(tx, rx)
-                .map(|n| (n, self.rssi_ceiling_between(n, rx, now))),
-        );
-        if interferers.is_empty() {
-            self.capture_scratch = interferers;
-            return true;
-        }
-        let mut evaluated = 0;
-        let survives = capture_survives(
-            CAPTURE_MARGIN_DB,
-            self.rssi_ceiling_between(from, rx, now),
-            &interferers,
-            |n| {
-                evaluated += 1;
-                self.rssi_between(n.copied().unwrap_or(from), rx, now)
-            },
-        );
-        self.capture_scratch = interferers;
-        self.report.phy.capture_checks += 1;
-        self.report.phy.capture_exact += evaluated;
-        survives
-    }
-
-    /// The uniform draw of one delivery roll, from the client's stream —
-    /// every roll's only draw site, whether or not a verdict follows.
-    fn roll_draw(&mut self, client: NodeId) -> f64 {
-        self.report.phy.rolls += 1;
-        let ci = self.client_index(client);
-        self.clients[ci].rng.uniform()
-    }
-
-    /// Roll delivery of one MPDU of `len` bytes at `mcs` over the
-    /// (ap, client) link at `now`, with the client at `pos`: one uniform
-    /// draw from the client's stream, then the ladder — whose answer is
-    /// `draw < mcs.per(exact ESNR, len)` however few rungs it climbs.
-    /// The ceiling rung asks the AP's site; only the bound and exact
-    /// rungs draw the link.
-    fn roll_mpdu(
-        &mut self,
-        ap: NodeId,
-        client: NodeId,
-        pos: Position,
-        now: SimTime,
-        mcs: Mcs,
-        len: u16,
-    ) -> bool {
-        let u = self.roll_draw(client);
-        let pair = self.pair_index(ap, client);
-        let same = |c: &RxContext| c.pair == pair && c.at == now && c.mcs == mcs;
-        if !self.rx_ctx.as_ref().is_some_and(same) {
-            let mut ladder = Ladder::default();
-            let drawn = self.links[pair].get();
-            if let Some(esnr) = drawn.and_then(|l| l.esnr_memo(now, pos, mcs.modulation())) {
-                ladder.set(mcs, Rung::Exact, esnr);
-            }
-            self.rx_ctx = Some(RxContext {
-                pair,
-                at: now,
-                mcs,
-                ladder,
-                gains: None,
-            });
-        }
-        loop {
-            let step = (self.rx_ctx.as_mut().expect("context just ensured").ladder).step(u, len);
-            let ctx = self.rx_ctx.as_ref().expect("context just ensured");
-            let (rung, esnr_db) = match step {
-                Step::Lost(lost, rung) => {
-                    let phy = &mut self.report.phy;
-                    match rung {
-                        Rung::Ceiling => phy.rolls_ceiling += 1,
-                        Rung::Bound => phy.rolls_bound += 1,
-                        Rung::Exact => phy.rolls_exact += 1,
-                    }
-                    return !lost;
-                }
-                Step::Need(Rung::Ceiling) => {
-                    // The site's ceiling. A drawn link's memo supplies the
-                    // mean SNR, so the rungs above find the geometry done.
-                    let site = &self.sites[self.cfg.ap_index(ap)];
-                    let ceiling = match self.links[pair].get() {
-                        Some(link) => link.mean_snr_db_at(now, pos) + site.fading_peak_db,
-                        None => site.esnr_ceiling_db(pos),
-                    };
-                    (Rung::Ceiling, ceiling)
-                }
-                Step::Need(Rung::Bound) => {
-                    let link = self.link_at(&self.links[pair], pair);
-                    let ctx = self.rx_ctx.as_mut().expect("context just ensured");
-                    let gains = ctx.gains.insert(link.fading.tap_gains_at(now));
-                    (Rung::Bound, link.esnr_bound_db_at(now, pos, gains))
-                }
-                Step::Need(Rung::Exact) => {
-                    let link = self.link_at(&self.links[pair], pair);
-                    let gains = ctx.gains.as_ref().expect("the bound rung ran first");
-                    let esnr = link.esnr_db_from_gains(now, pos, mcs.modulation(), gains);
-                    (Rung::Exact, esnr)
-                }
-            };
-            let ctx = self.rx_ctx.as_mut().expect("context just ensured");
-            ctx.ladder.set(mcs, rung, esnr_db);
-        }
-    }
-
-    /// Roll reception of a short control frame (Block ACK, ACK, beacon,
-    /// management), which is sent at a robust basic rate: a 64-byte
-    /// frame at the 24 Mbit/s basic rate ≈ MCS2 PER.
-    fn roll_control(&mut self, ap: NodeId, client: NodeId, pos: Position, now: SimTime) -> bool {
-        self.roll_mpdu(ap, client, pos, now, Mcs::Mcs2, 64)
-    }
-
-    /// A roll nobody reads: the draw is taken, so the client's stream
-    /// stands where a decided roll would have left it, and nothing is
-    /// decided.
-    fn roll_unread(&mut self, client: NodeId) {
-        self.roll_draw(client);
-        self.report.phy.rolls_unread += 1;
-    }
-
-    fn store_packet(&mut self, p: Packet) {
-        set_at(&mut self.packets, p.id as usize, Some(p), None);
-    }
-
-    /// Which of a client's Block ACK receive windows a downlink
-    /// transmitter uses: the one shared-BSSID window under WGTT, the
-    /// individual AP's otherwise.
-    fn ba_rx_slot(&self, ap: NodeId) -> usize {
-        match self.system {
-            SystemState::Wgtt(_) => 0,
-            SystemState::Baseline(_) => self.cfg.ap_index(ap),
-        }
-    }
-
-    /// Resolve an in-flight packet ref. `None` — a ref outliving its
-    /// store entry (duplicate delivery racing cleanup in a large world)
-    /// — is the caller's cue to skip the frame, not a crash.
-    fn packet_by_ref(&self, r: PacketRef) -> Option<Packet> {
-        self.packets
-            .get(usize::try_from(r.id).ok()?)
-            .copied()
-            .flatten()
+    /// The testbed's layout, which the air holds.
+    fn cfg(&self) -> &TestbedConfig {
+        self.air.cfg()
     }
 
     // -------------------------------------------------------- run control
@@ -1095,25 +643,20 @@ impl World {
     /// lockstep windows. `begin` + `advance_until(end)` + `finish` is
     /// exactly [`World::run`].
     pub fn begin(&mut self, duration: SimDuration) {
-        self.end_at = SimTime::ZERO + duration;
         self.report.duration = duration;
         self.bootstrap();
     }
 
     /// The run horizon set by [`World::begin`].
     pub fn end_at(&self) -> SimTime {
-        self.end_at
+        SimTime::ZERO + self.report.duration
     }
 
     /// Drain every event up to `until` (capped at the run horizon).
     /// Advancing in windows is byte-identical to one straight pass: the
     /// queue pops in (time, insertion) order either way.
     pub fn advance_until(&mut self, until: SimTime) {
-        let cap = if until < self.end_at {
-            until
-        } else {
-            self.end_at
-        };
+        let cap = until.min(self.end_at());
         while let Some((now, ev)) = self.queue.pop_until(cap) {
             self.report.events_handled += 1;
             *self.report.events.of(&ev) += 1;
@@ -1121,78 +664,49 @@ impl World {
         }
     }
 
-    /// Close out the run: fold per-flow and per-client observables into
-    /// [`World::report`].
-    pub fn finish(&mut self) {
-        self.finalize();
-    }
-
     fn bootstrap(&mut self) {
         // Initial association: strongest mean-SNR AP at the start position,
         // which is site geometry — no link is drawn to answer it.
+        let zero = SimTime::ZERO;
         for ci in 0..self.clients.len() {
             let client = self.clients[ci].id;
-            let pos = self.client_pos(client, SimTime::ZERO);
-            // Each site evaluated once; the last of equal maxima wins, as
-            // in `Iterator::max_by`.
-            let (best, _) = self
-                .sites
-                .iter()
-                .map(|site| site.mean_snr_db(pos))
-                .enumerate()
-                .reduce(|best, next| {
-                    let order = next.1.partial_cmp(&best.1).expect("SNR is never NaN");
-                    if order.is_ge() {
-                        next
-                    } else {
-                        best
-                    }
-                })
-                .expect("at least one AP");
-            let best_ap = self.ap_id(best);
-            self.with_controller(SimTime::ZERO, |c, buf| {
-                c.on_client_associated(client, best_ap, SimTime::ZERO, buf);
-            });
+            let pos = self.cfg().client_pos(client, zero);
+            let best_ap = self.cfg().ap_id(self.air.strongest_ap(pos));
             if let Some(roamer) = self.clients[ci].roamer.as_mut() {
-                roamer.set_associated(best_ap, SimTime::ZERO);
+                roamer.set_associated(best_ap, zero);
+            } else {
+                self.with_controller(zero, |c, buf| {
+                    c.on_client_associated(client, best_ap, zero, buf);
+                });
             }
         }
         // Periodic machinery.
-        self.queue
-            .schedule(SimTime::ZERO + MOBILITY_TICK, Ev::Mobility);
-        self.queue
-            .schedule(SimTime::ZERO + SAMPLE_TICK, Ev::SampleState);
-        if self.system.baseline().is_some() {
-            for ai in 0..self.cfg.ap_x.len() {
+        self.queue.schedule(zero + MOBILITY_TICK, Ev::Mobility);
+        self.queue.schedule(zero + SAMPLE_TICK, Ev::SampleState);
+        if !self.system.is_wgtt() {
+            let n_aps = self.cfg().ap_x.len();
+            for ai in 0..n_aps {
                 // Stagger beacons across APs as real deployments do.
-                let offset =
-                    SimDuration::from_millis((ai as u64 * 100) / self.cfg.ap_x.len() as u64);
-                self.queue.schedule(
-                    SimTime::ZERO + offset,
-                    Ev::Beacon {
-                        ap: NodeId(self.cfg.ap_id_offset + ai as u32),
-                        retry: false,
-                    },
-                );
+                let at = zero + SimDuration::from_millis((ai * 100 / n_aps) as u64);
+                let ap = self.cfg().ap_id(ai);
+                self.queue.schedule(at, Ev::Beacon { ap, retry: false });
             }
             for c in &self.clients {
-                self.queue
-                    .schedule(SimTime::ZERO + ROAM_POLL, Ev::RoamPoll { client: c.id });
+                let poll = Ev::RoamPoll { client: c.id };
+                self.queue.schedule(zero + ROAM_POLL, poll);
             }
         }
         // Client keepalives (staggered so they never systematically
         // collide with each other).
         for (ci, c) in self.clients.iter().enumerate() {
-            let gci = self.cfg.client_index_offset + ci;
-            self.queue.schedule(
-                SimTime::ZERO + SimDuration::from_millis(1 + gci as u64 * 7),
-                Ev::Keepalive { client: c.id },
-            );
+            let gci = self.cfg().client_index_offset + ci;
+            let at = zero + SimDuration::from_millis(1 + gci as u64 * 7);
+            self.queue.schedule(at, Ev::Keepalive { client: c.id });
         }
         // Traffic.
         let t0 = self.traffic_start;
-        for fi in 0..self.flows.len() as u32 {
-            self.with_flow(FlowId(fi), SimTime::ZERO, |f, _, _| f.start_at(t0));
+        for fi in 0..self.traffic.flow_count() as u32 {
+            self.with_flow(FlowId(fi), zero, |f, _, _| f.start_at(t0));
         }
     }
 
@@ -1200,40 +714,25 @@ impl World {
     /// outage ([`OUTAGE_MIN`] or longer since the previous delivery,
     /// or since `traffic_start` for the first one).
     fn note_delivery(&mut self, client: NodeId, now: SimTime) {
-        let from = self
-            .report
-            .last_delivery
-            .get(&client)
-            .copied()
-            .unwrap_or(self.traffic_start);
-        let gap = now.saturating_since(from);
-        if gap >= OUTAGE_MIN {
-            self.report
-                .outage_durations
-                .entry(client)
-                .or_default()
-                .record(gap.as_secs_f64());
-        }
-        self.report.last_delivery.insert(client, now);
+        let last = self.report.last_delivery.insert(client, now);
+        self.close_gap(client, last.unwrap_or(self.traffic_start), now);
     }
 
-    fn finalize(&mut self) {
-        let phy = &mut self.report.phy;
-        (phy.syntheses, phy.sweeps, phy.links_built) = (0, 0, 0);
-        for link in self.links.iter().filter_map(LinkSlot::get) {
-            let work = link.work();
-            phy.syntheses += u64::from(work.syntheses);
-            phy.sweeps += u64::from(work.sweeps);
-            phy.links_built += 1;
+    /// Record `client`'s downlink silence from `from` to `to` as an
+    /// outage if it lasted [`OUTAGE_MIN`] or longer.
+    fn close_gap(&mut self, client: NodeId, from: SimTime, to: SimTime) {
+        let gap = to.saturating_since(from);
+        if gap >= OUTAGE_MIN {
+            let outages = self.report.outage_durations.entry(client).or_default();
+            outages.record(gap.as_secs_f64());
         }
-        for flow in &self.flows {
-            flow.fold_into(&mut self.report);
-        }
-        for c in &self.clients {
-            if let Some(r) = &c.roamer {
-                self.report.failed_handshakes += r.failed_handshakes;
-            }
-        }
+    }
+
+    /// Close out the run: fold per-flow and per-client observables into
+    /// [`World::report`].
+    pub fn finish(&mut self) {
+        self.report.phy = self.air.work();
+        let open_demand = self.traffic.fold_into(&mut self.report);
         // Close the trailing outage gap for clients that did deliver at
         // least once. Clients with no `last_delivery` entry are left
         // alone: the fleet layer reports them as one full-run outage
@@ -1244,29 +743,16 @@ impl World {
         // the last byte; that idle tail is not an outage. The trailing
         // gap is only closed for clients with open-ended downlink
         // demand or an unfinished finite transfer.
-        let open_demand: HashSet<NodeId> = self
-            .flows
-            .iter()
-            .filter(|f| f.wants_downlink())
-            .map(|f| f.client)
-            .collect();
         for (client, last) in self.report.last_delivery.clone() {
-            if !open_demand.contains(&client) {
-                continue;
-            }
-            let gap = self.end_at.saturating_since(last);
-            if gap >= OUTAGE_MIN {
-                self.report
-                    .outage_durations
-                    .entry(client)
-                    .or_default()
-                    .record(gap.as_secs_f64());
+            if open_demand.contains(&client) {
+                self.close_gap(client, last, self.end_at());
             }
         }
+        let roamers = || self.clients.iter().flat_map(|c| &c.roamer);
+        self.report.failed_handshakes += roamers().map(|r| r.failed_handshakes).sum::<u64>();
         match &self.system {
-            SystemState::Wgtt(WgttSystem {
-                controller, aps, ..
-            }) => {
+            SystemState::Wgtt(w) => {
+                let (controller, aps) = (&w.controller, &w.aps);
                 self.report.ba_timeouts = aps.iter().map(|a| a.tx.ba_timeouts).sum();
                 self.report.forwarded_ba_used = aps.iter().map(|a| a.forwarded_ba_used).sum();
                 self.report.switches = controller.stats.switches_completed;
@@ -1280,25 +766,851 @@ impl World {
                 );
             }
             SystemState::Baseline(_) => {
-                self.report.switches = self
-                    .clients
-                    .iter()
-                    .flat_map(|c| &c.roamer)
-                    .map(|r| r.switches)
-                    .sum();
+                self.report.switches = roamers().map(|r| r.switches).sum();
             }
         }
     }
-}
 
-include!("world_events.rs");
-include!("world_mac.rs");
+    // ----------------------------------------------------------- dispatch
+
+    fn handle(&mut self, now: SimTime, ev: Ev) {
+        match ev {
+            Ev::Backhaul { to, msg } => match to {
+                BackhaulTo::One(to) => self.on_backhaul(to, msg, now),
+                BackhaulTo::Aps(aps) => {
+                    let list = self.system.wgtt().backhaul.take_fanout(aps);
+                    for &ap in &list {
+                        self.on_backhaul(BackhaulDest::Ap(ap), msg.clone(), now);
+                    }
+                    self.system.wgtt().backhaul.recycle(aps, list);
+                }
+            },
+            Ev::CtlPoll => {
+                // Disarm first: the dispatch below may need this very
+                // instant polled again.
+                self.system.wgtt().ctl_polls_armed.remove(&now);
+                self.with_controller(now, |c, buf| c.poll(now, buf));
+            }
+            Ev::TxStart { node } => self.on_tx_start(node, now),
+            Ev::TxEnd { tx, frame } => self.on_tx_end(tx, frame, now),
+            Ev::BaResponse { from, to, ba } => self.on_ba_response(from, to, ba, now),
+            Ev::MgmtResponse { from, to, step } => self.on_mgmt_response(from, to, step, now),
+            Ev::BaTimeout { from, peer } => self.on_ba_timeout(from, peer, now),
+            Ev::Traffic { flow } => {
+                self.with_flow(flow, now, |f, factory, out| f.on_tick(now, factory, out))
+            }
+            Ev::TcpTimer { flow } => {
+                self.with_flow(flow, now, |f, factory, out| f.on_timer(now, factory, out))
+            }
+            Ev::Beacon { ap, retry } => self.on_beacon(ap, retry, now),
+            Ev::RoamPoll { client } => self.on_roam_poll(client, now),
+            Ev::Mobility => {
+                self.air.move_clients(now);
+                self.queue.schedule(now + MOBILITY_TICK, Ev::Mobility);
+            }
+            Ev::ConfFeedback { flow } => self.with_flow(flow, now, |f, _, _| f.on_feedback(now)),
+            Ev::SampleState => self.on_sample(now),
+            Ev::Keepalive { client } => self.on_keepalive(client, now),
+            Ev::MgmtTx {
+                from,
+                to,
+                step,
+                attempt,
+            } => self.on_mgmt_tx(from, to, step, attempt, now),
+        }
+    }
+
+    fn on_keepalive(&mut self, client: NodeId, now: SimTime) {
+        self.queue
+            .schedule(now + KEEPALIVE_INTERVAL, Ev::Keepalive { client });
+        if !self.air.clear_to_send(client, now) {
+            return; // skip this beat; the next one is 50 ms away
+        }
+        let packet = PacketRef {
+            id: KEEPALIVE_PKT_ID,
+            len: 40,
+        };
+        let to = self.uplink_target(client);
+        let keepalive = FrameKind::Data { packet, seq: 0 };
+        self.transmit(client, to, keepalive, Mcs::Mcs0, now);
+    }
+
+    // --------------------------------------------------------- backhaul
+
+    /// Queue `msg` on the backhaul for `to`, a control message's rolls
+    /// drawn from the stream of the client it names.
+    fn backhaul_send(&mut self, to: BackhaulTo, msg: BackhaulMsg, now: SimTime) {
+        let rng = msg.control_client().map(|c| &mut self.air.radio(c).rng);
+        if let Some(at) = self.system.wgtt().backhaul.arrival(&msg, now, rng) {
+            self.queue.schedule(at, Ev::Backhaul { to, msg });
+        }
+    }
+
+    /// Run `f` against the WGTT controller with a pooled action buffer,
+    /// then dispatch everything it emitted.
+    ///
+    /// Dispatching can recurse into more controller work (a forwarded
+    /// uplink TCP ack emits fresh downlink segments, which fan out
+    /// here again), so each depth takes its own buffer from the pool —
+    /// depth-first dispatch order is preserved exactly, and in steady
+    /// state no dispatch allocates.
+    fn with_controller(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut Controller, &mut Vec<ControllerAction>),
+    ) {
+        let w = self.system.wgtt();
+        let mut buf = w.ctl_bufs.pop().unwrap_or_default();
+        f(&mut w.controller, &mut buf);
+        self.dispatch_ctl_buf(&mut buf, now);
+        self.system.wgtt().ctl_bufs.push(buf);
+    }
+
+    fn dispatch_ctl_buf(&mut self, buf: &mut Vec<ControllerAction>, now: SimTime) {
+        let mut actions = buf.drain(..).peekable();
+        while let Some(a) = actions.next() {
+            match a {
+                ControllerAction::Send { ap, msg } => {
+                    // The same data or sync message to the next AP too?
+                    let again = |next: &ControllerAction| match next {
+                        ControllerAction::Send { msg: m, .. } => *m == msg,
+                        ControllerAction::ToWan { .. } => false,
+                    };
+                    if msg.control_client().is_some() || !actions.peek().is_some_and(again) {
+                        self.backhaul_send(BackhaulTo::One(BackhaulDest::Ap(ap)), msg, now);
+                        continue;
+                    }
+                    let backhaul = &mut self.system.wgtt().backhaul;
+                    let (aps, list) = backhaul.open_fanout();
+                    list.push(ap);
+                    while let Some(ControllerAction::Send { ap, .. }) = actions.next_if(again) {
+                        list.push(ap);
+                    }
+                    self.backhaul_send(BackhaulTo::Aps(aps), msg, now);
+                }
+                ControllerAction::ToWan { packet } => self.on_arrival(packet, now),
+            }
+        }
+        // A switch may have been started: make sure its timeout is
+        // polled, once. The poll kept for a deadline is the first one
+        // asked for, so its place among same-instant events is the one
+        // a poll per dispatch would have given it.
+        let w = self.system.wgtt();
+        if let Some(at) = w.controller.next_timeout().map(|t| t.max(now)) {
+            if w.ctl_polls_armed.insert(at) {
+                self.queue.schedule(at, Ev::CtlPoll);
+            }
+        }
+    }
+
+    fn on_backhaul(&mut self, to: BackhaulDest, msg: BackhaulMsg, now: SimTime) {
+        let BackhaulDest::Ap(ap) = to else {
+            return self.with_controller(now, |c, buf| c.on_msg(msg, now, buf));
+        };
+        if !self.cfg().is_ap(ap) {
+            // A message addressed outside the AP array (a stale id from a
+            // reconfigured corridor segment) is dropped, not a crash:
+            // timeouts re-drive the protocol.
+            self.report.backhaul_misaddressed += 1;
+            return;
+        }
+        let ai = self.cfg().ap_index(ap);
+        let kick_client = match &msg {
+            BackhaulMsg::DownlinkData { client, .. }
+            | BackhaulMsg::Start { client, .. }
+            | BackhaulMsg::BlockAckForward { client, .. } => Some(*client),
+            _ => None,
+        };
+        let agent = &mut self.system.wgtt().aps[ai];
+        let action = agent.on_backhaul(msg);
+        // A forwarded Block ACK may have resolved the pending exchange.
+        let resolved = kick_client.is_some_and(|client| {
+            self.air.radio(ap).peer == Some(client) && !agent.tx.has_in_flight(client)
+        });
+        if resolved {
+            self.resolve_exchange(ap, now);
+        }
+        if let Some(act) = action {
+            self.backhaul_send(BackhaulTo::One(act.to), act.msg, now);
+        }
+        self.kick(ap, now);
+    }
+
+    // --------------------------------------------------------- transport
+
+    /// Send one downlink packet into the system (controller fan-out, or
+    /// the baseline client's associated AP).
+    fn route_downlink(&mut self, client: NodeId, packet: Packet, now: SimTime) {
+        let SystemState::Baseline(aps) = &mut self.system else {
+            return self.with_controller(now, |c, buf| c.on_downlink(client, packet, now, buf));
+        };
+        let cfg = self.air.cfg();
+        let roamer = self.clients[cfg.client_index(client)].roamer.as_ref();
+        if let Some(ap) = roamer.and_then(Roamer::associated) {
+            aps[cfg.ap_index(ap)].enqueue_downlink(client, packet);
+            self.kick(ap, now);
+        }
+    }
+
+    /// Send a packet of one of `client`'s flows on its way: into the
+    /// system when it is addressed to the client, into the client's MAC
+    /// when it is the client's to send.
+    fn route(&mut self, client: NodeId, packet: Packet, now: SimTime) {
+        let c = &mut self.clients[self.air.cfg().client_index(client)];
+        if packet.dst == c.ip {
+            return self.route_downlink(client, packet, now);
+        }
+        let seq = c.up_next_seq;
+        c.up_next_seq = seq_next(seq);
+        c.uplink.stage(Mpdu::fresh(seq, packet.id, packet.len));
+        self.kick(client, now);
+    }
+
+    /// Call `flow`, then do what it asks in the order its handlers always
+    /// have: route the packets it put out, then schedule its wake-ups.
+    fn with_flow(
+        &mut self,
+        flow: FlowId,
+        now: SimTime,
+        call: impl FnOnce(&mut Flow, &mut PacketFactory, &mut Vec<Packet>) -> Asks,
+    ) {
+        let Some((client, mut out, asks)) = self.traffic.call(flow, call) else {
+            return; // a packet of no flow of this world
+        };
+        for p in out.drain(..) {
+            self.route(client, p, now);
+        }
+        self.traffic.recycle(out);
+        if let Some(t) = asks.tick {
+            self.queue.schedule(t, Ev::Traffic { flow });
+        }
+        if let Some(d) = asks.timer {
+            self.queue.schedule(d.max(now), Ev::TcpTimer { flow });
+        }
+        if let Some(t) = asks.feedback {
+            self.queue.schedule(t, Ev::ConfFeedback { flow });
+        }
+    }
+
+    /// `packet` reached the end of its flow it was addressed to: the
+    /// server, past the controller's de-duplication or the associated
+    /// baseline AP, or (`end_downlink_data`) the client.
+    fn on_arrival(&mut self, packet: Packet, now: SimTime) {
+        self.with_flow(packet.flow, now, |f, factory, out| {
+            f.on_arrival(&packet, now, factory, out)
+        });
+    }
+
+    /// The packet a delivered frame refers to; one the store lost is counted.
+    fn resolve(&mut self, r: PacketRef) -> Option<Packet> {
+        let packet = self.traffic.packet(r);
+        self.report.missing_packet_refs += u64::from(packet.is_none());
+        packet
+    }
+
+    // -------------------------------------------------------- monitoring
+
+    fn serving_of(&self, client: NodeId) -> Option<NodeId> {
+        match &self.system {
+            SystemState::Wgtt(w) => w.controller.serving(client),
+            SystemState::Baseline(_) => self.clients[self.cfg().client_index(client)]
+                .roamer
+                .as_ref()
+                .and_then(Roamer::associated),
+        }
+    }
+
+    /// Where `client` sends uplink frames: its serving AP, else the first.
+    fn uplink_target(&self, client: NodeId) -> NodeId {
+        self.serving_of(client).unwrap_or(self.cfg().ap_id(0))
+    }
+
+    /// One sampling tick: what the run itself reads (the multi-channel
+    /// retune) and what cannot be recomputed afterwards (who served whom).
+    /// Everything else about the instant is a function of the links and
+    /// the drive plans, and is asked later: [`World::esnr_trace`],
+    /// [`World::selection_accuracy`].
+    fn on_sample(&mut self, now: SimTime) {
+        self.sample_ticks += 1;
+        for ci in 0..self.clients.len() {
+            let client = self.clients[ci].id;
+            let Some(ap) = self.serving_of(client) else {
+                continue;
+            };
+            // Multi-channel deployments: the client's radio follows its
+            // serving AP's channel (retune modelled at tick granularity).
+            self.air.follow(client, ap);
+            let series = self.report.serving_series.entry(client).or_default();
+            series.record(now, ap.0 as f64 + 1.0);
+        }
+        self.queue.schedule(now + SAMPLE_TICK, Ev::SampleState);
+    }
+
+    /// The instants of the sampling ticks taken so far.
+    fn sample_instants(&self) -> impl Iterator<Item = SimTime> {
+        (1..=self.sample_ticks).map(|k| SimTime::ZERO + SAMPLE_TICK.times(k))
+    }
+
+    /// The (client, AP) link's exact ESNR under the reference 16-QAM
+    /// constellation at every sampling tick taken so far, with the client
+    /// where its plan puts it at the tick (Fig. 2 style). Computed on a
+    /// copy of the link — a clone if the run drew it, drawn afresh on the
+    /// copy if not: the run's memos, work counters and drawn links stay
+    /// as the run left them, so asking — twice, or mid-run — changes
+    /// nothing.
+    pub fn esnr_trace(&self, client: NodeId, ap: NodeId) -> TimeSeries {
+        let link = self.air.link_copy(ap, client);
+        let mut trace = TimeSeries::new();
+        for t in self.sample_instants() {
+            let pos = self.cfg().client_pos(client, t);
+            trace.record(t, link.esnr_db_at(t, pos, Modulation::Qam16));
+        }
+        trace
+    }
+
+    /// Table 2's switching accuracy over the sampling ticks taken so far:
+    /// the time the serving AP (read back from `serving_series`) was the
+    /// oracle-best one, over the time any AP was usable. Like
+    /// [`World::esnr_trace`] it works on copies of the links.
+    pub fn selection_accuracy(&self) -> SelectionAccuracy {
+        let links = self.air.copy_links();
+        let n_aps = self.cfg().ap_x.len();
+        let tick_s = SAMPLE_TICK.as_secs_f64();
+        // Each client's serving points still to be matched to a tick.
+        let mut served: Vec<&[(SimTime, f64)]> = self
+            .clients
+            .iter()
+            .map(|c| self.report.serving_series.get(&c.id))
+            .map(|s| s.map_or(&[][..], TimeSeries::points))
+            .collect();
+        let mut esnrs = Vec::with_capacity(n_aps);
+        let mut acc = SelectionAccuracy::default();
+        for t in self.sample_instants() {
+            for (ci, c) in self.clients.iter().enumerate() {
+                let Some((&(_, ap), rest)) = served[ci].split_first().filter(|(p, _)| p.0 == t)
+                else {
+                    continue; // nobody served this client at this tick
+                };
+                served[ci] = rest;
+                let serving = self.cfg().ap_index(NodeId(ap as u32 - 1));
+                let aps = (0..n_aps).map(|aui| self.cfg().ap_id(aui));
+                wgtt_radio::batch::esnr_map(
+                    aps.map(|ap| self.air.link_of(&links, ap, c.id)),
+                    t,
+                    self.cfg().client_pos(c.id, t),
+                    Modulation::Qam16,
+                    &mut esnrs,
+                );
+                let oracle_esnr = esnrs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                // Only count instants where any AP is actually usable; the
+                // serving AP counts as optimal when it is within 1 dB of
+                // the instantaneous best (an indistinguishable tie at CSI
+                // measurement precision).
+                if oracle_esnr > 2.0 {
+                    acc.total_s += tick_s;
+                    if esnrs[serving] >= oracle_esnr - 1.0 {
+                        acc.hits_s += tick_s;
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    // ---------------------------------------------------- station gate
+    //
+    // One pipeline for every sender. What differs by role is only whether
+    // the node has work, how it builds its next A-MPDU, and which random
+    // stream backs it off.
+
+    fn has_work(&mut self, role: Role) -> bool {
+        match role {
+            Role::Ap(ai) => self.system.ap_tx(ai).has_work(),
+            Role::Client(ci) => self.clients[ci].uplink.has_work(),
+        }
+    }
+
+    /// The node's next A-MPDU and its addressee, marked in flight at its
+    /// sender.
+    fn next_ampdu(&mut self, node: NodeId, role: Role) -> Option<(NodeId, Vec<Mpdu>, Mcs)> {
+        match role {
+            Role::Ap(ai) => self.system.ap_tx(ai).next_ampdu(),
+            Role::Client(ci) => {
+                let target = self.uplink_target(node);
+                let uplink = &mut self.clients[ci].uplink;
+                let (mpdus, mcs) = uplink.build(&AggregationPolicy::default())?;
+                Some((target, mpdus, mcs))
+            }
+        }
+    }
+
+    fn kick(&mut self, node: NodeId, now: SimTime) {
+        let role = self.air.role(node);
+        let radio = self.air.radio(node);
+        if radio.tx_scheduled || radio.peer.is_some() || !self.has_work(role) {
+            return;
+        }
+        let at = self.air.contend(node, now);
+        self.queue.schedule(at, Ev::TxStart { node });
+    }
+
+    fn on_tx_start(&mut self, node: NodeId, now: SimTime) {
+        let role = self.air.role(node);
+        let radio = self.air.radio(node);
+        radio.tx_scheduled = false;
+        if radio.peer.is_some() {
+            return;
+        }
+        if !self.air.clear_to_send(node, now) {
+            // Someone grabbed the channel during our backoff (or our own
+            // previous frame is still on the air): re-contend.
+            self.kick(node, now);
+            return;
+        }
+        let Some((to, mpdus, mcs)) = self.next_ampdu(node, role) else {
+            return;
+        };
+        self.transmit(node, to, FrameKind::Ampdu { mpdus }, mcs, now);
+        self.air.radio(node).peer = Some(to);
+    }
+
+    /// Put a frame on the air from `now`; its `Ev::TxEnd` fires when the
+    /// last symbol has left.
+    fn transmit(&mut self, from: NodeId, to: NodeId, kind: FrameKind, mcs: Mcs, now: SimTime) {
+        let frame = Frame {
+            from,
+            to,
+            kind,
+            mcs,
+        };
+        let (tx, end) = self.air.transmit(&frame, now);
+        self.queue.schedule(end, Ev::TxEnd { tx, frame });
+    }
+
+    /// The pending exchange of `node` ended, one way or the other.
+    fn end_exchange(&mut self, node: NodeId, backoff: u8, now: SimTime) {
+        let radio = self.air.radio(node);
+        radio.peer = None;
+        radio.backoff = backoff;
+        self.kick(node, now);
+    }
+
+    /// A Block ACK settled the window `node` had in flight.
+    fn resolve_exchange(&mut self, node: NodeId, now: SimTime) {
+        if let Some(ev) = self.air.radio(node).ba_timeout_ev.take() {
+            self.queue.cancel(ev);
+        }
+        self.end_exchange(node, 0, now);
+    }
+
+    fn on_ba_timeout(&mut self, node: NodeId, peer: NodeId, now: SimTime) {
+        match self.air.role(node) {
+            Role::Ap(ai) => self.system.ap_tx(ai).on_ba_timeout(peer),
+            Role::Client(ci) => self.clients[ci].uplink.on_ba_timeout(Unacked::Retry),
+        };
+        let radio = self.air.radio(node);
+        radio.ba_timeout_ev = None;
+        let backoff = (radio.backoff + 1).min(6);
+        self.end_exchange(node, backoff, now);
+    }
+
+    // ------------------------------------------------------ frame ends
+
+    fn on_tx_end(&mut self, tx: TxId, frame: Frame, now: SimTime) {
+        self.report.frames_on_air += 1;
+        let (from, to, mcs) = (frame.from, frame.to, frame.mcs);
+        let from_ap = self.cfg().is_ap(from);
+        match frame.kind {
+            FrameKind::Ampdu { mpdus } => {
+                if from_ap {
+                    self.end_downlink_data(tx, from, to, &mpdus, mcs, now);
+                } else {
+                    self.end_uplink_data(tx, from, &mpdus, mcs, now);
+                }
+                let timeout = Ev::BaTimeout { from, peer: to };
+                let ev = self.queue.schedule(now + BA_WAIT, timeout);
+                self.air.radio(from).ba_timeout_ev = Some(ev);
+            }
+            FrameKind::BlockAck { start_seq, bitmap } => {
+                let ba = (start_seq, bitmap);
+                if from_ap {
+                    self.end_ap_blockack(tx, from, to, ba, now);
+                } else {
+                    self.end_client_blockack(tx, from, to, ba, now);
+                }
+            }
+            FrameKind::Beacon => self.end_beacon(tx, from, now),
+            FrameKind::Mgmt { step } => self.end_mgmt(tx, from, to, step, now),
+            FrameKind::Data { packet, .. } if !from_ap => {
+                if packet.id == KEEPALIVE_PKT_ID {
+                    self.end_keepalive(tx, from, now);
+                }
+            }
+            FrameKind::Data { .. } | FrameKind::Ack => {}
+        }
+    }
+
+    /// A keepalive finished: every decoding AP reports CSI (WGTT). The
+    /// baseline's client-side roamer works from beacons instead.
+    fn end_keepalive(&mut self, tx: TxId, client: NodeId, now: SimTime) {
+        if !self.system.is_wgtt() {
+            return;
+        }
+        let pos = self.cfg().client_pos(client, now);
+        for aui in self.air.ap_window(pos.x) {
+            let pair = (self.cfg().ap_id(aui), client);
+            if !self.air.reaches(aui, tx, (client, pair.0), pos, now) {
+                continue;
+            }
+            if self.air.roll_mpdu(pair, pos, now, Mcs::Mcs0, 40) {
+                self.report_csi(aui, client, now);
+            }
+        }
+    }
+
+    /// The AP at local index `aui` decoded an uplink frame of `client`:
+    /// under WGTT every one is a CSI measurement for the controller.
+    fn report_csi(&mut self, aui: usize, client: NodeId, now: SimTime) {
+        let esnr = self.air.measured_esnr(self.cfg().ap_id(aui), client, now);
+        let csi = self.system.wgtt().aps[aui].csi_report(client, esnr, now);
+        self.backhaul_send(BackhaulTo::One(csi.to), csi.msg, now);
+    }
+
+    /// A downlink A-MPDU finished: roll per-MPDU delivery at the client,
+    /// deliver new packets, and arm the Block ACK response/timeout pair.
+    fn end_downlink_data(
+        &mut self,
+        tx: TxId,
+        ap: NodeId,
+        client: NodeId,
+        mpdus: &[Mpdu],
+        mcs: Mcs,
+        now: SimTime,
+    ) {
+        let bitrates = self.report.bitrate_series.entry(client).or_default();
+        bitrates.record(mcs.rate_mbps());
+        let survives =
+            self.air.medium().same_channel(ap, client) && self.air.rx_survives(tx, ap, client, now);
+        let ci = self.cfg().client_index(client);
+        let pos = self.cfg().client_pos(client, now);
+        // The shared-BSSID window under WGTT, the AP's own otherwise.
+        let slot = if self.system.is_wgtt() {
+            0
+        } else {
+            self.cfg().ap_index(ap)
+        };
+        // BAR semantics: when the whole aggregate lies in the stale half
+        // of the receive window (the sender's sequence space jumped after
+        // an overload drop or fan-out absence), re-anchor the window at
+        // the aggregate's first sequence number.
+        let win = &mut self.clients[ci].ba_rx[slot];
+        if !mpdus.is_empty() && mpdus.iter().all(|m| win.is_behind(m.seq)) {
+            win.reanchor(mpdus[0].seq);
+        }
+        let mut decoded_any = false;
+        for m in mpdus {
+            let (pair, len) = ((ap, client), m.packet.len);
+            if !survives || !self.air.roll_mpdu(pair, pos, now, mcs, len) {
+                continue;
+            }
+            decoded_any = true;
+            if self.clients[ci].ba_rx[slot].on_mpdu(m.seq) {
+                if let Some(packet) = self.resolve(m.packet) {
+                    self.on_arrival(packet, now);
+                }
+            }
+        }
+        if decoded_any {
+            self.note_delivery(client, now);
+            let jitter = SIFS_US + self.air.radio(client).rng.below(16);
+            let ba = self.clients[ci].ba_rx[slot].block_ack();
+            self.respond(now + SimDuration::from_micros(jitter), client, ap, ba);
+        }
+    }
+
+    /// An uplink A-MPDU finished: every AP rolls reception independently;
+    /// decoders tunnel packets + CSI (WGTT) or deliver to the server
+    /// (baseline, associated AP only) and respond with Block ACKs.
+    fn end_uplink_data(
+        &mut self,
+        tx: TxId,
+        client: NodeId,
+        mpdus: &[Mpdu],
+        mcs: Mcs,
+        now: SimTime,
+    ) {
+        let wgtt = self.system.is_wgtt();
+        let assoc_ap = if wgtt { None } else { self.serving_of(client) };
+        let pos = self.cfg().client_pos(client, now);
+        for aui in self.air.ap_window(pos.x) {
+            let Some(ba) = self.air.hear_uplink(aui, tx, client, mpdus, mcs, now) else {
+                continue;
+            };
+            let ap = self.cfg().ap_id(aui);
+            if wgtt {
+                self.report_csi(aui, client, now);
+            }
+            // Under WGTT *every* decoding AP is associated: it tunnels what
+            // it decoded and replies (Table 3); under the baseline only
+            // the associated AP delivers and replies.
+            if !wgtt && assoc_ap != Some(ap) {
+                continue;
+            }
+            // By index: a delivery may kick a station, never hear a frame.
+            for i in 0..self.air.fresh().len() {
+                let Some(packet) = self.resolve(self.air.fresh()[i]) else {
+                    continue;
+                };
+                if wgtt {
+                    let msg = BackhaulMsg::UplinkData { ap, packet };
+                    self.backhaul_send(BackhaulTo::One(BackhaulDest::Controller), msg, now);
+                } else {
+                    self.on_arrival(packet, now);
+                }
+            }
+            // The addressee answers HT-immediate after SIFS; the others
+            // with the µs-scale backoff the paper measured on the TP-Link
+            // hardware (§5.3.2), which with carrier sense makes collisions
+            // rare.
+            let jitter_us = if self.serving_of(client) == Some(ap) {
+                SIFS_US + self.air.radio(ap).rng.below(3)
+            } else {
+                SIFS_US + 12 + self.air.radio(ap).rng.below(60)
+            };
+            self.respond(now + SimDuration::from_micros(jitter_us), ap, client, ba);
+        }
+    }
+
+    /// A client's Block ACK (for downlink data) finished: the addressee
+    /// applies it; under WGTT every other decoding AP both reports CSI
+    /// and forwards the Block ACK to the serving AP (§3.2.1).
+    fn end_client_blockack(
+        &mut self,
+        tx: TxId,
+        client: NodeId,
+        target: NodeId,
+        (start_seq, bitmap): (u16, u64),
+        now: SimTime,
+    ) {
+        let wgtt = self.system.is_wgtt();
+        let pos = self.cfg().client_pos(client, now);
+        for aui in self.air.ap_window(pos.x) {
+            let ap = self.cfg().ap_id(aui);
+            if !self.air.reaches(aui, tx, (client, ap), pos, now) {
+                continue;
+            }
+            // A baseline AP the Block ACK does not address has nobody to
+            // tell — no CSI report, no forwarding — so whether it decoded
+            // the frame is never read.
+            if !wgtt && ap != target {
+                self.air.roll_unread(client);
+                continue;
+            }
+            if !self.air.roll_control((ap, client), pos, now) {
+                continue;
+            }
+            if wgtt {
+                self.report_csi(aui, client, now);
+            }
+            if ap == target {
+                let ap_tx = self.system.ap_tx(aui);
+                ap_tx.on_block_ack(client, start_seq, bitmap);
+                // A byte-identical BA for a retransmission window is a
+                // no-op: resolve only when the window actually cleared.
+                let cleared = !ap_tx.has_in_flight(client);
+                if cleared && self.air.radio(ap).peer == Some(client) {
+                    self.resolve_exchange(ap, now);
+                }
+                continue;
+            }
+            let w = self.system.wgtt();
+            if !w.cfg.enable_ba_forwarding {
+                continue;
+            }
+            if let Some(act) = w.aps[aui].on_overheard_block_ack(client, start_seq, bitmap) {
+                self.backhaul_send(BackhaulTo::One(act.to), act.msg, now);
+            }
+        }
+    }
+
+    /// An AP's Block ACK (for uplink data) finished at the client.
+    fn end_ap_blockack(
+        &mut self,
+        tx: TxId,
+        ap: NodeId,
+        client: NodeId,
+        ba: (u16, u64),
+        now: SimTime,
+    ) {
+        if !self.air.medium().same_channel(ap, client) {
+            return;
+        }
+        if !self.air.rx_survives(tx, ap, client, now) {
+            self.report.ba_collisions.incr();
+            return;
+        }
+        let ci = self.cfg().client_index(client);
+        let pos = self.cfg().client_pos(client, now);
+        if !self.air.roll_control((ap, client), pos, now) {
+            return;
+        }
+        // With nothing in flight the client ignores the Block ACK
+        // outright. A stale or repeated copy changes nothing either: keep
+        // waiting for a live one or the timeout.
+        let up = &mut self.clients[ci].uplink;
+        if up.has_in_flight() && !up.on_block_ack(ba.0, ba.1, Unacked::Retry).duplicate {
+            self.resolve_exchange(client, now);
+        }
+    }
+
+    /// Queue the Block ACK `ba` from `from` to `to` at `at`.
+    fn respond(&mut self, at: SimTime, from: NodeId, to: NodeId, ba: (u16, u64)) {
+        self.queue.schedule(at, Ev::BaResponse { from, to, ba });
+    }
+
+    fn on_ba_response(&mut self, from: NodeId, to: NodeId, ba: (u16, u64), now: SimTime) {
+        // Responses younger than the preamble-detect lag are invisible:
+        // that is how two APs' acknowledgements can collide (§5.3.2).
+        let medium = self.air.medium();
+        if medium.sensed_busy(from, now, SENSE_LAG) || medium.own_tx_until(from, now) > now {
+            return; // suppressed by carrier sense (or own radio busy)
+        }
+        if self.cfg().is_ap(from) {
+            self.report.ba_responses.incr();
+        }
+        let (start_seq, bitmap) = ba;
+        let ba = FrameKind::BlockAck { start_seq, bitmap };
+        self.transmit(from, to, ba, Mcs::Mcs0, now);
+    }
+
+    // -------------------------------------------------- baseline frames
+
+    fn on_beacon(&mut self, ap: NodeId, retry: bool, now: SimTime) {
+        if !retry {
+            self.queue
+                .schedule(now + BEACON_INTERVAL, Ev::Beacon { ap, retry: false });
+        }
+        if self.air.medium().is_busy_for(ap, now) {
+            if !retry {
+                let at = self.air.medium().busy_until_for(ap, now);
+                let jitter = DIFS_US + self.air.radio(ap).rng.below(64);
+                let at = at + SimDuration::from_micros(jitter);
+                self.queue.schedule(at, Ev::Beacon { ap, retry: true });
+            }
+            return;
+        }
+        // Broadcast: the addressee is unused for beacons.
+        self.transmit(ap, ap, FrameKind::Beacon, Mcs::Mcs0, now);
+    }
+
+    fn end_beacon(&mut self, tx: TxId, ap: NodeId, now: SimTime) {
+        let aui = self.cfg().ap_index(ap);
+        for ci in 0..self.clients.len() {
+            let client = self.clients[ci].id;
+            let pos = self.cfg().client_pos(client, now);
+            if !self.air.reaches(aui, tx, (ap, client), pos, now)
+                || !self.air.roll_control((ap, client), pos, now)
+            {
+                continue;
+            }
+            // Power only — no CSI materialization for a beacon RSSI.
+            let rssi = self.air.link(ap, client).rssi_dbm_at(now, pos);
+            if let Some(r) = self.clients[ci].roamer.as_mut() {
+                r.on_beacon(ap, rssi, now);
+            }
+        }
+    }
+
+    fn on_roam_poll(&mut self, client: NodeId, now: SimTime) {
+        self.queue
+            .schedule(now + ROAM_POLL, Ev::RoamPoll { client });
+        let ci = self.cfg().client_index(client);
+        let Some(roamer) = self.clients[ci].roamer.as_mut() else {
+            return;
+        };
+        if let RoamerAction::SendMgmt { ap, step } = roamer.evaluate(now) {
+            self.queue_mgmt(client, ap, step, 0, now);
+        }
+    }
+
+    /// Contend for management attempt `attempt` like any other frame:
+    /// under a saturated medium the reassociation must still win slots.
+    fn queue_mgmt(&mut self, from: NodeId, to: NodeId, step: MgmtStep, attempt: u8, now: SimTime) {
+        let at = self.air.access_time(from, now, attempt);
+        let mgmt = Ev::MgmtTx {
+            from,
+            to,
+            step,
+            attempt,
+        };
+        self.queue.schedule(at, mgmt);
+    }
+
+    /// A granted management transmission instant: send if the channel is
+    /// clear, otherwise re-contend (bounded; the roamer's own retry timer
+    /// provides the outer loop).
+    fn on_mgmt_tx(&mut self, from: NodeId, to: NodeId, step: MgmtStep, attempt: u8, now: SimTime) {
+        if !self.air.clear_to_send(from, now) {
+            if attempt < 8 {
+                self.queue_mgmt(from, to, step, attempt + 1, now);
+            }
+            return;
+        }
+        self.transmit(from, to, FrameKind::Mgmt { step }, Mcs::Mcs0, now);
+    }
+
+    fn end_mgmt(&mut self, tx: TxId, from: NodeId, to: NodeId, step: MgmtStep, now: SimTime) {
+        // A request goes client → AP, a response AP → client.
+        let (ap, client) = match step {
+            MgmtStep::AssocReq => (to, from),
+            MgmtStep::AssocResp => (from, to),
+            _ => return,
+        };
+        if !self.air.rx_survives(tx, from, to, now) {
+            return;
+        }
+        let ci = self.cfg().client_index(client);
+        let pos = self.cfg().client_pos(client, now);
+        if !self.air.roll_control((ap, client), pos, now) {
+            return;
+        }
+        if step == MgmtStep::AssocReq {
+            let (from, to, step) = (to, from, MgmtStep::AssocResp);
+            let at = now + SimDuration::from_micros(SIFS_US);
+            self.queue.schedule(at, Ev::MgmtResponse { from, to, step });
+            return;
+        }
+        let Some(roamer) = self.clients[ci].roamer.as_mut() else {
+            return;
+        };
+        let old = roamer.associated();
+        if roamer.on_assoc_response(from, now) {
+            // The handshake's target is never the AP the client is
+            // leaving.
+            if let (Some(old_ap), SystemState::Baseline(aps)) = (old, &mut self.system) {
+                aps[self.air.cfg().ap_index(old_ap)].flush_client(to);
+            }
+            self.kick(from, now);
+        }
+    }
+
+    fn on_mgmt_response(&mut self, from: NodeId, to: NodeId, step: MgmtStep, now: SimTime) {
+        if self.air.medium().sensed_busy(from, now, SENSE_LAG) {
+            return;
+        }
+        self.transmit(from, to, FrameKind::Mgmt { step }, Mcs::Mcs0, now);
+    }
+}
 
 #[cfg(test)]
 mod tests {
+    use super::air::DECODE_HORIZON_M;
     use super::*;
     use crate::testbed::ClientPlan;
+    use std::ops::Range;
+    use wgtt::messages::BACKHAUL_LATENCY;
     use wgtt_radio::link::{LinkWork, BOUND_MARGIN_DB};
+    use wgtt_radio::Position;
 
     fn wgtt() -> SystemKind {
         SystemKind::Wgtt(WgttConfig::default())
@@ -1405,10 +1717,10 @@ mod tests {
             let mut w = quick_world(system, FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, seed);
             let (ai, client) = (3, w.client_ids()[0]);
             let stream = RngStream::root(seed)
-                .derive_indexed(ap_label, u64::from(w.ap_id(ai).0))
+                .derive_indexed(ap_label, u64::from(w.cfg().ap_id(ai).0))
                 .derive_indexed(rate_label, u64::from(client.0));
             let mut model = Sender::new(RateController::new(stream.rng()));
-            if let Some(s) = w.system.wgtt() {
+            if let SystemState::Wgtt(s) = &mut w.system {
                 let (k, switch_id) = (0, 0);
                 s.aps[ai].on_backhaul(BackhaulMsg::Start {
                     client,
@@ -1416,20 +1728,18 @@ mod tests {
                     switch_id,
                 });
             }
-            let mut picks = Vec::new();
+            let (mut picks, mut factory) = (Vec::new(), PacketFactory::new());
             for index in 0..100u16 {
                 let (from, to) = (SERVER, w.clients[0].ip);
-                let packet = w
-                    .factory
-                    .udp(FlowId(0), from, to, index.into(), 1500, SimTime::ZERO);
-                if let Some(s) = w.system.wgtt() {
+                let packet = factory.udp(FlowId(0), from, to, index.into(), 1500, SimTime::ZERO);
+                if let SystemState::Wgtt(s) = &mut w.system {
                     s.aps[ai].on_backhaul(BackhaulMsg::DownlinkData {
                         client,
                         index,
                         packet,
                     });
                 }
-                if let Some(aps) = w.system.baseline() {
+                if let SystemState::Baseline(aps) = &mut w.system {
                     aps[ai].enqueue_downlink(client, packet);
                 }
                 let (to, mpdus, mcs) = w.system.ap_tx(ai).next_ampdu().expect("one queued");
@@ -1464,11 +1774,11 @@ mod tests {
         .with_clients(vec![plan]);
         for system in [wgtt(), SystemKind::Enhanced80211r] {
             let mut w = World::new(cfg.clone(), system, Vec::new(), 1);
-            let [a, b] = [0, 1].map(|aui| w.sites[aui].mean_snr_db(plan.start));
+            let [a, b] = [0, 1].map(|aui| cfg.site(aui).mean_snr_db(plan.start));
             assert_eq!(a.to_bits(), b.to_bits(), "the two sites must tie");
             w.begin(SimDuration::from_millis(1));
             let client = w.clients[0].id;
-            assert_eq!(w.serving_of(client), Some(w.ap_id(1)));
+            assert_eq!(w.serving_of(client), Some(w.cfg().ap_id(1)));
         }
     }
 
@@ -1478,17 +1788,22 @@ mod tests {
     }
 
     #[test]
+    fn a_link_slot_is_one_pointer() {
+        assert!(std::mem::size_of::<super::air::LinkSlot>() <= 8);
+    }
+
+    #[test]
     fn fanout_reaches_each_ap_it_names_and_counts_the_id_that_is_none() {
         let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, 1);
         w.traffic_start = SimTime::from_secs(1);
         w.begin(SimDuration::from_secs(1));
         let client = w.client_ids()[0];
         let (from, to) = (SERVER, w.clients[0].ip);
-        let latency = BACKHAUL_LATENCY;
+        let (latency, mut factory) = (BACKHAUL_LATENCY, PacketFactory::new());
         for index in 0..3u16 {
             let now = SimTime::ZERO + latency.times(2 * u64::from(index) + 1);
             w.advance_until(now);
-            let packet = w.factory.udp(FlowId(0), from, to, index.into(), 1500, now);
+            let packet = factory.udp(FlowId(0), from, to, index.into(), 1500, now);
             let mut buf = Vec::new();
             // NodeId(64) is neither an AP nor a client of this world.
             for ap in [NodeId(2), NodeId(64), NodeId(5)] {
@@ -1503,16 +1818,13 @@ mod tests {
             w.advance_until(now + latency);
             let sent = usize::from(index) + 1;
             assert_eq!(w.report.backhaul_misaddressed, sent as u64);
-            let aps = &w.system.wgtt().expect("a WGTT world").aps;
+            let aps = &w.system.wgtt().aps;
             let backlogs: Vec<usize> = aps.iter().map(|ap| ap.backlog(client)).collect();
             assert_eq!(backlogs, [0, 0, sent, 0, 0, sent, 0, 0]);
         }
         // The association's sync round (its Start is still being
-        // processed), then one event per fan-out; and the one list went
-        // back each time to be used again.
+        // processed), then one event per fan-out.
         assert_eq!(w.report.events.backhaul_to_ap, 1 + 3);
-        assert_eq!(w.fanouts_free.len(), w.fanouts.len());
-        assert_eq!(w.fanouts.len(), 1);
     }
 
     // ------------------------------------------------------- TCP timers
@@ -1542,13 +1854,13 @@ mod tests {
         let (mut now, mut latest_armed) = (SimTime::ZERO, SimTime::ZERO);
         let (mut backoffs, mut longest_backoff, mut under_a_later_timer) = (0, 0, 0);
         while now < w.end_at() {
-            let snd = w.flows[0].tcp_sender();
+            let snd = w.traffic.flow(FlowId(0)).tcp_sender();
             let (deadline, rto, fired) = (snd.rto_deadline(), snd.rto(), snd.stats.timeouts);
             // To the deadline's last nanosecond but one, if a step reaches.
             let eve = deadline.map(|d| d - ns).filter(|&t| t <= now + step);
             now = eve.unwrap_or(now + step);
             w.advance_until(now);
-            let snd = w.flows[0].tcp_sender();
+            let snd = w.traffic.flow(FlowId(0)).tcp_sender();
             assert_eq!(snd.stats.timeouts, fired, "RTO ahead of {deadline:?}");
             assert!(
                 snd.rto_deadline().is_none_or(|d| d > now),
@@ -1565,7 +1877,7 @@ mod tests {
             };
             now = d;
             w.advance_until(now);
-            let snd = w.flows[0].tcp_sender();
+            let snd = w.traffic.flow(FlowId(0)).tcp_sender();
             assert_eq!(snd.stats.timeouts, fired + 1, "no RTO at {d}");
             let doubled = SimDuration::from_nanos(rto.as_nanos() * 2);
             let max_rto = wgtt_net::tcp::TcpConfig::default().max_rto;
@@ -1650,10 +1962,10 @@ mod tests {
         fn tick(&mut self, w: &World, now: SimTime) {
             let mut esnrs = Vec::new();
             for c in &w.clients {
-                let (client, pos) = (c.id, w.client_pos(c.id, now));
-                let aps = (0..w.cfg.ap_x.len()).map(|aui| w.ap_id(aui));
+                let (client, pos) = (c.id, w.cfg().client_pos(c.id, now));
+                let aps = (0..w.cfg().ap_x.len()).map(|aui| w.cfg().ap_id(aui));
                 wgtt_radio::batch::esnr_map(
-                    aps.clone().map(|ap| w.link(ap, client)),
+                    aps.clone().map(|ap| w.air.link(ap, client)),
                     now,
                     pos,
                     Modulation::Qam16,
@@ -1670,7 +1982,8 @@ mod tests {
                 if let (Some(s), Some(oracle_esnr)) = (w.serving_of(client), best) {
                     if oracle_esnr > 2.0 {
                         self.accuracy.total_s += SAMPLE_TICK.as_secs_f64();
-                        if w.esnr_now(s, client, pos, now) >= oracle_esnr - 1.0 {
+                        let link = w.air.link(s, client);
+                        if link.esnr_db_at(now, pos, Modulation::Qam16) >= oracle_esnr - 1.0 {
                             self.accuracy.hits_s += SAMPLE_TICK.as_secs_f64();
                         }
                     }
@@ -1684,7 +1997,7 @@ mod tests {
                 let points = ts.points().iter();
                 points.map(|&(t, e)| (t, e.to_bits())).collect()
             };
-            assert_eq!(self.traces.len(), w.clients.len() * w.cfg.ap_x.len());
+            assert_eq!(self.traces.len(), w.clients.len() * w.cfg().ap_x.len());
             for (&(client, ap), want) in &self.traces {
                 assert_eq!(want.len() as u64, w.sample_ticks);
                 let got = w.esnr_trace(client, ap);
@@ -1759,7 +2072,7 @@ mod tests {
         drive_by_ticks(&mut asked, |w, tick| {
             if tick.as_nanos() % SimDuration::from_millis(250).as_nanos() == 0 {
                 w.selection_accuracy();
-                w.esnr_trace(w.clients[0].id, w.ap_id(3));
+                w.esnr_trace(w.clients[0].id, w.cfg().ap_id(3));
             }
         });
         assert_eq!(asked.selection_accuracy(), acc);
@@ -1790,19 +2103,17 @@ mod tests {
         /// Draw every pair, as a world that drew them all in `new` would
         /// hold them.
         fn realize_all_links(&self) {
-            for pair in 0..self.links.len() {
-                self.link_at(&self.links[pair], pair);
+            for aui in 0..self.cfg().ap_x.len() {
+                for c in &self.clients {
+                    self.air.link(self.cfg().ap_id(aui), c.id);
+                }
             }
         }
 
         fn links_realized(&self) -> usize {
-            self.links.iter().filter(|s| s.get().is_some()).count()
+            let links = self.air.copy_links();
+            links.iter().filter(|s| s.get().is_some()).count()
         }
-    }
-
-    #[test]
-    fn a_link_slot_is_one_pointer() {
-        assert!(std::mem::size_of::<LinkSlot>() <= 8);
     }
 
     /// A 24-vehicle corridor two decode horizons long: some pairs lie out
@@ -1826,7 +2137,10 @@ mod tests {
         assert_eq!(outcome(&lazy.report), outcome(&eager.report));
         let built = lazy.links_realized();
         assert_eq!(lazy.report.phy.links_built, built as u64);
-        assert_eq!(eager.report.phy.links_built, eager.links.len() as u64);
+        assert_eq!(
+            eager.report.phy.links_built,
+            eager.air.copy_links().len() as u64
+        );
         let phy = PhyWork {
             links_built: eager.report.phy.links_built,
             ..lazy.report.phy
@@ -1835,7 +2149,7 @@ mod tests {
         // Pair by pair: a drawn link did its eager twin's exact work, and
         // an undrawn pair's twin did none — the run evaluated nothing of
         // its channel.
-        for (slot, twin) in lazy.links.iter().zip(&eager.links) {
+        for (slot, twin) in lazy.air.copy_links().iter().zip(&eager.air.copy_links()) {
             let twin = twin.get().expect("drawn before `begin`").work();
             let work = slot.get().map(|link| link.work());
             assert_eq!(work.unwrap_or(twin), twin);
@@ -1846,9 +2160,10 @@ mod tests {
             ts.points().iter().map(|&(t, e)| (t, e.to_bits())).collect()
         };
         let n = lazy.clients.len();
-        let unbuilt = (0..lazy.links.len()).filter(|&p| lazy.links[p].get().is_none());
+        let links = lazy.air.copy_links();
+        let unbuilt = (0..links.len()).filter(|&p| links[p].get().is_none());
         for pair in unbuilt.take(2).chain([0]) {
-            let (ap, client) = (lazy.ap_id(pair / n), lazy.clients[pair % n].id);
+            let (ap, client) = (lazy.cfg().ap_id(pair / n), lazy.clients[pair % n].id);
             let trace = bits(lazy.esnr_trace(client, ap));
             assert_eq!(trace.len() as u64, lazy.sample_ticks);
             assert_eq!(
@@ -1878,9 +2193,11 @@ mod tests {
         // the start, which every one of its frames was rolled at.
         let w = corridor_world();
         let reach = w.clients.iter().map(|c| {
-            let pos = c.plan.position_at(SimTime::ZERO);
-            let window = w.ap_window(pos.x);
-            window.filter(|&aui| w.in_decode_horizon(aui, pos)).count()
+            let pos = w.cfg().client_pos(c.id, SimTime::ZERO);
+            let window = w.air.ap_window(pos.x);
+            window
+                .filter(|&aui| w.air.in_decode_horizon(aui, pos))
+                .count()
         });
         let reach = reach.sum::<usize>();
         assert!(0 < built && built < reach, "{built} of {reach} in reach");
@@ -1893,22 +2210,24 @@ mod tests {
     fn a_link_is_drawn_when_its_channel_is_first_evaluated() {
         let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 1.0 }, 1);
         let client = w.client_ids()[0];
-        let (near, far) = (w.ap_id(0), w.ap_id(7));
-        let drawn = |w: &World, ap| w.links[w.pair_index(ap, client)].get().is_some();
+        let (near, far) = (w.cfg().ap_id(0), w.cfg().ap_id(7));
+        let pair = |w: &World, ap| w.cfg().ap_index(ap) * w.clients.len();
+        let drawn = |w: &World, ap| w.air.copy_links()[pair(w, ap)].get().is_some();
         // 109 m from the last AP: inside its decode horizon, under its
         // sidelobes, where even the static ceiling loses a 1500-byte MCS7
         // frame whatever the draw.
         let far_pos = Position::new(-55.0, 0.0);
-        let far_ceiling = w.sites[w.cfg.ap_index(far)].esnr_ceiling_db(far_pos);
-        assert!(w.in_decode_horizon(w.cfg.ap_index(far), far_pos));
+        let far_ceiling = w.cfg().site(w.cfg().ap_index(far)).esnr_ceiling_db(far_pos);
+        assert!(w.air.in_decode_horizon(w.cfg().ap_index(far), far_pos));
         assert_eq!(Mcs::Mcs7.per(far_ceiling + BOUND_MARGIN_DB, 1500), 1.0);
         for ms in 1..=5 {
             let now = SimTime::from_millis(ms);
-            assert!(!w.roll_mpdu(far, client, far_pos, now, Mcs::Mcs7, 1500));
-            w.rssi_ceiling_between(far, client, now);
-            w.rssi_ceiling_between(client, far, now);
+            let pair = (far, client);
+            assert!(!w.air.roll_mpdu(pair, far_pos, now, Mcs::Mcs7, 1500));
+            w.air.rssi_ceiling_between(far, client, now);
+            w.air.rssi_ceiling_between(client, far, now);
         }
-        assert_eq!(w.report.phy.rolls_ceiling, 5);
+        assert_eq!(w.air.work().rolls_ceiling, 5);
         assert_eq!(w.links_realized(), 0, "the ceiling drew a link");
         // A query works on a copy.
         w.sample_ticks = 3;
@@ -1918,11 +2237,12 @@ mod tests {
         // the ceiling: it evaluates the tap-gain bound, and that draws
         // the pair.
         let now = SimTime::from_millis(6);
-        w.roll_control(near, client, Position::new(w.cfg.ap_x[0], 0.0), now);
-        assert!(w.report.phy.rolls_ceiling == 5 && drawn(&w, near));
+        let boresight = Position::new(w.cfg().ap_x[0], 0.0);
+        w.air.roll_control((near, client), boresight, now);
+        assert!(w.air.work().rolls_ceiling == 5 && drawn(&w, near));
         assert_eq!(w.links_realized(), 1);
         // An exact received power draws the far pair too.
-        w.rssi_between(far, client, now);
+        w.air.rssi_between(far, client, now);
         assert!(drawn(&w, far));
         assert_eq!(w.links_realized(), 2);
     }
@@ -1938,17 +2258,17 @@ mod tests {
         let t = SimTime::from_millis(3);
         for ((d, _), plan) in districts.iter().zip(fleet.district_plan(5)) {
             let n = d.clients.len();
-            for pair in 0..d.links.len() {
+            for pair in 0..d.air.copy_links().len() {
                 let (aui, ci) = (pair / n, pair % n);
-                let whole = (plan.first_ap + aui) * mono.clients.len() + plan.first_vehicle + ci;
-                let pos = d.clients[ci].plan.position_at(t);
-                let esnr = |w: &World, p| {
-                    let link = w.link_at(&w.links[p], p);
+                let (ap, client) = (d.cfg().ap_id(aui), d.clients[ci].id);
+                let pos = d.cfg().client_pos(client, t);
+                let esnr = |w: &World| {
+                    let link = w.air.link(ap, client);
                     link.esnr_db_at(t, pos, Modulation::Qam16).to_bits()
                 };
                 assert_eq!(
-                    esnr(d, pair),
-                    esnr(&mono, whole),
+                    esnr(d),
+                    esnr(&mono),
                     "AP {} of the district at AP {}",
                     aui,
                     plan.first_ap
@@ -1961,17 +2281,19 @@ mod tests {
 
     /// What the range index replaced: every AP, the exact horizon gate.
     fn full_scan(w: &World, client: NodeId, now: SimTime) -> Vec<usize> {
-        let pos = w.client_pos(client, now);
-        (0..w.cfg.ap_x.len())
-            .filter(|&aui| pos.distance_to(w.medium.position(w.ap_id(aui))) <= DECODE_HORIZON_M)
+        let pos = w.cfg().client_pos(client, now);
+        let ap_pos = |aui| w.air.medium().position(w.cfg().ap_id(aui));
+        (0..w.cfg().ap_x.len())
+            .filter(|&aui| pos.distance_to(ap_pos(aui)) <= DECODE_HORIZON_M)
             .collect()
     }
 
     /// What the decode loops visit: the window, then the same gate.
     fn range_index(w: &World, client: NodeId, now: SimTime) -> Vec<usize> {
-        let pos = w.client_pos(client, now);
-        w.ap_window(pos.x)
-            .filter(|&aui| w.in_decode_horizon(aui, pos))
+        let pos = w.cfg().client_pos(client, now);
+        w.air
+            .ap_window(pos.x)
+            .filter(|&aui| w.air.in_decode_horizon(aui, pos))
             .collect()
     }
 
@@ -2044,8 +2366,8 @@ mod tests {
         // real restriction where it applies.
         let boundary = w.client_ids()[4];
         assert!(full_scan(&w, boundary, SimTime::ZERO).contains(&0));
-        let parked = w.client_pos(w.client_ids()[5], SimTime::ZERO);
-        assert!(w.ap_window(parked.x).is_empty());
+        let parked = w.cfg().client_pos(w.client_ids()[5], SimTime::ZERO);
+        assert!(w.air.ap_window(parked.x).is_empty());
     }
 
     #[test]
@@ -2058,7 +2380,7 @@ mod tests {
 
     // ------------------------------------------- outage accounting edges
     //
-    // These drive `note_delivery`/`finalize` directly (same-module
+    // These drive `note_delivery`/`finish` directly (same-module
     // access) so each boundary condition is pinned exactly, without a
     // full event run in the way.
 
@@ -2066,7 +2388,6 @@ mod tests {
     /// pinned at `end`, ready for hand-fed deliveries.
     fn outage_rig(end: SimDuration) -> (World, NodeId) {
         let mut w = quick_world(wgtt(), FlowSpec::DownlinkUdp { rate_mbps: 2.5 }, 1);
-        w.end_at = SimTime::ZERO + end;
         w.report.duration = end;
         let client = w.client_ids()[0];
         (w, client)
@@ -2107,8 +2428,8 @@ mod tests {
         // Second outage: silent again until 500 ms.
         w.note_delivery(client, SimTime::from_millis(500));
         assert_eq!(outage_samples(&w, client), vec![0.25, 0.25]);
-        // Finalize closes the 500 ms → 1 s trailing gap as a third.
-        w.finalize();
+        // Finishing closes the 500 ms → 1 s trailing gap as a third.
+        w.finish();
         assert_eq!(outage_samples(&w, client), vec![0.25, 0.25, 0.5]);
     }
 
@@ -2117,22 +2438,21 @@ mod tests {
         let (mut w, client) = outage_rig(SimDuration::from_secs(1));
         // The one and only delivery lands exactly at the end of the run:
         // the leading 1 s gap is an outage; the trailing gap is zero and
-        // must NOT be double-counted by the finalize pass.
-        w.note_delivery(client, w.end_at);
-        w.finalize();
+        // must NOT be double-counted when the run finishes.
+        w.note_delivery(client, w.end_at());
+        w.finish();
         assert_eq!(outage_samples(&w, client), vec![1.0]);
     }
 
     #[test]
     fn trailing_gap_is_not_closed_for_uplink_only_demand() {
         // An uplink-only client goes quiet on the downlink legitimately;
-        // finalize must not invent a trailing outage for it.
+        // finishing must not invent a trailing outage for it.
         let mut w = quick_world(wgtt(), FlowSpec::UplinkUdp { rate_mbps: 0.064 }, 1);
-        w.end_at = SimTime::ZERO + SimDuration::from_secs(1);
         w.report.duration = SimDuration::from_secs(1);
         let client = w.client_ids()[0];
         w.note_delivery(client, SimTime::from_millis(300));
-        w.finalize();
+        w.finish();
         assert_eq!(
             outage_samples(&w, client),
             vec![0.3],
