@@ -26,12 +26,12 @@ pub const BASIC_RATE_MBPS: f64 = 24.0;
 pub const BEACON_BODY_BYTES: u32 = 250;
 /// Compressed Block ACK frame size, bytes.
 pub const BLOCK_ACK_BYTES: u32 = 32;
-/// Legacy ACK frame size, bytes.
-pub const ACK_BYTES: u32 = 14;
-/// Management frame body size (auth/assoc), bytes.
+/// Management frame body size ((re)association), bytes.
 pub const MGMT_BODY_BYTES: u32 = 120;
 /// Per-MPDU A-MPDU delimiter + padding overhead, bytes.
 pub const MPDU_DELIMITER_BYTES: u32 = 8;
+/// Keepalive (NULL-data) frame body size, bytes.
+pub const KEEPALIVE_BYTES: u32 = 40;
 /// MAC header + FCS per MPDU, bytes.
 pub const MAC_HEADER_BYTES: u32 = 34;
 /// Minimum contention window (CWmin), slots.
@@ -55,14 +55,13 @@ pub fn frame_airtime(frame: &Frame) -> SimDuration {
                 .sum();
             HT_PREAMBLE_US + body_airtime_us(bytes, frame.mcs.rate_mbps())
         }
-        FrameKind::Data { packet, .. } => {
+        FrameKind::Keepalive => {
             HT_PREAMBLE_US
-                + body_airtime_us(packet.len as u32 + MAC_HEADER_BYTES, frame.mcs.rate_mbps())
+                + body_airtime_us(KEEPALIVE_BYTES + MAC_HEADER_BYTES, frame.mcs.rate_mbps())
         }
         FrameKind::BlockAck { .. } => {
             LEGACY_PREAMBLE_US + body_airtime_us(BLOCK_ACK_BYTES, BASIC_RATE_MBPS)
         }
-        FrameKind::Ack => LEGACY_PREAMBLE_US + body_airtime_us(ACK_BYTES, BASIC_RATE_MBPS),
         FrameKind::Beacon => {
             LEGACY_PREAMBLE_US + body_airtime_us(BEACON_BODY_BYTES, BASIC_RATE_MBPS)
         }
@@ -71,28 +70,6 @@ pub fn frame_airtime(frame: &Frame) -> SimDuration {
         }
     };
     SimDuration::from_micros(us)
-}
-
-/// Duration of the complete exchange a data PPDU occupies the channel
-/// for: the PPDU, then SIFS, then the (Block)ACK response. Control-only
-/// frames return just their own airtime.
-pub fn exchange_airtime(frame: &Frame) -> SimDuration {
-    let own = frame_airtime(frame);
-    match &frame.kind {
-        FrameKind::Ampdu { .. } => {
-            own + SimDuration::from_micros(SIFS_US)
-                + SimDuration::from_micros(
-                    LEGACY_PREAMBLE_US + body_airtime_us(BLOCK_ACK_BYTES, BASIC_RATE_MBPS),
-                )
-        }
-        FrameKind::Data { .. } | FrameKind::Mgmt { .. } => {
-            own + SimDuration::from_micros(SIFS_US)
-                + SimDuration::from_micros(
-                    LEGACY_PREAMBLE_US + body_airtime_us(ACK_BYTES, BASIC_RATE_MBPS),
-                )
-        }
-        _ => own,
-    }
 }
 
 /// Contention window size (slots) after `retries` consecutive failures:
@@ -125,12 +102,30 @@ mod tests {
         }
     }
 
+    fn block_ack() -> Frame {
+        Frame {
+            from: NodeId(0),
+            to: NodeId(1),
+            kind: FrameKind::BlockAck {
+                start_seq: 0,
+                bitmap: 0,
+            },
+            mcs: Mcs::Mcs0,
+        }
+    }
+
+    /// The channel time an A-MPDU's exchange holds: the PPDU, SIFS, then
+    /// the Block ACK.
+    fn exchange(ampdu: &Frame) -> SimDuration {
+        frame_airtime(ampdu) + SimDuration::from_micros(SIFS_US) + frame_airtime(&block_ack())
+    }
+
     #[test]
     fn aggregation_amortizes_overhead() {
         // Per-packet airtime of a 32-MPDU aggregate must be far below that
         // of 32 singleton frames — the reason aggregation exists.
-        let one = exchange_airtime(&ampdu_of(1, 1500, Mcs::Mcs7));
-        let many = exchange_airtime(&ampdu_of(32, 1500, Mcs::Mcs7));
+        let one = exchange(&ampdu_of(1, 1500, Mcs::Mcs7));
+        let many = exchange(&ampdu_of(32, 1500, Mcs::Mcs7));
         let per_packet_single = one.as_micros_f64();
         let per_packet_agg = many.as_micros_f64() / 32.0;
         assert!(
@@ -155,7 +150,7 @@ mod tests {
         // and DIFS, should land in the 55–68 Mbit/s goodput range — the
         // familiar UDP ceiling of 20 MHz 802.11n.
         let f = ampdu_of(32, 1500, Mcs::Mcs7);
-        let total = exchange_airtime(&f)
+        let total = exchange(&f)
             + SimDuration::from_micros(DIFS_US)
             + SimDuration::from_micros(SLOT_US * (CW_MIN as u64) / 2);
         let goodput = 32.0 * 1500.0 * 8.0 / total.as_secs_f64() / 1e6;
@@ -167,16 +162,7 @@ mod tests {
 
     #[test]
     fn block_ack_airtime_is_tens_of_us() {
-        let f = Frame {
-            from: NodeId(0),
-            to: NodeId(1),
-            kind: FrameKind::BlockAck {
-                start_seq: 0,
-                bitmap: 0,
-            },
-            mcs: Mcs::Mcs0,
-        };
-        let t = frame_airtime(&f).as_micros_f64();
+        let t = frame_airtime(&block_ack()).as_micros_f64();
         assert!((20.0..60.0).contains(&t), "BA airtime {t} µs");
     }
 
@@ -193,27 +179,23 @@ mod tests {
     }
 
     #[test]
+    fn keepalive_airtime_is_a_40_byte_null_data_frame_at_mcs0() {
+        let f = Frame {
+            from: NodeId(100),
+            to: NodeId(0),
+            kind: FrameKind::Keepalive,
+            mcs: Mcs::Mcs0,
+        };
+        // HT preamble + ⌈(40 + 34) B · 8 / 7.2 Mbit/s⌉ = 36 + 83 µs.
+        assert_eq!(frame_airtime(&f), SimDuration::from_micros(119));
+    }
+
+    #[test]
     fn backoff_grows_then_clamps() {
         assert_eq!(contention_window(0), 15);
         assert_eq!(contention_window(1), 31);
         assert_eq!(contention_window(2), 63);
         assert_eq!(contention_window(6), 1023);
         assert_eq!(contention_window(10), 1023);
-    }
-
-    #[test]
-    fn exchange_includes_response() {
-        let f = ampdu_of(4, 1500, Mcs::Mcs5);
-        assert!(exchange_airtime(&f) > frame_airtime(&f));
-        let ba = Frame {
-            from: NodeId(0),
-            to: NodeId(1),
-            kind: FrameKind::BlockAck {
-                start_seq: 0,
-                bitmap: 0,
-            },
-            mcs: Mcs::Mcs0,
-        };
-        assert_eq!(exchange_airtime(&ba), frame_airtime(&ba));
     }
 }

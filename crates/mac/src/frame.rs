@@ -66,20 +66,12 @@ pub enum FrameKind {
         /// Bit `i` acknowledges `start_seq + i` (mod 4096).
         bitmap: u64,
     },
-    /// Single unaggregated data frame expecting a legacy ACK (used for
-    /// management-sized payloads and the baseline's association frames).
-    Data {
-        /// The carried packet.
-        packet: PacketRef,
-        /// 12-bit sequence number.
-        seq: u16,
-    },
-    /// Legacy ACK for a [`FrameKind::Data`] frame.
-    Ack,
+    /// Client keepalive: a NULL-data frame whose decoding APs report CSI.
+    Keepalive,
     /// AP beacon (baseline roaming discovers APs from these).
     Beacon,
-    /// Management exchange frame (auth/assoc/reassoc), payload-free in the
-    /// model; `kind` distinguishes the handshake step for the roamers.
+    /// Management exchange frame ((re)association), payload-free in the
+    /// model; `step` distinguishes the handshake step for the roamers.
     Mgmt {
         /// Which management step this is.
         step: MgmtStep,
@@ -89,10 +81,6 @@ pub enum FrameKind {
 /// Management handshake steps used by association and fast roaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MgmtStep {
-    /// Authentication request (client → AP).
-    AuthReq,
-    /// Authentication response (AP → client).
-    AuthResp,
     /// (Re)association request (client → AP).
     AssocReq,
     /// (Re)association response (AP → client).

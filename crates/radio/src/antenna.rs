@@ -7,25 +7,6 @@
 //! what staggers link-layer ACKs enough to avoid collisions). Clients use
 //! the laptops' built-in omnidirectional antennas.
 
-/// A transmit/receive radiation pattern.
-pub trait Antenna {
-    /// Gain in dBi at `angle_rad` off boresight (radians, `[0, π]`).
-    fn gain_dbi(&self, angle_rad: f64) -> f64;
-}
-
-/// Omnidirectional element with flat gain.
-#[derive(Debug, Clone, Copy)]
-pub struct IsotropicAntenna {
-    /// Gain applied at every angle, dBi.
-    pub gain_dbi: f64,
-}
-
-impl Antenna for IsotropicAntenna {
-    fn gain_dbi(&self, _angle_rad: f64) -> f64 {
-        self.gain_dbi
-    }
-}
-
 /// Parabolic/directional antenna with a quadratic (Gaussian-beam) mainlobe
 /// rolloff and a flat sidelobe floor — the standard 3GPP-style pattern
 /// `G(θ) = G_max − min(12·(θ/θ_3dB)², A_sl)`.
@@ -48,10 +29,9 @@ impl ParabolicAntenna {
             sidelobe_db: 25.0,
         }
     }
-}
 
-impl Antenna for ParabolicAntenna {
-    fn gain_dbi(&self, angle_rad: f64) -> f64 {
+    /// Gain in dBi at `angle_rad` off boresight (radians, `[0, π]`).
+    pub fn gain_dbi(&self, angle_rad: f64) -> f64 {
         let theta_deg = angle_rad.to_degrees().abs();
         let rolloff = 12.0 * (theta_deg / self.beamwidth_deg).powi(2);
         self.peak_gain_dbi - rolloff.min(self.sidelobe_db)
@@ -61,13 +41,6 @@ impl Antenna for ParabolicAntenna {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn isotropic_is_flat() {
-        let a = IsotropicAntenna { gain_dbi: 2.0 };
-        assert_eq!(a.gain_dbi(0.0), 2.0);
-        assert_eq!(a.gain_dbi(1.5), 2.0);
-    }
 
     #[test]
     fn boresight_is_peak() {

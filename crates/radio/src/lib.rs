@@ -33,7 +33,7 @@ pub mod geometry;
 pub mod link;
 pub mod pathloss;
 
-pub use antenna::{Antenna, IsotropicAntenna, ParabolicAntenna};
+pub use antenna::ParabolicAntenna;
 pub use complex::Complex;
 pub use csi::{Csi, NUM_SUBCARRIERS, SUBCARRIER_SPACING_HZ};
 pub use esnr::{effective_snr_db, effective_snr_from_powers, Modulation};

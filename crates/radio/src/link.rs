@@ -36,7 +36,7 @@
 //! the tap gains travel with the caller. [`Link::work`] says how much
 //! exact arithmetic a link has actually been asked for.
 
-use crate::antenna::{Antenna, ParabolicAntenna};
+use crate::antenna::ParabolicAntenna;
 use crate::csi::{Csi, NUM_SUBCARRIERS};
 use crate::esnr::{effective_snr_db, effective_snr_from_powers, Modulation};
 use crate::fading::{FadingProcess, TapGains};

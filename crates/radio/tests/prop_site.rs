@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use wgtt_radio::geometry::angle_between;
-use wgtt_radio::{Antenna, LinkBudget, LinkSite, ParabolicAntenna, PathLossModel, Position};
+use wgtt_radio::{LinkBudget, LinkSite, ParabolicAntenna, PathLossModel, Position};
 
 /// The mean SNR as the site defines it.
 fn composed(

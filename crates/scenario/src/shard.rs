@@ -19,16 +19,8 @@
 //! capture comparison. Each district also gets its own controller: the
 //! paper's controller state is per-client (selection windows, switch
 //! machines, per-source dedup), so splitting it by district changes
-//! nothing a client can see.
-//!
-//! With zero boundary events, *any* synchronization window is
-//! conservative. The engine still advances shards in lockstep windows
-//! (default: the 300 µs backhaul latency, the minimum delay any event
-//! crossing a shard boundary would incur if districts ever did
-//! interact) behind a [`Barrier`], because that is the structure a
-//! future boundary-coupled decomposition needs — and varying the window
-//! under the differential harness is the stress mode that pins the
-//! engine's schedule-independence.
+//! nothing a client can see. With no event to exchange, each district
+//! runs straight through, start to end, with nothing to wait for.
 //!
 //! ## Determinism
 //!
@@ -38,83 +30,62 @@
 //! merge is a fold in district order — stable `(district, vehicle)`
 //! ordering, independent of which worker thread finished first — so the
 //! merged report is a pure function of `(config, seed)`: the worker
-//! count and the sync window cannot leak in.
+//! count cannot leak in.
 //!
 //! [`Medium`]: wgtt_mac::medium::Medium
+//! [`World`]: crate::world::World
 
 use crate::fleet::{FleetConfig, FleetReport};
-use crate::world::{SystemKind, World};
-use std::sync::Barrier;
+use crate::world::SystemKind;
 use wgtt::messages::BACKHAUL_LATENCY;
-use wgtt_apps::mix::AppKind;
-use wgtt_sim::time::{SimDuration, SimTime};
+use wgtt_sim::time::SimDuration;
 
-/// Default conservative lookahead between shard barriers: the backhaul
-/// latency, i.e. the minimum delay any cross-shard event would incur.
+/// Unused: the engine runs each district straight through. Deleted
+/// with ROADMAP item 6(i), once `benchmark/`'s `district_shard` workload
+/// stops slicing its drive by it.
 pub const DEFAULT_SYNC_WINDOW: SimDuration = BACKHAUL_LATENCY;
 
-/// Run the districted corridor `cfg` on `workers` threads and merge the
-/// per-district reports. `sync_window` overrides
-/// [`DEFAULT_SYNC_WINDOW`] (the differential stress tests sweep it to
-/// prove the schedule doesn't matter).
+/// Run the districted corridor `cfg` on `min(workers, districts)`
+/// threads, each running its districts one after another with
+/// [`World::run`](crate::world::World::run), and merge the
+/// per-district reports in district order. The `_sync_window`
+/// argument is ignored; it is deleted with ROADMAP item 6(i), once
+/// `benchmark/` stops passing it.
 ///
-/// The result is bit-identical for every `workers ≥ 1` and every
-/// window; with `cfg.districts == 1` it equals the sequential
-/// [`FleetConfig::run`] outright.
+/// The result is bit-identical for every `workers ≥ 1`; with
+/// `cfg.districts == 1` it equals the sequential [`FleetConfig::run`]
+/// outright.
 pub fn run_sharded(
     cfg: &FleetConfig,
     system: SystemKind,
     seed: u64,
     workers: usize,
-    sync_window: Option<SimDuration>,
+    _sync_window: Option<SimDuration>,
 ) -> FleetReport {
     assert!(workers >= 1, "at least one worker");
-    let window = sync_window.unwrap_or(DEFAULT_SYNC_WINDOW);
-    assert!(window > SimDuration::from_micros(0), "zero-width window");
-    let duration = cfg.duration;
     let worlds = cfg.district_worlds(system, seed);
 
     // Deal districts round-robin onto workers, remembering each
     // district's index so the merge below is by district order, never
     // by completion order.
     let workers_used = workers.min(worlds.len());
-    let mut buckets: Vec<Vec<(usize, World, Vec<AppKind>)>> =
-        (0..workers_used).map(|_| Vec::new()).collect();
-    for (d, (w, kinds)) in worlds.into_iter().enumerate() {
-        buckets[d % workers_used].push((d, w, kinds));
+    let mut buckets: Vec<Vec<_>> = (0..workers_used).map(|_| Vec::new()).collect();
+    for (d, district) in worlds.into_iter().enumerate() {
+        buckets[d % workers_used].push((d, district));
     }
 
-    let barrier = Barrier::new(workers_used);
-    let rounds = duration.as_nanos() / window.as_nanos();
     let mut parts: Vec<(usize, FleetReport)> = std::thread::scope(|s| {
         let handles: Vec<_> = buckets
             .into_iter()
-            .map(|mut bucket| {
-                let barrier = &barrier;
+            .map(|bucket| {
                 s.spawn(move || {
-                    let mut out = Vec::with_capacity(bucket.len());
-                    for (_, world, _) in &mut bucket {
-                        world.begin(duration);
-                    }
-                    // Whole windows; the trailing partial one is the
-                    // final `advance_until(end)` below.
-                    let mut t = SimTime::ZERO;
-                    for _ in 0..rounds {
-                        t += window;
-                        for (_, world, _) in &mut bucket {
-                            world.advance_until(t);
-                        }
-                        // Conservative-lookahead barrier: nobody enters
-                        // window k+1 until every shard has drained
-                        // window k.
-                        barrier.wait();
-                    }
-                    for (d, world, kinds) in &mut bucket {
-                        world.advance_until(world.end_at());
-                        world.finish();
-                        out.push((*d, FleetReport::from_world(world, kinds, cfg)));
-                    }
-                    out
+                    bucket
+                        .into_iter()
+                        .map(|(d, (mut world, kinds))| {
+                            world.run(cfg.duration);
+                            (d, FleetReport::from_world(&world, &kinds, cfg))
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();

@@ -512,8 +512,6 @@ const OUTAGE_MIN: SimDuration = SimDuration::from_millis(200);
 /// channel still decides delivery) — the reason a single reading is noisy
 /// and the paper's median-over-W smoothing matters (Fig. 21).
 pub(crate) const CSI_NOISE_DB: f64 = 1.5;
-/// Sentinel packet id for keepalive frames (no packet-store entry).
-const KEEPALIVE_PKT_ID: u64 = u64::MAX;
 /// Preamble-detection lag: a transmission younger than this is invisible
 /// to carrier sense, allowing SIFS-spaced responses to collide.
 const SENSE_LAG: SimDuration = SimDuration::from_micros(4);
@@ -639,9 +637,9 @@ impl World {
 
     /// Start a run without driving it: set the horizon and bootstrap the
     /// periodic machinery. Pair with [`World::advance_until`] and
-    /// [`World::finish`] — the sharded engine advances many worlds in
-    /// lockstep windows. `begin` + `advance_until(end)` + `finish` is
-    /// exactly [`World::run`].
+    /// [`World::finish`] to drive a run in slices (the benchmark times
+    /// each one). `begin` + `advance_until(end)` + `finish` is exactly
+    /// [`World::run`].
     pub fn begin(&mut self, duration: SimDuration) {
         self.report.duration = duration;
         self.bootstrap();
@@ -826,13 +824,8 @@ impl World {
         if !self.air.clear_to_send(client, now) {
             return; // skip this beat; the next one is 50 ms away
         }
-        let packet = PacketRef {
-            id: KEEPALIVE_PKT_ID,
-            len: 40,
-        };
         let to = self.uplink_target(client);
-        let keepalive = FrameKind::Data { packet, seq: 0 };
-        self.transmit(client, to, keepalive, Mcs::Mcs0, now);
+        self.transmit(client, to, FrameKind::Keepalive, Mcs::Mcs0, now);
     }
 
     // --------------------------------------------------------- backhaul
@@ -1241,12 +1234,7 @@ impl World {
             }
             FrameKind::Beacon => self.end_beacon(tx, from, now),
             FrameKind::Mgmt { step } => self.end_mgmt(tx, from, to, step, now),
-            FrameKind::Data { packet, .. } if !from_ap => {
-                if packet.id == KEEPALIVE_PKT_ID {
-                    self.end_keepalive(tx, from, now);
-                }
-            }
-            FrameKind::Data { .. } | FrameKind::Ack => {}
+            FrameKind::Keepalive => self.end_keepalive(tx, from, now),
         }
     }
 
@@ -1564,7 +1552,6 @@ impl World {
         let (ap, client) = match step {
             MgmtStep::AssocReq => (to, from),
             MgmtStep::AssocResp => (from, to),
-            _ => return,
         };
         if !self.air.rx_survives(tx, from, to, now) {
             return;

@@ -4,8 +4,7 @@
 //! corridor shapes) with randomized fleet configurations: for every
 //! generated `(config, seed)` the sequential monolithic [`World`] is
 //! the oracle and `shard::run_sharded` must reproduce its
-//! [`FleetReport`] bit for bit, under randomized worker counts and
-//! synchronization windows.
+//! [`FleetReport`] bit for bit, under randomized worker counts.
 //!
 //! Each case runs full discrete-event simulations, so the case count is
 //! capped at a handful (still honouring a *smaller* `PROPTEST_CASES`,
@@ -39,17 +38,12 @@ fn random_corridors_are_shard_invariant() {
 
         let oracle = cfg.run(wgtt(), seed);
         let workers = 1 + rng.below(3) as usize;
-        let window = match rng.below(3) {
-            0 => None,
-            1 => Some(SimDuration::from_micros(150 + rng.below(500))),
-            _ => Some(SimDuration::from_millis(1 + rng.below(10))),
-        };
-        let sharded = run_sharded(&cfg, wgtt(), seed, workers, window);
+        let sharded = run_sharded(&cfg, wgtt(), seed, workers, None);
         assert_eq!(
             oracle.equivalence_digest(),
             sharded.equivalence_digest(),
             "case {case}: {districts} districts, {n_vehicles} vehicles, \
-             {n_aps} APs, {workers} workers, window {window:?}, seed {seed}"
+             {n_aps} APs, {workers} workers, seed {seed}"
         );
     }
 }

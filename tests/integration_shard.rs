@@ -3,8 +3,7 @@
 //! The sequential [`World`] (driven through `FleetConfig::run`) is the
 //! oracle; `scenario::shard::run_sharded` must reproduce its
 //! [`FleetReport`] bit for bit on the same seed, for every district
-//! count, worker count, and synchronization window. Three invariances
-//! are pinned:
+//! count and worker count. Three invariances are pinned:
 //!
 //! 1. **Oracle equivalence** — for each districted config (1/2/4/8
 //!    shards), the parallel engine's merged report equals the sequential
@@ -15,9 +14,9 @@
 //!    monolithic world's.
 //! 2. **Worker-count invariance** — 1/2/4/8 workers produce the full
 //!    byte-identical report, `events_handled` included.
-//! 3. **Schedule invariance (stress mode)** — sweeping the conservative
-//!    sync window and re-running under fresh thread interleavings
-//!    changes nothing.
+//! 3. **Schedule invariance** — re-running under fresh thread
+//!    interleavings changes nothing, and neither does advancing each
+//!    district in backhaul-latency slices instead of straight through.
 //!
 //! A fourth test bounds the oracle's own cost: the monolithic world may
 //! not handle many more events than the districts it contains, draws
@@ -26,9 +25,9 @@
 
 use wgtt::WgttConfig;
 use wgtt_scenario::fleet::{FleetConfig, FleetReport};
-use wgtt_scenario::shard::run_sharded;
+use wgtt_scenario::shard::{run_sharded, DEFAULT_SYNC_WINDOW};
 use wgtt_scenario::world::SystemKind;
-use wgtt_sim::time::SimDuration;
+use wgtt_sim::time::{SimDuration, SimTime};
 
 fn corridor(districts: usize) -> FleetConfig {
     let mut cfg = FleetConfig::corridor(8, 16);
@@ -134,22 +133,34 @@ fn worker_count_is_invisible_including_event_counts() {
     }
 }
 
+/// The schedule `benchmark/`'s `district_shard` workload measures: every
+/// district world advanced in 300 µs slices, then the reports merged in
+/// district order. A world's queue pops in (time, insertion) order
+/// however its drain is sliced, so this is the engine's straight run,
+/// event for event.
 #[test]
-fn sync_window_is_invisible() {
+fn district_worlds_advanced_in_slices_equal_the_engine() {
     let cfg = corridor(4);
-    let baseline = full_fingerprint(&run_sharded(&cfg, wgtt(), 13, 4, None));
-    for window_us in [150, 1_700, 100_000] {
-        let r = run_sharded(
-            &cfg,
-            wgtt(),
-            13,
-            4,
-            Some(SimDuration::from_micros(window_us)),
-        );
+    let parts = cfg
+        .district_worlds(wgtt(), 13)
+        .into_iter()
+        .map(|(mut world, kinds)| {
+            world.begin(cfg.duration);
+            let mut t = SimTime::ZERO;
+            while t < world.end_at() {
+                t += DEFAULT_SYNC_WINDOW;
+                world.advance_until(t);
+            }
+            world.finish();
+            FleetReport::from_world(&world, &kinds, &cfg)
+        })
+        .collect();
+    let sliced = full_fingerprint(&FleetReport::merge(parts, &cfg));
+    for workers in [1, 2] {
         assert_eq!(
-            baseline,
-            full_fingerprint(&r),
-            "sync window {window_us} µs leaked into the report"
+            sliced,
+            full_fingerprint(&run_sharded(&cfg, wgtt(), 13, workers, None)),
+            "slicing the drive moved the report at {workers} workers"
         );
     }
 }
