@@ -106,7 +106,6 @@ struct ClientState {
     selector: ApSelector,
     switcher: SwitchProtocol,
     next_index: u16,
-    serving: Option<NodeId>,
 }
 
 impl ClientState {
@@ -122,7 +121,6 @@ impl ClientState {
             selector,
             switcher: SwitchProtocol::new(),
             next_index: 0,
-            serving: None,
         }
     }
 }
@@ -188,7 +186,9 @@ impl Controller {
 
     /// The AP currently serving `client`, if known.
     pub fn serving(&self, client: NodeId) -> Option<NodeId> {
-        self.clients.get(&client).and_then(|st| st.serving)
+        self.clients
+            .get(&client)
+            .and_then(|st| st.selector.current())
     }
 
     /// Number of dedup filters, total remembered keys, and total
@@ -210,7 +210,7 @@ impl Controller {
         out: &mut Vec<ControllerAction>,
     ) {
         let st = state(&mut self.clients, &self.cfg, client);
-        let prev = st.serving.replace(via_ap);
+        let prev = st.selector.current();
         st.selector.set_current(via_ap, now);
         let k = st.next_index;
         let load = self.loads.reassign(prev, via_ap);
@@ -251,13 +251,13 @@ impl Controller {
         // the client for the grace period it is out of coverage and
         // queueing more data would only burn airtime on a dark link.
         let serving_eligible = heard_any || now < SimTime::ZERO + FANOUT_GRACE;
-        if !(heard_any || (serving_eligible && st.serving.is_some())) {
+        let serving = st.selector.current();
+        if !(heard_any || (serving_eligible && serving.is_some())) {
             self.stats.downlink_no_ap += 1;
             return;
         }
         let index = st.next_index;
         st.next_index = (st.next_index + 1) % SEQ_SPACE;
-        let serving = st.serving;
         let data = BackhaulMsg::DownlinkData {
             client,
             index,
@@ -283,7 +283,7 @@ impl Controller {
                 at,
             } => {
                 let st = state(&mut self.clients, &self.cfg, client);
-                let Some(current) = st.serving.filter(|_| !st.switcher.busy()) else {
+                let Some(current) = st.selector.current().filter(|_| !st.switcher.busy()) else {
                     // Nothing can act on a verdict right now (switch in
                     // flight, or not yet associated): fold the reading
                     // into the window and stop.
@@ -343,7 +343,7 @@ impl Controller {
                     st.switcher.on_ack(switch_id, now)
                 {
                     debug_assert_eq!(new_ap, ap);
-                    let prev = st.serving.replace(new_ap);
+                    let prev = st.selector.current();
                     st.selector.set_current(new_ap, now);
                     let load = self.loads.reassign(prev, new_ap);
                     self.stats.max_ap_load = self.stats.max_ap_load.max(u64::from(load));

@@ -206,23 +206,30 @@ impl BaRecipient {
         (self.win_start, self.received)
     }
 
+    /// BAR semantics for an aggregate about to be received: when every
+    /// MPDU of it lies in the stale half of the window (the originator's
+    /// sequence space jumped, e.g. a ring reset after an overload drop
+    /// or a long fan-out absence), re-anchor the window at its first
+    /// sequence number — what a Block Ack Request would teach the
+    /// recipient. An empty aggregate, or one with any MPDU in or ahead
+    /// of the window, leaves the window untouched.
+    pub fn reanchor_if_behind(&mut self, aggregate: &[Mpdu]) {
+        if let Some(first) = aggregate.first() {
+            if aggregate.iter().all(|m| self.is_behind(m.seq)) {
+                // Behind implies started.
+                self.win_start = first.seq;
+                self.received = 0;
+            }
+        }
+    }
+
     /// Whether `seq` falls in the stale ("behind the window") half of the
     /// sequence space — where [`BaRecipient::on_mpdu`] would discard it as
     /// an old duplicate.
-    pub fn is_behind(&self, seq: u16) -> bool {
+    fn is_behind(&self, seq: u16) -> bool {
         self.started
             && !seq_in_window(seq, self.win_start, BA_WINDOW)
             && !seq_lt(self.win_start, seq)
-    }
-
-    /// Re-anchor the window at `seq` — the effect of a Block Ack Request
-    /// (BAR) teaching the recipient a new starting sequence after the
-    /// originator jumped the sequence space (e.g. a ring reset following
-    /// an overload drop or a long fan-out absence).
-    pub fn reanchor(&mut self, seq: u16) {
-        self.win_start = seq;
-        self.received = 0;
-        self.started = true;
     }
 
     /// True if `seq` has been recorded as received.
@@ -255,6 +262,26 @@ mod tests {
             packet: PacketRef { id, len: 1500 },
             retries: 0,
         }
+    }
+
+    #[test]
+    fn an_aggregate_wholly_behind_the_window_reanchors_it() {
+        let mut rx = BaRecipient::new();
+        for seq in 1000..1010 {
+            rx.on_mpdu(seq);
+        }
+        let before = rx.block_ack();
+        // Empty: untouched.
+        rx.reanchor_if_behind(&[]);
+        assert_eq!(rx.block_ack(), before);
+        // One MPDU in the window: untouched.
+        rx.reanchor_if_behind(&[mpdu(10, 0), mpdu(1005, 1)]);
+        assert_eq!(rx.block_ack(), before);
+        // All behind: the window restarts at the first, empty.
+        rx.reanchor_if_behind(&[mpdu(10, 0), mpdu(11, 1)]);
+        assert_eq!(rx.block_ack(), (10, 0));
+        assert!(rx.on_mpdu(10) && rx.on_mpdu(11));
+        assert_eq!(rx.block_ack(), (10, 0b11));
     }
 
     #[test]

@@ -12,21 +12,16 @@
 //!
 //! The medium is a passive state machine: callers ask when they could
 //! start ([`Medium::access_time`]), begin transmissions at the granted
-//! instant, and collect [`TxOutcome`]s per receiver when they end. The
-//! event loop owns all scheduling.
+//! instant, and collect [`TxOutcome`]s per receiver at the instant each
+//! ends. A transmission stays on the medium until it ends, and no
+//! longer: the first [`Medium::begin_tx`] strictly after its end retires
+//! it. The event loop owns all scheduling.
 
 use crate::airtime::{contention_window, DIFS_US, SLOT_US};
 use crate::frame::NodeId;
-use std::collections::VecDeque;
 use wgtt_radio::Position;
 use wgtt_sim::rng::Xoshiro256;
 use wgtt_sim::time::{SimDuration, SimTime};
-
-/// How long an ended transmission stays queryable by id. The grace
-/// period keeps just-ended entries answerable even when another node's
-/// `begin_tx` lands between a transmission's end instant and the event
-/// that collects its outcome.
-const GRACE: SimDuration = SimDuration::from_millis(100);
 
 /// Handle to an in-progress transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,21 +37,15 @@ pub enum TxOutcome {
     Collided,
 }
 
+/// One transmission on the medium.
 #[derive(Debug)]
-struct Ongoing {
-    end: SimTime,
-    /// Senders of transmissions that overlapped this one in time.
-    overlapped_with: Vec<NodeId>,
-}
-
-/// A transmission that had not ended at the latest `begin_tx`: what a
-/// busy query reads, without a visit to its `recent` entry.
-#[derive(Debug, Clone, Copy)]
-struct Air {
+struct Tx {
     id: u64,
     from: NodeId,
     start: SimTime,
     end: SimTime,
+    /// Senders of transmissions that overlapped this one in time.
+    overlapped_with: Vec<NodeId>,
 }
 
 /// What the medium knows of one node.
@@ -70,8 +59,8 @@ struct Node {
     channel: u8,
     /// Latest end of any transmission the node has begun. Every
     /// transmission that had not ended at the latest `begin_tx` is on
-    /// `on_air`, so for a query at or after it this is what a walk of
-    /// `on_air` for the node's own entries would find.
+    /// the medium, so for a query at or after it this is what a walk of
+    /// the node's own transmissions would find.
     own_until: SimTime,
 }
 
@@ -89,19 +78,13 @@ pub struct Medium {
     /// Range within which an overlapping sender corrupts a reception,
     /// metres.
     pub interference_range_m: f64,
-    /// Every transmission still inside its grace period, in id order:
-    /// entry `k` is transmission `first_id + k`, so lookup by id is an
-    /// offset and retiring pops the front.
-    recent: VecDeque<Ongoing>,
-    first_id: u64,
-    /// The `recent` entries that had not ended at the latest `begin_tx`,
-    /// in id order — the only ones a busy or overlap query has to look
-    /// at. A handful, where `recent` holds the whole grace window.
-    on_air: Vec<Air>,
-    /// Instant of the latest `begin_tx`: an entry is retired, for lookups
-    /// by id too, once its grace period ends at or before this.
-    retired_at: SimTime,
-    /// Emptied `overlapped_with` lists of retired entries, for
+    /// Every transmission that had not ended before the latest
+    /// `begin_tx`, in id order: a handful, what every busy, overlap and
+    /// verdict query looks at.
+    txs: Vec<Tx>,
+    /// Id of the next transmission.
+    next_id: u64,
+    /// Emptied `overlapped_with` lists of retired transmissions, for
     /// `begin_tx` to reuse: a steady state allocates none.
     spare_lists: Vec<Vec<NodeId>>,
 }
@@ -113,10 +96,8 @@ impl Medium {
             nodes: Vec::new(),
             cs_range_m,
             interference_range_m,
-            recent: VecDeque::new(),
-            first_id: 0,
-            on_air: Vec::new(),
-            retired_at: SimTime::ZERO,
+            txs: Vec::new(),
+            next_id: 0,
             spare_lists: Vec::new(),
         }
     }
@@ -186,19 +167,17 @@ impl Medium {
     }
 
     /// Transmissions other than `node`'s own that it can sense at `now`.
-    fn sensed_by(&self, node: NodeId, now: SimTime) -> impl Iterator<Item = &Air> + '_ {
+    fn sensed_by(&self, node: NodeId, now: SimTime) -> impl Iterator<Item = &Tx> + '_ {
         let near = self.near(node, self.cs_range_m);
-        self.on_air
+        self.txs
             .iter()
             .filter(move |o| o.end > now && o.from != node && near(o.from))
     }
 
     /// Transmission `id`, unless it was never begun or has been retired.
-    fn lookup(&self, id: TxId) -> Option<&Ongoing> {
-        let k = id.0.checked_sub(self.first_id)?;
-        self.recent
-            .get(usize::try_from(k).ok()?)
-            .filter(|o| o.end + GRACE > self.retired_at)
+    fn lookup(&self, id: TxId) -> Option<&Tx> {
+        let k = self.txs.binary_search_by_key(&id.0, |o| o.id).ok()?;
+        Some(&self.txs[k])
     }
 
     /// Is the channel sensed busy by `node` at `now`?
@@ -256,55 +235,42 @@ impl Medium {
 
     /// Begin a transmission from `from` at `now` lasting `dur`. Any
     /// temporal overlap with another ongoing transmission is recorded for
-    /// both parties.
+    /// both parties. Transmissions that ended before `now` retire; one
+    /// ending exactly at `now` stays, for the verdicts its end collects.
     pub fn begin_tx(&mut self, from: NodeId, now: SimTime, dur: SimDuration) -> TxId {
-        // Entries still on the air overlap us; the ones that ended drop
-        // off the active list (they stay queryable by id for `GRACE`).
-        let (recent, first_id) = (&mut self.recent, self.first_id);
         let mut overlapped_with = self.spare_lists.pop().unwrap_or_default();
-        self.on_air.retain(|other| {
-            let live = other.end > now;
-            if live {
-                recent[(other.id - first_id) as usize]
-                    .overlapped_with
-                    .push(from);
+        let spare_lists = &mut self.spare_lists;
+        self.txs.retain_mut(|other| {
+            if other.end < now {
+                let mut retired = std::mem::take(&mut other.overlapped_with);
+                retired.clear();
+                spare_lists.push(retired);
+                return false;
+            }
+            if other.end > now {
+                other.overlapped_with.push(from);
                 overlapped_with.push(other.from);
             }
-            live
+            true
         });
-        // Nothing left on the active list can be retired: it ends after
-        // `now`.
-        self.retired_at = now;
-        while self.recent.front().is_some_and(|o| o.end + GRACE <= now) {
-            let mut retired = self
-                .recent
-                .pop_front()
-                .expect("front exists")
-                .overlapped_with;
-            retired.clear();
-            self.spare_lists.push(retired);
-            self.first_id += 1;
-        }
-        let id = self.first_id + self.recent.len() as u64;
+        let id = self.next_id;
+        self.next_id += 1;
         let end = now + dur;
         let own = &mut self.node_mut(from).own_until;
         *own = (*own).max(end);
-        self.on_air.push(Air {
+        self.txs.push(Tx {
             id,
             from,
             start: now,
-            end,
-        });
-        self.recent.push_back(Ongoing {
             end,
             overlapped_with,
         });
         TxId(id)
     }
 
-    /// Outcome of transmission `id` at receiver `rx`. Call at (or after)
-    /// the transmission's end. The transmission stays queryable until
-    /// a `begin_tx` at least `GRACE` (100 ms) after its end retires it.
+    /// Outcome of transmission `id` at receiver `rx`. Call at the
+    /// transmission's end: it stays queryable until a `begin_tx`
+    /// strictly after its end retires it.
     pub fn outcome_for(&self, id: TxId, rx: NodeId) -> TxOutcome {
         if self.corrupters(id, rx).next().is_some() {
             TxOutcome::Collided
@@ -314,7 +280,7 @@ impl Medium {
     }
 
     /// Senders whose transmissions overlapped `id` in time (for
-    /// capture-effect decisions at a receiver).
+    /// capture-effect decisions at a receiver); none once `id` retired.
     pub fn overlappers(&self, id: TxId) -> &[NodeId] {
         self.lookup(id).map_or(&[], |o| &o.overlapped_with)
     }
@@ -345,20 +311,6 @@ impl Medium {
             "a verdict asked of an unknown or retired transmission"
         );
         self.interferers_for(id, rx)
-    }
-
-    /// Whether transmission `id` overlapped any other transmission at all
-    /// (collision accounting for Table 3, independent of receivers).
-    pub fn overlapped(&self, id: TxId) -> bool {
-        !self.overlappers(id).is_empty()
-    }
-
-    /// Number of transmissions currently on the air at `now`.
-    pub fn active_count(&self, now: SimTime) -> usize {
-        self.on_air
-            .iter()
-            .filter(|o| o.start <= now && o.end > now)
-            .count()
     }
 }
 
@@ -436,8 +388,8 @@ mod tests {
         let b = m.begin_tx(NodeId(2), ms(1), SimDuration::from_millis(1));
         assert_eq!(m.outcome_for(a, NodeId(3)), TxOutcome::Clean);
         assert_eq!(m.outcome_for(b, NodeId(3)), TxOutcome::Clean);
-        assert!(!m.overlapped(a));
-        assert!(!m.overlapped(b));
+        assert!(m.overlappers(a).is_empty());
+        assert!(m.overlappers(b).is_empty());
     }
 
     #[test]
@@ -511,7 +463,8 @@ mod tests {
         m.begin_tx(NodeId(2), ms(1), SimDuration::from_millis(2));
         assert_eq!(m.overlappers(a), &[NodeId(2)]);
         assert_eq!(m.own_tx_until(NodeId(1), ms(1)), ms(2));
-        // 200 ms on, both have retired, and the next ones take their lists.
+        // Once a begin lands after their ends, both have retired, and the
+        // next ones take their lists.
         let c = m.begin_tx(NodeId(3), ms(200), SimDuration::from_millis(2));
         let d = m.begin_tx(NodeId(1), ms(201), SimDuration::from_millis(2));
         assert_eq!(m.overlappers(c), &[NodeId(1)]);
@@ -521,12 +474,28 @@ mod tests {
     }
 
     #[test]
-    fn active_count_tracks_air() {
+    fn a_transmission_is_answered_through_its_end_instant() {
+        let mut m = medium_with(&[(1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0)]);
+        let a = m.begin_tx(NodeId(1), ms(0), SimDuration::from_millis(2));
+        m.begin_tx(NodeId(2), ms(1), SimDuration::from_millis(3));
+        // A begin exactly at `a`'s end neither overlaps it nor retires
+        // it: the verdicts collected at that instant still see it.
+        m.begin_tx(NodeId(3), ms(2), SimDuration::from_millis(1));
+        assert_eq!(m.overlappers(a), &[NodeId(2)]);
+        assert_eq!(m.outcome_for(a, NodeId(3)), TxOutcome::Collided);
+        // One nanosecond later it is gone.
+        let later = ms(2) + SimDuration::from_nanos(1);
+        m.begin_tx(NodeId(3), later, SimDuration::from_millis(1));
+        assert!(m.overlappers(a).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown or retired transmission")]
+    fn a_verdict_after_retirement_panics() {
         let mut m = medium_with(&[(1, 0.0, 0.0), (2, 5.0, 0.0)]);
-        m.begin_tx(NodeId(1), ms(0), SimDuration::from_millis(2));
-        m.begin_tx(NodeId(2), ms(1), SimDuration::from_millis(2));
-        assert_eq!(m.active_count(ms(1)), 2);
-        assert_eq!(m.active_count(ms(2)), 1);
+        let a = m.begin_tx(NodeId(1), ms(0), SimDuration::from_millis(2));
+        m.begin_tx(NodeId(2), ms(3), SimDuration::from_millis(1));
+        m.outcome_for(a, NodeId(2));
     }
 }
 
@@ -554,32 +523,27 @@ mod proptests {
         #[test]
         fn overlap_is_symmetric(starts in proptest::collection::vec(0u64..5_000, 2..6)) {
             // Any pair of transmissions either both record the overlap or
-            // neither does.
+            // neither does, checked while both are still on the medium.
             let mut m = Medium::roadside();
             for i in 0..starts.len() {
                 m.set_position(NodeId(i as u32), Position::new(i as f64, 0.0));
             }
             let mut sorted = starts.clone();
             sorted.sort_unstable();
-            let ids: Vec<TxId> = sorted
-                .iter()
-                .enumerate()
-                .map(|(i, &st)| {
-                    m.begin_tx(
-                        NodeId(i as u32),
-                        SimTime::from_micros(st),
-                        SimDuration::from_micros(1_000),
-                    )
-                })
-                .collect();
-            for (i, &a) in ids.iter().enumerate() {
-                for (j, &b) in ids.iter().enumerate() {
-                    if i == j {
-                        continue;
+            let dur = SimDuration::from_micros(1_000);
+            let mut begun: Vec<(TxId, SimTime)> = Vec::new();
+            for (k, &st) in sorted.iter().enumerate() {
+                let now = SimTime::from_micros(st);
+                begun.push((m.begin_tx(NodeId(k as u32), now, dur), now + dur));
+                for (i, &(a, a_end)) in begun.iter().enumerate() {
+                    for (j, &(b, b_end)) in begun.iter().enumerate() {
+                        if i == j || a_end < now || b_end < now {
+                            continue;
+                        }
+                        let a_lists_b = m.overlappers(a).contains(&NodeId(j as u32));
+                        let b_lists_a = m.overlappers(b).contains(&NodeId(i as u32));
+                        prop_assert_eq!(a_lists_b, b_lists_a);
                     }
-                    let a_lists_b = m.overlappers(a).contains(&NodeId(j as u32));
-                    let b_lists_a = m.overlappers(b).contains(&NodeId(i as u32));
-                    prop_assert_eq!(a_lists_b, b_lists_a);
                 }
             }
         }

@@ -1,12 +1,14 @@
 //! Model-equivalence property suite for `wgtt_mac::medium::Medium`.
 //!
 //! The model below is the naive medium: hash maps for positions and
-//! channels, one flat list of transmissions kept for the whole grace
-//! window, `retain` to retire, linear `find` by id, and every query a
-//! scan of the full list. `Medium` keeps id-indexed tables, an id-ordered
-//! deque and a short active list instead; on any call sequence an event
-//! loop can produce (non-decreasing instants) the two must give the same
-//! answer to every query.
+//! channels, one flat list of every transmission not yet retired (a
+//! `begin_tx` retires those that ended strictly before it), linear
+//! `find` by id, and every query a full distance check over that list.
+//! `Medium` keeps an id-indexed node table, an along-road shortcut
+//! before each distance, a binary search by id and reused overlap
+//! lists instead; on any call sequence an event loop can produce
+//! (non-decreasing instants) the two must give the same answer to every
+//! query, and a retired transmission must answer nothing.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -15,7 +17,6 @@ use wgtt_mac::medium::{Medium, TxId, TxOutcome};
 use wgtt_radio::Position;
 use wgtt_sim::time::{SimDuration, SimTime};
 
-const GRACE: SimDuration = SimDuration::from_millis(100);
 /// Nodes 0–11 line the road 9 m apart; 12–15 are a second cluster
 /// 300 m on, far beyond either range of anything in the first.
 const NODES: u32 = 16;
@@ -93,7 +94,7 @@ impl Model {
     }
 
     fn begin_tx(&mut self, from: NodeId, now: SimTime, dur: SimDuration) -> usize {
-        self.ongoing.retain(|(_, o)| o.end + GRACE > now);
+        self.ongoing.retain(|(_, o)| o.end >= now);
         let mut entry = ModelTx {
             from,
             start: now,
@@ -126,13 +127,6 @@ impl Model {
                 .collect()
         })
     }
-
-    fn active_count(&self, now: SimTime) -> usize {
-        self.ongoing
-            .iter()
-            .filter(|(_, o)| o.start <= now && o.end > now)
-            .count()
-    }
 }
 
 proptest! {
@@ -150,27 +144,33 @@ proptest! {
         let mut txs: Vec<(TxId, usize)> = Vec::new();
         for (i, &(op, n, a, b)) in ops.iter().enumerate() {
             let node = NodeId(n);
-            // Mostly microsecond steps, now and then a jump that lets
-            // whole grace windows retire.
+            // Mostly microsecond steps, now and then a jump of up to
+            // 160 ms past every transmission's end.
             now += SimDuration::from_micros(if a % 29 == 0 { a * 40 } else { a % 400 });
-            match op {
+            let query = match op {
                 0 => {
                     let pos = Position::new(a as f64 / 40.0, b as f64 / 60.0);
                     medium.set_position(node, pos);
                     model.positions.insert(node, pos);
+                    None
                 }
                 1 => {
                     let ch = (b % 2) as u8;
                     medium.set_channel(node, ch);
                     model.channels.insert(node, ch);
+                    None
                 }
                 2..=5 => {
                     let dur = SimDuration::from_micros(20 + b * 5);
                     txs.push((medium.begin_tx(node, now, dur), model.begin_tx(node, now, dur)));
+                    None
                 }
-                6 => prop_assert_eq!(
-                    medium.is_busy_for(node, now), model.is_busy_for(node, now), "op {}", i
-                ),
+                6 => {
+                    prop_assert_eq!(
+                        medium.is_busy_for(node, now), model.is_busy_for(node, now), "op {}", i
+                    );
+                    None
+                }
                 7 => {
                     let lag = SimDuration::from_micros(b % 8);
                     prop_assert_eq!(
@@ -178,17 +178,21 @@ proptest! {
                         model.sensed_busy(node, now, lag),
                         "op {}", i
                     );
+                    None
                 }
-                8 => prop_assert_eq!(
-                    medium.busy_until_for(node, now), model.busy_until_for(node, now), "op {}", i
-                ),
-                9 => prop_assert_eq!(
-                    medium.own_tx_until(node, now), model.own_tx_until(node, now), "op {}", i
-                ),
-                10 => prop_assert_eq!(
-                    medium.active_count(now), model.active_count(now), "op {}", i
-                ),
-                12 => {
+                8 => {
+                    prop_assert_eq!(
+                        medium.busy_until_for(node, now), model.busy_until_for(node, now), "op {}", i
+                    );
+                    None
+                }
+                9 => {
+                    prop_assert_eq!(
+                        medium.own_tx_until(node, now), model.own_tx_until(node, now), "op {}", i
+                    );
+                    None
+                }
+                10 => {
                     // Move `node`'s neighbour to exactly the range along
                     // the road from it (both ranges are 40 m): on the
                     // road axis (in range, distance exactly 40), a hair
@@ -201,32 +205,42 @@ proptest! {
                     let pos = Position::new(at.x + dx, at.y + dy);
                     medium.set_position(other, pos);
                     model.positions.insert(other, pos);
+                    None
                 }
-                _ => {
-                    // Any transmission ever begun, retired ones included.
-                    if txs.is_empty() {
-                        continue;
+                11 => {
+                    // Begin exactly at the end of the latest transmission,
+                    // if it has not ended yet, then ask for its verdict:
+                    // the instant a frame's end collects it, and the edge
+                    // of a transmission's life on the medium.
+                    let Some(&(_, k)) = txs.last() else { continue };
+                    let end = model.find(k).map(|o| o.end).filter(|&end| end >= now);
+                    let Some(end) = end else { continue };
+                    now = end;
+                    let dur = SimDuration::from_micros(20 + b * 5);
+                    txs.push((medium.begin_tx(node, now, dur), model.begin_tx(node, now, dur)));
+                    Some(txs.len() - 2)
+                }
+                // Any transmission ever begun, retired ones included.
+                _ => (!txs.is_empty()).then(|| b as usize % txs.len()),
+            };
+            if let Some(q) = query {
+                let (id, k) = txs[q];
+                let got: Vec<NodeId> = medium.interferers_for(id, node).collect();
+                match model.interferers_for(k, node) {
+                    Some(want) => {
+                        let outcome = if want.is_empty() {
+                            TxOutcome::Clean
+                        } else {
+                            TxOutcome::Collided
+                        };
+                        prop_assert_eq!(medium.outcome_for(id, node), outcome, "op {}", i);
+                        prop_assert_eq!(got, want, "op {}", i);
+                        let overlappers = &model.find(k).expect("present").overlapped_with;
+                        prop_assert_eq!(medium.overlappers(id), overlappers.as_slice());
                     }
-                    let (id, k) = txs[b as usize % txs.len()];
-                    let got: Vec<NodeId> = medium.interferers_for(id, node).collect();
-                    match model.interferers_for(k, node) {
-                        Some(want) => {
-                            let outcome = if want.is_empty() {
-                                TxOutcome::Clean
-                            } else {
-                                TxOutcome::Collided
-                            };
-                            prop_assert_eq!(medium.outcome_for(id, node), outcome, "op {}", i);
-                            prop_assert_eq!(got, want, "op {}", i);
-                            let overlappers = &model.find(k).expect("present").overlapped_with;
-                            prop_assert_eq!(medium.overlappers(id), overlappers.as_slice());
-                            prop_assert_eq!(medium.overlapped(id), !overlappers.is_empty());
-                        }
-                        None => {
-                            prop_assert!(got.is_empty(), "retired tx answered at op {}", i);
-                            prop_assert!(medium.overlappers(id).is_empty());
-                            prop_assert!(!medium.overlapped(id));
-                        }
+                    None => {
+                        prop_assert!(got.is_empty(), "retired tx answered at op {}", i);
+                        prop_assert!(medium.overlappers(id).is_empty());
                     }
                 }
             }

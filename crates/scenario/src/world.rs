@@ -1287,14 +1287,7 @@ impl World {
         } else {
             self.cfg().ap_index(ap)
         };
-        // BAR semantics: when the whole aggregate lies in the stale half
-        // of the receive window (the sender's sequence space jumped after
-        // an overload drop or fan-out absence), re-anchor the window at
-        // the aggregate's first sequence number.
-        let win = &mut self.clients[ci].ba_rx[slot];
-        if !mpdus.is_empty() && mpdus.iter().all(|m| win.is_behind(m.seq)) {
-            win.reanchor(mpdus[0].seq);
-        }
+        self.clients[ci].ba_rx[slot].reanchor_if_behind(mpdus);
         let mut decoded_any = false;
         for m in mpdus {
             let (pair, len) = ((ap, client), m.packet.len);

@@ -586,9 +586,7 @@ impl Air {
         self.fresh.clear();
         let pair = self.pair_index(ap, client);
         let win = &mut self.ap_up_rx[pair];
-        if !decoded.is_empty() && decoded.iter().all(|m| win.is_behind(m.seq)) {
-            win.reanchor(decoded[0].seq);
-        }
+        win.reanchor_if_behind(&decoded);
         for m in &decoded {
             if win.on_mpdu(m.seq) {
                 self.fresh.push(m.packet);
